@@ -333,7 +333,8 @@ def build_parser():
                    help="symmetric PSD integer matrix (inline JSON or @file)")
     q.add_argument("--metric", metavar="JSON|random",
                    help="positive definite rational metric, or 'random'")
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--seed", type=int, default=0,
+                   help="seed of the metric perturbations (default 0)")
     _add_out(q)
     q.set_defaults(func=cmd_fan_build)
     q = fansub.add_parser("validate", help="validate a fan file")
@@ -395,15 +396,15 @@ def main(argv=None):
         code = args.func(args)
         return 0 if code is None else code
     except SchemaError as exc:
-        log.error("schema error: %s", exc)
+        log.debug("schema error: %s", exc)
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except NumericIndeterminacyError as exc:
-        log.error("numeric indeterminacy: %s", exc)
+        log.debug("numeric indeterminacy: %s", exc)
         print(f"numeric indeterminacy: {exc}", file=sys.stderr)
         return 4
     except (ContractError, AbdynError) as exc:
-        log.error("contract error: %s", exc)
+        log.debug("contract error: %s", exc)
         print(f"contract error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,9 +12,12 @@ the maximal complex subspace A of the orbit-closure tangent space, of complex
 dimension s.  Then r = h - 2s, the orbit is dense iff h = 2g, and the closure
 is totally real iff s = 0.
 
-Relations are found by lattice-basis reduction (LLL, exact rational
-Gram-Schmidt) on the augmented vector (x_1, .., x_2g, 1) scaled by 1/tol, so
-results are certificates at a stated height bound, never proofs of absence.
+Relations are found by lattice-basis reduction on the augmented vector
+(x_1, .., x_2g, 1) scaled by 1/tol, so results are certificates at a stated
+height bound, never proofs of absence.  The reduction is the integral LLL of
+Cohen (A Course in Computational Algebraic Number Theory, Alg. 2.6.7), exact
+in integers throughout: it updates the Gram determinants and the scaled
+Gram-Schmidt coefficients in place instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -100,50 +103,70 @@ class OrbitReport:
 
 
 # ---------------------------------------------------------------------------
-# LLL (exact rational Gram-Schmidt, delta = 0.99)
+# LLL (integral, delta = 0.99)
 # ---------------------------------------------------------------------------
 
 def lll_reduce(rows, delta=Fraction(99, 100)):
-    """LLL reduction of integer row vectors; returns the reduced rows.
-    Dimensions here never exceed ~10, so exact Fractions are fine."""
+    """LLL reduction of linearly independent integer row vectors; returns
+    the reduced rows.
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7): it keeps the Gram determinants d_i of the first i rows and
+    the integers lam[i][j] = mu_ij * d_{j+1}, and updates both in place with
+    exact integer divisions.  Row k is size-reduced against rows k-1..0
+    (nearest integer, ties to even) before the Lovasz test
+    d_{k+1} d_{k-1} + lam[k][k-1]^2 >= delta d_k^2.
+
+    Raises ContractError if the rows are linearly dependent (some d_i = 0)."""
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
     if n == 0:
         return []
+    p, q_delta = delta.numerator, delta.denominator
 
-    def gram_schmidt():
-        bstar = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = []
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = Fraction(
-                    sum(Fraction(b[i][k]) * bstar[j][k] for k in range(len(v))),
-                    1) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-            norms.append(sum(x * x for x in v))
-        return bstar, mu, norms
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise ContractError("lll_reduce needs linearly independent rows")
 
-    bstar, mu, norms = gram_schmidt()
     k = 1
     while k < n:
         # size reduction
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q != 0:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                bstar, mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            if 2 * abs(lk[j]) <= d[j + 1]:
+                continue
+            q = round(Fraction(lk[j], d[j + 1]))  # ties to even
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lk[j] -= q * d[j + 1]
+            lj = lam[j]
+            for t in range(j):
+                lk[t] -= q * lj[t]
+        lkk = lk[k - 1]
+        if q_delta * (d[k + 1] * d[k - 1] + lkk * lkk) >= p * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            bstar, mu, norms = gram_schmidt()
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
+        B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
     return b
 
 

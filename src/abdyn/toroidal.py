@@ -493,12 +493,13 @@ def _delaunay_cells(gamma, Q):
             raise NumericIndeterminacyError("Delaunay window did not stabilize")
 
 
-def delaunay_fan(gamma_data, metric="standard", seed=None):
+def delaunay_fan(gamma_data, metric="standard", seed=0):
     """Build the Gamma-invariant Delaunay fan: cones over the Delaunay cells
     of the height-1 lattice, one fundamental set, closed under faces.
 
-    Degenerate (cospherical) metrics are retried with seeded rational
-    perturbations up to a cap of 16."""
+    Degenerate (cospherical) metrics are retried with rational perturbations
+    drawn from random.Random(seed), up to a cap of 16; the default seed 0
+    makes every call reproducible."""
     rp = gamma_data.r_prime
     if not (1 <= rp <= 3):
         raise ContractError("desk scale: 1 <= r' <= 3")

@@ -2,14 +2,18 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from sympy import Matrix, Rational
+from sympy.matrices.normalforms import hermite_normal_form
 
 from abdyn.errors import ContractError
 from abdyn.exactalg import IntMatrix
 from abdyn.orbit import (NumericLattice, finite_order_approximations,
-                         orbit_dims, real_dual_coords, relation_lattice,
-                         split_A_B)
+                         lll_reduce, orbit_dims, real_dual_coords,
+                         relation_lattice, split_A_B)
+from util import reference_lll
 
 SQRT2, SQRT3, SQRT5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 
@@ -115,8 +119,88 @@ def test_finite_order_approximations():
     dists = [a.distance for a in approx]
     assert dists[0] < 1 / 20 and dists[1] < 1 / 200 and dists[2] < 1 / 2000
     assert dists == sorted(dists, reverse=True)
-    from fractions import Fraction
     approx = finite_order_approximations((SQRT2, SQRT3), [7],
                                          IntMatrix.identity(2))
     assert tuple(approx[0].beta) == (Fraction(10, 7), Fraction(12, 7))
     assert approx[0].distance < 1 / 14
+
+
+# ---------------------------------------------------------------------------
+# LLL: differential tests against the reference, checked with sympy
+# ---------------------------------------------------------------------------
+
+def relation_rows(coords, tol=1e-10):
+    """The rows relation_lattice reduces: (identity | round(x/tol)), plus
+    (0 .. 0, 1, 1/tol)."""
+    n = len(coords)
+    scale = round(1.0 / tol)
+    rows = []
+    for i in range(n):
+        row = [0] * (n + 1) + [round(scale * coords[i])]
+        row[i] = 1
+        rows.append(row)
+    rows.append([0] * n + [1, scale])
+    return rows
+
+
+def assert_lll_reduced_basis_of(rows, reduced, delta=(99, 100)):
+    """Exact checks with sympy: size-reduced (|mu_ij| <= 1/2), Lovasz
+    condition at delta, and the same lattice (equal Hermite normal forms
+    of the row lattices).  mu and |b*_j|^2 come from the LDL^T
+    decomposition of the Gram matrix."""
+    R = Matrix(reduced)
+    mu, D = (R * R.T).LDLdecomposition(hermitian=False)
+    n = R.rows
+    assert all(abs(mu[i, j]) <= Rational(1, 2)
+               for i in range(n) for j in range(i))
+    d = Rational(*delta)
+    for k in range(1, n):
+        assert D[k, k] >= (d - mu[k, k - 1] ** 2) * D[k - 1, k - 1]
+    assert hermite_normal_form(Matrix(rows).T) == hermite_normal_form(R.T)
+
+
+def test_lll_matches_reference_on_relation_rows():
+    rng = random.Random(2024)
+    kinds = {
+        "uniform": lambda: rng.uniform(-2, 2),
+        "rational": lambda: rng.randint(-9, 9) / rng.randint(1, 9),
+        "quadratic": lambda: (rng.randint(-3, 3) * SQRT2
+                              + rng.randint(-3, 3) * SQRT3),
+    }
+    for n in (2, 4, 6):
+        for draw in kinds.values():
+            rows = relation_rows([draw() for _ in range(n)])
+            got = lll_reduce(rows)
+            assert got == reference_lll(rows)
+            assert_lll_reduced_basis_of(rows, got)
+
+
+def test_lll_matches_reference_on_small_bases_with_ties():
+    rng = random.Random(7)
+    cases = []
+    while len(cases) < 100:
+        n = rng.randint(2, 5)
+        # a short first row makes mu_10 = +-1/2, +-3/2 ties common
+        rows = [[rng.randint(-1, 1) for _ in range(rng.randint(n, 5))]]
+        rows += [[rng.randint(-3, 3) for _ in rows[0]] for _ in range(n - 1)]
+        if Matrix(rows).rank() == n:
+            cases.append(rows)
+    # ties are where the rounding convention decides the output
+    first_mu = {Fraction(sum(x * y for x, y in zip(a, b)),
+                         sum(x * x for x in a)) for a, b, *_ in cases}
+    assert {Fraction(t, 2) for t in (-3, -1, 1, 3)} <= first_mu
+    cases += [[[2, 0], [1, 1]], [[2, 0], [-1, 1]], [[2, 0], [3, 1]],
+              [[2, 0], [-3, 1]], [[2, 0], [5, 1]]]
+    for rows in cases:
+        got = lll_reduce(rows)
+        assert got == reference_lll(rows)
+        assert_lll_reduced_basis_of(rows, got)
+    # mu = 1/2 rounds to 0, not 1 as floor(x + 1/2) would
+    assert lll_reduce([[2, 0], [1, 1]]) == [[1, 1], [1, -1]]
+
+
+def test_lll_rejects_dependent_rows():
+    for rows in ([[1, 2], [2, 4]], [[0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(ContractError):
+            lll_reduce(rows)
+    assert lll_reduce([]) == []

@@ -2,7 +2,10 @@
 reproducibility metadata)."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,7 +63,6 @@ def test_lattice_round_trip():
 
 def run_cli(args, stdin_text=None, capsys=None, monkeypatch=None, tmp=None):
     import io
-    import sys
     if stdin_text is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(args)
@@ -89,6 +91,20 @@ def test_cli_analyze_identity(capsys, monkeypatch):
 def test_cli_malformed_json_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(["analyze"], "not json", capsys, monkeypatch)
     assert code == 2 and "schema" in err
+
+
+def test_cli_error_printed_once():
+    """Without ABDYN_LOG, an error reaches stderr once (no second copy from
+    logging's last-resort handler)."""
+    env = {k: v for k, v in os.environ.items() if k != "ABDYN_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "abdyn.cli", "analyze"],
+                          input="not json", capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert sum(line.startswith("schema error:") for line in lines) == 1
 
 
 def test_cli_contract_error_exit_3(capsys, monkeypatch):
@@ -141,6 +157,20 @@ def test_cli_fan_build_random_metric_reproducible(capsys, monkeypatch):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["options"]["seed"] == 11
+
+
+def test_cli_fan_build_reproducible_without_seed(capsys, monkeypatch):
+    # B = I gives the cospherical square lattice, so the standard metric is
+    # perturbed too; the default seed must fix both perturbations
+    for extra in ([], ["--metric", "random"]):
+        outs = []
+        for _ in range(2):
+            code, out, _ = run_cli(["fan", "build", "--B", "[[1,0],[0,1]]"]
+                                   + extra, None, capsys, monkeypatch)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["options"]["seed"] == 0
 
 
 def test_cli_orbit_analyze(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Shared test helpers: random unimodular matrices and exact inverses."""
+"""Shared test helpers: random unimodular matrices, exact inverses, and a
+reference LLL."""
 
 import random
 from fractions import Fraction
@@ -61,3 +62,50 @@ def conjugate(M, U):
 
 def random_rng(seed):
     return random.Random(seed)
+
+
+def reference_lll(rows, delta=Fraction(99, 100)):
+    """Reference LLL for differential tests: recomputes the exact rational
+    Gram-Schmidt after every size reduction and every swap.  Same operation
+    order as abdyn.orbit.lll_reduce (full size reduction of row k against
+    rows k-1..0 with round-half-even, then the Lovasz test), so both must
+    return identical rows on independent input."""
+    b = [[int(x) for x in row] for row in rows]
+    n = len(b)
+    if n == 0:
+        return []
+
+    def gram_schmidt():
+        bstar = []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        norms = []
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                if norms[j] == 0:
+                    mu[i][j] = Fraction(0)
+                    continue
+                mu[i][j] = Fraction(
+                    sum(Fraction(b[i][k]) * bstar[j][k] for k in range(len(v))),
+                    1) / norms[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+            bstar.append(v)
+            norms.append(sum(x * x for x in v))
+        return bstar, mu, norms
+
+    bstar, mu, norms = gram_schmidt()
+    k = 1
+    while k < n:
+        # size reduction
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                bstar, mu, norms = gram_schmidt()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            bstar, mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
