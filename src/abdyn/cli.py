@@ -71,11 +71,6 @@ def _inline_json(value):
     return load_json(value)
 
 
-def _options_dict(args, *names):
-    return {name.replace("-", "_"): getattr(args, name.replace("-", "_"))
-            for name in names}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -103,7 +98,7 @@ def cmd_analyze(args):
                        "roots_of_unity_only": kronecker_is_roots_of_unity(cp)}
     result = {"degrees": profile.to_json_dict(), "parts": parts}
     _emit(args, {"command": "analyze", "input": echo,
-                 "options": _options_dict(args, "tol", "n-max"),
+                 "options": {"tol": args.tol},
                  "result": result})
 
 
@@ -279,7 +274,7 @@ def cmd_end_to_end(args):
     }
     _emit(args, {"command": "end-to-end",
                  "input": {"case": args.case, "d": args.d, "r": args.r},
-                 "options": _options_dict(args, "tol", "n-max", "seed"),
+                 "options": {"tol": args.tol},
                  "result": bundle})
 
 
@@ -310,7 +305,6 @@ def build_parser():
     _add_io(p)
     _add_out(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--n-max", type=int, default=25)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("decide", help="regularizability verdict for a "
@@ -380,8 +374,6 @@ def build_parser():
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--n-max", type=int, default=25)
-    p.add_argument("--seed", type=int, default=None)
     _add_out(p)
     p.set_defaults(func=cmd_end_to_end)
 

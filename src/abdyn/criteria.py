@@ -32,7 +32,7 @@ from .errors import ContractError
 from .exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
                        cyclotomic_split, is_cyclotomic_free, kernel_lattice,
                        kronecker_is_roots_of_unity, quasi_unipotent_order,
-                       unipotent_index)
+                       solve, unipotent_index)
 
 REGULARIZABLE = "Regularizable"
 NOT_REGULARIZABLE = "NotRegularizable"
@@ -189,52 +189,20 @@ def split_invariant_subfamily(u):
     return L0, L1, index
 
 
+def _basis_coordinates(u, lat):
+    """Coordinates of u(v) in the basis of lat for each basis vector v: one
+    exact solve with the images as right-hand sides (None where u(v) leaves
+    the rational span)."""
+    A = [list(col) for col in zip(*lat.basis)]
+    return solve(A, *(u.mat_vec(v) for v in lat.basis))
+
+
 def lattice_is_invariant(u, lat):
     """Exact check that u maps the sublattice into itself."""
     if lat.rank == 0:
         return True
-    images = [u.mat_vec(v) for v in lat.basis]
-    # solve image = x . basis over Q and require integer solutions
-    from fractions import Fraction
-    basis = [list(v) for v in lat.basis]
-    for img in images:
-        # least-squares-free exact solve: row reduce [basis^T | img]
-        m = len(basis)
-        n = lat.ambient_rank
-        aug = [[Fraction(basis[j][i]) for j in range(m)] + [Fraction(img[i])]
-               for i in range(n)]
-        row = 0
-        coeffs = [None] * m
-        for col in range(m):
-            piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            pv = aug[row][col]
-            aug[row] = [x / pv for x in aug[row]]
-            for i in range(n):
-                if i != row and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-            row += 1
-        # consistency + integrality
-        for i in range(row, n):
-            if aug[i][m] != 0:
-                return False
-        sol = [Fraction(0)] * m
-        r2 = 0
-        for col in range(m):
-            if r2 < row and aug[r2][col] == 1 and all(
-                    aug[i][col] == (1 if i == r2 else 0) for i in range(row)):
-                sol[col] = aug[r2][m]
-                r2 += 1
-        if any(s.denominator != 1 for s in sol):
-            return False
-        # verify (guards the pivot bookkeeping)
-        recon = [sum(int(sol[j]) * basis[j][i] for j in range(m)) for i in range(n)]
-        if tuple(recon) != tuple(img):
-            return False
-    return True
+    return all(x is not None and all(c.denominator == 1 for c in x)
+               for x in _basis_coordinates(u, lat))
 
 
 def restricted_char_poly(u, lat):
@@ -242,30 +210,7 @@ def restricted_char_poly(u, lat):
     computed exactly in the basis of the sublattice."""
     if lat.rank == 0:
         return IntPolynomial([1])
-    from fractions import Fraction
-    basis = [list(v) for v in lat.basis]
-    m = len(basis)
-    n = lat.ambient_rank
-    rows = []
-    for v in basis:
-        img = u.mat_vec(v)
-        aug = [[Fraction(basis[j][i]) for j in range(m)] + [Fraction(img[i])]
-               for i in range(n)]
-        row = 0
-        for col in range(m):
-            piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            pv = aug[row][col]
-            aug[row] = [x / pv for x in aug[row]]
-            for i in range(n):
-                if i != row and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-            row += 1
-        sol = [aug[i][m] for i in range(m)]
-        if any(s.denominator != 1 for s in sol):
-            raise ContractError("sublattice is not invariant under u")
-        rows.append([int(s) for s in sol])
-    return char_poly(IntMatrix.from_rows(rows))
+    coords = _basis_coordinates(u, lat)
+    if any(x is None or any(c.denominator != 1 for c in x) for x in coords):
+        raise ContractError("sublattice is not invariant under u")
+    return char_poly(IntMatrix.from_rows([[int(c) for c in x] for x in coords]))

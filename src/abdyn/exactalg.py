@@ -6,6 +6,10 @@ extraction, unipotent indices, saturated kernel lattices and Smith normal
 forms.  These are the carriers of the induced action on the first integral
 cohomology of a fiber, so exactness is not negotiable; floating point appears
 only in eigenvalue_moduli, which is explicitly numeric.
+
+Ranks, determinants, positive-definiteness tests and rational linear solves
+(solve) all run one fraction-free Gauss-Jordan elimination, _bareiss
+(Bareiss 1968), on denominator-cleared integer rows.
 """
 
 from __future__ import annotations
@@ -390,51 +394,79 @@ class IntMatrix:
         """Determinant by fraction-free Bareiss elimination."""
         if not self.is_square():
             raise DimensionError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        pivots, d = _bareiss(self.to_rows(), self.cols)
+        return d if len(pivots) == self.rows else 0
 
     def rank(self):
-        """Exact rank over Q (Gaussian elimination on Fractions)."""
-        a = [[Fraction(e) for e in self.row(i)] for i in range(self.rows)]
-        rank = 0
-        col = 0
-        while rank < self.rows and col < self.cols:
-            piv = next((i for i in range(rank, self.rows) if a[i][col] != 0), None)
-            if piv is None:
-                col += 1
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            pv = a[rank][col]
-            for i in range(rank + 1, self.rows):
-                if a[i][col] != 0:
-                    f = a[i][col] / pv
-                    for j in range(col, self.cols):
-                        a[i][j] -= f * a[rank][j]
-            rank += 1
-            col += 1
-        return rank
+        """Exact rank over Q (fraction-free Bareiss elimination)."""
+        pivots, _ = _bareiss(self.to_rows(), self.cols)
+        return len(pivots)
 
     def to_numpy(self):
         return np.array(self.to_rows(), dtype=float)
+
+
+def _bareiss(a, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
+    rows a, in place, over their first ncols columns; later columns (right-
+    hand sides) are carried along.  Returns (pivot columns, d).
+
+    Every step divides exactly by the previous pivot, so all entries stay
+    integral and bounded by minors of the input.  A row exchange also
+    negates the row moved down, which keeps the determinant: for a square a
+    of full rank d = det(a).  On return, pivot row i holds d in its pivot
+    column and 0 in the other pivot columns, and the rows below the pivots
+    are zero in the first ncols columns."""
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], [-x for x in a[r]]
+        pr = a[r]
+        piv = pr[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and (f or piv != prev):
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, pr)]
+        pivots.append(c)
+        prev = piv
+    return pivots, prev
+
+
+def _cleared(row):
+    """A row of integers and Fractions times the lcm of its denominators."""
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def solve(A, *rhs):
+    """Exact solutions of A x = b over Q for each right-hand side b.
+
+    A is a list of m rows of n integers or Fractions (m >= n allowed).
+    Returns one entry per b: the unique solution as a list of Fractions, or
+    None when that system is inconsistent; every entry is None when A has
+    rank below n."""
+    n = len(A[0]) if A else 0
+    a = [_cleared(list(row) + [b[i] for b in rhs]) for i, row in enumerate(A)]
+    pivots, d = _bareiss(a, n)
+    if len(pivots) < n:
+        return [None] * len(rhs)
+    return [None if any(row[n + k] for row in a[n:])
+            else [Fraction(a[i][n + k], d) for i in range(n)]
+            for k in range(len(rhs))]
+
+
+def is_positive_definite(rows):
+    """Sylvester's criterion for a symmetric matrix of integers or
+    Fractions: every leading principal minor is positive.  Clearing each
+    row's denominators scales the minors by positive factors only."""
+    a = [_cleared(list(row)) for row in rows]
+    return all(IntMatrix.from_rows([row[:k] for row in a[:k]]).det() > 0
+               for k in range(1, len(a) + 1))
 
 
 def char_poly(M):

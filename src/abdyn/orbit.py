@@ -190,6 +190,16 @@ def real_dual_coords(lattice, v, tol=1e-10):
     return tuple(float(t) for t in x)
 
 
+def _round_scaled(scale, t):
+    """round(scale * t) for the LLL rows; a product beyond the float range
+    has no integer to round to."""
+    s = scale * t
+    if not math.isfinite(s):
+        raise NumericIndeterminacyError(
+            f"coordinate {t!r} scaled by 1/tol = {scale} is not finite")
+    return round(s)
+
+
 def relation_lattice(coords, height_bound=50, tol=1e-10):
     """Integer relations q with q . x rational, certified at the given height
     bound: LLL on the augmented vector (x_1..x_2g, 1) scaled by 1/tol.  Each
@@ -205,7 +215,7 @@ def relation_lattice(coords, height_bound=50, tol=1e-10):
     dim = n + 1
     rows = []
     for i in range(n):
-        row = [0] * dim + [round(scale * coords[i])]
+        row = [0] * dim + [_round_scaled(scale, coords[i])]
         row[i] = 1
         rows.append(row)
     last = [0] * dim + [scale]
@@ -349,7 +359,7 @@ def _sublattice_in_subspace(lattice, proj_perp, tol):
         row = [0] * g2
         row[i] = 1
         flat = np.concatenate(tails[i])
-        row += [round(scale * t) for t in flat]
+        row += [_round_scaled(scale, t) for t in flat]
         rows.append(row)
     reduced = lll_reduce(rows)
     coeffs = []

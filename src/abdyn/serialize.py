@@ -12,6 +12,7 @@ Conventions (shared by the CLI and the schemas/ directory):
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import jsonschema
@@ -176,6 +177,18 @@ def lattice_from_json(obj):
                           else matrix_from_json(pol))
 
 
+def _finite_number(x):
+    """A JSON number that a float holds finitely; bools, strings, the
+    Infinity/NaN tokens and out-of-range integers are schema errors."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            if math.isfinite(x):
+                return x
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise SchemaError(f"expected a finite number, got {x!r}")
+
+
 def complex_vector_from_json(obj):
     """An alpha vector: list of [re, im] pairs (or plain numbers)."""
     if not isinstance(obj, list):
@@ -185,11 +198,9 @@ def complex_vector_from_json(obj):
         if isinstance(z, list):
             if len(z) != 2:
                 raise SchemaError("complex entries must be [re, im] pairs")
-            out.append(complex(z[0], z[1]))
-        elif isinstance(z, (int, float)):
-            out.append(complex(z))
+            out.append(complex(_finite_number(z[0]), _finite_number(z[1])))
         else:
-            raise SchemaError(f"bad complex entry {z!r}")
+            out.append(complex(_finite_number(z)))
     return tuple(out)
 
 

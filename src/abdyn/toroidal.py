@@ -16,10 +16,11 @@ fundamental set of cones under Gamma plus the translation data, and perform
 all membership tests modulo Gamma.
 
 Delaunay cells are located with scipy's (floating) Delaunay triangulation on
-Cholesky-transformed points and then certified exactly: circumcenters are
-solved over Fractions and the strict empty-sphere condition is verified in
-rational arithmetic.  Any exact cosphericity (non-simplicial cell) triggers a
-seeded rational perturbation of the metric, with a retry cap.
+Cholesky-transformed points and then certified exactly: circumcenters come
+from the fraction-free solve of exactalg and the strict empty-sphere
+condition is verified in rational arithmetic.  Any exact cosphericity
+(non-simplicial cell) triggers a seeded rational perturbation of the metric,
+with a retry cap.
 """
 
 from __future__ import annotations
@@ -34,59 +35,15 @@ import numpy as np
 import scipy.spatial
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
-from .exactalg import IntMatrix, IntPolynomial, kernel_lattice, smith_normal_form
+from .exactalg import (IntMatrix, IntPolynomial, is_positive_definite,
+                       kernel_lattice, smith_normal_form, solve)
 
 MAX_METRIC_RETRIES = 16
 
 
 # ---------------------------------------------------------------------------
-# small exact-rational linear algebra helpers
+# small exact-rational helpers
 # ---------------------------------------------------------------------------
-
-def _frac_solve(A, rhs):
-    """Solve A x = rhs over Fractions; returns None if singular/inconsistent.
-    A: list of rows, possibly non-square (least-structure exact solve)."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(m)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None  # inconsistent
-    if len(pivots) < n:
-        return None  # underdetermined: caller only uses full-rank systems
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    return x
-
-
-def _frac_inverse(A):
-    """Inverse of a square Fraction matrix (list of rows)."""
-    n = len(A)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        x = _frac_solve(A, e)
-        if x is None:
-            raise ContractError("matrix is singular")
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
 
 def _quad_form(Q, v, w=None):
     """v^T Q w over Fractions (w defaults to v)."""
@@ -116,11 +73,8 @@ class GammaData:
             raise DimensionError("Bprime must be r' x r'")
         if B != B.transpose():
             raise ContractError("Bprime must be symmetric")
-        # positive definiteness via leading principal minors
-        for k in range(1, self.r_prime + 1):
-            minor = IntMatrix.from_rows([[B[i, j] for j in range(k)] for i in range(k)])
-            if minor.det() <= 0:
-                raise ContractError("Bprime must be positive definite")
+        if not is_positive_definite(B.to_rows()):
+            raise ContractError("Bprime must be positive definite")
 
     @property
     def g(self):
@@ -180,11 +134,9 @@ def _translate_cone(cone, beta, gamma):
 def _reduce_mod_period(b, gamma):
     """Write b = b0 + beta*B' with b0 in the fundamental half-open cell
     (coordinates of b*B'^-1 in [0,1)); returns (b0, beta)."""
-    Binv = _frac_inverse([[Fraction(x) for x in row] for row in gamma.bprime_rows()])
-    # x = b * B'^-1 (row vector): x_j = sum_i b_i * Binv[i][j]
-    x = [sum(Fraction(b[i]) * Binv[i][j] for i in range(gamma.r_prime))
-         for j in range(gamma.r_prime)]
-    beta = tuple(int(math.floor(xi)) for xi in x)
+    # x = b * B'^-1 solves B' x = b, as B' is symmetric
+    x, = solve(gamma.bprime_rows(), b)
+    beta = tuple(math.floor(xi) for xi in x)
     shift = gamma.Bprime.transpose().mat_vec(beta)
     b0 = tuple(bi - s for bi, s in zip(b, shift))
     return b0, beta
@@ -256,9 +208,10 @@ def monodromy_to_B(M, D=None):
         A = ker.basis_matrix()
         _, S, V = smith_normal_form(A)
         assert all(S[i, i] == 1 for i in range(ker.rank))  # saturated
-        # rows of V^{-1}: the first (g - r') span the kernel lattice, the rest complete
-        Vinv = _frac_inverse([[Fraction(V[i, j]) for j in range(g)] for i in range(g)])
-        W = IntMatrix.from_rows([[int(x) for x in row] for row in Vinv])
+        # rows of V^{-1}: the first (g - r') span the kernel lattice, the rest
+        # complete; column j of V^{-1} solves V x = e_j
+        cols = solve(V.to_rows(), *IntMatrix.identity(g).to_rows())
+        W = IntMatrix.from_rows([[int(x) for x in row] for row in zip(*cols)])
     # sanity: W B W^T = diag(0, B')
     WB = W @ B @ W.transpose()
     k = g - r_prime
@@ -330,37 +283,9 @@ def _normalize_metric(metric, r_prime):
         for j in range(r_prime):
             if Q[i][j] != Q[j][i]:
                 raise ContractError("metric must be symmetric")
-    if not _is_positive_definite(Q):
+    if not is_positive_definite(Q):
         raise ContractError("metric must be positive definite")
     return Q
-
-
-def _is_positive_definite(Q):
-    n = len(Q)
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in Q[:k]]
-        if _frac_det(sub) <= 0:
-            return False
-    return True
-
-
-def _frac_det(A):
-    n = len(A)
-    a = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return det
 
 
 def _perturb_metric(Q, rng):
@@ -375,7 +300,7 @@ def _perturb_metric(Q, rng):
                 P[i][j] = P[i][j] + eps
                 if i != j:
                     P[j][i] = P[i][j]
-        if _is_positive_definite(P):
+        if is_positive_definite(P):
             return P
     raise NumericIndeterminacyError("could not perturb metric to positive definite")
 
@@ -410,7 +335,7 @@ def _circumsphere(Q, cell):
         rows.append([2 * sum(Fraction(d[i]) * Q[i][j] for i in range(len(d)))
                      for j in range(len(v0))])
         rhs.append(_quad_form(Q, v) - _quad_form(Q, v0))
-    c = _frac_solve(rows, rhs)
+    c, = solve(rows, rhs)
     if c is None:
         return None
     diff = [Fraction(v0[i]) - c[i] for i in range(len(v0))]
@@ -477,15 +402,14 @@ def _delaunay_cells(gamma, Q):
             break
         else:
             # volume check: the canonical cells must tile one fundamental cell
-            total = Fraction(0)
+            total = 0
             for cell in ok_cells:
                 v0 = cell[0]
                 mat = [[cell[i + 1][j] - v0[j] for j in range(rp)] for i in range(rp)]
-                total += abs(_frac_det(mat))
+                total += abs(IntMatrix.from_rows(mat).det())
             # |det| of each simplex is r'! times its volume, so the sum must
             # equal r'! times the covolume of the period lattice
-            covol = Fraction(abs(gamma.Bprime.det()))
-            if total != covol * math.factorial(rp):
+            if total != abs(gamma.Bprime.det()) * math.factorial(rp):
                 raise _DegenerateMetric("cells do not tile the fundamental cell")
             return ok_cells
         margin += 2
@@ -495,7 +419,9 @@ def _delaunay_cells(gamma, Q):
 
 def delaunay_fan(gamma_data, metric="standard", seed=0):
     """Build the Gamma-invariant Delaunay fan: cones over the Delaunay cells
-    of the height-1 lattice, one fundamental set, closed under faces.
+    of the height-1 lattice, one fundamental set, closed under faces.  The
+    metric is "standard" (or "identity") or a symmetric positive definite
+    rational r' x r' matrix.
 
     Degenerate (cospherical) metrics are retried with rational perturbations
     drawn from random.Random(seed), up to a cap of 16; the default seed 0
@@ -503,9 +429,8 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     rp = gamma_data.r_prime
     if not (1 <= rp <= 3):
         raise ContractError("desk scale: 1 <= r' <= 3")
-    base = _normalize_metric(metric if metric != "random" else "standard", rp)
+    Q = base = _normalize_metric(metric, rp)
     rng = random.Random(seed)
-    Q = base if metric != "random" else _perturb_metric(base, rng)
     last_err = None
     for _ in range(MAX_METRIC_RETRIES):
         try:
@@ -608,17 +533,17 @@ def validate_fan(fan):
     # covering / invariance proxy: maximal height-1 cells tile a fundamental cell
     max_cones = [c for c in fan.cones if c.dim == rp + 1]
     if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
-        total = Fraction(0)
+        total = 0
         degenerate = False
         for c in max_cones:
             cell = [v[gp:gp + rp] for v in c.generators]
             v0 = cell[0]
             mat = [[cell[i + 1][j] - v0[j] for j in range(rp)] for i in range(rp)]
-            d = abs(_frac_det(mat))
+            d = abs(IntMatrix.from_rows(mat).det())
             if d == 0:
                 degenerate = True
             total += d
-        covol = Fraction(abs(gamma.Bprime.det())) * math.factorial(rp)
+        covol = abs(gamma.Bprime.det()) * math.factorial(rp)
         if degenerate:
             violations.append("degenerate maximal cell")
         elif total != covol:
@@ -636,34 +561,8 @@ def _point_in_cone(point, cone):
     cols = [list(v) for v in cone.generators]
     A = [[cols[j][i] for j in range(len(cols))] for i in range(len(point))]
     # solve A c = point; need full column rank (simplicial)
-    sol = _solve_overdetermined(A, list(point))
+    sol, = solve(A, point)
     return sol is not None and all(c >= 0 for c in sol)
-
-
-def _solve_overdetermined(A, rhs):
-    """Exact solve of a full-column-rank, possibly overdetermined system;
-    None if inconsistent."""
-    m, n = len(A), len(A[0])
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(m)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            return None  # not full column rank: treat as no unique solution
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
-    return [aug[i][n] for i in range(n)]
 
 
 def section_extends(n_phi, fan):
@@ -686,12 +585,6 @@ def section_extends(n_phi, fan):
     return False
 
 
-def cocharacter_from_orders(orders):
-    """Assemble the cocharacter n_phi from the vanishing orders of the basis
-    characters along a section (dual-basis bookkeeping)."""
-    return tuple(int(x) for x in orders)
-
-
 def translation_regularizable(n_phi, gamma_data, with_diagnostic=False):
     """The algorithmic core of the finite-order regularization: if the
     abelian block of n_phi vanishes and its torus block lies in the rational
@@ -709,9 +602,8 @@ def translation_regularizable(n_phi, gamma_data, with_diagnostic=False):
     if any(x != 0 for x in a):
         diag = "abelian coordinate nonzero (a genuine section cannot twist the abelian block)"
         return (None, diag) if with_diagnostic else None
-    # solve x * B' = b over Q
-    Bt = [[Fraction(gamma_data.Bprime[j, i]) for j in range(rp)] for i in range(rp)]
-    x = _frac_solve(Bt, list(b))
+    # solve x * B' = b over Q, i.e. B' x = b as B' is symmetric
+    x, = solve(gamma_data.bprime_rows(), b)
     if x is None:
         diag = "torus block not in the rational row span of B'"
         return (None, diag) if with_diagnostic else None

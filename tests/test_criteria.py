@@ -10,7 +10,7 @@ from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             restricted_char_poly, split_invariant_subfamily,
                             theoremB_bound)
 from abdyn.errors import ContractError
-from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly,
+from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
                             is_cyclotomic_free, kronecker_is_roots_of_unity)
 from util import conjugate, random_unimodular
 
@@ -157,3 +157,12 @@ def test_split_conjugated_blocks():
         assert lattice_is_invariant(u, L0) and lattice_is_invariant(u, L1)
         assert restricted_char_poly(u, L0) == IntPolynomial([1, -1, 1])
         assert restricted_char_poly(u, L1) == IntPolynomial([1, -3, 1])
+
+
+def test_restricted_char_poly_rejects_non_invariant_lattice():
+    # u(0, 1) = (1, 1) leaves the span of (0, 1)
+    u = IntMatrix.from_rows([[1, 1], [0, 1]])
+    lat = Sublattice(ambient_rank=2, basis=((0, 1),))
+    assert not lattice_is_invariant(u, lat)
+    with pytest.raises(ContractError, match="not invariant"):
+        restricted_char_poly(u, lat)

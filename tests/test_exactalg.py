@@ -3,17 +3,21 @@ hand computation or construction oracles)."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
                             cyclotomic_split, eigenvalue_moduli,
-                            is_cyclotomic_free, kernel_lattice,
-                            kronecker_is_roots_of_unity, quasi_unipotent_order,
-                            smith_normal_form, unipotent_index)
+                            is_cyclotomic_free, is_positive_definite,
+                            kernel_lattice, kronecker_is_roots_of_unity,
+                            quasi_unipotent_order, smith_normal_form, solve,
+                            unipotent_index)
+from abdyn.toroidal import _reduce_mod_period, nakamura_data
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -185,6 +189,122 @@ def test_smith_normal_form_identity_and_random():
         for a, b in zip(diag, diag[1:]):
             if b != 0:
                 assert a != 0 and b % a == 0
+
+
+# --- fraction-free rank, det, solve and definiteness against sympy ------------
+
+def _low_rank(rng, m, n, rational):
+    """An m x n matrix of rank at most a random r (product of integer m x r
+    and r x n factors); with rational=True each row is scaled by a random
+    positive fraction, which keeps the rank."""
+    r = rng.randint(0, min(m, n))
+    L = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+    R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    A = [[sum(L[i][k] * R[k][j] for k in range(r)) for j in range(n)]
+         for i in range(m)]
+    if rational:
+        A = [[x * Fraction(rng.randint(1, 4), rng.randint(1, 5)) for x in row]
+             for row in A]
+    return A
+
+
+def _sympy_unique_solution(A, b):
+    """sympy's unique solution of A x = b as Fractions, or None when the
+    system is inconsistent or has free parameters."""
+    try:
+        x, params = sympy.Matrix(A).gauss_jordan_solve(sympy.Matrix(b))
+    except ValueError:  # inconsistent
+        return None
+    if params.shape[0]:
+        return None
+    return [Fraction(int(v.p), int(v.q)) for v in x]
+
+
+def test_rank_and_det_match_sympy():
+    rng = random.Random(31)
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.4:
+            n = m
+        if rng.random() < 0.5:
+            A = _low_rank(rng, m, n, rational=False)
+        else:
+            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        M, S = IntMatrix.from_rows(A), sympy.Matrix(A)
+        assert M.rank() == S.rank(), A
+        if m == n:
+            assert M.det() == S.det(), A
+
+
+def test_solve_matches_sympy():
+    rng = random.Random(32)
+    nones = uniques = 0
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            m = rng.randint(n, 6)  # square or overdetermined
+        A = _low_rank(rng, m, n, rational=rng.random() < 0.5) \
+            if rng.random() < 0.5 else \
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        consistent = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        arbitrary = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m)]
+        for b, x in zip((consistent, arbitrary), solve(A, consistent, arbitrary)):
+            expected = _sympy_unique_solution(A, b)
+            assert x == expected, (A, b)
+            nones += x is None
+            uniques += x is not None
+    # both outcomes, including overdetermined consistent systems, occur
+    assert nones > 30 and uniques > 30
+
+
+def test_solve_small_systems():
+    A = [[1, 0], [0, 1], [1, 1]]
+    assert solve(A, [1, 2, 3], [1, 2, 4]) == [[1, 2], None]
+    assert solve([[1, 2], [2, 4]], [1, 2]) == [None]  # rank 1 < 2 columns
+    assert solve([[Fraction(1, 2)]], [Fraction(1, 3)]) == [[Fraction(2, 3)]]
+
+
+def test_is_positive_definite_matches_sympy():
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        shift = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        Q = [[sum(B[k][i] * B[k][j] for k in range(n)) + (shift if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            Q = [[x * Fraction(1, 7) for x in row] for row in Q]
+        expected = sympy.Matrix(Q).is_positive_definite
+        assert is_positive_definite(Q) == expected, Q
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+# B of every fan in the benchmark's fan corpus
+FAN_BS = ([[[n]] for n in range(1, 7)]
+          + [[[2, 1], [1, 3]], [[1, 0], [0, 1]], [[2, 1], [1, 2]],
+             [[2, 1, 0], [1, 2, 0], [0, 0, 0]],
+             [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+
+
+def test_reduce_mod_period_matches_sympy():
+    rng = random.Random(34)
+    for B in FAN_BS:
+        g = len(B)
+        M = IntMatrix.from_rows([[int(i == j) for j in range(g)] + B[i] for i in range(g)]
+                                + [[0] * g + [int(i == j) for j in range(g)]
+                                   for i in range(g)])
+        gamma = nakamura_data(M)
+        Binv = sympy.Matrix(gamma.bprime_rows()).inv()
+        for _ in range(10):
+            b = tuple(rng.randint(-12, 12) for _ in range(gamma.r_prime))
+            x = sympy.Matrix([b]) * Binv
+            beta = tuple(int(sympy.floor(v)) for v in x)
+            b0 = tuple(bi - s for bi, s in
+                       zip(b, sympy.Matrix([beta]) * sympy.Matrix(gamma.bprime_rows())))
+            assert _reduce_mod_period(b, gamma) == (b0, beta)
 
 
 # --- eigenvalue moduli --------------------------------------------------------

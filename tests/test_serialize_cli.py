@@ -77,7 +77,7 @@ def test_cli_analyze_matrix(capsys, monkeypatch):
     lam = doc["result"]["degrees"]["lambdas"]
     assert abs(lam[1] - 2.6180339887) < 1e-8
     # reproducibility metadata embedded
-    assert doc["options"]["tol"] == 1e-9 and doc["options"]["n_max"] == 25
+    assert doc["options"] == {"tol": 1e-9}
     assert doc["input"]["matrix"] == [[2, 1], [1, 1]]
 
 
@@ -183,6 +183,25 @@ def test_cli_orbit_analyze(capsys, monkeypatch):
     doc = json.loads(out)
     assert (doc["result"]["h"], doc["result"]["s"]) == (1, 0)
     assert doc["options"] == {"height": 50, "tol": 1e-10}
+
+
+SQUARE_LATTICE = '{"g":1,"basis":[[[1,0]],[[0,1]]]}'
+
+
+def test_cli_orbit_huge_coordinate_exit_4(capsys, monkeypatch):
+    code, _, err = run_cli(["orbit", "analyze", "--lattice", SQUARE_LATTICE,
+                            "--alpha", "[[1e300,0]]"], None, capsys, monkeypatch)
+    assert code == 4
+    assert err.startswith("numeric indeterminacy:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ['[["Infinity",0]]', "[[Infinity,0]]",
+                                   "[[NaN,0]]", "[[true,0]]"])
+def test_cli_orbit_bad_alpha_exit_2(alpha, capsys, monkeypatch):
+    code, _, err = run_cli(["orbit", "analyze", "--lattice", SQUARE_LATTICE,
+                            "--alpha", alpha], None, capsys, monkeypatch)
+    assert code == 2
+    assert err.startswith("schema error:") and "Traceback" not in err
 
 
 def test_cli_catalog_and_end_to_end(capsys, monkeypatch):

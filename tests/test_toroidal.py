@@ -8,8 +8,7 @@ import pytest
 from abdyn.errors import ContractError
 from abdyn.exactalg import IntMatrix
 from abdyn.toroidal import (Cone, Fan, GammaData, canonical_cone,
-                            central_fiber_combinatorics, cocharacter_from_orders,
-                            delaunay_fan, gamma_act, monodromy_to_B,
+                            central_fiber_combinatorics, delaunay_fan, gamma_act, monodromy_to_B,
                             nakamura_data, section_extends,
                             translation_regularizable, validate_fan)
 
@@ -120,12 +119,6 @@ def test_canonical_cone_idempotent_on_translates():
             assert canonical_cone(moved, gd) == canonical_cone(cone, gd)
 
 
-def test_cocharacter_from_orders():
-    assert cocharacter_from_orders((0, 0)) == (0, 0)
-    assert cocharacter_from_orders((0, 3)) == (0, 3)
-    assert cocharacter_from_orders((-1, 2)) == (-1, 2)
-
-
 def test_translation_regularizable_examples():
     gd = GammaData(g_prime=0, r_prime=1, Bprime=IntMatrix.from_rows([[2]]))
     assert translation_regularizable((1,), gd) == (2, (1,))
@@ -146,3 +139,5 @@ def test_metric_contract():
     with pytest.raises(ContractError):
         delaunay_fan(gd, metric=[[Fraction(1), Fraction(2)],
                                  [Fraction(2), Fraction(1)]])  # not PD
+    with pytest.raises(ContractError):
+        delaunay_fan(gd, metric="random")  # random metrics come from the CLI
