@@ -1,6 +1,8 @@
 """JSON wire-format helpers.
 
-Conventions (shared by the CLI and the schemas/ directory):
+The JSON Schemas of the wire formats are the package data files
+abdyn/schemas/<name>.schema.json; each is compiled on first use.
+Conventions (shared by the CLI and those schemas):
   * integers are emitted as decimal strings (arbitrary precision); plain JSON
     integers are also accepted on input,
   * matrices are row-major arrays of arrays,
@@ -11,29 +13,42 @@ Conventions (shared by the CLI and the schemas/ directory):
 
 from __future__ import annotations
 
+import functools
+import importlib.resources
 import json
 import math
 from fractions import Fraction
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .criteria import FamilyDescriptor
 from .degrees import SemiAbelianAut
 from .errors import SchemaError
 from .exactalg import IntMatrix, IntPolynomial
 from .orbit import NumericLattice
-from .schemas import ALL_SCHEMAS
 from .toroidal import Cone, Fan, GammaData
+
+
+@functools.cache
+def _validator(name):
+    """The validator of schemas/<name>.schema.json, built once per process
+    (the schema is checked against its draft's meta-schema here, once)."""
+    path = importlib.resources.files("abdyn") / "schemas" / f"{name}.schema.json"
+    schema = json.loads(path.read_text(encoding="utf-8"))
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_schema(obj, schema_name):
     """Validate a decoded JSON object against one of the named schemas;
-    raises SchemaError with the validator's diagnostic."""
-    try:
-        jsonschema.validate(obj, ALL_SCHEMAS[schema_name])
-    except jsonschema.ValidationError as exc:
+    raises SchemaError with the validator's diagnostic (the error that
+    jsonschema.validate would raise)."""
+    error = best_match(_validator(schema_name).iter_errors(obj))
+    if error is not None:
         raise SchemaError(f"payload does not match schema "
-                          f"'{schema_name}': {exc.message}") from exc
+                          f"'{schema_name}': {error.message}") from error
 
 
 def int_to_json(x):
@@ -170,7 +185,8 @@ def lattice_to_json(lat):
 
 def lattice_from_json(obj):
     validate_schema(obj, "lattice")
-    basis = tuple(tuple(complex(z[0], z[1]) for z in v) for v in obj["basis"])
+    basis = tuple(tuple(complex(_finite_number(z[0]), _finite_number(z[1]))
+                        for z in v) for v in obj["basis"])
     pol = obj.get("polarization")
     return NumericLattice(g=obj["g"], basis=basis,
                           polarization=None if pol is None

@@ -227,7 +227,7 @@ def nakamura_data(M, g_prime=None):
     B, W = monodromy_to_B(M)
     g = B.rows
     WB = W @ B @ W.transpose()
-    r_prime = g - kernel_lattice(IntPolynomial([0, 1]), B).rank
+    r_prime = B.rank()
     if r_prime == 0:
         raise ContractError("non-degenerating monodromy (B = 0): no fan to build")
     Bp = IntMatrix.from_rows([[WB[g - r_prime + i, g - r_prime + j]

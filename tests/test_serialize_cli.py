@@ -1,6 +1,7 @@
-"""Wire-format round trips, schema sync, and CLI behavior (exit codes,
-reproducibility metadata)."""
+"""Wire-format round trips, the packaged schemas, and CLI behavior (exit
+codes, reproducibility metadata, output documents against their schemas)."""
 
+import importlib.resources
 import json
 import os
 import pathlib
@@ -8,22 +9,33 @@ import subprocess
 import sys
 
 import pytest
+from jsonschema.validators import validator_for
 
 from abdyn import serialize
 from abdyn.cli import main
 from abdyn.errors import SchemaError
 from abdyn.exactalg import IntMatrix, IntPolynomial
-from abdyn.schemas import ALL_SCHEMAS
 from abdyn.toroidal import delaunay_fan, nakamura_data
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_schema_files_in_sync():
-    for name, schema in ALL_SCHEMAS.items():
-        path = REPO / "schemas" / f"{name}.schema.json"
-        assert path.exists(), f"missing schema file {path}"
-        assert json.loads(path.read_text()) == schema
+SCHEMA_NAMES = {"matrix", "polynomial", "semiabelian_aut", "family_descriptor",
+                "verdict", "degree_profile", "fan", "lattice", "orbit_report"}
+
+
+def test_packaged_schemas():
+    root = importlib.resources.files("abdyn") / "schemas"
+    assert {f.name for f in root.iterdir()} \
+        == {f"{name}.schema.json" for name in SCHEMA_NAMES}
+    for name in SCHEMA_NAMES:
+        schema = json.loads((root / f"{name}.schema.json").read_text())
+        validator_for(schema).check_schema(schema)
+    serialize._validator.cache_clear()
+    serialize.validate_schema([[1]], "matrix")
+    serialize.validate_schema([[2]], "matrix")
+    info = serialize._validator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_matrix_round_trip():
@@ -195,10 +207,14 @@ def test_cli_orbit_huge_coordinate_exit_4(capsys, monkeypatch):
     assert err.startswith("numeric indeterminacy:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("alpha", ['[["Infinity",0]]', "[[Infinity,0]]",
-                                   "[[NaN,0]]", "[[true,0]]"])
-def test_cli_orbit_bad_alpha_exit_2(alpha, capsys, monkeypatch):
-    code, _, err = run_cli(["orbit", "analyze", "--lattice", SQUARE_LATTICE,
+@pytest.mark.parametrize("lattice, alpha", [
+    *(pytest.param(SQUARE_LATTICE, alpha, id=alpha)
+      for alpha in ('[["Infinity",0]]', "[[Infinity,0]]", "[[NaN,0]]",
+                    "[[true,0]]")),
+    *(pytest.param('{"g":1,"basis":[[[%s,0]],[[0,1]]]}' % x, "[[0.5,0]]",
+                   id=f"lattice-{x}") for x in ("NaN", "Infinity", "true"))])
+def test_cli_orbit_bad_alpha_exit_2(lattice, alpha, capsys, monkeypatch):
+    code, _, err = run_cli(["orbit", "analyze", "--lattice", lattice,
                             "--alpha", alpha], None, capsys, monkeypatch)
     assert code == 2
     assert err.startswith("schema error:") and "Traceback" not in err
@@ -220,3 +236,32 @@ def test_cli_catalog_and_end_to_end(capsys, monkeypatch):
                            None, capsys, monkeypatch)
     assert code == 0
     assert json.loads(out)["result"]["m"] == 5
+
+
+def test_cli_outputs_match_schemas(capsys, monkeypatch):
+    """Each output block that has a schema validates against it."""
+    def result(args, stdin_text=None):
+        code, out, _ = run_cli(args, stdin_text, capsys, monkeypatch)
+        assert code == 0
+        return json.loads(out)["result"]
+
+    checks = []
+    doc = result(["decide"], '{"g": 2, "charpoly": [1,-4,6,-4,1], "r": 1, "k": 1}')
+    checks.append((doc, "verdict"))
+    doc = result(["analyze"], "[[2,1],[1,1]]")
+    checks += [(doc["degrees"], "degree_profile"),
+               (doc["parts"]["u_T"]["charpoly"], "polynomial")]
+    doc = result(["end-to-end", "--case", "2.2", "--d", "2", "--r", "1"])
+    checks += [(doc["verdict"], "verdict"), (doc["degrees"], "degree_profile"),
+               (doc["family_descriptor"], "family_descriptor"),
+               (doc["automorphism"], "matrix"), (doc["charpoly"], "polynomial")]
+    doc = result(["orbit", "analyze", "--lattice", SQUARE_LATTICE,
+                  "--alpha", "[[1.4142135623730951,0]]"])
+    checks.append((doc, "orbit_report"))
+    doc = result(["fan", "build", "--B", "[[2,1],[1,2]]"])
+    checks.append((doc, "fan"))
+    doc = result(["catalog", "build", "--case", "2.2", "--r", "1"])
+    checks += [(doc["family_descriptor"], "family_descriptor"),
+               (doc["automorphism"], "matrix")]
+    for block, name in checks:
+        serialize.validate_schema(block, name)
