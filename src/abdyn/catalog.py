@@ -375,9 +375,10 @@ def build_case_matrices(case_id, d=2):
         auto = unit_multiplication_matrix(unit_minpoly(d), copies=1)
         label = f"fundamental unit of Z[sqrt {d}] acting on a RM surface"
     elif case_id == "3.1":
-        M = IntMatrix.from_rows([[2, 1], [1, 1]])
-        auto = IntMatrix.block_diag(M, M, M)
-        label = "unit acting on E^3"
+        # N in GL_3(Z) acts on E^3 as N (+) N; char poly T^3 - 4T^2 + 3T + 1
+        N = IntMatrix.from_rows([[2, 1, 0], [1, 1, 1], [0, 1, 1]])
+        auto = IntMatrix.block_diag(N, N)
+        label = "N = [[2,1,0],[1,1,1],[0,1,1]] acting on E^3"
     elif case_id == "3.2":
         # totally real cubic unit: T^3 - T^2 - 2T + 1 (the 7th-root trace field)
         p = IntPolynomial([1, -2, -1, 1])

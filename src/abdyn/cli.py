@@ -159,8 +159,8 @@ def cmd_fan_build(args):
         metric = "standard"
         metric_echo = "standard"
     else:
-        metric = _inline_json(args.metric)
-        metric_echo = metric
+        metric_echo = _inline_json(args.metric)
+        metric = serialize.metric_from_json(metric_echo, gamma.r_prime)
     fan = delaunay_fan(gamma, metric=metric, seed=args.seed)
     _emit(args, {"command": "fan build",
                  "input": {"B": matrix_to_json(B), "metric": metric_echo},
@@ -326,7 +326,8 @@ def build_parser():
     q.add_argument("--B", required=True, metavar="JSON",
                    help="symmetric PSD integer matrix (inline JSON or @file)")
     q.add_argument("--metric", metavar="JSON|random",
-                   help="positive definite rational metric, or 'random'")
+                   help="positive definite r' x r' metric (rows of ints, "
+                        "finite floats or 'p/q' strings), or 'random'")
     q.add_argument("--seed", type=int, default=0,
                    help="seed of the metric perturbations (default 0)")
     _add_out(q)

@@ -30,6 +30,8 @@ from .exactalg import (IntMatrix, char_poly, eigenvalue_moduli, expand_moduli,
                        kronecker_is_roots_of_unity, quasi_unipotent_order,
                        unipotent_index)
 
+GROWTH_WINDOW = 12  # window of fit_growth's peak and window-smoothed fits
+
 
 @dataclass(frozen=True)
 class SemiAbelianAut:
@@ -354,7 +356,7 @@ def _select_growth_model(logreg, linreg, y):
     return float(coef[2]), float(coef[1])
 
 
-def fit_growth(values, n_start=None, span=12):
+def fit_growth(values):
     """Fit the growth model log a_n ~ c + d*log n + L*n; returns (L, d).
 
     L (the log of the dynamical degree) comes from the autoregressive
@@ -365,7 +367,7 @@ def fit_growth(values, n_start=None, span=12):
     stays flat exactly when the sequence is bounded."""
     n_max = len(values)
     ys = [math.log(max(v, 1e-300)) for v in values]
-    if n_max >= span + 2:
+    if n_max >= GROWTH_WINDOW + 2:
         # interior local maxima are the support points of the upper envelope;
         # through them, periodic and quasi-periodic factors contribute only a
         # constant, so the growth model fits them cleanly
@@ -384,11 +386,11 @@ def fit_growth(values, n_start=None, span=12):
             # few or no interior peaks (monotone-ish data): regress
             # window-smoothed logs over the last few windows, where
             # subdominant eigenvalue terms have decayed
-            ns = list(range(1, n_max - span + 2))[-4:]
-            smooth = [sum(ys[n - 1:n - 1 + span]) / span for n in ns]
-            mlog = np.array([sum(math.log(n + i) for i in range(span)) / span
-                             for n in ns])
-            mid = np.array([n + (span - 1) / 2 for n in ns])
+            w = GROWTH_WINDOW
+            ns = list(range(1, n_max - w + 2))[-4:]
+            smooth = [sum(ys[n - 1:n - 1 + w]) / w for n in ns]
+            mlog = np.array([sum(math.log(n + i) for i in range(w)) / w for n in ns])
+            mid = np.array([n + (w - 1) / 2 for n in ns])
             L, d = _select_growth_model(mlog, mid, np.array(smooth))
         refined = _dominant_rate(values)
         if refined is not None:
@@ -401,9 +403,7 @@ def fit_growth(values, n_start=None, span=12):
             L = refined
         return L, d
     # short sequences: plain joint regression over the tail
-    if n_start is None:
-        n_start = max(2, n_max // 2)
-    ns = np.arange(n_start, n_max + 1, dtype=float)
+    ns = np.arange(max(2, n_max // 2), n_max + 1, dtype=float)
     tail = np.array([ys[int(n) - 1] for n in ns])
     X = np.column_stack([np.ones_like(ns), np.log(ns), ns])
     coef, *_ = np.linalg.lstsq(X, tail, rcond=None)

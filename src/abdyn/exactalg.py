@@ -559,7 +559,6 @@ class Sublattice:
     """A sublattice of Z^ambient_rank given by a basis of integer vectors."""
     ambient_rank: int
     basis: tuple = field(default=())
-    saturated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(tuple(int(x) for x in v) for v in self.basis))
@@ -713,7 +712,7 @@ def kernel_lattice(p, M):
         d = S[j, j] if j < min(S.rows, S.cols) else 0
         if d == 0:
             basis.append(tuple(V[i, j] for i in range(n)))
-    return Sublattice(ambient_rank=n, basis=tuple(basis), saturated=True)
+    return Sublattice(ambient_rank=n, basis=tuple(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractError, NumericIndeterminacyError
-from .exactalg import IntMatrix
+from .exactalg import IntMatrix, _bareiss
+
+LLL_DELTA = Fraction(99, 100)  # the Lovasz constant of lll_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +105,10 @@ class OrbitReport:
 
 
 # ---------------------------------------------------------------------------
-# LLL (integral, delta = 0.99)
+# LLL (integral, delta = LLL_DELTA)
 # ---------------------------------------------------------------------------
 
-def lll_reduce(rows, delta=Fraction(99, 100)):
+def lll_reduce(rows):
     """LLL reduction of linearly independent integer row vectors; returns
     the reduced rows.
 
@@ -115,14 +117,14 @@ def lll_reduce(rows, delta=Fraction(99, 100)):
     the integers lam[i][j] = mu_ij * d_{j+1}, and updates both in place with
     exact integer divisions.  Row k is size-reduced against rows k-1..0
     (nearest integer, ties to even) before the Lovasz test
-    d_{k+1} d_{k-1} + lam[k][k-1]^2 >= delta d_k^2.
+    d_{k+1} d_{k-1} + lam[k][k-1]^2 >= LLL_DELTA d_k^2.
 
     Raises ContractError if the rows are linearly dependent (some d_i = 0)."""
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
     if n == 0:
         return []
-    p, q_delta = delta.numerator, delta.denominator
+    p, q_delta = LLL_DELTA.numerator, LLL_DELTA.denominator
 
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
@@ -190,6 +192,14 @@ def real_dual_coords(lattice, v, tol=1e-10):
     return tuple(float(t) for t in x)
 
 
+def _independent(vectors):
+    """Indices of the greedy independent subset of integer vectors: each is
+    kept unless it lies in the rational span of the earlier ones.  These are
+    the pivot columns of the matrix with the vectors as its columns."""
+    pivots, _ = _bareiss([list(col) for col in zip(*vectors)], len(vectors))
+    return pivots
+
+
 def _round_scaled(scale, t):
     """round(scale * t) for the LLL rows; a product beyond the float range
     has no integer to round to."""
@@ -236,14 +246,8 @@ def relation_lattice(coords, height_bound=50, tol=1e-10):
             continue
         found.append(Relation(q=tuple(q), q_prime=-m, residual=float(residual)))
     # keep an independent subset (rank of the q-parts over Q)
-    independent = []
-    picked_rows = []
-    for rel in sorted(found, key=lambda r: max(abs(x) for x in r.q)):
-        trial = picked_rows + [list(rel.q)]
-        if IntMatrix.from_rows(trial).rank() == len(trial):
-            picked_rows.append(list(rel.q))
-            independent.append(rel)
-    return independent
+    found.sort(key=lambda r: max(abs(x) for x in r.q))
+    return [found[i] for i in _independent([rel.q for rel in found])]
 
 
 def _complex_forms(lattice, relations):
@@ -373,13 +377,7 @@ def _sublattice_in_subspace(lattice, proj_perp, tol):
         resid = float(np.linalg.norm(proj_perp @ vec))
         if resid < 100 * tol * max(1.0, float(np.linalg.norm(vec))):
             coeffs.append(q)
-    # independent subset
-    picked = []
-    for q in coeffs:
-        trial = picked + [list(q)]
-        if IntMatrix.from_rows(trial).rank() == len(trial):
-            picked.append(list(q))
-    return picked
+    return [coeffs[i] for i in _independent(coeffs)]
 
 
 def split_A_B(lattice, alpha, height_bound=50, tol=1e-10):

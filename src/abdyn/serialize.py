@@ -17,6 +17,7 @@ import functools
 import importlib.resources
 import json
 import math
+import re
 from fractions import Fraction
 
 from jsonschema.exceptions import best_match
@@ -125,6 +126,27 @@ def _frac_to_json(x):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _rational_from_json(x):
+    """An int, a finite float or a "p/q" string (q > 0), as a Fraction."""
+    if isinstance(x, str) and _RATIONAL.fullmatch(x) \
+            or isinstance(x, int) and not isinstance(x, bool) \
+            or isinstance(x, float) and math.isfinite(x):
+        return Fraction(x)
+    raise SchemaError(f"expected an int, a finite float or a 'p/q' string, got {x!r}")
+
+
+def metric_from_json(obj, r_prime):
+    """A fan metric: an r' x r' array of rows of rationals, as Fraction rows
+    (symmetry and positive definiteness are the fan builder's contract)."""
+    if not isinstance(obj, list) or len(obj) != r_prime \
+            or any(not isinstance(row, list) or len(row) != r_prime for row in obj):
+        raise SchemaError(f"metric must be an r' x r' = {r_prime} x {r_prime} array of rows")
+    return tuple(tuple(_rational_from_json(x) for x in row) for row in obj)
+
+
 def fan_to_json(fan):
     """Fan file format: {gamma, rays, cones (ray-index lists), metric, seed}.
     Only maximal-dimension data is needed to reconstruct a simplicial fan,
@@ -157,22 +179,18 @@ def fan_from_json(obj):
     gamma = GammaData(g_prime=g["g_prime"], r_prime=g["r_prime"],
                       Bprime=matrix_from_json(g["Bprime"]))
     rays = [tuple(int_from_json(x) for x in ray) for ray in obj["rays"]]
+    if any(len(ray) != gamma.g + 1 for ray in rays):
+        raise SchemaError(f"every ray must have g' + r' + 1 = {gamma.g + 1} coordinates")
     cones = []
     for idxs in obj["cones"]:
-        try:
-            gens = tuple(rays[i] for i in idxs)
-        except IndexError as exc:
-            raise SchemaError("cone refers to a missing ray index") from exc
-        cones.append(Cone(gens))
+        if any(not 0 <= i < len(rays) for i in idxs):
+            raise SchemaError("cone refers to a missing ray index")
+        cones.append(Cone(tuple(rays[i] for i in idxs)))
     metric = obj.get("metric")
-    if metric is None:
-        metric_rows = tuple(
-            tuple(Fraction(1) if i == j else Fraction(0)
-                  for j in range(gamma.r_prime)) for i in range(gamma.r_prime))
-    else:
-        metric_rows = tuple(tuple(Fraction(x) for x in row) for row in metric)
-    return Fan(cones=tuple(cones), gamma=gamma, metric=metric_rows,
-               seed=obj.get("seed"))
+    if metric is None:  # the standard metric
+        metric = [[int(i == j) for j in range(gamma.r_prime)] for i in range(gamma.r_prime)]
+    return Fan(cones=tuple(cones), gamma=gamma,
+               metric=metric_from_json(metric, gamma.r_prime), seed=obj.get("seed"))
 
 
 def lattice_to_json(lat):

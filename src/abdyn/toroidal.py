@@ -15,6 +15,13 @@ Gamma-invariant positive definite metric.  The fan is infinite; we store one
 fundamental set of cones under Gamma plus the translation data, and perform
 all membership tests modulo Gamma.
 
+GammaData is the one place that knows the period lattice: it eliminates
+[B' | I] once (exactalg's fraction-free Bareiss elimination) and caches
+det B' > 0 and the integer adjugate adj(B') = det B' * B'^-1.  Every
+Gamma-translate b + beta * B', every reduction of b into the fundamental
+cell (beta = floor(adj(B') b / det B')) and every regularizing power goes
+through it in integer arithmetic.
+
 Delaunay cells are located with scipy's (floating) Delaunay triangulation on
 Cholesky-transformed points and then certified exactly: circumcenters come
 from the fraction-free solve of exactalg and the strict empty-sphere
@@ -35,7 +42,7 @@ import numpy as np
 import scipy.spatial
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
-from .exactalg import (IntMatrix, IntPolynomial, is_positive_definite,
+from .exactalg import (IntMatrix, IntPolynomial, _bareiss, is_positive_definite,
                        kernel_lattice, smith_normal_form, solve)
 
 MAX_METRIC_RETRIES = 16
@@ -60,7 +67,8 @@ def _quad_form(Q, v, w=None):
 @dataclass(frozen=True)
 class GammaData:
     """Abelian dimension g', torus rank r', and the positive definite
-    integral matrix B' driving the Gamma-translations."""
+    integral matrix B' driving the Gamma-translations.  Also holds B' as
+    rows, det B' and the integer adjugate adj(B'), computed once."""
     g_prime: int
     r_prime: int
     Bprime: IntMatrix
@@ -73,15 +81,24 @@ class GammaData:
             raise DimensionError("Bprime must be r' x r'")
         if B != B.transpose():
             raise ContractError("Bprime must be symmetric")
-        if not is_positive_definite(B.to_rows()):
+        rows = B.to_rows()
+        if not is_positive_definite(rows):
             raise ContractError("Bprime must be positive definite")
+        # Gauss-Jordan on [B' | I] leaves [det B' * I | adj(B')]
+        rp = self.r_prime
+        a = [row + [int(i == j) for j in range(rp)] for i, row in enumerate(rows)]
+        _, det = _bareiss(a, rp)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "adj", tuple(tuple(row[rp:]) for row in a))
 
     @property
     def g(self):
         return self.g_prime + self.r_prime
 
-    def bprime_rows(self):
-        return [list(self.Bprime.row(i)) for i in range(self.r_prime)]
+    def shift(self, beta):
+        """The period beta * B' (a row vector; B' is symmetric)."""
+        return tuple(sum(x * y for x, y in zip(row, beta)) for row in self.rows)
 
 
 def gamma_act(gamma_data, beta, point):
@@ -93,7 +110,7 @@ def gamma_act(gamma_data, beta, point):
     if len(a) != gamma_data.g_prime or len(b) != gamma_data.r_prime \
             or len(beta) != gamma_data.r_prime:
         raise DimensionError("point/beta dimensions do not match GammaData")
-    shift = gamma_data.Bprime.transpose().mat_vec(beta)  # beta * B' (row vector)
+    shift = gamma_data.shift(beta)
     return (a, tuple(bi + k * s for bi, s in zip(b, shift)), int(k))
 
 
@@ -122,23 +139,18 @@ class Cone:
 
 
 def _translate_cone(cone, beta, gamma):
-    gp, rp = gamma.g_prime, gamma.r_prime
-    gens = []
-    for v in cone.generators:
-        a, b, k = v[:gp], v[gp:gp + rp], v[-1]
-        a2, b2, k2 = gamma_act(gamma, beta, (a, b, k))
-        gens.append(a2 + b2 + (k2,))
-    return Cone(tuple(gens))
+    gp = gamma.g_prime
+    shift = gamma.shift(beta)
+    return Cone(tuple(v[:gp] + tuple(x + v[-1] * s for x, s in zip(v[gp:-1], shift))
+                      + v[-1:] for v in cone.generators))
 
 
 def _reduce_mod_period(b, gamma):
     """Write b = b0 + beta*B' with b0 in the fundamental half-open cell
     (coordinates of b*B'^-1 in [0,1)); returns (b0, beta)."""
-    # x = b * B'^-1 solves B' x = b, as B' is symmetric
-    x, = solve(gamma.bprime_rows(), b)
-    beta = tuple(math.floor(xi) for xi in x)
-    shift = gamma.Bprime.transpose().mat_vec(beta)
-    b0 = tuple(bi - s for bi, s in zip(b, shift))
+    # b*B'^-1 = adj(B') b / det B', as B' is symmetric
+    beta = tuple(sum(x * y for x, y in zip(row, b)) // gamma.det for row in gamma.adj)
+    b0 = tuple(bi - s for bi, s in zip(b, gamma.shift(beta)))
     return b0, beta
 
 
@@ -151,9 +163,7 @@ def canonical_cone(cone, gamma):
         return cone
     if any(v[-1] != 1 for v in cone.generators):
         return cone  # no canonical translation defined; leave as-is
-    gp, rp = gamma.g_prime, gamma.r_prime
-    first = cone.generators[0]
-    _, beta = _reduce_mod_period(first[gp:gp + rp], gamma)
+    _, beta = _reduce_mod_period(cone.generators[0][gamma.g_prime:-1], gamma)
     return _translate_cone(cone, tuple(-x for x in beta), gamma)
 
 
@@ -161,7 +171,7 @@ def canonical_cone(cone, gamma):
 # monodromy normalization
 # ---------------------------------------------------------------------------
 
-def monodromy_to_B(M, D=None):
+def monodromy_to_B(M):
     """Extract the period-translation matrix B from a unipotent monodromy
     matrix in the normalized block shape [[I, B],[0, I]], verify that B is
     symmetric positive semi-definite, and return (B, basis_change) where the
@@ -170,8 +180,6 @@ def monodromy_to_B(M, D=None):
     if not M.is_square() or M.rows % 2 != 0:
         raise DimensionError("monodromy matrix must be square of even size 2g")
     g = M.rows // 2
-    if D is not None and D != IntMatrix.identity(g):
-        raise ContractError("non-principal polarization: reduce to D = I first")
     # unipotence
     N = M - IntMatrix.identity(2 * g)
     power = IntMatrix.identity(2 * g)
@@ -191,18 +199,10 @@ def monodromy_to_B(M, D=None):
     B = IntMatrix.from_rows([[M[i, g + j] for j in range(g)] for i in range(g)])
     if B != B.transpose():
         raise ContractError("period translation matrix is not symmetric")
-    # psd check: all principal minors nonnegative (desk-scale g)
-    for size in range(1, g + 1):
-        for idx in itertools.combinations(range(g), size):
-            sub = IntMatrix.from_rows([[B[i, j] for j in idx] for i in idx])
-            if sub.det() < 0:
-                raise ContractError("period translation matrix is not positive semi-definite")
     # basis change: kernel lattice first, completion after
     ker = kernel_lattice(IntPolynomial([0, 1]), B)  # Z^g  intersect  ker B
     r_prime = g - ker.rank
-    if ker.rank == 0:
-        W = IntMatrix.identity(g)
-    elif ker.rank == g:
+    if ker.rank in (0, g):
         W = IntMatrix.identity(g)
     else:
         A = ker.basis_matrix()
@@ -219,10 +219,15 @@ def monodromy_to_B(M, D=None):
         for j in range(g):
             if (i < k or j < k) and WB[i, j] != 0:
                 raise AssertionError("basis change failed to split off the kernel")
+    # W is unimodular and B' = WB[k:, k:] is nonsingular, so B is positive
+    # semi-definite exactly when B' is positive definite
+    if r_prime and not is_positive_definite([[WB[i, j] for j in range(k, g)]
+                                             for i in range(k, g)]):
+        raise ContractError("period translation matrix is not positive semi-definite")
     return B, W
 
 
-def nakamura_data(M, g_prime=None):
+def nakamura_data(M):
     """Convenience: monodromy -> GammaData (B' block and ranks)."""
     B, W = monodromy_to_B(M)
     g = B.rows
@@ -232,8 +237,7 @@ def nakamura_data(M, g_prime=None):
         raise ContractError("non-degenerating monodromy (B = 0): no fan to build")
     Bp = IntMatrix.from_rows([[WB[g - r_prime + i, g - r_prime + j]
                                for j in range(r_prime)] for i in range(r_prime)])
-    return GammaData(g_prime=g - r_prime if g_prime is None else g_prime,
-                     r_prime=r_prime, Bprime=Bp)
+    return GammaData(g_prime=g - r_prime, r_prime=r_prime, Bprime=Bp)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +251,6 @@ class Fan:
     gamma: GammaData
     metric: tuple  # rational metric actually used, row tuples of Fractions
     seed: int | None = None
-
-    @property
-    def period(self):
-        """Generators of the Gamma-translation lattice acting on rays,
-        embedded in the b-block of N."""
-        gp = self.gamma.g_prime
-        return tuple((0,) * gp + tuple(row) for row in self.gamma.bprime_rows())
 
     def max_dim(self):
         return max((c.dim for c in self.cones), default=0)
@@ -315,9 +312,7 @@ def _fundamental_window(gamma, margin):
     """Integer bounding box covering the fundamental cell of the row lattice
     of B', expanded by margin."""
     rp = gamma.r_prime
-    corners = []
-    for u in itertools.product((0, 1), repeat=rp):
-        corners.append(gamma.Bprime.transpose().mat_vec(u))
+    corners = [gamma.shift(u) for u in itertools.product((0, 1), repeat=rp)]
     lo = [min(c[i] for c in corners) - margin for i in range(rp)]
     hi = [max(c[i] for c in corners) + margin for i in range(rp)]
     return [tuple(p) for p in itertools.product(
@@ -343,6 +338,14 @@ def _circumsphere(Q, cell):
     return c, r2
 
 
+def _cell_volumes(cells):
+    """|det| of each simplex (a tuple of r'+1 integer vertices): r'! times
+    its volume, so the volumes of a tiling of one fundamental cell sum to
+    det B' * r'!."""
+    return [abs(IntMatrix.from_rows([[x - y for x, y in zip(v, cell[0])]
+                                     for v in cell[1:]]).det()) for cell in cells]
+
+
 def _delaunay_cells(gamma, Q):
     """One Gamma-fundamental set of full-dimensional Delaunay cells of Z^{r'}
     under the positive definite rational metric Q, exactly certified.
@@ -362,7 +365,7 @@ def _delaunay_cells(gamma, Q):
             verts = tuple(sorted(pts[i] for i in simplex))
             # canonical translate by the first vertex
             _, beta = _reduce_mod_period(verts[0], gamma)
-            shift = gamma.Bprime.transpose().mat_vec(beta)
+            shift = gamma.shift(beta)
             canon = tuple(tuple(v[i] - shift[i] for i in range(rp)) for v in verts)
             cells[canon] = True
         # exact certification of each distinct canonical cell
@@ -402,14 +405,7 @@ def _delaunay_cells(gamma, Q):
             break
         else:
             # volume check: the canonical cells must tile one fundamental cell
-            total = 0
-            for cell in ok_cells:
-                v0 = cell[0]
-                mat = [[cell[i + 1][j] - v0[j] for j in range(rp)] for i in range(rp)]
-                total += abs(IntMatrix.from_rows(mat).det())
-            # |det| of each simplex is r'! times its volume, so the sum must
-            # equal r'! times the covolume of the period lattice
-            if total != abs(gamma.Bprime.det()) * math.factorial(rp):
+            if sum(_cell_volumes(ok_cells)) != gamma.det * math.factorial(rp):
                 raise _DegenerateMetric("cells do not tile the fundamental cell")
             return ok_cells
         margin += 2
@@ -533,18 +529,10 @@ def validate_fan(fan):
     # covering / invariance proxy: maximal height-1 cells tile a fundamental cell
     max_cones = [c for c in fan.cones if c.dim == rp + 1]
     if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
-        total = 0
-        degenerate = False
-        for c in max_cones:
-            cell = [v[gp:gp + rp] for v in c.generators]
-            v0 = cell[0]
-            mat = [[cell[i + 1][j] - v0[j] for j in range(rp)] for i in range(rp)]
-            d = abs(IntMatrix.from_rows(mat).det())
-            if d == 0:
-                degenerate = True
-            total += d
-        covol = abs(gamma.Bprime.det()) * math.factorial(rp)
-        if degenerate:
+        vols = _cell_volumes([[v[gp:gp + rp] for v in c.generators] for c in max_cones])
+        total = sum(vols)
+        covol = gamma.det * math.factorial(rp)
+        if 0 in vols:
             violations.append("degenerate maximal cell")
         elif total != covol:
             violations.append(
@@ -577,7 +565,7 @@ def section_extends(n_phi, fan):
     b0, _ = _reduce_mod_period(b, gamma)
     # candidate translates: the reduced point plus a small box of periods
     for offsets in itertools.product((-1, 0, 1), repeat=rp):
-        shift = gamma.Bprime.transpose().mat_vec(offsets)
+        shift = gamma.shift(offsets)
         point = a + tuple(x + s for x, s in zip(b0, shift)) + (1,)
         for cone in fan.cones:
             if cone.dim and _point_in_cone(point, cone):
@@ -587,31 +575,22 @@ def section_extends(n_phi, fan):
 
 def translation_regularizable(n_phi, gamma_data, with_diagnostic=False):
     """The algorithmic core of the finite-order regularization: if the
-    abelian block of n_phi vanishes and its torus block lies in the rational
-    row span of B', return the minimal N >= 1 with N * n_phi = beta * B' for
-    an integer vector beta (plus beta).  Otherwise None."""
+    abelian block of n_phi vanishes, return the minimal N >= 1 with
+    N * b = beta * B' for its torus block b and an integer vector beta (plus
+    beta).  Otherwise None.  With y = adj(B') b, b * B'^-1 = y / det B', so
+    N = det B' / gcd(det B', y) and beta = y * N / det B'."""
     n_phi = tuple(int(x) for x in n_phi)
-    gp, rp = gamma_data.g_prime, gamma_data.r_prime
-    if len(n_phi) == rp and gp > 0:
-        # caller passed only the torus block
-        a, b = (), n_phi
-    else:
-        if len(n_phi) != gamma_data.g:
-            raise DimensionError("n_phi must have g (or r') coordinates")
-        a, b = n_phi[:gp], n_phi[gp:]
+    gp = gamma_data.g_prime
+    if len(n_phi) != gamma_data.g:
+        raise DimensionError("n_phi must have g coordinates")
+    a, b = n_phi[:gp], n_phi[gp:]
     if any(x != 0 for x in a):
         diag = "abelian coordinate nonzero (a genuine section cannot twist the abelian block)"
         return (None, diag) if with_diagnostic else None
-    # solve x * B' = b over Q, i.e. B' x = b as B' is symmetric
-    x, = solve(gamma_data.bprime_rows(), b)
-    if x is None:
-        diag = "torus block not in the rational row span of B'"
-        return (None, diag) if with_diagnostic else None
-    N = 1
-    for xi in x:
-        N = N * xi.denominator // math.gcd(N, xi.denominator)
-    beta = tuple(int(xi * N) for xi in x)
-    result = (N, beta)
+    det = gamma_data.det
+    y = [sum(x * z for x, z in zip(row, b)) for row in gamma_data.adj]
+    N = det // math.gcd(det, *y)
+    result = (N, tuple(yi * N // det for yi in y))
     return (result, "") if with_diagnostic else result
 
 

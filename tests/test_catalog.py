@@ -14,6 +14,7 @@ from abdyn.catalog import (ClassificationCase, Quaternion, QuaternionAlgebra,
                            reduced_charpoly_relation_check, type_I_lattice,
                            unit_minpoly, unit_multiplication_matrix)
 from abdyn.criteria import lattice_is_invariant
+from abdyn.degrees import SemiAbelianAut
 from abdyn.errors import ContractError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
                             is_cyclotomic_free)
@@ -148,6 +149,9 @@ def test_build_case_matrices():
         assert abs(auto.det()) == 1
         assert data["cyclotomic_part"] * data["cyclotomic_free_part"] \
             == data["charpoly"]
+        # a rational representation of an automorphism of a g-dimensional
+        # abelian variety: doubled eigenvalue moduli
+        SemiAbelianAut(r=0, g=auto.rows // 2, u_A_rat=auto).validate()
     with pytest.raises(ContractError):
         build_case_matrices("4.3")
 

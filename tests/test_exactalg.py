@@ -17,7 +17,8 @@ from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
                             kernel_lattice, kronecker_is_roots_of_unity,
                             quasi_unipotent_order, smith_normal_form, solve,
                             unipotent_index)
-from abdyn.toroidal import _reduce_mod_period, nakamura_data
+from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
+                            translation_regularizable)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -289,22 +290,59 @@ FAN_BS = ([[[n]] for n in range(1, 7)]
              [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
 
 
-def test_reduce_mod_period_matches_sympy():
-    rng = random.Random(34)
+def _random_pd_bprimes(rng, count):
+    """Seeded positive definite B' = A^T A + I with r' = 2, 3, a non-zero
+    off-diagonal entry and det > 1."""
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 3))
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        B = [[sum(A[k][i] * A[k][j] for k in range(n)) + int(i == j)
+              for j in range(n)] for i in range(n)]
+        if any(B[i][j] for i in range(n) for j in range(n) if i != j) \
+                and sympy.Matrix(B).det() > 1:
+            out.append(B)
+    return out
+
+
+def _period_gammas():
+    """GammaData of every fan B of the benchmark corpus, then of seeded
+    random B'."""
     for B in FAN_BS:
         g = len(B)
-        M = IntMatrix.from_rows([[int(i == j) for j in range(g)] + B[i] for i in range(g)]
-                                + [[0] * g + [int(i == j) for j in range(g)]
-                                   for i in range(g)])
-        gamma = nakamura_data(M)
-        Binv = sympy.Matrix(gamma.bprime_rows()).inv()
+        yield nakamura_data(IntMatrix.from_rows(
+            [[int(i == j) for j in range(g)] + B[i] for i in range(g)]
+            + [[0] * g + [int(i == j) for j in range(g)] for i in range(g)]))
+    for B in _random_pd_bprimes(random.Random(35), 12):
+        yield GammaData(g_prime=0, r_prime=len(B), Bprime=IntMatrix.from_rows(B))
+
+
+def test_reduce_mod_period_matches_sympy():
+    rng = random.Random(34)
+    for gamma in _period_gammas():
+        Bp = sympy.Matrix(gamma.Bprime.to_rows())
+        Binv = Bp.inv()
         for _ in range(10):
             b = tuple(rng.randint(-12, 12) for _ in range(gamma.r_prime))
             x = sympy.Matrix([b]) * Binv
             beta = tuple(int(sympy.floor(v)) for v in x)
-            b0 = tuple(bi - s for bi, s in
-                       zip(b, sympy.Matrix([beta]) * sympy.Matrix(gamma.bprime_rows())))
+            b0 = tuple(bi - s for bi, s in zip(b, sympy.Matrix([beta]) * Bp))
             assert _reduce_mod_period(b, gamma) == (b0, beta)
+
+
+def test_translation_regularizable_matches_sympy():
+    """N is the least N >= 1 with N * b * B'^-1 integral, and N * b = beta * B'."""
+    rng = random.Random(36)
+    for gamma in _period_gammas():
+        Bp = sympy.Matrix(gamma.Bprime.to_rows())
+        Binv = Bp.inv()
+        for _ in range(10):
+            b = tuple(rng.randint(-12, 12) for _ in range(gamma.r_prime))
+            N, beta = translation_regularizable((0,) * gamma.g_prime + b, gamma)
+            x = sympy.Matrix([b]) * Binv
+            assert all((N * v).is_integer for v in x)
+            assert not any(all((m * v).is_integer for v in x) for m in range(1, N))
+            assert list(sympy.Matrix([beta]) * Bp) == [N * bi for bi in b]
 
 
 # --- eigenvalue moduli --------------------------------------------------------

@@ -220,6 +220,44 @@ def test_cli_orbit_bad_alpha_exit_2(lattice, alpha, capsys, monkeypatch):
     assert err.startswith("schema error:") and "Traceback" not in err
 
 
+def _bad_metric(fan):
+    fan["metric"][0][0] = "1/0"
+
+
+def _short_ray(fan):
+    fan["rays"][0] = fan["rays"][0][:-1]
+
+
+def _negative_cone_index(fan):
+    fan["cones"][-1] = [-1]
+
+
+@pytest.mark.parametrize("metric, edit, command", [
+    *(pytest.param(metric, None, "build", id=f"metric-{metric}")
+      for metric in ('[["abc"]]', '[["NaN"]]', '[[null]]', '[[1e400]]', "5",
+                     '[["1/0"]]', '[[true]]')),
+    *(pytest.param(None, edit, command, id=f"{edit.__name__}-{command}")
+      for edit in (_bad_metric, _short_ray, _negative_cone_index)
+      for command in ("validate", "extends"))])
+def test_cli_fan_bad_input_exit_2(metric, edit, command, tmp_path, capsys,
+                                  monkeypatch):
+    if command == "build":
+        argv = ["fan", "build", "--B", "[[2]]", "--metric", metric]
+    else:
+        fan = serialize.fan_to_json(
+            delaunay_fan(nakamura_data(IntMatrix.from_rows([[1, 3], [0, 1]]))))
+        edit(fan)
+        fan_file = tmp_path / "fan.json"
+        fan_file.write_text(json.dumps(fan))
+        argv = ["fan", command, str(fan_file)]
+        if command == "extends":
+            argv[2:2] = ["--nphi", "[1]"]
+    code, _, err = run_cli(argv, None, capsys, monkeypatch)
+    assert code == 2
+    assert err.startswith("schema error:") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_catalog_and_end_to_end(capsys, monkeypatch):
     code, out, _ = run_cli(["catalog", "list", "--g", "4"],
                            None, capsys, monkeypatch)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from abdyn.errors import ContractError
+from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix
 from abdyn.toroidal import (Cone, Fan, GammaData, canonical_cone,
                             central_fiber_combinatorics, delaunay_fan, gamma_act, monodromy_to_B,
@@ -46,6 +46,34 @@ def test_monodromy_to_B_partial_rank():
     gd = nakamura_data(M)
     assert gd.g_prime == 1 and gd.r_prime == 1
     assert gd.Bprime == IntMatrix.from_rows([[2]])
+
+
+def block_monodromy(B):
+    """The normalized unipotent monodromy [[I, B], [0, I]]."""
+    g = len(B)
+    return IntMatrix.from_rows([[int(i == j) for j in range(g)] + B[i] for i in range(g)]
+                               + [[0] * g + [int(i == j) for j in range(g)]
+                                  for i in range(g)])
+
+
+@pytest.mark.parametrize("B", [[[0, 1], [1, 0]], [[1, 0], [0, -1]],
+                               [[1, 0, 0], [0, -1, 0], [0, 0, 0]]])
+def test_monodromy_rejects_indefinite_B(B):
+    with pytest.raises(ContractError, match="not positive semi-definite"):
+        monodromy_to_B(block_monodromy(B))
+
+
+def test_monodromy_accepts_semidefinite_B():
+    B, W = monodromy_to_B(block_monodromy([[1, 1], [1, 1]]))
+    assert W @ B @ W.transpose() == IntMatrix.from_rows([[0, 0], [0, 1]])
+    gd = nakamura_data(block_monodromy([[1, 1], [1, 1]]))
+    assert (gd.g_prime, gd.r_prime, gd.Bprime) == (1, 1, IntMatrix.from_rows([[1]]))
+
+
+def test_gamma_data_period_lattice():
+    gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.from_rows([[2, 1], [1, 2]]))
+    assert gd.det == 3 and gd.adj == ((2, -1), (-1, 2))
+    assert gd.shift((1, -1)) == (1, -1)
 
 
 def test_monodromy_rejects_non_unipotent():
@@ -132,6 +160,12 @@ def test_translation_regularizable_diagnostics():
     gd = GammaData(g_prime=1, r_prime=1, Bprime=IntMatrix.from_rows([[2]]))
     res, diag = translation_regularizable((1, 0), gd, with_diagnostic=True)
     assert res is None and "abelian" in diag
+
+
+def test_translation_regularizable_needs_g_coordinates():
+    gd = GammaData(g_prime=1, r_prime=1, Bprime=IntMatrix.from_rows([[2]]))
+    with pytest.raises(DimensionError):
+        translation_regularizable((1,), gd)  # the torus block alone
 
 
 def test_metric_contract():
