@@ -10,6 +10,7 @@ reproduce it.  Exit codes: 0 success, 2 schema error, 3 contract error,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -292,7 +293,10 @@ def _add_out(parser):
                         help="write the JSON result to FILE (default stdout)")
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process (main parses into a fresh
+    namespace on every call)."""
     top = argparse.ArgumentParser(
         prog="abdyn",
         description="Dynamical invariants of automorphisms of families of "

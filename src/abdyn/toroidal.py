@@ -22,24 +22,28 @@ Gamma-translate b + beta * B', every reduction of b into the fundamental
 cell (beta = floor(adj(B') b / det B')) and every regularizing power goes
 through it in integer arithmetic.
 
-Delaunay cells are located with scipy's (floating) Delaunay triangulation on
-Cholesky-transformed points and then certified exactly: circumcenters come
-from the fraction-free solve of exactalg and the strict empty-sphere
-condition is verified in rational arithmetic.  Any exact cosphericity
-(non-simplicial cell) triggers a seeded rational perturbation of the metric,
-with a retry cap.
+Delaunay cells are written down exactly, with no search.  For r' <= 3
+every lattice has an obtuse superbase v_0..v_r' (sum v_i = 0, every
+v_i.Q.v_j <= 0 for i != j), found by Selling reduction in exact rationals
+(Selling 1874; Conway & Sloane, "Low-dimensional lattices VI: Voronoi
+reduction of three-dimensional lattices", Proc. R. Soc. A 436, 1992).  If
+no Selling parameter -v_i.Q.v_j vanishes, the Delaunay cells are the
+Z^{r'}-translates of the simplices {0, v_s1, v_s1 + v_s2, ...} over the
+orders s of v_1..v_r'; a zero parameter is exactly a cospherical
+configuration and triggers a seeded rational perturbation of the metric,
+with a retry cap.  The same construction certifies a stored fan: its maximal
+cones must be the cells of its own metric up to Gamma, which makes the
+section-extension test an O(1) look at the abelian block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-import scipy.spatial
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
 from .exactalg import (IntMatrix, IntPolynomial, _bareiss, is_positive_definite,
@@ -48,14 +52,8 @@ from .exactalg import (IntMatrix, IntPolynomial, _bareiss, is_positive_definite,
 MAX_METRIC_RETRIES = 16
 
 
-# ---------------------------------------------------------------------------
-# small exact-rational helpers
-# ---------------------------------------------------------------------------
-
-def _quad_form(Q, v, w=None):
-    """v^T Q w over Fractions (w defaults to v)."""
-    if w is None:
-        w = v
+def _quad_form(Q, v, w):
+    """v^T Q w over Fractions."""
     return sum(Fraction(v[i]) * Q[i][j] * Fraction(w[j])
                for i in range(len(v)) for j in range(len(w)))
 
@@ -252,11 +250,8 @@ class Fan:
     metric: tuple  # rational metric actually used, row tuples of Fractions
     seed: int | None = None
 
-    def max_dim(self):
-        return max((c.dim for c in self.cones), default=0)
-
     def maximal_cones(self):
-        d = self.max_dim()
+        d = max((c.dim for c in self.cones), default=0)
         return [c for c in self.cones if c.dim == d]
 
     def rays(self):
@@ -276,10 +271,8 @@ def _normalize_metric(metric, r_prime):
     Q = [[Fraction(x) for x in row] for row in metric]
     if len(Q) != r_prime or any(len(row) != r_prime for row in Q):
         raise DimensionError("metric must be r' x r'")
-    for i in range(r_prime):
-        for j in range(r_prime):
-            if Q[i][j] != Q[j][i]:
-                raise ContractError("metric must be symmetric")
+    if any(Q[i][j] != Q[j][i] for i in range(r_prime) for j in range(i)):
+        raise ContractError("metric must be symmetric")
     if not is_positive_definite(Q):
         raise ContractError("metric must be positive definite")
     return Q
@@ -302,40 +295,43 @@ def _perturb_metric(Q, rng):
     raise NumericIndeterminacyError("could not perturb metric to positive definite")
 
 
-def _delaunay_cells_1d(gamma):
-    """r' = 1: the Delaunay cells of Z are the unit intervals, for any metric."""
-    n = gamma.Bprime[0, 0]
-    return [(( (i,), (i + 1,) )) for i in range(n)]
+def _obtuse_superbase(Q):
+    """Selling reduction: an obtuse superbase v_0..v_r' of Z^{r'} under Q
+    (r' <= 3), i.e. sum v_i = 0, v_1..v_r' a basis and v_i.Q.v_j <= 0 for
+    i != j, in exact rationals from (-sum e_i, e_1, .., e_r').  Q must be
+    positive definite: each step lowers sum v_i.Q.v_i by a positive multiple
+    of 1/D, D a common denominator of Q, so the loop ends.  Raises
+    _DegenerateMetric if a Selling parameter -v_i.Q.v_j vanishes (a
+    cospherical configuration)."""
+    rp = len(Q)
+    vs = [(-1,) * rp] + [tuple(int(i == j) for j in range(rp)) for i in range(rp)]
+    # the other r' - 1 vectors absorb 2 v_i, so sum v = 0 is kept
+    step = 2 if rp == 2 else 1
+    pairs = list(itertools.combinations(range(rp + 1), 2))
+    while True:
+        p = {(i, j): _quad_form(Q, vs[i], vs[j]) for i, j in pairs}
+        i, j = next((ij for ij in pairs if p[ij] > 0), (None, None))
+        if i is None:
+            if 0 in p.values():
+                raise _DegenerateMetric("zero Selling parameter: cospherical configuration")
+            return vs
+        vi = vs[i]
+        vs = [tuple(-x for x in vi) if k == i else v if k == j
+              else tuple(x + step * y for x, y in zip(v, vi)) for k, v in enumerate(vs)]
 
 
-def _fundamental_window(gamma, margin):
-    """Integer bounding box covering the fundamental cell of the row lattice
-    of B', expanded by margin."""
-    rp = gamma.r_prime
-    corners = [gamma.shift(u) for u in itertools.product((0, 1), repeat=rp)]
-    lo = [min(c[i] for c in corners) - margin for i in range(rp)]
-    hi = [max(c[i] for c in corners) + margin for i in range(rp)]
-    return [tuple(p) for p in itertools.product(
-        *[range(lo[i], hi[i] + 1) for i in range(rp)])]
-
-
-def _circumsphere(Q, cell):
-    """Exact circumcenter and squared radius of a simplex under the metric Q;
-    returns None if the simplex is degenerate."""
-    v0 = cell[0]
-    rows = []
-    rhs = []
-    for v in cell[1:]:
-        d = [v[i] - v0[i] for i in range(len(v0))]
-        rows.append([2 * sum(Fraction(d[i]) * Q[i][j] for i in range(len(d)))
-                     for j in range(len(v0))])
-        rhs.append(_quad_form(Q, v) - _quad_form(Q, v0))
-    c, = solve(rows, rhs)
-    if c is None:
-        return None
-    diff = [Fraction(v0[i]) - c[i] for i in range(len(v0))]
-    r2 = _quad_form(Q, diff)
-    return c, r2
+def _coset_representatives(gamma):
+    """The det B' points of Z^{r'} in the fundamental cell, one per class of
+    Z^{r'} / B' Z^{r'}: the closure of 0 under b -> b + e_i mod B'."""
+    reps = [(0,) * gamma.r_prime]
+    seen = set(reps)
+    for b in reps:
+        for i in range(gamma.r_prime):
+            c, _ = _reduce_mod_period(b[:i] + (b[i] + 1,) + b[i + 1:], gamma)
+            if c not in seen:
+                seen.add(c)
+                reps.append(c)
+    return reps
 
 
 def _cell_volumes(cells):
@@ -347,70 +343,31 @@ def _cell_volumes(cells):
 
 
 def _delaunay_cells(gamma, Q):
-    """One Gamma-fundamental set of full-dimensional Delaunay cells of Z^{r'}
-    under the positive definite rational metric Q, exactly certified.
-    Raises _DegenerateMetric on any exact cosphericity."""
+    """One Gamma-fundamental set of the Delaunay cells of Z^{r'} under the
+    positive definite rational metric Q: sorted, with sorted vertices, the
+    first in the fundamental cell.  From an obtuse superbase with non-zero
+    Selling parameters they are the Z^{r'}-translates of the simplices
+    {0, v_s1, v_s1 + v_s2, ..} over the orders s of v_1..v_r' (Conway &
+    Sloane 1992).  Raises _DegenerateMetric on an exact cosphericity."""
     rp = gamma.r_prime
-    if rp == 1:
-        return _delaunay_cells_1d(gamma)
-    margin = 3
-    while True:
-        pts = _fundamental_window(gamma, margin)
-        arr = np.array(pts, dtype=float)
-        L = np.linalg.cholesky(np.array([[float(x) for x in row] for row in Q]))
-        tri = scipy.spatial.Delaunay(arr @ L.T)
-        cells = {}
-        max_radius = 0.0
-        for simplex in tri.simplices:
-            verts = tuple(sorted(pts[i] for i in simplex))
-            # canonical translate by the first vertex
-            _, beta = _reduce_mod_period(verts[0], gamma)
-            shift = gamma.shift(beta)
-            canon = tuple(tuple(v[i] - shift[i] for i in range(rp)) for v in verts)
-            cells[canon] = True
-        # exact certification of each distinct canonical cell
-        pts_set = set(pts)
-        ok_cells = []
-        for cell in sorted(cells):
-            sphere = _circumsphere(Q, cell)
-            if sphere is None:
-                raise _DegenerateMetric("degenerate simplex")
-            c, r2 = sphere
-            cf = [float(x) for x in c]
-            rf = math.sqrt(float(r2))
-            max_radius = max(max_radius, rf)
-            if rf > margin - 1.5:
-                break  # window too small; enlarge
-            # check all lattice points that could threaten the sphere
-            lo = [math.floor(cf[i] - rf - 1) for i in range(rp)]
-            hi = [math.ceil(cf[i] + rf + 1) for i in range(rp)]
-            cell_set = set(cell)
-            for p in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(rp)]):
-                if p in cell_set:
-                    continue
-                # float prefilter, exact confirmation near the boundary
-                df = sum((p[i] - cf[i]) * sum(float(Q[i][j]) * (p[j] - cf[j])
-                                              for j in range(rp)) for i in range(rp))
-                if df > float(r2) * (1 + 1e-9) + 1e-9:
-                    continue
-                diff = [Fraction(p[i]) - c[i] for i in range(rp)]
-                d2 = _quad_form(Q, diff)
-                if d2 < r2:
-                    raise _DegenerateMetric("float triangulation missed a closer point")
-                if d2 == r2:
-                    raise _DegenerateMetric("cospherical configuration")
-            else:
-                ok_cells.append(cell)
-                continue
-            break
-        else:
-            # volume check: the canonical cells must tile one fundamental cell
-            if sum(_cell_volumes(ok_cells)) != gamma.det * math.factorial(rp):
-                raise _DegenerateMetric("cells do not tile the fundamental cell")
-            return ok_cells
-        margin += 2
-        if margin > 15:
-            raise NumericIndeterminacyError("Delaunay window did not stabilize")
+    reps = _coset_representatives(gamma)
+    cells = []
+    for order in itertools.permutations(_obtuse_superbase(Q)[1:]):
+        pts = sorted(itertools.accumulate(
+            order, lambda p, v: tuple(x + y for x, y in zip(p, v)), initial=(0,) * rp))
+        # the translate whose first vertex is the representative c is canonical
+        cells += [tuple(tuple(x - y + z for x, y, z in zip(p, pts[0], c)) for p in pts)
+                  for c in reps]
+    cells.sort()
+    # the canonical cells must tile one fundamental cell
+    if sum(_cell_volumes(cells)) != gamma.det * math.factorial(rp):
+        raise _DegenerateMetric("cells do not tile the fundamental cell")
+    return cells
+
+
+def _cell_cone(cell, g_prime):
+    """The cone over a height-1 cell with abelian block 0."""
+    return Cone(tuple((0,) * g_prime + v + (1,) for v in cell))
 
 
 def delaunay_fan(gamma_data, metric="standard", seed=0):
@@ -438,17 +395,12 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     else:
         raise NumericIndeterminacyError(
             f"no generic metric found in {MAX_METRIC_RETRIES} retries: {last_err}")
-    gp = gamma_data.g_prime
     cones = set()
     for cell in cells:
-        gens = tuple((0,) * gp + v + (1,) for v in cell)
-        top = Cone(gens)
-        for face in top.faces():
+        for face in _cell_cone(cell, gamma_data.g_prime).faces():
             cones.add(canonical_cone(face, gamma_data))
     return Fan(cones=tuple(sorted(cones, key=lambda c: (c.dim, c.generators))),
-               gamma=gamma_data,
-               metric=tuple(tuple(row) for row in Q),
-               seed=seed)
+               gamma=gamma_data, metric=tuple(tuple(row) for row in Q), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -465,24 +417,46 @@ class FanReport:
         return not self.violations
 
 
-def _gcd_all(v):
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    return g
+def _delaunay_violations(fan, canon):
+    """Why the fan is not the Delaunay fan of its metric (empty if it is):
+    a symmetric positive definite metric with no zero Selling parameter,
+    generators (0_{g'}, b, 1), and maximal cones that are the Delaunay cells
+    up to Gamma (canon maps a cone to its canonical_cone)."""
+    gamma, Q = fan.gamma, fan.metric
+    rp = gamma.r_prime
+    if rp > 3:  # obtuse superbases need not exist, and the steps differ
+        return ["Delaunay cells are computed for r' <= 3 only"]
+    if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
+        return ["metric is not symmetric"]
+    # first: the Selling loop need not end on an indefinite form
+    if not is_positive_definite(Q):
+        return ["metric is not positive definite"]
+    try:
+        cells = _delaunay_cells(gamma, Q)
+    except _DegenerateMetric as exc:
+        return [f"metric has no Delaunay triangulation: {exc}"]
+    gp = gamma.g_prime
+    violations = []
+    if any(any(v[:gp]) or v[-1] != 1 for c in fan.cones for v in c.generators):
+        violations.append("a generator is not of the form (0, b, 1)")
+    if {canon(c) for c in fan.maximal_cones()} != {_cell_cone(c, gp) for c in cells}:
+        violations.append("maximal cones are not the Delaunay cells of the metric")
+    return violations
 
 
 def validate_fan(fan):
     """Check the admissibility and Gamma-structure of a fan: per-cone
     invariants (primitive generators, simplicial/strongly convex, positive
     height, nonnegative heights), face closure and absence of duplicates up
-    to Gamma, the ray form (0_{g'}, b, 1), and the covering proxy: the
-    height-1 cells of the maximal cones tile one fundamental cell of Pi
-    exactly.  Non-regular simplicial cones are flagged, not rejected."""
+    to Gamma, the ray form (0_{g'}, b, 1), the covering proxy (the height-1
+    cells of the maximal cones tile one fundamental cell of Pi exactly), and
+    that the maximal cones are the Delaunay cells of the fan's metric.
+    Non-regular simplicial cones are flagged, not rejected."""
     gamma = fan.gamma
     gp, rp = gamma.g_prime, gamma.r_prime
     violations = []
     non_regular = []
+    canon = functools.cache(functools.partial(canonical_cone, gamma=gamma))
     canon_seen = {}
     for idx, cone in enumerate(fan.cones):
         if cone.dim == 0:
@@ -492,33 +466,32 @@ def validate_fan(fan):
             if len(v) != gamma.g + 1:
                 violations.append(f"cone {idx}: generator dimension != g+1")
                 continue
-            if _gcd_all(v) != 1:
+            if math.gcd(*v) != 1:
                 violations.append(f"cone {idx}: non-primitive generator {v}")
             if v[-1] < 0:
                 violations.append(f"cone {idx}: negative height generator {v}")
-        m = IntMatrix.from_rows([list(v) for v in gens])
-        if m.rank() != len(gens):
+        _, S, _ = smith_normal_form(IntMatrix.from_rows([list(v) for v in gens]))
+        divisors = [S[i, i] for i in range(min(S.rows, S.cols)) if S[i, i] != 0]
+        if len(divisors) != len(gens):
             violations.append(
                 f"cone {idx}: generators dependent (not simplicial / not strongly convex)")
         if all(v[-1] == 0 for v in gens):
             violations.append(f"cone {idx}: contained in N x {{0}}")
         # regularity: generators extend to a basis of the saturated span lattice
-        _, S, _ = smith_normal_form(m)
-        divisors = [S[i, i] for i in range(min(S.rows, S.cols)) if S[i, i] != 0]
         if any(d != 1 for d in divisors):
             non_regular.append(idx)
         # Gamma-duplicates
-        canon = canonical_cone(cone, gamma)
-        if canon in canon_seen:
+        c = canon(cone)
+        if c in canon_seen:
             violations.append(
-                f"cone {idx}: Gamma-duplicate of cone {canon_seen[canon]}")
+                f"cone {idx}: Gamma-duplicate of cone {canon_seen[c]}")
         else:
-            canon_seen[canon] = idx
+            canon_seen[c] = idx
     # face closure up to Gamma
-    fan_canon = {canonical_cone(c, gamma) for c in fan.cones}
+    fan_canon = {canon(c) for c in fan.cones}
     for idx, cone in enumerate(fan.cones):
         for face in cone.faces():
-            if canonical_cone(face, gamma) not in fan_canon:
+            if canon(face) not in fan_canon:
                 violations.append(f"cone {idx}: missing face {face.generators}")
     # ray condition
     for idx, cone in enumerate(fan.cones):
@@ -539,38 +512,25 @@ def validate_fan(fan):
                 f"height-1 cells do not tile the fundamental cell "
                 f"(volume {total}/{math.factorial(rp)} vs covolume {covol}/{math.factorial(rp)}): "
                 "Gamma-invariance/covering violated")
+    violations += _delaunay_violations(fan, canon)
     return FanReport(tuple(violations), tuple(non_regular))
 
 
-def _point_in_cone(point, cone):
-    """Exact membership of an integer point in a simplicial rational cone."""
-    if cone.dim == 0:
-        return all(x == 0 for x in point)
-    cols = [list(v) for v in cone.generators]
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(len(point))]
-    # solve A c = point; need full column rank (simplicial)
-    sol, = solve(A, point)
-    return sol is not None and all(c >= 0 for c in sol)
-
-
 def section_extends(n_phi, fan):
-    """True iff the ray through (n_phi, 1) lies in some cone of the fan,
-    membership tested exactly modulo Gamma-translation."""
+    """True iff the ray through (n_phi, 1) lies in some cone of the fan.
+    The fan must be the Delaunay fan of its own metric (ContractError
+    otherwise).  Its cones then lie in {0} x R^{r'} x R and cover the cone
+    over {0} x R^{r'} x {1}, so the ray is in the fan exactly when the
+    abelian block of n_phi vanishes: at height 1 an integer b is a vertex of
+    the subdivision, so its ray is a ray of the fan."""
     gamma = fan.gamma
-    gp, rp = gamma.g_prime, gamma.r_prime
     n_phi = tuple(int(x) for x in n_phi)
     if len(n_phi) != gamma.g:
         raise DimensionError("n_phi must have g coordinates")
-    a, b = n_phi[:gp], n_phi[gp:]
-    b0, _ = _reduce_mod_period(b, gamma)
-    # candidate translates: the reduced point plus a small box of periods
-    for offsets in itertools.product((-1, 0, 1), repeat=rp):
-        shift = gamma.shift(offsets)
-        point = a + tuple(x + s for x, s in zip(b0, shift)) + (1,)
-        for cone in fan.cones:
-            if cone.dim and _point_in_cone(point, cone):
-                return True
-    return False
+    violations = _delaunay_violations(fan, functools.partial(canonical_cone, gamma=gamma))
+    if violations:
+        raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
+    return not any(n_phi[:gamma.g_prime])
 
 
 def translation_regularizable(n_phi, gamma_data, with_diagnostic=False):

@@ -185,6 +185,79 @@ def test_cli_fan_build_reproducible_without_seed(capsys, monkeypatch):
         assert json.loads(outs[0])["options"]["seed"] == 0
 
 
+def test_cli_consecutive_calls_keep_no_state(capsys, monkeypatch):
+    """main builds its parser once per process; each call still starts from
+    the defaults."""
+    code, out, _ = run_cli(["fan", "build", "--B", "[[2]]", "--seed", "7"],
+                           None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["options"]["seed"] == 7
+    code, out, _ = run_cli(["fan", "build", "--B", "[[2]]"], None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["options"]["seed"] == 0
+    orbit = ["orbit", "analyze", "--lattice", SQUARE_LATTICE, "--alpha", "[[0.5,0]]"]
+    code, out, _ = run_cli(orbit + ["--height", "10"], None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["options"]["height"] == 10
+    code, out, _ = run_cli(orbit, None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["options"]["height"] == 50
+
+
+def _built_fan(B, tmp_path, capsys, monkeypatch):
+    fan_file = tmp_path / "fan.json"
+    code, _, _ = run_cli(["fan", "build", "--B", B, "--out", str(fan_file)],
+                         None, capsys, monkeypatch)
+    assert code == 0
+    return fan_file, json.loads(fan_file.read_text())["result"]
+
+
+def test_cli_fan_validate_indefinite_metric(tmp_path, capsys, monkeypatch):
+    fan_file, fan = _built_fan("[[2,1],[1,2]]", tmp_path, capsys, monkeypatch)
+    fan["metric"] = [["-1", "0"], ["0", "1"]]
+    fan_file.write_text(json.dumps(fan))
+    code, out, _ = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
+    doc = json.loads(out)["result"]
+    assert code == 3 and doc["ok"] is False
+    assert "metric is not positive definite" in doc["violations"]
+
+
+def _drop_maximal_cone(fan):
+    top = max(len(c) for c in fan["cones"])
+    fan["cones"].remove(next(c for c in fan["cones"] if len(c) == top))
+
+
+def _drop_metric(fan):
+    del fan["metric"]  # the standard metric, cospherical at r' = 2
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (_drop_maximal_cone, "maximal cones are not the Delaunay cells of the metric"),
+    (_drop_metric, "metric has no Delaunay triangulation")])
+def test_cli_fan_extends_refuses_uncertified_fan(edit, violation, tmp_path, capsys,
+                                                 monkeypatch):
+    fan_file, fan = _built_fan("[[2,1],[1,2]]", tmp_path, capsys, monkeypatch)
+    code, out, _ = run_cli(["fan", "extends", "--nphi", "[1,1]", str(fan_file)],
+                           None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["result"]["extends"] is True
+    edit(fan)
+    fan_file.write_text(json.dumps(fan))
+    code, out, err = run_cli(["fan", "extends", "--nphi", "[1,1]", str(fan_file)],
+                             None, capsys, monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("contract error:") and violation in err
+    code, out, _ = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
+    assert code == 3
+    assert any(v.startswith(violation) for v in json.loads(out)["result"]["violations"])
+
+
+def test_import_cli_leaves_scipy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, abdyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
 def test_cli_orbit_analyze(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["orbit", "analyze",

@@ -1,6 +1,8 @@
 """Toroidal fan tests: Gamma action, monodromy normalization, Delaunay fans,
 validation, section extension, translation regularization."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from abdyn.toroidal import (Cone, Fan, GammaData, canonical_cone,
                             central_fiber_combinatorics, delaunay_fan, gamma_act, monodromy_to_B,
                             nakamura_data, section_extends,
                             translation_regularizable, validate_fan)
+
+from util import brute_force_delaunay_cells
 
 
 def tate_monodromy(n):
@@ -175,3 +179,96 @@ def test_metric_contract():
                                  [Fraction(2), Fraction(1)]])  # not PD
     with pytest.raises(ContractError):
         delaunay_fan(gd, metric="random")  # random metrics come from the CLI
+
+
+def _generic_metric(n, rng):
+    """A^T A + I for a seeded rational A: positive definite, and generic for
+    the seeds used (the brute force asserts it)."""
+    A = [[Fraction(rng.randint(-4, 4), rng.randint(2, 7)) for _ in range(n)]
+         for _ in range(n)]
+    return [[sum(A[k][i] * A[k][j] for k in range(n)) + int(i == j)
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("Bprime", [[[2, 1], [1, 3]], [[1, 0], [0, 1]], [[2, 1], [1, 2]],
+                                    [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+                                    [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+def test_selling_cells_match_brute_force(Bprime):
+    """The Selling cells are the empty-circumsphere simplices found by an
+    exhaustive sympy search, and they are one Gamma-fundamental set."""
+    import sympy
+
+    from abdyn.toroidal import _delaunay_cells, _obtuse_superbase
+    rp = len(Bprime)
+    gd = GammaData(g_prime=0, r_prime=rp, Bprime=IntMatrix.from_rows(Bprime))
+    inv = sympy.Matrix(Bprime).inv()
+    rng = random.Random(f"selling:{Bprime}")
+    for _ in range(3 if rp == 2 else 2):
+        Q = _generic_metric(rp, rng)
+        vs = _obtuse_superbase(Q)
+        assert [sum(col) for col in zip(*vs)] == [0] * rp
+        assert abs(IntMatrix.from_rows([list(v) for v in vs[1:]]).det()) == 1
+        expected, volume = brute_force_delaunay_cells(Q)
+        assert volume == math.factorial(rp)  # the search found a tiling
+        cells = _delaunay_cells(gd, Q)
+        assert len(set(cells)) == len(cells) == gd.det * math.factorial(rp)
+        for cell in cells:  # first vertex in the fundamental cell of B'
+            assert all(0 <= x < 1 for x in inv * sympy.Matrix(cell[0]))
+        at_zero = {tuple(sorted(tuple(x - y for x, y in zip(v, cell[0])) for v in cell))
+                   for cell in cells}
+        assert at_zero == expected
+
+
+def test_random_metric_sweep_has_no_indeterminacy():
+    """300 r' = 2 builds with seeded random metrics: none runs out of metric
+    retries (exit 4), and each tiles the fundamental cell with 2 det B'
+    triangles."""
+    from abdyn.cli import _random_metric
+    for B in ([[2, 1], [1, 3]], [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[3, 1], [1, 2]],
+              [[2, 1], [1, 4]]):
+        gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.from_rows(B))
+        for s in range(60):
+            fan = delaunay_fan(gd, metric=_random_metric(2, s), seed=s)
+            assert len(fan.maximal_cones()) == 2 * gd.det
+
+
+def _with_metric(fan, metric):
+    return Fan(cones=fan.cones, gamma=fan.gamma,
+               metric=tuple(tuple(Fraction(x) for x in row) for row in metric))
+
+
+@pytest.mark.parametrize("metric, violation", [
+    ([[-1, 0], [0, 1]], "metric is not positive definite"),
+    ([[1, 0], [0, 1]], "metric has no Delaunay triangulation"),  # cospherical
+    ([[1, 2], [0, 1]], "metric is not symmetric"),
+    # a generic metric whose triangles use the other diagonal
+    ([[1, Fraction(1, 3)], [Fraction(1, 3), 1]], "maximal cones are not the Delaunay cells")])
+def test_fan_certified_against_its_metric(metric, violation):
+    gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.from_rows([[2, 1], [1, 2]]))
+    fan = delaunay_fan(gd, metric=[[1, Fraction(-1, 3)], [Fraction(-1, 3), 1]])
+    assert validate_fan(fan).ok and section_extends((1, 1), fan)
+    bad = _with_metric(fan, metric)
+    report = validate_fan(bad)
+    assert [v for v in report.violations if v.startswith(violation)] \
+        and report.violations[-1].startswith(violation)
+    with pytest.raises(ContractError, match=violation):
+        section_extends((1, 1), bad)
+
+
+def test_section_extends_rejects_pruned_fan():
+    gd = GammaData(g_prime=1, r_prime=2, Bprime=IntMatrix.from_rows([[2, 1], [1, 2]]))
+    fan = delaunay_fan(gd, seed=3)
+    assert section_extends((0, 4, -1), fan) and not section_extends((1, 0, 0), fan)
+    pruned = Fan(cones=tuple(c for c in fan.cones if c != fan.maximal_cones()[0]),
+                 gamma=gd, metric=fan.metric)
+    with pytest.raises(ContractError, match="not the Delaunay cells"):
+        section_extends((0, 4, -1), pruned)
+
+
+def test_fan_certification_needs_r_prime_at_most_3():
+    gd = GammaData(g_prime=0, r_prime=4, Bprime=IntMatrix.identity(4))
+    fan = Fan(cones=(), gamma=gd,
+              metric=tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)))
+    assert "Delaunay cells are computed for r' <= 3 only" in validate_fan(fan).violations
+    with pytest.raises(ContractError, match="r' <= 3"):
+        section_extends((0, 0, 0, 0), fan)

@@ -109,3 +109,76 @@ def reference_lll(rows, delta=Fraction(99, 100)):
             bstar, mu, norms = gram_schmidt()
             k = max(k - 1, 1)
     return b
+
+
+def _sym_det(m):
+    """Determinant by cofactor expansion (tiny matrices)."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _sym_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def brute_force_delaunay_cells(Q):
+    """Delaunay cells of Z^n under the positive definite metric Q (rows of
+    Fractions), up to Z^n-translation, by exhaustive search in sympy
+    Rational arithmetic: every lattice simplex with 0 as its smallest vertex
+    whose circumsphere has no lattice point inside or on it.  Returns
+    (cells, sum of |det|), each cell a sorted vertex tuple.
+
+    The search box is justified without any reduction theory: every point
+    lies within rho of a corner of its unit cube, so the covering radius
+    satisfies 4 rho^2 <= bound = max_s s.Q.s over s in {-1, 1}^n.  A
+    Delaunay cell at 0 has circumradius <= rho, so its vertices, and every
+    lattice point its circumsphere holds, lie in the ball q.Q.q <= bound.
+    Raises AssertionError on a cospherical configuration."""
+    import itertools
+
+    import sympy
+
+    n = len(Q)
+    Q = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in Q]
+
+    def apply(p):
+        return [sum(Q[i][j] * p[j] for j in range(n)) for i in range(n)]
+
+    def form(p):
+        return sum(a * b for a, b in zip(p, apply(p)))
+
+    bound = max(form(s) for s in itertools.product((-1, 1), repeat=n))
+    inv = sympy.Matrix(Q).inv()
+    box = [int(sympy.floor(sympy.sqrt(bound * inv[i, i]))) for i in range(n)]
+    ball = [p for p in itertools.product(*[range(-b, b + 1) for b in box])
+            if form(p) <= bound]
+    Qp = {p: apply(p) for p in ball}
+    norm = {p: form(p) for p in ball}
+    zero = (0,) * n
+    positive = [p for p in ball if p > zero]
+    near = {(a, b) for a, b in itertools.combinations(positive, 2)
+            if form([x - y for x, y in zip(a, b)]) <= bound}
+    cells = set()
+    for T in itertools.combinations(positive, n):
+        if any(pair not in near for pair in itertools.combinations(T, 2)):
+            continue
+        # circumcenter c: 2 p.Q.c = p.Q.p for each vertex p != 0 (Cramer)
+        A = [[2 * x for x in Qp[p]] for p in T]
+        d = _sym_det(A)
+        if d == 0:
+            continue
+        rhs = [norm[p] for p in T]
+        c = [_sym_det([row[:j] + [r] + row[j + 1:] for row, r in zip(A, rhs)]) / d
+             for j in range(n)]
+        if 4 * form(c) > bound:
+            continue
+        # |q - c|^2 - |c|^2 = q.Q.q - 2 c.Q.q, and |c| is the circumradius
+        on_sphere = False
+        for q in ball:
+            if q != zero and q not in T:
+                power = norm[q] - 2 * sum(a * b for a, b in zip(c, Qp[q]))
+                if power < 0:
+                    break
+                on_sphere |= power == 0
+        else:
+            assert not on_sphere, "cospherical configuration"
+            cells.add(tuple(sorted((zero, *T))))
+    return cells, sum(abs(_sym_det([list(v) for v in cell[1:]])) for cell in cells)
