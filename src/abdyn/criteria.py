@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ContractError
-from .exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
+from .exactalg import (IntMatrix, IntPolynomial, char_poly,
                        cyclotomic_split, is_cyclotomic_free, kernel_lattice,
                        kronecker_is_roots_of_unity, quasi_unipotent_order,
                        solve, unipotent_index)

@@ -2,14 +2,18 @@
 
 Everything here runs on arbitrary-precision Python integers (Fractions where a
 division is unavoidable): characteristic polynomials, cyclotomic factor
-extraction, unipotent indices, saturated kernel lattices and Smith normal
-forms.  These are the carriers of the induced action on the first integral
-cohomology of a fiber, so exactness is not negotiable; floating point appears
-only in eigenvalue_moduli, which is explicitly numeric.
+extraction, unipotent indices and saturated kernel lattices.  These are the
+carriers of the induced action on the first integral cohomology of a fiber,
+so exactness is not negotiable; floating point appears only in
+eigenvalue_moduli, which is explicitly numeric.
 
-Ranks, determinants, positive-definiteness tests and rational linear solves
-(solve) all run one fraction-free Gauss-Jordan elimination, _bareiss
-(Bareiss 1968), on denominator-cleared integer rows.
+Two exact kernels carry the linear algebra.  Ranks, determinants,
+positive-definiteness tests and rational linear solves (solve) all run one
+fraction-free Gauss-Jordan elimination, _bareiss (Bareiss 1968), on
+denominator-cleared integer rows.  Integral lattice questions run one
+integral LLL, lll_reduce (Cohen, Alg. 2.6.7): kernel lattices, unimodular
+completions (kernel_completion) and the gcd of maximal minors that decides
+saturation (minor_gcd).
 """
 
 from __future__ import annotations
@@ -143,12 +147,6 @@ class IntPolynomial:
         """True iff self (monic) divides other exactly."""
         _, r = other.divmod_monic(self)
         return r.is_zero()
-
-    def eval_int(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_matrix(self, M):
         """Evaluate at a square IntMatrix (Horner)."""
@@ -437,6 +435,73 @@ def _bareiss(a, ncols):
     return pivots, prev
 
 
+LLL_DELTA = Fraction(99, 100)  # the Lovasz constant of lll_reduce
+
+
+def lll_reduce(rows):
+    """LLL reduction of linearly independent integer row vectors; returns
+    the reduced rows.
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7): it keeps the Gram determinants d_i of the first i rows and
+    the integers lam[i][j] = mu_ij * d_{j+1}, and updates both in place with
+    exact integer divisions.  Row k is size-reduced against rows k-1..0
+    (nearest integer, ties to even) before the Lovasz test
+    d_{k+1} d_{k-1} + lam[k][k-1]^2 >= LLL_DELTA d_k^2.
+
+    Raises ContractError if the rows are linearly dependent (some d_i = 0)."""
+    b = [[int(x) for x in row] for row in rows]
+    n = len(b)
+    if n == 0:
+        return []
+    p, q_delta = LLL_DELTA.numerator, LLL_DELTA.denominator
+
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise ContractError("lll_reduce needs linearly independent rows")
+
+    k = 1
+    while k < n:
+        # size reduction
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            if 2 * abs(lk[j]) <= d[j + 1]:
+                continue
+            q = round(Fraction(lk[j], d[j + 1]))  # ties to even
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lk[j] -= q * d[j + 1]
+            lj = lam[j]
+            for t in range(j):
+                lk[t] -= q * lj[t]
+        lkk = lk[k - 1]
+        if q_delta * (d[k + 1] * d[k - 1] + lkk * lkk) >= p * d[k] * d[k]:
+            k += 1
+            continue
+        # swap rows k-1 and k
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
+        B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
+    return b
+
+
 def _cleared(row):
     """A row of integers and Fractions times the lcm of its denominators."""
     m = lcm(*(x.denominator for x in row))
@@ -551,8 +616,63 @@ def quasi_unipotent_order(M):
 
 
 # ---------------------------------------------------------------------------
-# lattices and Smith normal form
+# lattices
 # ---------------------------------------------------------------------------
+
+KERNEL_SCALE = 1 << 16  # first weight c of the kernel block in kernel_completion
+
+
+def kernel_completion(K):
+    """(T, k) for an m x n IntMatrix K: T is a unimodular n x n integer
+    matrix, as a list of rows, whose first k = n - rank K rows span the
+    kernel lattice Z^n intersect ker K.
+
+    LLL reduction of the rows [c K^T | I] gives rows [c T K^T | T] with T
+    unimodular (Havas, Majewski & Matthews, Exp. Math. 7, 1998; Cohen, A
+    Course in Computational Algebraic Number Theory, 2.7).  The rows with a
+    zero left block must number n - rank K (rank from _bareiss); c is
+    squared until they do.  Being rows of a unimodular matrix, they span a
+    saturated lattice, so all of Z^n intersect ker K.  The other rows
+    follow in their reduced order."""
+    n = K.cols
+    k = n - K.rank()
+    T = IntMatrix.identity(n).to_rows()
+    if k in (0, n):
+        return T, k
+    m = K.rows
+    cols = K.transpose().to_rows()
+    c = KERNEL_SCALE
+    while True:
+        reduced = lll_reduce([[c * x for x in col] + e for col, e in zip(cols, T)])
+        kernel = [r[m:] for r in reduced if not any(r[:m])]
+        if len(kernel) == k:
+            return kernel + [r[m:] for r in reduced if any(r[:m])], k
+        c *= c
+
+
+def minor_gcd(rows):
+    """The gcd of the maximal minors of the k x m integer matrix A with the
+    given rows (1 for k = 0): 0 exactly when the rows are dependent, 1
+    exactly when they extend to a basis of Z^m, and otherwise the index of
+    their span in its saturation.
+
+    The rows _bareiss reduces to are d A_P^-1 A, all maximal minors by
+    Cramer's rule; if their gcd is 1 it is the answer.  Otherwise, with
+    (T, m - k) = kernel_completion(A) and R the rows of T after the kernel
+    rows, A T^T = [0 | A R^T], and the unimodular T^T keeps the gcd of the
+    maximal minors (Cauchy-Binet): it is |det(A R^T)|."""
+    if not rows:
+        return 1
+    A = IntMatrix.from_rows([list(r) for r in rows])
+    a = A.to_rows()
+    pivots, _ = _bareiss(a, A.cols)
+    if len(pivots) < A.rows:
+        return 0
+    if gcd(*(x for row in a for x in row)) == 1:
+        return 1
+    T, k = kernel_completion(A)
+    return abs((A @ IntMatrix.from_rows(T[k:]).transpose()).det())
+
 
 @dataclass(frozen=True)
 class Sublattice:
@@ -574,145 +694,19 @@ class Sublattice:
     def rank(self):
         return len(self.basis)
 
-    def basis_matrix(self):
-        return IntMatrix.from_rows(list(self.basis)) if self.basis \
-            else IntMatrix.zero(0, self.ambient_rank)
-
-    def elementary_divisors(self):
-        if not self.basis:
-            return []
-        _, S, _ = smith_normal_form(self.basis_matrix())
-        return [S[i, i] for i in range(min(S.rows, S.cols)) if S[i, i] != 0]
-
     def check_saturated(self):
-        """Saturation <=> torsion-free quotient <=> all elementary divisors 1."""
-        return all(d == 1 for d in self.elementary_divisors())
-
-
-def smith_normal_form(M):
-    """Smith normal form: returns (U, S, V) with S = U @ M @ V, U and V
-    unimodular, S diagonal with nonnegative entries and divisibility
-    d1 | d2 | ... along the diagonal."""
-    m, n = M.rows, M.cols
-    a = M.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, f):
-        for r in a:
-            r[dst] += f * r[src]
-        for r in v:
-            r[dst] += f * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # locate a nonzero pivot of minimal absolute value
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            # clear row t
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, m)) \
-                    and all(a[t][j] == 0 for j in range(t + 1, n)):
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain
-    k = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj != 0 and di != 0 and dj % di != 0:
-                # fold d_{i+1} into row i and rediagonalize the 2x2 block
-                add_row(i + 1, i, 1)
-                g = gcd(di, dj)
-                # clear by the standard Euclid dance
-                while a[i][i + 1] != 0 or a[i + 1][i] != 0 or a[i][i] != g:
-                    if a[i + 1][i] != 0:
-                        q = a[i + 1][i] // a[i][i]
-                        add_row(i, i + 1, -q)
-                        if a[i + 1][i] != 0:
-                            swap_rows(i, i + 1)
-                    elif a[i][i + 1] != 0:
-                        q = a[i][i + 1] // a[i][i]
-                        add_col(i, i + 1, -q)
-                        if a[i][i + 1] != 0:
-                            swap_cols(i, i + 1)
-                    else:
-                        break
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    S = IntMatrix.from_rows(a)
-    return IntMatrix.from_rows(u), S, IntMatrix.from_rows(v)
+        """Saturation <=> torsion-free quotient <=> the maximal minors of
+        the basis have gcd 1."""
+        return minor_gcd(self.basis) == 1
 
 
 def kernel_lattice(p, M):
-    """The saturated sublattice Z^n intersect ker p(M).
-
-    Via the Smith normal form of K = p(M): with S = U K V, the columns of V
-    over the zero diagonal entries of S form a basis of the kernel lattice,
-    which is automatically saturated (it is Z^n intersected with a rational
-    subspace)."""
+    """The saturated sublattice Z^n intersect ker p(M): the kernel rows of
+    kernel_completion(p(M))."""
     if not M.is_square():
         raise DimensionError("kernel_lattice requires a square matrix")
-    n = M.rows
-    K = p.eval_matrix(M)
-    _, S, V = smith_normal_form(K)
-    basis = []
-    for j in range(n):
-        d = S[j, j] if j < min(S.rows, S.cols) else 0
-        if d == 0:
-            basis.append(tuple(V[i, j] for i in range(n)))
-    return Sublattice(ambient_rank=n, basis=tuple(basis))
+    T, k = kernel_completion(p.eval_matrix(M))
+    return Sublattice(ambient_rank=M.rows, basis=tuple(T[:k]))
 
 
 # ---------------------------------------------------------------------------

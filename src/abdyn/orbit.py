@@ -14,10 +14,9 @@ is totally real iff s = 0.
 
 Relations are found by lattice-basis reduction on the augmented vector
 (x_1, .., x_2g, 1) scaled by 1/tol, so results are certificates at a stated
-height bound, never proofs of absence.  The reduction is the integral LLL of
-Cohen (A Course in Computational Algebraic Number Theory, Alg. 2.6.7), exact
-in integers throughout: it updates the Gram determinants and the scaled
-Gram-Schmidt coefficients in place instead of recomputing them.
+height bound, never proofs of absence.  The reduction is exactalg's
+lll_reduce, the integral LLL of Cohen (A Course in Computational Algebraic
+Number Theory, Alg. 2.6.7), exact in integers throughout.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractError, NumericIndeterminacyError
-from .exactalg import IntMatrix, _bareiss
-
-LLL_DELTA = Fraction(99, 100)  # the Lovasz constant of lll_reduce
+from .exactalg import IntMatrix, _bareiss, lll_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +74,8 @@ class Relation:
     residual: float
 
     def to_json_dict(self):
-        return {"q": list(self.q), "q_prime": self.q_prime, "residual": self.residual}
+        return {"q": [str(x) for x in self.q], "q_prime": str(self.q_prime),
+                "residual": self.residual}
 
 
 @dataclass(frozen=True)
@@ -102,74 +100,6 @@ class OrbitReport:
                 "relations": [rel.to_json_dict() for rel in self.relations],
                 "dense": self.dense, "totally_real": self.totally_real,
                 "height_bound": self.height_bound, "tol": self.tol}
-
-
-# ---------------------------------------------------------------------------
-# LLL (integral, delta = LLL_DELTA)
-# ---------------------------------------------------------------------------
-
-def lll_reduce(rows):
-    """LLL reduction of linearly independent integer row vectors; returns
-    the reduced rows.
-
-    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7): it keeps the Gram determinants d_i of the first i rows and
-    the integers lam[i][j] = mu_ij * d_{j+1}, and updates both in place with
-    exact integer divisions.  Row k is size-reduced against rows k-1..0
-    (nearest integer, ties to even) before the Lovasz test
-    d_{k+1} d_{k-1} + lam[k][k-1]^2 >= LLL_DELTA d_k^2.
-
-    Raises ContractError if the rows are linearly dependent (some d_i = 0)."""
-    b = [[int(x) for x in row] for row in rows]
-    n = len(b)
-    if n == 0:
-        return []
-    p, q_delta = LLL_DELTA.numerator, LLL_DELTA.denominator
-
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
-        if d[i + 1] == 0:
-            raise ContractError("lll_reduce needs linearly independent rows")
-
-    k = 1
-    while k < n:
-        # size reduction
-        lk = lam[k]
-        for j in range(k - 1, -1, -1):
-            if 2 * abs(lk[j]) <= d[j + 1]:
-                continue
-            q = round(Fraction(lk[j], d[j + 1]))  # ties to even
-            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-            lk[j] -= q * d[j + 1]
-            lj = lam[j]
-            for t in range(j):
-                lk[t] -= q * lj[t]
-        lkk = lk[k - 1]
-        if q_delta * (d[k + 1] * d[k - 1] + lkk * lkk) >= p * d[k] * d[k]:
-            k += 1
-            continue
-        # swap rows k-1 and k
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
-        B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
-        for i in range(k + 1, n):
-            li = lam[i]
-            t = li[k]
-            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
-            li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
-        d[k] = B
-        k = max(k - 1, 1)
-    return b
 
 
 # ---------------------------------------------------------------------------

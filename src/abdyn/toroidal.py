@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
-from .exactalg import (IntMatrix, IntPolynomial, _bareiss, is_positive_definite,
-                       kernel_lattice, smith_normal_form, solve)
+from .exactalg import (IntMatrix, _bareiss, is_positive_definite,
+                       kernel_completion, minor_gcd)
 
 MAX_METRIC_RETRIES = 16
 
@@ -174,7 +174,14 @@ def monodromy_to_B(M):
     matrix in the normalized block shape [[I, B],[0, I]], verify that B is
     symmetric positive semi-definite, and return (B, basis_change) where the
     unimodular basis_change W satisfies W B W^T = diag(0, B') with B'
-    positive definite of size r' = rank B."""
+    positive definite of size r' = rank B.
+
+    The first g - r' rows of W span Z^g intersect ker B (kernel_completion).
+    The rest are the unit vectors e_j at the columns j that are not pivots
+    of those rows, so B' is the principal submatrix of B on those columns,
+    unless that W has det other than +-1; then the rest are the remaining
+    rows of kernel_completion's T, and B' the last r' rows and columns of
+    T B T^T."""
     if not M.is_square() or M.rows % 2 != 0:
         raise DimensionError("monodromy matrix must be square of even size 2g")
     g = M.rows // 2
@@ -198,21 +205,15 @@ def monodromy_to_B(M):
     if B != B.transpose():
         raise ContractError("period translation matrix is not symmetric")
     # basis change: kernel lattice first, completion after
-    ker = kernel_lattice(IntPolynomial([0, 1]), B)  # Z^g  intersect  ker B
-    r_prime = g - ker.rank
-    if ker.rank in (0, g):
-        W = IntMatrix.identity(g)
-    else:
-        A = ker.basis_matrix()
-        _, S, V = smith_normal_form(A)
-        assert all(S[i, i] == 1 for i in range(ker.rank))  # saturated
-        # rows of V^{-1}: the first (g - r') span the kernel lattice, the rest
-        # complete; column j of V^{-1} solves V x = e_j
-        cols = solve(V.to_rows(), *IntMatrix.identity(g).to_rows())
-        W = IntMatrix.from_rows([[int(x) for x in row] for row in zip(*cols)])
+    T, k = kernel_completion(B)
+    r_prime = g - k
+    pivots, _ = _bareiss(T[:k], g)
+    units = IntMatrix.identity(g).to_rows()
+    W = IntMatrix.from_rows(T[:k] + [units[j] for j in range(g) if j not in pivots])
+    if abs(W.det()) != 1:
+        W = IntMatrix.from_rows(T)
     # sanity: W B W^T = diag(0, B')
     WB = W @ B @ W.transpose()
-    k = g - r_prime
     for i in range(g):
         for j in range(g):
             if (i < k or j < k) and WB[i, j] != 0:
@@ -470,15 +471,14 @@ def validate_fan(fan):
                 violations.append(f"cone {idx}: non-primitive generator {v}")
             if v[-1] < 0:
                 violations.append(f"cone {idx}: negative height generator {v}")
-        _, S, _ = smith_normal_form(IntMatrix.from_rows([list(v) for v in gens]))
-        divisors = [S[i, i] for i in range(min(S.rows, S.cols)) if S[i, i] != 0]
-        if len(divisors) != len(gens):
+        index = minor_gcd(gens)
+        if index == 0:
             violations.append(
                 f"cone {idx}: generators dependent (not simplicial / not strongly convex)")
         if all(v[-1] == 0 for v in gens):
             violations.append(f"cone {idx}: contained in N x {{0}}")
         # regularity: generators extend to a basis of the saturated span lattice
-        if any(d != 1 for d in divisors):
+        if index > 1:
             non_regular.append(idx)
         # Gamma-duplicates
         c = canon(cone)

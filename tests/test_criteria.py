@@ -3,6 +3,9 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             FamilyDescriptor, decide_regularizable,
@@ -11,7 +14,8 @@ from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             theoremB_bound)
 from abdyn.errors import ContractError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
-                            is_cyclotomic_free, kronecker_is_roots_of_unity)
+                            cyclotomic, is_cyclotomic_free,
+                            kronecker_is_roots_of_unity)
 from util import conjugate, random_unimodular
 
 UNIPOTENT_QUARTIC = IntPolynomial([1, -4, 6, -4, 1])  # (T-1)^4
@@ -157,6 +161,42 @@ def test_split_conjugated_blocks():
         assert lattice_is_invariant(u, L0) and lattice_is_invariant(u, L1)
         assert restricted_char_poly(u, L0) == IntPolynomial([1, -1, 1])
         assert restricted_char_poly(u, L1) == IntPolynomial([1, -3, 1])
+
+
+CYCLOTOMIC_BLOCKS = [cyclotomic(m) for m in (1, 2, 3, 4, 5, 6, 8, 10, 12)]
+FREE_BLOCKS = [IntPolynomial(c) for c in ([1, -3, 1], [-1, -1, 1], [1, -4, 1],
+                                          [-1, -1, 0, 1], [1, -1, -1, -1, 1])]
+
+
+@example([cyclotomic(4)], [IntPolynomial([1, -3, 1])], True, 1)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(CYCLOTOMIC_BLOCKS), max_size=3),
+       st.lists(st.sampled_from(FREE_BLOCKS), max_size=2),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_split_reassembles_conjugated_block_sums(cyc, free, glued, seed):
+    """u = U C U^-1 with C = [[A, X], [0, B]]: A a block sum of cyclotomic
+    companion matrices (product P), B one of cyclotomic-free ones (product
+    Q), X zero or random (a glued sum, where the index can exceed 1).  The
+    split restricts u to P on L0 and to Q on L1, both saturated, and index
+    is |det [L0; L1]|."""
+    assume(cyc or free)
+    rng = random.Random(seed)
+    P = Q = IntPolynomial([1])
+    for p in cyc:
+        P = P * p
+    for p in free:
+        Q = Q * p
+    a, n = P.degree, P.degree + Q.degree
+    C = IntMatrix.block_diag(*(IntMatrix.companion(p) for p in cyc + free)).to_rows()
+    for i in range(a if glued else 0):
+        C[i][a:] = [rng.randint(-2, 2) for _ in range(n - a)]
+    u = conjugate(IntMatrix.from_rows(C), random_unimodular(n, rng))
+    assert P * Q == char_poly(u)
+    L0, L1, index = split_invariant_subfamily(u)
+    assert restricted_char_poly(u, L0) == P
+    assert restricted_char_poly(u, L1) == Q
+    assert index == abs(sympy.Matrix(list(L0.basis) + list(L1.basis)).det())
+    assert L0.check_saturated() and L1.check_saturated()
 
 
 def test_restricted_char_poly_rejects_non_invariant_lattice():

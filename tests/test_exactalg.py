@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.matrices import normalforms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,9 @@ from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
                             cyclotomic_split, eigenvalue_moduli,
                             is_cyclotomic_free, is_positive_definite,
-                            kernel_lattice, kronecker_is_roots_of_unity,
-                            quasi_unipotent_order, smith_normal_form, solve,
+                            kernel_completion, kernel_lattice,
+                            kronecker_is_roots_of_unity, minor_gcd,
+                            quasi_unipotent_order, solve,
                             unipotent_index)
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
@@ -148,13 +150,30 @@ def test_unipotent_index_bounded_by_multiplicity():
         assert 1 <= unipotent_index(M) <= mult
 
 
+def test_char_poly_matches_sympy():
+    """char_poly against sympy's charpoly on seeded integer matrices up to
+    10 x 10; every third one is singular (a rank-deficient product)."""
+    rng = random.Random(37)
+    singular = 0
+    for trial in range(60):
+        n = rng.randint(1, 10)
+        if trial % 3 == 0:
+            A = _low_rank(rng, n, n, r=rng.randint(0, n - 1))
+        else:
+            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        expected = sympy.Matrix(A).charpoly().all_coeffs()  # descending
+        assert list(reversed(char_poly(IntMatrix.from_rows(A)).coeffs)) == expected, A
+        singular += expected[-1] == 0
+    assert singular >= 20
+
+
 def test_quasi_unipotent_order():
     assert quasi_unipotent_order(ROT4) == 4
     assert quasi_unipotent_order(IntMatrix.from_rows([[1, 1], [0, 1]])) == 1
     assert quasi_unipotent_order(GOLDEN2) is None
 
 
-# --- kernel lattices / Smith normal form -------------------------------------
+# --- kernel lattices ----------------------------------------------------------
 
 def test_kernel_lattice_full():
     lat = kernel_lattice(P(-1, 1), IntMatrix.identity(3))
@@ -177,28 +196,65 @@ def test_kernel_lattice_block():
     assert lat.check_saturated()
 
 
-def test_smith_normal_form_identity_and_random():
-    rng = random.Random(11)
-    for _ in range(8):
-        r, c = rng.randrange(1, 5), rng.randrange(1, 5)
-        M = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(c)]
-                                 for _ in range(r)])
-        U, S, V = smith_normal_form(M)
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
-        assert U @ M @ V == S
-        diag = [S[i, i] for i in range(min(r, c))]
-        for a, b in zip(diag, diag[1:]):
-            if b != 0:
-                assert a != 0 and b % a == 0
+def _hnf(rows):
+    """sympy's Hermite normal form of the lattice spanned by integer rows."""
+    return normalforms.hermite_normal_form(sympy.Matrix(rows).T)
+
+
+def test_kernel_lattice_matches_sympy():
+    """Z^n intersect ker K against sympy: the sympy nullspace, cleared of
+    denominators, lies in the lattice (same HNF with and without it); the
+    basis has the nullity as rank, lies in ker K, and has invariant factors
+    all 1 (saturated).  Together these pin the lattice down."""
+    rng = random.Random(41)
+    nullities = set()
+    for trial in range(60):
+        n = rng.randint(1, 10)
+        r = n if trial % 10 == 0 else 0 if trial % 10 == 1 else rng.randint(0, n)
+        K = _low_rank(rng, n, n, r=r)
+        lat = kernel_lattice(P(0, 1), IntMatrix.from_rows(K))  # p(M) = M
+        S = sympy.Matrix(K)
+        null = [list(v.T * sympy.ilcm(*[x.q for x in v], 1)) for v in S.nullspace()]
+        nullities.add((lat.rank == 0, lat.rank == n))
+        assert lat.rank == len(null), K
+        if not null:
+            continue
+        basis = [list(v) for v in lat.basis]
+        assert all(x == 0 for v in basis for x in S * sympy.Matrix(v)), K
+        assert set(normalforms.invariant_factors(sympy.Matrix(basis))) == {1}, K
+        assert _hnf(basis + null) == _hnf(basis), K
+        T, k = kernel_completion(IntMatrix.from_rows(K))
+        assert k == lat.rank and tuple(map(tuple, T[:k])) == lat.basis
+        assert abs(sympy.Matrix(T).det()) == 1
+    assert nullities == {(True, False), (False, False), (False, True)}
+
+
+def test_minor_gcd_matches_sympy_invariant_factors():
+    """minor_gcd is the product of the invariant factors (0 below full row
+    rank) on random k x m matrices, many with a gcd above 1."""
+    rng = random.Random(43)
+    seen = set()
+    for trial in range(150):
+        k, m = rng.randint(1, 5), rng.randint(1, 6)
+        A = (_low_rank(rng, k, m) if trial % 3
+             else [[rng.randint(-6, 6) for _ in range(m)] for _ in range(k)])
+        factors = normalforms.invariant_factors(sympy.Matrix(A))
+        expected = math.prod(factors) if len(factors) == k and all(factors) else 0
+        got = minor_gcd(A)
+        assert got == expected, A
+        seen.add(min(got, 2))
+    assert seen == {0, 1, 2}
+    assert minor_gcd([]) == 1
 
 
 # --- fraction-free rank, det, solve and definiteness against sympy ------------
 
-def _low_rank(rng, m, n, rational):
-    """An m x n matrix of rank at most a random r (product of integer m x r
-    and r x n factors); with rational=True each row is scaled by a random
-    positive fraction, which keeps the rank."""
-    r = rng.randint(0, min(m, n))
+def _low_rank(rng, m, n, rational=False, r=None):
+    """An m x n matrix of rank at most r, random if not given (product of
+    integer m x r and r x n factors); with rational=True each row is scaled
+    by a random positive fraction, which keeps the rank."""
+    if r is None:
+        r = rng.randint(0, min(m, n))
     L = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
     R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
     A = [[sum(L[i][k] * R[k][j] for k in range(r)) for j in range(n)]

@@ -5,11 +5,14 @@ import importlib.resources
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
 import pytest
+import sympy
 from jsonschema.validators import validator_for
+from sympy.matrices.normalforms import invariant_factors
 
 from abdyn import serialize
 from abdyn.cli import main
@@ -374,5 +377,71 @@ def test_cli_outputs_match_schemas(capsys, monkeypatch):
     doc = result(["catalog", "build", "--case", "2.2", "--r", "1"])
     checks += [(doc["family_descriptor"], "family_descriptor"),
                (doc["automorphism"], "matrix")]
+    doc = result(["split"], "[[0,-1,0,0],[1,0,0,0],[0,0,2,1],[0,0,1,1]]")
+    for name in ("cyclotomic_lattice", "cyclotomic_free_lattice"):
+        assert doc[name]["basis"]  # both lattices non-empty
+        checks += [(doc[name]["charpoly"], "polynomial"),
+                   (doc[name]["basis"], "matrix")]
     for block, name in checks:
         serialize.validate_schema(block, name)
+
+
+# A 10 x 10 conjugated block sum whose kernel basis, taken from a Smith
+# normal form, once had entries of over 20,000 digits: `split` took seconds
+# and then ended in a traceback (Python's limit on int-to-str digits).
+SPLIT_10X10 = [[-1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [-3, 2, 1, 2, -1, 2, -1, 0, 0, -1],
+               [-1, 2, 0, 2, 0, 0, -1, -1, 1, 0], [2, -1, -1, -1, 1, 1, 1, 0, 0, 0],
+               [1, 1, 0, 1, 0, 0, 0, 0, 1, 0], [-1, 0, 0, 0, 0, 4, 0, 0, 0, -1],
+               [4, -2, 0, -3, 0, 3, 3, -1, 0, 0], [-5, 3, 1, 4, -1, 0, -3, 1, 0, -1],
+               [1, -2, 0, -2, -1, -3, 0, 0, -1, 1], [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]]
+
+
+def test_cli_split_10x10_kernels_match_sympy(capsys, monkeypatch):
+    """The split ends well inside 10 s, and each lattice is Z^10 intersect
+    ker f(u) by sympy: basis in the kernel, rank = nullity, saturated."""
+    def expire(signum, frame):
+        raise TimeoutError("split ran past 10 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code, out, _ = run_cli(["split"], json.dumps(SPLIT_10X10), capsys, monkeypatch)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0
+    result = json.loads(out)["result"]
+    u = sympy.Matrix(SPLIT_10X10)
+    t = sympy.Symbol("t")
+    product, stacked = 1, []
+    for name in ("cyclotomic_lattice", "cyclotomic_free_lattice"):
+        lat = result[name]
+        f = sympy.Poly([int(c) for c in reversed(lat["charpoly"])], t)
+        f_u = sympy.zeros(10, 10)
+        for c in f.all_coeffs():  # Horner
+            f_u = f_u * u + c * sympy.eye(10)
+        basis = sympy.Matrix([[int(x) for x in v] for v in lat["basis"]])
+        assert basis.rows == len(f_u.nullspace()) == f.degree()
+        assert f_u * basis.T == sympy.zeros(10, basis.rows)
+        assert set(invariant_factors(basis)) == {1}
+        product *= f
+        stacked += basis.tolist()
+    assert product.all_coeffs() == u.charpoly(t).all_coeffs()
+    assert int(result["index"]) == abs(sympy.Matrix(stacked).det())
+
+
+def test_cli_orbit_relations_are_decimal_strings(capsys, monkeypatch):
+    """Relation integers follow the wire rule (decimal strings), and the
+    orbit_report schema rejects bare JSON integers there."""
+    code, out, _ = run_cli(["orbit", "analyze", "--lattice", SQUARE_LATTICE,
+                            "--alpha", "[[1.4142135623730951,0]]"],
+                           None, capsys, monkeypatch)
+    assert code == 0
+    doc = json.loads(out)["result"]
+    (rel,) = doc["relations"]
+    assert [int(x) for x in rel["q"]] in ([0, 1], [0, -1])
+    assert rel["q_prime"] == "0"
+    serialize.validate_schema(doc, "orbit_report")
+    for bad in ({"q": [0, 1]}, {"q_prime": 0}, {"residual": "0"}):
+        with pytest.raises(SchemaError):
+            serialize.validate_schema(dict(doc, relations=[dict(rel, **bad)]),
+                                      "orbit_report")

@@ -67,7 +67,7 @@ def random_rng(seed):
 def reference_lll(rows, delta=Fraction(99, 100)):
     """Reference LLL for differential tests: recomputes the exact rational
     Gram-Schmidt after every size reduction and every swap.  Same operation
-    order as abdyn.orbit.lll_reduce (full size reduction of row k against
+    order as abdyn.exactalg.lll_reduce (full size reduction of row k against
     rows k-1..0 with round-half-even, then the Lovasz test), so both must
     return identical rows on independent input."""
     b = [[int(x) for x in row] for row in rows]
