@@ -24,8 +24,7 @@ from .criteria import (FamilyDescriptor, decide_regularizable,
 from .degrees import SemiAbelianAut, semiabelian_degrees
 from .errors import (AbdynError, ContractError, NumericIndeterminacyError,
                      SchemaError)
-from .exactalg import (IntMatrix, char_poly, cyclotomic_split,
-                       kronecker_is_roots_of_unity)
+from .exactalg import IntMatrix, char_poly, cyclotomic_split
 from .orbit import orbit_dims
 from .serialize import (dump_json, fan_from_json, fan_to_json,
                         family_descriptor_from_json, family_descriptor_to_json,
@@ -96,7 +95,7 @@ def cmd_analyze(args):
         parts[name] = {"charpoly": poly_to_json(cp),
                        "cyclotomic_part": poly_to_json(P),
                        "cyclotomic_free_part": poly_to_json(Q),
-                       "roots_of_unity_only": kronecker_is_roots_of_unity(cp)}
+                       "roots_of_unity_only": Q.is_one()}
     result = {"degrees": profile.to_json_dict(), "parts": parts}
     _emit(args, {"command": "analyze", "input": echo,
                  "options": {"tol": args.tol},
@@ -232,7 +231,7 @@ def _catalog_bundle(case_id, d, r):
     auto = data["automorphism"]
     g = auto.rows // 2
     k = None
-    if kronecker_is_roots_of_unity(data["charpoly"]):
+    if data["cyclotomic_free_part"].is_one():
         k = growth_exponent_k(auto)
     desc = FamilyDescriptor(g=g, charpoly=data["charpoly"], r=r, k=k)
     return data, desc

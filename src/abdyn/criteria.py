@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .degrees import unipotent_index_of_power
 from .errors import ContractError
-from .exactalg import (IntMatrix, IntPolynomial, char_poly,
-                       cyclotomic_split, is_cyclotomic_free, kernel_lattice,
-                       kronecker_is_roots_of_unity, quasi_unipotent_order,
-                       solve, unipotent_index)
+from .exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
+                       cyclotomic_split_with_orders, kernel_lattice,
+                       kronecker_is_roots_of_unity, solve)
 
 REGULARIZABLE = "Regularizable"
 NOT_REGULARIZABLE = "NotRegularizable"
@@ -109,8 +109,8 @@ def decide_regularizable(desc):
     First-match-wins for the returned status; all fired rules are collected
     and asserted consistent (the underlying theorems never conflict, so a
     disagreement is a bug and raises)."""
-    unit = kronecker_is_roots_of_unity(desc.charpoly)
-    cyc_free = is_cyclotomic_free(desc.charpoly)
+    P, Q = cyclotomic_split(desc.charpoly)
+    unit, cyc_free = Q.is_one(), P.is_one()
     fired = []
 
     if desc.r == 0:
@@ -157,10 +157,10 @@ def growth_exponent_k(u_A_rat):
     if not u_A_rat.is_square() or u_A_rat.rows % 2 != 0:
         raise ContractError("u_A_rat must be square of even size 2g")
     g = u_A_rat.rows // 2
-    n0 = quasi_unipotent_order(u_A_rat)
-    if n0 is None:
+    _, Q, orders = cyclotomic_split_with_orders(char_poly(u_A_rat))
+    if not Q.is_one():
         raise ContractError("k undefined: lambda_1 > 1 (charpoly not cyclotomic)")
-    j_A = unipotent_index(u_A_rat ** n0)
+    j_A = unipotent_index_of_power(u_A_rat, orders)
     k = max(j_A - 1, 0)
     if k > g - 1:
         raise ContractError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 import numpy as np
 
@@ -777,18 +777,19 @@ def squarefree_decomposition(p):
     return out
 
 
-def eigenvalue_moduli(p, tol=1e-9):
+def eigenvalue_moduli(p, tol=1e-9, split=None):
     """Descending list of (modulus, multiplicity) for the roots of p.
 
     The cyclotomic part is stripped first and contributes an exact modulus 1;
     the cyclotomic-free part is handled numerically, with moduli grouped when
     within tol of each other (Salem polynomials have genuinely equal moduli
-    that the numerics must not split)."""
+    that the numerics must not split).  A caller that already holds the
+    (P, Q) of cyclotomic_split(p) passes it as split."""
     if not p.is_monic() or p.degree < 1:
         raise ContractError("eigenvalue_moduli requires a monic polynomial of degree >= 1")
-    if tol <= 0:
-        raise ContractError("tol must be positive")
-    P, Q = cyclotomic_split(p)
+    if not 0 < tol < inf:  # also false for nan
+        raise ContractError("tol must be positive and finite")
+    P, Q = split if split is not None else cyclotomic_split(p)
     groups = []  # list of [modulus, multiplicity]
     if Q.degree >= 1:
         # exact squarefree decomposition first: the root finder only ever
@@ -821,11 +822,3 @@ def eigenvalue_moduli(p, tol=1e-9):
     groups.sort(key=lambda g: -g[0])
     assert sum(g[1] for g in groups) == p.degree
     return [(g[0], g[1]) for g in groups]
-
-
-def expand_moduli(groups):
-    """Flatten [(modulus, multiplicity)] into a descending list of moduli."""
-    out = []
-    for mod, mult in groups:
-        out.extend([mod] * mult)
-    return out

@@ -115,8 +115,9 @@ def real_dual_coords(lattice, v, tol=1e-10):
     v = tuple(complex(z) for z in v)
     rhs = np.array([z.real for z in v] + [z.imag for z in v], dtype=float)
     x = np.linalg.solve(A, rhs)
-    resid = float(np.linalg.norm(A @ x - rhs))
-    scale = max(1.0, float(np.linalg.norm(rhs)))
+    # hypot scales internally, where a sum of squares would overflow
+    resid = math.hypot(*(A @ x - rhs))
+    scale = max(1.0, math.hypot(*rhs))
     if resid > 1e-10 * scale:
         raise NumericIndeterminacyError(f"reconstruction residual {resid} too large")
     return tuple(float(t) for t in x)
@@ -148,8 +149,8 @@ def relation_lattice(coords, height_bound=50, tol=1e-10):
     residual |q . x - q'|."""
     if height_bound < 1:
         raise ContractError("height bound must be >= 1")
-    if tol <= 0:
-        raise ContractError("tol must be positive")
+    if not 0 < tol < math.inf:  # also false for nan
+        raise ContractError("tol must be positive and finite")
     n = len(coords)
     scale = round(1.0 / tol)
     dim = n + 1

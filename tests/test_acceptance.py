@@ -13,8 +13,7 @@ from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             FamilyDescriptor, decide_regularizable,
                             restricted_char_poly, split_invariant_subfamily)
 from abdyn.degrees import (SemiAbelianAut, blowup_restriction_degrees,
-                           degree_sequence_numeric, first_degree_data,
-                           fit_growth, product_Eg_degrees,
+                           first_degree_data, product_Eg_degrees,
                            restriction_inequality_check, semiabelian_degrees)
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
                             cyclotomic_split, is_cyclotomic_free,
@@ -25,7 +24,8 @@ from abdyn.toroidal import (central_fiber_combinatorics, delaunay_fan,
                             section_extends, translation_regularizable,
                             validate_fan, GammaData, canonical_cone,
                             _translate_cone)
-from util import conjugate, random_unimodular
+from util import (compound_matrix, conjugate, degree_sequence_numeric,
+                  fit_growth, random_unimodular)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 J2 = IntMatrix.from_rows([[1, 1], [0, 1]])
@@ -103,8 +103,6 @@ def _oracle_informative(aut, checkpoints=(13, 25, 150), rate_window=(130, 150)):
     (or a crossover falls inside the fit window), no fit on the short data can
     recover the rate, so such samples are rejected and redrawn (formula-free
     check: it only powers the matrices)."""
-    from abdyn.degrees import compound_matrix
-
     def log_norms(C, points):
         mat = C.to_numpy()
         acc = np.eye(mat.shape[0])

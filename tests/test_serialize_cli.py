@@ -24,7 +24,8 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 SCHEMA_NAMES = {"matrix", "polynomial", "semiabelian_aut", "family_descriptor",
-                "verdict", "degree_profile", "fan", "lattice", "orbit_report"}
+                "verdict", "degree_profile", "fan", "lattice", "orbit_report",
+                "split_report", "fan_validation", "fan_extension", "catalog_list"}
 
 
 def test_packaged_schemas():
@@ -101,6 +102,27 @@ def test_cli_analyze_identity(capsys, monkeypatch):
     assert code == 0
     lam = json.loads(out)["result"]["degrees"]["lambdas"]
     assert all(x == 1.0 for x in lam)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["analyze"], "[[2,1],[1,1]]"),
+    (["end-to-end", "--case", "2.2"], None),
+    (["orbit", "analyze", "--lattice", '{"g":1,"basis":[[[1,0]],[[0,1]]]}',
+      "--alpha", "[[0.5,0]]"], None)], ids=["analyze", "end-to-end", "orbit"])
+def test_cli_non_finite_tol_exit_3(argv, stdin_text, tol, capsys, monkeypatch):
+    code, out, err = run_cli(argv + ["--tol", tol], stdin_text, capsys, monkeypatch)
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["contract error: tol must be positive and finite"]
+
+
+@pytest.mark.parametrize("payload", [
+    '{"r":0,"g":1,"u_T":[[2,1],[1,1]],"u_A_rat":[[1,0],[0,1]]}',
+    '{"r":2,"g":0,"u_T":[[2,1],[1,1]],"u_A_rat":[[1,0],[0,1]]}'])
+def test_cli_analyze_rejects_part_for_zero_rank(payload, capsys, monkeypatch):
+    code, out, err = run_cli(["analyze"], payload, capsys, monkeypatch)
+    assert code == 3 and out == ""
+    assert err.startswith("contract error:") and "given for" in err
 
 
 def test_cli_malformed_json_exit_2(capsys, monkeypatch):
@@ -352,7 +374,7 @@ def test_cli_catalog_and_end_to_end(capsys, monkeypatch):
     assert json.loads(out)["result"]["m"] == 5
 
 
-def test_cli_outputs_match_schemas(capsys, monkeypatch):
+def test_cli_outputs_match_schemas(tmp_path, capsys, monkeypatch):
     """Each output block that has a schema validates against it."""
     def result(args, stdin_text=None):
         code, out, _ = run_cli(args, stdin_text, capsys, monkeypatch)
@@ -382,8 +404,24 @@ def test_cli_outputs_match_schemas(capsys, monkeypatch):
         assert doc[name]["basis"]  # both lattices non-empty
         checks += [(doc[name]["charpoly"], "polynomial"),
                    (doc[name]["basis"], "matrix")]
+    checks.append((doc, "split_report"))
+    empty = result(["split"], "[[2,1],[1,1]]")
+    assert not empty["cyclotomic_lattice"]["basis"]
+    checks.append((empty, "split_report"))
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(result(["fan", "build", "--B", "[[1,0],[0,0]]"])))
+    checks.append((result(["fan", "validate", str(fan_file)]), "fan_validation"))
+    for nphi in ("[0,1]", "[1,0]"):  # extends with a beta; abelian part: null
+        doc = result(["fan", "extends", "--nphi", nphi, str(fan_file)])
+        assert (doc["beta"] is None) == (nphi == "[1,0]")
+        checks.append((doc, "fan_extension"))
+    for g in range(2, 6):
+        checks.append((result(["catalog", "list", "--g", str(g)]), "catalog_list"))
     for block, name in checks:
         serialize.validate_schema(block, name)
+    with pytest.raises(SchemaError):  # the lattices are checked through $ref
+        serialize.validate_schema(dict(empty, cyclotomic_lattice={
+            "basis": [[1, 0]], "charpoly": ["1"]}), "split_report")
 
 
 # A 10 x 10 conjugated block sum whose kernel basis, taken from a Smith
