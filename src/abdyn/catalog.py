@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ContractError
-from .exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
+from .exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split,
                        is_cyclotomic_free)
 from .orbit import NumericLattice
 
@@ -82,6 +80,7 @@ def unit_multiplication_matrix(minpoly, copies):
 def _minpoly_from_embeddings(embeddings, tol=1e-6):
     """Recover the integer minimal polynomial prod (T - iota_j(mu)) from the
     real embeddings of a totally real algebraic unit."""
+    import numpy as np
     coeffs = np.poly(list(embeddings))  # descending, float
     ints = [round(c) for c in coeffs]
     if any(abs(c - i) > tol for c, i in zip(coeffs, ints)):
@@ -102,6 +101,7 @@ def type_I_lattice(Z, unit_embeddings, tol=1e-8):
     (mu_1 I_l, ..., mu_e I_l).
 
     Returns (NumericLattice, automorphism IntMatrix)."""
+    import numpy as np
     e = len(Z)
     Zs = [np.atleast_2d(np.array(zj, dtype=complex)) for zj in Z]
     l = Zs[0].shape[0]
@@ -364,9 +364,9 @@ def moduli_dim_formula(case):
 
 def build_case_matrices(case_id, d=2):
     """Concrete matrices for the buildable cases: returns a dict with the
-    automorphism matrix (rational representation), its charpoly, and the
-    cyclotomic-free status.  d selects the real quadratic field where one is
-    needed."""
+    automorphism matrix (rational representation), its charpoly, its
+    char_poly_split (as "split") and the cyclotomic-free status.  d selects
+    the real quadratic field where one is needed."""
     if case_id == "2.1":
         M = IntMatrix.from_rows([[2, 1], [1, 1]])
         auto = IntMatrix.block_diag(M, M)
@@ -403,8 +403,8 @@ def build_case_matrices(case_id, d=2):
     else:
         raise ContractError(f"case {case_id} has no concrete matrix builder "
                             "(classification metadata only)")
-    cp = char_poly(auto)
-    P, Q = cyclotomic_split(cp)
+    split = char_poly_split(auto)
+    cp, P, Q, _ = split
     return {"case": case_id, "label": label, "automorphism": auto,
             "charpoly": cp, "cyclotomic_part": P, "cyclotomic_free_part": Q,
-            "is_cyclotomic_free": P.is_one()}
+            "is_cyclotomic_free": P.is_one(), "split": split}

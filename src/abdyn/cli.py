@@ -3,8 +3,9 @@
 Single binary with subcommands (analyze, decide, split, fan, orbit, catalog,
 end-to-end); JSON payloads on stdin or via --in, results on stdout or --out.
 Every output embeds the inputs, tolerances, heights, and seeds needed to
-reproduce it.  Exit codes: 0 success, 2 schema error, 3 contract error,
-4 numeric indeterminacy.  Set ABDYN_LOG=debug|info|... for logging.
+reproduce it.  Exit codes: 0 success, 2 schema error (also a file that
+cannot be read or written), 3 contract error, 4 numeric indeterminacy.  Set
+ABDYN_LOG=debug|info|... for logging.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .criteria import (FamilyDescriptor, decide_regularizable,
 from .degrees import SemiAbelianAut, semiabelian_degrees
 from .errors import (AbdynError, ContractError, NumericIndeterminacyError,
                      SchemaError)
-from .exactalg import IntMatrix, char_poly, cyclotomic_split
+from .exactalg import IntMatrix, char_poly_split
 from .orbit import orbit_dims
 from .serialize import (dump_json, fan_from_json, fan_to_json,
                         family_descriptor_from_json, family_descriptor_to_json,
@@ -45,20 +46,32 @@ def _setup_logging():
                             format="%(levelname)s %(name)s: %(message)s")
 
 
+def _read_file(path):
+    """The text of the file at path; a file that cannot be opened or decoded
+    is a SchemaError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.reason}") from exc
+
+
 def _read_payload(args):
     if getattr(args, "infile", None):
-        with open(args.infile) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    return load_json(text)
+        return load_json(_read_file(args.infile))
+    return load_json(sys.stdin.read())
 
 
 def _emit(args, doc):
     text = dump_json(doc)
     if getattr(args, "outfile", None):
-        with open(args.outfile, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.outfile, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.outfile}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -66,8 +79,7 @@ def _emit(args, doc):
 def _inline_json(value):
     """Inline JSON argument; an @path prefix reads the file instead."""
     if value.startswith("@"):
-        with open(value[1:]) as fh:
-            return load_json(fh.read())
+        return load_json(_read_file(value[1:]))
     return load_json(value)
 
 
@@ -85,17 +97,15 @@ def cmd_analyze(args):
     else:
         aut = semiabelian_aut_from_json(payload)
         echo = {"semiabelian_aut": semiabelian_aut_to_json(aut)}
-    profile = semiabelian_degrees(aut, tol=args.tol)
-    parts = {}
-    for name, M in (("u_T", aut.u_T), ("u_A_rat", aut.u_A_rat)):
-        if M is None:
-            continue
-        cp = char_poly(M)
-        P, Q = cyclotomic_split(cp)
-        parts[name] = {"charpoly": poly_to_json(cp),
-                       "cyclotomic_part": poly_to_json(P),
-                       "cyclotomic_free_part": poly_to_json(Q),
-                       "roots_of_unity_only": Q.is_one()}
+    # one char poly and split per part, shared by the degrees and parts
+    splits = {name: char_poly_split(M)
+              for name, M in (("u_T", aut.u_T), ("u_A_rat", aut.u_A_rat)) if M is not None}
+    profile = semiabelian_degrees(aut, tol=args.tol, splits=splits)
+    parts = {name: {"charpoly": poly_to_json(cp),
+                    "cyclotomic_part": poly_to_json(P),
+                    "cyclotomic_free_part": poly_to_json(Q),
+                    "roots_of_unity_only": Q.is_one()}
+             for name, (cp, P, Q, _) in splits.items()}
     result = {"degrees": profile.to_json_dict(), "parts": parts}
     _emit(args, {"command": "analyze", "input": echo,
                  "options": {"tol": args.tol},
@@ -169,8 +179,7 @@ def cmd_fan_build(args):
 
 
 def _load_fan_file(path):
-    with open(path) as fh:
-        doc = load_json(fh.read())
+    doc = load_json(_read_file(path))
     # accept either a bare fan file or a `fan build` output wrapper
     if isinstance(doc, dict) and "result" in doc and "gamma" not in doc:
         doc = doc["result"]
@@ -227,13 +236,16 @@ def cmd_catalog_list(args):
 
 
 def _catalog_bundle(case_id, d, r):
+    """The case's matrices and family descriptor; the char poly and split of
+    its automorphism are computed once, in build_case_matrices."""
     data = build_case_matrices(case_id, d=d)
     auto = data["automorphism"]
     g = auto.rows // 2
     k = None
     if data["cyclotomic_free_part"].is_one():
-        k = growth_exponent_k(auto)
-    desc = FamilyDescriptor(g=g, charpoly=data["charpoly"], r=r, k=k)
+        k = growth_exponent_k(auto, data["split"])
+    desc = FamilyDescriptor(g=g, charpoly=data["charpoly"], r=r, k=k,
+                            split=(data["cyclotomic_part"], data["cyclotomic_free_part"]))
     return data, desc
 
 
@@ -258,7 +270,7 @@ def cmd_end_to_end(args):
     auto = data["automorphism"]
     g = auto.rows // 2
     aut = SemiAbelianAut(r=0, g=g, u_A_rat=auto)
-    profile = semiabelian_degrees(aut, tol=args.tol)
+    profile = semiabelian_degrees(aut, tol=args.tol, splits={"u_A_rat": data["split"]})
     verdict = decide_regularizable(desc)
     case_meta = next((c for c in classification_cases(int(args.case.split(".")[0]))
                       if c.id == args.case), None)

@@ -26,13 +26,12 @@ version of R2 would contradict R4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .degrees import unipotent_index_of_power
 from .errors import ContractError
-from .exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
-                       cyclotomic_split_with_orders, kernel_lattice,
-                       kronecker_is_roots_of_unity, solve)
+from .exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split,
+                       cyclotomic_split, kernel_lattice, solve)
 
 REGULARIZABLE = "Regularizable"
 NOT_REGULARIZABLE = "NotRegularizable"
@@ -41,13 +40,17 @@ UNDETERMINED = "Undetermined"
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
+    """A family's data; split is the (P, Q) of cyclotomic_split(charpoly)
+    when the caller already holds it, and is kept as cyclotomic."""
     g: int
     charpoly: IntPolynomial
     r: int | None = None
     k: int | None = None
     finite_order: bool = False
+    split: InitVar[tuple | None] = None
+    cyclotomic: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, split):
         if self.g < 1:
             raise ContractError("g must be >= 1")
         if self.charpoly.degree != 2 * self.g:
@@ -60,7 +63,10 @@ class FamilyDescriptor:
             raise ContractError("r must lie in 0..g")
         if self.k is not None and not (0 <= self.k <= self.g - 1):
             raise ContractError("k must lie in 0..g-1")
-        unit = kronecker_is_roots_of_unity(self.charpoly)
+        # constant term +/-1: all roots are roots of unity (Kronecker)
+        # exactly when the cyclotomic part exhausts the charpoly
+        object.__setattr__(self, "cyclotomic", split or cyclotomic_split(self.charpoly))
+        unit = self.cyclotomic[1].is_one()
         if self.finite_order and not unit:
             raise ContractError("inconsistent: finite_order with cyclotomic-free factor")
         if self.k is not None and not unit:
@@ -109,7 +115,7 @@ def decide_regularizable(desc):
     First-match-wins for the returned status; all fired rules are collected
     and asserted consistent (the underlying theorems never conflict, so a
     disagreement is a bug and raises)."""
-    P, Q = cyclotomic_split(desc.charpoly)
+    P, Q = desc.cyclotomic
     unit, cyc_free = Q.is_one(), P.is_one()
     fired = []
 
@@ -150,14 +156,15 @@ def decide_regularizable(desc):
     return Verdict(UNDETERMINED, (("none", "insufficient data", detail),))
 
 
-def growth_exponent_k(u_A_rat):
+def growth_exponent_k(u_A_rat, split=None):
     """The exponent k with deg_1(f^n) ~ n^{2k} for an abelian part with
     first dynamical degree 1, from the unipotent index of the unipotent
-    power: k = j_A - 1."""
+    power: k = j_A - 1.  split is the char_poly_split of u_A_rat when the
+    caller holds it."""
     if not u_A_rat.is_square() or u_A_rat.rows % 2 != 0:
         raise ContractError("u_A_rat must be square of even size 2g")
     g = u_A_rat.rows // 2
-    _, Q, orders = cyclotomic_split_with_orders(char_poly(u_A_rat))
+    _, _, Q, orders = split or char_poly_split(u_A_rat)
     if not Q.is_one():
         raise ContractError("k undefined: lambda_1 > 1 (charpoly not cyclotomic)")
     j_A = unipotent_index_of_power(u_A_rat, orders)

@@ -18,7 +18,8 @@ class DimensionError(ContractError):
 
 
 class SchemaError(AbdynError, ValueError):
-    """Malformed or schema-invalid external input (JSON payloads)."""
+    """Malformed or schema-invalid external input (JSON payloads), or a
+    file named on the command line that cannot be read or written."""
 
 
 class NumericIndeterminacyError(AbdynError, ArithmeticError):

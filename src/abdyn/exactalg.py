@@ -2,10 +2,11 @@
 
 Everything here runs on arbitrary-precision Python integers (Fractions where a
 division is unavoidable): characteristic polynomials, cyclotomic factor
-extraction, unipotent indices and saturated kernel lattices.  These are the
-carriers of the induced action on the first integral cohomology of a fiber,
-so exactness is not negotiable; floating point appears only in
-eigenvalue_moduli, which is explicitly numeric.
+extraction and saturated kernel lattices.  These are the carriers of the
+induced action on the first integral cohomology of a fiber, so exactness is
+not negotiable; floating point appears only in eigenvalue_moduli, which is
+explicitly numeric and the one place here that imports numpy, when it finds
+roots.
 
 Two exact kernels carry the linear algebra.  Ranks, determinants,
 positive-definiteness tests and rational linear solves (solve) all run one
@@ -22,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
-
-import numpy as np
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
 
@@ -238,19 +237,6 @@ def is_cyclotomic_free(p):
     return P.is_one()
 
 
-def kronecker_is_roots_of_unity(p):
-    """True iff every root of the monic integer polynomial p is a root of
-    unity.  By Kronecker's theorem (nonzero constant term, all roots on the
-    closed unit disk <=> roots of unity) this is equivalent to the cyclotomic
-    part exhausting p."""
-    if not p.is_monic():
-        raise ContractError("expected a monic polynomial")
-    if p.coeffs[0] == 0:
-        raise ContractError("zero constant term: 0 is a root, not a root of unity")
-    _, Q = cyclotomic_split(p)
-    return Q.is_one()
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -400,9 +386,6 @@ class IntMatrix:
         pivots, _ = _bareiss(self.to_rows(), self.cols)
         return len(pivots)
 
-    def to_numpy(self):
-        return np.array(self.to_rows(), dtype=float)
-
 
 def _bareiss(a, ncols):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
@@ -546,6 +529,14 @@ def char_poly(M):
     return IntPolynomial(list(reversed(vec)))
 
 
+def char_poly_split(M):
+    """(cp, P, Q, orders): the characteristic polynomial of the square
+    matrix M and its cyclotomic_split_with_orders, computed once so that
+    every consumer of one matrix's spectrum shares them."""
+    cp = char_poly(M)
+    return (cp, *cyclotomic_split_with_orders(cp))
+
+
 def _berkowitz(a):
     """Coefficients of det(T*I - A), descending, for a list-of-lists A."""
     n = len(a)
@@ -571,48 +562,6 @@ def _berkowitz(a):
                 s += items[i - j] * prev[j]
         out.append(s)
     return out
-
-
-def unipotent_index(M):
-    """Smallest j >= 1 with (M - I)^j vanishing on the generalized eigenspace
-    of the eigenvalue 1; returns 0 when 1 is not an eigenvalue."""
-    if not M.is_square():
-        raise DimensionError("unipotent_index requires a square matrix")
-    n = M.rows
-    if n == 0:
-        return 0
-    cp = char_poly(M)
-    t_minus_1 = IntPolynomial([-1, 1])
-    mult = 0
-    while t_minus_1.divides(cp):
-        cp, _ = cp.divmod_monic(t_minus_1)
-        mult += 1
-    if mult == 0:
-        return 0
-    # rank (M-I)^j drops to n - mult exactly when the nilpotent part on the
-    # generalized 1-eigenspace is exhausted
-    N = M - IntMatrix.identity(n)
-    power = IntMatrix.identity(n)
-    for j in range(1, mult + 1):
-        power = power @ N
-        if power.rank() == n - mult:
-            return j
-    raise AssertionError("rank stabilization failed")  # pragma: no cover
-
-
-def quasi_unipotent_order(M):
-    """Smallest n >= 1 with M^n unipotent, or None if the characteristic
-    polynomial is not a product of cyclotomics."""
-    if not M.is_square():
-        raise DimensionError("quasi_unipotent_order requires a square matrix")
-    if M.rows == 0:
-        return 1
-    if abs(M.det()) != 1:
-        raise ContractError("expected det = +/-1")
-    _, Q, orders = cyclotomic_split_with_orders(char_poly(M))
-    if not Q.is_one():
-        return None
-    return lcm(*orders.keys()) if orders else 1
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +741,7 @@ def eigenvalue_moduli(p, tol=1e-9, split=None):
     P, Q = split if split is not None else cyclotomic_split(p)
     groups = []  # list of [modulus, multiplicity]
     if Q.degree >= 1:
+        import numpy as np
         # exact squarefree decomposition first: the root finder only ever
         # sees simple roots, so repeated factors cannot scatter numerically
         moduli = []

@@ -17,6 +17,10 @@ Relations are found by lattice-basis reduction on the augmented vector
 height bound, never proofs of absence.  The reduction is exactalg's
 lll_reduce, the integral LLL of Cohen (A Course in Computational Algebraic
 Number Theory, Alg. 2.6.7), exact in integers throughout.
+
+The floating-point steps import numpy inside the functions that run them,
+so the CLI, which imports this module for every command, loads numpy only
+when an orbit is analyzed.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ContractError, NumericIndeterminacyError
 from .exactalg import IntMatrix, _bareiss, lll_reduce
@@ -58,13 +60,11 @@ class NumericLattice:
     def real_matrix(self):
         """2g x 2g real matrix whose columns are the basis vectors in the
         coordinates (Re z_1..Re z_g, Im z_1..Im z_g)."""
+        import numpy as np
         cols = []
         for v in self.basis:
             cols.append([z.real for z in v] + [z.imag for z in v])
         return np.array(cols, dtype=float).T
-
-    def condition_number(self):
-        return float(np.linalg.cond(self.real_matrix()))
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,7 @@ class OrbitReport:
 def real_dual_coords(lattice, v, tol=1e-10):
     """Coordinates x with v = sum x_j e_j as a real combination of the
     lattice basis; residual-checked."""
+    import numpy as np
     A = lattice.real_matrix()
     if np.linalg.cond(A) > 1e12:
         raise NumericIndeterminacyError("lattice basis is ill-conditioned")
@@ -184,6 +185,7 @@ def relation_lattice(coords, height_bound=50, tol=1e-10):
 def _complex_forms(lattice, relations):
     """Rows of the matrix of the complex-linear forms u_q in the standard
     coordinates of C^g."""
+    import numpy as np
     A = lattice.real_matrix()
     Ainv = np.linalg.inv(A)
     g = lattice.g
@@ -223,6 +225,7 @@ def _rank_with_band(sv, tol):
 
 def orbit_dims(lattice, alpha, height_bound=50, tol=1e-10):
     """Compute the orbit-closure report (h, s, r) for translation by alpha."""
+    import numpy as np
     coords = real_dual_coords(lattice, alpha, tol)
     relations = relation_lattice(coords, height_bound, tol)
     g = lattice.g
@@ -249,6 +252,7 @@ def orbit_dims(lattice, alpha, height_bound=50, tol=1e-10):
 
 def _complex_subspace_basis(C, g, tol):
     """Orthonormal basis (rows) of the null space of the complex form matrix."""
+    import numpy as np
     if C.shape[0] == 0:
         return np.eye(g, dtype=complex)
     u, sv, vh = np.linalg.svd(C)
@@ -259,6 +263,7 @@ def _complex_subspace_basis(C, g, tol):
 def _hermitian_form(lattice):
     """The polarization's hermitian form H(v, w) = E(iv, w) + i E(v, w) as a
     g x g matrix in standard coordinates (linear in the first argument)."""
+    import numpy as np
     E = np.array(lattice.polarization.to_rows(), dtype=float)
     A = lattice.real_matrix()
     Ainv = np.linalg.inv(A)
@@ -282,6 +287,7 @@ def _sublattice_in_subspace(lattice, proj_perp, tol):
     """Integer combinations of the lattice basis lying in a complex subspace
     (those annihilated by the projection onto its orthocomplement), found by
     LLL with 1/tol scaling.  Returns the integer coefficient vectors."""
+    import numpy as np
     g2 = 2 * lattice.g
     scale = round(1.0 / tol)
     tails = []
@@ -318,6 +324,7 @@ def split_A_B(lattice, alpha, height_bound=50, tol=1e-10):
     Returns (A_basis, B_basis, a, b) with the bases as orthonormal complex
     row matrices, and asserts that translation by a is dense on the induced
     subtorus of A and translation by b has totally real closure in B."""
+    import numpy as np
     if lattice.polarization is None:
         raise ContractError("split_A_B needs a polarization")
     g = lattice.g
@@ -364,6 +371,7 @@ def split_A_B(lattice, alpha, height_bound=50, tol=1e-10):
 def _induced_sublattice(lattice, sub_basis, tol):
     """NumericLattice induced on a complex subspace (orthonormal row basis):
     lattice points inside the subspace, in subspace coordinates."""
+    import numpy as np
     s = sub_basis.shape[0]
     g = lattice.g
     # orthocomplement projector

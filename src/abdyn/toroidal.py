@@ -191,7 +191,7 @@ def monodromy_to_B(M):
     for _ in range(2 * g):
         power = power @ N
     if power != IntMatrix.zero(2 * g, 2 * g):
-        raise ContractError("monodromy is not unipotent: apply quasi_unipotent_order first")
+        raise ContractError("monodromy is not unipotent: pass a unipotent power M^n")
     # block shape
     for i in range(g):
         for j in range(g):

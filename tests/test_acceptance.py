@@ -16,8 +16,7 @@ from abdyn.degrees import (SemiAbelianAut, blowup_restriction_degrees,
                            first_degree_data, product_Eg_degrees,
                            restriction_inequality_check, semiabelian_degrees)
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
-                            cyclotomic_split, is_cyclotomic_free,
-                            kronecker_is_roots_of_unity)
+                            cyclotomic_split, is_cyclotomic_free)
 from abdyn.orbit import NumericLattice, orbit_dims
 from abdyn.toroidal import (central_fiber_combinatorics, delaunay_fan,
                             gamma_act, monodromy_to_B, nakamura_data,
@@ -25,7 +24,8 @@ from abdyn.toroidal import (central_fiber_combinatorics, delaunay_fan,
                             validate_fan, GammaData, canonical_cone,
                             _translate_cone)
 from util import (compound_matrix, conjugate, degree_sequence_numeric,
-                  fit_growth, random_unimodular)
+                  fit_growth, kronecker_is_roots_of_unity, random_unimodular,
+                  to_numpy)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 J2 = IntMatrix.from_rows([[1, 1], [0, 1]])
@@ -104,7 +104,7 @@ def _oracle_informative(aut, checkpoints=(13, 25, 150), rate_window=(130, 150)):
     recover the rate, so such samples are rejected and redrawn (formula-free
     check: it only powers the matrices)."""
     def log_norms(C, points):
-        mat = C.to_numpy()
+        mat = to_numpy(C)
         acc = np.eye(mat.shape[0])
         log_scale = 0.0
         out = {}

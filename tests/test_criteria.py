@@ -14,9 +14,8 @@ from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             theoremB_bound)
 from abdyn.errors import ContractError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
-                            cyclotomic, is_cyclotomic_free,
-                            kronecker_is_roots_of_unity)
-from util import conjugate, random_unimodular
+                            cyclotomic, is_cyclotomic_free)
+from util import conjugate, kronecker_is_roots_of_unity, random_unimodular
 
 UNIPOTENT_QUARTIC = IntPolynomial([1, -4, 6, -4, 1])  # (T-1)^4
 

@@ -11,11 +11,9 @@ from abdyn.degrees import (DegreeProfile, SemiAbelianAut,
                            product_Eg_degrees, restriction_inequality_check,
                            semiabelian_degrees)
 from abdyn.errors import ContractError
-from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly,
-                            eigenvalue_moduli, quasi_unipotent_order,
-                            unipotent_index)
+from abdyn.exactalg import IntMatrix, IntPolynomial, char_poly, eigenvalue_moduli
 from util import (compound_matrix, degree_sequence_numeric, fit_growth,
-                  random_unimodular)
+                  quasi_unipotent_order, random_unimodular, unipotent_index)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])

@@ -16,11 +16,11 @@ from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
                             cyclotomic_split, eigenvalue_moduli,
                             is_cyclotomic_free, is_positive_definite,
                             kernel_completion, kernel_lattice,
-                            kronecker_is_roots_of_unity, minor_gcd,
-                            quasi_unipotent_order, solve,
-                            unipotent_index)
+                            minor_gcd, solve)
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
+from util import (kronecker_is_roots_of_unity, quasi_unipotent_order, to_numpy,
+                  unipotent_index)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -58,7 +58,7 @@ def test_char_poly_matches_numpy_on_random_matrices():
         M = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)]
                                  for _ in range(n)])
         cp = char_poly(M)
-        numeric = np.poly(M.to_numpy())  # descending
+        numeric = np.poly(to_numpy(M))  # descending
         exact = list(reversed([float(c) for c in cp.coeffs]))
         assert all(abs(a - b) < 1e-6 * max(1.0, abs(b))
                    for a, b in zip(exact, numeric))

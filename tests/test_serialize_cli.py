@@ -272,15 +272,71 @@ def test_cli_fan_extends_refuses_uncertified_fan(edit, violation, tmp_path, caps
     assert any(v.startswith(violation) for v in json.loads(out)["result"]["violations"])
 
 
-def test_import_cli_leaves_scipy_out():
+# Runs in a fresh interpreter: the exact commands, then a check of which
+# numeric packages they loaded, then two commands that need numpy.
+COLD_START = """\
+import contextlib, io, json, sys
+import abdyn.cli
+d = sys.argv[1]
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return abdyn.cli.main(list(argv))
+
+
+exact = [run("fan", "build", "--B", "[[2,1],[1,3]]", "--out", d + "/fan.json"),
+         run("fan", "validate", d + "/fan.json"),
+         run("fan", "extends", "--nphi", "[1,2]", d + "/fan.json"),
+         run("split", "--in", d + "/split.json"),
+         run("decide", "--in", d + "/decide.json"),
+         run("catalog", "list", "--g", "4"),
+         run("catalog", "build", "--case", "2.2", "--r", "1")]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+numeric = [run("analyze", "--in", d + "/analyze.json"),
+           run("orbit", "analyze", "--lattice", '{"g":1,"basis":[[[1,0]],[[0,1]]]}',
+               "--alpha", "[[0.5,0.25]]")]
+print(json.dumps({"exact": exact, "loaded": loaded, "numeric": numeric}))
+"""
+
+
+def test_import_cli_leaves_scipy_out(tmp_path):
+    """A cold process that imports abdyn.cli and builds, validates and
+    extends a fan, splits, decides and reads the catalog never loads numpy
+    or scipy; analyze and orbit analyze, which need numpy, still run after
+    them in the same process."""
+    payloads = {"split": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+                "decide": {"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1},
+                "analyze": [[2, 1], [1, 1]]}
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, abdyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"exact": [0] * 7, "loaded": [], "numeric": [0, 0]}
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    pytest.param(["analyze", "--in", "{missing}"], None, id="analyze-in"),
+    pytest.param(["analyze", "--out", "{missing}/x.json"], "[[2,1],[1,1]]",
+                 id="analyze-out"),
+    pytest.param(["fan", "build", "--B", "@{missing}"], None, id="fan-build-B"),
+    pytest.param(["fan", "validate", "{missing}"], None, id="fan-validate"),
+    pytest.param(["fan", "extends", "--nphi", "[1]", "{missing}"], None,
+                 id="fan-extends"),
+    pytest.param(["fan", "validate", "{binary}"], None, id="fan-validate-binary")])
+def test_cli_unreadable_file_exit_2(argv, stdin_text, tmp_path, capsys, monkeypatch):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe[")
+    argv = [a.format(missing=tmp_path / "missing", binary=binary) for a in argv]
+    path = next(a.lstrip("@") for a in argv if str(tmp_path) in a)
+    code, out, err = run_cli(argv, stdin_text, capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("schema error: cannot ") and path in err
 
 
 def test_cli_orbit_analyze(capsys, monkeypatch):

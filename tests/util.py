@@ -1,5 +1,6 @@
 """Shared test helpers: random unimodular matrices, exact inverses, a
-reference LLL, brute-force Delaunay cells, and the numeric degree-growth
+reference LLL, brute-force Delaunay cells, the reference root-of-unity test,
+unipotent index and quasi-unipotent order, and the numeric degree-growth
 oracle (exterior-power norm sequences and their growth fit)."""
 
 import math
@@ -9,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 
 from abdyn.errors import ContractError, DimensionError
-from abdyn.exactalg import IntMatrix
+from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
+                            cyclotomic_split_with_orders)
 
 GROWTH_WINDOW = 12  # window of fit_growth's peak and window-smoothed fits
 
@@ -69,6 +71,66 @@ def conjugate(M, U):
 
 def random_rng(seed):
     return random.Random(seed)
+
+
+def to_numpy(M):
+    """An IntMatrix as a float numpy array."""
+    return np.array(M.to_rows(), dtype=float)
+
+
+def kronecker_is_roots_of_unity(p):
+    """True iff every root of the monic integer polynomial p is a root of
+    unity.  By Kronecker's theorem (nonzero constant term, all roots on the
+    closed unit disk <=> roots of unity) this is equivalent to the cyclotomic
+    part exhausting p."""
+    if not p.is_monic():
+        raise ContractError("expected a monic polynomial")
+    if p.coeffs[0] == 0:
+        raise ContractError("zero constant term: 0 is a root, not a root of unity")
+    _, Q = cyclotomic_split(p)
+    return Q.is_one()
+
+
+def unipotent_index(M):
+    """Smallest j >= 1 with (M - I)^j vanishing on the generalized eigenspace
+    of the eigenvalue 1; returns 0 when 1 is not an eigenvalue."""
+    if not M.is_square():
+        raise DimensionError("unipotent_index requires a square matrix")
+    n = M.rows
+    if n == 0:
+        return 0
+    cp = char_poly(M)
+    t_minus_1 = IntPolynomial([-1, 1])
+    mult = 0
+    while t_minus_1.divides(cp):
+        cp, _ = cp.divmod_monic(t_minus_1)
+        mult += 1
+    if mult == 0:
+        return 0
+    # rank (M-I)^j drops to n - mult exactly when the nilpotent part on the
+    # generalized 1-eigenspace is exhausted
+    N = M - IntMatrix.identity(n)
+    power = IntMatrix.identity(n)
+    for j in range(1, mult + 1):
+        power = power @ N
+        if power.rank() == n - mult:
+            return j
+    raise AssertionError("rank stabilization failed")  # pragma: no cover
+
+
+def quasi_unipotent_order(M):
+    """Smallest n >= 1 with M^n unipotent, or None if the characteristic
+    polynomial is not a product of cyclotomics."""
+    if not M.is_square():
+        raise DimensionError("quasi_unipotent_order requires a square matrix")
+    if M.rows == 0:
+        return 1
+    if abs(M.det()) != 1:
+        raise ContractError("expected det = +/-1")
+    _, Q, orders = cyclotomic_split_with_orders(char_poly(M))
+    if not Q.is_one():
+        return None
+    return math.lcm(*orders.keys()) if orders else 1
 
 
 def reference_lll(rows, delta=Fraction(99, 100)):
@@ -218,7 +280,7 @@ def _log_norm_sequence(C, n_max):
     with per-step rescaling (so huge growth stays in range).  Frobenius norms
     have the same growth as operator norms, and their squares are exact
     exponential-polynomial sequences, which the growth fit exploits."""
-    mat = C.to_numpy()
+    mat = to_numpy(C)
     acc = np.eye(mat.shape[0])
     log_scale = 0.0
     out = []
