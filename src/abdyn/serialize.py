@@ -1,7 +1,10 @@
 """JSON wire-format helpers.
 
 The JSON Schemas of the wire formats are the package data files
-abdyn/schemas/<name>.schema.json; each is compiled on first use.
+abdyn/schemas/<name>.schema.json; on first use each is compiled by
+`_compile` into nested closures that check a payload with the semantics of
+JSON Schema draft 2020-12 (the schemas are checked against the draft's
+meta-schema, and the closures against the jsonschema package, in the tests).
 Conventions (shared by the CLI and those schemas):
   * integers are emitted as decimal strings (arbitrary precision); plain JSON
     integers are also accepted on input,
@@ -20,9 +23,6 @@ import math
 import re
 from fractions import Fraction
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
-
 from .criteria import FamilyDescriptor
 from .degrees import SemiAbelianAut
 from .errors import SchemaError
@@ -31,25 +31,202 @@ from .orbit import NumericLattice
 from .toroidal import Cone, Fan, GammaData
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# The JSON types as the draft defines them on decoded JSON values: a bool is
+# neither an integer nor a number, and an integral float is an integer.
+_TYPES = {
+    "null": lambda x: x is None,
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool)
+    or isinstance(x, float) and x.is_integer(),
+    "number": _is_number,
+    "string": lambda x: isinstance(x, str),
+    "array": lambda x: isinstance(x, list),
+    "object": lambda x: isinstance(x, dict),
+}
+
+# Every keyword the packaged schemas use; `_compile` refuses any other.
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
+             "minItems", "maxItems", "minimum", "pattern", "anyOf", "enum",
+             "$ref", "$defs", "$id", "title"}
+
+
+def _compile(schema, root):
+    """A check for one schema node: check(x) is None when x is valid, else a
+    list [keyword, its schema value, the bad value, key_n, ..., key_1]: the
+    first keyword that failed and the path to the value it failed on,
+    innermost key first.  `root` is the schema resource (the innermost node
+    with an `$id`) that "#/..." `$ref`s point into.  Anything `_compile` does not implement (a keyword outside
+    `_KEYWORDS`, a type given as a list, an enum of arrays or objects, a
+    `$ref` that is not a local JSON pointer) raises ValueError here."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"unsupported schema {schema!r}: not an object")
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"unsupported schema keyword(s) {sorted(unknown)}")
+    if "$id" in schema:
+        root = schema
+    checks = []
+
+    if "type" in schema:
+        name = schema["type"]
+        pred = _TYPES.get(name) if isinstance(name, str) else None
+        if pred is None:
+            raise ValueError(f"unsupported type {name!r}")
+
+        def check_type(x):
+            if not pred(x):
+                return ["type", name, x]
+        checks.append(check_type)
+
+    props = {k: _compile(v, root) for k, v in schema.get("properties", {}).items()}
+    required = schema.get("required", ())
+    extra = schema.get("additionalProperties", True)
+    if props or required or extra is not True:
+        extra_check = _compile(extra, root) if isinstance(extra, dict) else None
+
+        def check_object(x):
+            if not isinstance(x, dict):
+                return None
+            for key in required:
+                if key not in x:
+                    return ["required", key, x]
+            for key, value in x.items():
+                sub = props.get(key, extra_check)
+                if sub is not None:
+                    error = sub(value)
+                    if error is not None:
+                        error.append(key)
+                        return error
+                elif extra is False:
+                    return ["additionalProperties", key, x]
+        checks.append(check_object)
+
+    items = _compile(schema["items"], root) if "items" in schema else None
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems")
+    if items is not None or lo or hi is not None:
+        def check_array(x):
+            if not isinstance(x, list):
+                return None
+            if len(x) < lo:
+                return ["minItems", lo, x]
+            if hi is not None and len(x) > hi:
+                return ["maxItems", hi, x]
+            if items is not None:
+                for i, value in enumerate(x):
+                    error = items(value)
+                    if error is not None:
+                        error.append(i)
+                        return error
+        checks.append(check_array)
+
+    if "minimum" in schema:
+        minimum = schema["minimum"]
+
+        def check_minimum(x):
+            if _is_number(x) and x < minimum:
+                return ["minimum", minimum, x]
+        checks.append(check_minimum)
+
+    if "pattern" in schema:
+        pattern = schema["pattern"]
+        search = re.compile(pattern).search  # so "$" also matches before a final "\n"
+
+        def check_pattern(x):
+            if isinstance(x, str) and search(x) is None:
+                return ["pattern", pattern, x]
+        checks.append(check_pattern)
+
+    if "enum" in schema:
+        values = schema["enum"]
+        if any(isinstance(v, (list, dict)) for v in values):
+            raise ValueError(f"unsupported enum {values!r}: arrays or objects")
+
+        def check_enum(x):  # True is not 1, but 1 is 1.0
+            if not any(x == v and isinstance(x, bool) == isinstance(v, bool)
+                       for v in values):
+                return ["enum", values, x]
+        checks.append(check_enum)
+
+    if "anyOf" in schema:
+        branches = [_compile(sub, root) for sub in schema["anyOf"]]
+
+        def check_any_of(x):
+            for branch in branches:
+                if branch(x) is None:
+                    return None
+            # name the one branch whose type fits x, if there is just one
+            fitting = [e for e in (branch(x) for branch in branches)
+                       if len(e) > 3 or e[0] != "type"]
+            return fitting[0] if len(fitting) == 1 else ["anyOf", None, x]
+        checks.append(check_any_of)
+
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        target = root
+        try:
+            if not ref.startswith("#/"):
+                raise KeyError(ref)
+            for part in ref[2:].split("/"):
+                target = target[part.replace("~1", "/").replace("~0", "~")]
+        except (KeyError, TypeError):
+            raise ValueError(f"unsupported $ref {ref!r}: not a local JSON pointer "
+                             f"into the schema") from None
+        checks.append(_compile(target, root))
+
+    if len(checks) == 1:
+        return checks[0]
+
+    def check_all(x):
+        for check in checks:
+            error = check(x)
+            if error is not None:
+                return error
+    return check_all
+
+
+_MESSAGES = {
+    "type": "{value} is not of type {detail}",
+    "required": "{detail} is a required property",
+    "additionalProperties": "additional property {detail} is not allowed",
+    "minItems": "{value} has fewer than {detail} items",
+    "maxItems": "{value} has more than {detail} items",
+    "minimum": "{value} is less than the minimum of {detail}",
+    "pattern": "{value} does not match {detail}",
+    "enum": "{value} is not one of {detail}",
+    "anyOf": "{value} is not valid under any of the given schemas",
+}
+
+
+def _describe(error):
+    """The text "$.json.path: message" of an error list of a compiled check."""
+    keyword, detail, value, *keys = error
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in reversed(keys))
+    value = repr(value)
+    if len(value) > 60:
+        value = value[:57] + "..."
+    return f"${path}: " + _MESSAGES[keyword].format(value=value, detail=repr(detail))
+
+
 @functools.cache
 def _validator(name):
-    """The validator of schemas/<name>.schema.json, built once per process
-    (the schema is checked against its draft's meta-schema here, once)."""
+    """The compiled check of schemas/<name>.schema.json, built once per
+    process."""
     path = importlib.resources.files("abdyn") / "schemas" / f"{name}.schema.json"
     schema = json.loads(path.read_text(encoding="utf-8"))
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return _compile(schema, schema)
 
 
 def validate_schema(obj, schema_name):
     """Validate a decoded JSON object against one of the named schemas;
-    raises SchemaError with the validator's diagnostic (the error that
-    jsonschema.validate would raise)."""
-    error = best_match(_validator(schema_name).iter_errors(obj))
+    raises SchemaError naming the JSON path of the first bad value."""
+    error = _validator(schema_name)(obj)
     if error is not None:
         raise SchemaError(f"payload does not match schema "
-                          f"'{schema_name}': {error.message}") from error
+                          f"'{schema_name}': {_describe(error)}")
 
 
 def int_to_json(x):
@@ -71,6 +248,12 @@ def matrix_to_json(M):
 
 def matrix_from_json(obj):
     validate_schema(obj, "matrix")
+    return _matrix(obj)
+
+
+def _matrix(obj):
+    """An IntMatrix from rows that passed the matrix schema (as a payload of
+    its own or as a block of a larger one)."""
     rows = [[int_from_json(x) for x in row] for row in obj]
     if any(len(row) != len(rows[0]) for row in rows):
         raise SchemaError("ragged matrix rows")
@@ -103,8 +286,8 @@ def semiabelian_aut_to_json(aut):
 
 def semiabelian_aut_from_json(obj):
     validate_schema(obj, "semiabelian_aut")
-    u_T = matrix_from_json(obj["u_T"]) if "u_T" in obj else None
-    u_A = matrix_from_json(obj["u_A_rat"]) if "u_A_rat" in obj else None
+    u_T = _matrix(obj["u_T"]) if "u_T" in obj else None
+    u_A = _matrix(obj["u_A_rat"]) if "u_A_rat" in obj else None
     return SemiAbelianAut(r=obj["r"], g=obj["g"], u_T=u_T, u_A_rat=u_A)
 
 
@@ -116,7 +299,8 @@ def family_descriptor_to_json(desc):
 def family_descriptor_from_json(obj):
     validate_schema(obj, "family_descriptor")
     return FamilyDescriptor(g=obj["g"],
-                            charpoly=poly_from_json(obj["charpoly"]),
+                            charpoly=IntPolynomial([int_from_json(c)
+                                                    for c in obj["charpoly"]]),
                             r=obj.get("r"), k=obj.get("k"),
                             finite_order=obj.get("finite_order", False))
 
@@ -177,7 +361,7 @@ def fan_from_json(obj):
     validate_schema(obj, "fan")
     g = obj["gamma"]
     gamma = GammaData(g_prime=g["g_prime"], r_prime=g["r_prime"],
-                      Bprime=matrix_from_json(g["Bprime"]))
+                      Bprime=_matrix(g["Bprime"]))
     rays = [tuple(int_from_json(x) for x in ray) for ray in obj["rays"]]
     if any(len(ray) != gamma.g + 1 for ray in rays):
         raise SchemaError(f"every ray must have g' + r' + 1 = {gamma.g + 1} coordinates")
@@ -208,7 +392,7 @@ def lattice_from_json(obj):
     pol = obj.get("polarization")
     return NumericLattice(g=obj["g"], basis=basis,
                           polarization=None if pol is None
-                          else matrix_from_json(pol))
+                          else _matrix(pol))
 
 
 def _finite_number(x):

@@ -1,7 +1,11 @@
 """Wire-format round trips, the packaged schemas, and CLI behavior (exit
 codes, reproducibility metadata, output documents against their schemas)."""
 
+import contextlib
+import copy
+import functools
 import importlib.resources
+import io
 import json
 import os
 import pathlib
@@ -11,6 +15,8 @@ import sys
 
 import pytest
 import sympy
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 from sympy.matrices.normalforms import invariant_factors
 
@@ -40,6 +46,201 @@ def test_packaged_schemas():
     serialize.validate_schema([[2]], "matrix")
     info = serialize._validator.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _schema(name):
+    root = importlib.resources.files("abdyn") / "schemas"
+    return json.loads((root / f"{name}.schema.json").read_text())
+
+
+@functools.cache
+def _reference_validator(name):
+    """jsonschema's validator of a packaged schema: the oracle."""
+    schema = _schema(name)
+    return validator_for(schema)(schema)
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("oneOf", [{"type": "integer"}]), ("format", "date"), ("const", 1)])
+def test_compile_refuses_unsupported_keywords(keyword, value):
+    """A keyword the compiler does not implement raises when the schema is
+    compiled, wherever it sits (also behind a $ref), so no schema is
+    silently under-checked; every packaged schema compiles."""
+    nested = {"type": "object",
+              "properties": {"x": {"type": "array", "items": {keyword: value}}}}
+    behind_ref = {"$defs": {"d": {keyword: value}}, "items": {"$ref": "#/$defs/d"}}
+    for schema in (nested, behind_ref):
+        with pytest.raises(ValueError, match=keyword):
+            serialize._compile(schema, schema)
+    for name in SCHEMA_NAMES:
+        serialize._compile(_schema(name), _schema(name))
+
+
+def _cli_result(argv, stdin_text=None):
+    """The result block of a successful CLI call (run_cli without the
+    function-scoped fixtures, for a module-scoped one)."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text or "")
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+    finally:
+        sys.stdin = saved
+    return json.loads(out.getvalue())["result"]
+
+
+@pytest.fixture(scope="module")
+def schema_seeds(tmp_path_factory):
+    """Real CLI inputs and output blocks, keyed by the schema they follow."""
+    fan_file = tmp_path_factory.mktemp("seeds") / "fan.json"
+    fan_file.write_text(json.dumps(_cli_result(["fan", "build", "--B", "[[1,0],[0,0]]"])))
+    e2e = _cli_result(["end-to-end", "--case", "2.2", "--d", "2", "--r", "1"])
+    split = _cli_result(["split"], "[[0,-1,0,0],[1,0,0,0],[0,0,2,1],[0,0,1,1]]")
+    orbit = _cli_result(["orbit", "analyze", "--lattice", SQUARE_LATTICE,
+                         "--alpha", "[[1.4142135623730951,0]]"])
+    seeds = {
+        "matrix": [e2e["automorphism"], split["cyclotomic_lattice"]["basis"]],
+        "polynomial": [e2e["charpoly"], ["1", 0, "-1"]],
+        "semiabelian_aut": [{"r": 2, "g": 1, "u_T": [[2, 1], [1, 1]],
+                             "u_A_rat": [["0", "-1"], ["1", "0"]]}],  # an analyze input
+        "family_descriptor": [e2e["family_descriptor"],
+                              {"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1}],
+        "verdict": [e2e["verdict"]],
+        "degree_profile": [e2e["degrees"]],
+        "fan": [_cli_result(["fan", "build", "--B", "[[2,1],[1,2]]"]),
+                json.loads(fan_file.read_text())],
+        "lattice": [json.loads(SQUARE_LATTICE),
+                    {"g": 2, "basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]],
+                                       [[0.5, 2.5], [0, 1]], [[0, 1], [0.25, 2]]],
+                     "polarization": [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                                      ["-1", "0", "0", "0"], ["0", "-1", "0", "0"]]}],
+        "orbit_report": [orbit],
+        "split_report": [split],
+        "fan_validation": [_cli_result(["fan", "validate", str(fan_file)])],
+        "fan_extension": [_cli_result(["fan", "extends", "--nphi", nphi, str(fan_file)])
+                          for nphi in ("[0,1]", "[1,0]")],
+        "catalog_list": [_cli_result(["catalog", "list", "--g", "3"])],
+    }
+    for name, docs in seeds.items():  # every seed is valid as it stands
+        assert all(_reference_validator(name).is_valid(doc) for doc in docs), name
+    return seeds
+
+
+# Values that sit on the edges of the JSON types: bool vs integer, integral
+# and fractional floats, a digit string with a trailing newline (which
+# re.search's "$" accepts), a rational string, a big integer, empty containers.
+EDGE_ATOMS = [True, False, 1, 0, -1, 1.0, -1.0, 1.5, "12\n", " 12", "1/2", "7",
+              "-3", "x", 2 ** 70, None, [], {}]
+
+
+def _nodes(doc, path=()):
+    """(path, value) of doc and of every value inside it."""
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) \
+        else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(doc, data):
+    """One random edit of doc: replace a value by an edge atom, retype it,
+    drop it (a dict key, required or not, or a list entry), or add to an
+    object an extra key or to an array a copy of one of its entries (which
+    keeps the entry types but may break a length bound)."""
+    op = data.draw(st.sampled_from(["replace", "retype", "drop", "add"]))
+    nodes = [(path, node) for path, node in _nodes(doc)
+             if op != "add" or isinstance(node, (dict, list))]
+    if not nodes:
+        return doc
+    path, node = data.draw(st.sampled_from(nodes))
+    parent = functools.reduce(lambda value, key: value[key], path[:-1], doc)
+    if op == "add":
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(["extra", "g", "r", "rays"]))] = \
+                copy.deepcopy(data.draw(st.sampled_from(EDGE_ATOMS)))
+        else:
+            node.append(copy.deepcopy(data.draw(st.sampled_from(node))) if node
+                        else copy.deepcopy(data.draw(st.sampled_from(EDGE_ATOMS))))
+        return doc
+    if op == "drop":
+        if path:
+            del parent[path[-1]]
+        return doc
+    if op == "replace":
+        new = copy.deepcopy(data.draw(st.sampled_from(EDGE_ATOMS)))
+    else:  # retype
+        options = [str(node), [node], {"v": node}]
+        if isinstance(node, str) and node.lstrip("-").isdigit():
+            options += [int(node), float(int(node)), node + "\n", " " + node]
+        elif isinstance(node, bool):
+            options.append(int(node))
+        elif isinstance(node, (int, float)):
+            options += [float(node), int(node), True]
+        new = data.draw(st.sampled_from(options))
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return doc
+
+
+def _accepts(doc, name):
+    try:
+        serialize.validate_schema(doc, name)
+    except SchemaError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_NAMES))
+def test_compiled_schemas_agree_with_jsonschema_on_edge_atoms(name, schema_seeds):
+    """Each edge atom, put in turn at each kind of position of each real
+    document of the schema (array indices collapsed: the first entry stands
+    for all), is accepted by validate_schema exactly when jsonschema
+    accepts it."""
+    for seed in schema_seeds[name]:
+        kinds = set()
+        for path, _ in _nodes(seed):
+            kind = tuple("*" if isinstance(key, int) else key for key in path)
+            if not path or kind in kinds:
+                continue
+            kinds.add(kind)
+            for atom in EDGE_ATOMS:
+                doc = copy.deepcopy(seed)
+                parent = functools.reduce(lambda value, key: value[key], path[:-1], doc)
+                parent[path[-1]] = copy.deepcopy(atom)
+                assert _accepts(doc, name) == _reference_validator(name).is_valid(doc), \
+                    (path, atom)
+
+
+@pytest.mark.parametrize("schema", [
+    {"enum": [1, 0, "I"]}, {"minimum": 1}, {"anyOf": [{"minimum": 0}, {"pattern": "^a$"}]},
+    {"type": "object", "additionalProperties": {"minimum": 1}, "required": ["x"]}],
+    ids=["enum", "minimum", "anyOf", "additionalProperties"])
+def test_compiled_keywords_agree_with_jsonschema_beyond_packaged_use(schema):
+    """Keyword semantics the packaged schemas do not exercise on their own:
+    an enum that holds 1 and 0 (True and False are not in it, 1.0 is), a
+    minimum with no type beside it (bools and strings skip it)."""
+    check = serialize._compile(schema, schema)
+    reference = validator_for(schema)(schema)
+    for atom in EDGE_ATOMS + [{"x": atom} for atom in EDGE_ATOMS]:
+        assert (check(atom) is None) == reference.is_valid(atom), atom
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_NAMES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compiled_schemas_agree_with_jsonschema(name, data, schema_seeds):
+    """validate_schema accepts exactly what jsonschema accepts, on real CLI
+    inputs and outputs (of this schema or any other) after random edits."""
+    own = schema_seeds[name]
+    every = [doc for docs in schema_seeds.values() for doc in docs]
+    doc = copy.deepcopy(data.draw(st.sampled_from(own) | st.sampled_from(every)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        doc = _mutate(doc, data)
+    expected = _reference_validator(name).is_valid(doc)
+    event("accepted" if expected else "rejected")
+    assert _accepts(doc, name) == expected, doc
 
 
 def test_matrix_round_trip():
@@ -273,7 +474,8 @@ def test_cli_fan_extends_refuses_uncertified_fan(edit, violation, tmp_path, caps
 
 
 # Runs in a fresh interpreter: the exact commands, then a check of which
-# numeric packages they loaded, then two commands that need numpy.
+# numeric packages they loaded, then two commands that need numpy, then a
+# check that no command loaded jsonschema or the packages it depends on.
 COLD_START = """\
 import contextlib, io, json, sys
 import abdyn.cli
@@ -296,7 +498,10 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 numeric = [run("analyze", "--in", d + "/analyze.json"),
            run("orbit", "analyze", "--lattice", '{"g":1,"basis":[[[1,0]],[[0,1]]]}',
                "--alpha", "[[0.5,0.25]]")]
-print(json.dumps({"exact": exact, "loaded": loaded, "numeric": numeric}))
+schema_libs = sorted(m for m in sys.modules if m.split(".")[0]
+                     in ("jsonschema", "referencing", "rpds", "attrs", "attr"))
+print(json.dumps({"exact": exact, "loaded": loaded, "numeric": numeric,
+                  "schema_libs": schema_libs}))
 """
 
 
@@ -304,7 +509,9 @@ def test_import_cli_leaves_scipy_out(tmp_path):
     """A cold process that imports abdyn.cli and builds, validates and
     extends a fan, splits, decides and reads the catalog never loads numpy
     or scipy; analyze and orbit analyze, which need numpy, still run after
-    them in the same process."""
+    them in the same process.  No command loads jsonschema (nor referencing,
+    rpds or attrs): the schemas are checked by serialize's own compiled
+    checks."""
     payloads = {"split": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
                 "decide": {"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1},
                 "analyze": [[2, 1], [1, 1]]}
@@ -316,7 +523,8 @@ def test_import_cli_leaves_scipy_out(tmp_path):
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"exact": [0] * 7, "loaded": [], "numeric": [0, 0]}
+    assert json.loads(proc.stdout) == {"exact": [0] * 7, "loaded": [], "numeric": [0, 0],
+                                       "schema_libs": []}
 
 
 @pytest.mark.parametrize("argv, stdin_text", [
@@ -410,6 +618,35 @@ def test_cli_fan_bad_input_exit_2(metric, edit, command, tmp_path, capsys,
     assert code == 2
     assert err.startswith("schema error:") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _bad_ray_entry(fan):
+    fan["rays"][1][-1] = "1/2"
+    return f"$.rays[1][{len(fan['rays'][1]) - 1}]: '1/2' does not match"
+
+
+def _bool_in_bprime(fan):
+    fan["gamma"]["Bprime"][0][0] = True
+    return "$.gamma.Bprime[0][0]: True is not valid under any of the given schemas"
+
+
+@pytest.mark.parametrize("command", ["validate", "extends"])
+@pytest.mark.parametrize("edit", [_bad_ray_entry, _bool_in_bprime])
+def test_cli_fan_schema_error_names_path(edit, command, tmp_path, capsys, monkeypatch):
+    """A bad entry deep in a fan file exits 2 with one line that names the
+    schema and the JSON path of that entry."""
+    fan = serialize.fan_to_json(
+        delaunay_fan(nakamura_data(IntMatrix.from_rows([[1, 3], [0, 1]]))))
+    where = edit(fan)
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(fan))
+    argv = ["fan", command, str(fan_file)]
+    if command == "extends":
+        argv[2:2] = ["--nphi", "[1]"]
+    code, out, err = run_cli(argv, None, capsys, monkeypatch)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("schema error: payload does not match schema 'fan': " + where)
 
 
 def test_cli_catalog_and_end_to_end(capsys, monkeypatch):
