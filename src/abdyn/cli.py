@@ -218,6 +218,8 @@ def cmd_fan_extends(args):
 def cmd_orbit_analyze(args):
     lattice = lattice_from_json(_inline_json(args.lattice))
     alpha = serialize.complex_vector_from_json(_inline_json(args.alpha))
+    if len(alpha) != lattice.g:
+        raise SchemaError(f"alpha must have g = {lattice.g} entries, got {len(alpha)}")
     report = orbit_dims(lattice, alpha, height_bound=args.height, tol=args.tol)
     _emit(args, {"command": "orbit analyze",
                  "input": {"lattice": serialize.lattice_to_json(lattice),

@@ -234,7 +234,11 @@ def int_to_json(x):
 
 
 def int_from_json(obj):
+    """An int, a decimal string or an integral float (the schemas' integer
+    type admits 2.0) as an int."""
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+        if isinstance(obj, float) and obj.is_integer():
+            return int(obj)
         raise SchemaError(f"expected an integer or decimal string, got {obj!r}")
     try:
         return int(obj)
@@ -288,7 +292,7 @@ def semiabelian_aut_from_json(obj):
     validate_schema(obj, "semiabelian_aut")
     u_T = _matrix(obj["u_T"]) if "u_T" in obj else None
     u_A = _matrix(obj["u_A_rat"]) if "u_A_rat" in obj else None
-    return SemiAbelianAut(r=obj["r"], g=obj["g"], u_T=u_T, u_A_rat=u_A)
+    return SemiAbelianAut(r=int(obj["r"]), g=int(obj["g"]), u_T=u_T, u_A_rat=u_A)
 
 
 def family_descriptor_to_json(desc):
@@ -298,10 +302,11 @@ def family_descriptor_to_json(desc):
 
 def family_descriptor_from_json(obj):
     validate_schema(obj, "family_descriptor")
-    return FamilyDescriptor(g=obj["g"],
+    r, k = obj.get("r"), obj.get("k")
+    return FamilyDescriptor(g=int(obj["g"]),
                             charpoly=IntPolynomial([int_from_json(c)
                                                     for c in obj["charpoly"]]),
-                            r=obj.get("r"), k=obj.get("k"),
+                            r=None if r is None else int(r), k=None if k is None else int(k),
                             finite_order=obj.get("finite_order", False))
 
 
@@ -360,7 +365,7 @@ def fan_to_json(fan):
 def fan_from_json(obj):
     validate_schema(obj, "fan")
     g = obj["gamma"]
-    gamma = GammaData(g_prime=g["g_prime"], r_prime=g["r_prime"],
+    gamma = GammaData(g_prime=int(g["g_prime"]), r_prime=int(g["r_prime"]),
                       Bprime=_matrix(g["Bprime"]))
     rays = [tuple(int_from_json(x) for x in ray) for ray in obj["rays"]]
     if any(len(ray) != gamma.g + 1 for ray in rays):
@@ -390,7 +395,7 @@ def lattice_from_json(obj):
     basis = tuple(tuple(complex(_finite_number(z[0]), _finite_number(z[1]))
                         for z in v) for v in obj["basis"])
     pol = obj.get("polarization")
-    return NumericLattice(g=obj["g"], basis=basis,
+    return NumericLattice(g=int(obj["g"]), basis=basis,
                           polarization=None if pol is None
                           else _matrix(pol))
 

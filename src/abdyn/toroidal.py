@@ -24,16 +24,18 @@ through it in integer arithmetic.
 
 Delaunay cells are written down exactly, with no search.  For r' <= 3
 every lattice has an obtuse superbase v_0..v_r' (sum v_i = 0, every
-v_i.Q.v_j <= 0 for i != j), found by Selling reduction in exact rationals
+v_i.Q.v_j <= 0 for i != j), found by Selling reduction in integers
 (Selling 1874; Conway & Sloane, "Low-dimensional lattices VI: Voronoi
 reduction of three-dimensional lattices", Proc. R. Soc. A 436, 1992).  If
 no Selling parameter -v_i.Q.v_j vanishes, the Delaunay cells are the
 Z^{r'}-translates of the simplices {0, v_s1, v_s1 + v_s2, ...} over the
-orders s of v_1..v_r'; a zero parameter is exactly a cospherical
+orders s of v_1..v_r': r'! det B' cells (det B' <= MAX_DET_BPRIME) of
+|det| 1, as Selling steps are unimodular, so they tile a fundamental cell
+and no volume is checked.  A zero parameter is exactly a cospherical
 configuration and triggers a seeded rational perturbation of the metric,
-with a retry cap.  The same construction certifies a stored fan: its maximal
-cones must be the cells of its own metric up to Gamma, which makes the
-section-extension test an O(1) look at the abelian block.
+with a retry cap.  The same construction certifies a stored fan, which
+makes the section-extension test an O(1) look at the abelian block.  Cones
+are sorted generator tuples until a Fan stores them.
 """
 
 from __future__ import annotations
@@ -50,12 +52,7 @@ from .exactalg import (IntMatrix, _bareiss, is_positive_definite,
                        kernel_completion, minor_gcd)
 
 MAX_METRIC_RETRIES = 16
-
-
-def _quad_form(Q, v, w):
-    """v^T Q w over Fractions."""
-    return sum(Fraction(v[i]) * Q[i][j] * Fraction(w[j])
-               for i in range(len(v)) for j in range(len(w)))
+MAX_DET_BPRIME = 1000  # the cells of a fan number r'! det B'
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +99,7 @@ class GammaData:
 def gamma_act(gamma_data, beta, point):
     """The Gamma-action on N x Z: (alpha, beta).(a, b, k) = (a, b + k*beta*B', k)."""
     a, b, k = point
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
-    beta = tuple(int(x) for x in beta)
+    a, b, beta = (tuple(int(x) for x in v) for v in (a, b, beta))
     if len(a) != gamma_data.g_prime or len(b) != gamma_data.r_prime \
             or len(beta) != gamma_data.r_prime:
         raise DimensionError("point/beta dimensions do not match GammaData")
@@ -129,18 +124,21 @@ class Cone:
     def dim(self):
         return len(self.generators)
 
-    def faces(self):
-        """All proper and improper faces (simplicial: every generator subset)."""
-        for size in range(len(self.generators) + 1):
-            for subset in itertools.combinations(self.generators, size):
-                yield Cone(subset)
+
+def _faces(gens):
+    """Every face of a simplicial cone (sorted generators): every sub-tuple."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(gens, size) for size in range(len(gens) + 1))
+
+
+def _translate(gens, shift, g_prime):
+    """Generators moved by the Gamma-translation of period shift (b -> b + k*shift)."""
+    return tuple(v[:g_prime] + tuple(x + v[-1] * s for x, s in zip(v[g_prime:-1], shift))
+                 + v[-1:] for v in gens)
 
 
 def _translate_cone(cone, beta, gamma):
-    gp = gamma.g_prime
-    shift = gamma.shift(beta)
-    return Cone(tuple(v[:gp] + tuple(x + v[-1] * s for x, s in zip(v[gp:-1], shift))
-                      + v[-1:] for v in cone.generators))
+    return Cone(_translate(cone.generators, gamma.shift(beta), gamma.g_prime))
 
 
 def _reduce_mod_period(b, gamma):
@@ -152,17 +150,24 @@ def _reduce_mod_period(b, gamma):
     return b0, beta
 
 
+def _canonical_gens(gens, gamma):
+    """Canonical representative under Gamma of the cone with the sorted
+    generators gens, if they all sit at height 1 (else gens): translate so
+    the smallest one's torus block lies in the fundamental cell.  Every
+    generator moves by the same vector, so the result is sorted."""
+    if not gens or any(v[-1] != 1 for v in gens):
+        return gens
+    gp = gamma.g_prime
+    b = gens[0][gp:-1]
+    b0, _ = _reduce_mod_period(b, gamma)
+    if b0 == b:
+        return gens
+    return _translate(gens, tuple(x - y for x, y in zip(b0, b)), gp)
+
+
 def canonical_cone(cone, gamma):
-    """Canonical representative of a cone under Gamma-translation.  Defined
-    for cones all of whose nonzero generators sit at height 1 (the fan cones
-    produced here): translate so the lexicographically smallest generator's
-    torus block lies in the fundamental cell."""
-    if not cone.generators:
-        return cone
-    if any(v[-1] != 1 for v in cone.generators):
-        return cone  # no canonical translation defined; leave as-is
-    _, beta = _reduce_mod_period(cone.generators[0][gamma.g_prime:-1], gamma)
-    return _translate_cone(cone, tuple(-x for x in beta), gamma)
+    """Canonical representative of a cone under Gamma (see _canonical_gens)."""
+    return Cone(_canonical_gens(cone.generators, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +260,6 @@ class Fan:
         d = max((c.dim for c in self.cones), default=0)
         return [c for c in self.cones if c.dim == d]
 
-    def rays(self):
-        return [c for c in self.cones if c.dim == 1]
-
 
 class _DegenerateMetric(Exception):
     pass
@@ -266,8 +268,7 @@ class _DegenerateMetric(Exception):
 def _normalize_metric(metric, r_prime):
     if isinstance(metric, str):
         if metric in ("standard", "identity"):
-            return [[Fraction(1) if i == j else Fraction(0) for j in range(r_prime)]
-                    for i in range(r_prime)]
+            return [[Fraction(int(i == j)) for j in range(r_prime)] for i in range(r_prime)]
         raise ContractError(f"unknown metric keyword: {metric}")
     Q = [[Fraction(x) for x in row] for row in metric]
     if len(Q) != r_prime or any(len(row) != r_prime for row in Q):
@@ -299,18 +300,21 @@ def _perturb_metric(Q, rng):
 def _obtuse_superbase(Q):
     """Selling reduction: an obtuse superbase v_0..v_r' of Z^{r'} under Q
     (r' <= 3), i.e. sum v_i = 0, v_1..v_r' a basis and v_i.Q.v_j <= 0 for
-    i != j, in exact rationals from (-sum e_i, e_1, .., e_r').  Q must be
-    positive definite: each step lowers sum v_i.Q.v_i by a positive multiple
-    of 1/D, D a common denominator of Q, so the loop ends.  Raises
-    _DegenerateMetric if a Selling parameter -v_i.Q.v_j vanishes (a
+    i != j, from (-sum e_i, e_1, .., e_r').  Q (ints or Fractions) is
+    scaled by the lcm D > 0 of its denominators, which keeps every sign.  Q
+    must be positive definite: each step lowers sum v_i.DQ.v_i, so it ends.
+    Raises _DegenerateMetric if a Selling parameter -v_i.Q.v_j vanishes (a
     cospherical configuration)."""
     rp = len(Q)
+    D = math.lcm(*(x.denominator for row in Q for x in row))
+    DQ = [[x.numerator * (D // x.denominator) for x in row] for row in Q]
     vs = [(-1,) * rp] + [tuple(int(i == j) for j in range(rp)) for i in range(rp)]
     # the other r' - 1 vectors absorb 2 v_i, so sum v = 0 is kept
     step = 2 if rp == 2 else 1
     pairs = list(itertools.combinations(range(rp + 1), 2))
     while True:
-        p = {(i, j): _quad_form(Q, vs[i], vs[j]) for i, j in pairs}
+        Qv = [[sum(q * x for q, x in zip(row, v)) for row in DQ] for v in vs]
+        p = {(i, j): sum(x * y for x, y in zip(Qv[i], vs[j])) for i, j in pairs}
         i, j = next((ij for ij in pairs if p[ij] > 0), (None, None))
         if i is None:
             if 0 in p.values():
@@ -335,21 +339,16 @@ def _coset_representatives(gamma):
     return reps
 
 
-def _cell_volumes(cells):
-    """|det| of each simplex (a tuple of r'+1 integer vertices): r'! times
-    its volume, so the volumes of a tiling of one fundamental cell sum to
-    det B' * r'!."""
-    return [abs(IntMatrix.from_rows([[x - y for x, y in zip(v, cell[0])]
-                                     for v in cell[1:]]).det()) for cell in cells]
-
-
 def _delaunay_cells(gamma, Q):
     """One Gamma-fundamental set of the Delaunay cells of Z^{r'} under the
     positive definite rational metric Q: sorted, with sorted vertices, the
     first in the fundamental cell.  From an obtuse superbase with non-zero
     Selling parameters they are the Z^{r'}-translates of the simplices
     {0, v_s1, v_s1 + v_s2, ..} over the orders s of v_1..v_r' (Conway &
-    Sloane 1992).  Raises _DegenerateMetric on an exact cosphericity."""
+    Sloane 1992).  Raises ContractError if det B' > MAX_DET_BPRIME, before
+    enumerating, and _DegenerateMetric on an exact cosphericity."""
+    if gamma.det > MAX_DET_BPRIME:
+        raise ContractError(f"det B' = {gamma.det} is above the limit {MAX_DET_BPRIME}")
     rp = gamma.r_prime
     reps = _coset_representatives(gamma)
     cells = []
@@ -359,16 +358,12 @@ def _delaunay_cells(gamma, Q):
         # the translate whose first vertex is the representative c is canonical
         cells += [tuple(tuple(x - y + z for x, y, z in zip(p, pts[0], c)) for p in pts)
                   for c in reps]
-    cells.sort()
-    # the canonical cells must tile one fundamental cell
-    if sum(_cell_volumes(cells)) != gamma.det * math.factorial(rp):
-        raise _DegenerateMetric("cells do not tile the fundamental cell")
-    return cells
+    return sorted(cells)
 
 
-def _cell_cone(cell, g_prime):
-    """The cone over a height-1 cell with abelian block 0."""
-    return Cone(tuple((0,) * g_prime + v + (1,) for v in cell))
+def _cell_gens(cell, g_prime):
+    """The sorted generators of the cone over a height-1 cell, abelian block 0."""
+    return tuple((0,) * g_prime + v + (1,) for v in cell)
 
 
 def delaunay_fan(gamma_data, metric="standard", seed=0):
@@ -396,11 +391,9 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     else:
         raise NumericIndeterminacyError(
             f"no generic metric found in {MAX_METRIC_RETRIES} retries: {last_err}")
-    cones = set()
-    for cell in cells:
-        for face in _cell_cone(cell, gamma_data.g_prime).faces():
-            cones.add(canonical_cone(face, gamma_data))
-    return Fan(cones=tuple(sorted(cones, key=lambda c: (c.dim, c.generators))),
+    cones = {_canonical_gens(face, gamma_data)
+             for cell in cells for face in _faces(_cell_gens(cell, gamma_data.g_prime))}
+    return Fan(cones=tuple(Cone(c) for c in sorted(cones, key=lambda c: (len(c), c))),
                gamma=gamma_data, metric=tuple(tuple(row) for row in Q), seed=seed)
 
 
@@ -422,7 +415,7 @@ def _delaunay_violations(fan, canon):
     """Why the fan is not the Delaunay fan of its metric (empty if it is):
     a symmetric positive definite metric with no zero Selling parameter,
     generators (0_{g'}, b, 1), and maximal cones that are the Delaunay cells
-    up to Gamma (canon maps a cone to its canonical_cone)."""
+    up to Gamma (canon: _canonical_gens).  ContractError: det B' too large."""
     gamma, Q = fan.gamma, fan.metric
     rp = gamma.r_prime
     if rp > 3:  # obtuse superbases need not exist, and the steps differ
@@ -440,7 +433,8 @@ def _delaunay_violations(fan, canon):
     violations = []
     if any(any(v[:gp]) or v[-1] != 1 for c in fan.cones for v in c.generators):
         violations.append("a generator is not of the form (0, b, 1)")
-    if {canon(c) for c in fan.maximal_cones()} != {_cell_cone(c, gp) for c in cells}:
+    if {canon(c.generators) for c in fan.maximal_cones()} \
+            != {_cell_gens(c, gp) for c in cells}:
         violations.append("maximal cones are not the Delaunay cells of the metric")
     return violations
 
@@ -451,13 +445,13 @@ def validate_fan(fan):
     height, nonnegative heights), face closure and absence of duplicates up
     to Gamma, the ray form (0_{g'}, b, 1), the covering proxy (the height-1
     cells of the maximal cones tile one fundamental cell of Pi exactly), and
-    that the maximal cones are the Delaunay cells of the fan's metric.
-    Non-regular simplicial cones are flagged, not rejected."""
+    that the maximal cones are the Delaunay cells of the fan's metric (or
+    det B' > MAX_DET_BPRIME).  Non-regular simplicial cones are flagged."""
     gamma = fan.gamma
     gp, rp = gamma.g_prime, gamma.r_prime
     violations = []
     non_regular = []
-    canon = functools.cache(functools.partial(canonical_cone, gamma=gamma))
+    canon = functools.cache(functools.partial(_canonical_gens, gamma=gamma))
     canon_seen = {}
     for idx, cone in enumerate(fan.cones):
         if cone.dim == 0:
@@ -481,18 +475,18 @@ def validate_fan(fan):
         if index > 1:
             non_regular.append(idx)
         # Gamma-duplicates
-        c = canon(cone)
+        c = canon(gens)
         if c in canon_seen:
             violations.append(
                 f"cone {idx}: Gamma-duplicate of cone {canon_seen[c]}")
         else:
             canon_seen[c] = idx
     # face closure up to Gamma
-    fan_canon = {canon(c) for c in fan.cones}
+    fan_canon = {canon(c.generators) for c in fan.cones}
     for idx, cone in enumerate(fan.cones):
-        for face in cone.faces():
+        for face in _faces(cone.generators):
             if canon(face) not in fan_canon:
-                violations.append(f"cone {idx}: missing face {face.generators}")
+                violations.append(f"cone {idx}: missing face {face}")
     # ray condition
     for idx, cone in enumerate(fan.cones):
         if cone.dim == 1:
@@ -502,7 +496,10 @@ def validate_fan(fan):
     # covering / invariance proxy: maximal height-1 cells tile a fundamental cell
     max_cones = [c for c in fan.cones if c.dim == rp + 1]
     if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
-        vols = _cell_volumes([[v[gp:gp + rp] for v in c.generators] for c in max_cones])
+        cells = [[v[gp:gp + rp] for v in c.generators] for c in max_cones]
+        # |det| of each cell: r'! times its volume
+        vols = [abs(IntMatrix.from_rows([[x - y for x, y in zip(v, cell[0])]
+                                         for v in cell[1:]]).det()) for cell in cells]
         total = sum(vols)
         covol = gamma.det * math.factorial(rp)
         if 0 in vols:
@@ -512,22 +509,25 @@ def validate_fan(fan):
                 f"height-1 cells do not tile the fundamental cell "
                 f"(volume {total}/{math.factorial(rp)} vs covolume {covol}/{math.factorial(rp)}): "
                 "Gamma-invariance/covering violated")
-    violations += _delaunay_violations(fan, canon)
+    try:
+        violations += _delaunay_violations(fan, canon)
+    except ContractError as exc:  # det B' above MAX_DET_BPRIME
+        violations.append(str(exc))
     return FanReport(tuple(violations), tuple(non_regular))
 
 
 def section_extends(n_phi, fan):
     """True iff the ray through (n_phi, 1) lies in some cone of the fan.
-    The fan must be the Delaunay fan of its own metric (ContractError
-    otherwise).  Its cones then lie in {0} x R^{r'} x R and cover the cone
-    over {0} x R^{r'} x {1}, so the ray is in the fan exactly when the
-    abelian block of n_phi vanishes: at height 1 an integer b is a vertex of
-    the subdivision, so its ray is a ray of the fan."""
+    The fan must be the Delaunay fan of its own metric, det B' at most
+    MAX_DET_BPRIME (ContractError otherwise).  Its cones then lie in {0} x
+    R^{r'} x R and cover the cone over {0} x R^{r'} x {1}, so the ray is in
+    the fan exactly when the abelian block of n_phi vanishes: at height 1 an
+    integer b is a vertex of the subdivision, so its ray is a ray of the fan."""
     gamma = fan.gamma
     n_phi = tuple(int(x) for x in n_phi)
     if len(n_phi) != gamma.g:
         raise DimensionError("n_phi must have g coordinates")
-    violations = _delaunay_violations(fan, functools.partial(canonical_cone, gamma=gamma))
+    violations = _delaunay_violations(fan, functools.partial(_canonical_gens, gamma=gamma))
     if violations:
         raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])
@@ -556,4 +556,4 @@ def translation_regularizable(n_phi, gamma_data, with_diagnostic=False):
 
 def central_fiber_combinatorics(fan):
     """(ray orbits, maximal-cone orbits) of the central fiber of the model."""
-    return len(fan.rays()), len(fan.maximal_cones())
+    return sum(c.dim == 1 for c in fan.cones), len(fan.maximal_cones())

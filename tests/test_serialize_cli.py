@@ -12,6 +12,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 import sympy
@@ -776,3 +777,105 @@ def test_cli_orbit_relations_are_decimal_strings(capsys, monkeypatch):
         with pytest.raises(SchemaError):
             serialize.validate_schema(dict(doc, relations=[dict(rel, **bad)]),
                                       "orbit_report")
+
+
+def _bare_fan_file(tmp_path, Bprime):
+    fan_file = tmp_path / "bare.json"
+    fan_file.write_text(json.dumps({"gamma": {"g_prime": 0, "r_prime": len(Bprime),
+                                              "Bprime": Bprime},
+                                    "rays": [], "cones": []}))
+    return fan_file
+
+
+@pytest.mark.parametrize("Bprime", [[[2, 1], [1, 1000]], [["1999"]]], ids=["2x2", "1x1"])
+@pytest.mark.parametrize("command", ["build", "validate", "extends"])
+def test_cli_fan_det_bprime_limit(command, Bprime, tmp_path, capsys, monkeypatch):
+    """det B' = 1999 is above toroidal.MAX_DET_BPRIME: build and extends
+    exit 3 with one contract error line naming the limit, validate reports
+    it as a violation and exits 3.  None of them enumerates the classes of
+    Z^r' / B' Z^r', and each ends in well under a second."""
+    from abdyn import toroidal
+
+    def no_enumeration(gamma):
+        raise AssertionError("coset representatives enumerated")
+
+    monkeypatch.setattr(toroidal, "_coset_representatives", no_enumeration)
+    if command == "build":
+        argv = ["fan", "build", "--B", json.dumps(Bprime)]
+    else:
+        argv = ["fan", command, str(_bare_fan_file(tmp_path, Bprime))]
+        if command == "extends":
+            argv[2:2] = ["--nphi", json.dumps([1] * len(Bprime))]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, None, capsys, monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    limit = "det B' = 1999 is above the limit 1000"
+    assert code == 3
+    if command == "validate":
+        assert limit in json.loads(out)["result"]["violations"] and err == ""
+    else:
+        assert out == "" and err == f"contract error: {limit}\n"
+
+
+@pytest.mark.parametrize("command, ints, floats", [
+    ("decide", '{"g": 2, "charpoly": [1, -3, 1, -3, 1], "r": 0}',
+     '{"g": 2.0, "charpoly": [1, -3, 1, -3, 1], "r": 0}'),
+    ("decide", '{"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1}',
+     '{"g": 2.0, "charpoly": [1, -4, 6, -4.0, 1], "r": 1.0, "k": 1.0}'),
+    ("analyze", "[[2, 1], [1, 1]]", "[[2.0, 1], [1, 1.0]]"),
+    ("analyze", '{"r": 2, "g": 0, "u_T": [[2, 1], [1, 1]]}',
+     '{"r": 2.0, "g": 0.0, "u_T": [[2, 1], [1, 1.0]]}')])
+def test_cli_integral_floats_read_as_ints(command, ints, floats, capsys, monkeypatch):
+    """An integral float, which the schemas' integer type admits, is read as
+    that int: the same exit code and result, and the same echo wherever
+    the input is echoed through its parsed form ("g": 2, not 2.0)."""
+    code_i, out_i, _ = run_cli([command], ints, capsys, monkeypatch)
+    code_f, out_f, err = run_cli([command], floats, capsys, monkeypatch)
+    assert code_i == code_f == 0 and err == ""
+    assert json.loads(out_f)["result"] == json.loads(out_i)["result"]
+    if command == "decide" or ints.startswith("{"):
+        assert out_f == out_i
+
+
+def _float_ray_entry(fan):
+    fan["rays"][0][-1] = 1.0
+
+
+def _float_gamma(fan):
+    fan["gamma"]["g_prime"], fan["gamma"]["r_prime"] = 0.0, 1.0
+    fan["gamma"]["Bprime"][0][0] = 3.0
+
+
+@pytest.mark.parametrize("edit", [_float_ray_entry, _float_gamma])
+def test_cli_fan_file_integral_floats(edit, tmp_path, capsys, monkeypatch):
+    fan = serialize.fan_to_json(
+        delaunay_fan(nakamura_data(IntMatrix.from_rows([[1, 3], [0, 1]]))))
+    fan_file = tmp_path / "fan.json"
+    results = []
+    for edited in (False, True):
+        if edited:
+            edit(fan)
+        fan_file.write_text(json.dumps(fan))
+        for argv in (["fan", "validate", str(fan_file)],
+                     ["fan", "extends", "--nphi", "[2]", str(fan_file)]):
+            code, out, err = run_cli(argv, None, capsys, monkeypatch)
+            assert code == 0 and err == ""
+            results.append(json.loads(out)["result"])
+    assert results[0]["ok"] and results[:2] == results[2:]
+
+
+def test_cli_orbit_integral_float_g(capsys, monkeypatch):
+    outs = [run_cli(["orbit", "analyze", "--lattice", lattice, "--alpha", "[[0.5,0]]"],
+                    None, capsys, monkeypatch)
+            for lattice in (SQUARE_LATTICE, SQUARE_LATTICE.replace('"g":1', '"g":1.0'))]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+@pytest.mark.parametrize("alpha, n", [("[]", 0), ("[[0.5,0],[0.25,0]]", 2)])
+def test_cli_orbit_alpha_length_exit_2(alpha, n, capsys, monkeypatch):
+    """An alpha with other than g entries is a schema error (exit 2, one
+    line), not a traceback."""
+    code, out, err = run_cli(["orbit", "analyze", "--lattice", SQUARE_LATTICE,
+                              "--alpha", alpha], None, capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err == f"schema error: alpha must have g = 1 entries, got {n}\n"

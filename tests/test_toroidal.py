@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix
@@ -14,7 +16,8 @@ from abdyn.toroidal import (Cone, Fan, GammaData, canonical_cone,
                             nakamura_data, section_extends,
                             translation_regularizable, validate_fan)
 
-from util import brute_force_delaunay_cells
+from util import (brute_force_delaunay_cells, reference_delaunay_cells,
+                  reference_section_extends, reference_validate_fan)
 
 
 def tate_monodromy(n):
@@ -272,3 +275,138 @@ def test_fan_certification_needs_r_prime_at_most_3():
     assert "Delaunay cells are computed for r' <= 3 only" in validate_fan(fan).violations
     with pytest.raises(ContractError, match="r' <= 3"):
         section_extends((0, 0, 0, 0), fan)
+
+
+# the B' of the benchmark's fan corpus, as (g', B'), plus g' = 1 at r' = 1
+CORPUS_GAMMAS = ([(0, [[n]]) for n in range(1, 7)] + [(1, [[2]])]
+                 + [(0, [[2, 1], [1, 3]]), (0, [[1, 0], [0, 1]]), (0, [[2, 1], [1, 2]]),
+                    (1, [[2, 1], [1, 2]]),
+                    (0, [[2, 1, 0], [1, 2, 1], [0, 1, 2]]), (0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+
+
+def _other_cells_metric(fan, rng):
+    """A generic metric whose Delaunay cells differ from the fan's (at
+    r' >= 2, where the diagonals can flip), or another metric with the same
+    cells at r' = 1."""
+    from abdyn.toroidal import _DegenerateMetric, _delaunay_cells
+    gamma = fan.gamma
+    own = _delaunay_cells(gamma, fan.metric)
+    for _ in range(200):
+        Q = _generic_metric(gamma.r_prime, rng)
+        try:
+            if gamma.r_prime == 1 or _delaunay_cells(gamma, Q) != own:
+                return Q
+        except _DegenerateMetric:
+            pass
+    raise AssertionError("no metric with other cells found")
+
+
+def _mutations(fan, rng):
+    """The fan and six broken copies: a maximal cone dropped, a ray dropped,
+    a Gamma-translate of a cone added, a generator scaled to be
+    non-primitive, a height-0 cone added, a metric with other cells."""
+    from abdyn.toroidal import _translate_cone
+    gamma, cones = fan.gamma, fan.cones
+    top, ray = fan.maximal_cones()[0], next(c for c in cones if c.dim == 1)
+    e1 = tuple(int(i == 0) for i in range(gamma.r_prime))
+    scaled = Cone(top.generators[:-1] + (tuple(2 * x for x in top.generators[-1]),))
+    flat = Cone(((0,) * gamma.g_prime + e1 + (0,),))
+    edits = {"as built": cones,
+             "drop a maximal cone": tuple(c for c in cones if c != top),
+             "drop a ray": tuple(c for c in cones if c != ray),
+             "add a translate": cones + (_translate_cone(top, e1, gamma),),
+             "non-primitive generator": tuple(scaled if c == top else c for c in cones),
+             "add a height-0 cone": cones + (flat,)}
+    out = {name: Fan(cones=c, gamma=gamma, metric=fan.metric) for name, c in edits.items()}
+    out["other cells"] = Fan(cones=cones, gamma=gamma,
+                             metric=tuple(map(tuple, _other_cells_metric(fan, rng))))
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ContractError as exc:
+        return ("ContractError", str(exc))
+
+
+@pytest.mark.parametrize("g_prime, Bprime", CORPUS_GAMMAS, ids=str)
+def test_validate_fan_matches_reference(g_prime, Bprime):
+    """validate_fan and section_extends agree with the reference (one Cone
+    per face, Selling in Fractions, the tiling check kept) on every corpus
+    B', under the standard and a seeded random metric, built and after each
+    of six edits: same violations in the same order, same non-regular
+    cones, and the same answer or the same refusal."""
+    from abdyn.cli import _random_metric
+    rp = len(Bprime)
+    gd = GammaData(g_prime=g_prime, r_prime=rp, Bprime=IntMatrix.from_rows(Bprime))
+    rng = random.Random(f"reference:{g_prime}:{Bprime}")
+    for metric in ("standard", _random_metric(rp, 5)):
+        fan = delaunay_fan(gd, metric=metric, seed=7)
+        for name, bad in _mutations(fan, rng).items():
+            report = validate_fan(bad)
+            assert report == reference_validate_fan(bad), name
+            assert report.ok == (name == "as built" or name == "other cells" and rp == 1)
+            for n_phi in ((0,) * g_prime + (1,) * rp, (1,) * g_prime + (2,) * rp):
+                assert _outcome(section_extends, n_phi, bad) \
+                    == _outcome(reference_section_extends, n_phi, bad), name
+
+
+def _unimodular_upper(n, entries):
+    return [[1 if i == j else entries[i * n + j] if j > i else 0 for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def _metric_and_bprime(draw):
+    """r' in {2, 3}; a positive definite metric A^T A + c I with integer or
+    rational A and c > 0; B' = U^T D U with U unimodular and det B' =
+    prod D <= 12."""
+    rp = draw(st.sampled_from([2, 3]))
+    small = st.integers(-3, 3)
+    entry = st.one_of(small, st.builds(Fraction, small, st.integers(1, 7)))
+    A = [[draw(entry) for _ in range(rp)] for _ in range(rp)]
+    c = draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(2), Fraction(5, 2)]))
+    Q = [[Fraction(sum(A[k][i] * A[k][j] for k in range(rp))) + c * (i == j)
+          for j in range(rp)] for i in range(rp)]
+    D = [draw(st.integers(1, 12))]  # det B', split into r' factors
+    for _ in range(rp - 1):
+        D.append(draw(st.sampled_from([f for f in range(1, D[0] + 1) if D[0] % f == 0])))
+        D[0] //= D[-1]
+    U = _unimodular_upper(rp, draw(st.lists(st.integers(-2, 2), min_size=rp * rp,
+                                            max_size=rp * rp)))
+    B = [[sum(U[k][i] * D[k] * U[k][j] for k in range(rp)) for j in range(rp)]
+         for i in range(rp)]
+    return Q, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(_metric_and_bprime())
+def test_delaunay_cells_tile_by_construction(case):
+    """The invariant that replaced the tiling check in _delaunay_cells:
+    either a zero Selling parameter (_DegenerateMetric, also in the
+    Fraction reference), or r'! det B' distinct cells, each of |det| 1 with
+    its first vertex in the fundamental cell, equal to the cells of the
+    reference (Selling reduction in Fractions, volumes summed)."""
+    import sympy
+
+    from abdyn.toroidal import _DegenerateMetric, _delaunay_cells
+    Q, B = case
+    rp = len(B)
+    gd = GammaData(g_prime=0, r_prime=rp, Bprime=IntMatrix.from_rows(B))
+    try:
+        cells = _delaunay_cells(gd, Q)
+    except _DegenerateMetric:
+        event("zero Selling parameter")
+        with pytest.raises(_DegenerateMetric, match="zero Selling parameter"):
+            reference_delaunay_cells(gd, Q)
+        return
+    det = sympy.Matrix(B).det()
+    event(f"r' = {rp}, det B' = {det}")
+    assert len(set(cells)) == len(cells) == math.factorial(rp) * det
+    inv = sympy.Matrix(B).inv()
+    for cell in cells:
+        assert abs(sympy.Matrix([[x - y for x, y in zip(v, cell[0])]
+                                 for v in cell[1:]]).det()) == 1
+        assert all(0 <= x < 1 for x in inv * sympy.Matrix(cell[0]))
+    assert cells == reference_delaunay_cells(gd, Q)

@@ -1,8 +1,11 @@
 """Shared test helpers: random unimodular matrices, exact inverses, a
 reference LLL, brute-force Delaunay cells, the reference root-of-unity test,
-unipotent index and quasi-unipotent order, and the numeric degree-growth
-oracle (exterior-power norm sequences and their growth fit)."""
+unipotent index and quasi-unipotent order, the numeric degree-growth
+oracle (exterior-power norm sequences and their growth fit), and the
+reference fan certification (one Cone per face, Selling in Fractions)."""
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +14,9 @@ import numpy as np
 
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
-                            cyclotomic_split_with_orders)
+                            cyclotomic_split_with_orders, is_positive_definite, minor_gcd)
+from abdyn.toroidal import (Cone, FanReport, _coset_representatives, _DegenerateMetric,
+                            _reduce_mod_period, _translate_cone)
 
 GROWTH_WINDOW = 12  # window of fit_growth's peak and window-smoothed fits
 
@@ -201,8 +206,6 @@ def brute_force_delaunay_cells(Q):
     Delaunay cell at 0 has circumradius <= rho, so its vertices, and every
     lattice point its circumsphere holds, lie in the ball q.Q.q <= bound.
     Raises AssertionError on a cospherical configuration."""
-    import itertools
-
     import sympy
 
     n = len(Q)
@@ -473,3 +476,189 @@ def fit_growth(values):
     X = np.column_stack([np.ones_like(ns), np.log(ns), ns])
     coef, *_ = np.linalg.lstsq(X, tail, rcond=None)
     return float(coef[2]), float(coef[1])
+
+
+# ---------------------------------------------------------------------------
+# reference fan certification: one Cone object per face, Selling reduction
+# in Fractions and a tiling check on the cells (the toroidal code before it
+# worked on generator tuples in integers), kept as the oracle of
+# toroidal.validate_fan and toroidal.section_extends
+# ---------------------------------------------------------------------------
+
+def _quad_form(Q, v, w):
+    """v^T Q w over Fractions."""
+    return sum(Fraction(v[i]) * Q[i][j] * Fraction(w[j])
+               for i in range(len(v)) for j in range(len(w)))
+
+
+def reference_obtuse_superbase(Q):
+    """Selling reduction in exact rationals (see toroidal._obtuse_superbase)."""
+    rp = len(Q)
+    vs = [(-1,) * rp] + [tuple(int(i == j) for j in range(rp)) for i in range(rp)]
+    # the other r' - 1 vectors absorb 2 v_i, so sum v = 0 is kept
+    step = 2 if rp == 2 else 1
+    pairs = list(itertools.combinations(range(rp + 1), 2))
+    while True:
+        p = {(i, j): _quad_form(Q, vs[i], vs[j]) for i, j in pairs}
+        i, j = next((ij for ij in pairs if p[ij] > 0), (None, None))
+        if i is None:
+            if 0 in p.values():
+                raise _DegenerateMetric("zero Selling parameter: cospherical configuration")
+            return vs
+        vi = vs[i]
+        vs = [tuple(-x for x in vi) if k == i else v if k == j
+              else tuple(x + step * y for x, y in zip(v, vi)) for k, v in enumerate(vs)]
+
+
+def _cell_volumes(cells):
+    """|det| of each simplex (a tuple of r'+1 integer vertices): r'! times
+    its volume, so the volumes of a tiling of one fundamental cell sum to
+    det B' * r'!."""
+    return [abs(IntMatrix.from_rows([[x - y for x, y in zip(v, cell[0])]
+                                     for v in cell[1:]]).det()) for cell in cells]
+
+
+def reference_delaunay_cells(gamma, Q):
+    """toroidal._delaunay_cells with the tiling check on the cell volumes."""
+    rp = gamma.r_prime
+    reps = _coset_representatives(gamma)
+    cells = []
+    for order in itertools.permutations(reference_obtuse_superbase(Q)[1:]):
+        pts = sorted(itertools.accumulate(
+            order, lambda p, v: tuple(x + y for x, y in zip(p, v)), initial=(0,) * rp))
+        # the translate whose first vertex is the representative c is canonical
+        cells += [tuple(tuple(x - y + z for x, y, z in zip(p, pts[0], c)) for p in pts)
+                  for c in reps]
+    cells.sort()
+    # the canonical cells must tile one fundamental cell
+    if sum(_cell_volumes(cells)) != gamma.det * math.factorial(rp):
+        raise _DegenerateMetric("cells do not tile the fundamental cell")
+    return cells
+
+
+def _reference_cell_cone(cell, g_prime):
+    """The cone over a height-1 cell with abelian block 0."""
+    return Cone(tuple((0,) * g_prime + v + (1,) for v in cell))
+
+
+def reference_cone_faces(cone):
+    """All proper and improper faces (simplicial: every generator subset)."""
+    for size in range(len(cone.generators) + 1):
+        for subset in itertools.combinations(cone.generators, size):
+            yield Cone(subset)
+
+
+def reference_canonical_cone(cone, gamma):
+    """Canonical representative of a cone under Gamma-translation: translate
+    so the lexicographically smallest generator's torus block lies in the
+    fundamental cell (cones with every generator at height 1 only)."""
+    if not cone.generators:
+        return cone
+    if any(v[-1] != 1 for v in cone.generators):
+        return cone  # no canonical translation defined; leave as-is
+    _, beta = _reduce_mod_period(cone.generators[0][gamma.g_prime:-1], gamma)
+    return _translate_cone(cone, tuple(-x for x in beta), gamma)
+
+
+def reference_delaunay_violations(fan, canon):
+    """Why the fan is not the Delaunay fan of its metric (empty if it is)."""
+    gamma, Q = fan.gamma, fan.metric
+    rp = gamma.r_prime
+    if rp > 3:  # obtuse superbases need not exist, and the steps differ
+        return ["Delaunay cells are computed for r' <= 3 only"]
+    if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
+        return ["metric is not symmetric"]
+    # first: the Selling loop need not end on an indefinite form
+    if not is_positive_definite(Q):
+        return ["metric is not positive definite"]
+    try:
+        cells = reference_delaunay_cells(gamma, Q)
+    except _DegenerateMetric as exc:
+        return [f"metric has no Delaunay triangulation: {exc}"]
+    gp = gamma.g_prime
+    violations = []
+    if any(any(v[:gp]) or v[-1] != 1 for c in fan.cones for v in c.generators):
+        violations.append("a generator is not of the form (0, b, 1)")
+    if {canon(c) for c in fan.maximal_cones()} \
+            != {_reference_cell_cone(c, gp) for c in cells}:
+        violations.append("maximal cones are not the Delaunay cells of the metric")
+    return violations
+
+
+def reference_validate_fan(fan):
+    """toroidal.validate_fan with a Cone object per face and per canonical
+    form; returns a toroidal.FanReport."""
+    gamma = fan.gamma
+    gp, rp = gamma.g_prime, gamma.r_prime
+    violations = []
+    non_regular = []
+    canon = functools.cache(functools.partial(reference_canonical_cone, gamma=gamma))
+    canon_seen = {}
+    for idx, cone in enumerate(fan.cones):
+        if cone.dim == 0:
+            continue
+        gens = cone.generators
+        for v in gens:
+            if len(v) != gamma.g + 1:
+                violations.append(f"cone {idx}: generator dimension != g+1")
+                continue
+            if math.gcd(*v) != 1:
+                violations.append(f"cone {idx}: non-primitive generator {v}")
+            if v[-1] < 0:
+                violations.append(f"cone {idx}: negative height generator {v}")
+        index = minor_gcd(gens)
+        if index == 0:
+            violations.append(
+                f"cone {idx}: generators dependent (not simplicial / not strongly convex)")
+        if all(v[-1] == 0 for v in gens):
+            violations.append(f"cone {idx}: contained in N x {{0}}")
+        # regularity: generators extend to a basis of the saturated span lattice
+        if index > 1:
+            non_regular.append(idx)
+        # Gamma-duplicates
+        c = canon(cone)
+        if c in canon_seen:
+            violations.append(
+                f"cone {idx}: Gamma-duplicate of cone {canon_seen[c]}")
+        else:
+            canon_seen[c] = idx
+    # face closure up to Gamma
+    fan_canon = {canon(c) for c in fan.cones}
+    for idx, cone in enumerate(fan.cones):
+        for face in reference_cone_faces(cone):
+            if canon(face) not in fan_canon:
+                violations.append(f"cone {idx}: missing face {face.generators}")
+    # ray condition
+    for idx, cone in enumerate(fan.cones):
+        if cone.dim == 1:
+            v = cone.generators[0]
+            if any(x != 0 for x in v[:gp]) or v[-1] != 1:
+                violations.append(f"ray {idx}: not of the form (0, b, 1): {v}")
+    # covering / invariance proxy: maximal height-1 cells tile a fundamental cell
+    max_cones = [c for c in fan.cones if c.dim == rp + 1]
+    if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
+        vols = _cell_volumes([[v[gp:gp + rp] for v in c.generators] for c in max_cones])
+        total = sum(vols)
+        covol = gamma.det * math.factorial(rp)
+        if 0 in vols:
+            violations.append("degenerate maximal cell")
+        elif total != covol:
+            violations.append(
+                f"height-1 cells do not tile the fundamental cell "
+                f"(volume {total}/{math.factorial(rp)} vs covolume {covol}/{math.factorial(rp)}): "
+                "Gamma-invariance/covering violated")
+    violations += reference_delaunay_violations(fan, canon)
+    return FanReport(tuple(violations), tuple(non_regular))
+
+
+def reference_section_extends(n_phi, fan):
+    """toroidal.section_extends on the reference certification."""
+    gamma = fan.gamma
+    n_phi = tuple(int(x) for x in n_phi)
+    if len(n_phi) != gamma.g:
+        raise DimensionError("n_phi must have g coordinates")
+    violations = reference_delaunay_violations(
+        fan, functools.partial(reference_canonical_cone, gamma=gamma))
+    if violations:
+        raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
+    return not any(n_phi[:gamma.g_prime])
