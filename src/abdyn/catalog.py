@@ -1,6 +1,6 @@
-"""Example families: units in totally real fields, Type I lattice
-constructions, quaternion reduced norms, and the classification of
-automorphism types for fiber dimension g <= 5.
+"""Example families: units in totally real fields, Type I unit actions,
+quaternion reduced norms, and the classification of automorphism types for
+fiber dimension g <= 5.
 
 Units in real quadratic fields are found by the continued-fraction algorithm
 for x^2 - d y^2 = +/-1; we work in the (possibly non-maximal) order Z[sqrt d]
@@ -17,7 +17,6 @@ from fractions import Fraction
 from .errors import ContractError
 from .exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split,
                        is_cyclotomic_free)
-from .orbit import NumericLattice
 
 
 # ---------------------------------------------------------------------------
@@ -75,112 +74,6 @@ def unit_multiplication_matrix(minpoly, copies):
     else:
         block = IntMatrix.companion(minpoly)
     return IntMatrix.block_diag(*([block] * (2 * copies)))
-
-
-def _minpoly_from_embeddings(embeddings, tol=1e-6):
-    """Recover the integer minimal polynomial prod (T - iota_j(mu)) from the
-    real embeddings of a totally real algebraic unit."""
-    import numpy as np
-    coeffs = np.poly(list(embeddings))  # descending, float
-    ints = [round(c) for c in coeffs]
-    if any(abs(c - i) > tol for c, i in zip(coeffs, ints)):
-        raise ContractError("embeddings do not round to an integer polynomial")
-    p = IntPolynomial(list(reversed(ints)))
-    if not p.is_monic():
-        raise ContractError("embeddings do not define a monic polynomial")
-    return p
-
-
-def type_I_lattice(Z, unit_embeddings, tol=1e-8):
-    """The Type I family datum: for e totally real embeddings and period
-    matrices Z_1..Z_e (complex symmetric l x l, positive imaginary part), the
-    lattice spanned by lambda_z(alpha, beta) = (alpha_1 Z_1 + beta_1, ...)
-    over a Z-basis of O_K^l + O_K^l (O_K realized as Z[mu]), the polarization
-    E(v, w) = sum_j Im(v_j (Im Z_j)^{-1} conj(w_j)) as an integer matrix on
-    that basis, and the integer matrix of the diagonal unit action
-    (mu_1 I_l, ..., mu_e I_l).
-
-    Returns (NumericLattice, automorphism IntMatrix)."""
-    import numpy as np
-    e = len(Z)
-    Zs = [np.atleast_2d(np.array(zj, dtype=complex)) for zj in Z]
-    l = Zs[0].shape[0]
-    for zj in Zs:
-        if zj.shape != (l, l):
-            raise ContractError("all Z_j must be l x l")
-        if not np.allclose(zj, zj.T, atol=tol):
-            raise ContractError("Z_j must be symmetric")
-        if np.linalg.eigvalsh(zj.imag).min() <= 0:
-            raise ContractError("Im Z_j must be positive definite")
-    if len(unit_embeddings) != e:
-        raise ContractError("need one embedding per Z_j")
-    minpoly = _minpoly_from_embeddings(unit_embeddings)
-    if minpoly.coeffs[0] not in (1, -1):
-        raise ContractError("embeddings are not those of a unit")
-    g = l * e
-    # Z-basis of O_K^l + O_K^l: (mu^s e_m) in the alpha block, then the beta
-    # block, s = 0..e-1, m = 0..l-1.  Embedding into C^g, coordinates grouped
-    # by j (blocks of size l).
-    basis = []
-    powers = [[iota ** s for s in range(e)] for iota in unit_embeddings]
-    for s in range(e):
-        for m in range(l):
-            vec = np.zeros(g, dtype=complex)
-            for j in range(e):
-                vec[j * l:(j + 1) * l] += powers[j][s] * Zs[j][:, m]
-            basis.append(tuple(vec.tolist()))
-    for s in range(e):
-        for m in range(l):
-            vec = np.zeros(g, dtype=complex)
-            for j in range(e):
-                vec[j * l + m] += powers[j][s]
-            basis.append(tuple(vec.tolist()))
-    # polarization on the basis, rounded from the analytic formula and
-    # verified integral
-    imZinv = [np.linalg.inv(zj.imag) for zj in Zs]
-
-    def E_form(v, w):
-        total = 0.0
-        for j in range(e):
-            vj = np.array(v[j * l:(j + 1) * l])
-            wj = np.array(w[j * l:(j + 1) * l])
-            total += float(np.imag(vj @ imZinv[j] @ wj.conj()))
-        return total
-
-    n = 2 * g
-    Erows = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            val = E_form(basis[i], basis[k])
-            r = round(val)
-            if abs(val - r) > 1e-6:
-                raise ContractError(
-                    f"polarization is not integral on the basis: E[{i},{k}] = {val}")
-            row.append(r)
-        Erows.append(row)
-    E = IntMatrix.from_rows(Erows)
-    lattice = NumericLattice(g=g, basis=tuple(basis), polarization=E)
-    # automorphism: multiplication by mu on both O_K^l blocks
-    comp = IntMatrix.companion(minpoly) if minpoly.degree > 1 \
-        else IntMatrix.from_rows([[-minpoly.coeffs[0]]])
-    # mu acts on the (s, m) basis by the companion structure in s, identity in m
-    block = _tensor_with_identity(comp, l)
-    auto = IntMatrix.block_diag(block, block)
-    return lattice, auto
-
-
-def _tensor_with_identity(C, l):
-    """Kronecker product C (x) I_l as an IntMatrix."""
-    e = C.rows
-    rows = [[0] * (e * l) for _ in range(e * l)]
-    for s in range(e):
-        for t in range(e):
-            if C[s, t] == 0:
-                continue
-            for m in range(l):
-                rows[s * l + m][t * l + m] = C[s, t]
-    return IntMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,29 @@ height bound, never proofs of absence.  The reduction is exactalg's
 lll_reduce, the integral LLL of Cohen (A Course in Computational Algebraic
 Number Theory, Alg. 2.6.7), exact in integers throughout.
 
-The floating-point steps import numpy inside the functions that run them,
-so the CLI, which imports this module for every command, loads numpy only
-when an orbit is analyzed.
+The coordinates x and the inverse of the basis matrix are exact up to one
+rounding: every float is a dyadic rational, so one exact elimination
+(exactalg.solve) gives both, and each entry is rounded to a float once.
+The rank of the complex forms is read from singular values computed by
+one-sided Jacobi (Hestenes), which keeps small singular values accurate
+relative to their size, as the rank band needs (Demmel & Veselic, SIAM J.
+Matrix Anal. Appl. 13, 1992).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError, NumericIndeterminacyError
-from .exactalg import IntMatrix, _bareiss, lll_reduce
+from .exactalg import IntMatrix, _bareiss, lll_reduce, solve
+
+# Bases with ||A||_F ||A^-1||_F above this are refused; the product is
+# within a factor 2g of the 2-norm condition number of A.
+COND_LIMIT = 1e12
+JACOBI_MAX_SWEEPS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +66,6 @@ class NumericLattice:
                 raise ContractError("polarization must be 2g x 2g")
             if E != E.transpose() * (-1):
                 raise ContractError("polarization must be skew-symmetric")
-
-    def real_matrix(self):
-        """2g x 2g real matrix whose columns are the basis vectors in the
-        coordinates (Re z_1..Re z_g, Im z_1..Im z_g)."""
-        import numpy as np
-        cols = []
-        for v in self.basis:
-            cols.append([z.real for z in v] + [z.imag for z in v])
-        return np.array(cols, dtype=float).T
 
 
 @dataclass(frozen=True)
@@ -106,22 +107,45 @@ class OrbitReport:
 # coordinates and relations
 # ---------------------------------------------------------------------------
 
-def real_dual_coords(lattice, v, tol=1e-10):
+def _real(v):
+    """A complex vector in the coordinates (Re z_1..Re z_g, Im z_1..Im z_g)."""
+    return [z.real for z in v] + [z.imag for z in v]
+
+
+def real_dual_coords(lattice, v, with_inverse=False):
     """Coordinates x with v = sum x_j e_j as a real combination of the
-    lattice basis; residual-checked."""
-    import numpy as np
-    A = lattice.real_matrix()
-    if np.linalg.cond(A) > 1e12:
+    lattice basis; residual-checked.  with_inverse=True returns (x, columns
+    of A^-1), where the columns of A are the basis vectors in real
+    coordinates.
+
+    Floats are dyadic rationals, so A x = v and A Y = I are solved exactly by
+    one elimination, and each entry is rounded to a float once.  Bases with
+    ||A||_F ||A^-1||_F > COND_LIMIT are refused."""
+    n = 2 * lattice.g
+    cols = [_real(b) for b in lattice.basis]
+    A = list(zip(*cols))
+    rhs = _real(tuple(complex(z) for z in v))
+    x, *inverse = solve([[Fraction(t) for t in row] for row in A],
+                        [Fraction(t) for t in rhs],
+                        *([int(i == k) for i in range(n)] for k in range(n)))
+    if x is None:
         raise NumericIndeterminacyError("lattice basis is ill-conditioned")
-    v = tuple(complex(z) for z in v)
-    rhs = np.array([z.real for z in v] + [z.imag for z in v], dtype=float)
-    x = np.linalg.solve(A, rhs)
+    try:
+        x = tuple(float(t) for t in x)
+        inverse = [[float(t) for t in col] for col in inverse]
+    except OverflowError:
+        raise NumericIndeterminacyError(
+            "a coordinate or an entry of A^-1 is beyond the float range") from None
+    norms = math.hypot(*itertools.chain(*cols)) * math.hypot(*itertools.chain(*inverse))
+    if not norms <= COND_LIMIT:  # also true for nan
+        raise NumericIndeterminacyError("lattice basis is ill-conditioned")
     # hypot scales internally, where a sum of squares would overflow
-    resid = math.hypot(*(A @ x - rhs))
+    resid = math.hypot(*(sum(a * t for a, t in zip(row, x)) - r
+                         for row, r in zip(A, rhs)))
     scale = max(1.0, math.hypot(*rhs))
-    if resid > 1e-10 * scale:
+    if not resid <= 1e-10 * scale:
         raise NumericIndeterminacyError(f"reconstruction residual {resid} too large")
-    return tuple(float(t) for t in x)
+    return (x, inverse) if with_inverse else x
 
 
 def _independent(vectors):
@@ -152,6 +176,8 @@ def relation_lattice(coords, height_bound=50, tol=1e-10):
         raise ContractError("height bound must be >= 1")
     if not 0 < tol < math.inf:  # also false for nan
         raise ContractError("tol must be positive and finite")
+    if 1.0 / tol == math.inf:
+        raise ContractError(f"tol = {tol!r} is too small: 1/tol is beyond the float range")
     n = len(coords)
     scale = round(1.0 / tol)
     dim = n + 1
@@ -182,31 +208,60 @@ def relation_lattice(coords, height_bound=50, tol=1e-10):
     return [found[i] for i in _independent([rel.q for rel in found])]
 
 
-def _complex_forms(lattice, relations):
+def _complex_forms(inverse, relations, g):
     """Rows of the matrix of the complex-linear forms u_q in the standard
-    coordinates of C^g."""
-    import numpy as np
-    A = lattice.real_matrix()
-    Ainv = np.linalg.inv(A)
-    g = lattice.g
-
-    def ell(q, v):
-        """the real form l_q evaluated at a complex g-vector v"""
-        rhs = np.array([z.real for z in v] + [z.imag for z in v], dtype=float)
-        return float(np.dot(q, Ainv @ rhs))
-
+    coordinates of C^g.  With w = q A^-1 (inverse: the columns of A^-1),
+    l_q(e_k) = w_k and l_q(i e_k) = w_{g+k}, so u_q(e_k) = w_k - i w_{g+k}."""
     rows = []
     for rel in relations:
-        q = np.array(rel.q, dtype=float)
-        row = []
-        for k in range(g):
-            e = [0j] * g
-            e[k] = 1.0 + 0j
-            ie = [0j] * g
-            ie[k] = 1j
-            row.append(ell(q, e) - 1j * ell(q, ie))
-        rows.append(row)
-    return np.array(rows, dtype=complex) if rows else np.zeros((0, g), dtype=complex)
+        w = [sum(q * t for q, t in zip(rel.q, col)) for col in inverse]
+        rows.append([complex(w[k], -w[g + k]) for k in range(g)])
+    return rows
+
+
+def _singular_values(rows):
+    """Singular values of a complex matrix, largest first, by one-sided
+    Jacobi (Hestenes): plane rotations orthogonalize the columns of the
+    matrix or of its transpose, whichever has fewer, and the column norms
+    are then the singular values.  The entries are scaled by a power of two
+    first, so that no sum of squares overflows or underflows."""
+    cols = [list(r) for r in rows] if len(rows) < len(rows[0]) else \
+        [list(c) for c in zip(*rows)]
+    big = max(abs(t) for c in cols for z in c for t in (z.real, z.imag))
+    if not big < math.inf:
+        raise NumericIndeterminacyError("a complex form is beyond the float range")
+    e = math.frexp(big)[1]
+    cols = [[complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in c]
+            for c in cols]
+    eps = len(cols[0]) * 2.0 ** -52
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p, q in itertools.combinations(range(len(cols)), 2):
+            cp, cq = cols[p], cols[q]
+            a = sum(z.real * z.real + z.imag * z.imag for z in cp)
+            b = sum(z.real * z.real + z.imag * z.imag for z in cq)
+            c = sum(x.conjugate() * y for x, y in zip(cp, cq))
+            if abs(c) <= eps * math.sqrt(a * b):
+                continue
+            rotated = True
+            # rotate (cp, cq * conj(phase)) by the real angle that zeroes
+            # their inner product |c|
+            zeta = (b - a) / (2 * abs(c))
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            cs = 1 / math.hypot(1.0, t)
+            sn = cs * t
+            phase = (c / abs(c)).conjugate()
+            cols[p] = [cs * x - sn * phase * y for x, y in zip(cp, cq)]
+            cols[q] = [sn * x + cs * phase * y for x, y in zip(cp, cq)]
+        if not rotated:
+            try:
+                return sorted((math.ldexp(math.hypot(*_real(c)), e) for c in cols),
+                              reverse=True)
+            except OverflowError:
+                raise NumericIndeterminacyError(
+                    "a singular value is beyond the float range") from None
+    raise NumericIndeterminacyError(
+        f"singular values did not converge in {JACOBI_MAX_SWEEPS} Jacobi sweeps")
 
 
 def _rank_with_band(sv, tol):
@@ -225,18 +280,14 @@ def _rank_with_band(sv, tol):
 
 def orbit_dims(lattice, alpha, height_bound=50, tol=1e-10):
     """Compute the orbit-closure report (h, s, r) for translation by alpha."""
-    import numpy as np
-    coords = real_dual_coords(lattice, alpha, tol)
+    coords, inverse = real_dual_coords(lattice, alpha, with_inverse=True)
     relations = relation_lattice(coords, height_bound, tol)
     g = lattice.g
     h = 2 * g - len(relations)
-    C = _complex_forms(lattice, relations)
-    if C.shape[0] == 0:
-        s = g
-    else:
-        sv = np.linalg.svd(C, compute_uv=False)
-        rank = _rank_with_band(sv, tol)
-        s = g - rank
+    s = g
+    if relations:
+        C = _complex_forms(inverse, relations, g)
+        s -= _rank_with_band(_singular_values(C), tol)
     r = h - 2 * s
     if r < 0:
         raise NumericIndeterminacyError(
@@ -244,194 +295,3 @@ def orbit_dims(lattice, alpha, height_bound=50, tol=1e-10):
     return OrbitReport(h=h, s=s, r=r, relations=tuple(relations),
                        dense=(h == 2 * g), totally_real=(s == 0),
                        height_bound=height_bound, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# polarized splitting A x B
-# ---------------------------------------------------------------------------
-
-def _complex_subspace_basis(C, g, tol):
-    """Orthonormal basis (rows) of the null space of the complex form matrix."""
-    import numpy as np
-    if C.shape[0] == 0:
-        return np.eye(g, dtype=complex)
-    u, sv, vh = np.linalg.svd(C)
-    rank = _rank_with_band(sv, tol)
-    return vh[rank:].conj()
-
-
-def _hermitian_form(lattice):
-    """The polarization's hermitian form H(v, w) = E(iv, w) + i E(v, w) as a
-    g x g matrix in standard coordinates (linear in the first argument)."""
-    import numpy as np
-    E = np.array(lattice.polarization.to_rows(), dtype=float)
-    A = lattice.real_matrix()
-    Ainv = np.linalg.inv(A)
-    g = lattice.g
-
-    def E_real(v, w):
-        xv = Ainv @ np.array([z.real for z in v] + [z.imag for z in v])
-        xw = Ainv @ np.array([z.real for z in w] + [z.imag for z in w])
-        return float(xv @ E @ xw)
-
-    H = np.zeros((g, g), dtype=complex)
-    basis = np.eye(g, dtype=complex)
-    for a in range(g):
-        for b in range(g):
-            v, w = basis[a], basis[b]
-            H[a, b] = E_real(1j * v, w) + 1j * E_real(v, w)
-    return H
-
-
-def _sublattice_in_subspace(lattice, proj_perp, tol):
-    """Integer combinations of the lattice basis lying in a complex subspace
-    (those annihilated by the projection onto its orthocomplement), found by
-    LLL with 1/tol scaling.  Returns the integer coefficient vectors."""
-    import numpy as np
-    g2 = 2 * lattice.g
-    scale = round(1.0 / tol)
-    tails = []
-    for v in lattice.basis:
-        w = proj_perp @ np.array(v, dtype=complex)
-        tails.append([w.real, w.imag])
-    dim_t = 2 * proj_perp.shape[0]
-    rows = []
-    for i in range(g2):
-        row = [0] * g2
-        row[i] = 1
-        flat = np.concatenate(tails[i])
-        row += [_round_scaled(scale, t) for t in flat]
-        rows.append(row)
-    reduced = lll_reduce(rows)
-    coeffs = []
-    for row in reduced:
-        q = row[:g2]
-        tail = row[g2:]
-        if all(x == 0 for x in q):
-            continue
-        # exact residual check in float
-        vec = sum(np.array(lattice.basis[i], dtype=complex) * q[i] for i in range(g2))
-        resid = float(np.linalg.norm(proj_perp @ vec))
-        if resid < 100 * tol * max(1.0, float(np.linalg.norm(vec))):
-            coeffs.append(q)
-    return [coeffs[i] for i in _independent(coeffs)]
-
-
-def split_A_B(lattice, alpha, height_bound=50, tol=1e-10):
-    """Split the ambient polarized torus along the orbit closure of alpha:
-    A = maximal complex subspace of the closure's tangent space, B = its
-    polarization-orthogonal complement; alpha = a + b along the splitting.
-    Returns (A_basis, B_basis, a, b) with the bases as orthonormal complex
-    row matrices, and asserts that translation by a is dense on the induced
-    subtorus of A and translation by b has totally real closure in B."""
-    import numpy as np
-    if lattice.polarization is None:
-        raise ContractError("split_A_B needs a polarization")
-    g = lattice.g
-    coords = real_dual_coords(lattice, alpha, tol)
-    relations = relation_lattice(coords, height_bound, tol)
-    C = _complex_forms(lattice, relations)
-    A_basis = _complex_subspace_basis(C, g, tol)  # s rows
-    s = A_basis.shape[0]
-    H = _hermitian_form(lattice)
-    # B = H-orthogonal complement of A: w with H(a_i, w) = 0 for all i
-    if s == 0:
-        B_basis = np.eye(g, dtype=complex)
-    elif s == g:
-        B_basis = np.zeros((0, g), dtype=complex)
-    else:
-        # H(a_i, w) = a_i^T H w-bar?  With H linear in the first argument and
-        # antilinear in the second: H(a, w) = sum a_j H[j,k] conj(w_k).
-        Mcond = A_basis @ H  # rows: k -> coefficient of conj(w_k)
-        _, sv, vh = np.linalg.svd(Mcond)
-        rank = _rank_with_band(sv, tol)
-        B_basis = vh[rank:]  # null space of conj(w) -> conjugate back
-        B_basis = B_basis.conj()
-    # split alpha
-    stack = np.vstack([A_basis, B_basis]).T  # g x g complex
-    coeffs = np.linalg.solve(stack, np.array(alpha, dtype=complex))
-    a_vec = (A_basis.T @ coeffs[:s]) if s else np.zeros(g, dtype=complex)
-    b_vec = np.array(alpha, dtype=complex) - a_vec
-    # assert the structure on the induced subtori
-    if s > 0:
-        subA = _induced_sublattice(lattice, A_basis, tol)
-        repA = orbit_dims(subA, tuple((A_basis.conj() @ a_vec).tolist()),
-                          height_bound, tol)
-        if not repA.dense:
-            raise NumericIndeterminacyError("A-component is not dense on its subtorus")
-    if s < g:
-        subB = _induced_sublattice(lattice, B_basis, tol)
-        repB = orbit_dims(subB, tuple((B_basis.conj() @ b_vec).tolist()),
-                          height_bound, tol)
-        if not repB.totally_real:
-            raise NumericIndeterminacyError("B-component closure is not totally real")
-    return A_basis, B_basis, tuple(a_vec.tolist()), tuple(b_vec.tolist())
-
-
-def _induced_sublattice(lattice, sub_basis, tol):
-    """NumericLattice induced on a complex subspace (orthonormal row basis):
-    lattice points inside the subspace, in subspace coordinates."""
-    import numpy as np
-    s = sub_basis.shape[0]
-    g = lattice.g
-    # orthocomplement projector
-    P = np.eye(g, dtype=complex) - sub_basis.T @ sub_basis.conj()
-    # reduce the projector to its row space for the tail coordinates
-    u, sv, vh = np.linalg.svd(P)
-    rank = int(sum(sv > 0.5))  # projector: singular values are 0/1
-    proj = vh[:rank].conj() if rank else np.zeros((0, g), dtype=complex)
-    coeffs = _sublattice_in_subspace(lattice, proj, tol)
-    if len(coeffs) != 2 * s:
-        raise NumericIndeterminacyError(
-            f"sublattice rank {len(coeffs)} != 2s = {2 * s}: raise the height bound")
-    new_basis = []
-    for q in coeffs:
-        vec = sum(np.array(lattice.basis[i], dtype=complex) * q[i]
-                  for i in range(2 * g))
-        new_basis.append(tuple((sub_basis.conj() @ vec).tolist()))
-    # restrict the polarization exactly (integer congruence)
-    pol = None
-    if lattice.polarization is not None:
-        Q = IntMatrix.from_rows(coeffs)
-        pol = Q @ lattice.polarization @ Q.transpose()
-    return NumericLattice(g=s, basis=tuple(new_basis), polarization=pol)
-
-
-# ---------------------------------------------------------------------------
-# finite-order approximation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Approximant:
-    denominator: int
-    beta: tuple      # Fractions
-    distance: float  # sup-norm distance to alpha
-    extends: bool    # B . beta integral (the section-extension condition)
-
-    def to_json_dict(self):
-        return {"denominator": self.denominator,
-                "beta": [str(x) for x in self.beta],
-                "distance": self.distance, "extends": self.extends}
-
-
-def finite_order_approximations(alpha_pi_coords, denominators, B, tol=1e-9):
-    """Rational approximants of a translation vector expressed in the basis
-    of the lattice of its invariant subtorus: for each denominator q,
-    beta = round(q * alpha)/q, tagged with the extension condition
-    B . beta in Z^g (checked exactly on the rationals when shapes allow)."""
-    coords = [float(x) for x in alpha_pi_coords]
-    out = []
-    for q in denominators:
-        if q < 1:
-            raise ContractError("denominators must be >= 1")
-        beta = tuple(Fraction(round(q * x), q) for x in coords)
-        distance = max(abs(float(bx) - x) for bx, x in zip(beta, coords)) \
-            if coords else 0.0
-        extends = False
-        if B is not None and B.cols == len(beta):
-            image = [sum(B[i, j] * beta[j] for j in range(B.cols))
-                     for i in range(B.rows)]
-            extends = all(x.denominator == 1 for x in image)
-        out.append(Approximant(denominator=int(q), beta=beta,
-                               distance=float(distance), extends=extends))
-    return out

@@ -26,7 +26,9 @@ Delaunay cells are written down exactly, with no search.  For r' <= 3
 every lattice has an obtuse superbase v_0..v_r' (sum v_i = 0, every
 v_i.Q.v_j <= 0 for i != j), found by Selling reduction in integers
 (Selling 1874; Conway & Sloane, "Low-dimensional lattices VI: Voronoi
-reduction of three-dimensional lattices", Proc. R. Soc. A 436, 1992).  If
+reduction of three-dimensional lattices", Proc. R. Soc. A 436, 1992).  The
+number of steps grows with the skew of the metric, so a metric that needs
+more than MAX_SELLING_STEPS is refused (ContractError).  If
 no Selling parameter -v_i.Q.v_j vanishes, the Delaunay cells are the
 Z^{r'}-translates of the simplices {0, v_s1, v_s1 + v_s2, ...} over the
 orders s of v_1..v_r': r'! det B' cells (det B' <= MAX_DET_BPRIME) of
@@ -53,6 +55,9 @@ from .exactalg import (IntMatrix, _bareiss, is_positive_definite,
 
 MAX_METRIC_RETRIES = 16
 MAX_DET_BPRIME = 1000  # the cells of a fan number r'! det B'
+# Selling steps of one reduction: the fan corpus and the tests take at most 7,
+# and 1000 take about 16 ms.
+MAX_SELLING_STEPS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +309,7 @@ def _obtuse_superbase(Q):
     scaled by the lcm D > 0 of its denominators, which keeps every sign.  Q
     must be positive definite: each step lowers sum v_i.DQ.v_i, so it ends.
     Raises _DegenerateMetric if a Selling parameter -v_i.Q.v_j vanishes (a
-    cospherical configuration)."""
+    cospherical configuration), and ContractError past MAX_SELLING_STEPS."""
     rp = len(Q)
     D = math.lcm(*(x.denominator for row in Q for x in row))
     DQ = [[x.numerator * (D // x.denominator) for x in row] for row in Q]
@@ -312,7 +317,7 @@ def _obtuse_superbase(Q):
     # the other r' - 1 vectors absorb 2 v_i, so sum v = 0 is kept
     step = 2 if rp == 2 else 1
     pairs = list(itertools.combinations(range(rp + 1), 2))
-    while True:
+    for _ in range(MAX_SELLING_STEPS + 1):
         Qv = [[sum(q * x for q, x in zip(row, v)) for row in DQ] for v in vs]
         p = {(i, j): sum(x * y for x, y in zip(Qv[i], vs[j])) for i, j in pairs}
         i, j = next((ij for ij in pairs if p[ij] > 0), (None, None))
@@ -323,6 +328,7 @@ def _obtuse_superbase(Q):
         vi = vs[i]
         vs = [tuple(-x for x in vi) if k == i else v if k == j
               else tuple(x + step * y for x, y in zip(v, vi)) for k, v in enumerate(vs)]
+    raise ContractError(f"the metric needs more than {MAX_SELLING_STEPS} Selling steps")
 
 
 def _coset_representatives(gamma):
@@ -415,7 +421,8 @@ def _delaunay_violations(fan, canon):
     """Why the fan is not the Delaunay fan of its metric (empty if it is):
     a symmetric positive definite metric with no zero Selling parameter,
     generators (0_{g'}, b, 1), and maximal cones that are the Delaunay cells
-    up to Gamma (canon: _canonical_gens).  ContractError: det B' too large."""
+    up to Gamma (canon: _canonical_gens).  ContractError: det B' too large, or
+    too many Selling steps."""
     gamma, Q = fan.gamma, fan.metric
     rp = gamma.r_prime
     if rp > 3:  # obtuse superbases need not exist, and the steps differ
@@ -446,7 +453,8 @@ def validate_fan(fan):
     to Gamma, the ray form (0_{g'}, b, 1), the covering proxy (the height-1
     cells of the maximal cones tile one fundamental cell of Pi exactly), and
     that the maximal cones are the Delaunay cells of the fan's metric (or
-    det B' > MAX_DET_BPRIME).  Non-regular simplicial cones are flagged."""
+    det B' > MAX_DET_BPRIME, or the metric needs more than
+    MAX_SELLING_STEPS).  Non-regular simplicial cones are flagged."""
     gamma = fan.gamma
     gp, rp = gamma.g_prime, gamma.r_prime
     violations = []
@@ -511,7 +519,7 @@ def validate_fan(fan):
                 "Gamma-invariance/covering violated")
     try:
         violations += _delaunay_violations(fan, canon)
-    except ContractError as exc:  # det B' above MAX_DET_BPRIME
+    except ContractError as exc:  # det B' or the Selling steps above their limit
         violations.append(str(exc))
     return FanReport(tuple(violations), tuple(non_regular))
 

@@ -10,10 +10,9 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from abdyn.errors import ContractError
 from abdyn.exactalg import IntMatrix
-from abdyn.orbit import (NumericLattice, finite_order_approximations,
-                         lll_reduce, orbit_dims, real_dual_coords,
-                         relation_lattice, split_A_B)
-from util import reference_lll
+from abdyn.orbit import (NumericLattice, lll_reduce, orbit_dims, real_dual_coords,
+                         relation_lattice)
+from util import finite_order_approximations, reference_lll, split_A_B
 
 SQRT2, SQRT3, SQRT5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 

@@ -1,6 +1,7 @@
 """Wire-format round trips, the packaged schemas, and CLI behavior (exit
 codes, reproducibility metadata, output documents against their schemas)."""
 
+import ast
 import contextlib
 import copy
 import functools
@@ -474,9 +475,10 @@ def test_cli_fan_extends_refuses_uncertified_fan(edit, violation, tmp_path, caps
     assert any(v.startswith(violation) for v in json.loads(out)["result"]["violations"])
 
 
-# Runs in a fresh interpreter: the exact commands, then a check of which
-# numeric packages they loaded, then two commands that need numpy, then a
-# check that no command loaded jsonschema or the packages it depends on.
+# Runs in a fresh interpreter: the commands that do without numpy, then a
+# check of which numeric packages they loaded, then analyze, which needs
+# numpy, then a check that no command loaded jsonschema or the packages it
+# depends on.
 COLD_START = """\
 import contextlib, io, json, sys
 import abdyn.cli
@@ -488,28 +490,28 @@ def run(*argv):
         return abdyn.cli.main(list(argv))
 
 
-exact = [run("fan", "build", "--B", "[[2,1],[1,3]]", "--out", d + "/fan.json"),
-         run("fan", "validate", d + "/fan.json"),
-         run("fan", "extends", "--nphi", "[1,2]", d + "/fan.json"),
-         run("split", "--in", d + "/split.json"),
-         run("decide", "--in", d + "/decide.json"),
-         run("catalog", "list", "--g", "4"),
-         run("catalog", "build", "--case", "2.2", "--r", "1")]
+without_numpy = [run("fan", "build", "--B", "[[2,1],[1,3]]", "--out", d + "/fan.json"),
+                 run("fan", "validate", d + "/fan.json"),
+                 run("fan", "extends", "--nphi", "[1,2]", d + "/fan.json"),
+                 run("split", "--in", d + "/split.json"),
+                 run("decide", "--in", d + "/decide.json"),
+                 run("catalog", "list", "--g", "4"),
+                 run("catalog", "build", "--case", "2.2", "--r", "1"),
+                 run("orbit", "analyze", "--lattice", '{"g":1,"basis":[[[1,0]],[[0,1]]]}',
+                     "--alpha", "[[0.5,0.25]]")]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-numeric = [run("analyze", "--in", d + "/analyze.json"),
-           run("orbit", "analyze", "--lattice", '{"g":1,"basis":[[[1,0]],[[0,1]]]}',
-               "--alpha", "[[0.5,0.25]]")]
+numeric = [run("analyze", "--in", d + "/analyze.json")]
 schema_libs = sorted(m for m in sys.modules if m.split(".")[0]
                      in ("jsonschema", "referencing", "rpds", "attrs", "attr"))
-print(json.dumps({"exact": exact, "loaded": loaded, "numeric": numeric,
+print(json.dumps({"without_numpy": without_numpy, "loaded": loaded, "numeric": numeric,
                   "schema_libs": schema_libs}))
 """
 
 
 def test_import_cli_leaves_scipy_out(tmp_path):
     """A cold process that imports abdyn.cli and builds, validates and
-    extends a fan, splits, decides and reads the catalog never loads numpy
-    or scipy; analyze and orbit analyze, which need numpy, still run after
+    extends a fan, splits, decides, reads the catalog and analyzes an orbit
+    never loads numpy or scipy; analyze, which needs numpy, still runs after
     them in the same process.  No command loads jsonschema (nor referencing,
     rpds or attrs): the schemas are checked by serialize's own compiled
     checks."""
@@ -524,8 +526,34 @@ def test_import_cli_leaves_scipy_out(tmp_path):
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"exact": [0] * 7, "loaded": [], "numeric": [0, 0],
-                                       "schema_libs": []}
+    assert json.loads(proc.stdout) == {"without_numpy": [0] * 8, "loaded": [],
+                                       "numeric": [0], "schema_libs": []}
+
+
+def _numpy_imports(node, where):
+    """The scopes (module.function) under node that import numpy."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "numpy" for m in modules):
+            yield where
+        inner = f"{where}.{child.name}" if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where
+        yield from _numpy_imports(child, inner)
+
+
+def test_numpy_imported_only_by_eigenvalue_moduli():
+    """Read with ast: the one numpy import under src/abdyn is the one in
+    exactalg.eigenvalue_moduli, so no module or function starts loading
+    numpy unnoticed."""
+    found = []
+    for path in sorted((REPO / "src" / "abdyn").rglob("*.py")):
+        found += _numpy_imports(ast.parse(path.read_text()), path.stem)
+    assert found == ["exactalg.eigenvalue_moduli"]
 
 
 @pytest.mark.parametrize("argv, stdin_text", [
@@ -817,6 +845,34 @@ def test_cli_fan_det_bprime_limit(command, Bprime, tmp_path, capsys, monkeypatch
         assert out == "" and err == f"contract error: {limit}\n"
 
 
+@pytest.mark.parametrize("command", ["build", "validate", "extends"])
+def test_cli_fan_selling_step_limit(command, tmp_path, capsys, monkeypatch):
+    """The metric [[1, N], [N, N^2 + 2]] at N = 10^6 needs far more Selling
+    steps than toroidal.MAX_SELLING_STEPS: build and extends exit 3 with one
+    contract error line naming the limit, validate reports it as a violation
+    and exits 3, and each ends in well under a second."""
+    n = 10 ** 6
+    metric = [[1, n], [n, n * n + 2]]
+    if command == "build":
+        argv = ["fan", "build", "--B", "[[2,1],[1,2]]", "--metric", json.dumps(metric)]
+    else:
+        fan_file, fan = _built_fan("[[2,1],[1,2]]", tmp_path, capsys, monkeypatch)
+        fan["metric"] = [[str(x) for x in row] for row in metric]
+        fan_file.write_text(json.dumps(fan))
+        argv = ["fan", command, str(fan_file)]
+        if command == "extends":
+            argv[2:2] = ["--nphi", "[1,1]"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, None, capsys, monkeypatch)
+    assert time.perf_counter() - start < 0.5
+    limit = "the metric needs more than 1000 Selling steps"
+    assert code == 3
+    if command == "validate":
+        assert json.loads(out)["result"]["violations"] == [limit] and err == ""
+    else:
+        assert out == "" and err == f"contract error: {limit}\n"
+
+
 @pytest.mark.parametrize("command, ints, floats", [
     ("decide", '{"g": 2, "charpoly": [1, -3, 1, -3, 1], "r": 0}',
      '{"g": 2.0, "charpoly": [1, -3, 1, -3, 1], "r": 0}'),
@@ -879,3 +935,67 @@ def test_cli_orbit_alpha_length_exit_2(alpha, n, capsys, monkeypatch):
                               "--alpha", alpha], None, capsys, monkeypatch)
     assert code == 2 and out == ""
     assert err == f"schema error: alpha must have g = 1 entries, got {n}\n"
+
+
+# Entries at and beyond the edges of the float range, for the orbit contract
+ORBIT_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e300, -1e300,
+                  1.7976931348623157e308, 1.0, -1.0, 0.5, 1.4142135623730951, 1e-9)
+
+
+@st.composite
+def orbit_argv(draw):
+    """An `orbit analyze` argv: the standard or a skew lattice at g = 1 or 2
+    and an alpha, then up to three mutations (an entry of the basis or of
+    alpha replaced, a basis vector copied over another, g or the length of
+    alpha changed), with a drawn --tol and --height."""
+    g = draw(st.integers(1, 2))
+    basis = [[[float(i == j), 0.0] for i in range(g)] for j in range(g)]
+    if draw(st.booleans()):
+        basis += [[[0.0, float(i == j)] for i in range(g)] for j in range(g)]
+    else:
+        entry = st.floats(-0.5, 0.5)
+        basis += [[[draw(entry), float(i == j) + draw(entry) / 4] for i in range(g)]
+                  for j in range(g)]
+    alpha = [[draw(st.floats(-2, 2)), draw(st.floats(-2, 2))] for _ in range(g)]
+    number = st.one_of(st.sampled_from(ORBIT_EXTREMES),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    doc_g = g
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(["basis", "alpha", "copy", "g", "length"]))
+        if mutation == "basis":
+            draw(st.sampled_from(draw(st.sampled_from(basis))))[draw(st.integers(0, 1))] \
+                = draw(number)
+        elif mutation == "alpha" and alpha:
+            draw(st.sampled_from(alpha))[draw(st.integers(0, 1))] = draw(number)
+        elif mutation == "copy":
+            src, dst = draw(st.integers(0, 2 * g - 1)), draw(st.integers(0, 2 * g - 1))
+            basis[dst] = copy.deepcopy(basis[src])
+        elif mutation == "g":
+            doc_g = draw(st.integers(0, 3))
+        elif alpha and draw(st.booleans()):
+            alpha.pop()
+        else:
+            alpha.append([draw(number), draw(number)])
+    tol = draw(st.sampled_from(["1e-10", "1e-16", "0.1", "1e300", "1e-300", "1e-310",
+                                "5e-324", "0", "-1", "nan", "inf"]))
+    height = draw(st.sampled_from(["50", "1", "0", "-3", "1000000", str(10 ** 30)]))
+    return ["orbit", "analyze", "--lattice", json.dumps({"g": doc_g, "basis": basis}),
+            "--alpha", json.dumps(alpha), "--tol", tol, "--height", height]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(orbit_argv())
+def test_cli_orbit_analyze_contract(argv):
+    """Whatever the lattice, alpha, tol and height: exit 0, 2, 3 or 4, never
+    a traceback; a refusal prints exactly one stderr line and no stdout, and
+    a report validates against orbit_report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+        serialize.validate_schema(json.loads(out.getvalue())["result"], "orbit_report")

@@ -1,20 +1,27 @@
 """Shared test helpers: random unimodular matrices, exact inverses, a
 reference LLL, brute-force Delaunay cells, the reference root-of-unity test,
 unipotent index and quasi-unipotent order, the numeric degree-growth
-oracle (exterior-power norm sequences and their growth fit), and the
-reference fan certification (one Cone per face, Selling in Fractions)."""
+oracle (exterior-power norm sequences and their growth fit), the
+reference fan certification (one Cone per face, Selling in Fractions), the
+reference orbit analysis (numpy solve, inverse and SVD:
+reference_orbit_dims), and the numeric code that no command reaches: the
+polarized splitting split_A_B, the finite-order approximants and the Type I
+lattice construction type_I_lattice."""
 
 import functools
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from abdyn.errors import ContractError, DimensionError
+from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
                             cyclotomic_split_with_orders, is_positive_definite, minor_gcd)
+from abdyn.orbit import (NumericLattice, OrbitReport, _independent, _rank_with_band,
+                         _round_scaled, lll_reduce, orbit_dims, relation_lattice)
 from abdyn.toroidal import (Cone, FanReport, _coset_representatives, _DegenerateMetric,
                             _reduce_mod_period, _translate_cone)
 
@@ -662,3 +669,364 @@ def reference_section_extends(n_phi, fan):
     if violations:
         raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])
+
+
+# ---------------------------------------------------------------------------
+# orbit closures: the numpy reference, the polarized splitting and the
+# finite-order approximants; catalog: the Type I lattice
+# ---------------------------------------------------------------------------
+
+def real_matrix(lattice):
+    """2g x 2g real matrix whose columns are the basis vectors in the
+    coordinates (Re z_1..Re z_g, Im z_1..Im z_g)."""
+    cols = []
+    for v in lattice.basis:
+        cols.append([z.real for z in v] + [z.imag for z in v])
+    return np.array(cols, dtype=float).T
+
+
+def reference_real_dual_coords(lattice, v, tol=1e-10):
+    """Coordinates x with v = sum x_j e_j as a real combination of the
+    lattice basis; residual-checked."""
+    A = real_matrix(lattice)
+    if np.linalg.cond(A) > 1e12:
+        raise NumericIndeterminacyError("lattice basis is ill-conditioned")
+    v = tuple(complex(z) for z in v)
+    rhs = np.array([z.real for z in v] + [z.imag for z in v], dtype=float)
+    x = np.linalg.solve(A, rhs)
+    # hypot scales internally, where a sum of squares would overflow
+    resid = math.hypot(*(A @ x - rhs))
+    scale = max(1.0, math.hypot(*rhs))
+    if resid > 1e-10 * scale:
+        raise NumericIndeterminacyError(f"reconstruction residual {resid} too large")
+    return tuple(float(t) for t in x)
+
+
+def reference_complex_forms(lattice, relations):
+    """Rows of the matrix of the complex-linear forms u_q in the standard
+    coordinates of C^g."""
+    A = real_matrix(lattice)
+    Ainv = np.linalg.inv(A)
+    g = lattice.g
+
+    def ell(q, v):
+        """the real form l_q evaluated at a complex g-vector v"""
+        rhs = np.array([z.real for z in v] + [z.imag for z in v], dtype=float)
+        return float(np.dot(q, Ainv @ rhs))
+
+    rows = []
+    for rel in relations:
+        q = np.array(rel.q, dtype=float)
+        row = []
+        for k in range(g):
+            e = [0j] * g
+            e[k] = 1.0 + 0j
+            ie = [0j] * g
+            ie[k] = 1j
+            row.append(ell(q, e) - 1j * ell(q, ie))
+        rows.append(row)
+    return np.array(rows, dtype=complex) if rows else np.zeros((0, g), dtype=complex)
+
+
+def reference_orbit_dims(lattice, alpha, height_bound=50, tol=1e-10):
+    """Compute the orbit-closure report (h, s, r) for translation by alpha."""
+    coords = reference_real_dual_coords(lattice, alpha, tol)
+    relations = relation_lattice(coords, height_bound, tol)
+    g = lattice.g
+    h = 2 * g - len(relations)
+    C = reference_complex_forms(lattice, relations)
+    if C.shape[0] == 0:
+        s = g
+    else:
+        sv = np.linalg.svd(C, compute_uv=False)
+        rank = _rank_with_band(sv, tol)
+        s = g - rank
+    r = h - 2 * s
+    if r < 0:
+        raise NumericIndeterminacyError(
+            "inconsistent (h, s): relation search and rank decision disagree")
+    return OrbitReport(h=h, s=s, r=r, relations=tuple(relations),
+                       dense=(h == 2 * g), totally_real=(s == 0),
+                       height_bound=height_bound, tol=tol)
+
+
+def _complex_subspace_basis(C, g, tol):
+    """Orthonormal basis (rows) of the null space of the complex form matrix."""
+    if C.shape[0] == 0:
+        return np.eye(g, dtype=complex)
+    u, sv, vh = np.linalg.svd(C)
+    rank = _rank_with_band(sv, tol)
+    return vh[rank:].conj()
+
+
+def _hermitian_form(lattice):
+    """The polarization's hermitian form H(v, w) = E(iv, w) + i E(v, w) as a
+    g x g matrix in standard coordinates (linear in the first argument)."""
+    E = np.array(lattice.polarization.to_rows(), dtype=float)
+    A = real_matrix(lattice)
+    Ainv = np.linalg.inv(A)
+    g = lattice.g
+
+    def E_real(v, w):
+        xv = Ainv @ np.array([z.real for z in v] + [z.imag for z in v])
+        xw = Ainv @ np.array([z.real for z in w] + [z.imag for z in w])
+        return float(xv @ E @ xw)
+
+    H = np.zeros((g, g), dtype=complex)
+    basis = np.eye(g, dtype=complex)
+    for a in range(g):
+        for b in range(g):
+            v, w = basis[a], basis[b]
+            H[a, b] = E_real(1j * v, w) + 1j * E_real(v, w)
+    return H
+
+
+def _sublattice_in_subspace(lattice, proj_perp, tol):
+    """Integer combinations of the lattice basis lying in a complex subspace
+    (those annihilated by the projection onto its orthocomplement), found by
+    LLL with 1/tol scaling.  Returns the integer coefficient vectors."""
+    g2 = 2 * lattice.g
+    scale = round(1.0 / tol)
+    tails = []
+    for v in lattice.basis:
+        w = proj_perp @ np.array(v, dtype=complex)
+        tails.append([w.real, w.imag])
+    dim_t = 2 * proj_perp.shape[0]
+    rows = []
+    for i in range(g2):
+        row = [0] * g2
+        row[i] = 1
+        flat = np.concatenate(tails[i])
+        row += [_round_scaled(scale, t) for t in flat]
+        rows.append(row)
+    reduced = lll_reduce(rows)
+    coeffs = []
+    for row in reduced:
+        q = row[:g2]
+        tail = row[g2:]
+        if all(x == 0 for x in q):
+            continue
+        # exact residual check in float
+        vec = sum(np.array(lattice.basis[i], dtype=complex) * q[i] for i in range(g2))
+        resid = float(np.linalg.norm(proj_perp @ vec))
+        if resid < 100 * tol * max(1.0, float(np.linalg.norm(vec))):
+            coeffs.append(q)
+    return [coeffs[i] for i in _independent(coeffs)]
+
+
+def split_A_B(lattice, alpha, height_bound=50, tol=1e-10):
+    """Split the ambient polarized torus along the orbit closure of alpha:
+    A = maximal complex subspace of the closure's tangent space, B = its
+    polarization-orthogonal complement; alpha = a + b along the splitting.
+    Returns (A_basis, B_basis, a, b) with the bases as orthonormal complex
+    row matrices, and asserts that translation by a is dense on the induced
+    subtorus of A and translation by b has totally real closure in B."""
+    if lattice.polarization is None:
+        raise ContractError("split_A_B needs a polarization")
+    g = lattice.g
+    coords = reference_real_dual_coords(lattice, alpha, tol)
+    relations = relation_lattice(coords, height_bound, tol)
+    C = reference_complex_forms(lattice, relations)
+    A_basis = _complex_subspace_basis(C, g, tol)  # s rows
+    s = A_basis.shape[0]
+    H = _hermitian_form(lattice)
+    # B = H-orthogonal complement of A: w with H(a_i, w) = 0 for all i
+    if s == 0:
+        B_basis = np.eye(g, dtype=complex)
+    elif s == g:
+        B_basis = np.zeros((0, g), dtype=complex)
+    else:
+        # H(a_i, w) = a_i^T H w-bar?  With H linear in the first argument and
+        # antilinear in the second: H(a, w) = sum a_j H[j,k] conj(w_k).
+        Mcond = A_basis @ H  # rows: k -> coefficient of conj(w_k)
+        _, sv, vh = np.linalg.svd(Mcond)
+        rank = _rank_with_band(sv, tol)
+        B_basis = vh[rank:]  # null space of conj(w) -> conjugate back
+        B_basis = B_basis.conj()
+    # split alpha
+    stack = np.vstack([A_basis, B_basis]).T  # g x g complex
+    coeffs = np.linalg.solve(stack, np.array(alpha, dtype=complex))
+    a_vec = (A_basis.T @ coeffs[:s]) if s else np.zeros(g, dtype=complex)
+    b_vec = np.array(alpha, dtype=complex) - a_vec
+    # assert the structure on the induced subtori
+    if s > 0:
+        subA = _induced_sublattice(lattice, A_basis, tol)
+        repA = orbit_dims(subA, tuple((A_basis.conj() @ a_vec).tolist()),
+                          height_bound, tol)
+        if not repA.dense:
+            raise NumericIndeterminacyError("A-component is not dense on its subtorus")
+    if s < g:
+        subB = _induced_sublattice(lattice, B_basis, tol)
+        repB = orbit_dims(subB, tuple((B_basis.conj() @ b_vec).tolist()),
+                          height_bound, tol)
+        if not repB.totally_real:
+            raise NumericIndeterminacyError("B-component closure is not totally real")
+    return A_basis, B_basis, tuple(a_vec.tolist()), tuple(b_vec.tolist())
+
+
+def _induced_sublattice(lattice, sub_basis, tol):
+    """NumericLattice induced on a complex subspace (orthonormal row basis):
+    lattice points inside the subspace, in subspace coordinates."""
+    s = sub_basis.shape[0]
+    g = lattice.g
+    # orthocomplement projector
+    P = np.eye(g, dtype=complex) - sub_basis.T @ sub_basis.conj()
+    # reduce the projector to its row space for the tail coordinates
+    u, sv, vh = np.linalg.svd(P)
+    rank = int(sum(sv > 0.5))  # projector: singular values are 0/1
+    proj = vh[:rank].conj() if rank else np.zeros((0, g), dtype=complex)
+    coeffs = _sublattice_in_subspace(lattice, proj, tol)
+    if len(coeffs) != 2 * s:
+        raise NumericIndeterminacyError(
+            f"sublattice rank {len(coeffs)} != 2s = {2 * s}: raise the height bound")
+    new_basis = []
+    for q in coeffs:
+        vec = sum(np.array(lattice.basis[i], dtype=complex) * q[i]
+                  for i in range(2 * g))
+        new_basis.append(tuple((sub_basis.conj() @ vec).tolist()))
+    # restrict the polarization exactly (integer congruence)
+    pol = None
+    if lattice.polarization is not None:
+        Q = IntMatrix.from_rows(coeffs)
+        pol = Q @ lattice.polarization @ Q.transpose()
+    return NumericLattice(g=s, basis=tuple(new_basis), polarization=pol)
+
+
+@dataclass(frozen=True)
+class Approximant:
+    denominator: int
+    beta: tuple      # Fractions
+    distance: float  # sup-norm distance to alpha
+    extends: bool    # B . beta integral (the section-extension condition)
+
+    def to_json_dict(self):
+        return {"denominator": self.denominator,
+                "beta": [str(x) for x in self.beta],
+                "distance": self.distance, "extends": self.extends}
+
+
+def finite_order_approximations(alpha_pi_coords, denominators, B, tol=1e-9):
+    """Rational approximants of a translation vector expressed in the basis
+    of the lattice of its invariant subtorus: for each denominator q,
+    beta = round(q * alpha)/q, tagged with the extension condition
+    B . beta in Z^g (checked exactly on the rationals when shapes allow)."""
+    coords = [float(x) for x in alpha_pi_coords]
+    out = []
+    for q in denominators:
+        if q < 1:
+            raise ContractError("denominators must be >= 1")
+        beta = tuple(Fraction(round(q * x), q) for x in coords)
+        distance = max(abs(float(bx) - x) for bx, x in zip(beta, coords)) \
+            if coords else 0.0
+        extends = False
+        if B is not None and B.cols == len(beta):
+            image = [sum(B[i, j] * beta[j] for j in range(B.cols))
+                     for i in range(B.rows)]
+            extends = all(x.denominator == 1 for x in image)
+        out.append(Approximant(denominator=int(q), beta=beta,
+                               distance=float(distance), extends=extends))
+    return out
+
+
+def _minpoly_from_embeddings(embeddings, tol=1e-6):
+    """Recover the integer minimal polynomial prod (T - iota_j(mu)) from the
+    real embeddings of a totally real algebraic unit."""
+    coeffs = np.poly(list(embeddings))  # descending, float
+    ints = [round(c) for c in coeffs]
+    if any(abs(c - i) > tol for c, i in zip(coeffs, ints)):
+        raise ContractError("embeddings do not round to an integer polynomial")
+    p = IntPolynomial(list(reversed(ints)))
+    if not p.is_monic():
+        raise ContractError("embeddings do not define a monic polynomial")
+    return p
+
+
+def type_I_lattice(Z, unit_embeddings, tol=1e-8):
+    """The Type I family datum: for e totally real embeddings and period
+    matrices Z_1..Z_e (complex symmetric l x l, positive imaginary part), the
+    lattice spanned by lambda_z(alpha, beta) = (alpha_1 Z_1 + beta_1, ...)
+    over a Z-basis of O_K^l + O_K^l (O_K realized as Z[mu]), the polarization
+    E(v, w) = sum_j Im(v_j (Im Z_j)^{-1} conj(w_j)) as an integer matrix on
+    that basis, and the integer matrix of the diagonal unit action
+    (mu_1 I_l, ..., mu_e I_l).
+
+    Returns (NumericLattice, automorphism IntMatrix)."""
+    e = len(Z)
+    Zs = [np.atleast_2d(np.array(zj, dtype=complex)) for zj in Z]
+    l = Zs[0].shape[0]
+    for zj in Zs:
+        if zj.shape != (l, l):
+            raise ContractError("all Z_j must be l x l")
+        if not np.allclose(zj, zj.T, atol=tol):
+            raise ContractError("Z_j must be symmetric")
+        if np.linalg.eigvalsh(zj.imag).min() <= 0:
+            raise ContractError("Im Z_j must be positive definite")
+    if len(unit_embeddings) != e:
+        raise ContractError("need one embedding per Z_j")
+    minpoly = _minpoly_from_embeddings(unit_embeddings)
+    if minpoly.coeffs[0] not in (1, -1):
+        raise ContractError("embeddings are not those of a unit")
+    g = l * e
+    # Z-basis of O_K^l + O_K^l: (mu^s e_m) in the alpha block, then the beta
+    # block, s = 0..e-1, m = 0..l-1.  Embedding into C^g, coordinates grouped
+    # by j (blocks of size l).
+    basis = []
+    powers = [[iota ** s for s in range(e)] for iota in unit_embeddings]
+    for s in range(e):
+        for m in range(l):
+            vec = np.zeros(g, dtype=complex)
+            for j in range(e):
+                vec[j * l:(j + 1) * l] += powers[j][s] * Zs[j][:, m]
+            basis.append(tuple(vec.tolist()))
+    for s in range(e):
+        for m in range(l):
+            vec = np.zeros(g, dtype=complex)
+            for j in range(e):
+                vec[j * l + m] += powers[j][s]
+            basis.append(tuple(vec.tolist()))
+    # polarization on the basis, rounded from the analytic formula and
+    # verified integral
+    imZinv = [np.linalg.inv(zj.imag) for zj in Zs]
+
+    def E_form(v, w):
+        total = 0.0
+        for j in range(e):
+            vj = np.array(v[j * l:(j + 1) * l])
+            wj = np.array(w[j * l:(j + 1) * l])
+            total += float(np.imag(vj @ imZinv[j] @ wj.conj()))
+        return total
+
+    n = 2 * g
+    Erows = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            val = E_form(basis[i], basis[k])
+            r = round(val)
+            if abs(val - r) > 1e-6:
+                raise ContractError(
+                    f"polarization is not integral on the basis: E[{i},{k}] = {val}")
+            row.append(r)
+        Erows.append(row)
+    E = IntMatrix.from_rows(Erows)
+    lattice = NumericLattice(g=g, basis=tuple(basis), polarization=E)
+    # automorphism: multiplication by mu on both O_K^l blocks
+    comp = IntMatrix.companion(minpoly) if minpoly.degree > 1 \
+        else IntMatrix.from_rows([[-minpoly.coeffs[0]]])
+    # mu acts on the (s, m) basis by the companion structure in s, identity in m
+    block = _tensor_with_identity(comp, l)
+    auto = IntMatrix.block_diag(block, block)
+    return lattice, auto
+
+
+def _tensor_with_identity(C, l):
+    """Kronecker product C (x) I_l as an IntMatrix."""
+    e = C.rows
+    rows = [[0] * (e * l) for _ in range(e * l)]
+    for s in range(e):
+        for t in range(e):
+            if C[s, t] == 0:
+                continue
+            for m in range(l):
+                rows[s * l + m][t * l + m] = C[s, t]
+    return IntMatrix.from_rows(rows)
