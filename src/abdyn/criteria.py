@@ -182,10 +182,11 @@ def split_invariant_subfamily(u):
     L1 = ker Q(u); returns (L0, L1, index of L0 + L1 in Z^{2g})."""
     if not u.is_square():
         raise ContractError("expected a square matrix")
-    if abs(u.det()) != 1:
+    cp = char_poly(u)
+    if abs(cp[0]) != 1:  # det u = (-1)^n cp(0)
         raise ContractError("expected det = +/-1")
     n = u.rows
-    P, Q = cyclotomic_split(char_poly(u))
+    P, Q = cyclotomic_split(cp)
     L0 = kernel_lattice(P, u)
     L1 = kernel_lattice(Q, u)
     if L0.rank + L1.rank != n:

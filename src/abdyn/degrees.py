@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericIndeterminacyError
 from .exactalg import IntMatrix, char_poly_split, eigenvalue_moduli
 
 
@@ -75,8 +75,8 @@ class DegreeProfile:
             raise ContractError("lambda_0 and lambda_top must be exactly 1")
         if any(x < 1.0 - 1e-12 for x in ls):
             raise ContractError("dynamical degrees must be >= 1")
-        for i in range(1, len(ls) - 1):
-            if ls[i] ** 2 < ls[i - 1] * ls[i + 1] * (1 - 1e-9):
+        for i in range(1, len(ls) - 1):  # as ratios, which cannot overflow
+            if ls[i] / ls[i - 1] < ls[i + 1] / ls[i] * (1 - 1e-9):
                 raise ContractError("profile is not log-concave")
 
     def to_json_dict(self):
@@ -146,10 +146,15 @@ def semiabelian_degrees(aut, tol=1e-9, splits=None):
     # descending moduli; the analytic ones are half of the doubled multiset
     taus = [mod for mod, mult in torus[0] for _ in range(mult)] if torus else []
     alphas = [mod for mod, mult in abelian[0] for _ in range(mult // 2)] if abelian else []
-    lambdas = [max(math.prod(taus[:l]) * math.prod(alphas[:j - l]) ** 2
-                   for l in range(max(0, j - g), min(j, r) + 1))
-               for j in range(r + g + 1)]
+    try:
+        lambdas = [max(math.prod(taus[:l]) * math.prod(alphas[:j - l]) ** 2
+                       for l in range(max(0, j - g), min(j, r) + 1))
+                   for j in range(r + g + 1)]
+    except OverflowError:  # a square beyond the float range
+        lambdas = [math.inf] * (r + g + 1)
     lambdas[0] = lambdas[-1] = 1.0
+    if not all(map(math.isfinite, lambdas)):
+        raise NumericIndeterminacyError("a dynamical degree is beyond the float range")
     # clean up float fuzz at unit entries
     lambdas = [1.0 if abs(x - 1.0) <= 10 * tol else x for x in lambdas]
     return DegreeProfile(tuple(lambdas), tuple(exponents))

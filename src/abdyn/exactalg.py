@@ -1,12 +1,12 @@
 """Exact integer linear algebra and polynomial arithmetic.
 
-Everything here runs on arbitrary-precision Python integers (Fractions where a
-division is unavoidable): characteristic polynomials, cyclotomic factor
-extraction and saturated kernel lattices.  These are the carriers of the
-induced action on the first integral cohomology of a fiber, so exactness is
-not negotiable; floating point appears only in eigenvalue_moduli, which is
-explicitly numeric and the one place here that imports numpy, when it finds
-roots.
+Everything here runs on arbitrary-precision Python integers (Fractions only
+for rational input and output, in solve and is_positive_definite, and for
+the rounding step of lll_reduce): characteristic polynomials, cyclotomic
+factor extraction, polynomial gcds and saturated kernel lattices.  These
+carry the induced action on the first integral cohomology of a fiber, so
+exactness is not negotiable; floating point appears only in
+eigenvalue_moduli, which imports numpy when it finds roots.
 
 Two exact kernels carry the linear algebra.  Ranks, determinants,
 positive-definiteness tests and rational linear solves (solve) all run one
@@ -14,7 +14,9 @@ fraction-free Gauss-Jordan elimination, _bareiss (Bareiss 1968), on
 denominator-cleared integer rows.  Integral lattice questions run one
 integral LLL, lll_reduce (Cohen, Alg. 2.6.7): kernel lattices, unimodular
 completions (kernel_completion) and the gcd of maximal minors that decides
-saturation (minor_gcd).
+saturation (minor_gcd).  Dense products (matrix products and powers, Horner
+evaluation at a matrix, matrix-vector products and the Berkowitz steps) all
+run one inner-product kernel, _mat_mul, on plain rows and columns.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
+from operator import add, mul, sub
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
 
@@ -41,10 +44,17 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [int(c) for c in coeffs]
+        self.coeffs = IntPolynomial._of([int(c) for c in coeffs]).coeffs
+
+    @staticmethod
+    def _of(cs):
+        """From a list of ints (internal results): no conversion, and the
+        trailing zeros are popped in place."""
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        p = object.__new__(IntPolynomial)
+        p.coeffs = tuple(cs)
+        return p
 
     # -- basic structure ----------------------------------------------------
 
@@ -91,34 +101,32 @@ class IntPolynomial:
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial([self[i] + other[i] for i in range(n)])
+        return IntPolynomial._of([self[i] + other[i] for i in range(n)])
 
     def __sub__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial([self[i] - other[i] for i in range(n)])
+        return IntPolynomial._of([self[i] - other[i] for i in range(n)])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
+            return IntPolynomial._of([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return IntPolynomial([])
+            return IntPolynomial._of([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     def __pow__(self, k):
         assert k >= 0
-        out = IntPolynomial([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        out = self if k else ONE
+        for bit in bin(k)[3:]:  # left to right, after the leading 1
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def divmod_monic(self, divisor):
@@ -131,7 +139,7 @@ class IntPolynomial:
         rem = list(self.coeffs)
         d = divisor.degree
         if len(rem) - 1 < d:
-            return IntPolynomial([]), IntPolynomial(rem)
+            return IntPolynomial._of([]), IntPolynomial._of(rem)
         quot = [0] * (len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
@@ -140,7 +148,7 @@ class IntPolynomial:
             quot[i - d] = c
             for j in range(d + 1):
                 rem[i - d + j] -= c * divisor.coeffs[j]
-        return IntPolynomial(quot), IntPolynomial(rem)
+        return IntPolynomial._of(quot), IntPolynomial._of(rem)
 
     def divides(self, other):
         """True iff self (monic) divides other exactly."""
@@ -148,12 +156,17 @@ class IntPolynomial:
         return r.is_zero()
 
     def eval_matrix(self, M):
-        """Evaluate at a square IntMatrix (Horner)."""
+        """Evaluate at a square IntMatrix: Horner on a list of rows, each
+        coefficient added on the diagonal in place."""
         n = M.rows
-        acc = IntMatrix.zero(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc @ M + IntMatrix.identity(n) * c
-        return acc
+        cols = M._columns()
+        acc = [0] * (n * n)
+        for k, c in enumerate(reversed(self.coeffs)):
+            if k:
+                acc = _mat_mul([acc[i * n:(i + 1) * n] for i in range(n)], cols)
+            for i in range(0, n * n, n + 1):
+                acc[i] += c
+        return IntMatrix._of(n, n, acc)
 
     def float_coeffs_descending(self):
         return [float(c) for c in reversed(self.coeffs)]
@@ -255,6 +268,13 @@ class IntMatrix:
         self.entries = entries
 
     @staticmethod
+    def _of(rows, cols, entries):
+        """From row-major ints (internal results): no conversion or check."""
+        m = object.__new__(IntMatrix)
+        m.rows, m.cols, m.entries = rows, cols, tuple(entries)
+        return m
+
+    @staticmethod
     def from_rows(rows_of_entries):
         rows = len(rows_of_entries)
         cols = len(rows_of_entries[0]) if rows else 0
@@ -264,25 +284,20 @@ class IntMatrix:
 
     @staticmethod
     def identity(n):
-        return IntMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return IntMatrix._of(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
     @staticmethod
     def zero(rows, cols):
-        return IntMatrix(rows, cols, [0] * (rows * cols))
+        return IntMatrix._of(rows, cols, [0] * (rows * cols))
 
     @staticmethod
     def block_diag(*blocks):
-        n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
-        out = [[0] * m for _ in range(n)]
-        i0 = j0 = 0
+        rows, j0 = [], 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[i0 + i][j0 + j] = b[i, j]
-            i0 += b.rows
+            rows += [[0] * j0 + list(r) + [0] * (m - j0 - b.cols) for r in b._rows()]
             j0 += b.cols
-        return IntMatrix.from_rows(out)
+        return IntMatrix.from_rows(rows)
 
     @staticmethod
     def companion(p):
@@ -304,6 +319,13 @@ class IntMatrix:
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
+    def _rows(self):
+        c = self.cols
+        return [self.entries[i * c:(i + 1) * c] for i in range(self.rows)]
+
+    def _columns(self):
+        return [self.entries[j::self.cols] for j in range(self.cols)]
+
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -323,14 +345,12 @@ class IntMatrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols,
-                         [a + b for a, b in zip(self.entries, other.entries)])
+        return IntMatrix._of(self.rows, self.cols, map(add, self.entries, other.entries))
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in subtraction")
-        return IntMatrix(self.rows, self.cols,
-                         [a - b for a, b in zip(self.entries, other.entries)])
+        return IntMatrix._of(self.rows, self.cols, map(sub, self.entries, other.entries))
 
     def __mul__(self, scalar):
         return IntMatrix(self.rows, self.cols, [e * scalar for e in self.entries])
@@ -338,36 +358,26 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionError("inner dimension mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._of(self.rows, other.cols, _mat_mul(self._rows(), other._columns()))
 
     def mat_vec(self, v):
         if self.cols != len(v):
             raise DimensionError("vector length mismatch")
-        return tuple(sum(self[i, k] * v[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(_mat_mul(self._rows(), (v,)))
 
     def __pow__(self, k):
         if not self.is_square():
             raise DimensionError("power of non-square matrix")
         assert k >= 0
-        out = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
+        out = self if k else IntMatrix.identity(self.rows)
+        for bit in bin(k)[3:]:  # left to right, after the leading 1
+            out = out @ out
+            if bit == "1":
+                out = out @ self
         return out
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        return IntMatrix._of(self.cols, self.rows, [x for c in self._columns() for x in c])
 
     def trace(self):
         if not self.is_square():
@@ -378,13 +388,20 @@ class IntMatrix:
         """Determinant by fraction-free Bareiss elimination."""
         if not self.is_square():
             raise DimensionError("determinant of non-square matrix")
-        pivots, d = _bareiss(self.to_rows(), self.cols)
+        pivots, d = _bareiss(self._rows(), self.cols)
         return d if len(pivots) == self.rows else 0
 
     def rank(self):
         """Exact rank over Q (fraction-free Bareiss elimination)."""
-        pivots, _ = _bareiss(self.to_rows(), self.cols)
+        pivots, _ = _bareiss(self._rows(), self.cols)
         return len(pivots)
+
+
+def _mat_mul(rows, cols):
+    """The inner product of each row with each column, row-major: the
+    entries of a product, given its left factor's rows and its right
+    factor's columns as sequences of ints."""
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
 def _bareiss(a, ncols):
@@ -525,8 +542,8 @@ def char_poly(M):
     """
     if not M.is_square():
         raise DimensionError("char_poly requires a square matrix")
-    vec = _berkowitz(M.to_rows())
-    return IntPolynomial(list(reversed(vec)))
+    vec = _berkowitz(M._rows())
+    return IntPolynomial._of(vec[::-1])
 
 
 def char_poly_split(M):
@@ -552,16 +569,10 @@ def _berkowitz(a):
     items = [1, -a[0][0]]
     vec = col0
     for _ in range(n - 1):
-        items.append(-sum(r * v for r, v in zip(row0, vec)))
-        vec = [sum(sub[i][k] * vec[k] for k in range(n - 1)) for i in range(n - 1)]
-    out = []
-    for i in range(n + 1):
-        s = 0
-        for j in range(min(i, n - 1) + 1):
-            if 0 <= i - j <= n:
-                s += items[i - j] * prev[j]
-        out.append(s)
-    return out
+        items.append(-sum(map(mul, row0, vec)))
+        vec = _mat_mul(sub, (vec,))
+    # the Toeplitz product: out[i] = sum_j items[i - j] prev[j]
+    return [sum(map(mul, items[i::-1], prev)) for i in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +600,7 @@ def kernel_completion(K):
     if k in (0, n):
         return T, k
     m = K.rows
-    cols = K.transpose().to_rows()
+    cols = K._columns()
     c = KERNEL_SCALE
     while True:
         reduced = lll_reduce([[c * x for x in col] + e for col, e in zip(cols, T)])
@@ -662,41 +673,28 @@ def kernel_lattice(p, M):
 # numeric eigenvalue moduli
 # ---------------------------------------------------------------------------
 
-def _frac_poly_divmod(a, b):
-    """Division with remainder for coefficient lists of Fractions (ascending)."""
-    from fractions import Fraction
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / lead
-        if c == 0:
-            continue
-        quot[i - db] = c
-        for j in range(db + 1):
-            a[i - db + j] -= c * b[j]
-    while a and a[-1] == 0:
-        a.pop()
-    return quot, a
+def _primitive(cs):
+    """The coefficient list cs over its content, leading coefficient > 0."""
+    g = gcd(*cs) if cs and cs[-1] > 0 else -gcd(*cs)
+    return [c // g for c in cs]
 
 
 def poly_gcd(p, q):
-    """Monic gcd over Q of two integer polynomials; the result is an
-    IntPolynomial (monic rational factors of a monic integer polynomial are
-    integral by Gauss's lemma)."""
-    from fractions import Fraction
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
+    """The gcd of two integer polynomials, primitive with a positive leading
+    coefficient (0 when both are 0): their monic gcd over Q when one of them
+    is monic (Gauss's lemma).  A primitive pseudo-remainder sequence in
+    integers (Cohen, A Course in Computational Algebraic Number Theory, Alg.
+    3.3.1); each step scales the dividend by lead(b) / gcd(lead(b), lead(a))."""
+    a, b = _primitive(list(p.coeffs)), _primitive(list(q.coeffs))
     while b:
-        _, r = _frac_poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return IntPolynomial([])
-    a = [c / a[-1] for c in a]
-    if any(c.denominator != 1 for c in a):  # pragma: no cover
-        raise AssertionError("gcd of monic integer polynomials must be integral")
-    return IntPolynomial([int(c) for c in a])
+        while len(a) >= len(b):
+            h = gcd(a[-1], b[-1])
+            f, c, k = b[-1] // h, a[-1] // h, len(a) - len(b)
+            a = [f * x for x in a[:k]] + [f * x - c * y for x, y in zip(a[k:], b)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, _primitive(a)
+    return IntPolynomial._of(a)
 
 
 def squarefree_decomposition(p):
@@ -751,6 +749,9 @@ def eigenvalue_moduli(p, tol=1e-9, split=None):
                     roots = np.roots(factor.float_coeffs_descending())
                 except FloatingPointError as exc:  # pragma: no cover
                     raise NumericIndeterminacyError(f"root finder failed: {exc}") from exc
+                except OverflowError:  # from float() of a coefficient
+                    raise NumericIndeterminacyError(
+                        "a char poly coefficient is beyond the float range") from None
             if not np.all(np.isfinite(roots)):  # pragma: no cover
                 raise NumericIndeterminacyError("root finder returned non-finite roots")
             moduli.extend((abs(z), mult) for z in roots)

@@ -189,6 +189,10 @@ def relation_lattice(coords, height_bound=50, tol=1e-10):
     last = [0] * dim + [scale]
     last[n] = 1
     rows.append(last)
+    # q . x at height H is known to about n H 2^-52 max(1, |x_i|), no better
+    if n and tol / (n * 2.0 ** -52 * max(1.0, *map(abs, coords))) < height_bound:
+        raise ContractError(f"tol = {tol!r} is below the float resolution of q . x "
+                            f"at height {height_bound}")
     reduced = lll_reduce(rows)
     found = []
     for row in reduced:

@@ -16,7 +16,8 @@ from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
                             cyclotomic_split, eigenvalue_moduli,
                             is_cyclotomic_free, is_positive_definite,
                             kernel_completion, kernel_lattice,
-                            minor_gcd, solve)
+                            minor_gcd, poly_gcd, solve,
+                            squarefree_decomposition)
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
 from util import (kronecker_is_roots_of_unity, quasi_unipotent_order, to_numpy,
@@ -426,3 +427,106 @@ def test_moduli_product_equals_constant_term(mid, const):
     p = IntPolynomial([const] + mid + [1])
     prod = math.prod(m ** k for m, k in eigenvalue_moduli(p))
     assert abs(prod - abs(const)) < 1e-6 * max(1.0, abs(const))
+
+
+# --- dense kernels and the gcd, differentially against sympy -----------------
+
+BIG = 10 ** 30
+T = sympy.Symbol("T")
+
+
+def _sym(M):
+    return sympy.Matrix(M.rows, M.cols, list(M.entries))
+
+
+def _sym_poly(p):
+    return sympy.Poly.from_list(list(reversed(p.coeffs)), T)
+
+
+def _ascending(poly):
+    return tuple(int(c) for c in reversed(poly.all_coeffs())) if not poly.is_zero else ()
+
+
+@st.composite
+def int_matrices(draw, rows, cols, bound=BIG):
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=rows * cols,
+                            max_size=rows * cols))
+    return IntMatrix(rows, cols, entries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.data())
+def test_matmul_and_mat_vec_match_sympy(m, k, n, data):
+    A, B = data.draw(int_matrices(m, k)), data.draw(int_matrices(k, n))
+    AB = A @ B
+    assert (AB.rows, AB.cols) == (m, n)
+    assert AB.entries == tuple(int(x) for x in _sym(A) * _sym(B))
+    v = data.draw(st.lists(st.integers(-BIG, BIG), min_size=k, max_size=k))
+    assert A.mat_vec(v) == tuple(int(x) for x in _sym(A) * sympy.Matrix(k, 1, v))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.integers(0, 13), st.data())
+def test_powers_match_sympy(n, k, data):
+    M = data.draw(int_matrices(n, n, 10 ** 6))
+    assert (M ** k).entries == tuple(int(x) for x in _sym(M) ** k)
+    p = IntPolynomial(data.draw(st.lists(st.integers(-BIG, BIG), max_size=5)))
+    assert (p ** k).coeffs == _ascending(_sym_poly(p) ** k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10), st.lists(st.integers(-BIG, BIG), max_size=6), st.data())
+def test_eval_matrix_matches_sympy_horner(n, coeffs, data):
+    M = data.draw(int_matrices(n, n))
+    p = IntPolynomial(coeffs)
+    S, acc = _sym(M), sympy.zeros(n, n)
+    for c in reversed(p.coeffs):
+        acc = acc * S + c * sympy.eye(n)
+    got = p.eval_matrix(M)
+    assert (got.rows, got.cols) == (n, n)
+    assert got.entries == tuple(int(x) for x in acc)
+
+
+# small factors over Z, monic or not, with repeats drawn below
+GCD_FACTORS = ((-1, 1), (1, 1), (1, 1, 1), (1, -3, 1), (-1, -1, 0, 1), (3, 2), (1, 0, 5),
+               (2, -1, 3))
+
+
+@st.composite
+def factored_polynomials(draw):
+    """0, a constant, or a content times a product of drawn factors."""
+    kind = draw(st.sampled_from(["zero", "constant", "product", "product"]))
+    if kind == "zero":
+        return IntPolynomial([])
+    p = IntPolynomial([draw(st.sampled_from([1, -1, 2, -6, 12, 10 ** 20]))])
+    if kind == "product":
+        for f in draw(st.lists(st.sampled_from(GCD_FACTORS), max_size=6)):
+            p = p * IntPolynomial(f)
+    return p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(factored_polynomials(), factored_polynomials())
+def test_poly_gcd_matches_sympy(p, q):
+    """The primitive gcd with a positive leading coefficient; monic when an
+    input is monic."""
+    g = poly_gcd(p, q)
+    _, expected = sympy.gcd(_sym_poly(p), _sym_poly(q)).primitive()
+    if not expected.is_zero and expected.LC() < 0:
+        expected = -expected
+    assert g.coeffs == _ascending(expected)
+    if p.is_monic() or q.is_monic():
+        assert g.is_monic()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([f for f in GCD_FACTORS if f[-1] == 1]), min_size=1,
+                max_size=8))
+def test_squarefree_decomposition_matches_sympy(factors):
+    p = IntPolynomial([1])
+    for f in factors:
+        p = p * IntPolynomial(f)
+    _, expected = sympy.sqf_list(_sym_poly(p))
+    got = squarefree_decomposition(p)
+    assert sorted((f.coeffs, i) for f, i in got) == \
+        sorted((_ascending(f), i) for f, i in expected)

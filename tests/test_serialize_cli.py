@@ -5,11 +5,13 @@ import ast
 import contextlib
 import copy
 import functools
+import hashlib
 import importlib.resources
 import io
 import json
 import os
 import pathlib
+import random
 import signal
 import subprocess
 import sys
@@ -999,3 +1001,220 @@ def test_cli_orbit_analyze_contract(argv):
     else:
         assert err.getvalue() == ""
         serialize.validate_schema(json.loads(out.getvalue())["result"], "orbit_report")
+
+
+# --- contract of analyze, split and decide -------------------------------------
+
+# Matrix entries at the edges of the float range and beyond it: 2^520 squares
+# past it, 2^1100 does not convert to a float.
+ALGEBRA_EXTREMES = (0, 1, -1, 3, 2 ** 520, -(2 ** 520), 2 ** 1100, str(-(2 ** 1100)))
+ALGEBRA_MATRICES = ([[2, 1], [1, 1]], [[1, 1], [0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
+
+
+def _mutate_matrix(draw, rows):
+    """rows after one mutation: an entry replaced (also by a non-integer), a
+    shear row_i += N row_j (det is kept, the spectrum is not), a row copied
+    over another, or a row shortened."""
+    rows = copy.deepcopy(rows)
+    n = len(rows)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    mutation = draw(st.sampled_from(["entry", "shear", "shear", "copy", "short"]))
+    if mutation == "entry":
+        rows[i][j] = draw(st.sampled_from(ALGEBRA_EXTREMES + (1.5, True, None, "x")))
+    elif mutation == "shear" and i != j and all(type(x) is int for x in rows[i] + rows[j]):
+        N = int(draw(st.sampled_from(ALGEBRA_EXTREMES)))
+        rows[i] = [a + N * b for a, b in zip(rows[i], rows[j])]
+    elif mutation == "copy":
+        rows[i] = list(rows[j])
+    elif mutation == "short":
+        rows[i].pop()
+    return rows
+
+
+@st.composite
+def algebra_argv(draw):
+    """(argv, stdin) of an `analyze` (a bare matrix or a semi-abelian
+    automorphism, with a drawn --tol), `split` or `decide` document, built
+    from a real input by up to three mutations."""
+    command = draw(st.sampled_from(["analyze", "analyze-aut", "split", "decide"]))
+    count = draw(st.integers(0, 3))
+    if command == "decide":
+        doc = draw(st.sampled_from([{"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1},
+                                    {"g": 2, "charpoly": [1, -1, -1, -1, 1], "r": 2},
+                                    {"g": 1, "charpoly": [1, 0, 1], "finite_order": True}]))
+        doc = copy.deepcopy(doc)
+        for _ in range(count):
+            key = draw(st.sampled_from(["charpoly", "charpoly", "g", "r", "k", "finite_order"]))
+            value = draw(st.sampled_from(ALGEBRA_EXTREMES + (2, None, "2", 2.0)))
+            if key == "charpoly" and draw(st.booleans()):
+                doc["charpoly"][draw(st.integers(0, len(doc["charpoly"]) - 1))] = value
+            elif key == "charpoly":
+                doc["charpoly"].append(value)
+            else:
+                doc[key] = value
+        return ["decide"], json.dumps(doc)
+    if command == "analyze-aut":
+        doc = draw(st.sampled_from([
+            {"r": 2, "g": 1, "u_T": [[2, 1], [1, 1]], "u_A_rat": [[0, -1], [1, 0]]},
+            {"r": 0, "g": 2, "u_A_rat": [[2, 1, 0, 0], [1, 1, 0, 0],
+                                         [0, 0, 2, 1], [0, 0, 1, 1]]}]))
+        doc = copy.deepcopy(doc)
+        for _ in range(count):
+            key = draw(st.sampled_from(sorted(doc)))
+            if key in ("u_T", "u_A_rat"):
+                doc[key] = _mutate_matrix(draw, doc[key])
+            else:
+                doc[key] = draw(st.integers(-1, 3))
+        payload = doc
+    else:
+        payload = draw(st.sampled_from(ALGEBRA_MATRICES))
+        for _ in range(count):
+            payload = _mutate_matrix(draw, payload)
+    if command == "split":
+        return ["split"], json.dumps(payload)
+    tol = draw(st.sampled_from(["1e-9", "0.5", "1e300", "1e-300", "5e-324", "0", "-1",
+                                "nan", "inf"]))
+    return ["analyze", "--tol", tol], json.dumps(payload)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(algebra_argv())
+def test_cli_algebra_contract(doc):
+    """Whatever the matrix, automorphism, descriptor or tol: exit 0, 2, 3 or
+    4, never a traceback; a refusal prints one stderr line and no stdout, and
+    a result has no Infinity or NaN and validates against its schemas."""
+    argv, stdin = doc
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    event(f"{argv[0]}: exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        return
+    assert err.getvalue() == ""
+    assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
+    result = json.loads(out.getvalue())["result"]
+    if argv[0] == "analyze":
+        serialize.validate_schema(result["degrees"], "degree_profile")
+        for part in result["parts"].values():
+            for name in ("charpoly", "cyclotomic_part", "cyclotomic_free_part"):
+                serialize.validate_schema(part[name], "polynomial")
+    else:
+        serialize.validate_schema(result, {"split": "split_report", "decide": "verdict"}[argv[0]])
+
+
+@pytest.mark.parametrize("exponent, code, lambda_1", [
+    (500, 0, 3.273390607896142e+150), (520, 0, 3.432398830065305e+156),
+    (1023, 0, 8.98846567431158e+307), (1100, 4, None)])
+def test_cli_analyze_huge_eigenvalue(exponent, code, lambda_1, capsys, monkeypatch):
+    """[[N+1, N], [1, 1]] has det 1 and an eigenvalue near N: a finite
+    lambda_1 is reported, and a char poly beyond the float range is refused
+    with one line (exit 4)."""
+    N = 2 ** exponent
+    got, out, err = run_cli(["analyze"], json.dumps([[N + 1, N], [1, 1]]), capsys, monkeypatch)
+    assert got == code
+    if code:
+        assert out == "" and err == ("numeric indeterminacy: a char poly coefficient "
+                                     "is beyond the float range\n")
+    else:
+        assert json.loads(out)["result"]["degrees"]["lambdas"] == [1.0, lambda_1, 1.0]
+
+
+@pytest.mark.parametrize("payload", ["torus", "abelian"])
+def test_cli_analyze_degree_beyond_float_range_exit_4(payload, capsys, monkeypatch):
+    """Two blocks [[N+1, N], [1, 1]] at N = 2^520: lambda_2 of the torus
+    (a product) and lambda_1 of the abelian part (a square) are beyond the
+    float range although every modulus is finite."""
+    N = 2 ** 520
+    m = [[N + 1, N, 0, 0], [1, 1, 0, 0], [0, 0, N + 1, N], [0, 0, 1, 1]]
+    doc = m if payload == "torus" else {"r": 0, "g": 2, "u_A_rat": m}
+    code, out, err = run_cli(["analyze"], json.dumps(doc), capsys, monkeypatch)
+    assert (code, out) == (4, "")
+    assert err == "numeric indeterminacy: a dynamical degree is beyond the float range\n"
+
+
+def test_cli_orbit_tol_below_float_resolution_exit_3(capsys, monkeypatch):
+    """A tol below the float resolution of q . x at the height bound is
+    refused (exit 3); at the default tol the same input finds its three
+    relations."""
+    lattice = json.dumps({"g": 2, "basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]],
+                                            [[0.3, 1.1], [0.1, 0.05]],
+                                            [[0.1, 0.05], [-0.2, 1.3]]]})
+    alpha = "[[0.7071067811865476,0.1],[0.3333333333333333,1.4142135623730951]]"
+    argv = ["orbit", "analyze", "--lattice", lattice, "--alpha", alpha]
+    code, out, _ = run_cli(argv, None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["result"]["h"] == 1
+    for extra in (["--tol", "1e-300"], ["--tol", "1e-14"], ["--height", str(10 ** 30)]):
+        code, out, err = run_cli(argv + extra, None, capsys, monkeypatch)
+        assert code == 3 and out == ""
+        assert err.startswith("contract error: tol = ") and len(err.splitlines()) == 1
+
+
+# --- golden results of analyze and split -----------------------------------------
+
+GOLDEN_CYCLOTOMIC = ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1], [1, 1, 1, 1, 1])
+GOLDEN_FREE = ([1, -3, 1], [-1, -1, 1], [-1, -1, 0, 1], [1, -1, -1, -1, 1],
+               [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+
+
+def _golden_matrices():
+    """20 seeded matrices u M u^-1 of sizes 2..10, in plain integers: M a
+    block sum of companion matrices of cyclotomic and cyclotomic-free
+    polynomials, u a word of 4n elementary row operations."""
+    rng = random.Random("golden")
+    out = []
+    for n in [2, 3, 4, 5, 6, 7, 8, 9, 10] * 2 + [4, 10]:
+        polys, size = [], 0
+        while size < n:
+            fits = [p for p in GOLDEN_FREE + GOLDEN_CYCLOTOMIC if len(p) - 1 <= n - size]
+            polys.append(rng.choice(fits))
+            size += len(polys[-1]) - 1
+        m = [[0] * n for _ in range(n)]
+        off = 0
+        for p in polys:
+            d = len(p) - 1
+            for i in range(d):
+                if i:
+                    m[off + i][off + i - 1] = 1
+                m[off + i][off + d - 1] = -p[i]
+            off += d
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        uinv = [row[:] for row in u]
+        for _ in range(4 * n):
+            i, j = rng.sample(range(n), 2)
+            s = rng.choice((1, -1))
+            u[i] = [x + s * y for x, y in zip(u[i], u[j])]   # row_i += s row_j
+            for row in uinv:                                # col_j -= s col_i
+                row[j] -= s * row[i]
+        um = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in u]
+        out.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*uinv)]
+                    for row in um])
+    return out
+
+
+# sha256 of the canonical JSON of the result blocks, in order.  The analyze
+# digest also pins the float lambdas, which come from numpy's root finder.
+GOLDEN_DIGESTS = {
+    "analyze": "36b048edcb1e61e49c05efa8404e7293944c0e124322fa87fc7df5dac973a778",
+    "split": "90d21666f35e6252602a2bfc51a2786133b3e2c24d703c236d9a7a6a39792171"}
+
+
+def test_cli_golden_analyze_and_split_results():
+    """The result blocks of analyze and split on 20 conjugated matrices are
+    exactly those of the released kernels: a rewrite of the exact kernels
+    may not change a basis, a char poly or a degree."""
+    digests = {}
+    for command in GOLDEN_DIGESTS:
+        h = hashlib.sha256()
+        for matrix in _golden_matrices():
+            result = _cli_result([command], json.dumps(matrix))
+            h.update(json.dumps(result, sort_keys=True).encode())
+        digests[command] = h.hexdigest()
+    assert digests == GOLDEN_DIGESTS
