@@ -1,15 +1,16 @@
 """Exact integer linear algebra and polynomial arithmetic.
 
-Everything here runs on arbitrary-precision Python integers (Fractions only
-for rational input and output, in solve and is_positive_definite, and for
-the rounding step of lll_reduce): characteristic polynomials, cyclotomic
-factor extraction, polynomial gcds and saturated kernel lattices.  These
-carry the induced action on the first integral cohomology of a fiber, so
-exactness is not negotiable; floating point appears only in
+Everything here runs on arbitrary-precision Python integers: characteristic
+polynomials, cyclotomic factor extraction, polynomial gcds and saturated
+kernel lattices.  These carry the induced action on the first integral
+cohomology of a fiber, so exactness is not negotiable.  Fractions remain
+only in solve's return value and in LLL_DELTA; rational and float input is
+read exactly, as integer ratios.  Floating point appears only in
 eigenvalue_moduli, which imports numpy when it finds roots.
 
 Two exact kernels carry the linear algebra.  Ranks, determinants,
-positive-definiteness tests and rational linear solves (solve) all run one
+positive-definiteness tests and linear solves (solve, and the cleared
+solve behind it that orbit uses for float systems) all run one
 fraction-free Gauss-Jordan elimination, _bareiss (Bareiss 1968), on
 denominator-cleared integer rows.  Integral lattice questions run one
 integral LLL, lll_reduce (Cohen, Alg. 2.6.7): kernel lattices, unimodular
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, lcm
+from math import gcd, inf, isqrt, lcm, prod
 from operator import add, mul, sub
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
@@ -175,66 +176,94 @@ class IntPolynomial:
 ONE = IntPolynomial([1])
 
 
+def _substitute(p, k):
+    """p(x^k)."""
+    cs = [0] * (k * p.degree + 1)
+    cs[::k] = p.coeffs
+    return IntPolynomial._of(cs)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(m):
-    """The m-th cyclotomic polynomial, by the classical recursive division
-    Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d."""
+    """The m-th cyclotomic polynomial.  With rad(m) the product of the
+    primes dividing m, Phi_m(x) = Phi_rad(m)(x^(m / rad m)), and for a
+    squarefree m = n p with p prime, Phi_m(x) = Phi_n(x^p) / Phi_n(x)."""
     assert m >= 1
-    num = IntPolynomial([-1] + [0] * (m - 1) + [1])  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            q, r = num.divmod_monic(cyclotomic(d))
-            assert r.is_zero()
-            num = q
-    return num
-
-
-def _totient(m):
-    result = m
-    p = 2
-    mm = m
-    while p * p <= mm:
-        if mm % p == 0:
-            while mm % p == 0:
-                mm //= p
-            result -= result // p
+    if m == 1:
+        return IntPolynomial._of([-1, 1])
+    primes, rest, p = [], m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
         p += 1
-    if mm > 1:
-        result -= result // mm
-    return result
+    if rest > 1:
+        primes.append(rest)
+    rad = prod(primes)
+    if rad != m:
+        return _substitute(cyclotomic(rad), m // rad)
+    n = m // primes[-1]
+    q, r = _substitute(cyclotomic(n), primes[-1]).divmod_monic(cyclotomic(n))
+    assert r.is_zero()
+    return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_orders(max_degree):
-    """All m with phi(m) <= max_degree (phi(m) >= sqrt(m/2) bounds the scan)."""
+    """All (m, phi(m)) with phi(m) <= max_degree, ascending in m.  phi is
+    multiplicative with phi(p^k) = p^(k-1) (p - 1), so each such m is a
+    product of prime powers whose phis multiply to at most max_degree, and
+    its primes have p - 1 <= max_degree: one sieve of the primes up to
+    max_degree + 1 gives them all."""
     if max_degree < 1:
         return ()
-    bound = 2 * max_degree * max_degree + 1
-    return tuple(m for m in range(1, bound + 1) if _totient(m) <= max_degree)
+    top = max_degree + 1
+    sieve = bytearray([1]) * (top + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, top + 1, p)))
+    primes = [p for p in range(2, top + 1) if sieve[p]]
+    found = [(1, 1)]
+
+    def extend(start, m, phi):
+        for i in range(start, len(primes)):
+            p = primes[i]
+            m_p, phi_p = m * p, phi * (p - 1)
+            if phi_p > max_degree:
+                return  # and so for every later, larger prime
+            while phi_p <= max_degree:
+                found.append((m_p, phi_p))
+                extend(i + 1, m_p, phi_p)
+                m_p, phi_p = m_p * p, phi_p * p
+
+    extend(0, 1, 1)
+    return tuple(sorted(found))
 
 
 def cyclotomic_split_with_orders(p):
     """Like cyclotomic_split but also reports {m: multiplicity} of the
-    cyclotomic factors removed."""
+    cyclotomic factors removed, in ascending m."""
     if not p.is_monic():
         raise ContractError("cyclotomic_split requires a monic polynomial")
-    P = ONE
     Q = p
     orders = {}
-    for m in cyclotomic_orders(p.degree):
-        phi = cyclotomic(m)
-        if phi.degree > Q.degree:
+    for m, phi_m in cyclotomic_orders(p.degree):
+        if Q.degree < 1:
+            break
+        if phi_m > Q.degree:
             continue
+        phi = cyclotomic(m)
         while True:
             q, r = Q.divmod_monic(phi)
             if not r.is_zero():
                 break
             Q = q
-            P = P * phi
             orders[m] = orders.get(m, 0) + 1
             if Q.degree < phi.degree:
                 break
-    return P, Q, orders
+    return p.divmod_monic(Q)[0], Q, orders
 
 
 def cyclotomic_split(p):
@@ -446,7 +475,8 @@ def lll_reduce(rows):
     Alg. 2.6.7): it keeps the Gram determinants d_i of the first i rows and
     the integers lam[i][j] = mu_ij * d_{j+1}, and updates both in place with
     exact integer divisions.  Row k is size-reduced against rows k-1..0
-    (nearest integer, ties to even) before the Lovasz test
+    (the nearest integer to lam[k][j] / d_{j+1}, ties to even, by divmod)
+    before the Lovasz test
     d_{k+1} d_{k-1} + lam[k][k-1]^2 >= LLL_DELTA d_k^2.
 
     Raises ContractError if the rows are linearly dependent (some d_i = 0)."""
@@ -477,9 +507,12 @@ def lll_reduce(rows):
         for j in range(k - 1, -1, -1):
             if 2 * abs(lk[j]) <= d[j + 1]:
                 continue
-            q = round(Fraction(lk[j], d[j + 1]))  # ties to even
+            dj = d[j + 1]
+            q, r = divmod(lk[j], dj)  # dj > 0; round q + r/dj, ties to even
+            if 2 * r > dj or 2 * r == dj and q & 1:
+                q += 1
             b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-            lk[j] -= q * d[j + 1]
+            lk[j] -= q * dj
             lj = lam[j]
             for t in range(j):
                 lk[t] -= q * lj[t]
@@ -503,26 +536,43 @@ def lll_reduce(rows):
 
 
 def _cleared(row):
-    """A row of integers and Fractions times the lcm of its denominators."""
-    m = lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row]
+    """A row of ints, Fractions and floats times the lcm of its
+    denominators.  Each entry is read exactly through as_integer_ratio (a
+    finite float is a dyadic rational)."""
+    ratios = [x.as_integer_ratio() for x in row]
+    m = lcm(*(q for _, q in ratios))
+    return [p * (m // q) for p, q in ratios]
+
+
+def _solve_cleared(A, rhs):
+    """The elimination behind solve: (d, ys) with d > 0 and, for each
+    right-hand side b, the integers y with A (y / d) = b, or None when that
+    system is inconsistent; None when A has rank below n.  A is a list of m
+    rows of n entries and each b has m entries: ints, Fractions or floats,
+    all read exactly (_cleared)."""
+    n = len(A[0]) if A else 0
+    a = [_cleared(list(row) + [b[i] for b in rhs]) for i, row in enumerate(A)]
+    pivots, d = _bareiss(a, n)
+    if len(pivots) < n:
+        return None
+    s = 1 if d > 0 else -1
+    return s * d, [None if any(row[n + k] for row in a[n:])
+                   else [s * a[i][n + k] for i in range(n)]
+                   for k in range(len(rhs))]
 
 
 def solve(A, *rhs):
     """Exact solutions of A x = b over Q for each right-hand side b.
 
-    A is a list of m rows of n integers or Fractions (m >= n allowed).
-    Returns one entry per b: the unique solution as a list of Fractions, or
-    None when that system is inconsistent; every entry is None when A has
-    rank below n."""
-    n = len(A[0]) if A else 0
-    a = [_cleared(list(row) + [b[i] for b in rhs]) for i, row in enumerate(A)]
-    pivots, d = _bareiss(a, n)
-    if len(pivots) < n:
+    A is a list of m rows of n ints, Fractions or floats (m >= n allowed;
+    floats are read exactly).  Returns one entry per b: the unique solution
+    as a list of Fractions, or None when that system is inconsistent; every
+    entry is None when A has rank below n."""
+    solved = _solve_cleared(A, rhs)
+    if solved is None:
         return [None] * len(rhs)
-    return [None if any(row[n + k] for row in a[n:])
-            else [Fraction(a[i][n + k], d) for i in range(n)]
-            for k in range(len(rhs))]
+    d, ys = solved
+    return [None if y is None else [Fraction(t, d) for t in y] for y in ys]
 
 
 def is_positive_definite(rows):

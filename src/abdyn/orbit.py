@@ -19,8 +19,9 @@ lll_reduce, the integral LLL of Cohen (A Course in Computational Algebraic
 Number Theory, Alg. 2.6.7), exact in integers throughout.
 
 The coordinates x and the inverse of the basis matrix are exact up to one
-rounding: every float is a dyadic rational, so one exact elimination
-(exactalg.solve) gives both, and each entry is rounded to a float once.
+rounding: every float is a dyadic rational, so one exact elimination in
+integers (exactalg's cleared solve) gives both, and each entry is rounded
+to a float once, by an int true division.
 The rank of the complex forms is read from singular values computed by
 one-sided Jacobi (Hestenes), which keeps small singular values accurate
 relative to their size, as the rank band needs (Demmel & Veselic, SIAM J.
@@ -32,10 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContractError, NumericIndeterminacyError
-from .exactalg import IntMatrix, _bareiss, lll_reduce, solve
+from .exactalg import IntMatrix, _bareiss, _solve_cleared, lll_reduce
 
 # Bases with ||A||_F ||A^-1||_F above this are refused; the product is
 # within a factor 2g of the 2-norm condition number of A.
@@ -119,20 +119,19 @@ def real_dual_coords(lattice, v, with_inverse=False):
     coordinates.
 
     Floats are dyadic rationals, so A x = v and A Y = I are solved exactly by
-    one elimination, and each entry is rounded to a float once.  Bases with
-    ||A||_F ||A^-1||_F > COND_LIMIT are refused."""
+    one elimination in integers, and each entry is rounded to a float once.
+    Bases with ||A||_F ||A^-1||_F > COND_LIMIT are refused."""
     n = 2 * lattice.g
     cols = [_real(b) for b in lattice.basis]
     A = list(zip(*cols))
     rhs = _real(tuple(complex(z) for z in v))
-    x, *inverse = solve([[Fraction(t) for t in row] for row in A],
-                        [Fraction(t) for t in rhs],
-                        *([int(i == k) for i in range(n)] for k in range(n)))
-    if x is None:
+    solved = _solve_cleared(A, [rhs] + [[int(i == k) for i in range(n)] for k in range(n)])
+    if solved is None:
         raise NumericIndeterminacyError("lattice basis is ill-conditioned")
-    try:
-        x = tuple(float(t) for t in x)
-        inverse = [[float(t) for t in col] for col in inverse]
+    d, (x, *inverse) = solved
+    try:  # int true division rounds the exact quotient once
+        x = tuple(t / d for t in x)
+        inverse = [[t / d for t in col] for col in inverse]
     except OverflowError:
         raise NumericIndeterminacyError(
             "a coordinate or an entry of A^-1 is beyond the float range") from None

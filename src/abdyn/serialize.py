@@ -372,6 +372,7 @@ def fan_from_json(obj):
         raise SchemaError(f"every ray must have g' + r' + 1 = {gamma.g + 1} coordinates")
     cones = []
     for idxs in obj["cones"]:
+        idxs = [int(i) for i in idxs]  # the schema's integers admit 1.0
         if any(not 0 <= i < len(rays) for i in idxs):
             raise SchemaError("cone refers to a missing ray index")
         cones.append(Cone(tuple(rays[i] for i in idxs)))
@@ -434,5 +435,79 @@ def load_json(text):
         raise SchemaError(f"malformed JSON: {exc}") from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder of json
+
+
+def _scalar_text(x):
+    """The JSON text of a str, None, bool, int or float as json writes it
+    (with its NaN and Infinity spellings); None for any other value."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        return "-Infinity" if x == -math.inf else float.__repr__(x)
+    return None
+
+
+def _key_text(key):
+    """A dict key as json writes it: a str, or the quoted text of another
+    scalar (none of those texts needs an escape)."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return f'"{text}"'
+
+
+def _write(obj, indent, out):
+    """Append the pieces of the JSON text of obj to out; indent is the
+    newline and spaces that start a line at obj's depth."""
+    text = _scalar_text(obj)
+    if text is not None:
+        out.append(text)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, inner, out)
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _key_text(key) + ": ")
+            sep = "," + inner
+            _write(value, inner, out)
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def dump_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) plus a newline,
+    written directly: json's indented output never runs its C encoder."""
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)

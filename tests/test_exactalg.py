@@ -3,6 +3,7 @@ hand computation or construction oracles)."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abdyn.errors import ContractError, DimensionError
-from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
-                            cyclotomic_split, eigenvalue_moduli,
+from abdyn.criteria import decide_regularizable
+from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, cyclotomic,
+                            cyclotomic_orders, cyclotomic_split,
+                            cyclotomic_split_with_orders, eigenvalue_moduli,
                             is_cyclotomic_free, is_positive_definite,
                             kernel_completion, kernel_lattice,
                             minor_gcd, poly_gcd, solve,
                             squarefree_decomposition)
+from abdyn.serialize import family_descriptor_from_json
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
 from util import (kronecker_is_roots_of_unity, quasi_unipotent_order, to_numpy,
@@ -95,6 +99,64 @@ def test_kronecker():
     assert kronecker_is_roots_of_unity(P(1, 0, -1, 0, 1))  # Phi_12
     with pytest.raises(ContractError):
         kronecker_is_roots_of_unity(P(0, 1))  # zero constant term
+
+
+def test_cyclotomic_matches_sympy():
+    x = sympy.Symbol("x")
+    for m in range(1, 301):
+        want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic(m).coeffs == tuple(int(c) for c in want)
+
+
+def test_cyclotomic_orders_are_all_m_with_small_totient():
+    """phi(m) >= sqrt(m / 2) bounds the m to scan for the reference."""
+    for degree in [*range(20), 40]:
+        want = tuple((m, int(sympy.totient(m))) for m in range(1, 2 * degree ** 2 + 2)
+                     if sympy.totient(m) <= degree)
+        assert cyclotomic_orders(degree) == want
+
+
+# Irreducible, cyclotomic-free: Salem (Lehmer's), Pisot, non-reciprocal,
+# and constant terms other than +-1
+SPLIT_FREE = (P(1, -3, 1), P(-1, -1, 0, 1), P(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),
+              P(-2, 0, 1), P(1, 1, 1), P(3, 0, 0, 1), P(-1, -1, 1), P(5, 0, 0, 0, 1))
+
+
+SPLIT_ORDERS = {tuple(cyclotomic(m).coeffs): m for m in range(1, 61)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 60), max_size=3),
+       st.lists(st.sampled_from(SPLIT_FREE), max_size=2))
+def test_split_matches_sympy_factor_list(ms, free):
+    """The split of a product of cyclotomic polynomials and cyclotomic-free
+    factors: its cyclotomic part and the {m: multiplicity} of its factors,
+    in ascending m, are those of sympy's factorization."""
+    p = ONE
+    for f in [cyclotomic(m) for m in ms] + free:
+        p = p * f
+    got_P, got_Q, orders = cyclotomic_split_with_orders(p)
+    x = sympy.Symbol("x")
+    want_P, want_orders = sympy.Integer(1), {}
+    for f, e in sympy.factor_list(sum(c * x ** i for i, c in enumerate(p.coeffs)))[1]:
+        f = sympy.Poly(f, x)
+        if f.is_cyclotomic:
+            want_orders[SPLIT_ORDERS[tuple(int(c) for c in f.all_coeffs()[::-1])]] = e
+            want_P *= f.as_expr() ** e
+    want = sympy.Poly(want_P, x).all_coeffs()[::-1]
+    assert got_P.coeffs == tuple(int(c) for c in want)
+    assert got_P * got_Q == p
+    assert orders == want_orders and list(orders) == sorted(orders)
+
+
+def test_split_of_high_degree_unipotent_charpoly_is_fast():
+    """decide on (T - 1)^400 at g = 200: the split stops once the
+    cyclotomic-free part is 1, and builds no Phi_m of too high a degree."""
+    desc = {"g": 200, "charpoly": [str(c) for c in (P(-1, 1) ** 400).coeffs], "r": 1}
+    t0 = time.perf_counter()
+    verdict = decide_regularizable(family_descriptor_from_json(desc))
+    assert time.perf_counter() - t0 < 1.0
+    assert verdict.status == "Undetermined"
 
 
 @st.composite

@@ -1,16 +1,25 @@
-"""The orbit analyzer against its numpy reference: the same (h, s, r),
-relations and refusals as numpy's solve, inverse and SVD, and Jacobi
-singular values against numpy's SVD."""
+"""The orbit analyzer against its references: the same (h, s, r),
+relations and refusals as numpy's solve, inverse and SVD; Jacobi singular
+values against numpy's SVD; lll_reduce and the coordinate solve against
+their Fraction versions; and no Fraction on the `orbit analyze` path."""
 
+import contextlib
+import fractions
+import io
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
+from abdyn.cli import main
 from abdyn.errors import NumericIndeterminacyError
-from abdyn.orbit import NumericLattice, _singular_values, orbit_dims
-from util import reference_orbit_dims
+from abdyn.exactalg import IntMatrix, lll_reduce, solve
+from abdyn.orbit import NumericLattice, _singular_values, orbit_dims, real_dual_coords
+from util import fraction_lll_reduce, fraction_real_dual_coords, reference_orbit_dims
 
 SQRT2 = math.sqrt(2)
 
@@ -116,3 +125,109 @@ def test_jacobi_small_singular_values_near_rank_deficient(rank, rows, cols):
         small = want[rank:min(rows, cols)]
         assert len(small) and all(1e-11 < s / want[0] < 1e-8 for s in small)
         assert all(abs(a - b) <= 1e-4 * b for a, b in zip(got[rank:], small))
+
+
+# --- lll_reduce and real_dual_coords against their Fraction versions ------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=1, max_size=n)))
+def test_lll_rounding_matches_fraction_rounding(rows):
+    """Independent rows with negative entries (small entries make ties at
+    |mu| = 3/2, 5/2, ... common): the integer rounding gives the basis of
+    the Fraction rounding."""
+    assume(IntMatrix.from_rows(rows).rank() == len(rows))
+    assert lll_reduce(rows) == fraction_lll_reduce(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-10, 10), min_size=1, max_size=6))
+def test_lll_rounding_matches_fraction_rounding_on_knapsack_rows(xs):
+    """Knapsack rows [e_i | round(10^10 x_i)], the shape of the relation
+    search."""
+    n = len(xs)
+    rows = [[int(i == j) for j in range(n)] + [round(1e10 * x)] for i, x in enumerate(xs)]
+    assert lll_reduce(rows) == fraction_lll_reduce(rows)
+
+
+def _bits(t):
+    return [float.hex(x) for x in t]
+
+
+# Basis entries at the edges of the float range: A^-1 beyond it, and
+# near-singular bases
+SKEW_EXTREMES = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-160, 1e150, 1e300, 0.5, -1.0, 1e-9)
+
+
+@st.composite
+def skew_lattice_and_alpha(draw):
+    """A g = 1..3 basis e_1..e_g, Omega e_1..Omega e_g with random Omega
+    and a random alpha; in a quarter of the cases the entries may be at the
+    float edges and e_1..e_g scaled down."""
+    g = draw(st.integers(1, 3))
+    entry, scale = st.floats(-2, 2), 1.0
+    if draw(st.integers(0, 3)) == 0:
+        entry |= st.sampled_from(SKEW_EXTREMES)
+        scale = draw(st.sampled_from([1.0, 1e-300, 2.0 ** -1074]))
+    basis = [[complex(scale * (i == j)) for i in range(g)] for j in range(g)]
+    basis += [[complex(draw(entry), draw(entry) + (i == j)) for i in range(g)]
+              for j in range(g)]
+    alpha = [complex(draw(entry), draw(entry)) for _ in range(g)]
+    return NumericLattice(g=g, basis=basis), alpha
+
+
+def _coords_outcome(solve_coords, lattice, alpha):
+    try:
+        x, inverse = solve_coords(lattice, alpha)
+    except NumericIndeterminacyError as exc:
+        return "refused", str(exc)
+    return _bits(x), [_bits(col) for col in inverse]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(skew_lattice_and_alpha())
+def test_real_dual_coords_match_fraction_solve(case):
+    """Bit-identical x and A^-1, or the same refusal, as the solve in
+    Fractions."""
+    lattice, alpha = case
+    got = _coords_outcome(lambda lat, a: real_dual_coords(lat, a, with_inverse=True),
+                          lattice, alpha)
+    event(got[1] if got[0] == "refused" else "solved")
+    assert got == _coords_outcome(fraction_real_dual_coords, lattice, alpha)
+
+
+TINY = NumericLattice(g=1, basis=[[5e-324], [5e-324j]])
+
+
+def test_real_dual_coords_overflow_refused():
+    """A basis of subnormals puts A^-1 beyond the float range: both refuse."""
+    with pytest.raises(NumericIndeterminacyError, match="beyond the float range"):
+        real_dual_coords(TINY, [0.5 + 0.5j], with_inverse=True)
+    with pytest.raises(NumericIndeterminacyError, match="beyond the float range"):
+        fraction_real_dual_coords(TINY, [0.5 + 0.5j])
+
+
+def test_orbit_analyze_builds_no_fraction(monkeypatch):
+    """A g = 2 `orbit analyze` on a skew lattice with relations creates no
+    Fraction; the counter sees the Fractions of solve."""
+    created = []
+    new = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    solve([[2, 1], [1, 1]], [1, 0])
+    assert created
+    created.clear()
+    lattice = {"g": 2, "basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]],
+                                 [[0.3, 1.1], [0.1, 0.05]], [[0.1, 0.05], [-0.2, 1.3]]]}
+    alpha = [[0.7071067811865476, 0.1], [0.3333333333333333, 1.4142135623730951]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["orbit", "analyze", "--lattice", json.dumps(lattice),
+                     "--alpha", json.dumps(alpha)]) == 0
+    assert json.loads(out.getvalue())["result"]["relations"]
+    assert created == []

@@ -4,11 +4,13 @@ codes, reproducibility metadata, output documents against their schemas)."""
 import ast
 import contextlib
 import copy
+import fractions
 import functools
 import hashlib
 import importlib.resources
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -1110,6 +1112,226 @@ def test_cli_algebra_contract(doc):
         serialize.validate_schema(result, {"split": "split_report", "decide": "verdict"}[argv[0]])
 
 
+# --- contract of fan build, validate and extends ---------------------------------
+
+FAN_CONTRACT_BS = ([[2]], [[2, 1], [1, 2]], [[1, 0], [0, 0]], [[2, 1, 0], [1, 2, 0], [0, 0, 0]],
+                   [[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+# Entries of B, rays, cones, B', metrics and n_phi: small, huge (2^1100 does
+# not convert to a float), and values of the wrong JSON type.
+FAN_EXTREMES = (0, 1, -1, 2, 3, 7, 2 ** 70, -(2 ** 70), 2 ** 1100, -(2 ** 1100), "3", "-1",
+                "1/2", "2/0", "10/3", 1.5, 2.0, -0.5, 1e300, 5e-324, True, None, "x", [])
+FAN_METRICS = (None, "standard", "identity", "random", "[[1]]", '[["2", "1/2"], ["1/2", "1"]]',
+               "[[1, 0], [0, 1]]", '[["-1"]]', "[[0]]", "[[1, 2], [3, 4]]", '[["1/3"]]',
+               "[[1e300]]", "[[5e-324]]", "[[1e-300, 0], [0, 1e300]]", '[["10/0"]]',
+               "[[1, 0, 0]]", "[]", "5", '"abc"', "bogus", "[[2, 1], [1, 2], [0, 0]]")
+
+
+@functools.cache
+def _contract_fan(B):
+    """The `fan build` output document for B (a JSON text)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fan", "build", "--B", B, "--seed", "0"]) == 0
+    return out.getvalue()
+
+
+def _replace_entry(draw, rows, value):
+    """An entry of one of the rows (lists) replaced by a drawn value."""
+    rows = [row for row in rows if isinstance(row, list) and row]
+    if rows:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(value)
+
+
+def _add_or_drop(draw, rows):
+    """The last of the rows dropped, or a copy of one appended."""
+    if rows and draw(st.booleans()):
+        rows.pop()
+    elif rows:
+        rows.append(copy.deepcopy(draw(st.sampled_from(rows))))
+
+
+def _mutate_fan(draw, doc):
+    """One mutation of a fan document: a ray, cone, B', metric, gamma or
+    seed entry replaced, or a ray entry, ray, cone or row added or dropped."""
+    fan = doc["result"] if "result" in doc else doc
+    value = st.sampled_from(FAN_EXTREMES)
+    mutation = draw(st.sampled_from(["ray", "ray_length", "rays", "cone", "cones",
+                                     "cone_empty", "bprime", "bprime_rows", "metric",
+                                     "metric_rows", "metric_drop", "gamma", "seed"]))
+    rays, cones = fan["rays"], fan["cones"]
+    if mutation == "ray":
+        _replace_entry(draw, rays, value)
+    elif mutation == "ray_length" and rays:
+        _add_or_drop(draw, draw(st.sampled_from(rays)))
+    elif mutation == "rays":
+        _add_or_drop(draw, rays)
+    elif mutation == "cone":
+        index = st.one_of(st.sampled_from([-1, len(rays), 2 ** 70, 1.0, "0", None]),
+                          st.integers(0, max(len(rays) - 1, 0)))
+        _replace_entry(draw, cones, index)
+    elif mutation == "cones":
+        _add_or_drop(draw, cones)
+    elif mutation == "cone_empty":
+        cones.append([])
+    elif mutation == "bprime":
+        _replace_entry(draw, fan["gamma"]["Bprime"], value)
+    elif mutation == "bprime_rows":
+        _add_or_drop(draw, fan["gamma"]["Bprime"])
+    elif mutation == "metric" and "metric" in fan:
+        _replace_entry(draw, fan["metric"], value)
+    elif mutation == "metric_rows" and "metric" in fan:
+        _add_or_drop(draw, fan["metric"])
+    elif mutation == "metric_drop":
+        fan.pop("metric", None)
+    elif mutation == "gamma":
+        fan["gamma"][draw(st.sampled_from(["g_prime", "r_prime"]))] = draw(value)
+    elif mutation == "seed":
+        fan["seed"] = draw(value)
+
+
+@st.composite
+def fan_argv(draw):
+    """(argv, fan file text or None): a `fan build` with a mutated B, --metric
+    and --seed, or a `fan validate` or `fan extends` on a built fan after up
+    to three mutations, with an --nphi at the edges."""
+    command = draw(st.sampled_from(["build", "validate", "extends"]))
+    B = draw(st.sampled_from(FAN_CONTRACT_BS))
+    if command == "build":
+        if draw(st.booleans()):
+            B = _mutate_matrix(draw, B)
+        argv = ["fan", "build", "--B", json.dumps(B)]
+        metric = draw(st.sampled_from(FAN_METRICS))
+        if metric is None and draw(st.booleans()):  # a metric with a drawn entry
+            r = draw(st.integers(1, 3))
+            rows = [[str(int(i == j)) for j in range(r)] for i in range(r)]
+            rows[draw(st.integers(0, r - 1))][draw(st.integers(0, r - 1))] \
+                = draw(st.sampled_from(FAN_EXTREMES))
+            metric = json.dumps(rows)
+        if metric is not None:
+            argv += ["--metric", metric]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.sampled_from(["0", "1", "-1", "123456", str(2 ** 70),
+                                                     str(-(2 ** 100))]))]
+        return argv, None
+    doc = json.loads(_contract_fan(json.dumps(B)))
+    if draw(st.booleans()):
+        doc = doc["result"]  # a bare fan file
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate_fan(draw, doc)
+    argv = ["fan", command, "@FAN"]
+    if command == "extends":
+        g = len(B)
+        n_phi = [draw(st.integers(-6, 6)) for _ in range(g)]
+        edge = draw(st.sampled_from(["none", "entry", "length", "value"]))
+        if edge == "entry":
+            n_phi[draw(st.integers(0, g - 1))] = draw(st.sampled_from(FAN_EXTREMES))
+        elif edge == "length":
+            n_phi = n_phi[:-1] if draw(st.booleans()) else n_phi + [1]
+        text = json.dumps(n_phi) if edge != "value" else \
+            draw(st.sampled_from(["5", "{}", "null", "[]", '"1"', "[[1]]", "nope"]))
+        argv[2:2] = ["--nphi", text]
+    return argv, json.dumps(doc)
+
+
+FAN_OUTPUT_SCHEMAS = {"build": "fan", "validate": "fan_validation", "extends": "fan_extension"}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(fan_argv())
+def test_cli_fan_contract(tmp_path_factory, doc):
+    """Whatever B, metric, seed, fan file and n_phi: exit 0, 2, 3 or 4, never
+    a traceback.  A refusal prints one stderr line and no stdout, except that
+    `fan validate` reports a fan that fails validation on stdout with exit 3;
+    an output validates against its schema."""
+    argv, text = doc
+    if text is not None:
+        path = tmp_path_factory.getbasetemp() / "contract_fan.json"
+        path.write_text(text)
+        argv = [str(path) if a == "@FAN" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[1]}: exit {code}")
+    assert code in (0, 2, 3, 4)
+    reported = argv[1] == "validate" and code == 3 and out.getvalue()
+    if code and not reported:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        return
+    assert err.getvalue() == ""
+    assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
+    result = json.loads(out.getvalue())["result"]
+    serialize.validate_schema(result, FAN_OUTPUT_SCHEMAS[argv[1]])
+    if reported:
+        assert result["ok"] is False and result["violations"]
+
+
+# --- contract of catalog list, catalog build and end-to-end -------------------------
+
+CATALOG_INTS = ("-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", "16", "100000",
+                str(10 ** 30), str(-10 ** 30))
+CATALOG_CASES = ("2.1", "2.2", "3.1", "3.2", "4.5", "4.8", "5.5", "4.1", "5.1", "2.3",
+                 "9.9", "", "2", "2.x", "x.1", "-2.1", " 2.1", "2.1.1", "10.1", "0.1")
+
+
+@st.composite
+def catalog_argv(draw):
+    """A `catalog list` with a drawn --g, or a `catalog build` or `end-to-end`
+    with a drawn case id (tabulated, untabulated or malformed), --d, --r and
+    (end-to-end) --tol."""
+    command = draw(st.sampled_from(["list", "build", "end-to-end"]))
+    if command == "list":
+        return ["catalog", "list", "--g", draw(st.sampled_from(CATALOG_INTS))]
+    argv = ["catalog", "build"] if command == "build" else ["end-to-end"]
+    argv += ["--case", draw(st.sampled_from(CATALOG_CASES))]
+    for flag in ("--d", "--r"):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(CATALOG_INTS))]
+    if command == "end-to-end" and draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["1e-9", "0.5", "1e300", "5e-324", "0", "-1",
+                                                "nan", "inf"]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(catalog_argv())
+def test_cli_catalog_contract(argv):
+    """Whatever the g, case, d, r and tol: exit 0, 2, 3 or 4, never a
+    traceback; a refusal prints one stderr line and no stdout, and an output
+    has no Infinity or NaN (`catalog list` validates against its schema)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0] if argv[0] == 'end-to-end' else ' '.join(argv[:2])}: exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        return
+    assert err.getvalue() == ""
+    assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
+    if argv[1] == "list":
+        serialize.validate_schema(json.loads(out.getvalue())["result"], "catalog_list")
+
+
+@pytest.mark.parametrize("command", ["validate", "extends"])
+def test_cli_fan_file_integral_float_cone_index(command, tmp_path, capsys, monkeypatch):
+    """A cone index written 1.0 (an integer to the fan schema) reads as 1:
+    the same output as the file with integer indices, not a traceback."""
+    fan = serialize.fan_to_json(
+        delaunay_fan(nakamura_data(IntMatrix.from_rows([[1, 3], [0, 1]]))))
+    outputs = []
+    for edit in (False, True):
+        if edit:
+            fan["cones"] = [[float(i) for i in cone] for cone in fan["cones"]]
+        fan_file = tmp_path / "fan.json"
+        fan_file.write_text(json.dumps(fan))
+        argv = ["fan", command, str(fan_file)]
+        if command == "extends":
+            argv[2:2] = ["--nphi", "[1]"]
+        outputs.append(run_cli(argv, None, capsys, monkeypatch))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("exponent, code, lambda_1", [
     (500, 0, 3.273390607896142e+150), (520, 0, 3.432398830065305e+156),
     (1023, 0, 8.98846567431158e+307), (1100, 4, None)])
@@ -1218,3 +1440,187 @@ def test_cli_golden_analyze_and_split_results():
             h.update(json.dumps(result, sort_keys=True).encode())
         digests[command] = h.hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+# --- the direct JSON writer ---------------------------------------------------
+
+def _json_text(dump, obj):
+    """dump(obj), or TypeError when it refuses obj."""
+    try:
+        return dump(obj)
+    except TypeError:
+        return TypeError
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+JSON_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+               1.7976931348623157e308, -1e308, float("nan"), math.inf, -math.inf, 0.1, 1e16)
+JSON_STRINGS = ("", '"', "\\", "/", "\n\r\t\b\f", "\x00\x01\x1f\x7f", "\u2028\u2029",
+                "caf\u00e9", "\u00ff\u0100", "\U0001f600", "\ud800", "key")
+json_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-10 ** 1000, 10 ** 1000),
+    st.floats(), st.sampled_from(JSON_FLOATS),
+    st.text(), st.sampled_from(JSON_STRINGS))
+json_keys = st.one_of(
+    st.text(), st.sampled_from(JSON_STRINGS),                  # str keys
+    st.integers(-10 ** 1000, 10 ** 1000), st.floats(),          # numbers sort together
+    st.sampled_from(JSON_FLOATS), st.booleans())
+
+
+def _dicts(children):
+    """Dicts of str keys, of number and bool keys, of one None key, or (rarely
+    sortable) of mixed keys."""
+    return st.one_of(
+        st.dictionaries(st.text() | st.sampled_from(JSON_STRINGS), children, max_size=5),
+        st.dictionaries(st.integers() | st.floats() | st.booleans()
+                        | st.sampled_from(JSON_FLOATS), children, max_size=5),
+        st.dictionaries(st.none(), children, max_size=1),
+        st.dictionaries(json_keys | st.none(), children, max_size=3))
+
+
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.lists(children, max_size=5).map(tuple),
+                               _dicts(children)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(json_trees)
+def test_dump_json_matches_json_dumps(tree):
+    """The bytes of json.dumps(indent=2, sort_keys=True) plus a newline, on
+    trees with escapes, control characters, non-ASCII text, huge ints, the
+    float edges, tuples and non-str keys; where json refuses the tree (keys
+    that do not sort), dump_json refuses it too."""
+    want = _json_text(_json_dumps, tree)
+    event("refused" if want is TypeError else "written")
+    assert _json_text(serialize.dump_json, tree) == want
+
+
+@pytest.mark.parametrize("value", [fractions.Fraction(1, 3), object(), 1j, {1, 2}, b"x",
+                                   [1, [fractions.Fraction(2)]], {"a": object()},
+                                   {(1, 2): 3}, {fractions.Fraction(1, 2): 0}])
+def test_dump_json_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        _json_dumps(value)
+    with pytest.raises(TypeError):
+        serialize.dump_json(value)
+
+
+# --- golden stdout of every command -------------------------------------------
+
+GOLDEN_FAN_BS = ([[1]], [[3]], [[2, 1], [1, 2]], [[1, 0], [0, 0]],
+                 [[2, 1, 0], [1, 2, 0], [0, 0, 0]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+GOLDEN_CASES = ("2.1", "2.2", "3.1", "3.2", "4.5", "4.8", "5.5")
+
+
+def _golden_documents():
+    """{command: [argv, stdin]} for a seeded set of documents of every
+    command, a few refusals among them.  `fan validate` and `fan extends`
+    read the files fan0.json, fan1.json, ... that the `fan build` documents
+    write, by relative path, so their output does not depend on the
+    directory."""
+    rng = random.Random("golden-stdout")
+    matrices = _golden_matrices()
+    docs = {"analyze": [[["analyze"], json.dumps(m)] for m in matrices[:4]]
+            + [[["analyze", "--tol", "1e-6"], json.dumps(
+                {"r": 2, "g": 1, "u_T": [[2, 1], [1, 1]], "u_A_rat": [[0, -1], [1, 0]]})],
+               [["analyze"], json.dumps({"r": 0, "g": 2, "u_A_rat": [
+                   [2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]})],
+               [["analyze"], "[[1, 2], [3]]"]],
+            "decide": [[["decide"], json.dumps(d)] for d in (
+                {"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1},
+                {"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 2, "k": 0},
+                {"g": 2, "charpoly": [1, -1, -1, -1, 1], "r": 2},
+                {"g": 1, "charpoly": [1, 0, 1], "finite_order": True},
+                {"g": 2, "charpoly": [1, 2, 3], "r": 1})],
+            "split": [[["split"], json.dumps(m)] for m in matrices[4:9]],
+            "fan build": [], "fan validate": [], "fan extends": [], "orbit analyze": [],
+            "catalog list": [[["catalog", "list", "--g", str(g)], ""] for g in range(1, 6)],
+            "catalog build": [], "end-to-end": []}
+    for B in GOLDEN_FAN_BS:
+        metrics = [[]] if len(B) == 3 and B[2][2] else [[], ["--metric", "random"]]
+        for metric in metrics:
+            i = len(docs["fan build"])
+            docs["fan build"].append([["fan", "build", "--B", json.dumps(B), *metric,
+                                       "--seed", str(rng.randrange(10 ** 6))], ""])
+            docs["fan validate"].append([["fan", "validate", f"fan{i}.json"], ""])
+            for _ in range(2):
+                n_phi = [rng.randrange(-3, 4) for _ in B]
+                docs["fan extends"].append([["fan", "extends", "--nphi", json.dumps(n_phi),
+                                             f"fan{i}.json"], ""])
+    docs["fan build"].append([["fan", "build", "--B", "[[2, 1], [1, 2]]", "--metric",
+                               '[["2", "1/2"], ["1/2", "1"]]'], ""])
+    docs["fan build"].append([["fan", "build", "--B", "[[0]]"], ""])
+    for g in (1, 2):
+        for skew in (False, True):
+            basis = [[[float(i == j), 0.0] for i in range(g)] for j in range(g)]
+            basis += [[[round(rng.uniform(-0.5, 0.5), 3) if skew else 0.0,
+                        float(i == j) + (round(rng.uniform(-0.2, 0.2), 3) if skew else 0.0)]
+                       for i in range(g)] for j in range(g)]
+            for kind in ("uniform", "rational", "quadratic"):
+                x = [rng.random() if kind == "uniform"
+                     else rng.randrange(7) / rng.randrange(1, 8)
+                     + (rng.choice((0, 1, -1)) * math.sqrt(2) if kind == "quadratic" else 0)
+                     for _ in range(2 * g)]
+                alpha = [[sum(x[j] * basis[j][i][k] for j in range(2 * g)) for k in (0, 1)]
+                         for i in range(g)]
+                docs["orbit analyze"].append([["orbit", "analyze", "--lattice", json.dumps(
+                    {"g": g, "basis": basis}), "--alpha", json.dumps(alpha)], ""])
+    docs["orbit analyze"].append([["orbit", "analyze", "--lattice", json.dumps(
+        {"g": 1, "basis": [[[5e-324, 0]], [[0, 5e-324]]]}), "--alpha", "[[0.5, 0.5]]"], ""])
+    for case in GOLDEN_CASES:
+        g = int(case[0])
+        opts = ["--case", case, "--d", str(rng.choice((2, 3, 5))),
+                "--r", str(rng.randrange(g + 1))]
+        docs["catalog build"].append([["catalog", "build", *opts], ""])
+        docs["end-to-end"].append([["end-to-end", *opts], ""])
+    return docs
+
+
+# sha256, per command, of the argv, exit code, stdout and stderr of each
+# document in order: every byte of the output, whitespace included.
+GOLDEN_STDOUT_DIGESTS = {
+    "analyze": "62b415f17e3fa34f8c066a88fec420103d3542ca918e398a1dab6c25eb5d7ab5",
+    "decide": "bc4cc3485b74b5006da0fe75509ba83d2e71b140ab1b22945775a70dd61822d7",
+    "split": "734fdcca6f0ed72e77b2899f55d2fba2a5f67a836db43de90dcf0801ed038f60",
+    "fan build": "edaf94992081c6fbe624f926cb4869ae703f0a8815d73f338c711997ce04ca98",
+    "fan validate": "5bba0238f2d4ed889b5cc37a32f1cfcbad40e15bc41e54e80f1028a6d29e8f39",
+    "fan extends": "0c464ab772861bdd79e4e2e1859de9f73a13950a71994b7e8f89689e09450123",
+    "orbit analyze": "10928ed2818c00056969f2e1cf2f666da99fe94872c62340230dd7456bc40133",
+    "catalog list": "68f42cea3de5cdf46e62692a38c2f90674d0612364dcf8790fac23d531e8a354",
+    "catalog build": "8d67b69adbe91244a5ba180499c6d85689c58e64b2b156735bc90e9951209784",
+    "end-to-end": "0f5af8d18ad350b1d0e78c6dd1bad1363da49937b5bf1c6493a29f5a213782a2"}
+
+
+def _golden_stdout_digests():
+    digests = {}
+    for command, docs in _golden_documents().items():
+        h = hashlib.sha256()
+        for i, (argv, stdin) in enumerate(docs):
+            out, err = io.StringIO(), io.StringIO()
+            saved = sys.stdin
+            sys.stdin = io.StringIO(stdin)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            finally:
+                sys.stdin = saved
+            if command == "fan build" and code == 0:
+                pathlib.Path(f"fan{i}.json").write_text(out.getvalue())
+            h.update(json.dumps([argv, code]).encode() + b"\0" + out.getvalue().encode()
+                     + b"\0" + err.getvalue().encode() + b"\0")
+        digests[command] = h.hexdigest()
+    return digests
+
+
+def test_cli_golden_stdout(tmp_path, monkeypatch):
+    """The full stdout and stderr of a seeded set of documents of every
+    command, byte for byte, are those of the released program."""
+    monkeypatch.chdir(tmp_path)
+    assert _golden_stdout_digests() == GOLDEN_STDOUT_DIGESTS

@@ -1,12 +1,14 @@
-"""Shared test helpers: random unimodular matrices, exact inverses, a
-reference LLL, brute-force Delaunay cells, the reference root-of-unity test,
-unipotent index and quasi-unipotent order, the numeric degree-growth
-oracle (exterior-power norm sequences and their growth fit), the
-reference fan certification (one Cone per face, Selling in Fractions), the
-reference orbit analysis (numpy solve, inverse and SVD:
-reference_orbit_dims), and the numeric code that no command reaches: the
-polarized splitting split_A_B, the finite-order approximants and the Type I
-lattice construction type_I_lattice."""
+"""Shared test helpers: random unimodular matrices, exact inverses, two
+reference LLLs (exact Gram-Schmidt, and the integral LLL with Fraction
+rounding: fraction_lll_reduce), brute-force Delaunay cells, the reference
+root-of-unity test, unipotent index and quasi-unipotent order, the numeric
+degree-growth oracle (exterior-power norm sequences and their growth fit),
+the reference fan certification (one Cone per face, Selling in Fractions),
+the reference orbit analysis (numpy solve, inverse and SVD:
+reference_orbit_dims; the coordinate solve in Fractions:
+fraction_real_dual_coords), and the numeric code that no command reaches:
+the polarized splitting split_A_B, the finite-order approximants and the
+Type I lattice construction type_I_lattice."""
 
 import functools
 import itertools
@@ -20,8 +22,9 @@ import numpy as np
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
                             cyclotomic_split_with_orders, is_positive_definite, minor_gcd)
-from abdyn.orbit import (NumericLattice, OrbitReport, _independent, _rank_with_band,
-                         _round_scaled, lll_reduce, orbit_dims, relation_lattice)
+from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
+                         _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
+                         relation_lattice)
 from abdyn.toroidal import (Cone, FanReport, _coset_representatives, _DegenerateMetric,
                             _reduce_mod_period, _translate_cone)
 
@@ -189,6 +192,59 @@ def reference_lll(rows, delta=Fraction(99, 100)):
             b[k], b[k - 1] = b[k - 1], b[k]
             bstar, mu, norms = gram_schmidt()
             k = max(k - 1, 1)
+    return b
+
+
+def fraction_lll_reduce(rows, delta=Fraction(99, 100)):
+    """The integral LLL of abdyn.exactalg.lll_reduce (Cohen, Alg. 2.6.7) as
+    it was before its rounding ran on plain integers: each size-reduction
+    step rounds Fraction(lam[k][j], d[j+1]) with round() (ties to even).
+    The reference of the differential tests of that rounding."""
+    b = [[int(x) for x in row] for row in rows]
+    n = len(b)
+    if n == 0:
+        return []
+    p, q_delta = delta.numerator, delta.denominator
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise ContractError("lll_reduce needs linearly independent rows")
+    k = 1
+    while k < n:
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            if 2 * abs(lk[j]) <= d[j + 1]:
+                continue
+            q = round(Fraction(lk[j], d[j + 1]))  # ties to even
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lk[j] -= q * d[j + 1]
+            lj = lam[j]
+            for t in range(j):
+                lk[t] -= q * lj[t]
+        lkk = lk[k - 1]
+        if q_delta * (d[k + 1] * d[k - 1] + lkk * lkk) >= p * d[k] * d[k]:
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
+        B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
     return b
 
 
@@ -700,6 +756,55 @@ def reference_real_dual_coords(lattice, v, tol=1e-10):
     if resid > 1e-10 * scale:
         raise NumericIndeterminacyError(f"reconstruction residual {resid} too large")
     return tuple(float(t) for t in x)
+
+
+def _fraction_solve(A, rhs):
+    """Gauss-Jordan elimination over Q of the square A against each
+    right-hand side; None when A is singular."""
+    n = len(A)
+    a = [[Fraction(t) for t in row] + [Fraction(b[i]) for b in rhs]
+         for i, row in enumerate(A)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [[a[i][n + k] for i in range(n)] for k in range(len(rhs))]
+
+
+def fraction_real_dual_coords(lattice, v):
+    """(x, columns of A^-1) of abdyn.orbit.real_dual_coords(..., with_inverse=
+    True) as it was before its solve read floats as integers: every float
+    as a Fraction, an exact solve over Q, each entry rounded once by
+    float(Fraction), and the same checks and refusals."""
+    n = 2 * lattice.g
+    cols = [[z.real for z in b] + [z.imag for z in b] for b in lattice.basis]
+    A = list(zip(*cols))
+    v = tuple(complex(z) for z in v)
+    rhs = [z.real for z in v] + [z.imag for z in v]
+    solved = _fraction_solve(A, [rhs] + [[int(i == k) for i in range(n)] for k in range(n)])
+    if solved is None:
+        raise NumericIndeterminacyError("lattice basis is ill-conditioned")
+    x, *inverse = solved
+    try:
+        x = tuple(float(t) for t in x)
+        inverse = [[float(t) for t in col] for col in inverse]
+    except OverflowError:
+        raise NumericIndeterminacyError(
+            "a coordinate or an entry of A^-1 is beyond the float range") from None
+    norms = math.hypot(*itertools.chain(*cols)) * math.hypot(*itertools.chain(*inverse))
+    if not norms <= COND_LIMIT:
+        raise NumericIndeterminacyError("lattice basis is ill-conditioned")
+    resid = math.hypot(*(sum(a * t for a, t in zip(row, x)) - r
+                         for row, r in zip(A, rhs)))
+    if not resid <= 1e-10 * max(1.0, math.hypot(*rhs)):
+        raise NumericIndeterminacyError(f"reconstruction residual {resid} too large")
+    return x, inverse
 
 
 def reference_complex_forms(lattice, relations):
