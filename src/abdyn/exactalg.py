@@ -8,16 +8,18 @@ only in solve's return value and in LLL_DELTA; rational and float input is
 read exactly, as integer ratios.  Floating point appears only in
 eigenvalue_moduli, which imports numpy when it finds roots.
 
-Two exact kernels carry the linear algebra.  Ranks, determinants,
-positive-definiteness tests and linear solves (solve, and the cleared
-solve behind it that orbit uses for float systems) all run one
-fraction-free Gauss-Jordan elimination, _bareiss (Bareiss 1968), on
-denominator-cleared integer rows.  Integral lattice questions run one
-integral LLL, lll_reduce (Cohen, Alg. 2.6.7): kernel lattices, unimodular
-completions (kernel_completion) and the gcd of maximal minors that decides
-saturation (minor_gcd).  Dense products (matrix products and powers, Horner
-evaluation at a matrix, matrix-vector products and the Berkowitz steps) all
-run one inner-product kernel, _mat_mul, on plain rows and columns.
+Two exact kernels carry the linear algebra.  Ranks, determinants, linear
+solves (solve, and the cleared solve behind it that orbit uses for float
+systems) and the maximal minors of minor_gcd all run one fraction-free
+Gauss-Jordan elimination, _bareiss (Bareiss 1968), on denominator-cleared
+integer row lists; is_positive_definite runs the same recurrence once with
+no row exchanges, so its pivots are the leading principal minors.  Integral
+lattice questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7):
+kernel lattices, unimodular completions (kernel_completion) and the gcd of
+maximal minors when the reduced entries have a common factor.  Dense
+products (matrix products and powers, Horner evaluation at a matrix,
+matrix-vector products and the Berkowitz steps) all run one inner-product
+kernel, _mat_mul, on plain rows and columns.
 """
 
 from __future__ import annotations
@@ -578,10 +580,19 @@ def solve(A, *rhs):
 def is_positive_definite(rows):
     """Sylvester's criterion for a symmetric matrix of integers or
     Fractions: every leading principal minor is positive.  Clearing each
-    row's denominators scales the minors by positive factors only."""
+    row's denominators scales the minors by positive factors only.  One
+    Bareiss pass with no row exchanges has the k-th leading principal minor
+    as its k-th pivot (Bareiss 1968), so it stops at the first pivot <= 0."""
     a = [_cleared(list(row)) for row in rows]
-    return all(IntMatrix.from_rows([row[:k] for row in a[:k]]).det() > 0
-               for k in range(1, len(a) + 1))
+    prev = 1
+    while a:
+        pr, *a = a
+        piv = pr[0]
+        if piv <= 0:
+            return False
+        a = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], pr[1:])] for row in a]
+        prev = piv
+    return True
 
 
 def char_poly(M):
@@ -666,20 +677,23 @@ def minor_gcd(rows):
     exactly when they extend to a basis of Z^m, and otherwise the index of
     their span in its saturation.
 
-    The rows _bareiss reduces to are d A_P^-1 A, all maximal minors by
-    Cramer's rule; if their gcd is 1 it is the answer.  Otherwise, with
-    (T, m - k) = kernel_completion(A) and R the rows of T after the kernel
-    rows, A T^T = [0 | A R^T], and the unimodular T^T keeps the gcd of the
-    maximal minors (Cauchy-Binet): it is |det(A R^T)|."""
+    The row lists _bareiss reduces to are d A_P^-1 A, all maximal minors by
+    Cramer's rule; if their gcd is 1 it is the answer.  Otherwise (the only
+    branch that builds an IntMatrix), with (T, m - k) = kernel_completion(A)
+    and R the rows of T after the kernel rows, A T^T = [0 | A R^T], and the
+    unimodular T^T keeps the gcd of the maximal minors (Cauchy-Binet): it is
+    |det(A R^T)|."""
     if not rows:
         return 1
-    A = IntMatrix.from_rows([list(r) for r in rows])
-    a = A.to_rows()
-    pivots, _ = _bareiss(a, A.cols)
-    if len(pivots) < A.rows:
+    a = [list(r) for r in rows]
+    if len({len(r) for r in a}) > 1:
+        raise DimensionError("ragged rows")
+    pivots, _ = _bareiss(a, len(a[0]))
+    if len(pivots) < len(a):
         return 0
     if gcd(*(x for row in a for x in row)) == 1:
         return 1
+    A = IntMatrix.from_rows(rows)
     T, k = kernel_completion(A)
     return abs((A @ IntMatrix.from_rows(T[k:]).transpose()).det())
 

@@ -375,7 +375,7 @@ def fan_from_json(obj):
         idxs = [int(i) for i in idxs]  # the schema's integers admit 1.0
         if any(not 0 <= i < len(rays) for i in idxs):
             raise SchemaError("cone refers to a missing ray index")
-        cones.append(Cone(tuple(rays[i] for i in idxs)))
+        cones.append(Cone._of(tuple(rays[i] for i in idxs)))
     metric = obj.get("metric")
     if metric is None:  # the standard metric
         metric = [[int(i == j) for j in range(gamma.r_prime)] for i in range(gamma.r_prime)]

@@ -17,10 +17,11 @@ all membership tests modulo Gamma.
 
 GammaData is the one place that knows the period lattice: it eliminates
 [B' | I] once (exactalg's fraction-free Bareiss elimination) and caches
-det B' > 0 and the integer adjugate adj(B') = det B' * B'^-1.  Every
-Gamma-translate b + beta * B', every reduction of b into the fundamental
-cell (beta = floor(adj(B') b / det B')) and every regularizing power goes
-through it in integer arithmetic.
+B' as rows, det B' > 0 and adj(B') = det B' * B'^-1.  Every Gamma-translate
+b + beta * B', every reduction of b into the fundamental cell (beta =
+floor(adj(B') b / det B')) and every regularizing power is an inner product
+of those integer rows.  Certification runs on plain integer rows as well:
+the same elimination gives each cone's minor gcd and each cell's volume.
 
 Delaunay cells are written down exactly, with no search.  For r' <= 3
 every lattice has an obtuse superbase v_0..v_r' (sum v_i = 0, every
@@ -48,6 +49,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
 from .exactalg import (IntMatrix, _bareiss, is_positive_definite,
@@ -98,7 +100,7 @@ class GammaData:
 
     def shift(self, beta):
         """The period beta * B' (a row vector; B' is symmetric)."""
-        return tuple(sum(x * y for x, y in zip(row, beta)) for row in self.rows)
+        return tuple(sum(map(mul, row, beta)) for row in self.rows)
 
 
 def gamma_act(gamma_data, beta, point):
@@ -120,10 +122,19 @@ class Cone:
     generators: tuple
 
     def __post_init__(self):
-        gens = tuple(sorted(tuple(int(x) for x in v) for v in self.generators))
+        gens = Cone._of(tuple(int(x) for x in v) for v in self.generators).generators
+        object.__setattr__(self, "generators", gens)
+
+    @staticmethod
+    def _of(gens):
+        """From tuples of ints (internal results and parsed files): sorted
+        and checked for duplicates, with no conversion."""
+        gens = tuple(sorted(gens))
         if len(set(gens)) != len(gens):
             raise ContractError("duplicate cone generators")
-        object.__setattr__(self, "generators", gens)
+        cone = object.__new__(Cone)
+        object.__setattr__(cone, "generators", gens)
+        return cone
 
     @property
     def dim(self):
@@ -150,9 +161,8 @@ def _reduce_mod_period(b, gamma):
     """Write b = b0 + beta*B' with b0 in the fundamental half-open cell
     (coordinates of b*B'^-1 in [0,1)); returns (b0, beta)."""
     # b*B'^-1 = adj(B') b / det B', as B' is symmetric
-    beta = tuple(sum(x * y for x, y in zip(row, b)) // gamma.det for row in gamma.adj)
-    b0 = tuple(bi - s for bi, s in zip(b, gamma.shift(beta)))
-    return b0, beta
+    beta = tuple(sum(map(mul, row, b)) // gamma.det for row in gamma.adj)
+    return tuple(bi - sum(map(mul, row, beta)) for bi, row in zip(b, gamma.rows)), beta
 
 
 def _canonical_gens(gens, gamma):
@@ -192,15 +202,17 @@ def monodromy_to_B(M):
     unless that W has det other than +-1; then the rest are the remaining
     rows of kernel_completion's T, and B' the last r' rows and columns of
     T B T^T."""
+    B, W, _, _ = _monodromy_split(M)
+    return B, W
+
+
+def _monodromy_split(M):
+    """(B, W, W B W^T, r'): the work of monodromy_to_B, kept for nakamura_data."""
     if not M.is_square() or M.rows % 2 != 0:
         raise DimensionError("monodromy matrix must be square of even size 2g")
     g = M.rows // 2
-    # unipotence
-    N = M - IntMatrix.identity(2 * g)
-    power = IntMatrix.identity(2 * g)
-    for _ in range(2 * g):
-        power = power @ N
-    if power != IntMatrix.zero(2 * g, 2 * g):
+    # unipotence: N^(2g) = 0, by square-and-multiply
+    if (M - IntMatrix.identity(2 * g)) ** (2 * g) != IntMatrix.zero(2 * g, 2 * g):
         raise ContractError("monodromy is not unipotent: pass a unipotent power M^n")
     # block shape
     for i in range(g):
@@ -233,15 +245,13 @@ def monodromy_to_B(M):
     if r_prime and not is_positive_definite([[WB[i, j] for j in range(k, g)]
                                              for i in range(k, g)]):
         raise ContractError("period translation matrix is not positive semi-definite")
-    return B, W
+    return B, W, WB, r_prime
 
 
 def nakamura_data(M):
     """Convenience: monodromy -> GammaData (B' block and ranks)."""
-    B, W = monodromy_to_B(M)
+    B, W, WB, r_prime = _monodromy_split(M)
     g = B.rows
-    WB = W @ B @ W.transpose()
-    r_prime = B.rank()
     if r_prime == 0:
         raise ContractError("non-degenerating monodromy (B = 0): no fan to build")
     Bp = IntMatrix.from_rows([[WB[g - r_prime + i, g - r_prime + j]
@@ -399,7 +409,7 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
             f"no generic metric found in {MAX_METRIC_RETRIES} retries: {last_err}")
     cones = {_canonical_gens(face, gamma_data)
              for cell in cells for face in _faces(_cell_gens(cell, gamma_data.g_prime))}
-    return Fan(cones=tuple(Cone(c) for c in sorted(cones, key=lambda c: (len(c), c))),
+    return Fan(cones=tuple(Cone._of(c) for c in sorted(cones, key=lambda c: (len(c), c))),
                gamma=gamma_data, metric=tuple(tuple(row) for row in Q), seed=seed)
 
 
@@ -506,8 +516,9 @@ def validate_fan(fan):
     if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
         cells = [[v[gp:gp + rp] for v in c.generators] for c in max_cones]
         # |det| of each cell: r'! times its volume
-        vols = [abs(IntMatrix.from_rows([[x - y for x, y in zip(v, cell[0])]
-                                         for v in cell[1:]]).det()) for cell in cells]
+        vols = [_bareiss([[x - y for x, y in zip(v, cell[0])] for v in cell[1:]], rp)
+                for cell in cells]
+        vols = [abs(d) if len(pivots) == rp else 0 for pivots, d in vols]
         total = sum(vols)
         covol = gamma.det * math.factorial(rp)
         if 0 in vols:
@@ -556,7 +567,7 @@ def translation_regularizable(n_phi, gamma_data, with_diagnostic=False):
         diag = "abelian coordinate nonzero (a genuine section cannot twist the abelian block)"
         return (None, diag) if with_diagnostic else None
     det = gamma_data.det
-    y = [sum(x * z for x, z in zip(row, b)) for row in gamma_data.adj]
+    y = [sum(map(mul, row, b)) for row in gamma_data.adj]
     N = det // math.gcd(det, *y)
     result = (N, tuple(yi * N // det for yi in y))
     return (result, "") if with_diagnostic else result

@@ -1,6 +1,7 @@
 """Exact polynomial / matrix algebra tests (values frozen from independent
 hand computation or construction oracles)."""
 
+import itertools
 import math
 import random
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.matrices import normalforms
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abdyn.errors import ContractError, DimensionError
@@ -400,6 +401,96 @@ def test_is_positive_definite_matches_sympy():
         assert is_positive_definite(Q) == expected, Q
         seen.add(expected)
     assert seen == {True, False}
+
+
+def _sympy_leading_minors_positive(Q):
+    """Sylvester's criterion by sympy determinants of the leading minors."""
+    S = sympy.Matrix(len(Q), len(Q), [sympy.Rational(x.numerator, x.denominator)
+                                      for row in Q for x in row])
+    return all(S[:k, :k].det() > 0 for k in range(1, len(Q) + 1))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n matrices (n = 0..4) of ints or Fractions with entries
+    up to about 10^30: a random symmetric matrix (mostly indefinite), a
+    Gram matrix A^T A plus a shift (definite, semidefinite or indefinite),
+    or a Gram matrix of fewer rows than columns (semidefinite), each
+    optionally congruent by a positive rational diagonal."""
+    n = draw(st.integers(0, 4))
+    size = draw(st.sampled_from([3, 10 ** 6, 10 ** 15]))
+    entry = st.integers(-size, size)
+    kind = draw(st.sampled_from(["symmetric", "gram", "semidefinite"]))
+    if kind == "symmetric":
+        Q = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                Q[i][j] = Q[j][i] = draw(entry) * draw(st.sampled_from([1, size]))
+    else:
+        k = draw(st.integers(0, max(n - 1, 0))) if kind == "semidefinite" else n
+        A = [[draw(entry) for _ in range(n)] for _ in range(k)]
+        shift = draw(st.integers(-3, 3)) if kind == "gram" else 0
+        Q = [[sum(A[t][i] * A[t][j] for t in range(k)) + (shift if i == j else 0)
+              for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        d = [Fraction(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6)))
+             for _ in range(n)]
+        Q = [[d[i] * x * d[j] for j, x in enumerate(row)] for i, row in enumerate(Q)]
+    return Q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetric_matrices())
+@example([])
+@example([[0, 1], [1, 0]])
+@example([[0, 0], [0, 1]])
+@example([[1, 0], [0, 0]])
+@example([[1, 1], [1, 1]])
+@example([[Fraction(1, 3), 1], [1, 3]])
+@example([[Fraction(1, 3), 1], [1, 3 + Fraction(1, 10 ** 30)]])
+@example([[10 ** 30, 10 ** 30 - 1], [10 ** 30 - 1, 10 ** 30 - 2]])
+@example([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]])
+def test_is_positive_definite_matches_sympy_leading_minors(Q):
+    """The one-pass Bareiss pivots decide definiteness exactly as sympy's
+    leading principal minors do, for ints, Fractions and huge entries."""
+    Qf = [[Fraction(x) for x in row] for row in Q]
+    assert is_positive_definite(Q) == _sympy_leading_minors_positive(Qf), Q
+
+
+@st.composite
+def minor_gcd_rows(draw):
+    """k x m integer rows, 1 <= k <= m <= 5: random, dependent (a product
+    through fewer than k rows) or non-regular (a product by a k x k matrix
+    of determinant other than +-1)."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, m))
+    entry = st.integers(-draw(st.sampled_from([2, 9, 10 ** 6])),
+                        draw(st.sampled_from([2, 9, 10 ** 6])))
+    kind = draw(st.sampled_from(["random", "dependent", "non-regular"]))
+    r = draw(st.integers(0, k - 1)) if kind == "dependent" else k
+    R = [[draw(entry) for _ in range(m)] for _ in range(r)]
+    if kind == "random":
+        return R
+    L = [[draw(st.integers(-4, 4)) for _ in range(r)] for _ in range(k)]
+    return [[sum(L[i][t] * R[t][j] for t in range(r)) for j in range(m)] for i in range(k)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(minor_gcd_rows())
+@example([[0, 0]])
+@example([[2, 4], [1, 3]])
+@example([[2, 0, 0], [0, 2, 0]])
+@example([[1, 2, 3], [2, 4, 6]])
+@example([[6, 10, 15]])
+def test_minor_gcd_matches_sympy_maximal_minors(A):
+    """minor_gcd is the gcd of every k x k minor of the k x m rows (sympy
+    determinants), 0 exactly on dependent rows."""
+    k, m = len(A), len(A[0])
+    S = sympy.Matrix(A)
+    minors = [int(S.extract(list(range(k)), list(cols)).det())
+              for cols in itertools.combinations(range(m), k)]
+    assert minor_gcd(A) == math.gcd(*minors), A
 
 
 # B of every fan in the benchmark's fan corpus

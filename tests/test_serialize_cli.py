@@ -1017,19 +1017,25 @@ ALGEBRA_MATRICES = ([[2, 1], [1, 1]], [[1, 1], [0, 1]], [[0, 0, 1], [1, 0, 0], [
 def _mutate_matrix(draw, rows):
     """rows after one mutation: an entry replaced (also by a non-integer), a
     shear row_i += N row_j (det is kept, the spectrum is not), a row copied
-    over another, or a row shortened."""
+    over another, or a row shortened.  Applied again to its own output, an
+    entry past the end of a shortened row is appended and an empty row is
+    not shortened; the draws are the same either way."""
     rows = copy.deepcopy(rows)
     n = len(rows)
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     mutation = draw(st.sampled_from(["entry", "shear", "shear", "copy", "short"]))
     if mutation == "entry":
-        rows[i][j] = draw(st.sampled_from(ALGEBRA_EXTREMES + (1.5, True, None, "x")))
+        value = draw(st.sampled_from(ALGEBRA_EXTREMES + (1.5, True, None, "x")))
+        if j < len(rows[i]):
+            rows[i][j] = value
+        else:
+            rows[i].append(value)
     elif mutation == "shear" and i != j and all(type(x) is int for x in rows[i] + rows[j]):
         N = int(draw(st.sampled_from(ALGEBRA_EXTREMES)))
         rows[i] = [a + N * b for a, b in zip(rows[i], rows[j])]
     elif mutation == "copy":
         rows[i] = list(rows[j])
-    elif mutation == "short":
+    elif mutation == "short" and rows[i]:
         rows[i].pop()
     return rows
 

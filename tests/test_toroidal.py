@@ -1,6 +1,9 @@
 """Toroidal fan tests: Gamma action, monodromy normalization, Delaunay fans,
 validation, section extension, translation regularization."""
 
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,14 +12,16 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix
-from abdyn.toroidal import (Cone, Fan, GammaData, canonical_cone,
-                            central_fiber_combinatorics, delaunay_fan, gamma_act, monodromy_to_B,
-                            nakamura_data, section_extends,
+from abdyn.toroidal import (Cone, Fan, GammaData, _coset_representatives, _reduce_mod_period,
+                            canonical_cone, central_fiber_combinatorics, delaunay_fan,
+                            gamma_act, monodromy_to_B, nakamura_data, section_extends,
                             translation_regularizable, validate_fan)
 
-from util import (brute_force_delaunay_cells, reference_delaunay_cells,
+from util import (brute_force_delaunay_cells, fraction_rref, random_unimodular,
+                  reference_delaunay_cells, reference_nakamura_data,
                   reference_section_extends, reference_validate_fan)
 
 
@@ -134,6 +139,31 @@ def test_validate_detects_missing_translate():
     pruned = tuple(c for c in fan.cones if c != fan.maximal_cones()[0])
     report = validate_fan(Fan(cones=pruned, gamma=gd, metric=fan.metric))
     assert not report.ok
+
+
+def test_validate_flags_degenerate_maximal_cell():
+    """A maximal cone over collinear height-1 points has cell volume 0 (the
+    elimination finds fewer than r' pivots), as in the reference."""
+    gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.identity(2))
+    fan = delaunay_fan(gd)
+    flat = Cone(((0, 0, 1), (1, 1, 1), (2, 2, 1)))
+    bad = Fan(cones=(flat,) + fan.cones[1:], gamma=gd, metric=fan.metric)
+    report = validate_fan(bad)
+    assert "degenerate maximal cell" in report.violations
+    assert report == reference_validate_fan(bad)
+
+
+def test_fan_file_with_a_repeated_ray_is_refused(tmp_path, capsys):
+    """A cone that lists a ray twice is refused when the file is read."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fan", "build", "--B", "[[2]]"]) == 0
+    doc = json.loads(out.getvalue())["result"]
+    doc["cones"][-1] = [doc["cones"][-1][0]] * 2
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fan", "validate", str(path)]) == 3
+    assert capsys.readouterr().err == "contract error: duplicate cone generators\n"
 
 
 def test_section_extends_examples():
@@ -410,3 +440,150 @@ def test_delaunay_cells_tile_by_construction(case):
                                  for v in cell[1:]]).det()) == 1
         assert all(0 <= x < 1 for x in inv * sympy.Matrix(cell[0]))
     assert cells == reference_delaunay_cells(gd, Q)
+
+
+# --- Gamma arithmetic against a Fraction reference -----------------------------
+
+def _random_gammas(rng, count):
+    """(GammaData, B'^-1 in Fractions) for seeded positive definite B' =
+    A^T A + D (D a positive integer diagonal) with r' = 1..3, det B' <= 1000
+    and g' = 0..2; the inverse is the right half of the reduced row echelon
+    form of [B' | I]."""
+    out = []
+    while len(out) < count:
+        rp = rng.randint(1, 3)
+        A = [[rng.randint(-3, 3) for _ in range(rp)] for _ in range(rp)]
+        Bp = [[sum(A[t][i] * A[t][j] for t in range(rp)) + (rng.randint(1, 4) if i == j else 0)
+               for j in range(rp)] for i in range(rp)]
+        gamma = GammaData(g_prime=rng.randint(0, 2), r_prime=rp, Bprime=IntMatrix.from_rows(Bp))
+        if gamma.det <= 1000:
+            rref = fraction_rref([row + [int(i == j) for j in range(rp)]
+                                  for i, row in enumerate(Bp)])
+            out.append((gamma, [row[rp:] for row in rref]))
+    return out
+
+
+def _coords(b, inv):
+    """b * B'^-1 (row vector times the symmetric inverse) in Fractions."""
+    return [sum(x * row[j] for x, row in zip(b, inv)) for j in range(len(inv))]
+
+
+def test_gamma_data_matches_fraction_inverse():
+    """det B' and adj(B') = det B' * B'^-1, and the period beta * B'."""
+    rng = random.Random(51)
+    for gamma, inv in _random_gammas(rng, 60):
+        Bp = gamma.Bprime.to_rows()
+        assert [list(row) for row in gamma.adj] == [[gamma.det * x for x in row] for row in inv]
+        assert gamma.det * _fraction_det(inv) == 1
+        beta = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(gamma.r_prime))
+        assert gamma.shift(beta) == tuple(sum(x * row[j] for x, row in zip(beta, Bp))
+                                          for j in range(gamma.r_prime))
+
+
+def _fraction_det(m):
+    """det of a Fraction matrix of size 1..3 by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _fraction_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_reduce_mod_period_matches_fraction_reference():
+    """b = b0 + beta * B' with beta = floor(b * B'^-1), so b0 * B'^-1 lies in
+    [0, 1)^r', for small and large b."""
+    rng = random.Random(52)
+    for gamma, inv in _random_gammas(rng, 60):
+        Bp = gamma.Bprime.to_rows()
+        for size in (12, 10 ** 30):
+            b = tuple(rng.randint(-size, size) for _ in range(gamma.r_prime))
+            beta = tuple(math.floor(x) for x in _coords(b, inv))
+            b0 = tuple(bi - sum(t * row[j] for t, row in zip(beta, Bp)) for j, bi in enumerate(b))
+            assert _reduce_mod_period(b, gamma) == (b0, beta), (gamma, b)
+            assert all(0 <= x < 1 for x in _coords(b0, inv))
+
+
+def test_coset_representatives_are_the_fundamental_cell():
+    """The det B' representatives are distinct integer points of the half-open
+    fundamental cell, which holds exactly det B' of them: so they are all of
+    them, one per class of Z^r' / B' Z^r'."""
+    rng = random.Random(53)
+    for gamma, inv in _random_gammas(rng, 40):
+        reps = _coset_representatives(gamma)
+        assert len(reps) == len(set(reps)) == gamma.det
+        assert all(len(c) == gamma.r_prime and all(type(x) is int for x in c) for c in reps)
+        assert all(0 <= x < 1 for c in reps for x in _coords(c, inv))
+
+
+def test_translation_regularizable_matches_fraction_reference():
+    """N is the lcm of the denominators of b * B'^-1 and beta = N b * B'^-1;
+    a non-zero abelian block gives None."""
+    rng = random.Random(54)
+    for gamma, inv in _random_gammas(rng, 60):
+        gp = gamma.g_prime
+        b = tuple(rng.randint(-12, 12) for _ in range(gamma.r_prime))
+        x = _coords(b, inv)
+        N = math.lcm(*(v.denominator for v in x))
+        assert translation_regularizable((0,) * gp + b, gamma) == (N, tuple(int(N * v) for v in x))
+        if gp:
+            a = tuple(rng.choice((-1, 1)) for _ in range(gp))
+            assert translation_regularizable(a + b, gamma) is None
+
+
+def test_nakamura_data_matches_reference_on_psd_B():
+    """On B = W^T diag(0, B') W with W unimodular (g' = 0..2, r' = 1..3),
+    monodromy_to_B and nakamura_data give the B, W and GammaData fields of
+    the reference normalization on IntMatrix."""
+    rng = random.Random(55)
+    for gamma, _ in _random_gammas(rng, 40):
+        g = gamma.g
+        D = IntMatrix.block_diag(IntMatrix.zero(gamma.g_prime, gamma.g_prime), gamma.Bprime)
+        U = random_unimodular(g, rng)
+        B = (U.transpose() @ D @ U).to_rows()
+        M = IntMatrix.from_rows([[int(i == j) for j in range(g)] + B[i] for i in range(g)]
+                                + [[0] * g + [int(i == j) for j in range(g)] for i in range(g)])
+        ref_B, ref_W, ref = reference_nakamura_data(M)
+        assert monodromy_to_B(M) == (ref_B, ref_W)
+        got = nakamura_data(M)
+        assert (got.g_prime, got.r_prime, got.Bprime) == (ref.g_prime, ref.r_prime, ref.Bprime)
+        assert (got.rows, got.det, got.adj) == (ref.rows, ref.det, ref.adj)
+        assert got.r_prime == gamma.r_prime and got.det == gamma.det
+
+
+# --- fan certification builds no IntMatrix per cone -----------------------------
+
+def test_fan_certification_builds_no_intmatrix_per_cone(tmp_path, monkeypatch):
+    """`fan validate` and `fan extends` on the Tate I_1 and I_6, A2 and A3
+    fans build as many IntMatrix objects on each fan (reading B' and checking
+    it), however many cones it has; the counter sees IntMatrix.__init__ and
+    IntMatrix._of."""
+    counts, sizes = {}, []
+    for name, B in (("I1", [[1]]), ("I6", [[6]]), ("A2", [[2, 1], [1, 2]]),
+                    ("A3", [[2, 1, 0], [1, 2, 1], [0, 1, 2]])):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["fan", "build", "--B", json.dumps(B), "--seed", "0"]) == 0
+        path = tmp_path / f"{name}.json"
+        path.write_text(out.getvalue())
+        sizes.append(len(json.loads(out.getvalue())["result"]["cones"]))
+        built = []
+        init, of = IntMatrix.__init__, IntMatrix._of
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        def counting_of(*args):
+            built.append(1)
+            return of(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(IntMatrix, "__init__", counting_init)
+            patch.setattr(IntMatrix, "_of", staticmethod(counting_of))
+            for argv in (["fan", "validate", str(path)],
+                         ["fan", "extends", "--nphi", json.dumps([1] * len(B)), str(path)]):
+                built.clear()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                counts.setdefault(argv[1], []).append(len(built))
+    assert sizes == sorted(set(sizes)), sizes  # the fans grow: 3 to dozens of cones
+    assert all(len(set(c)) == 1 and c[0] > 0 for c in counts.values()), (sizes, counts)

@@ -4,6 +4,8 @@ rounding: fraction_lll_reduce), brute-force Delaunay cells, the reference
 root-of-unity test, unipotent index and quasi-unipotent order, the numeric
 degree-growth oracle (exterior-power norm sequences and their growth fit),
 the reference fan certification (one Cone per face, Selling in Fractions),
+the reference monodromy normalization on IntMatrix (reference_nakamura_data)
+and the reduced row echelon form in Fractions (fraction_rref),
 the reference orbit analysis (numpy solve, inverse and SVD:
 reference_orbit_dims; the coordinate solve in Fractions:
 fraction_real_dual_coords), and the numeric code that no command reaches:
@@ -21,12 +23,13 @@ import numpy as np
 
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
-                            cyclotomic_split_with_orders, is_positive_definite, minor_gcd)
+                            cyclotomic_split_with_orders, is_positive_definite,
+                            kernel_completion, minor_gcd)
 from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
                          relation_lattice)
-from abdyn.toroidal import (Cone, FanReport, _coset_representatives, _DegenerateMetric,
-                            _reduce_mod_period, _translate_cone)
+from abdyn.toroidal import (Cone, FanReport, GammaData, _coset_representatives,
+                            _DegenerateMetric, _reduce_mod_period, _translate_cone)
 
 GROWTH_WINDOW = 12  # window of fit_growth's peak and window-smoothed fits
 
@@ -725,6 +728,61 @@ def reference_section_extends(n_phi, fan):
     if violations:
         raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])
+
+
+def reference_nakamura_data(M):
+    """(B, W, GammaData) of toroidal.monodromy_to_B and nakamura_data, on
+    IntMatrix throughout, kept as the reference: unipotence by 2g successive
+    products, definiteness by one IntMatrix determinant per leading minor,
+    and W B W^T and rank B computed once more for the GammaData."""
+    g = M.rows // 2
+    N = M - IntMatrix.identity(2 * g)
+    power = IntMatrix.identity(2 * g)
+    for _ in range(2 * g):
+        power = power @ N
+    if power != IntMatrix.zero(2 * g, 2 * g):
+        raise ContractError("monodromy is not unipotent: pass a unipotent power M^n")
+    if any(M[i, j] != int(i == j) or M[g + i, j] or M[g + i, g + j] != int(i == j)
+           for i in range(g) for j in range(g)):
+        raise ContractError("monodromy is not in the block shape [[I, B], [0, I]]")
+    B = IntMatrix.from_rows([[M[i, g + j] for j in range(g)] for i in range(g)])
+    if B != B.transpose():
+        raise ContractError("period translation matrix is not symmetric")
+    T, k = kernel_completion(B)
+    pivot_cols = [next(j for j, x in enumerate(row) if x) for row in fraction_rref(T[:k])]
+    units = IntMatrix.identity(g).to_rows()
+    W = IntMatrix.from_rows(T[:k] + [units[j] for j in range(g) if j not in pivot_cols])
+    if abs(W.det()) != 1:
+        W = IntMatrix.from_rows(T)
+    WB = W @ B @ W.transpose()
+    assert all(WB[i, j] == 0 for i in range(g) for j in range(g) if i < k or j < k)
+    Bp = [[WB[i, j] for j in range(k, g)] for i in range(k, g)]
+    if any(IntMatrix.from_rows([row[:n] for row in Bp[:n]]).det() <= 0
+           for n in range(1, g - k + 1)):
+        raise ContractError("period translation matrix is not positive semi-definite")
+    r_prime = B.rank()
+    if r_prime == 0:
+        raise ContractError("non-degenerating monodromy (B = 0): no fan to build")
+    return B, W, GammaData(g_prime=g - r_prime, r_prime=r_prime,
+                           Bprime=IntMatrix.from_rows(Bp))
+
+
+def fraction_rref(rows):
+    """The non-zero rows of the reduced row echelon form of the given rows,
+    in Fractions, ordered by pivot column."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return a[:r]
 
 
 # ---------------------------------------------------------------------------
