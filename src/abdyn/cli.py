@@ -3,18 +3,17 @@
 Single binary with subcommands (analyze, decide, split, fan, orbit, catalog,
 end-to-end); JSON payloads on stdin or via --in, results on stdout or --out.
 Every output embeds the inputs, tolerances, heights, and seeds needed to
-reproduce it.  Exit codes: 0 success, 2 schema error (also a file that
-cannot be read or written), 3 contract error, 4 numeric indeterminacy.  Set
-ABDYN_LOG=debug|info|... for logging.
+reproduce it.  The argv is read against one command table, COMMANDS.  Exit
+codes: 0 success (also -h/--help and --version), 2 usage error (an argv that
+does not fit the table) or schema error (also a file that cannot be read or
+written), 3 contract error, 4 numeric indeterminacy; every error is one
+stderr line.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import logging
-import os
 import sys
+import types
 from fractions import Fraction
 
 from . import __version__, serialize
@@ -32,18 +31,9 @@ from .serialize import (dump_json, fan_from_json, fan_to_json,
                         lattice_from_json, load_json, matrix_from_json,
                         matrix_to_json, poly_to_json, semiabelian_aut_from_json,
                         semiabelian_aut_to_json, vector_from_json)
-from .toroidal import (GammaData, central_fiber_combinatorics, delaunay_fan,
+from .toroidal import (central_fiber_combinatorics, delaunay_fan,
                        nakamura_data, section_extends, translation_regularizable,
                        validate_fan)
-
-log = logging.getLogger("abdyn")
-
-
-def _setup_logging():
-    level = os.environ.get("ABDYN_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO),
-                            format="%(levelname)s %(name)s: %(message)s")
 
 
 def _read_file(path):
@@ -293,128 +283,161 @@ def cmd_end_to_end(args):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing / dispatch
+# command table and argv reader
 # ---------------------------------------------------------------------------
 
-def _add_io(parser):
-    parser.add_argument("--in", dest="infile", metavar="FILE",
-                        help="read the JSON payload from FILE (default stdin)")
+def _flag(dest, kind=str, default=None, required=False, meta=None, help=""):
+    """(dest, type, default, required, metavar, help); kind reads the token."""
+    return dest, kind, default, required, meta or (
+        "JSON" if kind is str else kind.__name__.upper()), help
 
 
-def _add_out(parser):
-    parser.add_argument("--out", dest="outfile", metavar="FILE",
-                        help="write the JSON result to FILE (default stdout)")
+_IN = {"--in": _flag("infile", meta="FILE", help="read the JSON payload (default stdin)")}
+_OUT = {"--out": _flag("outfile", meta="FILE", help="write the JSON result (default stdout)")}
+_CASE = {"--case": _flag("case", required=True, meta="ID", help="catalog case id, e.g. 2.2"),
+         "--d": _flag("d", int, 2, help="real quadratic field discriminant parameter (default 2)"),
+         "--r": _flag("r", int, help="torus rank of the degeneration (optional)")}
+_TOL = "positive finite tolerance (default {})"
+
+# words -> (handler, flags, positionals, help).  Flags are matched whole (no
+# prefix abbreviations); a positional is a dest.
+COMMANDS = {
+    ("analyze",): (cmd_analyze, {**_IN, **_OUT, "--tol": _flag(
+        "tol", float, 1e-9, help=_TOL.format("1e-9"))}, (),
+        "charpoly, cyclotomic split, and degree profile of an automorphism"),
+    ("decide",): (cmd_decide, {**_IN, **_OUT}, (),
+                  "regularizability verdict for a family descriptor"),
+    ("split",): (cmd_split, {**_IN, **_OUT}, (),
+                 "cyclotomic/cyclotomic-free invariant lattice splitting of a matrix"),
+    ("fan", "build"): (cmd_fan_build, {
+        "--B": _flag("B", required=True, help="symmetric PSD integer matrix (JSON or @file)"),
+        "--metric": _flag("metric", meta="JSON|random", help="positive definite r' x r' metric "
+                          "(rows of ints, finite floats or 'p/q' strings), or 'random'"),
+        "--seed": _flag("seed", int, 0, help="seed of the metric perturbations (default 0)"),
+        **_OUT}, (), "build a Delaunay fan from a monodromy translation matrix B"),
+    ("fan", "validate"): (cmd_fan_validate, _OUT, ("file",), "validate a fan file"),
+    ("fan", "extends"): (cmd_fan_extends, {
+        "--nphi": _flag("nphi", required=True, help="vanishing orders (JSON or @file)"),
+        **_OUT}, ("file",), "does a section with the given vanishing orders extend?"),
+    ("orbit", "analyze"): (cmd_orbit_analyze, {
+        "--lattice": _flag("lattice", required=True, help="period lattice (JSON or @file)"),
+        "--alpha": _flag("alpha", required=True, help="translation: g [re, im] pairs"),
+        "--height": _flag("height", int, 50, help="integer-relation search bound (default 50)"),
+        "--tol": _flag("tol", float, 1e-10, help=_TOL.format("1e-10")), **_OUT}, (),
+        "translation orbit-closure analysis"),
+    ("catalog", "list"): (cmd_catalog_list, {
+        "--g": _flag("g", int, required=True, help="dimension"), **_OUT}, (),
+        "classification cases of positive-entropy examples in dimension g"),
+    ("catalog", "build"): (cmd_catalog_build, {**_CASE, **_OUT}, (),
+                           "matrix model and family descriptor of a catalog case"),
+    ("end-to-end",): (cmd_end_to_end, {**_CASE, "--tol": _flag(
+        "tol", float, 1e-9, help=_TOL.format("1e-9")), **_OUT}, (),
+        "catalog -> degrees -> verdict bundle"),
+}
 
 
-@functools.cache
 def build_parser():
-    """The argparse tree, built once per process (main parses into a fresh
-    namespace on every call)."""
-    top = argparse.ArgumentParser(
-        prog="abdyn",
-        description="Dynamical invariants of automorphisms of families of "
-                    "polarized abelian varieties.")
-    top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
+    """The command table, COMMANDS; the argv reader needs nothing built."""
+    return COMMANDS
 
-    p = sub.add_parser("analyze", help="charpoly, cyclotomic split, and "
-                                       "degree profile of an automorphism")
-    _add_io(p)
-    _add_out(p)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("decide", help="regularizability verdict for a "
-                                      "family descriptor")
-    _add_io(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_decide)
+class UsageError(Exception):
+    """An argv that does not fit the command table (exit 2)."""
 
-    p = sub.add_parser("split", help="cyclotomic/cyclotomic-free invariant "
-                                     "lattice splitting of a matrix")
-    _add_io(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("fan", help="toroidal degeneration fans")
-    fansub = p.add_subparsers(dest="fan_command", required=True)
-    q = fansub.add_parser("build", help="build a Delaunay fan from a "
-                                        "monodromy translation matrix B")
-    q.add_argument("--B", required=True, metavar="JSON",
-                   help="symmetric PSD integer matrix (inline JSON or @file)")
-    q.add_argument("--metric", metavar="JSON|random",
-                   help="positive definite r' x r' metric (rows of ints, "
-                        "finite floats or 'p/q' strings), or 'random'")
-    q.add_argument("--seed", type=int, default=0,
-                   help="seed of the metric perturbations (default 0)")
-    _add_out(q)
-    q.set_defaults(func=cmd_fan_build)
-    q = fansub.add_parser("validate", help="validate a fan file")
-    q.add_argument("file")
-    _add_out(q)
-    q.set_defaults(func=cmd_fan_validate)
-    q = fansub.add_parser("extends", help="does a section with the given "
-                                          "vanishing orders extend?")
-    q.add_argument("--nphi", required=True, metavar="JSON")
-    q.add_argument("file")
-    _add_out(q)
-    q.set_defaults(func=cmd_fan_extends)
+def _help(words):
+    """Help of one command (its flags), or of the commands under words."""
+    if words in COMMANDS:
+        _, flags, positionals, text = COMMANDS[words]
+        usage = [f"{f} {spec[4]}" if spec[3] else f"[{f} {spec[4]}]"
+                 for f, spec in flags.items()] + [p.upper() for p in positionals]
+        return "\n".join([f"usage: abdyn {' '.join(words + tuple(usage))}", text]
+                         + [f"  {f + ' ' + spec[4]:20} {spec[5]}" for f, spec in flags.items()])
+    return "\n".join([f"usage: {' '.join(('abdyn',) + words)} COMMAND [FLAGS]"
+                      + ("" if words else " | --version"), "commands:"]
+                     + [f"  {' '.join(w):16} {c[3]}" for w, c in COMMANDS.items()
+                        if w[:len(words)] == words])
 
-    p = sub.add_parser("orbit", help="translation orbit-closure analysis")
-    orbsub = p.add_subparsers(dest="orbit_command", required=True)
-    q = orbsub.add_parser("analyze")
-    q.add_argument("--lattice", required=True, metavar="JSON")
-    q.add_argument("--alpha", required=True, metavar="JSON")
-    q.add_argument("--height", type=int, default=50)
-    q.add_argument("--tol", type=float, default=1e-10)
-    _add_out(q)
-    q.set_defaults(func=cmd_orbit_analyze)
 
-    p = sub.add_parser("catalog", help="classification catalog of "
-                                       "positive-entropy examples")
-    catsub = p.add_subparsers(dest="catalog_command", required=True)
-    q = catsub.add_parser("list")
-    q.add_argument("--g", type=int, required=True)
-    _add_out(q)
-    q.set_defaults(func=cmd_catalog_list)
-    q = catsub.add_parser("build")
-    q.add_argument("--case", required=True)
-    q.add_argument("--d", type=int, default=2,
-                   help="real quadratic field discriminant parameter")
-    q.add_argument("--r", type=int, default=None,
-                   help="torus rank of the degeneration (optional)")
-    _add_out(q)
-    q.set_defaults(func=cmd_catalog_build)
+def _no_command(argv):
+    """The help or version text that argv asks for before it names a whole
+    command; else a UsageError naming the words that could come next."""
+    words = ()
+    for tok in argv + [None]:
+        if tok in ("-h", "--help"):
+            return _help(words)
+        if tok == "--version" and not words:
+            return __version__
+        nxt = list(dict.fromkeys(w[len(words)] for w in COMMANDS if w[:len(words)] == words))
+        if tok not in nxt:
+            raise UsageError(f"{' '.join(words) or 'abdyn'}: expected one of {', '.join(nxt)}, "
+                             f"got {'nothing' if tok is None else repr(tok)}")
+        words += (tok,)
 
-    p = sub.add_parser("end-to-end", help="catalog -> degrees -> verdict "
-                                          "bundle")
-    p.add_argument("--case", required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-    _add_out(p)
-    p.set_defaults(func=cmd_end_to_end)
 
-    return top
+def _parse(argv):
+    """(handler, args) for argv, or (None, text) for -h/--help and --version.
+    The token after a flag is its value, whatever it looks like; --flag=value
+    works too.  Raises UsageError."""
+    words = next((tuple(argv[:n]) for n in (1, 2) if tuple(argv[:n]) in COMMANDS), None)
+    if words is None:
+        return None, _no_command(argv)
+    handler, flags, positionals, _ = COMMANDS[words]
+    name, values, pos = " ".join(words), {}, []
+    rest = iter(argv[len(words):])
+    for tok in rest:
+        if tok[:1] != "-" or tok == "-":
+            pos.append(tok)
+        elif tok == "--":
+            pos += rest
+        elif tok in ("-h", "--help"):
+            return None, _help(words)
+        else:
+            flag, eq, value = tok.partition("=")
+            if flag not in flags:
+                raise UsageError(f"{name}: unknown flag {flag!r}")
+            if flag in values:
+                raise UsageError(f"{name}: {flag} given twice")
+            values[flag] = value if eq else next(rest, None)
+            if values[flag] is None:
+                raise UsageError(f"{name}: {flag} needs a value")
+    if len(pos) != len(positionals):
+        raise UsageError(f"{name}: expected {len(positionals)} positional argument(s), "
+                         f"got {pos!r}")
+    args = dict(zip(positionals, pos))
+    for flag, (dest, kind, default, required, meta, _) in flags.items():
+        if flag in values:
+            try:
+                args[dest] = kind(values[flag])
+            except ValueError:
+                raise UsageError(f"{name}: {flag} expects {meta}, "
+                                 f"got {values[flag]!r}") from None
+        elif required:
+            raise UsageError(f"{name}: {flag} is required")
+        else:
+            args[dest] = default
+    return handler, types.SimpleNamespace(**args)
 
 
 def main(argv=None):
-    _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the exit code and never raises SystemExit."""
     try:
-        code = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if handler is None:
+            print(args)
+            return 0
+        code = handler(args)
         return 0 if code is None else code
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except SchemaError as exc:
-        log.debug("schema error: %s", exc)
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except NumericIndeterminacyError as exc:
-        log.debug("numeric indeterminacy: %s", exc)
         print(f"numeric indeterminacy: {exc}", file=sys.stderr)
         return 4
     except (ContractError, AbdynError) as exc:
-        log.debug("contract error: %s", exc)
         print(f"contract error: {exc}", file=sys.stderr)
         return 3
 

@@ -205,14 +205,6 @@ def _basis_coordinates(u, lat):
     return solve(A, *(u.mat_vec(v) for v in lat.basis))
 
 
-def lattice_is_invariant(u, lat):
-    """Exact check that u maps the sublattice into itself."""
-    if lat.rank == 0:
-        return True
-    return all(x is not None and all(c.denominator == 1 for c in x)
-               for x in _basis_coordinates(u, lat))
-
-
 def restricted_char_poly(u, lat):
     """Characteristic polynomial of u restricted to an invariant sublattice,
     computed exactly in the basis of the sublattice."""

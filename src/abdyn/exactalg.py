@@ -718,11 +718,6 @@ class Sublattice:
     def rank(self):
         return len(self.basis)
 
-    def check_saturated(self):
-        """Saturation <=> torsion-free quotient <=> the maximal minors of
-        the basis have gcd 1."""
-        return minor_gcd(self.basis) == 1
-
 
 def kernel_lattice(p, M):
     """The saturated sublattice Z^n intersect ker p(M): the kernel rows of

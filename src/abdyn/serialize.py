@@ -268,11 +268,6 @@ def poly_to_json(p):
     return [int_to_json(c) for c in p.coeffs]
 
 
-def poly_from_json(obj):
-    validate_schema(obj, "polynomial")
-    return IntPolynomial([int_from_json(c) for c in obj])
-
-
 def vector_from_json(obj):
     if not isinstance(obj, list):
         raise SchemaError("expected a JSON array for a vector")

@@ -98,21 +98,6 @@ class GammaData:
     def g(self):
         return self.g_prime + self.r_prime
 
-    def shift(self, beta):
-        """The period beta * B' (a row vector; B' is symmetric)."""
-        return tuple(sum(map(mul, row, beta)) for row in self.rows)
-
-
-def gamma_act(gamma_data, beta, point):
-    """The Gamma-action on N x Z: (alpha, beta).(a, b, k) = (a, b + k*beta*B', k)."""
-    a, b, k = point
-    a, b, beta = (tuple(int(x) for x in v) for v in (a, b, beta))
-    if len(a) != gamma_data.g_prime or len(b) != gamma_data.r_prime \
-            or len(beta) != gamma_data.r_prime:
-        raise DimensionError("point/beta dimensions do not match GammaData")
-    shift = gamma_data.shift(beta)
-    return (a, tuple(bi + k * s for bi, s in zip(b, shift)), int(k))
-
 
 @dataclass(frozen=True)
 class Cone:
@@ -153,10 +138,6 @@ def _translate(gens, shift, g_prime):
                  + v[-1:] for v in gens)
 
 
-def _translate_cone(cone, beta, gamma):
-    return Cone(_translate(cone.generators, gamma.shift(beta), gamma.g_prime))
-
-
 def _reduce_mod_period(b, gamma):
     """Write b = b0 + beta*B' with b0 in the fundamental half-open cell
     (coordinates of b*B'^-1 in [0,1)); returns (b0, beta)."""
@@ -178,11 +159,6 @@ def _canonical_gens(gens, gamma):
     if b0 == b:
         return gens
     return _translate(gens, tuple(x - y for x, y in zip(b0, b)), gp)
-
-
-def canonical_cone(cone, gamma):
-    """Canonical representative of a cone under Gamma (see _canonical_gens)."""
-    return Cone(_canonical_gens(cone.generators, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +487,10 @@ def validate_fan(fan):
             v = cone.generators[0]
             if any(x != 0 for x in v[:gp]) or v[-1] != 1:
                 violations.append(f"ray {idx}: not of the form (0, b, 1): {v}")
-    # covering / invariance proxy: maximal height-1 cells tile a fundamental cell
-    max_cones = [c for c in fan.cones if c.dim == rp + 1]
+    # covering / invariance proxy: maximal height-1 cells tile a fundamental
+    # cell (a cone with a generator of the wrong length is reported above)
+    max_cones = [c for c in fan.cones if c.dim == rp + 1
+                 and all(len(v) == gamma.g + 1 for v in c.generators)]
     if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
         cells = [[v[gp:gp + rp] for v in c.generators] for c in max_cones]
         # |det| of each cell: r'! times its volume

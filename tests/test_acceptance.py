@@ -19,13 +19,13 @@ from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic,
                             cyclotomic_split, is_cyclotomic_free)
 from abdyn.orbit import NumericLattice, orbit_dims
 from abdyn.toroidal import (central_fiber_combinatorics, delaunay_fan,
-                            gamma_act, monodromy_to_B, nakamura_data,
+                            monodromy_to_B, nakamura_data,
                             section_extends, translation_regularizable,
-                            validate_fan, GammaData, canonical_cone,
-                            _translate_cone)
-from util import (compound_matrix, conjugate, degree_sequence_numeric,
-                  fit_growth, kronecker_is_roots_of_unity, random_unimodular,
-                  to_numpy)
+                            validate_fan, GammaData)
+from util import (canonical_cone, check_saturated, compound_matrix, conjugate,
+                  degree_sequence_numeric, fit_growth, gamma_act,
+                  kronecker_is_roots_of_unity, random_unimodular, to_numpy,
+                  translate_cone)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 J2 = IntMatrix.from_rows([[1, 1], [0, 1]])
@@ -275,7 +275,7 @@ def test_acceptance_06_splitting():
             assert L0.rank == cyc.degree and L1.rank == free.degree
             assert L0.rank + L1.rank == n
             assert index >= 1
-            assert L0.check_saturated() and L1.check_saturated()
+            assert check_saturated(L0) and check_saturated(L1)
             assert kronecker_is_roots_of_unity(restricted_char_poly(u, L0))
             assert is_cyclotomic_free(restricted_char_poly(u, L1))
     _report(6, "invariant-lattice splitting (30 conjugated)", body)
@@ -324,7 +324,7 @@ def test_acceptance_08_fan_invariance():
             betas += [tuple(-x for x in b) for b in betas]
             for cone in fan.cones:
                 for beta in betas:
-                    moved = _translate_cone(cone, beta, gd)
+                    moved = translate_cone(cone, beta, gd)
                     assert canonical_cone(moved, gd) in canon
             # section_extends invariant under n_phi -> n_phi + beta B'
             for _ in range(5):

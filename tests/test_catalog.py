@@ -13,12 +13,11 @@ from abdyn.catalog import (ClassificationCase, Quaternion, QuaternionAlgebra,
                            quaternion_reduced_charpoly, quaternion_trd,
                            reduced_charpoly_relation_check, unit_minpoly,
                            unit_multiplication_matrix)
-from abdyn.criteria import lattice_is_invariant
 from abdyn.degrees import SemiAbelianAut
 from abdyn.errors import ContractError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
                             is_cyclotomic_free)
-from util import type_I_lattice
+from util import lattice_is_invariant, type_I_lattice
 
 
 def test_pell_units_frozen():

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             FamilyDescriptor, decide_regularizable,
-                            growth_exponent_k, lattice_is_invariant,
-                            restricted_char_poly, split_invariant_subfamily,
+                            growth_exponent_k, restricted_char_poly,
+                            split_invariant_subfamily,
                             theoremB_bound)
 from abdyn.errors import ContractError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
                             cyclotomic, is_cyclotomic_free)
-from util import conjugate, kronecker_is_roots_of_unity, random_unimodular
+from util import (check_saturated, conjugate, kronecker_is_roots_of_unity,
+                  lattice_is_invariant, random_unimodular)
 
 UNIPOTENT_QUARTIC = IntPolynomial([1, -4, 6, -4, 1])  # (T-1)^4
 
@@ -195,7 +196,7 @@ def test_split_reassembles_conjugated_block_sums(cyc, free, glued, seed):
     assert restricted_char_poly(u, L0) == P
     assert restricted_char_poly(u, L1) == Q
     assert index == abs(sympy.Matrix(list(L0.basis) + list(L1.basis)).det())
-    assert L0.check_saturated() and L1.check_saturated()
+    assert check_saturated(L0) and check_saturated(L1)
 
 
 def test_restricted_char_poly_rejects_non_invariant_lattice():

@@ -25,8 +25,8 @@ from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, cyclotomic
 from abdyn.serialize import family_descriptor_from_json
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
-from util import (kronecker_is_roots_of_unity, quasi_unipotent_order, to_numpy,
-                  unipotent_index)
+from util import (check_saturated, kronecker_is_roots_of_unity, quasi_unipotent_order,
+                  to_numpy, unipotent_index)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -242,7 +242,7 @@ def test_quasi_unipotent_order():
 def test_kernel_lattice_full():
     lat = kernel_lattice(P(-1, 1), IntMatrix.identity(3))
     assert lat.rank == 3
-    assert lat.check_saturated()
+    assert check_saturated(lat)
 
 
 def test_kernel_lattice_rank_one():
@@ -257,7 +257,7 @@ def test_kernel_lattice_block():
     lat = kernel_lattice(P(1, -3, 1), M)
     assert lat.rank == 2
     assert all(v[0] == 0 and v[1] == 0 for v in lat.basis)
-    assert lat.check_saturated()
+    assert check_saturated(lat)
 
 
 def _hnf(rows):

@@ -26,11 +26,13 @@ from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 from sympy.matrices.normalforms import invariant_factors
 
-from abdyn import serialize
+from abdyn import cli, serialize
 from abdyn.cli import main
 from abdyn.errors import SchemaError
 from abdyn.exactalg import IntMatrix, IntPolynomial
 from abdyn.toroidal import delaunay_fan, nakamura_data
+
+from util import poly_from_json
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -264,7 +266,7 @@ def test_matrix_round_trip():
 
 def test_poly_round_trip():
     p = IntPolynomial([1, -3, 1])
-    assert serialize.poly_from_json(serialize.poly_to_json(p)) == p
+    assert poly_from_json(serialize.poly_to_json(p)) == p
 
 
 def test_fan_round_trip():
@@ -338,17 +340,17 @@ def test_cli_malformed_json_exit_2(capsys, monkeypatch):
 
 
 def test_cli_error_printed_once():
-    """Without ABDYN_LOG, an error reaches stderr once (no second copy from
-    logging's last-resort handler)."""
-    env = {k: v for k, v in os.environ.items() if k != "ABDYN_LOG"}
+    """In a fresh process a schema error and a usage error each reach stderr
+    as exactly one line, with nothing on stdout."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "abdyn.cli", "analyze"],
-                          input="not json", capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert sum(line.startswith("schema error:") for line in lines) == 1
+    for argv, stdin_text, prefix in ((["analyze"], "not json", "schema error:"),
+                                     (["analyze", "--tol", "abc"], "", "usage error:")):
+        proc = subprocess.run([sys.executable, "-m", "abdyn.cli"] + argv, input=stdin_text,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(prefix)
 
 
 def test_cli_contract_error_exit_3(capsys, monkeypatch):
@@ -504,11 +506,12 @@ without_numpy = [run("fan", "build", "--B", "[[2,1],[1,3]]", "--out", d + "/fan.
                  run("orbit", "analyze", "--lattice", '{"g":1,"basis":[[[1,0]],[[0,1]]]}',
                      "--alpha", "[[0.5,0.25]]")]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+stdlib = sorted(m for m in ("argparse", "logging") if m in sys.modules)
 numeric = [run("analyze", "--in", d + "/analyze.json")]
 schema_libs = sorted(m for m in sys.modules if m.split(".")[0]
                      in ("jsonschema", "referencing", "rpds", "attrs", "attr"))
 print(json.dumps({"without_numpy": without_numpy, "loaded": loaded, "numeric": numeric,
-                  "schema_libs": schema_libs}))
+                  "schema_libs": schema_libs, "stdlib": stdlib}))
 """
 
 
@@ -518,7 +521,8 @@ def test_import_cli_leaves_scipy_out(tmp_path):
     never loads numpy or scipy; analyze, which needs numpy, still runs after
     them in the same process.  No command loads jsonschema (nor referencing,
     rpds or attrs): the schemas are checked by serialize's own compiled
-    checks."""
+    checks.  The numpy-free commands load neither argparse nor logging:
+    argv is read against the command table."""
     payloads = {"split": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
                 "decide": {"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1},
                 "analyze": [[2, 1], [1, 1]]}
@@ -531,7 +535,7 @@ def test_import_cli_leaves_scipy_out(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"without_numpy": [0] * 8, "loaded": [],
-                                       "numeric": [0], "schema_libs": []}
+                                       "numeric": [0], "schema_libs": [], "stdlib": []}
 
 
 def _numpy_imports(node, where):
@@ -1383,6 +1387,212 @@ def test_cli_orbit_tol_below_float_resolution_exit_3(capsys, monkeypatch):
         code, out, err = run_cli(argv + extra, None, capsys, monkeypatch)
         assert code == 3 and out == ""
         assert err.startswith("contract error: tol = ") and len(err.splitlines()) == 1
+
+
+# --- the argv contract: usage errors, help and version ---------------------------
+
+def _call(argv, stdin_text=""):
+    """(code, stdout, stderr) of main(argv); a SystemExit fails the test."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        raise AssertionError(f"main raised SystemExit({exc.code!r})") from None
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_no_command_is_a_usage_error():
+    code, out, err = _call([])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["usage error: abdyn: expected one of analyze, decide, split, "
+                                "fan, orbit, catalog, end-to-end, got nothing"]
+
+
+def test_cli_version():
+    from abdyn import __version__
+    assert _call(["--version"]) == (0, __version__ + "\n", "")
+
+
+def test_cli_group_without_subcommand_is_a_usage_error():
+    code, out, err = _call(["orbit"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["usage error: orbit: expected one of analyze, got nothing"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["analyze", "--tol", "abc"], "analyze: --tol expects FLOAT, got 'abc'"),
+    (["fan", "build", "--bogus", "1"], "fan build: unknown flag '--bogus'"),
+    (["fan", "build", "--B", "[[2]]", "--B", "[[3]]"], "fan build: --B given twice"),
+    (["fan", "build", "--seed", "1"], "fan build: --B is required"),
+    (["fan", "extends", "x.json", "--nphi"], "fan extends: --nphi needs a value"),
+    (["fan", "validate"], "fan validate: expected 1 positional argument(s), got []"),
+    (["catalog", "list", "--g", "1.5"], "catalog list: --g expects INT, got '1.5'"),
+    (["fan", "build", "--B", "[[2]]", "--lat", "x"], "fan build: unknown flag '--lat'"),
+    (["orbit", "analyze", "--lat", "x"], "orbit analyze: unknown flag '--lat'"),
+    (["catalog", "bogus"], "catalog: expected one of list, build, got 'bogus'")])
+def test_cli_usage_errors(argv, line):
+    """A usage error is one `usage error:` line and exit 2; flags are matched
+    whole, so an abbreviation such as --lat is unknown."""
+    assert _call(argv) == (2, "", f"usage error: {line}\n")
+
+
+def test_cli_flag_values_that_look_like_flags():
+    """The token after a flag is its value: --tol -1 and --height -3 reach
+    the command, which refuses them; --flag=value reads like --flag value."""
+    lattice = '{"g":1,"basis":[[[1,0]],[[0,1]]]}'
+    base = ["orbit", "analyze", "--lattice", lattice, "--alpha", "[[0.5,0.25]]"]
+    code, out, err = _call(base + ["--tol", "-1"])
+    assert code == 3 and out == "" and err.startswith("contract error:")
+    assert _call(base + ["--height", "-3"]) \
+        == (3, "", "contract error: height bound must be >= 1\n")
+    assert _call(base + ["--height=20"]) == _call(base + ["--height", "20"])
+    assert _call(["orbit", "analyze", "--lattice=" + lattice, "--alpha=[[0.5,0.25]]"]) \
+        == _call(base)
+
+
+def test_cli_help():
+    """-h/--help print to stdout and exit 0: the command list at the top and
+    under a group, the flags of a command."""
+    code, out, err = _call(["--help"])
+    assert code == 0 and err == "" and out.startswith("usage: abdyn COMMAND")
+    assert all(" ".join(words) in out for words in cli.COMMANDS)
+    code, out, err = _call(["fan", "-h"])
+    assert code == 0 and "fan extends" in out and "orbit analyze" not in out
+    code, out, err = _call(["fan", "build", "--B", "[[2]]", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: abdyn fan build --B JSON [--metric JSON|random]")
+
+
+def test_build_parser_returns_the_command_table():
+    """build_parser is kept as a name and returns the command table: words
+    -> (handler, flags, positionals, help)."""
+    table = cli.build_parser()
+    assert table is cli.COMMANDS
+    assert table[("fan", "extends")][0] is cli.cmd_fan_extends
+    assert table[("fan", "extends")][2] == ("file",)
+    assert table[("orbit", "analyze")][1]["--height"][:4] == ("height", int, 50, False)
+
+
+ARGV_LATTICE = '{"g":1,"basis":[[[1,0]],[[0,1]]]}'
+# command words -> (flag and positional items of a valid argv, stdin); @FAN and
+# @DECIDE are the paths of files the fixture writes
+ARGV_BASES = {
+    ("analyze",): ([["--tol", "1e-9"]], "[[2,1],[1,1]]"),
+    ("decide",): ([["--in", "@DECIDE"]], ""),
+    ("split",): ([], "[[0,-1,0,0],[1,0,0,0],[0,0,2,1],[0,0,1,1]]"),
+    ("fan", "build"): ([["--B", "[[2,1],[1,3]]"], ["--seed", "3"]], ""),
+    ("fan", "validate"): ([["@FAN"]], ""),
+    ("fan", "extends"): ([["--nphi", "[1,2]"], ["@FAN"]], ""),
+    ("orbit", "analyze"): ([["--lattice", ARGV_LATTICE], ["--alpha", "[[0.5,0.25]]"],
+                            ["--height", "20"], ["--tol", "1e-10"]], ""),
+    ("catalog", "list"): ([["--g", "2"]], ""),
+    ("catalog", "build"): ([["--case", "2.2"], ["--d", "2"], ["--r", "1"]], ""),
+    ("end-to-end",): ([["--case", "2.2"], ["--d", "3"], ["--r", "1"], ["--tol", "1e-9"]], ""),
+}
+NUMERIC_FLAGS = {"--seed", "--height", "--g", "--d", "--r", "--tol"}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The files the valid argv name, and each valid argv's own outcome."""
+    d = tmp_path_factory.mktemp("argv")
+    files = {"@FAN": str(d / "fan.json"), "@DECIDE": str(d / "decide.json")}
+    pathlib.Path(files["@DECIDE"]).write_text('{"g":2,"charpoly":[1,-4,6,-4,1],"r":1,"k":1}')
+    assert _call(["fan", "build", "--B", "[[2,1],[1,3]]", "--out", files["@FAN"]])[0] == 0
+    outcomes = {}
+    for words, (items, stdin_text) in ARGV_BASES.items():
+        argv = list(words) + [files.get(t, t) for item in items for t in item]
+        outcomes[words] = _call(argv, stdin_text)
+    return files, outcomes
+
+
+@st.composite
+def usage_argv(draw):
+    """A valid argv of a drawn command with at most one mutation: an unknown,
+    repeated or dropped flag, a flag with no value, a non-numeric number, an
+    extra or missing positional, a bad command word, -h/--help or --version
+    at a drawn place; some flags drawn in --flag=value form.  Returns (words,
+    the tokens after them, stdin, what the mutation makes of it: "same",
+    "valid", "usage", "help" or "version")."""
+    words = draw(st.sampled_from(sorted(ARGV_BASES)))
+    items, stdin_text = ARGV_BASES[words]
+    items = [list(item) for item in items]
+    flags = cli.COMMANDS[words][1]
+    mutation = draw(st.sampled_from(["none", "unknown", "repeat", "drop", "no value",
+                                     "number", "extra", "command", "help", "version"]))
+    expect = "same"
+    at = draw(st.integers(0, len(items)))
+    if mutation == "unknown":
+        other = next(f for f in ("--tol", "--g", "--in") if f not in flags)
+        items.insert(at, draw(st.sampled_from([["--bogus", "1"], ["--bogus"], ["-x"],
+                                               [other + "=1"]])))
+        expect = "usage"
+    elif mutation == "repeat" and any(len(i) == 2 for i in items):
+        items.insert(at, list(draw(st.sampled_from([i for i in items if len(i) == 2]))))
+        expect = "usage"
+    elif mutation == "drop" and items:
+        item = items.pop(draw(st.integers(0, len(items) - 1)))
+        expect = "usage" if len(item) == 1 or flags[item[0]][3] else "valid"
+    elif mutation == "no value":
+        items.append([draw(st.sampled_from(sorted(flags)))])
+        expect = "usage"
+    elif mutation == "number" and any(i[0] in NUMERIC_FLAGS for i in items):
+        item = draw(st.sampled_from([i for i in items if i[0] in NUMERIC_FLAGS]))
+        item[1] = draw(st.sampled_from(["abc", "", "1.5" if flags[item[0]][1] is int
+                                        else "1e", "0x10", "1,5", "--"]))
+        expect = "usage"
+    elif mutation == "extra":
+        items.insert(at, ["extra.json"])
+        expect = "usage"
+    elif mutation == "command":      # a group alone, a bad word, a stray word
+        words = draw(st.sampled_from([words[:-1], ("bogus",) + words[1:], words + ("x",)]))
+        expect = "usage"
+    elif mutation in ("help", "version"):
+        token = draw(st.sampled_from(["-h", "--help"])) if mutation == "help" else "--version"
+        where = draw(st.integers(0, len(words) + len(items)))
+        if where <= len(words):
+            words = words[:where] + (token,) + words[where:]
+            expect = mutation if mutation == "help" or where == 0 else "usage"
+        else:
+            items.insert(where - len(words), [token])
+            expect = "help" if mutation == "help" else "usage"
+    if expect in ("same", "valid"):
+        for item in items:
+            if len(item) == 2 and draw(st.booleans()):
+                item[:] = [f"{item[0]}={item[1]}"]
+    return words, [t for item in items for t in item], stdin_text, expect
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=usage_argv())
+def test_cli_argv_contract(argv_files, doc):
+    """Whatever is done to a valid argv: main returns 0, 2, 3 or 4 and never
+    raises SystemExit; an error prints at most one stderr line; a usage error
+    is exit 2 with one `usage error:` line and no stdout; -h/--help and
+    --version print to stdout and exit 0; a valid argv whose flags are only
+    rewritten as --flag=value gives exactly the output of the original."""
+    files, outcomes = argv_files
+    words, rest, stdin_text, expect = doc
+    argv = list(words) + [functools.reduce(lambda t, f: t.replace(*f), files.items(), t)
+                          for t in rest]
+    code, out, err = _call(argv, stdin_text)
+    event(f"{expect}: exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.splitlines()) <= 1
+    if err.startswith("usage error:") or expect == "usage":
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert err.startswith("usage error:") == (expect == "usage")
+    elif expect == "help":
+        assert code == 0 and err == "" and out.startswith("usage: abdyn")
+    elif expect == "version":
+        assert (code, out, err) == (0, cli.__version__ + "\n", "")
+    elif expect == "same":
+        assert (code, out, err) == outcomes[words]
 
 
 # --- golden results of analyze and split -----------------------------------------

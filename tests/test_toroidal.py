@@ -16,13 +16,14 @@ from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix
 from abdyn.toroidal import (Cone, Fan, GammaData, _coset_representatives, _reduce_mod_period,
-                            canonical_cone, central_fiber_combinatorics, delaunay_fan,
-                            gamma_act, monodromy_to_B, nakamura_data, section_extends,
+                            central_fiber_combinatorics, delaunay_fan,
+                            monodromy_to_B, nakamura_data, section_extends,
                             translation_regularizable, validate_fan)
 
-from util import (brute_force_delaunay_cells, fraction_rref, random_unimodular,
-                  reference_delaunay_cells, reference_nakamura_data,
-                  reference_section_extends, reference_validate_fan)
+from util import (brute_force_delaunay_cells, canonical_cone, fraction_rref, gamma_act,
+                  gamma_shift, random_unimodular, reference_delaunay_cells,
+                  reference_nakamura_data, reference_section_extends,
+                  reference_validate_fan, translate_cone)
 
 
 def tate_monodromy(n):
@@ -85,7 +86,7 @@ def test_monodromy_accepts_semidefinite_B():
 def test_gamma_data_period_lattice():
     gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.from_rows([[2, 1], [1, 2]]))
     assert gd.det == 3 and gd.adj == ((2, -1), (-1, 2))
-    assert gd.shift((1, -1)) == (1, -1)
+    assert gamma_shift(gd, (1, -1)) == (1, -1)
 
 
 def test_monodromy_rejects_non_unipotent():
@@ -177,10 +178,9 @@ def test_section_extends_examples():
 def test_canonical_cone_idempotent_on_translates():
     gd = nakamura_data(tate_monodromy(3))
     fan = delaunay_fan(gd)
-    from abdyn.toroidal import _translate_cone
     for cone in fan.cones:
         for beta in ((1,), (-2,)):
-            moved = _translate_cone(cone, beta, gd)
+            moved = translate_cone(cone, beta, gd)
             assert canonical_cone(moved, gd) == canonical_cone(cone, gd)
 
 
@@ -335,7 +335,6 @@ def _mutations(fan, rng):
     """The fan and six broken copies: a maximal cone dropped, a ray dropped,
     a Gamma-translate of a cone added, a generator scaled to be
     non-primitive, a height-0 cone added, a metric with other cells."""
-    from abdyn.toroidal import _translate_cone
     gamma, cones = fan.gamma, fan.cones
     top, ray = fan.maximal_cones()[0], next(c for c in cones if c.dim == 1)
     e1 = tuple(int(i == 0) for i in range(gamma.r_prime))
@@ -344,7 +343,7 @@ def _mutations(fan, rng):
     edits = {"as built": cones,
              "drop a maximal cone": tuple(c for c in cones if c != top),
              "drop a ray": tuple(c for c in cones if c != ray),
-             "add a translate": cones + (_translate_cone(top, e1, gamma),),
+             "add a translate": cones + (translate_cone(top, e1, gamma),),
              "non-primitive generator": tuple(scaled if c == top else c for c in cones),
              "add a height-0 cone": cones + (flat,)}
     out = {name: Fan(cones=c, gamma=gamma, metric=fan.metric) for name, c in edits.items()}
@@ -380,6 +379,18 @@ def test_validate_fan_matches_reference(g_prime, Bprime):
             for n_phi in ((0,) * g_prime + (1,) * rp, (1,) * g_prime + (2,) * rp):
                 assert _outcome(section_extends, n_phi, bad) \
                     == _outcome(reference_section_extends, n_phi, bad), name
+
+
+def test_validate_fan_reports_short_generators_of_a_maximal_cone():
+    """A maximal cone whose generators are shorter than g' + r' + 1 (only a
+    Fan built in Python can hold one) is reported, not a traceback: the
+    volume check skips it, as does the reference."""
+    gd = GammaData(g_prime=1, r_prime=2, Bprime=IntMatrix.identity(2))
+    fan = Fan(cones=(Cone(((0, 1), (1, 1), (2, 1))),), gamma=gd, metric=((1, 0), (0, 1)))
+    report = validate_fan(fan)
+    assert report == reference_validate_fan(fan)
+    assert not report.ok
+    assert report.violations[:3] == ("cone 0: generator dimension != g+1",) * 3
 
 
 def _unimodular_upper(n, entries):
@@ -476,7 +487,7 @@ def test_gamma_data_matches_fraction_inverse():
         assert [list(row) for row in gamma.adj] == [[gamma.det * x for x in row] for row in inv]
         assert gamma.det * _fraction_det(inv) == 1
         beta = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(gamma.r_prime))
-        assert gamma.shift(beta) == tuple(sum(x * row[j] for x, row in zip(beta, Bp))
+        assert gamma_shift(gamma, beta) == tuple(sum(x * row[j] for x, row in zip(beta, Bp))
                                           for j in range(gamma.r_prime))
 
 

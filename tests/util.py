@@ -8,9 +8,11 @@ the reference monodromy normalization on IntMatrix (reference_nakamura_data)
 and the reduced row echelon form in Fractions (fraction_rref),
 the reference orbit analysis (numpy solve, inverse and SVD:
 reference_orbit_dims; the coordinate solve in Fractions:
-fraction_real_dual_coords), and the numeric code that no command reaches:
-the polarized splitting split_A_B, the finite-order approximants and the
-Type I lattice construction type_I_lattice."""
+fraction_real_dual_coords), and the code that no command reaches: the
+polarized splitting split_A_B, the finite-order approximants, the Type I
+lattice construction type_I_lattice, the Gamma-action gamma_act,
+translate_cone and canonical_cone, check_saturated, lattice_is_invariant
+and poly_from_json."""
 
 import functools
 import itertools
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from abdyn.criteria import _basis_coordinates
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
                             cyclotomic_split_with_orders, is_positive_definite,
@@ -28,8 +31,10 @@ from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_spli
 from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
                          relation_lattice)
-from abdyn.toroidal import (Cone, FanReport, GammaData, _coset_representatives,
-                            _DegenerateMetric, _reduce_mod_period, _translate_cone)
+from abdyn.serialize import int_from_json, validate_schema
+from abdyn.toroidal import (Cone, FanReport, GammaData, _canonical_gens,
+                            _coset_representatives, _DegenerateMetric, _reduce_mod_period,
+                            _translate)
 
 GROWTH_WINDOW = 12  # window of fit_growth's peak and window-smoothed fits
 
@@ -545,6 +550,58 @@ def fit_growth(values):
 
 
 # ---------------------------------------------------------------------------
+# library helpers that no command reaches: the Gamma-action on points and
+# cones, the Gamma-canonical cone, saturation and invariance of a
+# sublattice, and the polynomial reader
+# ---------------------------------------------------------------------------
+
+def gamma_shift(gamma, beta):
+    """The period beta * B' (a row vector; B' is symmetric)."""
+    return tuple(sum(x * y for x, y in zip(row, beta)) for row in gamma.rows)
+
+
+def gamma_act(gamma_data, beta, point):
+    """The Gamma-action on N x Z: (alpha, beta).(a, b, k) = (a, b + k*beta*B', k)."""
+    a, b, k = point
+    a, b, beta = (tuple(int(x) for x in v) for v in (a, b, beta))
+    if len(a) != gamma_data.g_prime or len(b) != gamma_data.r_prime \
+            or len(beta) != gamma_data.r_prime:
+        raise DimensionError("point/beta dimensions do not match GammaData")
+    shift = gamma_shift(gamma_data, beta)
+    return (a, tuple(bi + k * s for bi, s in zip(b, shift)), int(k))
+
+
+def translate_cone(cone, beta, gamma):
+    """The cone moved by the Gamma-translation beta."""
+    return Cone(_translate(cone.generators, gamma_shift(gamma, beta), gamma.g_prime))
+
+
+def canonical_cone(cone, gamma):
+    """Canonical representative of a cone under Gamma (toroidal._canonical_gens)."""
+    return Cone(_canonical_gens(cone.generators, gamma))
+
+
+def check_saturated(lat):
+    """Saturation of a Sublattice <=> torsion-free quotient <=> the maximal
+    minors of its basis have gcd 1."""
+    return minor_gcd(lat.basis) == 1
+
+
+def lattice_is_invariant(u, lat):
+    """Exact check that u maps the sublattice into itself."""
+    if lat.rank == 0:
+        return True
+    return all(x is not None and all(c.denominator == 1 for c in x)
+               for x in _basis_coordinates(u, lat))
+
+
+def poly_from_json(obj):
+    """An IntPolynomial from its wire form (checked against its schema)."""
+    validate_schema(obj, "polynomial")
+    return IntPolynomial([int_from_json(c) for c in obj])
+
+
+# ---------------------------------------------------------------------------
 # reference fan certification: one Cone object per face, Selling reduction
 # in Fractions and a tiling check on the cells (the toroidal code before it
 # worked on generator tuples in integers), kept as the oracle of
@@ -623,7 +680,7 @@ def reference_canonical_cone(cone, gamma):
     if any(v[-1] != 1 for v in cone.generators):
         return cone  # no canonical translation defined; leave as-is
     _, beta = _reduce_mod_period(cone.generators[0][gamma.g_prime:-1], gamma)
-    return _translate_cone(cone, tuple(-x for x in beta), gamma)
+    return translate_cone(cone, tuple(-x for x in beta), gamma)
 
 
 def reference_delaunay_violations(fan, canon):
@@ -700,8 +757,10 @@ def reference_validate_fan(fan):
             v = cone.generators[0]
             if any(x != 0 for x in v[:gp]) or v[-1] != 1:
                 violations.append(f"ray {idx}: not of the form (0, b, 1): {v}")
-    # covering / invariance proxy: maximal height-1 cells tile a fundamental cell
-    max_cones = [c for c in fan.cones if c.dim == rp + 1]
+    # covering / invariance proxy: maximal height-1 cells tile a fundamental
+    # cell (a cone with a generator of the wrong length is reported above)
+    max_cones = [c for c in fan.cones if c.dim == rp + 1
+                 and all(len(v) == gamma.g + 1 for v in c.generators)]
     if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
         vols = _cell_volumes([[v[gp:gp + rp] for v in c.generators] for c in max_cones])
         total = sum(vols)
