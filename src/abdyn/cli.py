@@ -19,8 +19,7 @@ from fractions import Fraction
 from . import __version__, serialize
 from .catalog import build_case_matrices, classification_cases, moduli_dim_formula
 from .criteria import (FamilyDescriptor, decide_regularizable,
-                       growth_exponent_k, restricted_char_poly,
-                       split_invariant_subfamily)
+                       growth_exponent_k, split_invariant_subfamily)
 from .degrees import SemiAbelianAut, semiabelian_degrees
 from .errors import (AbdynError, ContractError, NumericIndeterminacyError,
                      SchemaError)
@@ -115,14 +114,14 @@ def cmd_decide(args):
 def cmd_split(args):
     payload = _read_payload(args)
     u = matrix_from_json(payload)
-    L0, L1, index = split_invariant_subfamily(u)
+    L0, L1, index, P, Q = split_invariant_subfamily(u)
     result = {
         "cyclotomic_lattice": {
             "basis": [list(map(str, v)) for v in L0.basis],
-            "charpoly": poly_to_json(restricted_char_poly(u, L0))},
+            "charpoly": poly_to_json(P)},
         "cyclotomic_free_lattice": {
             "basis": [list(map(str, v)) for v in L1.basis],
-            "charpoly": poly_to_json(restricted_char_poly(u, L1))},
+            "charpoly": poly_to_json(Q)},
         "index": str(index),
     }
     _emit(args, {"command": "split", "input": {"matrix": payload},

@@ -30,8 +30,8 @@ from dataclasses import InitVar, dataclass, field
 
 from .degrees import unipotent_index_of_power
 from .errors import ContractError
-from .exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split,
-                       cyclotomic_split, kernel_lattice, solve)
+from .exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
+                       char_poly_split, cyclotomic_split, kernel_lattice)
 
 REGULARIZABLE = "Regularizable"
 NOT_REGULARIZABLE = "NotRegularizable"
@@ -177,9 +177,19 @@ def growth_exponent_k(u_A_rat, split=None):
 
 
 def split_invariant_subfamily(u):
-    """Split Z^{2g} along the cyclotomic / cyclotomic-free factorization of
-    char_poly(u) into the saturated invariant lattices L0 = ker P(u) and
-    L1 = ker Q(u); returns (L0, L1, index of L0 + L1 in Z^{2g})."""
+    """Split Z^n along the cyclotomic / cyclotomic-free factorization
+    char_poly(u) = P * Q into the saturated invariant lattices
+    L0 = Z^n intersect ker P(u) and L1 = Z^n intersect ker Q(u); returns
+    (L0, L1, index of L0 + L1 in Z^n, P, Q).
+
+    P and Q are coprime, so by the primary decomposition theorem (Hoffman &
+    Kunze, Linear Algebra, 2nd ed., 6.8) Q^n is the direct sum of ker P(u)
+    and ker Q(u), and u has characteristic polynomial exactly P on the first
+    and exactly Q on the second.  So P and Q are the char polys of u on L0
+    and L1, with no solve in their bases, and rank L0 = deg P and
+    rank L1 = deg Q are checked in their place.  When one factor is 1 the
+    other is char_poly(u), which kills u (Cayley-Hamilton), so its lattice
+    is Z^n, given by the identity rows, and the other lattice is 0."""
     if not u.is_square():
         raise ContractError("expected a square matrix")
     cp = char_poly(u)
@@ -187,30 +197,15 @@ def split_invariant_subfamily(u):
         raise ContractError("expected det = +/-1")
     n = u.rows
     P, Q = cyclotomic_split(cp)
+    if P.is_one() or Q.is_one():
+        whole = Sublattice._of(n, IntMatrix.identity(n).to_rows())
+        zero = Sublattice._of(n, ())
+        return (zero, whole, 1, P, Q) if P.is_one() else (whole, zero, 1, P, Q)
     L0 = kernel_lattice(P, u)
     L1 = kernel_lattice(Q, u)
-    if L0.rank + L1.rank != n:
-        raise AssertionError("rank sum != ambient dimension")  # pragma: no cover
+    if (L0.rank, L1.rank) != (P.degree, Q.degree):
+        raise AssertionError("lattice rank != factor degree")  # pragma: no cover
     stacked = IntMatrix.from_rows(list(L0.basis) + list(L1.basis))
     index = abs(stacked.det())
     assert index >= 1
-    return L0, L1, index
-
-
-def _basis_coordinates(u, lat):
-    """Coordinates of u(v) in the basis of lat for each basis vector v: one
-    exact solve with the images as right-hand sides (None where u(v) leaves
-    the rational span)."""
-    A = [list(col) for col in zip(*lat.basis)]
-    return solve(A, *(u.mat_vec(v) for v in lat.basis))
-
-
-def restricted_char_poly(u, lat):
-    """Characteristic polynomial of u restricted to an invariant sublattice,
-    computed exactly in the basis of the sublattice."""
-    if lat.rank == 0:
-        return IntPolynomial([1])
-    coords = _basis_coordinates(u, lat)
-    if any(x is None or any(c.denominator != 1 for c in x) for x in coords):
-        raise ContractError("sublattice is not invariant under u")
-    return char_poly(IntMatrix.from_rows([[int(c) for c in x] for x in coords]))
+    return L0, L1, index, P, Q

@@ -3,17 +3,17 @@
 Everything here runs on arbitrary-precision Python integers: characteristic
 polynomials, cyclotomic factor extraction, polynomial gcds and saturated
 kernel lattices.  These carry the induced action on the first integral
-cohomology of a fiber, so exactness is not negotiable.  Fractions remain
-only in solve's return value and in LLL_DELTA; rational and float input is
-read exactly, as integer ratios.  Floating point appears only in
-eigenvalue_moduli, which imports numpy when it finds roots.
+cohomology of a fiber, so exactness is not negotiable.  A Fraction remains
+only in LLL_DELTA; rational and float input is read exactly, as integer
+ratios.  Floating point appears only in eigenvalue_moduli, which imports
+numpy when it finds roots.
 
-Two exact kernels carry the linear algebra.  Ranks, determinants, linear
-solves (solve, and the cleared solve behind it that orbit uses for float
-systems) and the maximal minors of minor_gcd all run one fraction-free
-Gauss-Jordan elimination, _bareiss (Bareiss 1968), on denominator-cleared
-integer row lists; is_positive_definite runs the same recurrence once with
-no row exchanges, so its pivots are the leading principal minors.  Integral
+Two exact kernels carry the linear algebra.  Ranks, determinants, the
+cleared linear solve that orbit uses for float systems (_solve_cleared) and
+the maximal minors of minor_gcd all run one fraction-free Gauss-Jordan
+elimination, _bareiss (Bareiss 1968), on denominator-cleared integer row
+lists; is_positive_definite runs the same recurrence once with no row
+exchanges, so its pivots are the leading principal minors.  Integral
 lattice questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7):
 kernel lattices, unimodular completions (kernel_completion) and the gcd of
 maximal minors when the reduced entries have a common factor.  Dense
@@ -171,9 +171,6 @@ class IntPolynomial:
                 acc[i] += c
         return IntMatrix._of(n, n, acc)
 
-    def float_coeffs_descending(self):
-        return [float(c) for c in reversed(self.coeffs)]
-
 
 ONE = IntPolynomial([1])
 
@@ -244,26 +241,39 @@ def cyclotomic_orders(max_degree):
     return tuple(sorted(found))
 
 
+def _values(p):
+    """(p(2), p(3)) for an integer polynomial p."""
+    return tuple(sum(c * a ** i for i, c in enumerate(p.coeffs)) for a in (2, 3))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_values(m):
+    """(Phi_m(2), Phi_m(3)), both positive."""
+    return _values(cyclotomic(m))
+
+
 def cyclotomic_split_with_orders(p):
     """Like cyclotomic_split but also reports {m: multiplicity} of the
-    cyclotomic factors removed, in ascending m."""
+    cyclotomic factors removed, in ascending m.  Phi_m divides Q in Z[x] only
+    if Phi_m(a) divides Q(a) for every integer a: at a = 2 and 3 this rules
+    out most m with no polynomial division."""
     if not p.is_monic():
         raise ContractError("cyclotomic_split requires a monic polynomial")
-    Q = p
+    Q, (at2, at3) = p, _values(p)
     orders = {}
     for m, phi_m in cyclotomic_orders(p.degree):
         if Q.degree < 1:
             break
         if phi_m > Q.degree:
             continue
-        phi = cyclotomic(m)
-        while True:
-            q, r = Q.divmod_monic(phi)
+        c2, c3 = _cyclotomic_values(m)
+        while at2 % c2 == 0 and at3 % c3 == 0:
+            q, r = Q.divmod_monic(cyclotomic(m))
             if not r.is_zero():
                 break
-            Q = q
+            Q, at2, at3 = q, at2 // c2, at3 // c3
             orders[m] = orders.get(m, 0) + 1
-            if Q.degree < phi.degree:
+            if Q.degree < phi_m:
                 break
     return p.divmod_monic(Q)[0], Q, orders
 
@@ -390,11 +400,6 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionError("inner dimension mismatch")
         return IntMatrix._of(self.rows, other.cols, _mat_mul(self._rows(), other._columns()))
-
-    def mat_vec(self, v):
-        if self.cols != len(v):
-            raise DimensionError("vector length mismatch")
-        return tuple(_mat_mul(self._rows(), (v,)))
 
     def __pow__(self, k):
         if not self.is_square():
@@ -547,7 +552,7 @@ def _cleared(row):
 
 
 def _solve_cleared(A, rhs):
-    """The elimination behind solve: (d, ys) with d > 0 and, for each
+    """An exact solve over Q in integers: (d, ys) with d > 0 and, for each
     right-hand side b, the integers y with A (y / d) = b, or None when that
     system is inconsistent; None when A has rank below n.  A is a list of m
     rows of n entries and each b has m entries: ints, Fractions or floats,
@@ -561,20 +566,6 @@ def _solve_cleared(A, rhs):
     return s * d, [None if any(row[n + k] for row in a[n:])
                    else [s * a[i][n + k] for i in range(n)]
                    for k in range(len(rhs))]
-
-
-def solve(A, *rhs):
-    """Exact solutions of A x = b over Q for each right-hand side b.
-
-    A is a list of m rows of n ints, Fractions or floats (m >= n allowed;
-    floats are read exactly).  Returns one entry per b: the unique solution
-    as a list of Fractions, or None when that system is inconsistent; every
-    entry is None when A has rank below n."""
-    solved = _solve_cleared(A, rhs)
-    if solved is None:
-        return [None] * len(rhs)
-    d, ys = solved
-    return [None if y is None else [Fraction(t, d) for t in y] for y in ys]
 
 
 def is_positive_definite(rows):
@@ -714,6 +705,16 @@ class Sublattice:
             if m.rank() != len(self.basis):
                 raise ContractError("basis vectors are linearly dependent")
 
+    @staticmethod
+    def _of(ambient_rank, rows):
+        """From rows of ints already known independent, such as the
+        certified kernel rows of kernel_completion: the rows become tuples,
+        with no int conversion, length check or rank."""
+        lat = object.__new__(Sublattice)
+        object.__setattr__(lat, "ambient_rank", ambient_rank)
+        object.__setattr__(lat, "basis", tuple(map(tuple, rows)))
+        return lat
+
     @property
     def rank(self):
         return len(self.basis)
@@ -725,7 +726,7 @@ def kernel_lattice(p, M):
     if not M.is_square():
         raise DimensionError("kernel_lattice requires a square matrix")
     T, k = kernel_completion(p.eval_matrix(M))
-    return Sublattice(ambient_rank=M.rows, basis=tuple(T[:k]))
+    return Sublattice._of(M.rows, T[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -803,15 +804,20 @@ def eigenvalue_moduli(p, tol=1e-9, split=None):
         # sees simple roots, so repeated factors cannot scatter numerically
         moduli = []
         for factor, mult in squarefree_decomposition(Q):
-            with np.errstate(all="raise"):
-                try:
-                    roots = np.roots(factor.float_coeffs_descending())
-                except FloatingPointError as exc:  # pragma: no cover
-                    raise NumericIndeterminacyError(f"root finder failed: {exc}") from exc
-                except OverflowError:  # from float() of a coefficient
-                    raise NumericIndeterminacyError(
-                        "a char poly coefficient is beyond the float range") from None
-            if not np.all(np.isfinite(roots)):  # pragma: no cover
+            # numpy.roots without its wrapper, on the same companion matrix;
+            # a squarefree factor has at most one zero root
+            zeros = 0 if factor.coeffs[0] else 1
+            try:
+                row = [-float(c) for c in reversed(factor.coeffs[zeros:-1])]
+            except OverflowError:  # from float() of a coefficient
+                raise NumericIndeterminacyError(
+                    "a char poly coefficient is beyond the float range") from None
+            roots = [0.0] * zeros
+            if row:
+                companion = np.eye(len(row), k=-1)
+                companion[0] = row
+                roots += np.linalg.eigvals(companion).tolist()
+            if not np.isfinite(roots).all():  # pragma: no cover
                 raise NumericIndeterminacyError("root finder returned non-finite roots")
             moduli.extend((abs(z), mult) for z in roots)
         for mod, mult in sorted(moduli, reverse=True):

@@ -11,7 +11,7 @@ from abdyn.catalog import (build_case_matrices, classification_cases,
                            pell_fundamental_unit)
 from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             FamilyDescriptor, decide_regularizable,
-                            restricted_char_poly, split_invariant_subfamily)
+                            split_invariant_subfamily)
 from abdyn.degrees import (SemiAbelianAut, blowup_restriction_degrees,
                            first_degree_data, product_Eg_degrees,
                            restriction_inequality_check, semiabelian_degrees)
@@ -24,8 +24,8 @@ from abdyn.toroidal import (central_fiber_combinatorics, delaunay_fan,
                             validate_fan, GammaData)
 from util import (canonical_cone, check_saturated, compound_matrix, conjugate,
                   degree_sequence_numeric, fit_growth, gamma_act,
-                  kronecker_is_roots_of_unity, random_unimodular, to_numpy,
-                  translate_cone)
+                  kronecker_is_roots_of_unity, mat_vec, random_unimodular,
+                  restricted_char_poly, to_numpy, translate_cone)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 J2 = IntMatrix.from_rows([[1, 1], [0, 1]])
@@ -222,7 +222,7 @@ def _random_free_factor(rng):
             p = IntPolynomial([rng.choice((1, -1)),
                                rng.randrange(-5, 6),
                                rng.choice((1, -1)) * rng.randrange(3, 8), 1])
-        roots = np.roots(p.float_coeffs_descending())
+        roots = np.roots([float(c) for c in reversed(p.coeffs)])
         if max(abs(z) for z in roots) > 1.02:
             # no cyclotomic divisor possible unless a unit-circle root pairs
             # with it; verify exactly by trial division against all Phi_m
@@ -271,7 +271,7 @@ def test_acceptance_06_splitting():
                                           IntMatrix.companion(free))
             n = blocks.rows
             u = conjugate(blocks, random_unimodular(n, rng))
-            L0, L1, index = split_invariant_subfamily(u)
+            L0, L1, index, _, _ = split_invariant_subfamily(u)
             assert L0.rank == cyc.degree and L1.rank == free.degree
             assert L0.rank + L1.rank == n
             assert index >= 1
@@ -331,7 +331,7 @@ def test_acceptance_08_fan_invariance():
                 n_phi = tuple(rng.randrange(-4, 5) for _ in range(gd.g))
                 base = section_extends(n_phi, fan)
                 for beta in betas:
-                    shift = gd.Bprime.transpose().mat_vec(beta)
+                    shift = mat_vec(gd.Bprime.transpose(), beta)
                     shifted = n_phi[:gd.g_prime] + tuple(
                         x + s for x, s in zip(n_phi[gd.g_prime:], shift))
                     assert section_extends(shifted, fan) == base

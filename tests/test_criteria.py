@@ -5,18 +5,17 @@ import random
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             FamilyDescriptor, decide_regularizable,
-                            growth_exponent_k, restricted_char_poly,
-                            split_invariant_subfamily,
+                            growth_exponent_k, split_invariant_subfamily,
                             theoremB_bound)
 from abdyn.errors import ContractError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
                             cyclotomic, is_cyclotomic_free)
-from util import (check_saturated, conjugate, kronecker_is_roots_of_unity,
-                  lattice_is_invariant, random_unimodular)
+from util import (BLOCK_SUM_DRAWS, block_sum, check_saturated, conjugate,
+                  kronecker_is_roots_of_unity, lattice_is_invariant, random_unimodular,
+                  restricted_char_poly)
 
 UNIPOTENT_QUARTIC = IntPolynomial([1, -4, 6, -4, 1])  # (T-1)^4
 
@@ -132,7 +131,7 @@ def test_growth_exponent_k_undefined_for_hyperbolic():
 def test_split_block_example():
     u = IntMatrix.block_diag(IntMatrix.companion(IntPolynomial([1, 0, 1])),
                              IntMatrix.companion(IntPolynomial([1, -3, 1])))
-    L0, L1, index = split_invariant_subfamily(u)
+    L0, L1, index, _, _ = split_invariant_subfamily(u)
     assert (L0.rank, L1.rank) == (2, 2)
     assert index == 1
     assert kronecker_is_roots_of_unity(restricted_char_poly(u, L0))
@@ -141,10 +140,10 @@ def test_split_block_example():
 
 def test_split_extreme_cases():
     u = IntMatrix.companion(IntPolynomial([1, -3, 1]))
-    L0, L1, index = split_invariant_subfamily(u)
+    L0, L1, index, _, _ = split_invariant_subfamily(u)
     assert L0.rank == 0 and L1.rank == 2 and index == 1
     u = IntMatrix.identity(4)
-    L0, L1, index = split_invariant_subfamily(u)
+    L0, L1, index, _, _ = split_invariant_subfamily(u)
     assert L0.rank == 4 and L1.rank == 0 and index == 1
 
 
@@ -156,23 +155,16 @@ def test_split_conjugated_blocks():
     for _ in range(5):
         U = random_unimodular(4, rng)
         u = conjugate(blocks, U)
-        L0, L1, index = split_invariant_subfamily(u)
+        L0, L1, index, _, _ = split_invariant_subfamily(u)
         assert L0.rank == 2 and L1.rank == 2 and index >= 1
         assert lattice_is_invariant(u, L0) and lattice_is_invariant(u, L1)
         assert restricted_char_poly(u, L0) == IntPolynomial([1, -1, 1])
         assert restricted_char_poly(u, L1) == IntPolynomial([1, -3, 1])
 
 
-CYCLOTOMIC_BLOCKS = [cyclotomic(m) for m in (1, 2, 3, 4, 5, 6, 8, 10, 12)]
-FREE_BLOCKS = [IntPolynomial(c) for c in ([1, -3, 1], [-1, -1, 1], [1, -4, 1],
-                                          [-1, -1, 0, 1], [1, -1, -1, -1, 1])]
-
-
 @example([cyclotomic(4)], [IntPolynomial([1, -3, 1])], True, 1)
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from(CYCLOTOMIC_BLOCKS), max_size=3),
-       st.lists(st.sampled_from(FREE_BLOCKS), max_size=2),
-       st.booleans(), st.integers(0, 2 ** 32))
+@given(*BLOCK_SUM_DRAWS)
 def test_split_reassembles_conjugated_block_sums(cyc, free, glued, seed):
     """u = U C U^-1 with C = [[A, X], [0, B]]: A a block sum of cyclotomic
     companion matrices (product P), B one of cyclotomic-free ones (product
@@ -180,19 +172,10 @@ def test_split_reassembles_conjugated_block_sums(cyc, free, glued, seed):
     split restricts u to P on L0 and to Q on L1, both saturated, and index
     is |det [L0; L1]|."""
     assume(cyc or free)
-    rng = random.Random(seed)
-    P = Q = IntPolynomial([1])
-    for p in cyc:
-        P = P * p
-    for p in free:
-        Q = Q * p
-    a, n = P.degree, P.degree + Q.degree
-    C = IntMatrix.block_diag(*(IntMatrix.companion(p) for p in cyc + free)).to_rows()
-    for i in range(a if glued else 0):
-        C[i][a:] = [rng.randint(-2, 2) for _ in range(n - a)]
-    u = conjugate(IntMatrix.from_rows(C), random_unimodular(n, rng))
+    u, P, Q = block_sum(cyc, free, glued, seed)
     assert P * Q == char_poly(u)
-    L0, L1, index = split_invariant_subfamily(u)
+    L0, L1, index, P_split, Q_split = split_invariant_subfamily(u)
+    assert (P_split, Q_split) == (P, Q)
     assert restricted_char_poly(u, L0) == P
     assert restricted_char_poly(u, L1) == Q
     assert index == abs(sympy.Matrix(list(L0.basis) + list(L1.basis)).det())

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.matrices import normalforms
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abdyn.errors import ContractError, DimensionError
@@ -20,13 +20,13 @@ from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, cyclotomic
                             cyclotomic_split_with_orders, eigenvalue_moduli,
                             is_cyclotomic_free, is_positive_definite,
                             kernel_completion, kernel_lattice,
-                            minor_gcd, poly_gcd, solve,
-                            squarefree_decomposition)
+                            minor_gcd, poly_gcd, squarefree_decomposition)
 from abdyn.serialize import family_descriptor_from_json
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
-from util import (check_saturated, kronecker_is_roots_of_unity, quasi_unipotent_order,
-                  to_numpy, unipotent_index)
+from util import (check_saturated, kronecker_is_roots_of_unity, mat_vec,
+                  numpy_roots_moduli, quasi_unipotent_order, reference_cyclotomic_split,
+                  solve, to_numpy, unipotent_index)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -185,6 +185,25 @@ def test_split_reassembly_and_idempotence(data):
     assert Pc2.is_one()
     if Pc.degree >= 1:
         assert kronecker_is_roots_of_unity(Pc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 3)), max_size=3),
+       st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4), max_size=2))
+def test_split_matches_plain_trial_division(powers, tails):
+    """The values at 2 and 3 only skip divisions that would fail: the split
+    of a product of cyclotomic powers Phi_m^k and arbitrary monic integer
+    factors (zero constant terms and cyclotomic ones included) is the one
+    plain trial division gives, orders in the same order."""
+    p = ONE
+    for m, k in powers:
+        p = p * cyclotomic(m) ** k
+    for tail in tails:
+        p = p * IntPolynomial(tail + [1])
+    if p.degree < 1:
+        p = P(-2, 1)
+    got, want = cyclotomic_split_with_orders(p), reference_cyclotomic_split(p)
+    assert (got[0], got[1], list(got[2].items())) == (want[0], want[1], list(want[2].items()))
 
 
 # --- unipotent index / quasi-unipotent order ---------------------------------
@@ -582,6 +601,32 @@ def test_moduli_product_equals_constant_term(mid, const):
     assert abs(prod - abs(const)) < 1e-6 * max(1.0, abs(const))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5), min_size=1,
+                max_size=3),
+       st.integers(1, 2))
+@example([[0], [1, -3]], 2)   # T^2 (T^2 - 3T + 1)^2
+def test_moduli_are_those_of_numpy_roots(tails, power):
+    """eigenvalue_moduli builds numpy.roots's companion matrix itself: on the
+    cyclotomic-free part Q of a product of monic factors (zero roots and
+    repeated factors included) its moduli are bit for bit those of
+    numpy.roots on the squarefree factors of Q, grouped the same way."""
+    p = ONE
+    for tail in tails:
+        p = p * IntPolynomial(tail + [1]) ** power
+    _, Q = cyclotomic_split(p)
+    assume(Q.degree >= 1)
+    want = []
+    for mod, mult in numpy_roots_moduli(Q):
+        for grp in want:
+            if abs(grp[0] - mod) <= 1e-9 * max(1.0, abs(grp[0])):
+                grp[1] += mult
+                break
+        else:
+            want.append([float(mod), mult])
+    assert eigenvalue_moduli(Q) == [(m, k) for m, k in sorted(want, key=lambda g: -g[0])]
+
+
 # --- dense kernels and the gcd, differentially against sympy -----------------
 
 BIG = 10 ** 30
@@ -615,7 +660,7 @@ def test_matmul_and_mat_vec_match_sympy(m, k, n, data):
     assert (AB.rows, AB.cols) == (m, n)
     assert AB.entries == tuple(int(x) for x in _sym(A) * _sym(B))
     v = data.draw(st.lists(st.integers(-BIG, BIG), min_size=k, max_size=k))
-    assert A.mat_vec(v) == tuple(int(x) for x in _sym(A) * sympy.Matrix(k, 1, v))
+    assert mat_vec(A, v) == tuple(int(x) for x in _sym(A) * sympy.Matrix(k, 1, v))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

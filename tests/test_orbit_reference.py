@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from abdyn.cli import main
 from abdyn.errors import NumericIndeterminacyError
-from abdyn.exactalg import IntMatrix, lll_reduce, solve
+from abdyn.exactalg import IntMatrix, lll_reduce
 from abdyn.orbit import NumericLattice, _singular_values, orbit_dims, real_dual_coords
-from util import fraction_lll_reduce, fraction_real_dual_coords, reference_orbit_dims
+from util import (fraction_lll_reduce, fraction_real_dual_coords, reference_orbit_dims,
+                  solve)
 
 SQRT2 = math.sqrt(2)
 

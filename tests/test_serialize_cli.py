@@ -21,18 +21,19 @@ import time
 
 import pytest
 import sympy
-from hypothesis import event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 from sympy.matrices.normalforms import invariant_factors
 
-from abdyn import cli, serialize
+from abdyn import cli, exactalg, serialize
 from abdyn.cli import main
 from abdyn.errors import SchemaError
-from abdyn.exactalg import IntMatrix, IntPolynomial
+from abdyn.exactalg import IntMatrix, IntPolynomial, Sublattice, cyclotomic
 from abdyn.toroidal import delaunay_fan, nakamura_data
 
-from util import poly_from_json
+from util import (BLOCK_SUM_DRAWS, FREE_BLOCKS, block_sum, poly_from_json,
+                  restricted_char_poly)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -795,6 +796,90 @@ def test_cli_split_10x10_kernels_match_sympy(capsys, monkeypatch):
         stacked += basis.tolist()
     assert product.all_coeffs() == u.charpoly(t).all_coeffs()
     assert int(result["index"]) == abs(sympy.Matrix(stacked).det())
+
+
+def _check_split_result(matrix, result):
+    """The `split` result block of matrix against references: each printed
+    charpoly is restricted_char_poly (an exact solve in the printed basis),
+    each basis is saturated (sympy's invariant factors all 1), and index is
+    |det [L0; L1]| (sympy).  Returns the two printed charpolys."""
+    u = IntMatrix.from_rows(matrix)
+    stacked, charpolys = [], []
+    for name in ("cyclotomic_lattice", "cyclotomic_free_lattice"):
+        lat = result[name]
+        basis = tuple(tuple(int(x) for x in v) for v in lat["basis"])
+        charpolys.append(poly_from_json(lat["charpoly"]))
+        assert charpolys[-1] == restricted_char_poly(u, Sublattice(u.rows, basis))
+        assert not basis or set(invariant_factors(sympy.Matrix(basis))) == {1}
+        stacked += basis
+    assert len(stacked) == u.rows
+    assert int(result["index"]) == abs(sympy.Matrix(stacked).det()) >= 1
+    return charpolys
+
+
+@example([cyclotomic(4)], [IntPolynomial([1, -3, 1])], True, 1)
+@example([cyclotomic(1), cyclotomic(12)], [], True, 2)  # all cyclotomic
+@example([], [FREE_BLOCKS[0], FREE_BLOCKS[4]], False, 3)  # no cyclotomic factor
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(*BLOCK_SUM_DRAWS)
+def test_cli_split_matches_reference_on_conjugated_block_sums(cyc, free, glued, seed):
+    """`split` through cli.main on the conjugated block sums of
+    test_split_reassembles_conjugated_block_sums: the printed charpolys are
+    the block products P and Q and agree with the reference restricted char
+    polys of the printed bases (_check_split_result)."""
+    assume(cyc or free)
+    u, P, Q = block_sum(cyc, free, glued, seed)
+    event("trivial split" if P.is_one() or Q.is_one() else "two kernels")
+    rows = u.to_rows()
+    assert _check_split_result(rows, _cli_result(["split"], json.dumps(rows))) == [P, Q]
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1]], [[-1]], IntMatrix.identity(4).to_rows(),
+    IntMatrix.companion(IntPolynomial([1, -3, 1])).to_rows(), SPLIT_10X10],
+    ids=["one", "minus-one", "I4", "companion-T2-3T+1", "split-10x10"])
+def test_cli_split_matches_reference_on_examples(matrix):
+    """_check_split_result on the edge cases (1 x 1, all cyclotomic, no
+    cyclotomic factor) and on SPLIT_10X10."""
+    _check_split_result(matrix, _cli_result(["split"], json.dumps(matrix)))
+
+
+@pytest.mark.parametrize("matrix, kernels", [
+    ([[0, -1], [1, 0]], 0),  # Q = 1
+    ([[2, 1], [1, 1]], 0),  # P = 1
+    ([[1]], 0),
+    ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], 2)],
+    ids=["Q-is-1", "P-is-1", "one", "mixed"])
+def test_cli_split_call_counts(matrix, kernels, monkeypatch):
+    """One `split` document computes one char poly and runs no exact solve
+    (the lattice charpolys are the factors P and Q), and it runs
+    kernel_completion once per lattice only when neither factor is 1."""
+    counts = dict.fromkeys(("char_poly", "_solve_cleared", "kernel_completion"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(exactalg, name) for name in counts}
+    for module in [m for name, m in sys.modules.items() if name.startswith("abdyn.")]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    _cli_result(["split"], json.dumps(matrix))
+    assert counts == {"char_poly": 1, "_solve_cleared": 0, "kernel_completion": kernels}
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1, 2, 3], [4, 5, 6]], "expected a square matrix"),
+    ([[2]], "expected det = +/-1"),
+    ([[2, 0], [0, 2]], "expected det = +/-1")])
+def test_cli_split_refusals(matrix, message, capsys, monkeypatch):
+    """A non-square matrix is refused before det != +/-1, each with one
+    stderr line, no stdout and exit 3."""
+    code, out, err = run_cli(["split"], json.dumps(matrix), capsys, monkeypatch)
+    assert (code, out, err.splitlines()) == (3, "", [f"contract error: {message}"])
 
 
 def test_cli_orbit_relations_are_decimal_strings(capsys, monkeypatch):

@@ -11,8 +11,12 @@ reference_orbit_dims; the coordinate solve in Fractions:
 fraction_real_dual_coords), and the code that no command reaches: the
 polarized splitting split_A_B, the finite-order approximants, the Type I
 lattice construction type_I_lattice, the Gamma-action gamma_act,
-translate_cone and canonical_cone, check_saturated, lattice_is_invariant
-and poly_from_json."""
+translate_cone and canonical_cone, check_saturated, lattice_is_invariant,
+poly_from_json, and the exact solve over Q with the restricted char poly
+on it (solve, restricted_char_poly, mat_vec); the conjugated block sums
+of the split tests (block_sum, BLOCK_SUM_DRAWS); the cyclotomic split by
+plain trial division (reference_cyclotomic_split) and the root moduli from
+numpy.roots (numpy_roots_moduli)."""
 
 import functools
 import itertools
@@ -22,12 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
-from abdyn.criteria import _basis_coordinates
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
-from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, cyclotomic_split,
+from abdyn.exactalg import (IntMatrix, IntPolynomial, _solve_cleared, char_poly,
+                            cyclotomic, cyclotomic_orders, cyclotomic_split,
                             cyclotomic_split_with_orders, is_positive_definite,
-                            kernel_completion, minor_gcd)
+                            kernel_completion, minor_gcd, squarefree_decomposition)
 from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
                          relation_lattice)
@@ -92,6 +97,34 @@ def conjugate(M, U):
     return U @ M @ exact_inverse(U)
 
 
+CYCLOTOMIC_BLOCKS = [cyclotomic(m) for m in (1, 2, 3, 4, 5, 6, 8, 10, 12)]
+FREE_BLOCKS = [IntPolynomial(c) for c in ([1, -3, 1], [-1, -1, 1], [1, -4, 1],
+                                          [-1, -1, 0, 1], [1, -1, -1, -1, 1])]
+# The draws of block_sum: cyclotomic blocks, cyclotomic-free blocks, glued,
+# seed.  Either list may be empty (not both: callers assume(cyc or free)).
+BLOCK_SUM_DRAWS = (st.lists(st.sampled_from(CYCLOTOMIC_BLOCKS), max_size=3),
+                   st.lists(st.sampled_from(FREE_BLOCKS), max_size=2),
+                   st.booleans(), st.integers(0, 2 ** 32))
+
+
+def block_sum(cyc, free, glued, seed):
+    """(u, P, Q) with u = U C U^-1 and C = [[A, X], [0, B]]: A a block sum of
+    the companion matrices of cyc (product P), B one of free (product Q), X
+    zero or, when glued, random (the index of L0 + L1 can then exceed 1),
+    and U a random unimodular matrix."""
+    rng = random.Random(seed)
+    P = Q = IntPolynomial([1])
+    for p in cyc:
+        P = P * p
+    for p in free:
+        Q = Q * p
+    a, n = P.degree, P.degree + Q.degree
+    C = IntMatrix.block_diag(*(IntMatrix.companion(p) for p in cyc + free)).to_rows()
+    for i in range(a if glued else 0):
+        C[i][a:] = [rng.randint(-2, 2) for _ in range(n - a)]
+    return conjugate(IntMatrix.from_rows(C), random_unimodular(n, rng)), P, Q
+
+
 def random_rng(seed):
     return random.Random(seed)
 
@@ -154,6 +187,29 @@ def quasi_unipotent_order(M):
     if not Q.is_one():
         return None
     return math.lcm(*orders.keys()) if orders else 1
+
+
+def reference_cyclotomic_split(p):
+    """(P, Q, orders) of cyclotomic_split_with_orders by plain trial
+    division: every Phi_m with phi(m) <= deg p, in ascending m, divided out
+    while it divides."""
+    Q, orders = p, {}
+    for m, _phi in cyclotomic_orders(p.degree):
+        while Q.degree >= 1 and cyclotomic(m).divides(Q):
+            Q = Q.divmod_monic(cyclotomic(m))[0]
+            orders[m] = orders.get(m, 0) + 1
+    return p.divmod_monic(Q)[0], Q, orders
+
+
+def numpy_roots_moduli(Q):
+    """(modulus, multiplicity) of each root of each squarefree factor of the
+    monic Q, from numpy.roots on the factor, sorted descending: the moduli
+    eigenvalue_moduli groups when Q is cyclotomic-free."""
+    moduli = []
+    for factor, mult in squarefree_decomposition(Q):
+        roots = np.roots([float(c) for c in reversed(factor.coeffs)])
+        moduli.extend((abs(z), mult) for z in roots)
+    return sorted(moduli, reverse=True)
 
 
 def reference_lll(rows, delta=Fraction(99, 100)):
@@ -585,6 +641,48 @@ def check_saturated(lat):
     """Saturation of a Sublattice <=> torsion-free quotient <=> the maximal
     minors of its basis have gcd 1."""
     return minor_gcd(lat.basis) == 1
+
+
+def solve(A, *rhs):
+    """Exact solutions of A x = b over Q for each right-hand side b, on
+    exactalg's cleared solve.
+
+    A is a list of m rows of n ints, Fractions or floats (m >= n allowed;
+    floats are read exactly).  Returns one entry per b: the unique solution
+    as a list of Fractions, or None when that system is inconsistent; every
+    entry is None when A has rank below n."""
+    solved = _solve_cleared(A, rhs)
+    if solved is None:
+        return [None] * len(rhs)
+    d, ys = solved
+    return [None if y is None else [Fraction(t, d) for t in y] for y in ys]
+
+
+def mat_vec(M, v):
+    """The IntMatrix M times the integer vector v, as a tuple: one column
+    through the matrix product."""
+    if M.cols != len(v):
+        raise DimensionError("vector length mismatch")
+    return (M @ IntMatrix(len(v), 1, v)).entries
+
+
+def _basis_coordinates(u, lat):
+    """Coordinates of u(v) in the basis of lat for each basis vector v: one
+    exact solve with the images as right-hand sides (None where u(v) leaves
+    the rational span)."""
+    A = [list(col) for col in zip(*lat.basis)]
+    return solve(A, *(mat_vec(u, v) for v in lat.basis))
+
+
+def restricted_char_poly(u, lat):
+    """Characteristic polynomial of u restricted to an invariant sublattice,
+    computed exactly in the basis of the sublattice."""
+    if lat.rank == 0:
+        return IntPolynomial([1])
+    coords = _basis_coordinates(u, lat)
+    if any(x is None or any(c.denominator != 1 for c in x) for x in coords):
+        raise ContractError("sublattice is not invariant under u")
+    return char_poly(IntMatrix.from_rows([[int(c) for c in x] for x in coords]))
 
 
 def lattice_is_invariant(u, lat):
