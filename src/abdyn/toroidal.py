@@ -20,7 +20,7 @@ GammaData is the one place that knows the period lattice: it eliminates
 B' as rows, det B' > 0 and adj(B') = det B' * B'^-1.  Every Gamma-translate
 b + beta * B', every reduction of b into the fundamental cell (beta =
 floor(adj(B') b / det B')) and every regularizing power is an inner product
-of those integer rows.  Certification runs on plain integer rows as well:
+of those integer rows.  A rejected fan is explained on integer rows too:
 the same elimination gives each cone's minor gcd and each cell's volume.
 
 Delaunay cells are written down exactly, with no search.  For r' <= 3
@@ -36,9 +36,12 @@ orders s of v_1..v_r': r'! det B' cells (det B' <= MAX_DET_BPRIME) of
 |det| 1, as Selling steps are unimodular, so they tile a fundamental cell
 and no volume is checked.  A zero parameter is exactly a cospherical
 configuration and triggers a seeded rational perturbation of the metric,
-with a retry cap.  The same construction certifies a stored fan, which
-makes the section-extension test an O(1) look at the abelian block.  Cones
-are sorted generator tuples until a Fan stores them.
+with a retry cap.  A fan is built as, and a stored fan certified by, the
+face set of its cells: one reduction per vertex gives the Gamma-canonical
+form of every face (Fulton, Introduction to Toric Varieties, 1.4: a fan is
+the faces of its maximal cones).  That makes the section-extension test an
+O(1) look at the abelian block.  Cones are sorted generator tuples until a
+Fan stores them.
 """
 
 from __future__ import annotations
@@ -358,6 +361,24 @@ def _cell_gens(cell, g_prime):
     return tuple((0,) * g_prime + v + (1,) for v in cell)
 
 
+def _face_set(cells, gamma):
+    """The Gamma-canonical forms (_canonical_gens) of every face of the cones
+    over the cells, the zero cone included.  A face is sorted and a
+    Gamma-translation moves all its generators by one vector, so its form
+    is fixed by its smallest vertex: each distinct vertex is reduced once,
+    and vertex i, with gens[i:] moved by its shift, heads every subset of
+    the later vertices."""
+    gp, faces = gamma.g_prime, {()}
+    shift = functools.cache(lambda b: tuple(
+        x - y for x, y in zip(_reduce_mod_period(b, gamma)[0], b)))
+    for cell in cells:
+        gens = _cell_gens(cell, gp)
+        for i, b in enumerate(cell):
+            head, *tail = _translate(gens[i:], shift(b), gp)
+            faces.update((head,) + face for face in _faces(tail))
+    return faces
+
+
 def delaunay_fan(gamma_data, metric="standard", seed=0):
     """Build the Gamma-invariant Delaunay fan: cones over the Delaunay cells
     of the height-1 lattice, one fundamental set, closed under faces.  The
@@ -383,9 +404,8 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     else:
         raise NumericIndeterminacyError(
             f"no generic metric found in {MAX_METRIC_RETRIES} retries: {last_err}")
-    cones = {_canonical_gens(face, gamma_data)
-             for cell in cells for face in _faces(_cell_gens(cell, gamma_data.g_prime))}
-    return Fan(cones=tuple(Cone._of(c) for c in sorted(cones, key=lambda c: (len(c), c))),
+    cones = sorted(_face_set(cells, gamma_data), key=lambda c: (len(c), c))
+    return Fan(cones=tuple(Cone._of(c) for c in cones),
                gamma=gamma_data, metric=tuple(tuple(row) for row in Q), seed=seed)
 
 
@@ -403,46 +423,71 @@ class FanReport:
         return not self.violations
 
 
-def _delaunay_violations(fan, canon):
-    """Why the fan is not the Delaunay fan of its metric (empty if it is):
-    a symmetric positive definite metric with no zero Selling parameter,
-    generators (0_{g'}, b, 1), and maximal cones that are the Delaunay cells
-    up to Gamma (canon: _canonical_gens).  ContractError: det B' too large, or
-    too many Selling steps."""
+def _metric_cells(fan):
+    """(the Delaunay cells of the fan's metric, None), or (None, why it has
+    none: r' > 3, not symmetric, not positive definite, or a zero Selling
+    parameter).  ContractError: det B' or the Selling steps too large."""
     gamma, Q = fan.gamma, fan.metric
     rp = gamma.r_prime
     if rp > 3:  # obtuse superbases need not exist, and the steps differ
-        return ["Delaunay cells are computed for r' <= 3 only"]
+        return None, "Delaunay cells are computed for r' <= 3 only"
     if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
-        return ["metric is not symmetric"]
+        return None, "metric is not symmetric"
     # first: the Selling loop need not end on an indefinite form
     if not is_positive_definite(Q):
-        return ["metric is not positive definite"]
+        return None, "metric is not positive definite"
     try:
-        cells = _delaunay_cells(gamma, Q)
+        return _delaunay_cells(gamma, Q), None
     except _DegenerateMetric as exc:
-        return [f"metric has no Delaunay triangulation: {exc}"]
+        return None, f"metric has no Delaunay triangulation: {exc}"
+
+
+def _delaunay_violations(fan, cells, unmet):
+    """Why the fan is not the Delaunay fan of its metric (empty if it is),
+    given _metric_cells(fan): unmet, or a generator other than (0_{g'}, b,
+    1) in Z^{g+1}, or maximal cones that are not the cells up to Gamma."""
+    if unmet:
+        return [unmet]
+    gamma = fan.gamma
     gp = gamma.g_prime
     violations = []
-    if any(any(v[:gp]) or v[-1] != 1 for c in fan.cones for v in c.generators):
+    if any(len(v) != gamma.g + 1 or any(v[:gp]) or v[-1] != 1
+           for c in fan.cones for v in c.generators):
         violations.append("a generator is not of the form (0, b, 1)")
-    if {canon(c.generators) for c in fan.maximal_cones()} \
+    if {_canonical_gens(c.generators, gamma) for c in fan.maximal_cones()} \
             != {_cell_gens(c, gp) for c in cells}:
         violations.append("maximal cones are not the Delaunay cells of the metric")
     return violations
 
 
 def validate_fan(fan):
-    """Check the admissibility and Gamma-structure of a fan: per-cone
+    """Check the admissibility and Gamma-structure of a fan.  It is accepted
+    when its metric has Delaunay cells, each generator has g + 1 coordinates
+    (_translate truncates a longer one), and the canonical forms of its
+    cones are distinct and are the cells' face set: Gamma acts by unimodular
+    maps, each cell is a unimodular simplex (each face has minor gcd 1 and
+    primitive generators at height 1), the set is closed under faces, and
+    its r'! det B' cells of volume 1/r'! tile one fundamental cell, so every
+    check below passes.  Otherwise they run, to name the violations: per-cone
     invariants (primitive generators, simplicial/strongly convex, positive
-    height, nonnegative heights), face closure and absence of duplicates up
-    to Gamma, the ray form (0_{g'}, b, 1), the covering proxy (the height-1
-    cells of the maximal cones tile one fundamental cell of Pi exactly), and
-    that the maximal cones are the Delaunay cells of the fan's metric (or
-    det B' > MAX_DET_BPRIME, or the metric needs more than
-    MAX_SELLING_STEPS).  Non-regular simplicial cones are flagged."""
+    height, nonnegative heights), face closure, absence of duplicates and
+    of cones that are not a face of a maximal cone, all up to Gamma, the
+    ray form (0_{g'}, b, 1), the covering proxy (the height-1 cells of the
+    maximal cones tile one fundamental cell of Pi exactly), and that the
+    maximal cones are the Delaunay cells of the fan's metric (or det B' >
+    MAX_DET_BPRIME, or the metric needs more than MAX_SELLING_STEPS).
+    Non-regular simplicial cones are flagged."""
     gamma = fan.gamma
     gp, rp = gamma.g_prime, gamma.r_prime
+    try:
+        delaunay, unmet = _metric_cells(fan)
+    except ContractError as exc:  # det B' or the Selling steps above their limit
+        delaunay, unmet = None, str(exc)
+    stored = [c.generators for c in fan.cones]
+    if delaunay and all(len(v) == gamma.g + 1 for gens in stored for v in gens):
+        stored = [_canonical_gens(gens, gamma) for gens in stored]
+        if len(stored) == len(set(stored)) and set(stored) == _face_set(delaunay, gamma):
+            return FanReport((), ())
     violations = []
     non_regular = []
     canon = functools.cache(functools.partial(_canonical_gens, gamma=gamma))
@@ -481,6 +526,10 @@ def validate_fan(fan):
         for face in _faces(cone.generators):
             if canon(face) not in fan_canon:
                 violations.append(f"cone {idx}: missing face {face}")
+    # every cone is a face of a maximal cone, up to Gamma
+    max_faces = {canon(face) for c in fan.maximal_cones() for face in _faces(c.generators)}
+    violations += [f"cone {idx}: not a face of a maximal cone"
+                   for idx, c in enumerate(fan.cones) if canon(c.generators) not in max_faces]
     # ray condition
     for idx, cone in enumerate(fan.cones):
         if cone.dim == 1:
@@ -506,10 +555,7 @@ def validate_fan(fan):
                 f"height-1 cells do not tile the fundamental cell "
                 f"(volume {total}/{math.factorial(rp)} vs covolume {covol}/{math.factorial(rp)}): "
                 "Gamma-invariance/covering violated")
-    try:
-        violations += _delaunay_violations(fan, canon)
-    except ContractError as exc:  # det B' or the Selling steps above their limit
-        violations.append(str(exc))
+    violations += _delaunay_violations(fan, delaunay, unmet)
     return FanReport(tuple(violations), tuple(non_regular))
 
 
@@ -524,7 +570,7 @@ def section_extends(n_phi, fan):
     n_phi = tuple(int(x) for x in n_phi)
     if len(n_phi) != gamma.g:
         raise DimensionError("n_phi must have g coordinates")
-    violations = _delaunay_violations(fan, functools.partial(_canonical_gens, gamma=gamma))
+    violations = _delaunay_violations(fan, *_metric_cells(fan))
     if violations:
         raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])

@@ -237,7 +237,7 @@ def test_compiled_keywords_agree_with_jsonschema_beyond_packaged_use(schema):
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMA_NAMES))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_compiled_schemas_agree_with_jsonschema(name, data, schema_seeds):
     """validate_schema accepts exactly what jsonschema accepts, on real CLI

@@ -15,14 +15,16 @@ from hypothesis import strategies as st
 from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix
-from abdyn.toroidal import (Cone, Fan, GammaData, _coset_representatives, _reduce_mod_period,
+from abdyn.toroidal import (Cone, Fan, GammaData, _coset_representatives, _DegenerateMetric,
+                            _delaunay_cells, _face_set, _reduce_mod_period,
                             central_fiber_combinatorics, delaunay_fan,
                             monodromy_to_B, nakamura_data, section_extends,
                             translation_regularizable, validate_fan)
 
 from util import (brute_force_delaunay_cells, canonical_cone, fraction_rref, gamma_act,
                   gamma_shift, random_unimodular, reference_delaunay_cells,
-                  reference_nakamura_data, reference_section_extends,
+                  reference_canonical_cone, reference_face_set, reference_nakamura_data,
+                  reference_section_extends,
                   reference_validate_fan, translate_cone)
 
 
@@ -318,7 +320,6 @@ def _other_cells_metric(fan, rng):
     """A generic metric whose Delaunay cells differ from the fan's (at
     r' >= 2, where the diagonals can flip), or another metric with the same
     cells at r' = 1."""
-    from abdyn.toroidal import _DegenerateMetric, _delaunay_cells
     gamma = fan.gamma
     own = _delaunay_cells(gamma, fan.metric)
     for _ in range(200):
@@ -332,24 +333,44 @@ def _other_cells_metric(fan, rng):
 
 
 def _mutations(fan, rng):
-    """The fan and six broken copies: a maximal cone dropped, a ray dropped,
-    a Gamma-translate of a cone added, a generator scaled to be
-    non-primitive, a height-0 cone added, a metric with other cells."""
+    """The fan and seven broken copies: a maximal cone dropped, a ray
+    dropped, a Gamma-translate of a cone added, a generator scaled to be
+    non-primitive, a height-0 cone added, a cone over (0_{g'}, 0, 1) and
+    (0_{g'}, 2e_1, 1) added (a non-primitive edge, so a face of no Delaunay
+    cell), a metric with other cells."""
     gamma, cones = fan.gamma, fan.cones
     top, ray = fan.maximal_cones()[0], next(c for c in cones if c.dim == 1)
     e1 = tuple(int(i == 0) for i in range(gamma.r_prime))
     scaled = Cone(top.generators[:-1] + (tuple(2 * x for x in top.generators[-1]),))
     flat = Cone(((0,) * gamma.g_prime + e1 + (0,),))
+    zero = (0,) * (gamma.g_prime + gamma.r_prime)
+    crossing = Cone((zero + (1,), (0,) * gamma.g_prime + tuple(2 * x for x in e1) + (1,)))
     edits = {"as built": cones,
              "drop a maximal cone": tuple(c for c in cones if c != top),
              "drop a ray": tuple(c for c in cones if c != ray),
              "add a translate": cones + (translate_cone(top, e1, gamma),),
              "non-primitive generator": tuple(scaled if c == top else c for c in cones),
-             "add a height-0 cone": cones + (flat,)}
+             "add a height-0 cone": cones + (flat,),
+             "add a crossing cone": cones + (crossing,)}
     out = {name: Fan(cones=c, gamma=gamma, metric=fan.metric) for name, c in edits.items()}
     out["other cells"] = Fan(cones=cones, gamma=gamma,
                              metric=tuple(map(tuple, _other_cells_metric(fan, rng))))
     return out
+
+
+def _accepted(fan):
+    """The acceptance test of validate_fan, on the reference face set: the
+    metric has Delaunay cells, every generator has g + 1 coordinates, and
+    the canonical forms of the cones are distinct and are the face set."""
+    gamma = fan.gamma
+    try:
+        cells = reference_delaunay_cells(gamma, fan.metric)
+    except _DegenerateMetric:
+        return False
+    if any(len(v) != gamma.g + 1 for c in fan.cones for v in c.generators):
+        return False
+    stored = [reference_canonical_cone(c, gamma).generators for c in fan.cones]
+    return len(set(stored)) == len(stored) and set(stored) == reference_face_set(cells, gamma)
 
 
 def _outcome(f, *args):
@@ -364,8 +385,9 @@ def test_validate_fan_matches_reference(g_prime, Bprime):
     """validate_fan and section_extends agree with the reference (one Cone
     per face, Selling in Fractions, the tiling check kept) on every corpus
     B', under the standard and a seeded random metric, built and after each
-    of six edits: same violations in the same order, same non-regular
-    cones, and the same answer or the same refusal."""
+    of seven edits: same violations in the same order, same non-regular
+    cones, and the same answer or the same refusal.  A fan is ok exactly
+    when its canonical cones are the face set of its cells (_accepted)."""
     from abdyn.cli import _random_metric
     rp = len(Bprime)
     gd = GammaData(g_prime=g_prime, r_prime=rp, Bprime=IntMatrix.from_rows(Bprime))
@@ -376,6 +398,7 @@ def test_validate_fan_matches_reference(g_prime, Bprime):
             report = validate_fan(bad)
             assert report == reference_validate_fan(bad), name
             assert report.ok == (name == "as built" or name == "other cells" and rp == 1)
+            assert report.ok == _accepted(bad), name
             for n_phi in ((0,) * g_prime + (1,) * rp, (1,) * g_prime + (2,) * rp):
                 assert _outcome(section_extends, n_phi, bad) \
                     == _outcome(reference_section_extends, n_phi, bad), name
@@ -391,6 +414,105 @@ def test_validate_fan_reports_short_generators_of_a_maximal_cone():
     assert report == reference_validate_fan(fan)
     assert not report.ok
     assert report.violations[:3] == ("cone 0: generator dimension != g+1",) * 3
+
+
+def test_validate_fan_rejects_a_cone_that_is_no_face_of_a_maximal_cone():
+    """An edge from 0 to (2, 1) crosses the cell {0, (0, 1), (1, 0)} of the
+    square lattice: every face of it is in the fan, but it is not a face of
+    any maximal cone."""
+    gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.identity(2))
+    fan = delaunay_fan(gd)
+    bad = Fan(cones=fan.cones + (Cone(((0, 0, 1), (2, 1, 1))),), gamma=gd, metric=fan.metric)
+    report = validate_fan(bad)
+    assert report.violations == (f"cone {len(fan.cones)}: not a face of a maximal cone",)
+    assert report == reference_validate_fan(bad)
+
+
+def _with_long_generators(fan, replace):
+    return Fan(cones=tuple(Cone(replace.get(c.generators, c.generators)) for c in fan.cones),
+               gamma=fan.gamma, metric=fan.metric)
+
+
+def test_a_long_generator_is_not_truncated_into_a_face():
+    """Gamma-translation zips a generator with the shift, so (3, 7, 1) at
+    B' = [[2]] has the canonical form of the ray (1, 1).  A fan that holds it
+    in place of that ray is still rejected, as is one whose maximal cone
+    ((1, 1), (2, 1)) is replaced too, and section_extends refuses that
+    second one."""
+    gd = GammaData(g_prime=0, r_prime=1, Bprime=IntMatrix.from_rows([[2]]))
+    fan = delaunay_fan(gd)
+    assert section_extends((5,), fan)
+    ray_only = _with_long_generators(fan, {((1, 1),): ((3, 7, 1),)})
+    both = _with_long_generators(fan, {((1, 1),): ((3, 7, 1),),
+                                       ((1, 1), (2, 1)): ((3, 7, 1), (4, 9, 1))})
+    for bad in (ray_only, both):
+        report = validate_fan(bad)
+        assert not report.ok and report == reference_validate_fan(bad)
+        assert "cone 2: generator dimension != g+1" in report.violations
+        assert report.violations[-1] == "a generator is not of the form (0, b, 1)"
+    for f in (section_extends, reference_section_extends):
+        with pytest.raises(ContractError, match=r"not of the form \(0, b, 1\)"):
+            f((5,), both)
+
+
+@st.composite
+def _gamma_and_metric(draw):
+    """(GammaData, metric) with g' = 0..2: r' = 2, 3 from _metric_and_bprime,
+    or r' = 1 with B' = [[n]] and a rational metric."""
+    g_prime = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        Q, B = draw(_metric_and_bprime())
+    else:
+        Q = [[Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 5)))]]
+        B = [[draw(st.integers(1, 12))]]
+    return GammaData(g_prime=g_prime, r_prime=len(B), Bprime=IntMatrix.from_rows(B)), Q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_gamma_and_metric())
+def test_face_set_matches_reference(case):
+    """_face_set (one reduction per cell vertex) is the set of canonical
+    forms of every face, built face by face; the Delaunay fan built from it
+    is accepted with no non-regular cone, as by the reference."""
+    gamma, Q = case
+    fan = delaunay_fan(gamma, metric=Q, seed=1)
+    cells = _delaunay_cells(gamma, fan.metric)
+    event(f"r' = {gamma.r_prime}, det B' = {gamma.det}")
+    assert _face_set(cells, gamma) == reference_face_set(cells, gamma)
+    report = validate_fan(fan)
+    assert report.ok and not report.non_regular
+    assert report == reference_validate_fan(fan)
+
+
+@pytest.mark.parametrize("g_prime, Bprime", CORPUS_GAMMAS, ids=str)
+def test_valid_fan_is_certified_by_its_face_set(g_prime, Bprime, monkeypatch):
+    """On a valid fan, validate_fan computes no minor gcd, and it reduces
+    b mod B' once per distinct cell vertex and once per stored cone, beyond
+    the reductions of _delaunay_cells itself."""
+    from abdyn import toroidal
+    from abdyn.cli import _random_metric
+    gd = GammaData(g_prime=g_prime, r_prime=len(Bprime), Bprime=IntMatrix.from_rows(Bprime))
+    calls = []
+
+    def counting(b, gamma):
+        calls.append(b)
+        return _reduce_mod_period(b, gamma)
+
+    def no_minor_gcd(gens):
+        raise AssertionError("minor_gcd called on a valid fan")
+
+    for metric in ("standard", _random_metric(gd.r_prime, 5)):
+        fan = delaunay_fan(gd, metric=metric, seed=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(toroidal, "_reduce_mod_period", counting)
+            patch.setattr(toroidal, "minor_gcd", no_minor_gcd)
+            calls.clear()
+            cells = _delaunay_cells(gd, fan.metric)
+            own = len(calls)
+            calls.clear()
+            assert validate_fan(fan) == toroidal.FanReport((), ())
+        vertices = {v for cell in cells for v in cell}
+        assert len(calls) <= own + len(vertices) + len(fan.cones), (len(calls), own)
 
 
 def _unimodular_upper(n, entries):
@@ -421,7 +543,7 @@ def _metric_and_bprime(draw):
     return Q, B
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(_metric_and_bprime())
 def test_delaunay_cells_tile_by_construction(case):
     """The invariant that replaced the tiling check in _delaunay_cells:
@@ -431,7 +553,6 @@ def test_delaunay_cells_tile_by_construction(case):
     reference (Selling reduction in Fractions, volumes summed)."""
     import sympy
 
-    from abdyn.toroidal import _DegenerateMetric, _delaunay_cells
     Q, B = case
     rp = len(B)
     gd = GammaData(g_prime=0, r_prime=rp, Bprime=IntMatrix.from_rows(B))

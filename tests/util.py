@@ -3,7 +3,8 @@ reference LLLs (exact Gram-Schmidt, and the integral LLL with Fraction
 rounding: fraction_lll_reduce), brute-force Delaunay cells, the reference
 root-of-unity test, unipotent index and quasi-unipotent order, the numeric
 degree-growth oracle (exterior-power norm sequences and their growth fit),
-the reference fan certification (one Cone per face, Selling in Fractions),
+the reference fan certification (one Cone per face, Selling in Fractions,
+and the face set of the cells: reference_face_set),
 the reference monodromy normalization on IntMatrix (reference_nakamura_data)
 and the reduced row echelon form in Fractions (fraction_rref),
 the reference orbit analysis (numpy solve, inverse and SVD:
@@ -781,6 +782,13 @@ def reference_canonical_cone(cone, gamma):
     return translate_cone(cone, tuple(-x for x in beta), gamma)
 
 
+def reference_face_set(cells, gamma):
+    """toroidal._face_set one face at a time: the generators of the
+    canonical cone of every face of the cone over every cell."""
+    return {reference_canonical_cone(face, gamma).generators for cell in cells
+            for face in reference_cone_faces(_reference_cell_cone(cell, gamma.g_prime))}
+
+
 def reference_delaunay_violations(fan, canon):
     """Why the fan is not the Delaunay fan of its metric (empty if it is)."""
     gamma, Q = fan.gamma, fan.metric
@@ -798,7 +806,8 @@ def reference_delaunay_violations(fan, canon):
         return [f"metric has no Delaunay triangulation: {exc}"]
     gp = gamma.g_prime
     violations = []
-    if any(any(v[:gp]) or v[-1] != 1 for c in fan.cones for v in c.generators):
+    if any(len(v) != gamma.g + 1 or any(v[:gp]) or v[-1] != 1
+           for c in fan.cones for v in c.generators):
         violations.append("a generator is not of the form (0, b, 1)")
     if {canon(c) for c in fan.maximal_cones()} \
             != {_reference_cell_cone(c, gp) for c in cells}:
@@ -849,6 +858,11 @@ def reference_validate_fan(fan):
         for face in reference_cone_faces(cone):
             if canon(face) not in fan_canon:
                 violations.append(f"cone {idx}: missing face {face.generators}")
+    # every cone is a face of a maximal cone, up to Gamma
+    max_faces = {canon(face) for c in fan.maximal_cones() for face in reference_cone_faces(c)}
+    for idx, cone in enumerate(fan.cones):
+        if canon(cone) not in max_faces:
+            violations.append(f"cone {idx}: not a face of a maximal cone")
     # ray condition
     for idx, cone in enumerate(fan.cones):
         if cone.dim == 1:
