@@ -257,9 +257,9 @@ def moduli_dim_formula(case):
 
 def build_case_matrices(case_id, d=2):
     """Concrete matrices for the buildable cases: returns a dict with the
-    automorphism matrix (rational representation), its charpoly, its
-    char_poly_split (as "split") and the cyclotomic-free status.  d selects
-    the real quadratic field where one is needed."""
+    automorphism matrix (rational representation), its charpoly, the
+    factors of its cyclotomic split and the cyclotomic-free status.  d
+    selects the real quadratic field where one is needed."""
     if case_id == "2.1":
         M = IntMatrix.from_rows([[2, 1], [1, 1]])
         auto = IntMatrix.block_diag(M, M)
@@ -296,8 +296,7 @@ def build_case_matrices(case_id, d=2):
     else:
         raise ContractError(f"case {case_id} has no concrete matrix builder "
                             "(classification metadata only)")
-    split = char_poly_split(auto)
-    cp, P, Q, _ = split
+    cp, P, Q, _ = char_poly_split(auto)
     return {"case": case_id, "label": label, "automorphism": auto,
             "charpoly": cp, "cyclotomic_part": P, "cyclotomic_free_part": Q,
-            "is_cyclotomic_free": P.is_one(), "split": split}
+            "is_cyclotomic_free": P.is_one()}

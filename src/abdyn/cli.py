@@ -86,15 +86,13 @@ def cmd_analyze(args):
     else:
         aut = semiabelian_aut_from_json(payload)
         echo = {"semiabelian_aut": semiabelian_aut_to_json(aut)}
-    # one char poly and split per part, shared by the degrees and parts
-    splits = {name: char_poly_split(M)
-              for name, M in (("u_T", aut.u_T), ("u_A_rat", aut.u_A_rat)) if M is not None}
-    profile = semiabelian_degrees(aut, tol=args.tol, splits=splits)
+    profile = semiabelian_degrees(aut, tol=args.tol)
     parts = {name: {"charpoly": poly_to_json(cp),
                     "cyclotomic_part": poly_to_json(P),
                     "cyclotomic_free_part": poly_to_json(Q),
                     "roots_of_unity_only": Q.is_one()}
-             for name, (cp, P, Q, _) in splits.items()}
+             for name, M in (("u_T", aut.u_T), ("u_A_rat", aut.u_A_rat)) if M is not None
+             for cp, P, Q, _ in (char_poly_split(M),)}
     result = {"degrees": profile.to_json_dict(), "parts": parts}
     _emit(args, {"command": "analyze", "input": echo,
                  "options": {"tol": args.tol},
@@ -193,7 +191,7 @@ def cmd_fan_extends(args):
     fan = _load_fan_file(args.file)
     n_phi = vector_from_json(_inline_json(args.nphi))
     extends = section_extends(n_phi, fan)
-    res, diag = translation_regularizable(n_phi, fan.gamma, with_diagnostic=True)
+    res, diag = translation_regularizable(n_phi, fan.gamma)
     N, beta = res if res is not None else (None, None)
     _emit(args, {"command": "fan extends",
                  "input": {"file": args.file, "n_phi": list(n_phi)},
@@ -227,16 +225,11 @@ def cmd_catalog_list(args):
 
 
 def _catalog_bundle(case_id, d, r):
-    """The case's matrices and family descriptor; the char poly and split of
-    its automorphism are computed once, in build_case_matrices."""
+    """The case's matrices and family descriptor."""
     data = build_case_matrices(case_id, d=d)
     auto = data["automorphism"]
-    g = auto.rows // 2
-    k = None
-    if data["cyclotomic_free_part"].is_one():
-        k = growth_exponent_k(auto, data["split"])
-    desc = FamilyDescriptor(g=g, charpoly=data["charpoly"], r=r, k=k,
-                            split=(data["cyclotomic_part"], data["cyclotomic_free_part"]))
+    k = growth_exponent_k(auto) if data["cyclotomic_free_part"].is_one() else None
+    desc = FamilyDescriptor(g=auto.rows // 2, charpoly=data["charpoly"], r=r, k=k)
     return data, desc
 
 
@@ -261,7 +254,7 @@ def cmd_end_to_end(args):
     auto = data["automorphism"]
     g = auto.rows // 2
     aut = SemiAbelianAut(r=0, g=g, u_A_rat=auto)
-    profile = semiabelian_degrees(aut, tol=args.tol, splits={"u_A_rat": data["split"]})
+    profile = semiabelian_degrees(aut, tol=args.tol)
     verdict = decide_regularizable(desc)
     case_meta = next((c for c in classification_cases(int(args.case.split(".")[0]))
                       if c.id == args.case), None)

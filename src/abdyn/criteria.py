@@ -26,7 +26,7 @@ version of R2 would contradict R4.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .degrees import unipotent_index_of_power
 from .errors import ContractError
@@ -40,17 +40,16 @@ UNDETERMINED = "Undetermined"
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """A family's data; split is the (P, Q) of cyclotomic_split(charpoly)
-    when the caller already holds it, and is kept as cyclotomic."""
+    """A family's data.  The cyclotomic split of charpoly is the one kept on
+    the polynomial (cyclotomic_split_with_orders): the checks below and
+    decide_regularizable share it with any caller that split it first."""
     g: int
     charpoly: IntPolynomial
     r: int | None = None
     k: int | None = None
     finite_order: bool = False
-    split: InitVar[tuple | None] = None
-    cyclotomic: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, split):
+    def __post_init__(self):
         if self.g < 1:
             raise ContractError("g must be >= 1")
         if self.charpoly.degree != 2 * self.g:
@@ -65,8 +64,7 @@ class FamilyDescriptor:
             raise ContractError("k must lie in 0..g-1")
         # constant term +/-1: all roots are roots of unity (Kronecker)
         # exactly when the cyclotomic part exhausts the charpoly
-        object.__setattr__(self, "cyclotomic", split or cyclotomic_split(self.charpoly))
-        unit = self.cyclotomic[1].is_one()
+        unit = cyclotomic_split(self.charpoly)[1].is_one()
         if self.finite_order and not unit:
             raise ContractError("inconsistent: finite_order with cyclotomic-free factor")
         if self.k is not None and not unit:
@@ -115,7 +113,7 @@ def decide_regularizable(desc):
     First-match-wins for the returned status; all fired rules are collected
     and asserted consistent (the underlying theorems never conflict, so a
     disagreement is a bug and raises)."""
-    P, Q = desc.cyclotomic
+    P, Q = cyclotomic_split(desc.charpoly)
     unit, cyc_free = Q.is_one(), P.is_one()
     fired = []
 
@@ -156,15 +154,15 @@ def decide_regularizable(desc):
     return Verdict(UNDETERMINED, (("none", "insufficient data", detail),))
 
 
-def growth_exponent_k(u_A_rat, split=None):
+def growth_exponent_k(u_A_rat):
     """The exponent k with deg_1(f^n) ~ n^{2k} for an abelian part with
     first dynamical degree 1, from the unipotent index of the unipotent
-    power: k = j_A - 1.  split is the char_poly_split of u_A_rat when the
-    caller holds it."""
+    power: k = j_A - 1.  The char poly and split are the ones kept on
+    u_A_rat (char_poly_split)."""
     if not u_A_rat.is_square() or u_A_rat.rows % 2 != 0:
         raise ContractError("u_A_rat must be square of even size 2g")
     g = u_A_rat.rows // 2
-    _, _, Q, orders = split or char_poly_split(u_A_rat)
+    _, _, Q, orders = char_poly_split(u_A_rat)
     if not Q.is_one():
         raise ContractError("k undefined: lambda_1 > 1 (charpoly not cyclotomic)")
     j_A = unipotent_index_of_power(u_A_rat, orders)

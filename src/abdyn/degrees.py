@@ -84,27 +84,22 @@ class DegreeProfile:
                 "growth_exponents": list(self.growth_exponents)}
 
 
-def _part_spectrum(M, name, tol, split):
-    """(moduli, orders) of one part from one char poly and one cyclotomic
-    split (the char_poly_split of M, computed here unless given): the
-    descending (modulus, multiplicity) groups, and the orders
-    {m: multiplicity} of its cyclotomic factors when they exhaust the char
-    poly (None otherwise)."""
-    cp, P, Q, orders = split or char_poly_split(M)
+def _part_spectrum(M, name, tol):
+    """(moduli, orders) of one part from its char poly and cyclotomic split
+    (char_poly_split, kept on M): the descending (modulus, multiplicity)
+    groups, and the orders {m: multiplicity} of its cyclotomic factors when
+    they exhaust the char poly (None otherwise)."""
+    cp, _, Q, orders = char_poly_split(M)
     if abs(cp.coeffs[0]) != 1:  # det M = (-1)^n cp(0)
         raise ContractError(f"{name} must have det +/-1")
-    return eigenvalue_moduli(cp, tol, split=(P, Q)), (orders if Q.is_one() else None)
+    return eigenvalue_moduli(cp, tol), (orders if Q.is_one() else None)
 
 
-def _spectra(aut, tol, splits=None):
+def _spectra(aut, tol):
     """The (moduli, orders) of the torus and abelian parts (None for an
-    absent part), after checking det +/-1 and the doubled abelian moduli.
-    splits maps a part name ("u_T", "u_A_rat") to the char_poly_split the
-    caller already holds for it."""
-    splits = splits or {}
-    torus = _part_spectrum(aut.u_T, "u_T", tol, splits.get("u_T")) if aut.r else None
-    abelian = (_part_spectrum(aut.u_A_rat, "u_A_rat", tol, splits.get("u_A_rat"))
-               if aut.g else None)
+    absent part), after checking det +/-1 and the doubled abelian moduli."""
+    torus = _part_spectrum(aut.u_T, "u_T", tol) if aut.r else None
+    abelian = _part_spectrum(aut.u_A_rat, "u_A_rat", tol) if aut.g else None
     if abelian and any(mult % 2 for _, mult in abelian[0]):
         raise ContractError(
             "u_A_rat moduli are not a doubled multiset: "
@@ -126,14 +121,15 @@ def unipotent_index_of_power(M, orders):
     return j
 
 
-def semiabelian_degrees(aut, tol=1e-9, splits=None):
+def semiabelian_degrees(aut, tol=1e-9):
     """The full degree profile of the automorphism, by the closed formula.
     When every eigenvalue is a root of unity (decided exactly) all lambda_k
     are 1, and deg_1(f^n) ~ n^d with d = max{j_T - 1, 2(j_A - 1), 0} for the
     unipotent indices of the torus and abelian parts, taken on their
-    unipotent powers (degrees never decay, hence the clamp at 0).  splits
-    are the char_poly_split results the caller holds (see _spectra)."""
-    torus, abelian = _spectra(aut, tol, splits)
+    unipotent powers (degrees never decay, hence the clamp at 0).  Each
+    part's char poly and split are the ones kept on its matrix, so a caller
+    that already split a part shares them (char_poly_split)."""
+    torus, abelian = _spectra(aut, tol)
     r, g = aut.r, aut.g
     exponents = [None] * (r + g + 1)
     exponents[0] = exponents[-1] = 0

@@ -44,7 +44,7 @@ class IntPolynomial:
     everything else the leading coefficient is nonzero.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_split")  # _split: see cyclotomic_split_with_orders
 
     def __init__(self, coeffs):
         self.coeffs = IntPolynomial._of([int(c) for c in coeffs]).coeffs
@@ -256,7 +256,10 @@ def cyclotomic_split_with_orders(p):
     """Like cyclotomic_split but also reports {m: multiplicity} of the
     cyclotomic factors removed, in ascending m.  Phi_m divides Q in Z[x] only
     if Phi_m(a) divides Q(a) for every integer a: at a = 2 and 3 this rules
-    out most m with no polynomial division."""
+    out most m with no polynomial division.  It is computed once per object
+    and kept on p, for every consumer of p (who must not mutate the orders)."""
+    if getattr(p, "_split", None) is not None:
+        return p._split
     if not p.is_monic():
         raise ContractError("cyclotomic_split requires a monic polynomial")
     Q, (at2, at3) = p, _values(p)
@@ -275,7 +278,8 @@ def cyclotomic_split_with_orders(p):
             orders[m] = orders.get(m, 0) + 1
             if Q.degree < phi_m:
                 break
-    return p.divmod_monic(Q)[0], Q, orders
+    p._split = p.divmod_monic(Q)[0], Q, orders
+    return p._split
 
 
 def cyclotomic_split(p):
@@ -298,7 +302,7 @@ def is_cyclotomic_free(p):
 class IntMatrix:
     """Dense integer matrix, row-major, arbitrary precision."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_char_poly")  # _char_poly: see char_poly
 
     def __init__(self, rows, cols, entries):
         entries = tuple(int(e) for e in entries)
@@ -591,17 +595,19 @@ def char_poly(M):
 
     Computed by the Berkowitz algorithm: division-free, so arbitrary-precision
     integers survive untouched even after matrix powers blow the entries up.
+    It runs once per matrix object, and the result is kept on M.
     """
     if not M.is_square():
         raise DimensionError("char_poly requires a square matrix")
-    vec = _berkowitz(M._rows())
-    return IntPolynomial._of(vec[::-1])
+    if getattr(M, "_char_poly", None) is None:
+        M._char_poly = IntPolynomial._of(_berkowitz(M._rows())[::-1])
+    return M._char_poly
 
 
 def char_poly_split(M):
     """(cp, P, Q, orders): the characteristic polynomial of the square
-    matrix M and its cyclotomic_split_with_orders, computed once so that
-    every consumer of one matrix's spectrum shares them."""
+    matrix M and its cyclotomic_split_with_orders, each kept on its object
+    (M, cp), so a second call on M computes nothing."""
     cp = char_poly(M)
     return (cp, *cyclotomic_split_with_orders(cp))
 
@@ -784,19 +790,19 @@ def squarefree_decomposition(p):
     return out
 
 
-def eigenvalue_moduli(p, tol=1e-9, split=None):
+def eigenvalue_moduli(p, tol=1e-9):
     """Descending list of (modulus, multiplicity) for the roots of p.
 
     The cyclotomic part is stripped first and contributes an exact modulus 1;
     the cyclotomic-free part is handled numerically, with moduli grouped when
     within tol of each other (Salem polynomials have genuinely equal moduli
-    that the numerics must not split).  A caller that already holds the
-    (P, Q) of cyclotomic_split(p) passes it as split."""
+    that the numerics must not split).  The split is the one kept on p
+    (cyclotomic_split_with_orders), so a caller that split p shares it."""
     if not p.is_monic() or p.degree < 1:
         raise ContractError("eigenvalue_moduli requires a monic polynomial of degree >= 1")
     if not 0 < tol < inf:  # also false for nan
         raise ContractError("tol must be positive and finite")
-    P, Q = split if split is not None else cyclotomic_split(p)
+    P, Q = cyclotomic_split(p)
     groups = []  # list of [modulus, multiplicity]
     if Q.degree >= 1:
         import numpy as np

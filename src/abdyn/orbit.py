@@ -112,11 +112,10 @@ def _real(v):
     return [z.real for z in v] + [z.imag for z in v]
 
 
-def real_dual_coords(lattice, v, with_inverse=False):
-    """Coordinates x with v = sum x_j e_j as a real combination of the
-    lattice basis; residual-checked.  with_inverse=True returns (x, columns
-    of A^-1), where the columns of A are the basis vectors in real
-    coordinates.
+def real_dual_coords(lattice, v):
+    """(x, columns of A^-1): the coordinates x with v = sum x_j e_j as a
+    real combination of the lattice basis, residual-checked, where the
+    columns of A are the basis vectors in real coordinates.
 
     Floats are dyadic rationals, so A x = v and A Y = I are solved exactly by
     one elimination in integers, and each entry is rounded to a float once.
@@ -144,7 +143,7 @@ def real_dual_coords(lattice, v, with_inverse=False):
     scale = max(1.0, math.hypot(*rhs))
     if not resid <= 1e-10 * scale:
         raise NumericIndeterminacyError(f"reconstruction residual {resid} too large")
-    return (x, inverse) if with_inverse else x
+    return x, inverse
 
 
 def _independent(vectors):
@@ -283,7 +282,7 @@ def _rank_with_band(sv, tol):
 
 def orbit_dims(lattice, alpha, height_bound=50, tol=1e-10):
     """Compute the orbit-closure report (h, s, r) for translation by alpha."""
-    coords, inverse = real_dual_coords(lattice, alpha, with_inverse=True)
+    coords, inverse = real_dual_coords(lattice, alpha)
     relations = relation_lattice(coords, height_bound, tol)
     g = lattice.g
     h = 2 * g - len(relations)

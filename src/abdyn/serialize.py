@@ -1,10 +1,11 @@
 """JSON wire-format helpers.
 
 The JSON Schemas of the wire formats are the package data files
-abdyn/schemas/<name>.schema.json; on first use each is compiled by
-`_compile` into nested closures that check a payload with the semantics of
-JSON Schema draft 2020-12 (the schemas are checked against the draft's
-meta-schema, and the closures against the jsonschema package, in the tests).
+abdyn/schemas/<name>.schema.json, which name each other by `$ref` rather
+than copy; on first use each is compiled by `_compile` into nested closures
+that check a payload with the semantics of JSON Schema draft 2020-12 (the
+schemas are checked against the draft's meta-schema, and the closures
+against the jsonschema package, in the tests).
 Conventions (shared by the CLI and those schemas):
   * integers are emitted as decimal strings (arbitrary precision); plain JSON
     integers are also accepted on input,
@@ -59,9 +60,12 @@ def _compile(schema, root):
     list [keyword, its schema value, the bad value, key_n, ..., key_1]: the
     first keyword that failed and the path to the value it failed on,
     innermost key first.  `root` is the schema resource (the innermost node
-    with an `$id`) that "#/..." `$ref`s point into.  Anything `_compile` does not implement (a keyword outside
-    `_KEYWORDS`, a type given as a list, an enum of arrays or objects, a
-    `$ref` that is not a local JSON pointer) raises ValueError here."""
+    with an `$id`) that "#/..." `$ref`s point into; any other `$ref` names
+    another packaged schema ("matrix" from "abdyn/fan" is "abdyn/matrix")
+    and is checked by its compiled check, `_validator(name)`.  Anything
+    `_compile` does not implement (a keyword outside `_KEYWORDS`, a type
+    given as a list, an enum of arrays or objects, a `$ref` that is neither
+    a local JSON pointer nor a packaged schema) raises ValueError here."""
     if not isinstance(schema, dict):
         raise ValueError(f"unsupported schema {schema!r}: not an object")
     unknown = schema.keys() - _KEYWORDS
@@ -166,16 +170,23 @@ def _compile(schema, root):
 
     if "$ref" in schema:
         ref = schema["$ref"]
-        target = root
-        try:
-            if not ref.startswith("#/"):
-                raise KeyError(ref)
-            for part in ref[2:].split("/"):
-                target = target[part.replace("~1", "/").replace("~0", "~")]
-        except (KeyError, TypeError):
-            raise ValueError(f"unsupported $ref {ref!r}: not a local JSON pointer "
-                             f"into the schema") from None
-        checks.append(_compile(target, root))
+        if not ref.startswith("#"):  # another packaged schema, by its name
+            try:
+                checks.append(_validator(ref))
+            except OSError:  # no schema file of that name
+                raise ValueError(f"unsupported $ref {ref!r}: no packaged schema "
+                                 f"of that name") from None
+        else:
+            target = root
+            try:
+                if not ref.startswith("#/"):
+                    raise KeyError(ref)
+                for part in ref[2:].split("/"):
+                    target = target[part.replace("~1", "/").replace("~0", "~")]
+            except (KeyError, TypeError):
+                raise ValueError(f"unsupported $ref {ref!r}: not a local JSON pointer "
+                                 f"into the schema") from None
+            checks.append(_compile(target, root))
 
     if len(checks) == 1:
         return checks[0]

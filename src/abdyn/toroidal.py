@@ -493,26 +493,25 @@ def validate_fan(fan):
     canon = functools.cache(functools.partial(_canonical_gens, gamma=gamma))
     canon_seen = {}
     for idx, cone in enumerate(fan.cones):
-        if cone.dim == 0:
-            continue
         gens = cone.generators
-        for v in gens:
-            if len(v) != gamma.g + 1:
-                violations.append(f"cone {idx}: generator dimension != g+1")
-                continue
-            if math.gcd(*v) != 1:
-                violations.append(f"cone {idx}: non-primitive generator {v}")
-            if v[-1] < 0:
-                violations.append(f"cone {idx}: negative height generator {v}")
-        index = minor_gcd(gens)
-        if index == 0:
-            violations.append(
-                f"cone {idx}: generators dependent (not simplicial / not strongly convex)")
-        if all(v[-1] == 0 for v in gens):
-            violations.append(f"cone {idx}: contained in N x {{0}}")
-        # regularity: generators extend to a basis of the saturated span lattice
-        if index > 1:
-            non_regular.append(idx)
+        if gens:  # the zero cone takes only the duplicate check
+            for v in gens:
+                if len(v) != gamma.g + 1:
+                    violations.append(f"cone {idx}: generator dimension != g+1")
+                    continue
+                if math.gcd(*v) != 1:
+                    violations.append(f"cone {idx}: non-primitive generator {v}")
+                if v[-1] < 0:
+                    violations.append(f"cone {idx}: negative height generator {v}")
+            index = minor_gcd(gens)
+            if index == 0:
+                violations.append(
+                    f"cone {idx}: generators dependent (not simplicial / not strongly convex)")
+            if all(v[-1] == 0 for v in gens):
+                violations.append(f"cone {idx}: contained in N x {{0}}")
+            # regularity: generators extend to a basis of the saturated span lattice
+            if index > 1:
+                non_regular.append(idx)
         # Gamma-duplicates
         c = canon(gens)
         if c in canon_seen:
@@ -576,25 +575,23 @@ def section_extends(n_phi, fan):
     return not any(n_phi[:gamma.g_prime])
 
 
-def translation_regularizable(n_phi, gamma_data, with_diagnostic=False):
+def translation_regularizable(n_phi, gamma_data):
     """The algorithmic core of the finite-order regularization: if the
-    abelian block of n_phi vanishes, return the minimal N >= 1 with
-    N * b = beta * B' for its torus block b and an integer vector beta (plus
-    beta).  Otherwise None.  With y = adj(B') b, b * B'^-1 = y / det B', so
-    N = det B' / gcd(det B', y) and beta = y * N / det B'."""
+    abelian block of n_phi vanishes, ((N, beta), "") for the minimal N >= 1
+    with N * b = beta * B' for its torus block b and an integer vector beta.
+    Otherwise (None, the reason).  With y = adj(B') b, b * B'^-1 = y / det B',
+    so N = det B' / gcd(det B', y) and beta = y * N / det B'."""
     n_phi = tuple(int(x) for x in n_phi)
     gp = gamma_data.g_prime
     if len(n_phi) != gamma_data.g:
         raise DimensionError("n_phi must have g coordinates")
     a, b = n_phi[:gp], n_phi[gp:]
     if any(x != 0 for x in a):
-        diag = "abelian coordinate nonzero (a genuine section cannot twist the abelian block)"
-        return (None, diag) if with_diagnostic else None
+        return None, "abelian coordinate nonzero (a genuine section cannot twist the abelian block)"
     det = gamma_data.det
     y = [sum(map(mul, row, b)) for row in gamma_data.adj]
     N = det // math.gcd(det, *y)
-    result = (N, tuple(yi * N // det for yi in y))
-    return (result, "") if with_diagnostic else result
+    return (N, tuple(yi * N // det for yi in y)), ""
 
 
 def central_fiber_combinatorics(fan):

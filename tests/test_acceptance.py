@@ -294,7 +294,7 @@ def test_acceptance_07_tate_fans():
             assert validate_fan(fan).ok
             assert central_fiber_combinatorics(fan) == (n, n)
             for m in range(1, 2 * n + 1):
-                res = translation_regularizable((m,), gd)
+                res = translation_regularizable((m,), gd)[0]
                 assert res is not None
                 N, beta = res
                 assert N == n // math.gcd(m, n)

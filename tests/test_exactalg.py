@@ -24,7 +24,7 @@ from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, cyclotomic
 from abdyn.serialize import family_descriptor_from_json
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
-from util import (check_saturated, kronecker_is_roots_of_unity, mat_vec,
+from util import (check_saturated, count_spectrum_runs, kronecker_is_roots_of_unity, mat_vec,
                   numpy_roots_moduli, quasi_unipotent_order, reference_cyclotomic_split,
                   solve, to_numpy, unipotent_index)
 
@@ -54,6 +54,29 @@ def test_char_poly_rotation():
 def test_char_poly_nonsquare():
     with pytest.raises(DimensionError):
         char_poly(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_spectrum_is_kept_on_its_object_only(monkeypatch):
+    """char_poly and the cyclotomic split run once per object and are kept
+    on it: an equal but distinct matrix or polynomial computes its own (no
+    cache keyed by value), and equality, hashing and repr ignore what is
+    kept."""
+    counts = count_spectrum_runs(monkeypatch)
+    A = IntMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 2]])
+    B = IntMatrix.from_rows(A.to_rows())
+    seen = (A == B, hash(A) == hash(B), repr(A) == repr(B))
+    cp = char_poly(A)
+    assert char_poly(A) is cp and counts["berkowitz"] == 1
+    assert char_poly(B) == cp and char_poly(B) is not cp and counts["berkowitz"] == 2
+    assert (A == B, hash(A) == hash(B), repr(A) == repr(B)) == seen == (True,) * 3
+    q = IntPolynomial(cp.coeffs)
+    split = cyclotomic_split_with_orders(cp)
+    assert split == (P(1, 0, 1), P(-2, 1), {4: 1})
+    assert cyclotomic_split_with_orders(cp) is split and counts["split"] == 1
+    assert cyclotomic_split(cp) == split[:2] and counts["split"] == 1
+    assert cyclotomic_split_with_orders(q) == split and counts["split"] == 2
+    assert (q == cp, hash(q) == hash(cp), repr(q) == repr(cp)) == (True,) * 3
+    assert counts == {"berkowitz": 2, "split": 2}
 
 
 def test_char_poly_matches_numpy_on_random_matrices():
@@ -567,7 +590,7 @@ def test_translation_regularizable_matches_sympy():
         Binv = Bp.inv()
         for _ in range(10):
             b = tuple(rng.randint(-12, 12) for _ in range(gamma.r_prime))
-            N, beta = translation_regularizable((0,) * gamma.g_prime + b, gamma)
+            N, beta = translation_regularizable((0,) * gamma.g_prime + b, gamma)[0]
             x = sympy.Matrix([b]) * Binv
             assert all((N * v).is_integer for v in x)
             assert not any(all((m * v).is_integer for v in x) for m in range(1, N))

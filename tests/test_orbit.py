@@ -32,10 +32,10 @@ def std_polarization(g):
 def test_real_dual_coords_examples():
     lat = square_lattice()
     assert max(abs(x - y) for x, y in
-               zip(real_dual_coords(lat, (1,)), (1.0, 0.0))) < 1e-12
-    got = real_dual_coords(lat, (0.5 + 0.25j,))
+               zip(real_dual_coords(lat, (1,))[0], (1.0, 0.0))) < 1e-12
+    got = real_dual_coords(lat, (0.5 + 0.25j,))[0]
     assert max(abs(x - y) for x, y in zip(got, (0.5, 0.25))) < 1e-12
-    assert max(abs(x) for x in real_dual_coords(lat, (0,))) < 1e-12
+    assert max(abs(x) for x in real_dual_coords(lat, (0,))[0]) < 1e-12
 
 
 def test_relation_lattice_sqrt2():

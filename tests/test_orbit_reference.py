@@ -192,8 +192,7 @@ def test_real_dual_coords_match_fraction_solve(case):
     """Bit-identical x and A^-1, or the same refusal, as the solve in
     Fractions."""
     lattice, alpha = case
-    got = _coords_outcome(lambda lat, a: real_dual_coords(lat, a, with_inverse=True),
-                          lattice, alpha)
+    got = _coords_outcome(real_dual_coords, lattice, alpha)
     event(got[1] if got[0] == "refused" else "solved")
     assert got == _coords_outcome(fraction_real_dual_coords, lattice, alpha)
 
@@ -204,7 +203,7 @@ TINY = NumericLattice(g=1, basis=[[5e-324], [5e-324j]])
 def test_real_dual_coords_overflow_refused():
     """A basis of subnormals puts A^-1 beyond the float range: both refuse."""
     with pytest.raises(NumericIndeterminacyError, match="beyond the float range"):
-        real_dual_coords(TINY, [0.5 + 0.5j], with_inverse=True)
+        real_dual_coords(TINY, [0.5 + 0.5j])
     with pytest.raises(NumericIndeterminacyError, match="beyond the float range"):
         fraction_real_dual_coords(TINY, [0.5 + 0.5j])
 

@@ -24,6 +24,8 @@ import sympy
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
+from referencing import Registry
+from referencing.jsonschema import DRAFT202012
 from sympy.matrices.normalforms import invariant_factors
 
 from abdyn import cli, exactalg, serialize
@@ -32,8 +34,8 @@ from abdyn.errors import SchemaError
 from abdyn.exactalg import IntMatrix, IntPolynomial, Sublattice, cyclotomic
 from abdyn.toroidal import delaunay_fan, nakamura_data
 
-from util import (BLOCK_SUM_DRAWS, FREE_BLOCKS, block_sum, poly_from_json,
-                  restricted_char_poly)
+from util import (BLOCK_SUM_DRAWS, FREE_BLOCKS, block_sum, count_spectrum_runs,
+                  poly_from_json, restricted_char_poly)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -62,11 +64,40 @@ def _schema(name):
     return json.loads((root / f"{name}.schema.json").read_text())
 
 
+def test_each_schema_is_defined_once():
+    """Each packaged $id is declared in exactly one schema file, its own, and
+    every $ref that is not a fragment names a packaged schema: a schema used
+    inside another is referred to, not copied.  _compile refuses a $ref to
+    any other name."""
+    ids, refs = {}, []
+
+    def walk(node, name):
+        if isinstance(node, dict):
+            if "$id" in node:
+                ids.setdefault(node["$id"], []).append(name)
+            if not node.get("$ref", "#").startswith("#"):
+                refs.append(node["$ref"])
+            node = list(node.values())
+        if isinstance(node, list):
+            for value in node:
+                walk(value, name)
+
+    for name in SCHEMA_NAMES:
+        walk(_schema(name), name)
+    assert ids == {f"abdyn/{name}": [name] for name in SCHEMA_NAMES}
+    assert refs and set(refs) <= SCHEMA_NAMES
+    with pytest.raises(ValueError, match="no packaged schema"):
+        serialize._compile({"items": {"$ref": "integer_matrix"}}, {})
+
+
 @functools.cache
 def _reference_validator(name):
-    """jsonschema's validator of a packaged schema: the oracle."""
+    """jsonschema's validator of a packaged schema: the oracle.  Its
+    registry holds every packaged schema, which their `$ref`s name."""
     schema = _schema(name)
-    return validator_for(schema)(schema)
+    registry = Registry().with_resources(
+        (s["$id"], DRAFT202012.create_resource(s)) for s in map(_schema, SCHEMA_NAMES))
+    return validator_for(schema)(schema, registry=registry)
 
 
 @pytest.mark.parametrize("keyword, value", [
@@ -451,6 +482,20 @@ def test_cli_fan_validate_indefinite_metric(tmp_path, capsys, monkeypatch):
     doc = json.loads(out)["result"]
     assert code == 3 and doc["ok"] is False
     assert "metric is not positive definite" in doc["violations"]
+
+
+def test_cli_fan_validate_rejects_a_repeated_zero_cone(tmp_path, capsys, monkeypatch):
+    """A fan file that lists the zero cone twice is refused: the second is a
+    Gamma-duplicate of the first."""
+    fan_file, fan = _built_fan("[[2]]", tmp_path, capsys, monkeypatch)
+    first = fan["cones"].index([])
+    fan["cones"].append([])
+    fan_file.write_text(json.dumps(fan))
+    code, out, _ = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
+    doc = json.loads(out)["result"]
+    assert code == 3 and doc["ok"] is False
+    assert doc["violations"] == [
+        f"cone {len(fan['cones']) - 1}: Gamma-duplicate of cone {first}"]
 
 
 def _drop_maximal_cone(fan):
@@ -869,6 +914,27 @@ def test_cli_split_call_counts(matrix, kernels, monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, fn))
     _cli_result(["split"], json.dumps(matrix))
     assert counts == {"char_poly": 1, "_solve_cleared": 0, "kernel_completion": kernels}
+
+
+@pytest.mark.parametrize("argv, stdin_text, runs", [
+    (["analyze"], "[[2,1],[1,1]]", 1),
+    (["analyze"], json.dumps({"r": 2, "g": 1, "u_T": [[2, 1], [1, 1]],
+                              "u_A_rat": [[0, -1], [1, 0]]}), 2),
+    (["end-to-end", "--case", "2.2"], None, 1),
+    (["end-to-end", "--case", "3.1"], None, 1),
+    (["catalog", "build", "--case", "4.8"], None, 1),
+    (["decide"], json.dumps({"g": 2, "charpoly": [1, 0, 0, 0, 1], "r": 1, "k": 1}),
+     {"berkowitz": 0, "split": 1}),
+    (["split"], "[[0,-1,0,0],[1,0,0,0],[0,0,2,1],[0,0,1,1]]", 1)],
+    ids=["analyze-torus", "analyze-both-parts", "end-to-end-2.2", "end-to-end-3.1",
+         "catalog-build-4.8", "decide", "split"])
+def test_cli_computes_each_spectrum_once(argv, stdin_text, runs, monkeypatch):
+    """One document runs one top-level Berkowitz and one cyclotomic split per
+    matrix part (decide: one split of its charpoly), however many consumers
+    read them: the degrees, the parts, the verdict rules, k and the split."""
+    counts = count_spectrum_runs(monkeypatch)
+    _cli_result(argv, stdin_text)
+    assert counts == (runs if isinstance(runs, dict) else {"berkowitz": runs, "split": runs})
 
 
 @pytest.mark.parametrize("matrix, message", [

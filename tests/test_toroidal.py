@@ -188,16 +188,16 @@ def test_canonical_cone_idempotent_on_translates():
 
 def test_translation_regularizable_examples():
     gd = GammaData(g_prime=0, r_prime=1, Bprime=IntMatrix.from_rows([[2]]))
-    assert translation_regularizable((1,), gd) == (2, (1,))
-    assert translation_regularizable((0,), gd) == (1, (0,))
+    assert translation_regularizable((1,), gd) == ((2, (1,)), "")
+    assert translation_regularizable((0,), gd) == ((1, (0,)), "")
     gd2 = GammaData(g_prime=0, r_prime=2,
                     Bprime=IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert translation_regularizable((1, 1), gd2) == (6, (3, 2))
+    assert translation_regularizable((1, 1), gd2) == ((6, (3, 2)), "")
 
 
 def test_translation_regularizable_diagnostics():
     gd = GammaData(g_prime=1, r_prime=1, Bprime=IntMatrix.from_rows([[2]]))
-    res, diag = translation_regularizable((1, 0), gd, with_diagnostic=True)
+    res, diag = translation_regularizable((1, 0), gd)
     assert res is None and "abelian" in diag
 
 
@@ -333,11 +333,11 @@ def _other_cells_metric(fan, rng):
 
 
 def _mutations(fan, rng):
-    """The fan and seven broken copies: a maximal cone dropped, a ray
+    """The fan and eight broken copies: a maximal cone dropped, a ray
     dropped, a Gamma-translate of a cone added, a generator scaled to be
     non-primitive, a height-0 cone added, a cone over (0_{g'}, 0, 1) and
     (0_{g'}, 2e_1, 1) added (a non-primitive edge, so a face of no Delaunay
-    cell), a metric with other cells."""
+    cell), the zero cone listed twice, a metric with other cells."""
     gamma, cones = fan.gamma, fan.cones
     top, ray = fan.maximal_cones()[0], next(c for c in cones if c.dim == 1)
     e1 = tuple(int(i == 0) for i in range(gamma.r_prime))
@@ -351,7 +351,8 @@ def _mutations(fan, rng):
              "add a translate": cones + (translate_cone(top, e1, gamma),),
              "non-primitive generator": tuple(scaled if c == top else c for c in cones),
              "add a height-0 cone": cones + (flat,),
-             "add a crossing cone": cones + (crossing,)}
+             "add a crossing cone": cones + (crossing,),
+             "duplicate the zero cone": cones + (Cone(()),)}
     out = {name: Fan(cones=c, gamma=gamma, metric=fan.metric) for name, c in edits.items()}
     out["other cells"] = Fan(cones=cones, gamma=gamma,
                              metric=tuple(map(tuple, _other_cells_metric(fan, rng))))
@@ -385,7 +386,7 @@ def test_validate_fan_matches_reference(g_prime, Bprime):
     """validate_fan and section_extends agree with the reference (one Cone
     per face, Selling in Fractions, the tiling check kept) on every corpus
     B', under the standard and a seeded random metric, built and after each
-    of seven edits: same violations in the same order, same non-regular
+    of eight edits: same violations in the same order, same non-regular
     cones, and the same answer or the same refusal.  A fan is ok exactly
     when its canonical cones are the face set of its cells (_accepted)."""
     from abdyn.cli import _random_metric
@@ -655,10 +656,10 @@ def test_translation_regularizable_matches_fraction_reference():
         b = tuple(rng.randint(-12, 12) for _ in range(gamma.r_prime))
         x = _coords(b, inv)
         N = math.lcm(*(v.denominator for v in x))
-        assert translation_regularizable((0,) * gp + b, gamma) == (N, tuple(int(N * v) for v in x))
+        assert translation_regularizable((0,) * gp + b, gamma)[0] == (N, tuple(int(N * v) for v in x))
         if gp:
             a = tuple(rng.choice((-1, 1)) for _ in range(gp))
-            assert translation_regularizable(a + b, gamma) is None
+            assert translation_regularizable(a + b, gamma)[0] is None
 
 
 def test_nakamura_data_matches_reference_on_psd_B():

@@ -17,7 +17,8 @@ poly_from_json, and the exact solve over Q with the restricted char poly
 on it (solve, restricted_char_poly, mat_vec); the conjugated block sums
 of the split tests (block_sum, BLOCK_SUM_DRAWS); the cyclotomic split by
 plain trial division (reference_cyclotomic_split) and the root moduli from
-numpy.roots (numpy_roots_moduli)."""
+numpy.roots (numpy_roots_moduli); the counts of the spectrum computations
+(count_spectrum_runs)."""
 
 import functools
 import itertools
@@ -29,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from abdyn import exactalg
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, _solve_cleared, char_poly,
                             cyclotomic, cyclotomic_orders, cyclotomic_split,
@@ -41,6 +43,32 @@ from abdyn.serialize import int_from_json, validate_schema
 from abdyn.toroidal import (Cone, FanReport, GammaData, _canonical_gens,
                             _coset_representatives, _DegenerateMetric, _reduce_mod_period,
                             _translate)
+
+def count_spectrum_runs(monkeypatch):
+    """A dict that counts, from now until the monkeypatch is undone, the
+    top-level Berkowitz runs ("berkowitz"; its recursive calls are not
+    counted) and the bodies of cyclotomic_split_with_orders ("split"; each
+    looks up cyclotomic_orders once)."""
+    counts = {"berkowitz": 0, "split": 0}
+    berkowitz, orders = exactalg._berkowitz, exactalg.cyclotomic_orders
+    depth = [0]
+
+    def counting_berkowitz(a):
+        counts["berkowitz"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return berkowitz(a)
+        finally:
+            depth[0] -= 1
+
+    def counting_orders(max_degree):
+        counts["split"] += 1
+        return orders(max_degree)
+
+    monkeypatch.setattr(exactalg, "_berkowitz", counting_berkowitz)
+    monkeypatch.setattr(exactalg, "cyclotomic_orders", counting_orders)
+    return counts
+
 
 GROWTH_WINDOW = 12  # window of fit_growth's peak and window-smoothed fits
 
@@ -825,26 +853,25 @@ def reference_validate_fan(fan):
     canon = functools.cache(functools.partial(reference_canonical_cone, gamma=gamma))
     canon_seen = {}
     for idx, cone in enumerate(fan.cones):
-        if cone.dim == 0:
-            continue
         gens = cone.generators
-        for v in gens:
-            if len(v) != gamma.g + 1:
-                violations.append(f"cone {idx}: generator dimension != g+1")
-                continue
-            if math.gcd(*v) != 1:
-                violations.append(f"cone {idx}: non-primitive generator {v}")
-            if v[-1] < 0:
-                violations.append(f"cone {idx}: negative height generator {v}")
-        index = minor_gcd(gens)
-        if index == 0:
-            violations.append(
-                f"cone {idx}: generators dependent (not simplicial / not strongly convex)")
-        if all(v[-1] == 0 for v in gens):
-            violations.append(f"cone {idx}: contained in N x {{0}}")
-        # regularity: generators extend to a basis of the saturated span lattice
-        if index > 1:
-            non_regular.append(idx)
+        if cone.dim > 0:  # the zero cone takes only the duplicate check
+            for v in gens:
+                if len(v) != gamma.g + 1:
+                    violations.append(f"cone {idx}: generator dimension != g+1")
+                    continue
+                if math.gcd(*v) != 1:
+                    violations.append(f"cone {idx}: non-primitive generator {v}")
+                if v[-1] < 0:
+                    violations.append(f"cone {idx}: negative height generator {v}")
+            index = minor_gcd(gens)
+            if index == 0:
+                violations.append(
+                    f"cone {idx}: generators dependent (not simplicial / not strongly convex)")
+            if all(v[-1] == 0 for v in gens):
+                violations.append(f"cone {idx}: contained in N x {{0}}")
+            # regularity: generators extend to a basis of the saturated span lattice
+            if index > 1:
+                non_regular.append(idx)
         # Gamma-duplicates
         c = canon(cone)
         if c in canon_seen:
@@ -1007,8 +1034,8 @@ def _fraction_solve(A, rhs):
 
 
 def fraction_real_dual_coords(lattice, v):
-    """(x, columns of A^-1) of abdyn.orbit.real_dual_coords(..., with_inverse=
-    True) as it was before its solve read floats as integers: every float
+    """(x, columns of A^-1) of abdyn.orbit.real_dual_coords as it was
+    before its solve read floats as integers: every float
     as a Fraction, an exact solve over Q, each entry rounded once by
     float(Fraction), and the same checks and refusals."""
     n = 2 * lattice.g
