@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError
-from .exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split,
-                       is_cyclotomic_free)
+from .exactalg import IntMatrix, IntPolynomial, char_poly, is_cyclotomic_free
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +255,9 @@ def moduli_dim_formula(case):
 # ---------------------------------------------------------------------------
 
 def build_case_matrices(case_id, d=2):
-    """Concrete matrices for the buildable cases: returns a dict with the
-    automorphism matrix (rational representation), its charpoly, the
-    factors of its cyclotomic split and the cyclotomic-free status.  d
+    """Concrete matrix for a buildable case: returns (label, automorphism),
+    the automorphism being its rational representation.  Its char poly and
+    cyclotomic split are kept on the matrix (exactalg.char_poly_split).  d
     selects the real quadratic field where one is needed."""
     if case_id == "2.1":
         M = IntMatrix.from_rows([[2, 1], [1, 1]])
@@ -296,7 +295,4 @@ def build_case_matrices(case_id, d=2):
     else:
         raise ContractError(f"case {case_id} has no concrete matrix builder "
                             "(classification metadata only)")
-    cp, P, Q, _ = char_poly_split(auto)
-    return {"case": case_id, "label": label, "automorphism": auto,
-            "charpoly": cp, "cyclotomic_part": P, "cyclotomic_free_part": Q,
-            "is_cyclotomic_free": P.is_one()}
+    return label, auto

@@ -3,7 +3,9 @@
 Single binary with subcommands (analyze, decide, split, fan, orbit, catalog,
 end-to-end); JSON payloads on stdin or via --in, results on stdout or --out.
 Every output embeds the inputs, tolerances, heights, and seeds needed to
-reproduce it.  The argv is read against one command table, COMMANDS.  Exit
+reproduce it: one writer (_emit) builds each document {command, input,
+options, result} from the command table, COMMANDS, which the argv is read
+against and which marks the flags that options echoes.  Exit
 codes: 0 success (also -h/--help and --version), 2 usage error (an argv that
 does not fit the table) or schema error (also a file that cannot be read or
 written), 3 contract error, 4 numeric indeterminacy; every error is one
@@ -48,14 +50,21 @@ def _read_file(path):
 
 
 def _read_payload(args):
-    if getattr(args, "infile", None):
+    if args.infile:
         return load_json(_read_file(args.infile))
     return load_json(sys.stdin.read())
 
 
-def _emit(args, doc):
-    text = dump_json(doc)
-    if getattr(args, "outfile", None):
+def _emit(words, args, echo, result):
+    """Write the document of one run of the command named by words: the
+    command's words joined by a space, the input echo, the value of each
+    flag that COMMANDS marks as a reproduction parameter, and the result.
+    It goes to --out, else stdout."""
+    options = {spec[0]: getattr(args, spec[0])
+               for spec in COMMANDS[words][1].values() if spec[6]}
+    text = dump_json({"command": " ".join(words), "input": echo,
+                      "options": options, "result": result})
+    if args.outfile:
         try:
             with open(args.outfile, "w") as fh:
                 fh.write(text)
@@ -73,7 +82,8 @@ def _inline_json(value):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (input echo, result), and an exit code when it
+# can be other than 0; main writes the document (_emit)
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args):
@@ -93,37 +103,25 @@ def cmd_analyze(args):
                     "roots_of_unity_only": Q.is_one()}
              for name, M in (("u_T", aut.u_T), ("u_A_rat", aut.u_A_rat)) if M is not None
              for cp, P, Q, _ in (char_poly_split(M),)}
-    result = {"degrees": profile.to_json_dict(), "parts": parts}
-    _emit(args, {"command": "analyze", "input": echo,
-                 "options": {"tol": args.tol},
-                 "result": result})
+    return echo, {"degrees": profile.to_json_dict(), "parts": parts}
 
 
 def cmd_decide(args):
-    payload = _read_payload(args)
-    desc = family_descriptor_from_json(payload)
-    verdict = decide_regularizable(desc)
-    _emit(args, {"command": "decide",
-                 "input": family_descriptor_to_json(desc),
-                 "options": {},
-                 "result": verdict.to_json_dict()})
+    desc = family_descriptor_from_json(_read_payload(args))
+    return family_descriptor_to_json(desc), decide_regularizable(desc).to_json_dict()
 
 
 def cmd_split(args):
     payload = _read_payload(args)
     u = matrix_from_json(payload)
-    L0, L1, index, P, Q = split_invariant_subfamily(u)
-    result = {
-        "cyclotomic_lattice": {
-            "basis": [list(map(str, v)) for v in L0.basis],
-            "charpoly": poly_to_json(P)},
-        "cyclotomic_free_lattice": {
-            "basis": [list(map(str, v)) for v in L1.basis],
-            "charpoly": poly_to_json(Q)},
-        "index": str(index),
-    }
-    _emit(args, {"command": "split", "input": {"matrix": payload},
-                 "options": {}, "result": result})
+    L0, L1, index = split_invariant_subfamily(u)
+    _, P, Q, _ = char_poly_split(u)
+    result = {name: {"basis": [list(map(str, v)) for v in L.basis],
+                     "charpoly": poly_to_json(p)}
+              for name, L, p in (("cyclotomic_lattice", L0, P),
+                                 ("cyclotomic_free_lattice", L1, Q))}
+    result["index"] = str(index)
+    return {"matrix": payload}, result
 
 
 def _random_metric(r_prime, seed):
@@ -159,10 +157,7 @@ def cmd_fan_build(args):
         metric_echo = _inline_json(args.metric)
         metric = serialize.metric_from_json(metric_echo, gamma.r_prime)
     fan = delaunay_fan(gamma, metric=metric, seed=args.seed)
-    _emit(args, {"command": "fan build",
-                 "input": {"B": matrix_to_json(B), "metric": metric_echo},
-                 "options": {"seed": args.seed},
-                 "result": fan_to_json(fan)})
+    return {"B": matrix_to_json(B), "metric": metric_echo}, fan_to_json(fan)
 
 
 def _load_fan_file(path):
@@ -177,14 +172,12 @@ def cmd_fan_validate(args):
     fan = _load_fan_file(args.file)
     report = validate_fan(fan)
     n_vertices, n_max_cells = central_fiber_combinatorics(fan)
-    _emit(args, {"command": "fan validate", "input": {"file": args.file},
-                 "options": {},
-                 "result": {"ok": report.ok,
-                            "violations": list(report.violations),
-                            "non_regular": list(report.non_regular),
-                            "central_fiber": {"vertices": n_vertices,
-                                              "maximal_cells": n_max_cells}}})
-    return 0 if report.ok else 3
+    result = {"ok": report.ok,
+              "violations": list(report.violations),
+              "non_regular": list(report.non_regular),
+              "central_fiber": {"vertices": n_vertices,
+                                "maximal_cells": n_max_cells}}
+    return {"file": args.file}, result, 0 if report.ok else 3
 
 
 def cmd_fan_extends(args):
@@ -193,13 +186,9 @@ def cmd_fan_extends(args):
     extends = section_extends(n_phi, fan)
     res, diag = translation_regularizable(n_phi, fan.gamma)
     N, beta = res if res is not None else (None, None)
-    _emit(args, {"command": "fan extends",
-                 "input": {"file": args.file, "n_phi": list(n_phi)},
-                 "options": {},
-                 "result": {"extends": extends,
-                            "regularizing_power": N,
-                            "beta": list(beta) if beta is not None else None,
-                            "diagnostic": diag}})
+    return {"file": args.file, "n_phi": list(n_phi)}, {
+        "extends": extends, "regularizing_power": N,
+        "beta": list(beta) if beta is not None else None, "diagnostic": diag}
 
 
 def cmd_orbit_analyze(args):
@@ -208,80 +197,59 @@ def cmd_orbit_analyze(args):
     if len(alpha) != lattice.g:
         raise SchemaError(f"alpha must have g = {lattice.g} entries, got {len(alpha)}")
     report = orbit_dims(lattice, alpha, height_bound=args.height, tol=args.tol)
-    _emit(args, {"command": "orbit analyze",
-                 "input": {"lattice": serialize.lattice_to_json(lattice),
-                           "alpha": [[z.real, z.imag] for z in alpha]},
-                 "options": {"height": args.height, "tol": args.tol},
-                 "result": report.to_json_dict()})
+    return {"lattice": serialize.lattice_to_json(lattice),
+            "alpha": [[z.real, z.imag] for z in alpha]}, report.to_json_dict()
 
 
 def cmd_catalog_list(args):
-    cases = classification_cases(args.g)
-    result = [{"case": c.id, "g": c.g, "albert_type": c.albert_type,
-               "parameters": c.parameters, "description": c.description,
-               "m": c.m, "m_formula": moduli_dim_formula(c)} for c in cases]
-    _emit(args, {"command": "catalog list", "input": {"g": args.g},
-                 "options": {}, "result": result})
+    return {"g": args.g}, [
+        {"case": c.id, "g": c.g, "albert_type": c.albert_type,
+         "parameters": c.parameters, "description": c.description,
+         "m": c.m, "m_formula": moduli_dim_formula(c)}
+        for c in classification_cases(args.g)]
 
 
-def _catalog_bundle(case_id, d, r):
-    """The case's matrices and family descriptor."""
-    data = build_case_matrices(case_id, d=d)
-    auto = data["automorphism"]
-    k = growth_exponent_k(auto) if data["cyclotomic_free_part"].is_one() else None
-    desc = FamilyDescriptor(g=auto.rows // 2, charpoly=data["charpoly"], r=r, k=k)
-    return data, desc
+def _catalog_bundle(args):
+    """The case's automorphism, its family descriptor, and the result fields
+    that catalog build and end-to-end share.  The char poly and split are
+    the ones kept on the automorphism (char_poly_split)."""
+    label, auto = build_case_matrices(args.case, d=args.d)
+    cp, P, Q, _ = char_poly_split(auto)
+    k = growth_exponent_k(auto) if Q.is_one() else None
+    desc = FamilyDescriptor(g=auto.rows // 2, charpoly=cp, r=args.r, k=k)
+    return auto, desc, {
+        "case": args.case, "label": label, "automorphism": matrix_to_json(auto),
+        "charpoly": poly_to_json(cp), "is_cyclotomic_free": P.is_one(),
+        "family_descriptor": family_descriptor_to_json(desc)}
 
 
 def cmd_catalog_build(args):
-    data, desc = _catalog_bundle(args.case, args.d, args.r)
-    result = {
-        "case": data["case"], "label": data["label"],
-        "automorphism": matrix_to_json(data["automorphism"]),
-        "charpoly": poly_to_json(data["charpoly"]),
-        "cyclotomic_part": poly_to_json(data["cyclotomic_part"]),
-        "cyclotomic_free_part": poly_to_json(data["cyclotomic_free_part"]),
-        "is_cyclotomic_free": data["is_cyclotomic_free"],
-        "family_descriptor": family_descriptor_to_json(desc),
-    }
-    _emit(args, {"command": "catalog build",
-                 "input": {"case": args.case, "d": args.d, "r": args.r},
-                 "options": {}, "result": result})
+    auto, _, result = _catalog_bundle(args)
+    _, P, Q, _ = char_poly_split(auto)
+    result.update(cyclotomic_part=poly_to_json(P), cyclotomic_free_part=poly_to_json(Q))
+    return {"case": args.case, "d": args.d, "r": args.r}, result
 
 
 def cmd_end_to_end(args):
-    data, desc = _catalog_bundle(args.case, args.d, args.r)
-    auto = data["automorphism"]
+    auto, desc, result = _catalog_bundle(args)
     g = auto.rows // 2
-    aut = SemiAbelianAut(r=0, g=g, u_A_rat=auto)
-    profile = semiabelian_degrees(aut, tol=args.tol)
-    verdict = decide_regularizable(desc)
-    case_meta = next((c for c in classification_cases(int(args.case.split(".")[0]))
-                      if c.id == args.case), None)
-    bundle = {
-        "case": data["case"], "label": data["label"],
-        "m": case_meta.m if case_meta else None,
-        "automorphism": matrix_to_json(auto),
-        "charpoly": poly_to_json(data["charpoly"]),
-        "is_cyclotomic_free": data["is_cyclotomic_free"],
-        "family_descriptor": family_descriptor_to_json(desc),
-        "degrees": profile.to_json_dict(),
-        "verdict": verdict.to_json_dict(),
-    }
-    _emit(args, {"command": "end-to-end",
-                 "input": {"case": args.case, "d": args.d, "r": args.r},
-                 "options": {"tol": args.tol},
-                 "result": bundle})
+    profile = semiabelian_degrees(SemiAbelianAut(r=0, g=g, u_A_rat=auto), tol=args.tol)
+    result.update(m=next(c.m for c in classification_cases(g) if c.id == args.case),
+                  degrees=profile.to_json_dict(),
+                  verdict=decide_regularizable(desc).to_json_dict())
+    return {"case": args.case, "d": args.d, "r": args.r}, result
 
 
 # ---------------------------------------------------------------------------
 # command table and argv reader
 # ---------------------------------------------------------------------------
 
-def _flag(dest, kind=str, default=None, required=False, meta=None, help=""):
-    """(dest, type, default, required, metavar, help); kind reads the token."""
+def _flag(dest, kind=str, default=None, required=False, meta=None, help="", option=False):
+    """(dest, type, default, required, metavar, help, option); kind reads the
+    token.  option marks a reproduction parameter: its value is echoed in
+    the document's options."""
     return dest, kind, default, required, meta or (
-        "JSON" if kind is str else kind.__name__.upper()), help
+        "JSON" if kind is str else kind.__name__.upper()), help, option
 
 
 _IN = {"--in": _flag("infile", meta="FILE", help="read the JSON payload (default stdin)")}
@@ -289,14 +257,14 @@ _OUT = {"--out": _flag("outfile", meta="FILE", help="write the JSON result (defa
 _CASE = {"--case": _flag("case", required=True, meta="ID", help="catalog case id, e.g. 2.2"),
          "--d": _flag("d", int, 2, help="real quadratic field discriminant parameter (default 2)"),
          "--r": _flag("r", int, help="torus rank of the degeneration (optional)")}
-_TOL = "positive finite tolerance (default {})"
+_TOL = {"--tol": _flag("tol", float, 1e-9, help="positive finite tolerance (default 1e-9)",
+                       option=True)}
 
 # words -> (handler, flags, positionals, help).  Flags are matched whole (no
 # prefix abbreviations); a positional is a dest.
 COMMANDS = {
-    ("analyze",): (cmd_analyze, {**_IN, **_OUT, "--tol": _flag(
-        "tol", float, 1e-9, help=_TOL.format("1e-9"))}, (),
-        "charpoly, cyclotomic split, and degree profile of an automorphism"),
+    ("analyze",): (cmd_analyze, {**_IN, **_OUT, **_TOL}, (),
+                   "charpoly, cyclotomic split, and degree profile of an automorphism"),
     ("decide",): (cmd_decide, {**_IN, **_OUT}, (),
                   "regularizability verdict for a family descriptor"),
     ("split",): (cmd_split, {**_IN, **_OUT}, (),
@@ -305,7 +273,8 @@ COMMANDS = {
         "--B": _flag("B", required=True, help="symmetric PSD integer matrix (JSON or @file)"),
         "--metric": _flag("metric", meta="JSON|random", help="positive definite r' x r' metric "
                           "(rows of ints, finite floats or 'p/q' strings), or 'random'"),
-        "--seed": _flag("seed", int, 0, help="seed of the metric perturbations (default 0)"),
+        "--seed": _flag("seed", int, 0, help="seed of the metric perturbations (default 0)",
+                        option=True),
         **_OUT}, (), "build a Delaunay fan from a monodromy translation matrix B"),
     ("fan", "validate"): (cmd_fan_validate, _OUT, ("file",), "validate a fan file"),
     ("fan", "extends"): (cmd_fan_extends, {
@@ -314,17 +283,18 @@ COMMANDS = {
     ("orbit", "analyze"): (cmd_orbit_analyze, {
         "--lattice": _flag("lattice", required=True, help="period lattice (JSON or @file)"),
         "--alpha": _flag("alpha", required=True, help="translation: g [re, im] pairs"),
-        "--height": _flag("height", int, 50, help="integer-relation search bound (default 50)"),
-        "--tol": _flag("tol", float, 1e-10, help=_TOL.format("1e-10")), **_OUT}, (),
+        "--height": _flag("height", int, 50, help="integer-relation search bound (default 50)",
+                          option=True),
+        "--tol": _flag("tol", float, 1e-10, help="positive finite tolerance (default 1e-10)",
+                       option=True), **_OUT}, (),
         "translation orbit-closure analysis"),
     ("catalog", "list"): (cmd_catalog_list, {
         "--g": _flag("g", int, required=True, help="dimension"), **_OUT}, (),
         "classification cases of positive-entropy examples in dimension g"),
     ("catalog", "build"): (cmd_catalog_build, {**_CASE, **_OUT}, (),
                            "matrix model and family descriptor of a catalog case"),
-    ("end-to-end",): (cmd_end_to_end, {**_CASE, "--tol": _flag(
-        "tol", float, 1e-9, help=_TOL.format("1e-9")), **_OUT}, (),
-        "catalog -> degrees -> verdict bundle"),
+    ("end-to-end",): (cmd_end_to_end, {**_CASE, **_TOL, **_OUT}, (),
+                      "catalog -> degrees -> verdict bundle"),
 }
 
 
@@ -368,13 +338,13 @@ def _no_command(argv):
 
 
 def _parse(argv):
-    """(handler, args) for argv, or (None, text) for -h/--help and --version.
+    """(words, args) for argv, or (None, text) for -h/--help and --version.
     The token after a flag is its value, whatever it looks like; --flag=value
     works too.  Raises UsageError."""
     words = next((tuple(argv[:n]) for n in (1, 2) if tuple(argv[:n]) in COMMANDS), None)
     if words is None:
         return None, _no_command(argv)
-    handler, flags, positionals, _ = COMMANDS[words]
+    _, flags, positionals, _ = COMMANDS[words]
     name, values, pos = " ".join(words), {}, []
     rest = iter(argv[len(words):])
     for tok in rest:
@@ -397,7 +367,7 @@ def _parse(argv):
         raise UsageError(f"{name}: expected {len(positionals)} positional argument(s), "
                          f"got {pos!r}")
     args = dict(zip(positionals, pos))
-    for flag, (dest, kind, default, required, meta, _) in flags.items():
+    for flag, (dest, kind, default, required, meta, *_) in flags.items():
         if flag in values:
             try:
                 args[dest] = kind(values[flag])
@@ -408,18 +378,19 @@ def _parse(argv):
             raise UsageError(f"{name}: {flag} is required")
         else:
             args[dest] = default
-    return handler, types.SimpleNamespace(**args)
+    return words, types.SimpleNamespace(**args)
 
 
 def main(argv=None):
     """Run one command; returns the exit code and never raises SystemExit."""
     try:
-        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
-        if handler is None:
+        words, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if words is None:
             print(args)
             return 0
-        code = handler(args)
-        return 0 if code is None else code
+        echo, result, *code = COMMANDS[words][0](args)
+        _emit(words, args, echo, result)
+        return code[0] if code else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

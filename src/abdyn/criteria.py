@@ -178,7 +178,8 @@ def split_invariant_subfamily(u):
     """Split Z^n along the cyclotomic / cyclotomic-free factorization
     char_poly(u) = P * Q into the saturated invariant lattices
     L0 = Z^n intersect ker P(u) and L1 = Z^n intersect ker Q(u); returns
-    (L0, L1, index of L0 + L1 in Z^n, P, Q).
+    (L0, L1, index of L0 + L1 in Z^n).  P and Q are the split kept on
+    char_poly(u) (char_poly_split).
 
     P and Q are coprime, so by the primary decomposition theorem (Hoffman &
     Kunze, Linear Algebra, 2nd ed., 6.8) Q^n is the direct sum of ker P(u)
@@ -198,7 +199,7 @@ def split_invariant_subfamily(u):
     if P.is_one() or Q.is_one():
         whole = Sublattice._of(n, IntMatrix.identity(n).to_rows())
         zero = Sublattice._of(n, ())
-        return (zero, whole, 1, P, Q) if P.is_one() else (whole, zero, 1, P, Q)
+        return (zero, whole, 1) if P.is_one() else (whole, zero, 1)
     L0 = kernel_lattice(P, u)
     L1 = kernel_lattice(Q, u)
     if (L0.rank, L1.rank) != (P.degree, Q.degree):
@@ -206,4 +207,4 @@ def split_invariant_subfamily(u):
     stacked = IntMatrix.from_rows(list(L0.basis) + list(L1.basis))
     index = abs(stacked.det())
     assert index >= 1
-    return L0, L1, index, P, Q
+    return L0, L1, index

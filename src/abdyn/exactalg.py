@@ -419,11 +419,6 @@ class IntMatrix:
     def transpose(self):
         return IntMatrix._of(self.cols, self.rows, [x for c in self._columns() for x in c])
 
-    def trace(self):
-        if not self.is_square():
-            raise DimensionError("trace of non-square matrix")
-        return sum(self[i, i] for i in range(self.rows))
-
     def det(self):
         """Determinant by fraction-free Bareiss elimination."""
         if not self.is_square():

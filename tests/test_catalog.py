@@ -16,7 +16,7 @@ from abdyn.catalog import (ClassificationCase, Quaternion, QuaternionAlgebra,
 from abdyn.degrees import SemiAbelianAut
 from abdyn.errors import ContractError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
-                            is_cyclotomic_free)
+                            char_poly_split, is_cyclotomic_free)
 from util import lattice_is_invariant, type_I_lattice
 
 
@@ -144,16 +144,23 @@ def test_moduli_formula_matches_table():
 
 def test_build_case_matrices():
     for case_id in ("2.1", "2.2", "3.1", "3.2", "4.5", "4.8", "5.5"):
-        data = build_case_matrices(case_id)
-        auto = data["automorphism"]
+        _, auto = build_case_matrices(case_id)
         assert abs(auto.det()) == 1
-        assert data["cyclotomic_part"] * data["cyclotomic_free_part"] \
-            == data["charpoly"]
+        cp, P, Q, _ = char_poly_split(auto)
+        assert P * Q == cp
         # a rational representation of an automorphism of a g-dimensional
         # abelian variety: doubled eigenvalue moduli
         SemiAbelianAut(r=0, g=auto.rows // 2, u_A_rat=auto).validate()
     with pytest.raises(ContractError):
         build_case_matrices("4.3")
+
+
+def test_buildable_cases_have_a_classification_row():
+    """Each buildable case id is one row of the classification table of its
+    automorphism's dimension g, the row end-to-end reads m from."""
+    for case_id in ("2.1", "2.2", "3.1", "3.2", "4.5", "4.8", "5.5"):
+        _, auto = build_case_matrices(case_id)
+        assert [c.id for c in classification_cases(auto.rows // 2)].count(case_id) == 1
 
 
 def test_unit_minpoly():

@@ -12,7 +12,7 @@ from abdyn.criteria import (NOT_REGULARIZABLE, REGULARIZABLE, UNDETERMINED,
                             theoremB_bound)
 from abdyn.errors import ContractError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
-                            cyclotomic, is_cyclotomic_free)
+                            cyclotomic, cyclotomic_split, is_cyclotomic_free)
 from util import (BLOCK_SUM_DRAWS, block_sum, check_saturated, conjugate,
                   kronecker_is_roots_of_unity, lattice_is_invariant, random_unimodular,
                   restricted_char_poly)
@@ -131,7 +131,7 @@ def test_growth_exponent_k_undefined_for_hyperbolic():
 def test_split_block_example():
     u = IntMatrix.block_diag(IntMatrix.companion(IntPolynomial([1, 0, 1])),
                              IntMatrix.companion(IntPolynomial([1, -3, 1])))
-    L0, L1, index, _, _ = split_invariant_subfamily(u)
+    L0, L1, index = split_invariant_subfamily(u)
     assert (L0.rank, L1.rank) == (2, 2)
     assert index == 1
     assert kronecker_is_roots_of_unity(restricted_char_poly(u, L0))
@@ -140,10 +140,10 @@ def test_split_block_example():
 
 def test_split_extreme_cases():
     u = IntMatrix.companion(IntPolynomial([1, -3, 1]))
-    L0, L1, index, _, _ = split_invariant_subfamily(u)
+    L0, L1, index = split_invariant_subfamily(u)
     assert L0.rank == 0 and L1.rank == 2 and index == 1
     u = IntMatrix.identity(4)
-    L0, L1, index, _, _ = split_invariant_subfamily(u)
+    L0, L1, index = split_invariant_subfamily(u)
     assert L0.rank == 4 and L1.rank == 0 and index == 1
 
 
@@ -155,7 +155,7 @@ def test_split_conjugated_blocks():
     for _ in range(5):
         U = random_unimodular(4, rng)
         u = conjugate(blocks, U)
-        L0, L1, index, _, _ = split_invariant_subfamily(u)
+        L0, L1, index = split_invariant_subfamily(u)
         assert L0.rank == 2 and L1.rank == 2 and index >= 1
         assert lattice_is_invariant(u, L0) and lattice_is_invariant(u, L1)
         assert restricted_char_poly(u, L0) == IntPolynomial([1, -1, 1])
@@ -174,8 +174,8 @@ def test_split_reassembles_conjugated_block_sums(cyc, free, glued, seed):
     assume(cyc or free)
     u, P, Q = block_sum(cyc, free, glued, seed)
     assert P * Q == char_poly(u)
-    L0, L1, index, P_split, Q_split = split_invariant_subfamily(u)
-    assert (P_split, Q_split) == (P, Q)
+    L0, L1, index = split_invariant_subfamily(u)
+    assert cyclotomic_split(char_poly(u)) == (P, Q)
     assert restricted_char_poly(u, L0) == P
     assert restricted_char_poly(u, L1) == Q
     assert index == abs(sympy.Matrix(list(L0.basis) + list(L1.basis)).det())

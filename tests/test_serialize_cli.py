@@ -527,6 +527,24 @@ def test_cli_fan_extends_refuses_uncertified_fan(edit, violation, tmp_path, caps
     assert any(v.startswith(violation) for v in json.loads(out)["result"]["violations"])
 
 
+def test_cli_fan_extends_does_not_check_lower_cones(tmp_path, capsys, monkeypatch):
+    """fan extends checks the metric, the generator form and the maximal
+    cones, not the lower-dimensional cones: with the ray cone [0] of a
+    B = [[2]] fan removed, fan validate names the two cones left without that
+    face and exits 3, and fan extends still answers with exit 0."""
+    fan_file, fan = _built_fan("[[2]]", tmp_path, capsys, monkeypatch)
+    fan["cones"].remove([0])
+    fan_file.write_text(json.dumps(fan))
+    code, out, _ = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
+    assert code == 3
+    assert json.loads(out)["result"]["violations"] == [
+        "cone 2: missing face ((0, 1),)", "cone 3: missing face ((2, 1),)"]
+    code, out, err = run_cli(["fan", "extends", "--nphi", "[1]", str(fan_file)],
+                             None, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["extends"] is True
+
+
 # Runs in a fresh interpreter: the commands that do without numpy, then a
 # check of which numeric packages they loaded, then analyze, which needs
 # numpy, then a check that no command loaded jsonschema or the packages it
@@ -896,10 +914,13 @@ def test_cli_split_matches_reference_on_examples(matrix):
     ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], 2)],
     ids=["Q-is-1", "P-is-1", "one", "mixed"])
 def test_cli_split_call_counts(matrix, kernels, monkeypatch):
-    """One `split` document computes one char poly and runs no exact solve
-    (the lattice charpolys are the factors P and Q), and it runs
-    kernel_completion once per lattice only when neither factor is 1."""
-    counts = dict.fromkeys(("char_poly", "_solve_cleared", "kernel_completion"), 0)
+    """One `split` document computes one char poly (one top-level Berkowitz
+    run: the split library call and the P, Q read by the document share the
+    one kept on the matrix) and runs no exact solve (the lattice charpolys
+    are the factors P and Q), and it runs kernel_completion once per lattice
+    only when neither factor is 1."""
+    counts = count_spectrum_runs(monkeypatch)
+    counts.update(dict.fromkeys(("_solve_cleared", "kernel_completion"), 0))
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -907,13 +928,14 @@ def test_cli_split_call_counts(matrix, kernels, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    originals = {name: getattr(exactalg, name) for name in counts}
+    originals = {name: getattr(exactalg, name) for name in ("_solve_cleared", "kernel_completion")}
     for module in [m for name, m in sys.modules.items() if name.startswith("abdyn.")]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     _cli_result(["split"], json.dumps(matrix))
-    assert counts == {"char_poly": 1, "_solve_cleared": 0, "kernel_completion": kernels}
+    assert counts == {"berkowitz": 1, "split": 1, "_solve_cleared": 0,
+                      "kernel_completion": kernels}
 
 
 @pytest.mark.parametrize("argv, stdin_text, runs", [
@@ -1744,6 +1766,29 @@ def test_cli_argv_contract(argv_files, doc):
         assert (code, out, err) == (0, cli.__version__ + "\n", "")
     elif expect == "same":
         assert (code, out, err) == outcomes[words]
+
+
+# the reproduction parameters of each command; the others have none
+ENVELOPE_OPTIONS = {("analyze",): {"tol"}, ("end-to-end",): {"tol"},
+                    ("fan", "build"): {"seed"}, ("orbit", "analyze"): {"height", "tol"}}
+
+
+def test_cli_envelope_follows_the_command_table(argv_files):
+    """The exit-0 document of every command is {command, input, options,
+    result}: command is the table's words joined by a space, and options
+    holds exactly the flags the table marks as reproduction parameters, with
+    the values the argv gave them."""
+    _, outcomes = argv_files
+    for words, (_, flags, _, _) in cli.COMMANDS.items():
+        code, out, err = outcomes[words]
+        assert (code, err) == (0, ""), words
+        doc = json.loads(out)
+        marked = {flag: spec for flag, spec in flags.items() if spec[6]}
+        assert {spec[0] for spec in marked.values()} == ENVELOPE_OPTIONS.get(words, set())
+        given = {marked[item[0]][0]: marked[item[0]][1](item[1])
+                 for item in ARGV_BASES[words][0] if item[0] in marked}
+        assert sorted(doc) == ["command", "input", "options", "result"]
+        assert (doc["command"], doc["options"]) == (" ".join(words), given)
 
 
 # --- golden results of analyze and split -----------------------------------------
