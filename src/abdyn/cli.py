@@ -25,16 +25,15 @@ from .criteria import (FamilyDescriptor, decide_regularizable,
 from .degrees import SemiAbelianAut, semiabelian_degrees
 from .errors import (AbdynError, ContractError, NumericIndeterminacyError,
                      SchemaError)
-from .exactalg import IntMatrix, char_poly_split
+from .exactalg import char_poly_split
 from .orbit import orbit_dims
 from .serialize import (dump_json, fan_from_json, fan_to_json,
                         family_descriptor_from_json, family_descriptor_to_json,
                         lattice_from_json, load_json, matrix_from_json,
                         matrix_to_json, poly_to_json, semiabelian_aut_from_json,
                         semiabelian_aut_to_json, vector_from_json)
-from .toroidal import (central_fiber_combinatorics, delaunay_fan,
-                       nakamura_data, section_extends, translation_regularizable,
-                       validate_fan)
+from .toroidal import (central_fiber_combinatorics, delaunay_fan, gamma_from_B,
+                       section_extends, translation_regularizable, validate_fan)
 
 
 def _read_file(path):
@@ -138,15 +137,7 @@ def _random_metric(r_prime, seed):
 
 def cmd_fan_build(args):
     B = matrix_from_json(_inline_json(args.B))
-    g = B.rows
-    # assemble the normalized unipotent monodromy [[I, B], [0, I]]
-    rows = []
-    for i in range(g):
-        rows.append([1 if j == i else 0 for j in range(g)] + list(B.row(i)))
-    for i in range(g):
-        rows.append([0] * g + [1 if j == i else 0 for j in range(g)])
-    M = IntMatrix.from_rows(rows)
-    gamma = nakamura_data(M)
+    gamma = gamma_from_B(B)
     if args.metric == "random":
         metric = _random_metric(gamma.r_prime, args.seed)
         metric_echo = "random"

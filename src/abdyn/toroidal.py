@@ -20,8 +20,8 @@ GammaData is the one place that knows the period lattice: it eliminates
 B' as rows, det B' > 0 and adj(B') = det B' * B'^-1.  Every Gamma-translate
 b + beta * B', every reduction of b into the fundamental cell (beta =
 floor(adj(B') b / det B')) and every regularizing power is an inner product
-of those integer rows.  A rejected fan is explained on integer rows too:
-the same elimination gives each cone's minor gcd and each cell's volume.
+of those integer rows.  It is built from B alone (period_data); a monodromy
+matrix is only read for its block B.
 
 Delaunay cells are written down exactly, with no search.  For r' <= 3
 every lattice has an obtuse superbase v_0..v_r' (sum v_i = 0, every
@@ -37,22 +37,24 @@ orders s of v_1..v_r': r'! det B' cells (det B' <= MAX_DET_BPRIME) of
 and no volume is checked.  A zero parameter is exactly a cospherical
 configuration and triggers a seeded rational perturbation of the metric,
 with a retry cap.  A fan is built as, and a stored fan certified by, the
-face set of its cells: one reduction per vertex gives the Gamma-canonical
-form of every face (Fulton, Introduction to Toric Varieties, 1.4: a fan is
-the faces of its maximal cones).  That makes the section-extension test an
-O(1) look at the abelian block.  Cones are sorted generator tuples until a
-Fan stores them.
+face set of its cells (Fulton, Introduction to Toric Varieties, 1.4: a fan
+is the faces of its maximal cones): the faces of the r'! simplices, each
+moved so its smallest vertex is 0 and then to each of the det B' coset
+representatives, are the Gamma-canonical forms of every cone, with no
+reduction per vertex.  validate_fan and section_extends share that one
+certificate, and a rejected fan is explained by set difference against it.
+That makes the section-extension test an O(1) look at the abelian block.
+Cones are sorted generator tuples until a Fan stores them.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
 from .exactalg import (IntMatrix, _bareiss, is_positive_definite,
@@ -129,12 +131,6 @@ class Cone:
         return len(self.generators)
 
 
-def _faces(gens):
-    """Every face of a simplicial cone (sorted generators): every sub-tuple."""
-    return itertools.chain.from_iterable(
-        itertools.combinations(gens, size) for size in range(len(gens) + 1))
-
-
 def _translate(gens, shift, g_prime):
     """Generators moved by the Gamma-translation of period shift (b -> b + k*shift)."""
     return tuple(v[:g_prime] + tuple(x + v[-1] * s for x, s in zip(v[g_prime:-1], shift))
@@ -168,32 +164,12 @@ def _canonical_gens(gens, gamma):
 # monodromy normalization
 # ---------------------------------------------------------------------------
 
-def monodromy_to_B(M):
-    """Extract the period-translation matrix B from a unipotent monodromy
-    matrix in the normalized block shape [[I, B],[0, I]], verify that B is
-    symmetric positive semi-definite, and return (B, basis_change) where the
-    unimodular basis_change W satisfies W B W^T = diag(0, B') with B'
-    positive definite of size r' = rank B.
-
-    The first g - r' rows of W span Z^g intersect ker B (kernel_completion).
-    The rest are the unit vectors e_j at the columns j that are not pivots
-    of those rows, so B' is the principal submatrix of B on those columns,
-    unless that W has det other than +-1; then the rest are the remaining
-    rows of kernel_completion's T, and B' the last r' rows and columns of
-    T B T^T."""
-    B, W, _, _ = _monodromy_split(M)
-    return B, W
-
-
-def _monodromy_split(M):
-    """(B, W, W B W^T, r'): the work of monodromy_to_B, kept for nakamura_data."""
+def _block_B(M):
+    """B of a monodromy matrix in the normalized block shape [[I, B],[0, I]].
+    That shape makes M unipotent, as (M - I)^2 = 0."""
     if not M.is_square() or M.rows % 2 != 0:
         raise DimensionError("monodromy matrix must be square of even size 2g")
     g = M.rows // 2
-    # unipotence: N^(2g) = 0, by square-and-multiply
-    if (M - IntMatrix.identity(2 * g)) ** (2 * g) != IntMatrix.zero(2 * g, 2 * g):
-        raise ContractError("monodromy is not unipotent: pass a unipotent power M^n")
-    # block shape
     for i in range(g):
         for j in range(g):
             if M[i, j] != (1 if i == j else 0):
@@ -202,12 +178,25 @@ def _monodromy_split(M):
                 raise ContractError("bottom-left block must vanish")
             if M[g + i, g + j] != (1 if i == j else 0):
                 raise ContractError("bottom-right block must be the identity")
-    B = IntMatrix.from_rows([[M[i, g + j] for j in range(g)] for i in range(g)])
+    return IntMatrix.from_rows([[M[i, g + j] for j in range(g)] for i in range(g)])
+
+
+def period_data(B):
+    """(W, B', r') for a period-translation matrix B: verify that B is
+    symmetric positive semi-definite; the unimodular W satisfies W B W^T =
+    diag(0, B') with B' positive definite of size r' = rank B.
+
+    The first g - r' rows of W span Z^g intersect ker B (kernel_completion).
+    The rest are the unit vectors e_j at the columns j that are not pivots
+    of those rows, so B' is the principal submatrix of B on those columns,
+    unless that W has det other than +-1; then the rest are the remaining
+    rows of kernel_completion's T, and B' the last r' rows and columns of
+    T B T^T."""
     if B != B.transpose():
         raise ContractError("period translation matrix is not symmetric")
+    g = B.rows
     # basis change: kernel lattice first, completion after
     T, k = kernel_completion(B)
-    r_prime = g - k
     pivots, _ = _bareiss(T[:k], g)
     units = IntMatrix.identity(g).to_rows()
     W = IntMatrix.from_rows(T[:k] + [units[j] for j in range(g) if j not in pivots])
@@ -219,23 +208,34 @@ def _monodromy_split(M):
         for j in range(g):
             if (i < k or j < k) and WB[i, j] != 0:
                 raise AssertionError("basis change failed to split off the kernel")
-    # W is unimodular and B' = WB[k:, k:] is nonsingular, so B is positive
-    # semi-definite exactly when B' is positive definite
-    if r_prime and not is_positive_definite([[WB[i, j] for j in range(k, g)]
-                                             for i in range(k, g)]):
+    Bp = [[WB[i, j] for j in range(k, g)] for i in range(k, g)]
+    # W is unimodular and B' is nonsingular, so B is positive semi-definite
+    # exactly when B' is positive definite
+    if Bp and not is_positive_definite(Bp):
         raise ContractError("period translation matrix is not positive semi-definite")
-    return B, W, WB, r_prime
+    return W, IntMatrix.from_rows(Bp), g - k
+
+
+def monodromy_to_B(M):
+    """(B, W) for a monodromy matrix in the normalized block shape [[I, B],
+    [0, I]]: its period-translation matrix B and the basis change W of
+    period_data.  A matrix of any other shape, a non-unipotent one among
+    them, is refused with the block that differs."""
+    B = _block_B(M)
+    return B, period_data(B)[0]
+
+
+def gamma_from_B(B):
+    """The GammaData of a period-translation matrix B (period_data)."""
+    _, Bp, r_prime = period_data(B)
+    if r_prime == 0:
+        raise ContractError("non-degenerating monodromy (B = 0): no fan to build")
+    return GammaData(g_prime=B.rows - r_prime, r_prime=r_prime, Bprime=Bp)
 
 
 def nakamura_data(M):
     """Convenience: monodromy -> GammaData (B' block and ranks)."""
-    B, W, WB, r_prime = _monodromy_split(M)
-    g = B.rows
-    if r_prime == 0:
-        raise ContractError("non-degenerating monodromy (B = 0): no fan to build")
-    Bp = IntMatrix.from_rows([[WB[g - r_prime + i, g - r_prime + j]
-                               for j in range(r_prime)] for i in range(r_prime)])
-    return GammaData(g_prime=g - r_prime, r_prime=r_prime, Bprime=Bp)
+    return gamma_from_B(_block_B(M))
 
 
 # ---------------------------------------------------------------------------
@@ -334,49 +334,42 @@ def _coset_representatives(gamma):
     return reps
 
 
-def _delaunay_cells(gamma, Q):
-    """One Gamma-fundamental set of the Delaunay cells of Z^{r'} under the
-    positive definite rational metric Q: sorted, with sorted vertices, the
-    first in the fundamental cell.  From an obtuse superbase with non-zero
-    Selling parameters they are the Z^{r'}-translates of the simplices
-    {0, v_s1, v_s1 + v_s2, ..} over the orders s of v_1..v_r' (Conway &
-    Sloane 1992).  Raises ContractError if det B' > MAX_DET_BPRIME, before
+def _delaunay_faces(gamma, Q):
+    """The Gamma-canonical forms (_canonical_gens) of every cone of the
+    Delaunay fan of Z^{r'} under the positive definite rational metric Q,
+    the zero cone included, as sorted generator tuples.  From an obtuse
+    superbase with non-zero Selling parameters the cells are the
+    Z^{r'}-translates of the simplices {0, v_s1, v_s1 + v_s2, ..} over the
+    orders s of v_1..v_r' (Conway & Sloane 1992), so every cone is a
+    translate of a face of one of them.  Each face, moved so its smallest
+    vertex is 0, is translated to each coset representative c; that
+    translate is canonical, as its smallest vertex is c, so no vertex is
+    reduced mod B'.  Raises ContractError if det B' > MAX_DET_BPRIME, before
     enumerating, and _DegenerateMetric on an exact cosphericity."""
     if gamma.det > MAX_DET_BPRIME:
         raise ContractError(f"det B' = {gamma.det} is above the limit {MAX_DET_BPRIME}")
-    rp = gamma.r_prime
-    reps = _coset_representatives(gamma)
-    cells = []
+    origin, zero = (0,) * gamma.r_prime, (0,) * gamma.g_prime
+    templates = set()
     for order in itertools.permutations(_obtuse_superbase(Q)[1:]):
-        pts = sorted(itertools.accumulate(
-            order, lambda p, v: tuple(x + y for x, y in zip(p, v)), initial=(0,) * rp))
-        # the translate whose first vertex is the representative c is canonical
-        cells += [tuple(tuple(x - y + z for x, y, z in zip(p, pts[0], c)) for p in pts)
-                  for c in reps]
-    return sorted(cells)
-
-
-def _cell_gens(cell, g_prime):
-    """The sorted generators of the cone over a height-1 cell, abelian block 0."""
-    return tuple((0,) * g_prime + v + (1,) for v in cell)
-
-
-def _face_set(cells, gamma):
-    """The Gamma-canonical forms (_canonical_gens) of every face of the cones
-    over the cells, the zero cone included.  A face is sorted and a
-    Gamma-translation moves all its generators by one vector, so its form
-    is fixed by its smallest vertex: each distinct vertex is reduced once,
-    and vertex i, with gens[i:] moved by its shift, heads every subset of
-    the later vertices."""
-    gp, faces = gamma.g_prime, {()}
-    shift = functools.cache(lambda b: tuple(
-        x - y for x, y in zip(_reduce_mod_period(b, gamma)[0], b)))
-    for cell in cells:
-        gens = _cell_gens(cell, gp)
-        for i, b in enumerate(cell):
-            head, *tail = _translate(gens[i:], shift(b), gp)
-            faces.update((head,) + face for face in _faces(tail))
+        pts = sorted(itertools.accumulate(order, lambda p, v: tuple(map(add, p, v)),
+                                          initial=origin))
+        # the faces whose smallest vertex is pts[i]: it and a subset of the rest
+        for i, head in enumerate(pts):
+            tail = [tuple(map(sub, p, head)) for p in pts[i + 1:]]
+            templates.update((origin,) + face for size in range(len(tail) + 1)
+                             for face in itertools.combinations(tail, size))
+    vertices = {p for face in templates for p in face}
+    faces = {()}
+    for c in _coset_representatives(gamma):
+        gens = {p: zero + tuple(map(add, p, c)) + (1,) for p in vertices}
+        faces.update(tuple(map(gens.__getitem__, face)) for face in templates)
     return faces
+
+
+def _cone_order(gens):
+    """The order of the cones that `fan build` writes: by dimension, then
+    by generators."""
+    return len(gens), gens
 
 
 def delaunay_fan(gamma_data, metric="standard", seed=0):
@@ -386,8 +379,8 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     rational r' x r' matrix.
 
     Degenerate (cospherical) metrics are retried with rational perturbations
-    drawn from random.Random(seed), up to a cap of 16; the default seed 0
-    makes every call reproducible."""
+    drawn from random.Random(seed), up to MAX_METRIC_RETRIES tries; the
+    default seed 0 makes every call reproducible."""
     rp = gamma_data.r_prime
     if not (1 <= rp <= 3):
         raise ContractError("desk scale: 1 <= r' <= 3")
@@ -396,7 +389,7 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     last_err = None
     for _ in range(MAX_METRIC_RETRIES):
         try:
-            cells = _delaunay_cells(gamma_data, Q)
+            faces = _delaunay_faces(gamma_data, Q)
             break
         except _DegenerateMetric as exc:
             last_err = exc
@@ -404,8 +397,7 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     else:
         raise NumericIndeterminacyError(
             f"no generic metric found in {MAX_METRIC_RETRIES} retries: {last_err}")
-    cones = sorted(_face_set(cells, gamma_data), key=lambda c: (len(c), c))
-    return Fan(cones=tuple(Cone._of(c) for c in cones),
+    return Fan(cones=tuple(Cone._of(c) for c in sorted(faces, key=_cone_order)),
                gamma=gamma_data, metric=tuple(tuple(row) for row in Q), seed=seed)
 
 
@@ -423,153 +415,82 @@ class FanReport:
         return not self.violations
 
 
-def _metric_cells(fan):
-    """(the Delaunay cells of the fan's metric, None), or (None, why it has
-    none: r' > 3, not symmetric, not positive definite, or a zero Selling
-    parameter).  ContractError: det B' or the Selling steps too large."""
+def _certify(fan):
+    """(violations, non-regular cone indices) of the fan against the face
+    set of its metric (_delaunay_faces): both empty exactly when the stored
+    cones, taken up to Gamma, are that set with no repeats.  A metric with
+    no face set (r' > 3, not symmetric, not positive definite, or a zero
+    Selling parameter) gives its reason alone.  A fan as built stores the
+    canonical forms, so it is accepted by one comparison of raw generator
+    tuples; any other fan is canonicalized and named by set difference:
+    each stored cone that is no face or repeats one up to Gamma, then each
+    missing face.  A cone with a generator of the wrong length is never
+    canonicalized, as _translate would truncate it.  ContractError: det B'
+    or the Selling steps above their limit."""
     gamma, Q = fan.gamma, fan.metric
     rp = gamma.r_prime
     if rp > 3:  # obtuse superbases need not exist, and the steps differ
-        return None, "Delaunay cells are computed for r' <= 3 only"
+        return ("Delaunay cells are computed for r' <= 3 only",), ()
     if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
-        return None, "metric is not symmetric"
+        return ("metric is not symmetric",), ()
     # first: the Selling loop need not end on an indefinite form
     if not is_positive_definite(Q):
-        return None, "metric is not positive definite"
+        return ("metric is not positive definite",), ()
     try:
-        return _delaunay_cells(gamma, Q), None
+        faces = _delaunay_faces(gamma, Q)
     except _DegenerateMetric as exc:
-        return None, f"metric has no Delaunay triangulation: {exc}"
-
-
-def _delaunay_violations(fan, cells, unmet):
-    """Why the fan is not the Delaunay fan of its metric (empty if it is),
-    given _metric_cells(fan): unmet, or a generator other than (0_{g'}, b,
-    1) in Z^{g+1}, or maximal cones that are not the cells up to Gamma."""
-    if unmet:
-        return [unmet]
-    gamma = fan.gamma
-    gp = gamma.g_prime
-    violations = []
-    if any(len(v) != gamma.g + 1 or any(v[:gp]) or v[-1] != 1
-           for c in fan.cones for v in c.generators):
-        violations.append("a generator is not of the form (0, b, 1)")
-    if {_canonical_gens(c.generators, gamma) for c in fan.maximal_cones()} \
-            != {_cell_gens(c, gp) for c in cells}:
-        violations.append("maximal cones are not the Delaunay cells of the metric")
-    return violations
+        return (f"metric has no Delaunay triangulation: {exc}",), ()
+    stored = [c.generators for c in fan.cones]
+    if len(stored) == len(faces) and set(stored) == faces:
+        return (), ()
+    violations, rejected, seen = [], [], {}
+    for idx, gens in enumerate(stored):
+        if any(len(v) != gamma.g + 1 for v in gens):
+            violations.append(f"cone {idx}: not a cone of the Delaunay fan of the metric")
+            continue
+        c = _canonical_gens(gens, gamma)
+        if c in seen:
+            violations.append(f"cone {idx}: Gamma-duplicate of cone {seen[c]}")
+        else:
+            seen[c] = idx
+            if c in faces:
+                continue
+            violations.append(f"cone {idx}: not a cone of the Delaunay fan of the metric")
+        rejected.append(idx)
+    violations += [f"missing cone {c}" for c in sorted(faces.difference(seen), key=_cone_order)]
+    # a face has minor gcd 1, and so has each Gamma-translate of one
+    return tuple(violations), tuple(i for i in rejected if minor_gcd(stored[i]) > 1)
 
 
 def validate_fan(fan):
-    """Check the admissibility and Gamma-structure of a fan.  It is accepted
-    when its metric has Delaunay cells, each generator has g + 1 coordinates
-    (_translate truncates a longer one), and the canonical forms of its
-    cones are distinct and are the cells' face set: Gamma acts by unimodular
-    maps, each cell is a unimodular simplex (each face has minor gcd 1 and
-    primitive generators at height 1), the set is closed under faces, and
-    its r'! det B' cells of volume 1/r'! tile one fundamental cell, so every
-    check below passes.  Otherwise they run, to name the violations: per-cone
-    invariants (primitive generators, simplicial/strongly convex, positive
-    height, nonnegative heights), face closure, absence of duplicates and
-    of cones that are not a face of a maximal cone, all up to Gamma, the
-    ray form (0_{g'}, b, 1), the covering proxy (the height-1 cells of the
-    maximal cones tile one fundamental cell of Pi exactly), and that the
-    maximal cones are the Delaunay cells of the fan's metric (or det B' >
-    MAX_DET_BPRIME, or the metric needs more than MAX_SELLING_STEPS).
-    Non-regular simplicial cones are flagged."""
-    gamma = fan.gamma
-    gp, rp = gamma.g_prime, gamma.r_prime
+    """Certify a fan: it is accepted when its cones, taken up to Gamma, are
+    the face set of the Delaunay cells of its own metric, with no repeats
+    (_certify).  Gamma acts by unimodular maps and each cell is a unimodular
+    simplex, so an accepted fan has primitive generators (0_{g'}, b, 1), is
+    simplicial and closed under faces, and its r'! det B' cells of volume
+    1/r'! tile one fundamental cell.  Otherwise the report names the
+    violations, and non_regular lists the rejected cones whose generators
+    have minor gcd above 1; det B' > MAX_DET_BPRIME, or a metric that needs
+    more than MAX_SELLING_STEPS, is the one violation."""
     try:
-        delaunay, unmet = _metric_cells(fan)
+        return FanReport(*_certify(fan))
     except ContractError as exc:  # det B' or the Selling steps above their limit
-        delaunay, unmet = None, str(exc)
-    stored = [c.generators for c in fan.cones]
-    if delaunay and all(len(v) == gamma.g + 1 for gens in stored for v in gens):
-        stored = [_canonical_gens(gens, gamma) for gens in stored]
-        if len(stored) == len(set(stored)) and set(stored) == _face_set(delaunay, gamma):
-            return FanReport((), ())
-    violations = []
-    non_regular = []
-    canon = functools.cache(functools.partial(_canonical_gens, gamma=gamma))
-    canon_seen = {}
-    for idx, cone in enumerate(fan.cones):
-        gens = cone.generators
-        if gens:  # the zero cone takes only the duplicate check
-            for v in gens:
-                if len(v) != gamma.g + 1:
-                    violations.append(f"cone {idx}: generator dimension != g+1")
-                    continue
-                if math.gcd(*v) != 1:
-                    violations.append(f"cone {idx}: non-primitive generator {v}")
-                if v[-1] < 0:
-                    violations.append(f"cone {idx}: negative height generator {v}")
-            index = minor_gcd(gens)
-            if index == 0:
-                violations.append(
-                    f"cone {idx}: generators dependent (not simplicial / not strongly convex)")
-            if all(v[-1] == 0 for v in gens):
-                violations.append(f"cone {idx}: contained in N x {{0}}")
-            # regularity: generators extend to a basis of the saturated span lattice
-            if index > 1:
-                non_regular.append(idx)
-        # Gamma-duplicates
-        c = canon(gens)
-        if c in canon_seen:
-            violations.append(
-                f"cone {idx}: Gamma-duplicate of cone {canon_seen[c]}")
-        else:
-            canon_seen[c] = idx
-    # face closure up to Gamma
-    fan_canon = {canon(c.generators) for c in fan.cones}
-    for idx, cone in enumerate(fan.cones):
-        for face in _faces(cone.generators):
-            if canon(face) not in fan_canon:
-                violations.append(f"cone {idx}: missing face {face}")
-    # every cone is a face of a maximal cone, up to Gamma
-    max_faces = {canon(face) for c in fan.maximal_cones() for face in _faces(c.generators)}
-    violations += [f"cone {idx}: not a face of a maximal cone"
-                   for idx, c in enumerate(fan.cones) if canon(c.generators) not in max_faces]
-    # ray condition
-    for idx, cone in enumerate(fan.cones):
-        if cone.dim == 1:
-            v = cone.generators[0]
-            if any(x != 0 for x in v[:gp]) or v[-1] != 1:
-                violations.append(f"ray {idx}: not of the form (0, b, 1): {v}")
-    # covering / invariance proxy: maximal height-1 cells tile a fundamental
-    # cell (a cone with a generator of the wrong length is reported above)
-    max_cones = [c for c in fan.cones if c.dim == rp + 1
-                 and all(len(v) == gamma.g + 1 for v in c.generators)]
-    if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
-        cells = [[v[gp:gp + rp] for v in c.generators] for c in max_cones]
-        # |det| of each cell: r'! times its volume
-        vols = [_bareiss([[x - y for x, y in zip(v, cell[0])] for v in cell[1:]], rp)
-                for cell in cells]
-        vols = [abs(d) if len(pivots) == rp else 0 for pivots, d in vols]
-        total = sum(vols)
-        covol = gamma.det * math.factorial(rp)
-        if 0 in vols:
-            violations.append("degenerate maximal cell")
-        elif total != covol:
-            violations.append(
-                f"height-1 cells do not tile the fundamental cell "
-                f"(volume {total}/{math.factorial(rp)} vs covolume {covol}/{math.factorial(rp)}): "
-                "Gamma-invariance/covering violated")
-    violations += _delaunay_violations(fan, delaunay, unmet)
-    return FanReport(tuple(violations), tuple(non_regular))
+        return FanReport((str(exc),), ())
 
 
 def section_extends(n_phi, fan):
     """True iff the ray through (n_phi, 1) lies in some cone of the fan.
-    The fan must be the Delaunay fan of its own metric, det B' at most
-    MAX_DET_BPRIME (ContractError otherwise).  Its cones then lie in {0} x
-    R^{r'} x R and cover the cone over {0} x R^{r'} x {1}, so the ray is in
-    the fan exactly when the abelian block of n_phi vanishes: at height 1 an
-    integer b is a vertex of the subdivision, so its ray is a ray of the fan."""
+    The fan must pass the certificate of validate_fan, and det B' be at
+    most MAX_DET_BPRIME (ContractError otherwise).  Its cones then lie in
+    {0} x R^{r'} x R and cover the cone over {0} x R^{r'} x {1}, so the ray
+    is in the fan exactly when the abelian block of n_phi vanishes: at
+    height 1 an integer b is a vertex of the subdivision, so its ray is a
+    ray of the fan."""
     gamma = fan.gamma
     n_phi = tuple(int(x) for x in n_phi)
     if len(n_phi) != gamma.g:
         raise DimensionError("n_phi must have g coordinates")
-    violations = _delaunay_violations(fan, *_metric_cells(fan))
+    violations, _ = _certify(fan)
     if violations:
         raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])

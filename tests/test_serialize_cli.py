@@ -474,6 +474,19 @@ def _built_fan(B, tmp_path, capsys, monkeypatch):
     return fan_file, json.loads(fan_file.read_text())["result"]
 
 
+@pytest.mark.parametrize("B, message", [
+    ("[[1,2,3],[4,5,6]]", "period translation matrix is not symmetric"),
+    ("[[1,2],[3,4]]", "period translation matrix is not symmetric"),
+    ("[[1,0],[0,-1]]", "period translation matrix is not positive semi-definite"),
+    ("[[0,0],[0,0]]", "non-degenerating monodromy (B = 0): no fan to build")])
+def test_cli_fan_build_refuses_B(B, message, capsys, monkeypatch):
+    """fan build normalizes B itself, with no monodromy matrix: a B that is
+    not symmetric (a non-square one among them), not positive
+    semi-definite, or 0 exits 3 with one contract error line."""
+    code, out, err = run_cli(["fan", "build", "--B", B], None, capsys, monkeypatch)
+    assert (code, out, err) == (3, "", f"contract error: {message}\n")
+
+
 def test_cli_fan_validate_indefinite_metric(tmp_path, capsys, monkeypatch):
     fan_file, fan = _built_fan("[[2,1],[1,2]]", tmp_path, capsys, monkeypatch)
     fan["metric"] = [["-1", "0"], ["0", "1"]]
@@ -508,7 +521,7 @@ def _drop_metric(fan):
 
 
 @pytest.mark.parametrize("edit, violation", [
-    (_drop_maximal_cone, "maximal cones are not the Delaunay cells of the metric"),
+    (_drop_maximal_cone, "missing cone ((0, 0, 1), (0, 1, 1), (1, 0, 1))"),
     (_drop_metric, "metric has no Delaunay triangulation")])
 def test_cli_fan_extends_refuses_uncertified_fan(edit, violation, tmp_path, capsys,
                                                  monkeypatch):
@@ -527,22 +540,21 @@ def test_cli_fan_extends_refuses_uncertified_fan(edit, violation, tmp_path, caps
     assert any(v.startswith(violation) for v in json.loads(out)["result"]["violations"])
 
 
-def test_cli_fan_extends_does_not_check_lower_cones(tmp_path, capsys, monkeypatch):
-    """fan extends checks the metric, the generator form and the maximal
-    cones, not the lower-dimensional cones: with the ray cone [0] of a
-    B = [[2]] fan removed, fan validate names the two cones left without that
-    face and exits 3, and fan extends still answers with exit 0."""
+def test_cli_fan_extends_checks_lower_cones(tmp_path, capsys, monkeypatch):
+    """fan extends runs the certificate of fan validate, lower-dimensional
+    cones included: with the ray cone [0] of a B = [[2]] fan removed, fan
+    validate names that missing cone and exits 3, and fan extends refuses
+    with the same violation and exits 3."""
     fan_file, fan = _built_fan("[[2]]", tmp_path, capsys, monkeypatch)
     fan["cones"].remove([0])
     fan_file.write_text(json.dumps(fan))
     code, out, _ = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
     assert code == 3
-    assert json.loads(out)["result"]["violations"] == [
-        "cone 2: missing face ((0, 1),)", "cone 3: missing face ((2, 1),)"]
+    assert json.loads(out)["result"]["violations"] == ["missing cone ((0, 1),)"]
     code, out, err = run_cli(["fan", "extends", "--nphi", "[1]", str(fan_file)],
                              None, capsys, monkeypatch)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["result"]["extends"] is True
+    assert (code, out) == (3, "")
+    assert err == "contract error: not the Delaunay fan of its metric: missing cone ((0, 1),)\n"
 
 
 # Runs in a fresh interpreter: the commands that do without numpy, then a

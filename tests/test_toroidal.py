@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,15 +17,15 @@ from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix
 from abdyn.toroidal import (Cone, Fan, GammaData, _coset_representatives, _DegenerateMetric,
-                            _delaunay_cells, _face_set, _reduce_mod_period,
+                            _delaunay_faces, _reduce_mod_period,
                             central_fiber_combinatorics, delaunay_fan,
                             monodromy_to_B, nakamura_data, section_extends,
                             translation_regularizable, validate_fan)
 
 from util import (brute_force_delaunay_cells, canonical_cone, fraction_rref, gamma_act,
                   gamma_shift, random_unimodular, reference_delaunay_cells,
-                  reference_canonical_cone, reference_face_set, reference_nakamura_data,
-                  reference_section_extends,
+                  reference_canonical_cone, reference_face_set, reference_fan_report,
+                  reference_nakamura_data, reference_section_extends,
                   reference_validate_fan, translate_cone)
 
 
@@ -92,7 +93,9 @@ def test_gamma_data_period_lattice():
 
 
 def test_monodromy_rejects_non_unipotent():
-    with pytest.raises(ContractError):
+    """Only the block shape [[I, B], [0, I]] is read, and it is unipotent:
+    any other matrix is refused with the block that differs."""
+    with pytest.raises(ContractError, match="top-left block must be the identity"):
         monodromy_to_B(IntMatrix.from_rows([[2, 1], [1, 1]]))
 
 
@@ -132,28 +135,34 @@ def test_validate_rejects_linear_subspace_cone():
               gamma=gd, metric=fan.metric)
     report = validate_fan(bad)
     assert not report.ok
-    assert any("N x {0}" in v for v in report.violations)
+    assert report.violations == ("cone 3: not a cone of the Delaunay fan of the metric",
+                                 "cone 4: not a cone of the Delaunay fan of the metric")
 
 
 def test_validate_detects_missing_translate():
     # drop a maximal cone: the height-1 cells no longer tile the cell
     gd = nakamura_data(tate_monodromy(2))
     fan = delaunay_fan(gd)
-    pruned = tuple(c for c in fan.cones if c != fan.maximal_cones()[0])
+    top = fan.maximal_cones()[0]
+    pruned = tuple(c for c in fan.cones if c != top)
     report = validate_fan(Fan(cones=pruned, gamma=gd, metric=fan.metric))
     assert not report.ok
+    assert report.violations == (f"missing cone {top.generators}",)
 
 
 def test_validate_flags_degenerate_maximal_cell():
-    """A maximal cone over collinear height-1 points has cell volume 0 (the
-    elimination finds fewer than r' pivots), as in the reference."""
+    """A maximal cone over collinear height-1 points (a cell of volume 0)
+    in place of the zero cone is no cone of the fan, and the zero cone is
+    missing, as in the reference."""
     gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.identity(2))
     fan = delaunay_fan(gd)
     flat = Cone(((0, 0, 1), (1, 1, 1), (2, 2, 1)))
     bad = Fan(cones=(flat,) + fan.cones[1:], gamma=gd, metric=fan.metric)
     report = validate_fan(bad)
-    assert "degenerate maximal cell" in report.violations
-    assert report == reference_validate_fan(bad)
+    assert report.violations == ("cone 0: not a cone of the Delaunay fan of the metric",
+                                 "missing cone ()")
+    assert report == reference_fan_report(bad)
+    assert report.ok == reference_validate_fan(bad).ok
 
 
 def test_fan_file_with_a_repeated_ray_is_refused(tmp_path, capsys):
@@ -216,6 +225,15 @@ def test_metric_contract():
         delaunay_fan(gd, metric="random")  # random metrics come from the CLI
 
 
+def _cells(gamma, Q):
+    """The Delaunay cells of Z^r' under Q, read off the face set's
+    (r'+1)-faces: sorted, each a sorted tuple of height-1 vertices, the
+    first in the fundamental cell."""
+    rp, gp = gamma.r_prime, gamma.g_prime
+    return sorted(tuple(v[gp:-1] for v in face)
+                  for face in _delaunay_faces(gamma, Q) if len(face) == rp + 1)
+
+
 def _generic_metric(n, rng):
     """A^T A + I for a seeded rational A: positive definite, and generic for
     the seeds used (the brute force asserts it)."""
@@ -233,7 +251,7 @@ def test_selling_cells_match_brute_force(Bprime):
     exhaustive sympy search, and they are one Gamma-fundamental set."""
     import sympy
 
-    from abdyn.toroidal import _delaunay_cells, _obtuse_superbase
+    from abdyn.toroidal import _obtuse_superbase
     rp = len(Bprime)
     gd = GammaData(g_prime=0, r_prime=rp, Bprime=IntMatrix.from_rows(Bprime))
     inv = sympy.Matrix(Bprime).inv()
@@ -245,7 +263,7 @@ def test_selling_cells_match_brute_force(Bprime):
         assert abs(IntMatrix.from_rows([list(v) for v in vs[1:]]).det()) == 1
         expected, volume = brute_force_delaunay_cells(Q)
         assert volume == math.factorial(rp)  # the search found a tiling
-        cells = _delaunay_cells(gd, Q)
+        cells = _cells(gd, Q)
         assert len(set(cells)) == len(cells) == gd.det * math.factorial(rp)
         for cell in cells:  # first vertex in the fundamental cell of B'
             assert all(0 <= x < 1 for x in inv * sympy.Matrix(cell[0]))
@@ -274,19 +292,27 @@ def _with_metric(fan, metric):
 
 @pytest.mark.parametrize("metric, violation", [
     ([[-1, 0], [0, 1]], "metric is not positive definite"),
-    ([[1, 0], [0, 1]], "metric has no Delaunay triangulation"),  # cospherical
+    ([[1, 0], [0, 1]],  # cospherical
+     "metric has no Delaunay triangulation: zero Selling parameter: cospherical configuration"),
     ([[1, 2], [0, 1]], "metric is not symmetric"),
     # a generic metric whose triangles use the other diagonal
-    ([[1, Fraction(1, 3)], [Fraction(1, 3), 1]], "maximal cones are not the Delaunay cells")])
+    ([[1, Fraction(1, 3)], [Fraction(1, 3), 1]],
+     "cone 6: not a cone of the Delaunay fan of the metric")])
 def test_fan_certified_against_its_metric(metric, violation):
+    """A metric with no cells is the one violation; against a metric with
+    other cells, the cones on the other diagonal are named first and the
+    missing ones last."""
     gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.from_rows([[2, 1], [1, 2]]))
     fan = delaunay_fan(gd, metric=[[1, Fraction(-1, 3)], [Fraction(-1, 3), 1]])
     assert validate_fan(fan).ok and section_extends((1, 1), fan)
     bad = _with_metric(fan, metric)
     report = validate_fan(bad)
-    assert [v for v in report.violations if v.startswith(violation)] \
-        and report.violations[-1].startswith(violation)
-    with pytest.raises(ContractError, match=violation):
+    assert report.violations[0] == violation
+    assert report.violations[-1] == (violation if not violation.startswith("cone")
+                                     else "missing cone ((2, 2, 1), (3, 1, 1), (3, 2, 1))")
+    assert report == reference_fan_report(bad)
+    with pytest.raises(ContractError,
+                       match=re.escape(f"not the Delaunay fan of its metric: {violation}")):
         section_extends((1, 1), bad)
 
 
@@ -294,9 +320,10 @@ def test_section_extends_rejects_pruned_fan():
     gd = GammaData(g_prime=1, r_prime=2, Bprime=IntMatrix.from_rows([[2, 1], [1, 2]]))
     fan = delaunay_fan(gd, seed=3)
     assert section_extends((0, 4, -1), fan) and not section_extends((1, 0, 0), fan)
-    pruned = Fan(cones=tuple(c for c in fan.cones if c != fan.maximal_cones()[0]),
-                 gamma=gd, metric=fan.metric)
-    with pytest.raises(ContractError, match="not the Delaunay cells"):
+    top = fan.maximal_cones()[0]
+    pruned = Fan(cones=tuple(c for c in fan.cones if c != top), gamma=gd, metric=fan.metric)
+    with pytest.raises(ContractError, match=re.escape(
+            f"not the Delaunay fan of its metric: missing cone {top.generators}")):
         section_extends((0, 4, -1), pruned)
 
 
@@ -304,7 +331,7 @@ def test_fan_certification_needs_r_prime_at_most_3():
     gd = GammaData(g_prime=0, r_prime=4, Bprime=IntMatrix.identity(4))
     fan = Fan(cones=(), gamma=gd,
               metric=tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)))
-    assert "Delaunay cells are computed for r' <= 3 only" in validate_fan(fan).violations
+    assert validate_fan(fan).violations == ("Delaunay cells are computed for r' <= 3 only",)
     with pytest.raises(ContractError, match="r' <= 3"):
         section_extends((0, 0, 0, 0), fan)
 
@@ -321,11 +348,11 @@ def _other_cells_metric(fan, rng):
     r' >= 2, where the diagonals can flip), or another metric with the same
     cells at r' = 1."""
     gamma = fan.gamma
-    own = _delaunay_cells(gamma, fan.metric)
+    own = _delaunay_faces(gamma, fan.metric)
     for _ in range(200):
         Q = _generic_metric(gamma.r_prime, rng)
         try:
-            if gamma.r_prime == 1 or _delaunay_cells(gamma, Q) != own:
+            if gamma.r_prime == 1 or _delaunay_faces(gamma, Q) != own:
                 return Q
         except _DegenerateMetric:
             pass
@@ -333,8 +360,9 @@ def _other_cells_metric(fan, rng):
 
 
 def _mutations(fan, rng):
-    """The fan and eight broken copies: a maximal cone dropped, a ray
-    dropped, a Gamma-translate of a cone added, a generator scaled to be
+    """The fan, a valid copy with a maximal cone moved by a Gamma-translate,
+    and eight broken copies: a maximal cone dropped, a ray dropped, a
+    Gamma-translate of a cone added, a generator scaled to be
     non-primitive, a height-0 cone added, a cone over (0_{g'}, 0, 1) and
     (0_{g'}, 2e_1, 1) added (a non-primitive edge, so a face of no Delaunay
     cell), the zero cone listed twice, a metric with other cells."""
@@ -346,6 +374,8 @@ def _mutations(fan, rng):
     zero = (0,) * (gamma.g_prime + gamma.r_prime)
     crossing = Cone((zero + (1,), (0,) * gamma.g_prime + tuple(2 * x for x in e1) + (1,)))
     edits = {"as built": cones,
+             "move a maximal cone": tuple(translate_cone(top, e1, gamma) if c == top else c
+                                          for c in cones),
              "drop a maximal cone": tuple(c for c in cones if c != top),
              "drop a ray": tuple(c for c in cones if c != ray),
              "add a translate": cones + (translate_cone(top, e1, gamma),),
@@ -383,12 +413,15 @@ def _outcome(f, *args):
 
 @pytest.mark.parametrize("g_prime, Bprime", CORPUS_GAMMAS, ids=str)
 def test_validate_fan_matches_reference(g_prime, Bprime):
-    """validate_fan and section_extends agree with the reference (one Cone
-    per face, Selling in Fractions, the tiling check kept) on every corpus
-    B', under the standard and a seeded random metric, built and after each
-    of eight edits: same violations in the same order, same non-regular
-    cones, and the same answer or the same refusal.  A fan is ok exactly
-    when its canonical cones are the face set of its cells (_accepted)."""
+    """validate_fan and section_extends agree with the reference face set
+    (one Cone per face, Selling in Fractions, the tiling check kept) on every
+    corpus B', under the standard and a seeded random metric, built and after
+    each of eight edits: the violations, in order, and the non-regular cones
+    of reference_fan_report, and the same answer or the same refusal.  A fan
+    is ok exactly when the cone-by-cone reference accepts it
+    (reference_validate_fan) and when its canonical cones are the face set
+    of its cells (_accepted).  section_extends refuses exactly the fans
+    validate_fan rejects, with the first violation."""
     from abdyn.cli import _random_metric
     rp = len(Bprime)
     gd = GammaData(g_prime=g_prime, r_prime=rp, Bprime=IntMatrix.from_rows(Bprime))
@@ -397,36 +430,55 @@ def test_validate_fan_matches_reference(g_prime, Bprime):
         fan = delaunay_fan(gd, metric=metric, seed=7)
         for name, bad in _mutations(fan, rng).items():
             report = validate_fan(bad)
-            assert report == reference_validate_fan(bad), name
-            assert report.ok == (name == "as built" or name == "other cells" and rp == 1)
+            assert report == reference_fan_report(bad), name
+            assert report.ok == reference_validate_fan(bad).ok, name
+            assert report.ok == (name in ("as built", "move a maximal cone")
+                                 or name == "other cells" and rp == 1)
             assert report.ok == _accepted(bad), name
             for n_phi in ((0,) * g_prime + (1,) * rp, (1,) * g_prime + (2,) * rp):
-                assert _outcome(section_extends, n_phi, bad) \
-                    == _outcome(reference_section_extends, n_phi, bad), name
+                outcome = _outcome(section_extends, n_phi, bad)
+                assert outcome == _outcome(reference_section_extends, n_phi, bad), name
+                # one certificate: refused exactly when rejected, with its first violation
+                assert outcome == (not any(n_phi[:g_prime]) if report.ok else (
+                    "ContractError",
+                    f"not the Delaunay fan of its metric: {report.violations[0]}")), name
 
 
 def test_validate_fan_reports_short_generators_of_a_maximal_cone():
     """A maximal cone whose generators are shorter than g' + r' + 1 (only a
-    Fan built in Python can hold one) is reported, not a traceback: the
-    volume check skips it, as does the reference."""
+    Fan built in Python can hold one) is reported, not a traceback, and is
+    never canonicalized: under the cospherical standard metric the metric's
+    reason is the one violation, and under a generic metric the cone is no
+    cone of the fan and every face is missing, as in the reference."""
     gd = GammaData(g_prime=1, r_prime=2, Bprime=IntMatrix.identity(2))
-    fan = Fan(cones=(Cone(((0, 1), (1, 1), (2, 1))),), gamma=gd, metric=((1, 0), (0, 1)))
+    short = (Cone(((0, 1), (1, 1), (2, 1))),)
+    fan = Fan(cones=short, gamma=gd, metric=((1, 0), (0, 1)))
     report = validate_fan(fan)
-    assert report == reference_validate_fan(fan)
+    assert report == reference_fan_report(fan)
+    assert report.ok == reference_validate_fan(fan).ok
     assert not report.ok
-    assert report.violations[:3] == ("cone 0: generator dimension != g+1",) * 3
+    assert report.violations == (
+        "metric has no Delaunay triangulation: zero Selling parameter: cospherical configuration",)
+    generic = Fan(cones=short, gamma=gd, metric=delaunay_fan(gd).metric)
+    report = validate_fan(generic)
+    assert report == reference_fan_report(generic) and not report.ok
+    assert report.violations[0] == "cone 0: not a cone of the Delaunay fan of the metric"
+    assert report.violations[1:] == tuple(f"missing cone {c.generators}"
+                                          for c in delaunay_fan(gd).cones)
 
 
 def test_validate_fan_rejects_a_cone_that_is_no_face_of_a_maximal_cone():
     """An edge from 0 to (2, 1) crosses the cell {0, (0, 1), (1, 0)} of the
     square lattice: every face of it is in the fan, but it is not a face of
-    any maximal cone."""
+    any maximal cone, so it is no cone of the fan."""
     gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.identity(2))
     fan = delaunay_fan(gd)
     bad = Fan(cones=fan.cones + (Cone(((0, 0, 1), (2, 1, 1))),), gamma=gd, metric=fan.metric)
     report = validate_fan(bad)
-    assert report.violations == (f"cone {len(fan.cones)}: not a face of a maximal cone",)
-    assert report == reference_validate_fan(bad)
+    assert report.violations == (
+        f"cone {len(fan.cones)}: not a cone of the Delaunay fan of the metric",)
+    assert report == reference_fan_report(bad)
+    assert report.ok == reference_validate_fan(bad).ok
 
 
 def _with_long_generators(fan, replace):
@@ -438,22 +490,25 @@ def test_a_long_generator_is_not_truncated_into_a_face():
     """Gamma-translation zips a generator with the shift, so (3, 7, 1) at
     B' = [[2]] has the canonical form of the ray (1, 1).  A fan that holds it
     in place of that ray is still rejected, as is one whose maximal cone
-    ((1, 1), (2, 1)) is replaced too, and section_extends refuses that
-    second one."""
+    ((1, 1), (2, 1)) is replaced too, and section_extends refuses both."""
     gd = GammaData(g_prime=0, r_prime=1, Bprime=IntMatrix.from_rows([[2]]))
     fan = delaunay_fan(gd)
     assert section_extends((5,), fan)
     ray_only = _with_long_generators(fan, {((1, 1),): ((3, 7, 1),)})
     both = _with_long_generators(fan, {((1, 1),): ((3, 7, 1),),
                                        ((1, 1), (2, 1)): ((3, 7, 1), (4, 9, 1))})
-    for bad in (ray_only, both):
+    not_a_cone = "not a cone of the Delaunay fan of the metric"
+    for bad, expected in ((ray_only, (f"cone 2: {not_a_cone}", "missing cone ((1, 1),)")),
+                          (both, (f"cone 2: {not_a_cone}", f"cone 4: {not_a_cone}",
+                                  "missing cone ((1, 1),)", "missing cone ((1, 1), (2, 1))"))):
         report = validate_fan(bad)
-        assert not report.ok and report == reference_validate_fan(bad)
-        assert "cone 2: generator dimension != g+1" in report.violations
-        assert report.violations[-1] == "a generator is not of the form (0, b, 1)"
-    for f in (section_extends, reference_section_extends):
-        with pytest.raises(ContractError, match=r"not of the form \(0, b, 1\)"):
-            f((5,), both)
+        assert not report.ok and report == reference_fan_report(bad)
+        assert report.ok == reference_validate_fan(bad).ok
+        assert report.violations == expected
+        for f in (section_extends, reference_section_extends):
+            with pytest.raises(ContractError, match=re.escape(
+                    f"not the Delaunay fan of its metric: cone 2: {not_a_cone}")):
+                f((5,), bad)
 
 
 @st.composite
@@ -472,48 +527,59 @@ def _gamma_and_metric(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_gamma_and_metric())
 def test_face_set_matches_reference(case):
-    """_face_set (one reduction per cell vertex) is the set of canonical
-    forms of every face, built face by face; the Delaunay fan built from it
+    """_delaunay_faces (each face of the r'! simplices translated to each
+    coset representative) is the set of canonical forms of every face of
+    the reference cells, built face by face; the Delaunay fan built from it
     is accepted with no non-regular cone, as by the reference."""
     gamma, Q = case
     fan = delaunay_fan(gamma, metric=Q, seed=1)
-    cells = _delaunay_cells(gamma, fan.metric)
     event(f"r' = {gamma.r_prime}, det B' = {gamma.det}")
-    assert _face_set(cells, gamma) == reference_face_set(cells, gamma)
+    assert _delaunay_faces(gamma, fan.metric) == reference_face_set(
+        reference_delaunay_cells(gamma, fan.metric), gamma)
     report = validate_fan(fan)
     assert report.ok and not report.non_regular
-    assert report == reference_validate_fan(fan)
+    assert report == reference_fan_report(fan)
+    assert report.ok == reference_validate_fan(fan).ok
 
 
 @pytest.mark.parametrize("g_prime, Bprime", CORPUS_GAMMAS, ids=str)
 def test_valid_fan_is_certified_by_its_face_set(g_prime, Bprime, monkeypatch):
-    """On a valid fan, validate_fan computes no minor gcd, and it reduces
-    b mod B' once per distinct cell vertex and once per stored cone, beyond
-    the reductions of _delaunay_cells itself."""
+    """On a valid fan, validate_fan and section_extends compare the stored
+    generator tuples with the face set as they are: they canonicalize no
+    cone, compute no minor gcd, and reduce b mod B' only to enumerate the
+    coset representatives."""
     from abdyn import toroidal
     from abdyn.cli import _random_metric
     gd = GammaData(g_prime=g_prime, r_prime=len(Bprime), Bprime=IntMatrix.from_rows(Bprime))
-    calls = []
+    inside, calls = [], []
 
     def counting(b, gamma):
-        calls.append(b)
+        calls.append(bool(inside))
         return _reduce_mod_period(b, gamma)
 
-    def no_minor_gcd(gens):
-        raise AssertionError("minor_gcd called on a valid fan")
+    def representatives(gamma):
+        inside.append(gamma)
+        try:
+            return _coset_representatives(gamma)
+        finally:
+            inside.pop()
+
+    def refused(name):
+        def call(*args):
+            raise AssertionError(f"{name} called on a valid fan")
+        return call
 
     for metric in ("standard", _random_metric(gd.r_prime, 5)):
         fan = delaunay_fan(gd, metric=metric, seed=7)
         with monkeypatch.context() as patch:
             patch.setattr(toroidal, "_reduce_mod_period", counting)
-            patch.setattr(toroidal, "minor_gcd", no_minor_gcd)
-            calls.clear()
-            cells = _delaunay_cells(gd, fan.metric)
-            own = len(calls)
+            patch.setattr(toroidal, "_coset_representatives", representatives)
+            patch.setattr(toroidal, "_canonical_gens", refused("_canonical_gens"))
+            patch.setattr(toroidal, "minor_gcd", refused("minor_gcd"))
             calls.clear()
             assert validate_fan(fan) == toroidal.FanReport((), ())
-        vertices = {v for cell in cells for v in cell}
-        assert len(calls) <= own + len(vertices) + len(fan.cones), (len(calls), own)
+            assert section_extends((0,) * gd.g, fan)
+        assert calls and all(calls), calls
 
 
 def _unimodular_upper(n, entries):
@@ -547,18 +613,19 @@ def _metric_and_bprime(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_metric_and_bprime())
 def test_delaunay_cells_tile_by_construction(case):
-    """The invariant that replaced the tiling check in _delaunay_cells:
+    """The invariant that replaced the tiling check of the Delaunay cells:
     either a zero Selling parameter (_DegenerateMetric, also in the
-    Fraction reference), or r'! det B' distinct cells, each of |det| 1 with
-    its first vertex in the fundamental cell, equal to the cells of the
-    reference (Selling reduction in Fractions, volumes summed)."""
+    Fraction reference), or r'! det B' distinct cells, read off the face
+    set's (r'+1)-faces, each of |det| 1 with its first vertex in the
+    fundamental cell, equal to the cells of the reference (Selling
+    reduction in Fractions, volumes summed)."""
     import sympy
 
     Q, B = case
     rp = len(B)
     gd = GammaData(g_prime=0, r_prime=rp, Bprime=IntMatrix.from_rows(B))
     try:
-        cells = _delaunay_cells(gd, Q)
+        cells = _cells(gd, Q)
     except _DegenerateMetric:
         event("zero Selling parameter")
         with pytest.raises(_DegenerateMetric, match="zero Selling parameter"):

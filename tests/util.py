@@ -4,7 +4,8 @@ rounding: fraction_lll_reduce), brute-force Delaunay cells, the reference
 root-of-unity test, unipotent index and quasi-unipotent order, the numeric
 degree-growth oracle (exterior-power norm sequences and their growth fit),
 the reference fan certification (one Cone per face, Selling in Fractions,
-and the face set of the cells: reference_face_set),
+and the face set of the cells: reference_face_set; the report named by set
+difference against it: reference_fan_report),
 the reference monodromy normalization on IntMatrix (reference_nakamura_data)
 and the reduced row echelon form in Fractions (fraction_rref),
 the reference orbit analysis (numpy solve, inverse and SVD:
@@ -769,7 +770,9 @@ def _cell_volumes(cells):
 
 
 def reference_delaunay_cells(gamma, Q):
-    """toroidal._delaunay_cells with the tiling check on the cell volumes."""
+    """The Delaunay cells of toroidal._delaunay_faces, one Gamma-fundamental
+    set: the simplices of the Selling superbase translated to each coset
+    representative, sorted, with the tiling check on the cell volumes."""
     rp = gamma.r_prime
     reps = _coset_representatives(gamma)
     cells = []
@@ -811,27 +814,36 @@ def reference_canonical_cone(cone, gamma):
 
 
 def reference_face_set(cells, gamma):
-    """toroidal._face_set one face at a time: the generators of the
+    """toroidal._delaunay_faces one face at a time: the generators of the
     canonical cone of every face of the cone over every cell."""
     return {reference_canonical_cone(face, gamma).generators for cell in cells
             for face in reference_cone_faces(_reference_cell_cone(cell, gamma.g_prime))}
 
 
-def reference_delaunay_violations(fan, canon):
-    """Why the fan is not the Delaunay fan of its metric (empty if it is)."""
+def reference_metric_cells(fan):
+    """(the reference Delaunay cells of the fan's metric, None), or (None,
+    why it has none)."""
     gamma, Q = fan.gamma, fan.metric
     rp = gamma.r_prime
     if rp > 3:  # obtuse superbases need not exist, and the steps differ
-        return ["Delaunay cells are computed for r' <= 3 only"]
+        return None, "Delaunay cells are computed for r' <= 3 only"
     if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
-        return ["metric is not symmetric"]
+        return None, "metric is not symmetric"
     # first: the Selling loop need not end on an indefinite form
     if not is_positive_definite(Q):
-        return ["metric is not positive definite"]
+        return None, "metric is not positive definite"
     try:
-        cells = reference_delaunay_cells(gamma, Q)
+        return reference_delaunay_cells(gamma, Q), None
     except _DegenerateMetric as exc:
-        return [f"metric has no Delaunay triangulation: {exc}"]
+        return None, f"metric has no Delaunay triangulation: {exc}"
+
+
+def reference_delaunay_violations(fan, canon):
+    """Why the fan is not the Delaunay fan of its metric (empty if it is)."""
+    cells, unmet = reference_metric_cells(fan)
+    if unmet:
+        return [unmet]
+    gamma = fan.gamma
     gp = gamma.g_prime
     violations = []
     if any(len(v) != gamma.g + 1 or any(v[:gp]) or v[-1] != 1
@@ -844,8 +856,11 @@ def reference_delaunay_violations(fan, canon):
 
 
 def reference_validate_fan(fan):
-    """toroidal.validate_fan with a Cone object per face and per canonical
-    form; returns a toroidal.FanReport."""
+    """The cone-by-cone certification, with a Cone object per face and per
+    canonical form, kept as the oracle of whether a fan is ok: per-cone
+    invariants, face closure, Gamma-duplicates, the ray form, the covering
+    volume and the maximal cones against the cells of the metric.  Returns
+    a toroidal.FanReport in the texts of that pass."""
     gamma = fan.gamma
     gp, rp = gamma.g_prime, gamma.r_prime
     violations = []
@@ -915,14 +930,47 @@ def reference_validate_fan(fan):
     return FanReport(tuple(violations), tuple(non_regular))
 
 
+def reference_fan_report(fan):
+    """The FanReport that toroidal.validate_fan gives, from the reference
+    face set and canonical cones: the metric's reason alone if it has no
+    cells; else, cone by cone, a generator of a length other than g + 1 or
+    a canonical form outside the face set (each "not a cone of the Delaunay
+    fan of the metric") or seen before ("Gamma-duplicate of cone j"), then
+    every face no cone stands for, by dimension and generators ("missing
+    cone"); and, if any, every cone of g + 1-coordinate generators whose
+    maximal minors have a gcd above 1."""
+    gamma = fan.gamma
+    cells, unmet = reference_metric_cells(fan)
+    if unmet:
+        return FanReport((unmet,), ())
+    faces = reference_face_set(cells, gamma)
+    long_enough = [all(len(v) == gamma.g + 1 for v in c.generators) for c in fan.cones]
+    violations, seen = [], {}
+    for idx, cone in enumerate(fan.cones):
+        c = reference_canonical_cone(cone, gamma).generators if long_enough[idx] else None
+        if c in seen:
+            violations.append(f"cone {idx}: Gamma-duplicate of cone {seen[c]}")
+            continue
+        if c is not None:
+            seen[c] = idx
+        if c not in faces:
+            violations.append(f"cone {idx}: not a cone of the Delaunay fan of the metric")
+    violations += [f"missing cone {c}" for c in sorted(faces.difference(seen),
+                                                       key=lambda c: (len(c), c))]
+    if not violations:
+        return FanReport((), ())
+    return FanReport(tuple(violations), tuple(
+        idx for idx, c in enumerate(fan.cones) if long_enough[idx] and minor_gcd(c.generators) > 1))
+
+
 def reference_section_extends(n_phi, fan):
-    """toroidal.section_extends on the reference certification."""
+    """toroidal.section_extends on the reference certification: refused with
+    the first violation of reference_fan_report."""
     gamma = fan.gamma
     n_phi = tuple(int(x) for x in n_phi)
     if len(n_phi) != gamma.g:
         raise DimensionError("n_phi must have g coordinates")
-    violations = reference_delaunay_violations(
-        fan, functools.partial(reference_canonical_cone, gamma=gamma))
+    violations = reference_fan_report(fan).violations
     if violations:
         raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])
