@@ -31,7 +31,7 @@ from .serialize import (dump_json, fan_from_json, fan_to_json,
                         family_descriptor_from_json, family_descriptor_to_json,
                         lattice_from_json, load_json, matrix_from_json,
                         matrix_to_json, poly_to_json, semiabelian_aut_from_json,
-                        semiabelian_aut_to_json, vector_from_json)
+                        semiabelian_aut_to_json)
 from .toroidal import (central_fiber_combinatorics, delaunay_fan, gamma_from_B,
                        section_extends, translation_regularizable, validate_fan)
 
@@ -173,7 +173,7 @@ def cmd_fan_validate(args):
 
 def cmd_fan_extends(args):
     fan = _load_fan_file(args.file)
-    n_phi = vector_from_json(_inline_json(args.nphi))
+    n_phi = serialize.nphi_from_json(_inline_json(args.nphi))
     extends = section_extends(n_phi, fan)
     res, diag = translation_regularizable(n_phi, fan.gamma)
     N, beta = res if res is not None else (None, None)
@@ -184,9 +184,7 @@ def cmd_fan_extends(args):
 
 def cmd_orbit_analyze(args):
     lattice = lattice_from_json(_inline_json(args.lattice))
-    alpha = serialize.complex_vector_from_json(_inline_json(args.alpha))
-    if len(alpha) != lattice.g:
-        raise SchemaError(f"alpha must have g = {lattice.g} entries, got {len(alpha)}")
+    alpha = serialize.alpha_from_json(_inline_json(args.alpha), lattice.g)
     report = orbit_dims(lattice, alpha, height_bound=args.height, tol=args.tol)
     return {"lattice": serialize.lattice_to_json(lattice),
             "alpha": [[z.real, z.imag] for z in alpha]}, report.to_json_dict()

@@ -6,13 +6,17 @@ than copy; on first use each is compiled by `_compile` into nested closures
 that check a payload with the semantics of JSON Schema draft 2020-12 (the
 schemas are checked against the draft's meta-schema, and the closures
 against the jsonschema package, in the tests).
+Every JSON value the CLI reads is checked once, against its own schema,
+and then converted by plain int, Fraction and complex calls; load_json
+refuses non-finite numbers.
 Conventions (shared by the CLI and those schemas):
-  * integers are emitted as decimal strings (arbitrary precision); plain JSON
-    integers are also accepted on input,
+  * integers (schema `integer`) are emitted as decimal strings (arbitrary
+    precision); plain JSON integers are also accepted on input,
   * matrices are row-major arrays of arrays,
   * polynomials are ascending coefficient arrays,
   * complex numbers are [re, im] pairs,
-  * rationals (fan metrics) are "p/q" strings.
+  * rationals (fan metrics, schema `metric`) are emitted as "p/q" strings
+    and read from numbers or "p/q" strings (q > 0).
 """
 
 from __future__ import annotations
@@ -244,19 +248,6 @@ def int_to_json(x):
     return str(int(x))
 
 
-def int_from_json(obj):
-    """An int, a decimal string or an integral float (the schemas' integer
-    type admits 2.0) as an int."""
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        if isinstance(obj, float) and obj.is_integer():
-            return int(obj)
-        raise SchemaError(f"expected an integer or decimal string, got {obj!r}")
-    try:
-        return int(obj)
-    except ValueError as exc:
-        raise SchemaError(f"bad integer literal {obj!r}") from exc
-
-
 def matrix_to_json(M):
     return [[int_to_json(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
 
@@ -269,20 +260,19 @@ def matrix_from_json(obj):
 def _matrix(obj):
     """An IntMatrix from rows that passed the matrix schema (as a payload of
     its own or as a block of a larger one)."""
-    rows = [[int_from_json(x) for x in row] for row in obj]
-    if any(len(row) != len(rows[0]) for row in rows):
+    if any(len(row) != len(obj[0]) for row in obj):
         raise SchemaError("ragged matrix rows")
-    return IntMatrix.from_rows(rows)
+    return IntMatrix._of(len(obj), len(obj[0]), [int(x) for row in obj for x in row])
 
 
 def poly_to_json(p):
     return [int_to_json(c) for c in p.coeffs]
 
 
-def vector_from_json(obj):
-    if not isinstance(obj, list):
-        raise SchemaError("expected a JSON array for a vector")
-    return tuple(int_from_json(x) for x in obj)
+def nphi_from_json(obj):
+    """Vanishing orders n_phi (the `nphi` schema) as a tuple of ints."""
+    validate_schema(obj, "nphi")
+    return tuple(map(int, obj))
 
 
 def semiabelian_aut_to_json(aut):
@@ -310,8 +300,7 @@ def family_descriptor_from_json(obj):
     validate_schema(obj, "family_descriptor")
     r, k = obj.get("r"), obj.get("k")
     return FamilyDescriptor(g=int(obj["g"]),
-                            charpoly=IntPolynomial([int_from_json(c)
-                                                    for c in obj["charpoly"]]),
+                            charpoly=IntPolynomial(list(map(int, obj["charpoly"]))),
                             r=None if r is None else int(r), k=None if k is None else int(k),
                             finite_order=obj.get("finite_order", False))
 
@@ -321,25 +310,19 @@ def _frac_to_json(x):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def _rational_from_json(x):
-    """An int, a finite float or a "p/q" string (q > 0), as a Fraction."""
-    if isinstance(x, str) and _RATIONAL.fullmatch(x) \
-            or isinstance(x, int) and not isinstance(x, bool) \
-            or isinstance(x, float) and math.isfinite(x):
-        return Fraction(x)
-    raise SchemaError(f"expected an int, a finite float or a 'p/q' string, got {x!r}")
-
-
 def metric_from_json(obj, r_prime):
-    """A fan metric: an r' x r' array of rows of rationals, as Fraction rows
-    (symmetry and positive definiteness are the fan builder's contract)."""
-    if not isinstance(obj, list) or len(obj) != r_prime \
-            or any(not isinstance(row, list) or len(row) != r_prime for row in obj):
+    """A fan metric (the `metric` schema) as r' x r' Fraction rows (symmetry
+    and positive definiteness are the fan builder's contract)."""
+    validate_schema(obj, "metric")
+    return _metric(obj, r_prime)
+
+
+def _metric(obj, r_prime):
+    """The Fraction rows of rows that passed the metric schema (as a payload
+    of its own or as the metric of a fan file), which must be r' x r'."""
+    if len(obj) != r_prime or any(len(row) != r_prime for row in obj):
         raise SchemaError(f"metric must be an r' x r' = {r_prime} x {r_prime} array of rows")
-    return tuple(tuple(_rational_from_json(x) for x in row) for row in obj)
+    return tuple(tuple(map(Fraction, row)) for row in obj)
 
 
 def fan_to_json(fan):
@@ -373,7 +356,7 @@ def fan_from_json(obj):
     g = obj["gamma"]
     gamma = GammaData(g_prime=int(g["g_prime"]), r_prime=int(g["r_prime"]),
                       Bprime=_matrix(g["Bprime"]))
-    rays = [tuple(int_from_json(x) for x in ray) for ray in obj["rays"]]
+    rays = [tuple(map(int, ray)) for ray in obj["rays"]]
     if any(len(ray) != gamma.g + 1 for ray in rays):
         raise SchemaError(f"every ray must have g' + r' + 1 = {gamma.g + 1} coordinates")
     cones = []
@@ -386,7 +369,7 @@ def fan_from_json(obj):
     if metric is None:  # the standard metric
         metric = [[int(i == j) for j in range(gamma.r_prime)] for i in range(gamma.r_prime)]
     return Fan(cones=tuple(cones), gamma=gamma,
-               metric=metric_from_json(metric, gamma.r_prime), seed=obj.get("seed"))
+               metric=_metric(metric, gamma.r_prime), seed=obj.get("seed"))
 
 
 def lattice_to_json(lat):
@@ -399,45 +382,50 @@ def lattice_to_json(lat):
 
 def lattice_from_json(obj):
     validate_schema(obj, "lattice")
-    basis = tuple(tuple(complex(_finite_number(z[0]), _finite_number(z[1]))
-                        for z in v) for v in obj["basis"])
+    basis = tuple(tuple(complex(_float(x), _float(y)) for x, y in v)
+                  for v in obj["basis"])
     pol = obj.get("polarization")
     return NumericLattice(g=int(obj["g"]), basis=basis,
                           polarization=None if pol is None
                           else _matrix(pol))
 
 
-def _finite_number(x):
-    """A JSON number that a float holds finitely; bools, strings, the
-    Infinity/NaN tokens and out-of-range integers are schema errors."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        try:
-            if math.isfinite(x):
-                return x
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise SchemaError(f"expected a finite number, got {x!r}")
+def _float(x):
+    """float(x) of a JSON number; an integer too large for a float is a
+    SchemaError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise SchemaError(f"expected a finite number, got {x!r}") from None
 
 
-def complex_vector_from_json(obj):
-    """An alpha vector: list of [re, im] pairs (or plain numbers)."""
-    if not isinstance(obj, list):
-        raise SchemaError("expected a JSON array for a complex vector")
-    out = []
-    for z in obj:
-        if isinstance(z, list):
-            if len(z) != 2:
-                raise SchemaError("complex entries must be [re, im] pairs")
-            out.append(complex(_finite_number(z[0]), _finite_number(z[1])))
-        else:
-            out.append(complex(_finite_number(z)))
-    return tuple(out)
+def alpha_from_json(obj, g):
+    """A translation alpha (the `alpha` schema) as g complex numbers: each
+    entry is an [re, im] pair or a real number."""
+    validate_schema(obj, "alpha")
+    if len(obj) != g:
+        raise SchemaError(f"alpha must have g = {g} entries, got {len(obj)}")
+    return tuple(complex(_float(z[0]), _float(z[1])) if isinstance(z, list)
+                 else complex(_float(z)) for z in obj)
+
+
+def _finite_float(token):
+    """The float of a JSON number token; json passes its NaN and Infinity
+    tokens here too, which are refused with the literals beyond the float
+    range, such as 1e400."""
+    x = float(token)
+    if not math.isfinite(x):
+        raise SchemaError(f"non-finite number {token}")
+    return x
 
 
 def load_json(text):
+    """The JSON value of text, in which every number is finite."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    except SchemaError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also an integer past int's digit limit
         raise SchemaError(f"malformed JSON: {exc}") from exc
 
 

@@ -40,9 +40,10 @@ from util import (BLOCK_SUM_DRAWS, FREE_BLOCKS, block_sum, count_spectrum_runs,
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
-SCHEMA_NAMES = {"matrix", "polynomial", "semiabelian_aut", "family_descriptor",
-                "verdict", "degree_profile", "fan", "lattice", "orbit_report",
-                "split_report", "fan_validation", "fan_extension", "catalog_list"}
+SCHEMA_NAMES = {"integer", "matrix", "polynomial", "semiabelian_aut", "family_descriptor",
+                "verdict", "degree_profile", "fan", "metric", "nphi", "lattice", "alpha",
+                "orbit_report", "split_report", "fan_validation", "fan_extension",
+                "catalog_list"}
 
 
 def test_packaged_schemas():
@@ -56,7 +57,7 @@ def test_packaged_schemas():
     serialize.validate_schema([[1]], "matrix")
     serialize.validate_schema([[2]], "matrix")
     info = serialize._validator.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (2, 1)  # matrix, and the integer it refers to
 
 
 def _schema(name):
@@ -139,7 +140,9 @@ def schema_seeds(tmp_path_factory):
     split = _cli_result(["split"], "[[0,-1,0,0],[1,0,0,0],[0,0,2,1],[0,0,1,1]]")
     orbit = _cli_result(["orbit", "analyze", "--lattice", SQUARE_LATTICE,
                          "--alpha", "[[1.4142135623730951,0]]"])
+    fan = json.loads(fan_file.read_text())
     seeds = {
+        "integer": [e2e["automorphism"][0][0], 2],
         "matrix": [e2e["automorphism"], split["cyclotomic_lattice"]["basis"]],
         "polynomial": [e2e["charpoly"], ["1", 0, "-1"]],
         "semiabelian_aut": [{"r": 2, "g": 1, "u_T": [[2, 1], [1, 1]],
@@ -148,8 +151,10 @@ def schema_seeds(tmp_path_factory):
                               {"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1}],
         "verdict": [e2e["verdict"]],
         "degree_profile": [e2e["degrees"]],
-        "fan": [_cli_result(["fan", "build", "--B", "[[2,1],[1,2]]"]),
-                json.loads(fan_file.read_text())],
+        "fan": [_cli_result(["fan", "build", "--B", "[[2,1],[1,2]]"]), fan],
+        "metric": [fan["metric"], [[2, 1], ["1/2", 1.5]]],  # a --metric value
+        "nphi": [[0, 1], ["1", 0]],
+        "alpha": [[[1.4142135623730951, 0]], [0.5, [0.25, 0]]],
         "lattice": [json.loads(SQUARE_LATTICE),
                     {"g": 2, "basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]],
                                        [[0.5, 2.5], [0, 1]], [[0, 1], [0.25, 2]]],
@@ -731,6 +736,116 @@ def test_cli_fan_bad_input_exit_2(metric, edit, command, tmp_path, capsys,
     assert code == 2
     assert err.startswith("schema error:") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry, accepted", [
+    (2, True), (2.0, True), ("3/2", True), ("-3", True), ("007/010", True),
+    ("1/0", False), (" 1/2", False), ("2\n", False), (True, False), (None, False),
+    ("x", False)])
+def test_fan_metric_entries_read_alike_in_files_and_flags(entry, accepted, tmp_path, capsys,
+                                                          monkeypatch):
+    """A fan file's metric and --metric have one grammar: an entry that
+    `fan build --metric` refuses, `fan validate` and `fan extends` refuse
+    in a file too (exit 2, one schema error line), and one that it accepts
+    passes the schema of both."""
+    metric = json.dumps([[entry]])
+    fan = serialize.fan_to_json(delaunay_fan(nakamura_data(IntMatrix.from_rows([[1, 2], [0, 1]]))))
+    fan["metric"] = [[entry]]
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(fan))
+    for argv in (["fan", "build", "--B", "[[2]]", "--metric", metric],
+                 ["fan", "validate", str(fan_file)],
+                 ["fan", "extends", "--nphi", "[1]", str(fan_file)]):
+        code, out, err = run_cli(argv, None, capsys, monkeypatch)
+        assert (code != 2) == accepted, (argv, err)
+        if not accepted:
+            (line,) = err.splitlines()
+            assert line.startswith("schema error: payload does not match schema ") \
+                and out == ""
+
+
+@pytest.mark.parametrize("argv, stdin_text, names", [
+    (["analyze"], "[[2,1],[1,1]]", ["matrix"]),
+    (["analyze"], '{"r": 0, "g": 1, "u_A_rat": [[0,-1],[1,0]]}', ["semiabelian_aut"]),
+    (["decide"], '{"g": 2, "charpoly": [1, -3, 1, -3, 1], "r": 0}', ["family_descriptor"]),
+    (["split"], "[[0,-1],[1,0]]", ["matrix"]),
+    (["fan", "build", "--B", "[[2,1],[1,2]]", "--metric", '[[2,1],[1,"3/2"]]'], None,
+     ["matrix", "metric"]),
+    (["fan", "build", "--B", "[[2]]", "--metric", "random"], None, ["matrix"]),
+    (["fan", "validate", "{fan}"], None, ["fan"]),
+    (["fan", "extends", "--nphi", "[0,1]", "{fan}"], None, ["fan", "nphi"]),
+    (["orbit", "analyze", "--lattice", SQUARE_LATTICE, "--alpha", "[[0.5,0]]"], None,
+     ["lattice", "alpha"]),
+    (["catalog", "build", "--case", "2.2"], None, [])],
+    ids=["analyze-matrix", "analyze-aut", "decide", "split", "fan-build", "fan-build-random",
+         "fan-validate", "fan-extends", "orbit-analyze", "catalog-build"])
+def test_cli_checks_each_json_input_once_by_name(argv, stdin_text, names, tmp_path, capsys,
+                                                 monkeypatch):
+    """Each JSON value a command reads (payload, --B, --metric, --nphi,
+    --lattice, --alpha, the fan file) is checked by one validate_schema
+    call with its own schema, and nothing else calls it."""
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(_cli_result(["fan", "build", "--B", "[[1,0],[0,0]]"])))
+    calls = []
+
+    def spy(obj, name, check=serialize.validate_schema):
+        calls.append(name)
+        return check(obj, name)
+
+    monkeypatch.setattr(serialize, "validate_schema", spy)
+    argv = [str(fan_file) if a == "{fan}" else a for a in argv]
+    code, _, err = run_cli(argv, stdin_text, capsys, monkeypatch)
+    assert code == 0, err
+    assert calls == names
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                                  "[[1, NaN]]", '{"g": [1e400]}'])
+def test_load_json_refuses_non_finite_numbers(text):
+    """The NaN and Infinity tokens and float literals beyond the float range
+    are refused by load_json, so no schema ever sees a non-finite number;
+    the largest finite float still reads."""
+    token = next(t for t in ("-Infinity", "Infinity", "NaN", "-1e400", "1e400") if t in text)
+    with pytest.raises(SchemaError, match=f"^non-finite number {token}$"):
+        serialize.load_json(text)
+    assert serialize.load_json("[1.7976931348623157e308]") == [1.7976931348623157e308]
+
+
+def test_cli_deeply_nested_json_exit_2(capsys, monkeypatch):
+    """JSON nested past the recursion limit is malformed input (exit 2, one
+    line), not a traceback."""
+    code, out, err = run_cli(["split"], "[" * 100000, capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("schema error: malformed JSON: maximum recursion depth exceeded") \
+        and len(err.splitlines()) == 1
+
+
+BIG = "1" * 5000  # past Python's 4300-digit limit on int conversion
+
+
+@pytest.mark.parametrize("argv, stdin_text, line", [
+    (["split"], f"[[{BIG}]]", "schema error: malformed JSON: Exceeds the limit (4300 digits)"),
+    (["split"], f'[["{BIG}"]]', "schema error: payload does not match schema 'matrix': $[0][0]"),
+    (["fan", "build", "--B", "[[2]]", "--metric", f'[["1/{BIG}"]]'], None,
+     "schema error: payload does not match schema 'metric': $[0][0]"),
+    (["fan", "extends", "--nphi", f'["{BIG}"]', "{fan}"], None,
+     "schema error: payload does not match schema 'nphi': $[0]"),
+    (["orbit", "analyze", "--lattice", SQUARE_LATTICE, "--alpha", f"[[{BIG[:400]},0]]"], None,
+     f"schema error: expected a finite number, got {BIG[:400]}"),
+    (["orbit", "analyze", "--lattice", SQUARE_LATTICE.replace("[[1,0]]", f"[[0,{BIG[:400]}]]"),
+      "--alpha", "[0.5]"], None, f"schema error: expected a finite number, got {BIG[:400]}")],
+    ids=["int-literal", "int-string", "metric", "nphi", "alpha", "lattice"])
+def test_cli_oversized_numbers_exit_2(argv, stdin_text, line, tmp_path, capsys, monkeypatch):
+    """An integer past the int conversion limit, as a literal or a string,
+    and an integer too large for a float where a float is made, each exit 2
+    with one schema error line, not a traceback."""
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(_cli_result(["fan", "build", "--B", "[[2]]"])))
+    argv = [str(fan_file) if a == "{fan}" else a for a in argv]
+    code, out, err = run_cli(argv, stdin_text, capsys, monkeypatch)
+    assert code == 2 and out == ""
+    (got,) = err.splitlines()
+    assert got.startswith(line)
 
 
 def _bad_ray_entry(fan):

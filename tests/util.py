@@ -40,7 +40,7 @@ from abdyn.exactalg import (IntMatrix, IntPolynomial, _solve_cleared, char_poly,
 from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
                          relation_lattice)
-from abdyn.serialize import int_from_json, validate_schema
+from abdyn.serialize import validate_schema
 from abdyn.toroidal import (Cone, FanReport, GammaData, _canonical_gens,
                             _coset_representatives, _DegenerateMetric, _reduce_mod_period,
                             _translate)
@@ -726,7 +726,7 @@ def lattice_is_invariant(u, lat):
 def poly_from_json(obj):
     """An IntPolynomial from its wire form (checked against its schema)."""
     validate_schema(obj, "polynomial")
-    return IntPolynomial([int_from_json(c) for c in obj])
+    return IntPolynomial([int(c) for c in obj])
 
 
 # ---------------------------------------------------------------------------
