@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError
-from .exactalg import IntMatrix, IntPolynomial, char_poly, is_cyclotomic_free
+from .exactalg import IntMatrix, IntPolynomial, char_poly, cyclotomic_split
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def quaternion_norm_one_search(alg, height):
         if trd in (0, 1, -1, 2, -2):
             continue
         rc = quaternion_reduced_charpoly(alg, q)
-        hits.append((q, rc, is_cyclotomic_free(rc)))
+        hits.append((q, rc, cyclotomic_split(rc)[0].is_one()))
     return hits
 
 

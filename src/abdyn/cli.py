@@ -115,7 +115,7 @@ def cmd_split(args):
     u = matrix_from_json(payload)
     L0, L1, index = split_invariant_subfamily(u)
     _, P, Q, _ = char_poly_split(u)
-    result = {name: {"basis": [list(map(str, v)) for v in L.basis],
+    result = {name: {"basis": [list(map(str, v)) for v in L],
                      "charpoly": poly_to_json(p)}
               for name, L, p in (("cyclotomic_lattice", L0, P),
                                  ("cyclotomic_free_lattice", L1, Q))}

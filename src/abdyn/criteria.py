@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 from .degrees import unipotent_index_of_power
 from .errors import ContractError
-from .exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
-                       char_poly_split, cyclotomic_split, kernel_lattice)
+from .exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split,
+                       cyclotomic_split, kernel_lattice)
 
 REGULARIZABLE = "Regularizable"
 NOT_REGULARIZABLE = "NotRegularizable"
@@ -41,7 +41,7 @@ UNDETERMINED = "Undetermined"
 @dataclass(frozen=True)
 class FamilyDescriptor:
     """A family's data.  The cyclotomic split of charpoly is the one kept on
-    the polynomial (cyclotomic_split_with_orders): the checks below and
+    the polynomial (cyclotomic_split): the checks below and
     decide_regularizable share it with any caller that split it first."""
     g: int
     charpoly: IntPolynomial
@@ -113,7 +113,7 @@ def decide_regularizable(desc):
     First-match-wins for the returned status; all fired rules are collected
     and asserted consistent (the underlying theorems never conflict, so a
     disagreement is a bug and raises)."""
-    P, Q = cyclotomic_split(desc.charpoly)
+    P, Q, _ = cyclotomic_split(desc.charpoly)
     unit, cyc_free = Q.is_one(), P.is_one()
     fired = []
 
@@ -178,7 +178,8 @@ def split_invariant_subfamily(u):
     """Split Z^n along the cyclotomic / cyclotomic-free factorization
     char_poly(u) = P * Q into the saturated invariant lattices
     L0 = Z^n intersect ker P(u) and L1 = Z^n intersect ker Q(u); returns
-    (L0, L1, index of L0 + L1 in Z^n).  P and Q are the split kept on
+    (L0 rows, L1 rows, index of L0 + L1 in Z^n), each lattice a tuple of
+    basis row tuples (kernel_lattice).  P and Q are the split kept on
     char_poly(u) (char_poly_split).
 
     P and Q are coprime, so by the primary decomposition theorem (Hoffman &
@@ -195,16 +196,15 @@ def split_invariant_subfamily(u):
     if abs(cp[0]) != 1:  # det u = (-1)^n cp(0)
         raise ContractError("expected det = +/-1")
     n = u.rows
-    P, Q = cyclotomic_split(cp)
+    P, Q, _ = cyclotomic_split(cp)
     if P.is_one() or Q.is_one():
-        whole = Sublattice._of(n, IntMatrix.identity(n).to_rows())
-        zero = Sublattice._of(n, ())
-        return (zero, whole, 1) if P.is_one() else (whole, zero, 1)
+        whole = tuple(map(tuple, IntMatrix.identity(n).to_rows()))
+        return ((), whole, 1) if P.is_one() else (whole, (), 1)
     L0 = kernel_lattice(P, u)
     L1 = kernel_lattice(Q, u)
-    if (L0.rank, L1.rank) != (P.degree, Q.degree):
+    if (len(L0), len(L1)) != (P.degree, Q.degree):
         raise AssertionError("lattice rank != factor degree")  # pragma: no cover
-    stacked = IntMatrix.from_rows(list(L0.basis) + list(L1.basis))
+    stacked = IntMatrix.from_rows(L0 + L1)
     index = abs(stacked.det())
     assert index >= 1
     return L0, L1, index

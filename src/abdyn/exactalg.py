@@ -24,7 +24,6 @@ kernel, _mat_mul, on plain rows and columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, isqrt, lcm, prod
@@ -44,7 +43,7 @@ class IntPolynomial:
     everything else the leading coefficient is nonzero.
     """
 
-    __slots__ = ("coeffs", "_split")  # _split: see cyclotomic_split_with_orders
+    __slots__ = ("coeffs", "_split")  # _split: see cyclotomic_split
 
     def __init__(self, coeffs):
         self.coeffs = IntPolynomial._of([int(c) for c in coeffs]).coeffs
@@ -252,12 +251,15 @@ def _cyclotomic_values(m):
     return _values(cyclotomic(m))
 
 
-def cyclotomic_split_with_orders(p):
-    """Like cyclotomic_split but also reports {m: multiplicity} of the
-    cyclotomic factors removed, in ascending m.  Phi_m divides Q in Z[x] only
-    if Phi_m(a) divides Q(a) for every integer a: at a = 2 and 3 this rules
-    out most m with no polynomial division.  It is computed once per object
-    and kept on p, for every consumer of p (who must not mutate the orders)."""
+def cyclotomic_split(p):
+    """(P, Q, orders): p = P * Q with P the full cyclotomic part (with
+    multiplicity) and Q cyclotomic-free, and {m: multiplicity} of the
+    cyclotomic factors Phi_m removed, in ascending m; p is cyclotomic-free
+    exactly when P is 1.  Exact integer arithmetic throughout.  Phi_m
+    divides Q in Z[x] only if Phi_m(a) divides Q(a) for every integer a: at
+    a = 2 and 3 this rules out most m with no polynomial division.  It is
+    computed once per object and kept on p, for every consumer of p (who
+    must not mutate the orders)."""
     if getattr(p, "_split", None) is not None:
         return p._split
     if not p.is_monic():
@@ -280,19 +282,6 @@ def cyclotomic_split_with_orders(p):
                 break
     p._split = p.divmod_monic(Q)[0], Q, orders
     return p._split
-
-
-def cyclotomic_split(p):
-    """Factor p = P * Q with P the full cyclotomic part (with multiplicity)
-    and Q cyclotomic-free.  Exact integer arithmetic throughout."""
-    P, Q, _ = cyclotomic_split_with_orders(p)
-    return P, Q
-
-
-def is_cyclotomic_free(p):
-    """True iff no cyclotomic polynomial divides p."""
-    P, _ = cyclotomic_split(p)
-    return P.is_one()
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +590,10 @@ def char_poly(M):
 
 def char_poly_split(M):
     """(cp, P, Q, orders): the characteristic polynomial of the square
-    matrix M and its cyclotomic_split_with_orders, each kept on its object
+    matrix M and its cyclotomic_split, each kept on its object
     (M, cp), so a second call on M computes nothing."""
     cp = char_poly(M)
-    return (cp, *cyclotomic_split_with_orders(cp))
+    return (cp, *cyclotomic_split(cp))
 
 
 def _berkowitz(a):
@@ -690,44 +679,13 @@ def minor_gcd(rows):
     return abs((A @ IntMatrix.from_rows(T[k:]).transpose()).det())
 
 
-@dataclass(frozen=True)
-class Sublattice:
-    """A sublattice of Z^ambient_rank given by a basis of integer vectors."""
-    ambient_rank: int
-    basis: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(tuple(int(x) for x in v) for v in self.basis))
-        for v in self.basis:
-            if len(v) != self.ambient_rank:
-                raise DimensionError("basis vector length != ambient rank")
-        if self.basis:
-            m = IntMatrix.from_rows(list(self.basis))
-            if m.rank() != len(self.basis):
-                raise ContractError("basis vectors are linearly dependent")
-
-    @staticmethod
-    def _of(ambient_rank, rows):
-        """From rows of ints already known independent, such as the
-        certified kernel rows of kernel_completion: the rows become tuples,
-        with no int conversion, length check or rank."""
-        lat = object.__new__(Sublattice)
-        object.__setattr__(lat, "ambient_rank", ambient_rank)
-        object.__setattr__(lat, "basis", tuple(map(tuple, rows)))
-        return lat
-
-    @property
-    def rank(self):
-        return len(self.basis)
-
-
 def kernel_lattice(p, M):
-    """The saturated sublattice Z^n intersect ker p(M): the kernel rows of
-    kernel_completion(p(M))."""
+    """A basis of the saturated sublattice Z^n intersect ker p(M), as a tuple
+    of row tuples: the kernel rows of kernel_completion(p(M))."""
     if not M.is_square():
         raise DimensionError("kernel_lattice requires a square matrix")
     T, k = kernel_completion(p.eval_matrix(M))
-    return Sublattice._of(M.rows, T[:k])
+    return tuple(map(tuple, T[:k]))
 
 
 # ---------------------------------------------------------------------------
@@ -792,12 +750,12 @@ def eigenvalue_moduli(p, tol=1e-9):
     the cyclotomic-free part is handled numerically, with moduli grouped when
     within tol of each other (Salem polynomials have genuinely equal moduli
     that the numerics must not split).  The split is the one kept on p
-    (cyclotomic_split_with_orders), so a caller that split p shares it."""
+    (cyclotomic_split), so a caller that split p shares it."""
     if not p.is_monic() or p.degree < 1:
         raise ContractError("eigenvalue_moduli requires a monic polynomial of degree >= 1")
     if not 0 < tol < inf:  # also false for nan
         raise ContractError("tol must be positive and finite")
-    P, Q = cyclotomic_split(p)
+    P, Q, _ = cyclotomic_split(p)
     groups = []  # list of [modulus, multiplicity]
     if Q.degree >= 1:
         import numpy as np

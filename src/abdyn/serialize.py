@@ -30,10 +30,10 @@ from fractions import Fraction
 
 from .criteria import FamilyDescriptor
 from .degrees import SemiAbelianAut
-from .errors import SchemaError
+from .errors import ContractError, SchemaError
 from .exactalg import IntMatrix, IntPolynomial
 from .orbit import NumericLattice
-from .toroidal import Cone, Fan, GammaData
+from .toroidal import Fan, GammaData
 
 
 def _is_number(x):
@@ -334,7 +334,7 @@ def fan_to_json(fan):
     cones = []
     for cone in fan.cones:
         idxs = []
-        for gen in cone.generators:
+        for gen in cone:
             if gen not in ray_index:
                 ray_index[gen] = len(rays)
                 rays.append([int_to_json(x) for x in gen])
@@ -364,7 +364,10 @@ def fan_from_json(obj):
         idxs = [int(i) for i in idxs]  # the schema's integers admit 1.0
         if any(not 0 <= i < len(rays) for i in idxs):
             raise SchemaError("cone refers to a missing ray index")
-        cones.append(Cone._of(tuple(rays[i] for i in idxs)))
+        gens = tuple(sorted(rays[i] for i in idxs))
+        if len(set(gens)) != len(gens):
+            raise ContractError("duplicate cone generators")
+        cones.append(gens)
     metric = obj.get("metric")
     if metric is None:  # the standard metric
         metric = [[int(i == j) for j in range(gamma.r_prime)] for i in range(gamma.r_prime)]

@@ -44,7 +44,8 @@ representatives, are the Gamma-canonical forms of every cone, with no
 reduction per vertex.  validate_fan and section_extends share that one
 certificate, and a rejected fan is explained by set difference against it.
 That makes the section-extension test an O(1) look at the abelian block.
-Cones are sorted generator tuples until a Fan stores them.
+A cone is the sorted tuple of its primitive generators, each in Z^{g+1}
+with the height last (the zero cone is ()), in a Fan as everywhere else.
 """
 
 from __future__ import annotations
@@ -102,33 +103,6 @@ class GammaData:
     @property
     def g(self):
         return self.g_prime + self.r_prime
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Simplicial rational cone in the extended lattice N x Z, stored by its
-    primitive generators (each a vector in Z^{g+1}, last coordinate = height).
-    The zero cone has no generators."""
-    generators: tuple
-
-    def __post_init__(self):
-        gens = Cone._of(tuple(int(x) for x in v) for v in self.generators).generators
-        object.__setattr__(self, "generators", gens)
-
-    @staticmethod
-    def _of(gens):
-        """From tuples of ints (internal results and parsed files): sorted
-        and checked for duplicates, with no conversion."""
-        gens = tuple(sorted(gens))
-        if len(set(gens)) != len(gens):
-            raise ContractError("duplicate cone generators")
-        cone = object.__new__(Cone)
-        object.__setattr__(cone, "generators", gens)
-        return cone
-
-    @property
-    def dim(self):
-        return len(self.generators)
 
 
 def _translate(gens, shift, g_prime):
@@ -244,15 +218,16 @@ def nakamura_data(M):
 
 @dataclass(frozen=True)
 class Fan:
-    """A Gamma-fundamental set of cones plus the translation data."""
+    """A Gamma-fundamental set of cones, each a sorted generator tuple,
+    plus the translation data."""
     cones: tuple
     gamma: GammaData
     metric: tuple  # rational metric actually used, row tuples of Fractions
     seed: int | None = None
 
     def maximal_cones(self):
-        d = max((c.dim for c in self.cones), default=0)
-        return [c for c in self.cones if c.dim == d]
+        d = max(map(len, self.cones), default=0)
+        return [c for c in self.cones if len(c) == d]
 
 
 class _DegenerateMetric(Exception):
@@ -397,7 +372,7 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     else:
         raise NumericIndeterminacyError(
             f"no generic metric found in {MAX_METRIC_RETRIES} retries: {last_err}")
-    return Fan(cones=tuple(Cone._of(c) for c in sorted(faces, key=_cone_order)),
+    return Fan(cones=tuple(sorted(faces, key=_cone_order)),
                gamma=gamma_data, metric=tuple(tuple(row) for row in Q), seed=seed)
 
 
@@ -408,7 +383,7 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
 @dataclass(frozen=True)
 class FanReport:
     violations: tuple
-    non_regular: tuple  # indices of non-regular (but accepted) cones
+    non_regular: tuple  # indices of rejected cones whose maximal minors have gcd > 1
 
     @property
     def ok(self):
@@ -422,9 +397,10 @@ def _certify(fan):
     no face set (r' > 3, not symmetric, not positive definite, or a zero
     Selling parameter) gives its reason alone.  A fan as built stores the
     canonical forms, so it is accepted by one comparison of raw generator
-    tuples; any other fan is canonicalized and named by set difference:
-    each stored cone that is no face or repeats one up to Gamma, then each
-    missing face.  A cone with a generator of the wrong length is never
+    tuples; any other fan has each cone sorted and canonicalized, and is
+    named by set difference: each stored cone that is no face (a repeated
+    generator among them) or repeats one up to Gamma, then each missing
+    face.  A cone with a generator of the wrong length is never
     canonicalized, as _translate would truncate it.  ContractError: det B'
     or the Selling steps above their limit."""
     gamma, Q = fan.gamma, fan.metric
@@ -440,11 +416,12 @@ def _certify(fan):
         faces = _delaunay_faces(gamma, Q)
     except _DegenerateMetric as exc:
         return (f"metric has no Delaunay triangulation: {exc}",), ()
-    stored = [c.generators for c in fan.cones]
+    stored = fan.cones
     if len(stored) == len(faces) and set(stored) == faces:
         return (), ()
     violations, rejected, seen = [], [], {}
     for idx, gens in enumerate(stored):
+        gens = tuple(sorted(gens))
         if any(len(v) != gamma.g + 1 for v in gens):
             violations.append(f"cone {idx}: not a cone of the Delaunay fan of the metric")
             continue
@@ -517,4 +494,4 @@ def translation_regularizable(n_phi, gamma_data):
 
 def central_fiber_combinatorics(fan):
     """(ray orbits, maximal-cone orbits) of the central fiber of the model."""
-    return sum(c.dim == 1 for c in fan.cones), len(fan.maximal_cones())
+    return sum(len(c) == 1 for c in fan.cones), len(fan.maximal_cones())

@@ -15,8 +15,8 @@ from abdyn.catalog import (ClassificationCase, Quaternion, QuaternionAlgebra,
                            unit_multiplication_matrix)
 from abdyn.degrees import SemiAbelianAut
 from abdyn.errors import ContractError
-from abdyn.exactalg import (IntMatrix, IntPolynomial, Sublattice, char_poly,
-                            char_poly_split, is_cyclotomic_free)
+from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split,
+                            cyclotomic_split)
 from util import lattice_is_invariant, type_I_lattice
 
 
@@ -58,7 +58,7 @@ def test_cubic_unit_cyclotomic_free():
     M = unit_multiplication_matrix(p, copies=1)
     cp = char_poly(M)
     assert cp == p ** 2
-    assert is_cyclotomic_free(cp)
+    assert cyclotomic_split(cp)[0].is_one()
 
 
 def test_type_I_lattice_rm_surface():
@@ -84,9 +84,7 @@ def test_type_I_lattice_totally_real_cross_check():
     g = lattice.g
     beta_block = lattice.basis[2 * g - g:]
     assert all(abs(z.imag) < 1e-9 for v in beta_block for z in v)
-    sub = Sublattice(2 * g, tuple(tuple(1 if i == j else 0
-                                        for i in range(2 * g))
-                                  for j in range(g, 2 * g)))
+    sub = tuple(tuple(1 if i == j else 0 for i in range(2 * g)) for j in range(g, 2 * g))
     assert lattice_is_invariant(auto, sub)
 
 

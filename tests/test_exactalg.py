@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from abdyn.errors import ContractError, DimensionError
 from abdyn.criteria import decide_regularizable
-from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, cyclotomic,
-                            cyclotomic_orders, cyclotomic_split,
-                            cyclotomic_split_with_orders, eigenvalue_moduli,
-                            is_cyclotomic_free, is_positive_definite,
+from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, char_poly_split,
+                            cyclotomic, cyclotomic_orders, cyclotomic_split,
+                            eigenvalue_moduli, is_positive_definite,
                             kernel_completion, kernel_lattice,
                             minor_gcd, poly_gcd, squarefree_decomposition)
 from abdyn.serialize import family_descriptor_from_json
@@ -70,11 +69,11 @@ def test_spectrum_is_kept_on_its_object_only(monkeypatch):
     assert char_poly(B) == cp and char_poly(B) is not cp and counts["berkowitz"] == 2
     assert (A == B, hash(A) == hash(B), repr(A) == repr(B)) == seen == (True,) * 3
     q = IntPolynomial(cp.coeffs)
-    split = cyclotomic_split_with_orders(cp)
+    split = cyclotomic_split(cp)
     assert split == (P(1, 0, 1), P(-2, 1), {4: 1})
-    assert cyclotomic_split_with_orders(cp) is split and counts["split"] == 1
-    assert cyclotomic_split(cp) == split[:2] and counts["split"] == 1
-    assert cyclotomic_split_with_orders(q) == split and counts["split"] == 2
+    assert cyclotomic_split(cp) is split and counts["split"] == 1
+    assert char_poly_split(A) == (cp, *split) and counts["split"] == 1
+    assert cyclotomic_split(q) == split and counts["split"] == 2
     assert (q == cp, hash(q) == hash(cp), repr(q) == repr(cp)) == (True,) * 3
     assert counts == {"berkowitz": 2, "split": 2}
 
@@ -96,25 +95,25 @@ def test_char_poly_matches_numpy_on_random_matrices():
 # --- cyclotomic split / Kronecker -------------------------------------------
 
 def test_split_already_cyclotomic():
-    Pc, Q = cyclotomic_split(P(1, -1, 1))  # Phi_6
+    Pc, Q, _ = cyclotomic_split(P(1, -1, 1))  # Phi_6
     assert Pc == P(1, -1, 1) and Q.is_one()
 
 
 def test_split_cyclotomic_free_quadratic():
-    Pc, Q = cyclotomic_split(P(1, -3, 1))
+    Pc, Q, _ = cyclotomic_split(P(1, -3, 1))
     assert Pc.is_one() and Q == P(1, -3, 1)
 
 
 def test_split_mixed_cubic():
     # T^3 - 4T^2 + 4T - 1 = (T - 1)(T^2 - 3T + 1)
-    Pc, Q = cyclotomic_split(P(-1, 4, -4, 1))
+    Pc, Q, _ = cyclotomic_split(P(-1, 4, -4, 1))
     assert Pc == P(-1, 1) and Q == P(1, -3, 1)
 
 
 def test_is_cyclotomic_free():
-    assert is_cyclotomic_free(P(1, -3, 1))
-    assert not is_cyclotomic_free(P(1, 0, 1))
-    assert is_cyclotomic_free(P(1))  # constant 1: empty root set
+    assert cyclotomic_split(P(1, -3, 1))[0].is_one()
+    assert not cyclotomic_split(P(1, 0, 1))[0].is_one()
+    assert cyclotomic_split(P(1))[0].is_one()  # constant 1: empty root set
 
 
 def test_kronecker():
@@ -159,7 +158,7 @@ def test_split_matches_sympy_factor_list(ms, free):
     p = ONE
     for f in [cyclotomic(m) for m in ms] + free:
         p = p * f
-    got_P, got_Q, orders = cyclotomic_split_with_orders(p)
+    got_P, got_Q, orders = cyclotomic_split(p)
     x = sympy.Symbol("x")
     want_P, want_orders = sympy.Integer(1), {}
     for f, e in sympy.factor_list(sum(c * x ** i for i, c in enumerate(p.coeffs)))[1]:
@@ -202,9 +201,9 @@ def cyclotomic_products(draw):
 @given(cyclotomic_products())
 def test_split_reassembly_and_idempotence(data):
     p, _ = data
-    Pc, Q = cyclotomic_split(p)
+    Pc, Q, _ = cyclotomic_split(p)
     assert Pc * Q == p
-    Pc2, _ = cyclotomic_split(Q) if Q.degree >= 1 else (IntPolynomial([1]), Q)
+    Pc2 = cyclotomic_split(Q)[0] if Q.degree >= 1 else IntPolynomial([1])
     assert Pc2.is_one()
     if Pc.degree >= 1:
         assert kronecker_is_roots_of_unity(Pc)
@@ -225,7 +224,7 @@ def test_split_matches_plain_trial_division(powers, tails):
         p = p * IntPolynomial(tail + [1])
     if p.degree < 1:
         p = P(-2, 1)
-    got, want = cyclotomic_split_with_orders(p), reference_cyclotomic_split(p)
+    got, want = cyclotomic_split(p), reference_cyclotomic_split(p)
     assert (got[0], got[1], list(got[2].items())) == (want[0], want[1], list(want[2].items()))
 
 
@@ -283,22 +282,22 @@ def test_quasi_unipotent_order():
 
 def test_kernel_lattice_full():
     lat = kernel_lattice(P(-1, 1), IntMatrix.identity(3))
-    assert lat.rank == 3
+    assert len(lat) == 3
     assert check_saturated(lat)
 
 
 def test_kernel_lattice_rank_one():
     lat = kernel_lattice(P(-1, 1), IntMatrix.from_rows([[1, 0], [0, -1]]))
-    assert lat.rank == 1
-    assert lat.basis[0] in ((1, 0), (-1, 0))
+    assert len(lat) == 1
+    assert lat[0] in ((1, 0), (-1, 0))
 
 
 def test_kernel_lattice_block():
     M = IntMatrix.block_diag(IntMatrix.companion(P(1, 0, 1)),
                              IntMatrix.companion(P(1, -3, 1)))
     lat = kernel_lattice(P(1, -3, 1), M)
-    assert lat.rank == 2
-    assert all(v[0] == 0 and v[1] == 0 for v in lat.basis)
+    assert len(lat) == 2
+    assert all(v[0] == 0 and v[1] == 0 for v in lat)
     assert check_saturated(lat)
 
 
@@ -321,16 +320,16 @@ def test_kernel_lattice_matches_sympy():
         lat = kernel_lattice(P(0, 1), IntMatrix.from_rows(K))  # p(M) = M
         S = sympy.Matrix(K)
         null = [list(v.T * sympy.ilcm(*[x.q for x in v], 1)) for v in S.nullspace()]
-        nullities.add((lat.rank == 0, lat.rank == n))
-        assert lat.rank == len(null), K
+        nullities.add((len(lat) == 0, len(lat) == n))
+        assert len(lat) == len(null), K
         if not null:
             continue
-        basis = [list(v) for v in lat.basis]
+        basis = [list(v) for v in lat]
         assert all(x == 0 for v in basis for x in S * sympy.Matrix(v)), K
         assert set(normalforms.invariant_factors(sympy.Matrix(basis))) == {1}, K
         assert _hnf(basis + null) == _hnf(basis), K
         T, k = kernel_completion(IntMatrix.from_rows(K))
-        assert k == lat.rank and tuple(map(tuple, T[:k])) == lat.basis
+        assert k == len(lat) and tuple(map(tuple, T[:k])) == lat
         assert abs(sympy.Matrix(T).det()) == 1
     assert nullities == {(True, False), (False, False), (False, True)}
 
@@ -637,7 +636,7 @@ def test_moduli_are_those_of_numpy_roots(tails, power):
     p = ONE
     for tail in tails:
         p = p * IntPolynomial(tail + [1]) ** power
-    _, Q = cyclotomic_split(p)
+    _, Q, _ = cyclotomic_split(p)
     assume(Q.degree >= 1)
     want = []
     for mod, mult in numpy_roots_moduli(Q):

@@ -31,7 +31,7 @@ from sympy.matrices.normalforms import invariant_factors
 from abdyn import cli, exactalg, serialize
 from abdyn.cli import main
 from abdyn.errors import SchemaError
-from abdyn.exactalg import IntMatrix, IntPolynomial, Sublattice, cyclotomic
+from abdyn.exactalg import IntMatrix, IntPolynomial, cyclotomic
 from abdyn.toroidal import delaunay_fan, nakamura_data
 
 from util import (BLOCK_SUM_DRAWS, FREE_BLOCKS, block_sum, count_spectrum_runs,
@@ -848,6 +848,36 @@ def test_cli_oversized_numbers_exit_2(argv, stdin_text, line, tmp_path, capsys, 
     assert got.startswith(line)
 
 
+@pytest.mark.parametrize("value", ["2\n", "-2\n", "2\n\n", "2", "-2", 2])
+def test_integer_schema_refuses_a_final_newline(value):
+    """A decimal string with a final newline is no integer, for the
+    compiled check and for jsonschema alike: re.search's "$" matches before
+    a final newline, so the pattern ends in "$(?!\\n)" as an ECMA-262 "$"
+    would."""
+    accepted = not (isinstance(value, str) and value.endswith("\n"))
+    assert _accepts(value, "integer") == _reference_validator("integer").is_valid(value) \
+        == accepted
+
+
+@pytest.mark.parametrize("argv, stdin_text, where", [
+    (["split"], '[["2\\n"]]', "'matrix': $[0][0]"),
+    (["fan", "build", "--B", '[["2\\n"]]'], None, "'matrix': $[0][0]"),
+    (["fan", "extends", "--nphi", '["2\\n"]', "{fan}"], None, "'nphi': $[0]")],
+    ids=["split", "fan-build", "nphi"])
+def test_cli_integer_string_with_a_final_newline_exits_2(argv, stdin_text, where, tmp_path,
+                                                          capsys, monkeypatch):
+    """An integer string with a final newline exits 2 with one schema error
+    line that names the integer pattern: before, split went on to a
+    contract error and fan build accepted it."""
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(_cli_result(["fan", "build", "--B", "[[2]]"])))
+    argv = [str(fan_file) if a == "{fan}" else a for a in argv]
+    code, out, err = run_cli(argv, stdin_text, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == (f"schema error: payload does not match schema {where}: "
+                   "'2\\n' does not match '^-?[0-9]{1,4300}$(?!\\\\n)'\n")
+
+
 def _bad_ray_entry(fan):
     fan["rays"][1][-1] = "1/2"
     return f"$.rays[1][{len(fan['rays'][1]) - 1}]: '1/2' does not match"
@@ -999,7 +1029,7 @@ def _check_split_result(matrix, result):
         lat = result[name]
         basis = tuple(tuple(int(x) for x in v) for v in lat["basis"])
         charpolys.append(poly_from_json(lat["charpoly"]))
-        assert charpolys[-1] == restricted_char_poly(u, Sublattice(u.rows, basis))
+        assert charpolys[-1] == restricted_char_poly(u, basis)
         assert not basis or set(invariant_factors(sympy.Matrix(basis))) == {1}
         stacked += basis
     assert len(stacked) == u.rows

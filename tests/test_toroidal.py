@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix
-from abdyn.toroidal import (Cone, Fan, GammaData, _coset_representatives, _DegenerateMetric,
+from abdyn.toroidal import (Fan, GammaData, _coset_representatives, _DegenerateMetric,
                             _delaunay_faces, _reduce_mod_period,
                             central_fiber_combinatorics, delaunay_fan,
                             monodromy_to_B, nakamura_data, section_extends,
@@ -131,7 +131,7 @@ def test_fan_with_abelian_block():
 def test_validate_rejects_linear_subspace_cone():
     gd = GammaData(g_prime=0, r_prime=1, Bprime=IntMatrix.from_rows([[1]]))
     fan = delaunay_fan(gd)
-    bad = Fan(cones=fan.cones + (Cone(((1, 0),)), Cone(((-1, 0),))),
+    bad = Fan(cones=fan.cones + (((1, 0),), ((-1, 0),)),
               gamma=gd, metric=fan.metric)
     report = validate_fan(bad)
     assert not report.ok
@@ -147,7 +147,7 @@ def test_validate_detects_missing_translate():
     pruned = tuple(c for c in fan.cones if c != top)
     report = validate_fan(Fan(cones=pruned, gamma=gd, metric=fan.metric))
     assert not report.ok
-    assert report.violations == (f"missing cone {top.generators}",)
+    assert report.violations == (f"missing cone {top}",)
 
 
 def test_validate_flags_degenerate_maximal_cell():
@@ -156,7 +156,7 @@ def test_validate_flags_degenerate_maximal_cell():
     missing, as in the reference."""
     gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.identity(2))
     fan = delaunay_fan(gd)
-    flat = Cone(((0, 0, 1), (1, 1, 1), (2, 2, 1)))
+    flat = ((0, 0, 1), (1, 1, 1), (2, 2, 1))
     bad = Fan(cones=(flat,) + fan.cones[1:], gamma=gd, metric=fan.metric)
     report = validate_fan(bad)
     assert report.violations == ("cone 0: not a cone of the Delaunay fan of the metric",
@@ -176,6 +176,57 @@ def test_fan_file_with_a_repeated_ray_is_refused(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["fan", "validate", str(path)]) == 3
     assert capsys.readouterr().err == "contract error: duplicate cone generators\n"
+
+
+def test_fan_file_with_two_equal_rays_in_a_cone_is_refused(tmp_path, capsys):
+    """A cone that names two distinct ray indices with equal coordinates is
+    refused when the file is read, as one that lists a ray twice."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fan", "build", "--B", "[[2]]"]) == 0
+    doc = json.loads(out.getvalue())["result"]
+    first = doc["cones"][-1][0]
+    doc["rays"].append(list(doc["rays"][first]))
+    doc["cones"][-1] = [first, len(doc["rays"]) - 1]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["fan", "validate", str(path)], ["fan", "extends", "--nphi", "[1]", str(path)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "contract error: duplicate cone generators\n"
+
+
+@pytest.mark.parametrize("g_prime, Bprime", [(0, [[2]]), (1, [[2, 1], [1, 2]])], ids=str)
+def test_fan_with_reversed_generators_is_accepted(g_prime, Bprime):
+    """A Fan built in Python whose cones list their generators in reverse
+    order is judged up to that order: validate_fan accepts it, and
+    section_extends answers as on the fan as built."""
+    gd = GammaData(g_prime=g_prime, r_prime=len(Bprime), Bprime=IntMatrix.from_rows(Bprime))
+    fan = delaunay_fan(gd)
+    reversed_fan = Fan(cones=tuple(c[::-1] for c in fan.cones), gamma=gd, metric=fan.metric)
+    assert reversed_fan.cones != fan.cones
+    assert validate_fan(reversed_fan) == validate_fan(fan) == reference_fan_report(reversed_fan)
+    assert validate_fan(reversed_fan).ok
+    for n_phi in ((0,) * g_prime + (1,) * gd.r_prime, (1,) * g_prime + (3,) * gd.r_prime):
+        assert section_extends(n_phi, reversed_fan) == section_extends(n_phi, fan) \
+            == reference_section_extends(n_phi, reversed_fan)
+
+
+def test_cone_with_a_repeated_generator_is_no_cone_of_the_fan():
+    """A Fan built in Python may list a generator twice in one cone: such a
+    cone is no face of the Delaunay fan, and is reported as one, as in the
+    reference; section_extends refuses the fan with that violation."""
+    gd = GammaData(g_prime=0, r_prime=1, Bprime=IntMatrix.from_rows([[2]]))
+    fan = delaunay_fan(gd)
+    ray = next(c for c in fan.cones if len(c) == 1)
+    bad = Fan(cones=fan.cones + (ray + ray,), gamma=gd, metric=fan.metric)
+    violation = f"cone {len(fan.cones)}: not a cone of the Delaunay fan of the metric"
+    report = validate_fan(bad)
+    assert report.violations == (violation,) and report.non_regular == ()
+    assert report == reference_fan_report(bad)
+    assert report.ok == reference_validate_fan(bad).ok
+    with pytest.raises(ContractError, match=re.escape(
+            f"not the Delaunay fan of its metric: {violation}")):
+        section_extends((1,), bad)
 
 
 def test_section_extends_examples():
@@ -323,7 +374,7 @@ def test_section_extends_rejects_pruned_fan():
     top = fan.maximal_cones()[0]
     pruned = Fan(cones=tuple(c for c in fan.cones if c != top), gamma=gd, metric=fan.metric)
     with pytest.raises(ContractError, match=re.escape(
-            f"not the Delaunay fan of its metric: missing cone {top.generators}")):
+            f"not the Delaunay fan of its metric: missing cone {top}")):
         section_extends((0, 4, -1), pruned)
 
 
@@ -367,12 +418,12 @@ def _mutations(fan, rng):
     (0_{g'}, 2e_1, 1) added (a non-primitive edge, so a face of no Delaunay
     cell), the zero cone listed twice, a metric with other cells."""
     gamma, cones = fan.gamma, fan.cones
-    top, ray = fan.maximal_cones()[0], next(c for c in cones if c.dim == 1)
+    top, ray = fan.maximal_cones()[0], next(c for c in cones if len(c) == 1)
     e1 = tuple(int(i == 0) for i in range(gamma.r_prime))
-    scaled = Cone(top.generators[:-1] + (tuple(2 * x for x in top.generators[-1]),))
-    flat = Cone(((0,) * gamma.g_prime + e1 + (0,),))
+    scaled = tuple(sorted(top[:-1] + (tuple(2 * x for x in top[-1]),)))
+    flat = ((0,) * gamma.g_prime + e1 + (0,),)
     zero = (0,) * (gamma.g_prime + gamma.r_prime)
-    crossing = Cone((zero + (1,), (0,) * gamma.g_prime + tuple(2 * x for x in e1) + (1,)))
+    crossing = (zero + (1,), (0,) * gamma.g_prime + tuple(2 * x for x in e1) + (1,))
     edits = {"as built": cones,
              "move a maximal cone": tuple(translate_cone(top, e1, gamma) if c == top else c
                                           for c in cones),
@@ -382,7 +433,7 @@ def _mutations(fan, rng):
              "non-primitive generator": tuple(scaled if c == top else c for c in cones),
              "add a height-0 cone": cones + (flat,),
              "add a crossing cone": cones + (crossing,),
-             "duplicate the zero cone": cones + (Cone(()),)}
+             "duplicate the zero cone": cones + ((),)}
     out = {name: Fan(cones=c, gamma=gamma, metric=fan.metric) for name, c in edits.items()}
     out["other cells"] = Fan(cones=cones, gamma=gamma,
                              metric=tuple(map(tuple, _other_cells_metric(fan, rng))))
@@ -398,9 +449,9 @@ def _accepted(fan):
         cells = reference_delaunay_cells(gamma, fan.metric)
     except _DegenerateMetric:
         return False
-    if any(len(v) != gamma.g + 1 for c in fan.cones for v in c.generators):
+    if any(len(v) != gamma.g + 1 for c in fan.cones for v in c):
         return False
-    stored = [reference_canonical_cone(c, gamma).generators for c in fan.cones]
+    stored = [reference_canonical_cone(c, gamma) for c in fan.cones]
     return len(set(stored)) == len(stored) and set(stored) == reference_face_set(cells, gamma)
 
 
@@ -414,9 +465,9 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("g_prime, Bprime", CORPUS_GAMMAS, ids=str)
 def test_validate_fan_matches_reference(g_prime, Bprime):
     """validate_fan and section_extends agree with the reference face set
-    (one Cone per face, Selling in Fractions, the tiling check kept) on every
-    corpus B', under the standard and a seeded random metric, built and after
-    each of eight edits: the violations, in order, and the non-regular cones
+    (one sorted tuple per face, Selling in Fractions, the tiling check kept)
+    on every corpus B', under the standard and a seeded random metric, built
+    and after each of eight edits: the violations, in order, and the non-regular cones
     of reference_fan_report, and the same answer or the same refusal.  A fan
     is ok exactly when the cone-by-cone reference accepts it
     (reference_validate_fan) and when its canonical cones are the face set
@@ -451,7 +502,7 @@ def test_validate_fan_reports_short_generators_of_a_maximal_cone():
     reason is the one violation, and under a generic metric the cone is no
     cone of the fan and every face is missing, as in the reference."""
     gd = GammaData(g_prime=1, r_prime=2, Bprime=IntMatrix.identity(2))
-    short = (Cone(((0, 1), (1, 1), (2, 1))),)
+    short = (((0, 1), (1, 1), (2, 1)),)
     fan = Fan(cones=short, gamma=gd, metric=((1, 0), (0, 1)))
     report = validate_fan(fan)
     assert report == reference_fan_report(fan)
@@ -463,7 +514,7 @@ def test_validate_fan_reports_short_generators_of_a_maximal_cone():
     report = validate_fan(generic)
     assert report == reference_fan_report(generic) and not report.ok
     assert report.violations[0] == "cone 0: not a cone of the Delaunay fan of the metric"
-    assert report.violations[1:] == tuple(f"missing cone {c.generators}"
+    assert report.violations[1:] == tuple(f"missing cone {c}"
                                           for c in delaunay_fan(gd).cones)
 
 
@@ -473,7 +524,7 @@ def test_validate_fan_rejects_a_cone_that_is_no_face_of_a_maximal_cone():
     any maximal cone, so it is no cone of the fan."""
     gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.identity(2))
     fan = delaunay_fan(gd)
-    bad = Fan(cones=fan.cones + (Cone(((0, 0, 1), (2, 1, 1))),), gamma=gd, metric=fan.metric)
+    bad = Fan(cones=fan.cones + (((0, 0, 1), (2, 1, 1)),), gamma=gd, metric=fan.metric)
     report = validate_fan(bad)
     assert report.violations == (
         f"cone {len(fan.cones)}: not a cone of the Delaunay fan of the metric",)
@@ -482,7 +533,7 @@ def test_validate_fan_rejects_a_cone_that_is_no_face_of_a_maximal_cone():
 
 
 def _with_long_generators(fan, replace):
-    return Fan(cones=tuple(Cone(replace.get(c.generators, c.generators)) for c in fan.cones),
+    return Fan(cones=tuple(replace.get(c, c) for c in fan.cones),
                gamma=fan.gamma, metric=fan.metric)
 
 

@@ -3,7 +3,7 @@ reference LLLs (exact Gram-Schmidt, and the integral LLL with Fraction
 rounding: fraction_lll_reduce), brute-force Delaunay cells, the reference
 root-of-unity test, unipotent index and quasi-unipotent order, the numeric
 degree-growth oracle (exterior-power norm sequences and their growth fit),
-the reference fan certification (one Cone per face, Selling in Fractions,
+the reference fan certification (one sorted tuple per face, Selling in Fractions,
 and the face set of the cells: reference_face_set; the report named by set
 difference against it: reference_fan_report),
 the reference monodromy normalization on IntMatrix (reference_nakamura_data)
@@ -35,20 +35,20 @@ from abdyn import exactalg
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, _solve_cleared, char_poly,
                             cyclotomic, cyclotomic_orders, cyclotomic_split,
-                            cyclotomic_split_with_orders, is_positive_definite,
-                            kernel_completion, minor_gcd, squarefree_decomposition)
+                            is_positive_definite, kernel_completion, minor_gcd,
+                            squarefree_decomposition)
 from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
                          relation_lattice)
 from abdyn.serialize import validate_schema
-from abdyn.toroidal import (Cone, FanReport, GammaData, _canonical_gens,
+from abdyn.toroidal import (FanReport, GammaData, _canonical_gens,
                             _coset_representatives, _DegenerateMetric, _reduce_mod_period,
                             _translate)
 
 def count_spectrum_runs(monkeypatch):
     """A dict that counts, from now until the monkeypatch is undone, the
     top-level Berkowitz runs ("berkowitz"; its recursive calls are not
-    counted) and the bodies of cyclotomic_split_with_orders ("split"; each
+    counted) and the bodies of cyclotomic_split ("split"; each
     looks up cyclotomic_orders once)."""
     counts = {"berkowitz": 0, "split": 0}
     berkowitz, orders = exactalg._berkowitz, exactalg.cyclotomic_orders
@@ -173,7 +173,7 @@ def kronecker_is_roots_of_unity(p):
         raise ContractError("expected a monic polynomial")
     if p.coeffs[0] == 0:
         raise ContractError("zero constant term: 0 is a root, not a root of unity")
-    _, Q = cyclotomic_split(p)
+    _, Q, _ = cyclotomic_split(p)
     return Q.is_one()
 
 
@@ -213,14 +213,14 @@ def quasi_unipotent_order(M):
         return 1
     if abs(M.det()) != 1:
         raise ContractError("expected det = +/-1")
-    _, Q, orders = cyclotomic_split_with_orders(char_poly(M))
+    _, Q, orders = cyclotomic_split(char_poly(M))
     if not Q.is_one():
         return None
     return math.lcm(*orders.keys()) if orders else 1
 
 
 def reference_cyclotomic_split(p):
-    """(P, Q, orders) of cyclotomic_split_with_orders by plain trial
+    """(P, Q, orders) of cyclotomic_split by plain trial
     division: every Phi_m with phi(m) <= deg p, in ascending m, divided out
     while it divides."""
     Q, orders = p, {}
@@ -658,19 +658,20 @@ def gamma_act(gamma_data, beta, point):
 
 
 def translate_cone(cone, beta, gamma):
-    """The cone moved by the Gamma-translation beta."""
-    return Cone(_translate(cone.generators, gamma_shift(gamma, beta), gamma.g_prime))
+    """The cone (a generator tuple) moved by the Gamma-translation beta, sorted."""
+    return tuple(sorted(_translate(cone, gamma_shift(gamma, beta), gamma.g_prime)))
 
 
 def canonical_cone(cone, gamma):
-    """Canonical representative of a cone under Gamma (toroidal._canonical_gens)."""
-    return Cone(_canonical_gens(cone.generators, gamma))
+    """Canonical representative under Gamma of a cone, a generator tuple in
+    any order (toroidal._canonical_gens on its sorted generators)."""
+    return _canonical_gens(tuple(sorted(cone)), gamma)
 
 
 def check_saturated(lat):
-    """Saturation of a Sublattice <=> torsion-free quotient <=> the maximal
-    minors of its basis have gcd 1."""
-    return minor_gcd(lat.basis) == 1
+    """Saturation of a sublattice (its basis rows) <=> torsion-free quotient
+    <=> the maximal minors of its basis have gcd 1."""
+    return minor_gcd(lat) == 1
 
 
 def solve(A, *rhs):
@@ -697,17 +698,17 @@ def mat_vec(M, v):
 
 
 def _basis_coordinates(u, lat):
-    """Coordinates of u(v) in the basis of lat for each basis vector v: one
+    """Coordinates of u(v) in the basis rows lat for each basis vector v: one
     exact solve with the images as right-hand sides (None where u(v) leaves
     the rational span)."""
-    A = [list(col) for col in zip(*lat.basis)]
-    return solve(A, *(mat_vec(u, v) for v in lat.basis))
+    A = [list(col) for col in zip(*lat)]
+    return solve(A, *(mat_vec(u, v) for v in lat))
 
 
 def restricted_char_poly(u, lat):
     """Characteristic polynomial of u restricted to an invariant sublattice,
-    computed exactly in the basis of the sublattice."""
-    if lat.rank == 0:
+    computed exactly in its basis rows lat."""
+    if not lat:
         return IntPolynomial([1])
     coords = _basis_coordinates(u, lat)
     if any(x is None or any(c.denominator != 1 for c in x) for x in coords):
@@ -716,8 +717,8 @@ def restricted_char_poly(u, lat):
 
 
 def lattice_is_invariant(u, lat):
-    """Exact check that u maps the sublattice into itself."""
-    if lat.rank == 0:
+    """Exact check that u maps the sublattice with basis rows lat into itself."""
+    if not lat:
         return True
     return all(x is not None and all(c.denominator == 1 for c in x)
                for x in _basis_coordinates(u, lat))
@@ -730,9 +731,9 @@ def poly_from_json(obj):
 
 
 # ---------------------------------------------------------------------------
-# reference fan certification: one Cone object per face, Selling reduction
-# in Fractions and a tiling check on the cells (the toroidal code before it
-# worked on generator tuples in integers), kept as the oracle of
+# reference fan certification: one sorted generator tuple per face, each
+# canonicalized on its own, Selling reduction in Fractions and a tiling
+# check on the cells, kept as the oracle of
 # toroidal.validate_fan and toroidal.section_extends
 # ---------------------------------------------------------------------------
 
@@ -790,33 +791,34 @@ def reference_delaunay_cells(gamma, Q):
 
 
 def _reference_cell_cone(cell, g_prime):
-    """The cone over a height-1 cell with abelian block 0."""
-    return Cone(tuple((0,) * g_prime + v + (1,) for v in cell))
+    """The cone over a height-1 cell with abelian block 0, sorted."""
+    return tuple(sorted((0,) * g_prime + v + (1,) for v in cell))
 
 
 def reference_cone_faces(cone):
-    """All proper and improper faces (simplicial: every generator subset)."""
-    for size in range(len(cone.generators) + 1):
-        for subset in itertools.combinations(cone.generators, size):
-            yield Cone(subset)
+    """All proper and improper faces (simplicial: every generator subset),
+    each sorted."""
+    cone = sorted(cone)
+    for size in range(len(cone) + 1):
+        yield from itertools.combinations(cone, size)
 
 
 def reference_canonical_cone(cone, gamma):
-    """Canonical representative of a cone under Gamma-translation: translate
-    so the lexicographically smallest generator's torus block lies in the
-    fundamental cell (cones with every generator at height 1 only)."""
-    if not cone.generators:
-        return cone
-    if any(v[-1] != 1 for v in cone.generators):
+    """Canonical representative of a cone (a generator tuple in any order)
+    under Gamma-translation, sorted: translate so the lexicographically
+    smallest generator's torus block lies in the fundamental cell (cones
+    with every generator at height 1 only)."""
+    cone = tuple(sorted(cone))
+    if not cone or any(v[-1] != 1 for v in cone):
         return cone  # no canonical translation defined; leave as-is
-    _, beta = _reduce_mod_period(cone.generators[0][gamma.g_prime:-1], gamma)
+    _, beta = _reduce_mod_period(cone[0][gamma.g_prime:-1], gamma)
     return translate_cone(cone, tuple(-x for x in beta), gamma)
 
 
 def reference_face_set(cells, gamma):
-    """toroidal._delaunay_faces one face at a time: the generators of the
-    canonical cone of every face of the cone over every cell."""
-    return {reference_canonical_cone(face, gamma).generators for cell in cells
+    """toroidal._delaunay_faces one face at a time: the canonical cone of
+    every face of the cone over every cell."""
+    return {reference_canonical_cone(face, gamma) for cell in cells
             for face in reference_cone_faces(_reference_cell_cone(cell, gamma.g_prime))}
 
 
@@ -847,7 +849,7 @@ def reference_delaunay_violations(fan, canon):
     gp = gamma.g_prime
     violations = []
     if any(len(v) != gamma.g + 1 or any(v[:gp]) or v[-1] != 1
-           for c in fan.cones for v in c.generators):
+           for c in fan.cones for v in c):
         violations.append("a generator is not of the form (0, b, 1)")
     if {canon(c) for c in fan.maximal_cones()} \
             != {_reference_cell_cone(c, gp) for c in cells}:
@@ -856,7 +858,7 @@ def reference_delaunay_violations(fan, canon):
 
 
 def reference_validate_fan(fan):
-    """The cone-by-cone certification, with a Cone object per face and per
+    """The cone-by-cone certification, with a sorted tuple per face and per
     canonical form, kept as the oracle of whether a fan is ok: per-cone
     invariants, face closure, Gamma-duplicates, the ray form, the covering
     volume and the maximal cones against the cells of the metric.  Returns
@@ -868,8 +870,8 @@ def reference_validate_fan(fan):
     canon = functools.cache(functools.partial(reference_canonical_cone, gamma=gamma))
     canon_seen = {}
     for idx, cone in enumerate(fan.cones):
-        gens = cone.generators
-        if cone.dim > 0:  # the zero cone takes only the duplicate check
+        gens = tuple(sorted(cone))
+        if gens:  # the zero cone takes only the duplicate check
             for v in gens:
                 if len(v) != gamma.g + 1:
                     violations.append(f"cone {idx}: generator dimension != g+1")
@@ -899,7 +901,7 @@ def reference_validate_fan(fan):
     for idx, cone in enumerate(fan.cones):
         for face in reference_cone_faces(cone):
             if canon(face) not in fan_canon:
-                violations.append(f"cone {idx}: missing face {face.generators}")
+                violations.append(f"cone {idx}: missing face {face}")
     # every cone is a face of a maximal cone, up to Gamma
     max_faces = {canon(face) for c in fan.maximal_cones() for face in reference_cone_faces(c)}
     for idx, cone in enumerate(fan.cones):
@@ -907,16 +909,16 @@ def reference_validate_fan(fan):
             violations.append(f"cone {idx}: not a face of a maximal cone")
     # ray condition
     for idx, cone in enumerate(fan.cones):
-        if cone.dim == 1:
-            v = cone.generators[0]
+        if len(cone) == 1:
+            (v,) = cone
             if any(x != 0 for x in v[:gp]) or v[-1] != 1:
                 violations.append(f"ray {idx}: not of the form (0, b, 1): {v}")
     # covering / invariance proxy: maximal height-1 cells tile a fundamental
     # cell (a cone with a generator of the wrong length is reported above)
-    max_cones = [c for c in fan.cones if c.dim == rp + 1
-                 and all(len(v) == gamma.g + 1 for v in c.generators)]
-    if all(all(v[-1] == 1 for v in c.generators) for c in max_cones):
-        vols = _cell_volumes([[v[gp:gp + rp] for v in c.generators] for c in max_cones])
+    max_cones = [c for c in fan.cones if len(c) == rp + 1
+                 and all(len(v) == gamma.g + 1 for v in c)]
+    if all(all(v[-1] == 1 for v in c) for c in max_cones):
+        vols = _cell_volumes([[v[gp:gp + rp] for v in c] for c in max_cones])
         total = sum(vols)
         covol = gamma.det * math.factorial(rp)
         if 0 in vols:
@@ -944,10 +946,10 @@ def reference_fan_report(fan):
     if unmet:
         return FanReport((unmet,), ())
     faces = reference_face_set(cells, gamma)
-    long_enough = [all(len(v) == gamma.g + 1 for v in c.generators) for c in fan.cones]
+    long_enough = [all(len(v) == gamma.g + 1 for v in c) for c in fan.cones]
     violations, seen = [], {}
     for idx, cone in enumerate(fan.cones):
-        c = reference_canonical_cone(cone, gamma).generators if long_enough[idx] else None
+        c = reference_canonical_cone(cone, gamma) if long_enough[idx] else None
         if c in seen:
             violations.append(f"cone {idx}: Gamma-duplicate of cone {seen[c]}")
             continue
@@ -960,7 +962,7 @@ def reference_fan_report(fan):
     if not violations:
         return FanReport((), ())
     return FanReport(tuple(violations), tuple(
-        idx for idx, c in enumerate(fan.cones) if long_enough[idx] and minor_gcd(c.generators) > 1))
+        idx for idx, c in enumerate(fan.cones) if long_enough[idx] and minor_gcd(c) > 1))
 
 
 def reference_section_extends(n_phi, fan):
