@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ContractError
-from .exactalg import IntMatrix, IntPolynomial, char_poly, cyclotomic_split
+from .exactalg import (INT_BOUND, MAX_INT_DIGITS, IntMatrix, IntPolynomial, char_poly,
+                       cyclotomic_split)
 
 
 # ---------------------------------------------------------------------------
@@ -24,22 +25,28 @@ from .exactalg import IntMatrix, IntPolynomial, char_poly, cyclotomic_split
 
 def pell_fundamental_unit(d):
     """Fundamental solution (x, y, norm) of x^2 - d y^2 = +/-1 with x, y > 0
-    minimal, by the continued-fraction expansion of sqrt(d)."""
+    minimal, by the continued-fraction expansion of sqrt(d).  ContractError
+    once a convergent h reaches INT_BOUND: such a unit cannot be written out.
+    The convergents grow at least like the Fibonacci numbers, so the loop
+    ends within about 20,600 steps."""
     if d <= 1:
         raise ContractError("need d > 1")
     a0 = math.isqrt(d)
     if a0 * a0 == d:
         raise ContractError("d must not be a perfect square")
-    # continued fraction of sqrt(d): a_i with convergents h_i / k_i
+    # continued fraction of sqrt(d): a_i with convergents h_i / k_i, and
+    # h_i^2 - d k_i^2 = +/-den_{i+1}, so the norm is +/-1 exactly at den = 1
     m, den, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
     while True:
-        norm = h * h - d * k * k
-        if norm in (1, -1):
-            return h, k, norm
+        if h >= INT_BOUND:
+            raise ContractError(f"the fundamental unit of Z[sqrt {d}] has more "
+                                f"than {MAX_INT_DIGITS} digits")
         m = den * a - m
         den = (d - m * m) // den
+        if den == 1:
+            return h, k, h * h - d * k * k
         a = (a0 + m) // den
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
@@ -68,10 +75,7 @@ def unit_multiplication_matrix(minpoly, copies):
         raise ContractError("copies must be >= 1")
     if minpoly.degree == 0:
         raise ContractError("minpoly must have degree >= 1")
-    if minpoly.degree == 1:
-        block = IntMatrix.from_rows([[-minpoly.coeffs[0]]])
-    else:
-        block = IntMatrix.companion(minpoly)
+    block = IntMatrix.companion(minpoly)
     return IntMatrix.block_diag(*([block] * (2 * copies)))
 
 
@@ -79,32 +83,26 @@ def unit_multiplication_matrix(minpoly, copies):
 # quaternion algebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
-    """Rational quaternion algebra with i^2 = a, j^2 = b, ij = -ji."""
-    a: Fraction
-    b: Fraction
+class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
+    """Rational quaternion algebra with i^2 = a, j^2 = b, ij = -ji (a and b
+    nonzero Fractions)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.a == 0 or self.b == 0:
+    def __new__(cls, a, b):
+        a, b = Fraction(a), Fraction(b)
+        if a == 0 or b == 0:
             raise ContractError("a and b must be nonzero")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
+class Quaternion(namedtuple("Quaternion", "alpha beta gamma delta")):
+    """The quaternion alpha + beta i + gamma j + delta ij, its coordinates
+    Fractions."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
-
-    def coords(self):
-        return (self.alpha, self.beta, self.gamma, self.delta)
+    def __new__(cls, alpha, beta, gamma, delta):
+        return super().__new__(cls, Fraction(alpha), Fraction(beta),
+                               Fraction(gamma), Fraction(delta))
 
 
 def quaternion_nrd(alg, q):
@@ -171,14 +169,12 @@ def reduced_charpoly_relation_check(rational_rep, reduced_charpoly, exponent):
 # classification g <= 5
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationCase:
-    id: str
-    g: int
-    albert_type: str | None  # None for generically non-simple products
-    parameters: dict         # l, e, d where applicable
-    description: str
-    m: int                   # moduli dimension
+class ClassificationCase(namedtuple("ClassificationCase",
+                                     "id g albert_type parameters description m")):
+    """One automorphism type: its id, fiber dimension g, Albert type (None
+    for generically non-simple products), parameters (l, e, d where
+    applicable), description and moduli dimension m."""
+    __slots__ = ()
 
 
 _CASES = (

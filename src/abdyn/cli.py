@@ -29,7 +29,7 @@ from .exactalg import char_poly_split
 from .orbit import orbit_dims
 from .serialize import (dump_json, fan_from_json, fan_to_json,
                         family_descriptor_from_json, family_descriptor_to_json,
-                        lattice_from_json, load_json, matrix_from_json,
+                        int_to_json, lattice_from_json, load_json, matrix_from_json,
                         matrix_to_json, poly_to_json, semiabelian_aut_from_json,
                         semiabelian_aut_to_json)
 from .toroidal import (central_fiber_combinatorics, delaunay_fan, gamma_from_B,
@@ -115,11 +115,11 @@ def cmd_split(args):
     u = matrix_from_json(payload)
     L0, L1, index = split_invariant_subfamily(u)
     _, P, Q, _ = char_poly_split(u)
-    result = {name: {"basis": [list(map(str, v)) for v in L],
+    result = {name: {"basis": [list(map(int_to_json, v)) for v in L],
                      "charpoly": poly_to_json(p)}
               for name, L, p in (("cyclotomic_lattice", L0, P),
                                  ("cyclotomic_free_lattice", L1, Q))}
-    result["index"] = str(index)
+    result["index"] = int_to_json(index)
     return {"matrix": payload}, result
 
 

@@ -26,63 +26,61 @@ version of R2 would contradict R4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .degrees import unipotent_index_of_power
 from .errors import ContractError
-from .exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split,
-                       cyclotomic_split, kernel_lattice)
+from .exactalg import (IntMatrix, char_poly, char_poly_split, cyclotomic_split,
+                       kernel_lattice)
 
 REGULARIZABLE = "Regularizable"
 NOT_REGULARIZABLE = "NotRegularizable"
 UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    """A family's data.  The cyclotomic split of charpoly is the one kept on
-    the polynomial (cyclotomic_split): the checks below and
-    decide_regularizable share it with any caller that split it first."""
-    g: int
-    charpoly: IntPolynomial
-    r: int | None = None
-    k: int | None = None
-    finite_order: bool = False
+class FamilyDescriptor(namedtuple("FamilyDescriptor", "g charpoly r k finite_order")):
+    """A family's data: g, charpoly (an IntPolynomial of degree 2g), r and k
+    (None when unknown) and finite_order.  The cyclotomic split of charpoly
+    is the one kept on the polynomial (cyclotomic_split): the checks below
+    and decide_regularizable share it with any caller that split it first."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 1:
+    def __new__(cls, g, charpoly, r=None, k=None, finite_order=False):
+        if g < 1:
             raise ContractError("g must be >= 1")
-        if self.charpoly.degree != 2 * self.g:
+        if charpoly.degree != 2 * g:
             raise ContractError("charpoly degree must be 2g")
-        if not self.charpoly.is_monic():
+        if not charpoly.is_monic():
             raise ContractError("charpoly must be monic")
-        if self.charpoly.coeffs[0] not in (1, -1):
+        if charpoly.coeffs[0] not in (1, -1):
             raise ContractError("charpoly constant term must be +/-1")
-        if self.r is not None and not (0 <= self.r <= self.g):
+        if r is not None and not (0 <= r <= g):
             raise ContractError("r must lie in 0..g")
-        if self.k is not None and not (0 <= self.k <= self.g - 1):
+        if k is not None and not (0 <= k <= g - 1):
             raise ContractError("k must lie in 0..g-1")
         # constant term +/-1: all roots are roots of unity (Kronecker)
         # exactly when the cyclotomic part exhausts the charpoly
-        unit = cyclotomic_split(self.charpoly)[1].is_one()
-        if self.finite_order and not unit:
+        unit = cyclotomic_split(charpoly)[1].is_one()
+        if finite_order and not unit:
             raise ContractError("inconsistent: finite_order with cyclotomic-free factor")
-        if self.k is not None and not unit:
+        if k is not None and not unit:
             raise ContractError(
                 "inconsistent: k is defined only when lambda_1 = 1 "
                 "(charpoly must be a product of cyclotomics)")
-        if self.finite_order and self.k not in (None, 0):
+        if finite_order and k not in (None, 0):
             raise ContractError("inconsistent: finite order forces k = 0")
+        return super().__new__(cls, g, charpoly, r, k, finite_order)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    reasons: tuple = field(default=())
+class Verdict(namedtuple("Verdict", "status reasons")):
+    """A decision status and the (rule, theorem, detail) reasons it cites,
+    at least one."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.reasons:
+    def __new__(cls, status, reasons):
+        if not reasons:
             raise ContractError("a verdict must cite at least one reason")
+        return super().__new__(cls, status, reasons)
 
     def to_json_dict(self):
         return {"status": self.status,

@@ -23,35 +23,32 @@ cyclotomic split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
 from .exactalg import IntMatrix, char_poly_split, eigenvalue_moduli
 
 
-@dataclass(frozen=True)
-class SemiAbelianAut:
+class SemiAbelianAut(namedtuple("SemiAbelianAut", "r g u_T u_A_rat")):
     """Automorphism of a semi-abelian variety with torus rank r and abelian
-    dimension g, given by the two lattice automorphisms."""
-    r: int
-    g: int
-    u_T: IntMatrix | None = None
-    u_A_rat: IntMatrix | None = None
+    dimension g, given by the two lattice automorphisms: u_T (r x r, None
+    when r = 0) and u_A_rat (2g x 2g, None when g = 0)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 0 or self.g < 0:
+    def __new__(cls, r, g, u_T=None, u_A_rat=None):
+        if r < 0 or g < 0:
             raise ContractError("r and g must be nonnegative")
-        if self.r > 0:
-            if self.u_T is None or self.u_T.rows != self.r or self.u_T.cols != self.r:
+        if r > 0:
+            if u_T is None or u_T.rows != r or u_T.cols != r:
                 raise DimensionError("u_T must be r x r")
-        elif self.u_T is not None:
+        elif u_T is not None:
             raise DimensionError("u_T given for torus rank r = 0")
-        if self.g > 0:
-            if self.u_A_rat is None or self.u_A_rat.rows != 2 * self.g \
-                    or self.u_A_rat.cols != 2 * self.g:
+        if g > 0:
+            if u_A_rat is None or u_A_rat.rows != 2 * g or u_A_rat.cols != 2 * g:
                 raise DimensionError("u_A_rat must be 2g x 2g")
-        elif self.u_A_rat is not None:
+        elif u_A_rat is not None:
             raise DimensionError("u_A_rat given for abelian dimension g = 0")
+        return super().__new__(cls, r, g, u_T, u_A_rat)
 
     def validate(self, tol=1e-9):
         """Check the lattice-automorphism and doubled-moduli invariants."""
@@ -59,18 +56,16 @@ class SemiAbelianAut:
         return self
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Dynamical degrees lambda_0..lambda_{r+g} and, where the degree growth
-    is polynomial (lambda_k = 1), the known integer exponents d_k (None when
-    no closed form is available; only k = 0, 1 and the top k have one)."""
-    lambdas: tuple
-    growth_exponents: tuple
+class DegreeProfile(namedtuple("DegreeProfile", "lambdas growth_exponents")):
+    """Dynamical degrees lambda_0..lambda_{r+g} (a tuple of floats) and,
+    where the degree growth is polynomial (lambda_k = 1), the known integer
+    exponents d_k (None when no closed form is available; only k = 0, 1 and
+    the top k have one)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
-        object.__setattr__(self, "growth_exponents", tuple(self.growth_exponents))
-        ls = self.lambdas
+    def __new__(cls, lambdas, growth_exponents):
+        ls = tuple(float(x) for x in lambdas)
+        growth_exponents = tuple(growth_exponents)
         if not ls or ls[0] != 1.0 or ls[-1] != 1.0:
             raise ContractError("lambda_0 and lambda_top must be exactly 1")
         if any(x < 1.0 - 1e-12 for x in ls):
@@ -78,6 +73,7 @@ class DegreeProfile:
         for i in range(1, len(ls) - 1):  # as ratios, which cannot overflow
             if ls[i] / ls[i - 1] < ls[i + 1] / ls[i] * (1 - 1e-9):
                 raise ContractError("profile is not log-concave")
+        return super().__new__(cls, ls, growth_exponents)
 
     def to_json_dict(self):
         return {"lambdas": list(self.lambdas),

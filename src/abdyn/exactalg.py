@@ -9,11 +9,12 @@ ratios.  Floating point appears only in eigenvalue_moduli, which imports
 numpy when it finds roots.
 
 Two exact kernels carry the linear algebra.  Ranks, determinants, the
-cleared linear solve that orbit uses for float systems (_solve_cleared) and
-the maximal minors of minor_gcd all run one fraction-free Gauss-Jordan
-elimination, _bareiss (Bareiss 1968), on denominator-cleared integer row
-lists; is_positive_definite runs the same recurrence once with no row
-exchanges, so its pivots are the leading principal minors.  Integral
+cleared linear solve (_solve_cleared: orbit's float systems, and the
+adjugate of B' in toroidal.GammaData) and the maximal minors of minor_gcd
+all run one fraction-free Gauss-Jordan elimination, _bareiss (Bareiss
+1968), on denominator-cleared integer row lists; is_positive_definite
+runs the same recurrence once with no row exchanges, so its pivots are
+the leading principal minors.  Integral
 lattice questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7):
 kernel lattices, unimodular completions (kernel_completion) and the gcd of
 maximal minors when the reduced entries have a common factor.  Dense
@@ -31,6 +32,10 @@ from operator import add, mul, sub
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
 
+# Decimal digits of the longest integer on the wire: the bound of the integer
+# schema, and Python's default limit on int-string conversion (3.11 on)
+MAX_INT_DIGITS = 4300
+INT_BOUND = 10 ** MAX_INT_DIGITS  # an integer is written when |x| < INT_BOUND
 
 # ---------------------------------------------------------------------------
 # polynomials

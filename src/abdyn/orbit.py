@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ContractError, NumericIndeterminacyError
-from .exactalg import IntMatrix, _bareiss, _solve_cleared, lll_reduce
+from .exactalg import _bareiss, _solve_cleared, lll_reduce
 
 # Bases with ||A||_F ||A^-1||_F above this are refused; the product is
 # within a factor 2g of the 2-norm condition number of A.
@@ -47,54 +47,49 @@ JACOBI_MAX_SWEEPS = 30
 # data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumericLattice:
-    """A rank-2g lattice in C^g: basis vectors as complex g-vectors, plus an
-    optional integer symplectic polarization matrix on the basis."""
-    g: int
-    basis: tuple  # 2g tuples of complex numbers
-    polarization: IntMatrix | None = None
+class NumericLattice(namedtuple("NumericLattice", "g basis polarization")):
+    """A rank-2g lattice in C^g: basis vectors as complex g-vectors (2g
+    tuples of complex numbers), plus an optional integer symplectic
+    polarization matrix on the basis."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        basis = tuple(tuple(complex(x) for x in v) for v in self.basis)
-        object.__setattr__(self, "basis", basis)
-        if len(basis) != 2 * self.g or any(len(v) != self.g for v in basis):
+    def __new__(cls, g, basis, polarization=None):
+        basis = tuple(tuple(complex(x) for x in v) for v in basis)
+        if len(basis) != 2 * g or any(len(v) != g for v in basis):
             raise ContractError("need 2g basis vectors of length g")
-        if self.polarization is not None:
-            E = self.polarization
-            if E.rows != 2 * self.g or E.cols != 2 * self.g:
+        E = polarization
+        if E is not None:
+            if E.rows != 2 * g or E.cols != 2 * g:
                 raise ContractError("polarization must be 2g x 2g")
             if E != E.transpose() * (-1):
                 raise ContractError("polarization must be skew-symmetric")
+        return super().__new__(cls, g, basis, polarization)
 
 
-@dataclass(frozen=True)
-class Relation:
-    q: tuple          # integer 2g-vector
-    q_prime: int      # denominator-cleared rational value of q . x
-    residual: float
+class Relation(namedtuple("Relation", "q q_prime residual")):
+    """A relation: the integer 2g-vector q, the denominator-cleared rational
+    value q_prime of q . x, and the residual |q . x - q_prime| (a float)."""
+    __slots__ = ()
 
     def to_json_dict(self):
         return {"q": [str(x) for x in self.q], "q_prime": str(self.q_prime),
                 "residual": self.residual}
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    h: int
-    s: int
-    r: int
-    relations: tuple
-    dense: bool
-    totally_real: bool
-    height_bound: int
-    tol: float
+class OrbitReport(namedtuple("OrbitReport",
+                             "h s r relations dense totally_real height_bound tol")):
+    """Orbit-closure dimensions h, s, r = h - 2s, the relations found, the
+    density and total-reality flags, and the height bound and tolerance of
+    the search."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        g2 = self.h + len(self.relations)
-        assert 0 <= self.h <= g2
-        assert 0 <= 2 * self.s <= self.h
-        assert self.r == self.h - 2 * self.s
+    def __new__(cls, h, s, r, relations, dense, totally_real, height_bound, tol):
+        g2 = h + len(relations)
+        assert 0 <= h <= g2
+        assert 0 <= 2 * s <= h
+        assert r == h - 2 * s
+        return super().__new__(cls, h, s, r, relations, dense, totally_real,
+                               height_bound, tol)
 
     def to_json_dict(self):
         return {"h": self.h, "s": self.s, "r": self.r,

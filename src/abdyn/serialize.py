@@ -31,7 +31,7 @@ from fractions import Fraction
 from .criteria import FamilyDescriptor
 from .degrees import SemiAbelianAut
 from .errors import ContractError, SchemaError
-from .exactalg import IntMatrix, IntPolynomial
+from .exactalg import INT_BOUND, MAX_INT_DIGITS, IntMatrix, IntPolynomial
 from .orbit import NumericLattice
 from .toroidal import Fan, GammaData
 
@@ -245,7 +245,13 @@ def validate_schema(obj, schema_name):
 
 
 def int_to_json(x):
-    return str(int(x))
+    """x as a decimal string; ContractError when it has more digits than
+    the integer schema admits (MAX_INT_DIGITS), which str would refuse on
+    Python 3.11 and later."""
+    x = int(x)
+    if abs(x) >= INT_BOUND:
+        raise ContractError(f"an output integer has more than {MAX_INT_DIGITS} digits")
+    return str(x)
 
 
 def matrix_to_json(M):
@@ -307,7 +313,8 @@ def family_descriptor_from_json(obj):
 
 def _frac_to_json(x):
     f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    p = int_to_json(f.numerator)
+    return p if f.denominator == 1 else f"{p}/{int_to_json(f.denominator)}"
 
 
 def metric_from_json(obj, r_prime):

@@ -15,9 +15,9 @@ Gamma-invariant positive definite metric.  The fan is infinite; we store one
 fundamental set of cones under Gamma plus the translation data, and perform
 all membership tests modulo Gamma.
 
-GammaData is the one place that knows the period lattice: it eliminates
-[B' | I] once (exactalg's fraction-free Bareiss elimination) and caches
-B' as rows, det B' > 0 and adj(B') = det B' * B'^-1.  Every Gamma-translate
+GammaData is the one place that knows the period lattice: it solves
+B' Y = I once (exactalg's cleared solve) and keeps B' as rows, det B' > 0
+and adj(B') = det B' * B'^-1.  Every Gamma-translate
 b + beta * B', every reduction of b into the fundamental cell (beta =
 floor(adj(B') b / det B')) and every regularizing power is an inner product
 of those integer rows.  It is built from B alone (period_data); a monodromy
@@ -53,12 +53,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
-from .exactalg import (IntMatrix, _bareiss, is_positive_definite,
+from .exactalg import (IntMatrix, _bareiss, _solve_cleared, is_positive_definite,
                        kernel_completion, minor_gcd)
 
 MAX_METRIC_RETRIES = 16
@@ -72,33 +72,32 @@ MAX_SELLING_STEPS = 1000
 # Gamma data and cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GammaData:
+class GammaData(namedtuple("GammaData", "g_prime r_prime Bprime rows det adj")):
     """Abelian dimension g', torus rank r', and the positive definite
     integral matrix B' driving the Gamma-translations.  Also holds B' as
-    rows, det B' and the integer adjugate adj(B'), computed once."""
-    g_prime: int
-    r_prime: int
-    Bprime: IntMatrix
+    rows, det B' and the integer adjugate adj(B'), computed once from the
+    three given."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g_prime < 0 or self.r_prime < 1:
+    def __new__(cls, g_prime, r_prime, Bprime):
+        if g_prime < 0 or r_prime < 1:
             raise ContractError("need g' >= 0 and r' >= 1")
-        B = self.Bprime
-        if B.rows != self.r_prime or B.cols != self.r_prime:
+        B = Bprime
+        if B.rows != r_prime or B.cols != r_prime:
             raise DimensionError("Bprime must be r' x r'")
         if B != B.transpose():
             raise ContractError("Bprime must be symmetric")
         rows = B.to_rows()
         if not is_positive_definite(rows):
             raise ContractError("Bprime must be positive definite")
-        # Gauss-Jordan on [B' | I] leaves [det B' * I | adj(B')]
-        rp = self.r_prime
-        a = [row + [int(i == j) for j in range(rp)] for i, row in enumerate(rows)]
-        _, det = _bareiss(a, rp)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "adj", tuple(tuple(row[rp:]) for row in a))
+        # B' (adj(B') / det B') = I, with det B' > 0; the solution columns
+        # are the rows of adj(B'), as B' is symmetric
+        det, adj = _solve_cleared(rows, IntMatrix.identity(r_prime).to_rows())
+        return super().__new__(cls, g_prime, r_prime, B, tuple(map(tuple, rows)),
+                               det, tuple(map(tuple, adj)))
+
+    def __getnewargs__(self):
+        return self[:3]
 
     @property
     def g(self):
@@ -216,14 +215,11 @@ def nakamura_data(M):
 # Delaunay fan construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(namedtuple("Fan", "cones gamma metric seed", defaults=(None,))):
     """A Gamma-fundamental set of cones, each a sorted generator tuple,
-    plus the translation data."""
-    cones: tuple
-    gamma: GammaData
-    metric: tuple  # rational metric actually used, row tuples of Fractions
-    seed: int | None = None
+    plus the translation data, the rational metric actually used (row
+    tuples of Fractions) and the seed of a random one."""
+    __slots__ = ()
 
     def maximal_cones(self):
         d = max(map(len, self.cones), default=0)
@@ -380,10 +376,10 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
 # validation and queries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FanReport:
-    violations: tuple
-    non_regular: tuple  # indices of rejected cones whose maximal minors have gcd > 1
+class FanReport(namedtuple("FanReport", "violations non_regular")):
+    """The violations found, and the indices of rejected cones whose maximal
+    minors have gcd > 1."""
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -106,7 +106,7 @@ def test_quaternion_norm_one_search():
     alg = QuaternionAlgebra(2, 3)
     hits = quaternion_norm_one_search(alg, 3)
     found = [(q, cp, free) for q, cp, free in hits
-             if tuple(q.coords()) == (3, 2, 0, 0)]
+             if tuple(q) == (3, 2, 0, 0)]
     assert found
     q, cp, free = found[0]
     assert cp == IntPolynomial([1, -6, 1]) and free

@@ -30,7 +30,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from abdyn import cli, exactalg, serialize
 from abdyn.cli import main
-from abdyn.errors import SchemaError
+from abdyn.errors import ContractError, SchemaError
 from abdyn.exactalg import IntMatrix, IntPolynomial, cyclotomic
 from abdyn.toroidal import delaunay_fan, nakamura_data
 
@@ -587,7 +587,8 @@ without_numpy = [run("fan", "build", "--B", "[[2,1],[1,3]]", "--out", d + "/fan.
                  run("orbit", "analyze", "--lattice", '{"g":1,"basis":[[[1,0]],[[0,1]]]}',
                      "--alpha", "[[0.5,0.25]]")]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-stdlib = sorted(m for m in ("argparse", "logging") if m in sys.modules)
+stdlib = sorted(m for m in ("argparse", "logging", "dataclasses", "inspect", "ast", "dis",
+                            "tokenize") if m in sys.modules)
 numeric = [run("analyze", "--in", d + "/analyze.json")]
 schema_libs = sorted(m for m in sys.modules if m.split(".")[0]
                      in ("jsonschema", "referencing", "rpds", "attrs", "attr"))
@@ -603,7 +604,9 @@ def test_import_cli_leaves_scipy_out(tmp_path):
     them in the same process.  No command loads jsonschema (nor referencing,
     rpds or attrs): the schemas are checked by serialize's own compiled
     checks.  The numpy-free commands load neither argparse nor logging:
-    argv is read against the command table."""
+    argv is read against the command table.  Nor do they load dataclasses,
+    or inspect, ast, dis and tokenize, which it imports: the records are
+    namedtuples."""
     payloads = {"split": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
                 "decide": {"g": 2, "charpoly": [1, -4, 6, -4, 1], "r": 1, "k": 1},
                 "analyze": [[2, 1], [1, 1]]}
@@ -643,6 +646,26 @@ def test_numpy_imported_only_by_eigenvalue_moduli():
     for path in sorted((REPO / "src" / "abdyn").rglob("*.py")):
         found += _numpy_imports(ast.parse(path.read_text()), path.stem)
     assert found == ["exactalg.eigenvalue_moduli"]
+
+
+def test_no_dataclasses_in_src():
+    """Read with ast: no module under src/abdyn imports dataclasses or uses
+    object.__setattr__; each record is a namedtuple that converts and checks
+    its fields in __new__."""
+    found = []
+    for path in sorted((REPO / "src" / "abdyn").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            found += [(path.stem, m) for m in modules if m.split(".")[0] == "dataclasses"]
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__" \
+                    and isinstance(node.value, ast.Name) and node.value.id == "object":
+                found.append((path.stem, "object.__setattr__"))
+    assert found == []
 
 
 @pytest.mark.parametrize("argv, stdin_text", [
@@ -846,6 +869,68 @@ def test_cli_oversized_numbers_exit_2(argv, stdin_text, line, tmp_path, capsys, 
     assert code == 2 and out == ""
     (got,) = err.splitlines()
     assert got.startswith(line)
+
+
+def test_output_digit_limit_is_the_integer_schema_bound():
+    """exactalg.MAX_INT_DIGITS, the longest integer int_to_json writes, is
+    the digit bound of the integer schema: an integer is written exactly
+    when it could be read back."""
+    limit = exactalg.MAX_INT_DIGITS
+    assert _schema("integer")["anyOf"][1]["pattern"] == f"^-?[0-9]{{1,{limit}}}$(?!\\n)"
+    assert exactalg.INT_BOUND == 10 ** limit
+    for x in (10 ** limit - 1, 1 - 10 ** limit):
+        assert _accepts(serialize.int_to_json(x), "integer")
+    for x in (10 ** limit, -10 ** limit):
+        with pytest.raises(ContractError, match=f"more than {limit} digits"):
+            serialize.int_to_json(x)
+
+
+def _past_the_digit_limit():
+    """A det-1 matrix A (+) A, A = [[N, N+1], [N-1, N]] at N = 10^4000,
+    whose char poly has 8001-digit coefficients."""
+    n = 10 ** 4000
+    a = IntMatrix.from_rows([[n, n + 1], [n - 1, n]])
+    return json.dumps([[str(x) for x in row] for row in IntMatrix.block_diag(a, a).to_rows()])
+
+
+@pytest.mark.parametrize("argv, stdin_text, line", [
+    (["split"], _past_the_digit_limit(), "an output integer has more than 4300 digits"),
+    (["catalog", "build", "--case", "2.2", "--d", "100000039"], None,
+     "the fundamental unit of Z[sqrt 100000039] has more than 4300 digits"),
+    (["end-to-end", "--case", "2.2", "--d", "100000039"], None,
+     "the fundamental unit of Z[sqrt 100000039] has more than 4300 digits"),
+    (["fan", "build", "--B", "[[2,1],[1,2]]", "--metric",
+      json.dumps([[f"1/{'9' * 4300}", "0"], ["0", f"1/{'9' * 4300}"]])], None,
+     "an output integer has more than 4300 digits")],
+    ids=["split", "catalog-build", "end-to-end", "fan-build-perturbed-metric"])
+def test_cli_output_past_the_digit_limit_exits_3(argv, stdin_text, line, capsys, monkeypatch):
+    """A result with an integer of more than 4300 digits, which the integer
+    schema could not read back (and str refuses on Python 3.11), exits 3
+    with one contract error line and no output: before, a traceback.  The
+    fan's metric has a zero Selling parameter, and its perturbed entries
+    have denominators past 10^4300."""
+    code, out, err = run_cli(argv, stdin_text, capsys, monkeypatch)
+    assert (code, out, err) == (3, "", f"contract error: {line}\n")
+
+
+def test_cli_pell_unit_past_the_digit_limit_ends_in_seconds(capsys, monkeypatch):
+    """The fundamental unit of Z[sqrt 99999999977] has more than 4300 digits:
+    the Pell loop stops at the first convergent past 10^4300, within a 5 s
+    budget (the loop takes about 0.015 s on a 2-core x86-64 VM), where it ran
+    on to the end of the continued-fraction period, past 20 s."""
+    def expire(signum, frame):
+        raise TimeoutError("catalog build ran past 5 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, out, err = run_cli(["catalog", "build", "--case", "2.2", "--d", "99999999977"],
+                                 None, capsys, monkeypatch)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert (code, out) == (3, "")
+    assert err == ("contract error: the fundamental unit of Z[sqrt 99999999977] has more "
+                   "than 4300 digits\n")
 
 
 @pytest.mark.parametrize("value", ["2\n", "-2\n", "2\n\n", "2", "-2", 2])
