@@ -155,7 +155,7 @@ def _load_fan_file(path):
     doc = load_json(_read_file(path))
     # accept either a bare fan file or a `fan build` output wrapper
     if isinstance(doc, dict) and "result" in doc and "gamma" not in doc:
-        doc = doc["result"]
+        return fan_from_json(doc["result"], ("result",))
     return fan_from_json(doc)
 
 

@@ -538,7 +538,10 @@ def lll_reduce(rows):
 def _cleared(row):
     """A row of ints, Fractions and floats times the lcm of its
     denominators.  Each entry is read exactly through as_integer_ratio (a
-    finite float is a dyadic rational)."""
+    finite float is a dyadic rational); a row of exact ints is returned as
+    it is."""
+    if set(map(type, row)) <= {int}:
+        return row
     ratios = [x.as_integer_ratio() for x in row]
     m = lcm(*(q for _, q in ratios))
     return [p * (m // q) for p, q in ratios]

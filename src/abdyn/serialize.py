@@ -36,8 +36,8 @@ from .orbit import NumericLattice
 from .toroidal import Fan, GammaData
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_number(x):  # a bool is True or False, so "is" tests are enough
+    return isinstance(x, (int, float)) and x is not True and x is not False
 
 
 # The JSON types as the draft defines them on decoded JSON values: a bool is
@@ -45,7 +45,7 @@ def _is_number(x):
 _TYPES = {
     "null": lambda x: x is None,
     "boolean": lambda x: isinstance(x, bool),
-    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool)
+    "integer": lambda x: isinstance(x, int) and x is not True and x is not False
     or isinstance(x, float) and x.is_integer(),
     "number": _is_number,
     "string": lambda x: isinstance(x, str),
@@ -60,16 +60,19 @@ _KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
 
 
 def _compile(schema, root):
-    """A check for one schema node: check(x) is None when x is valid, else a
-    list [keyword, its schema value, the bad value, key_n, ..., key_1]: the
-    first keyword that failed and the path to the value it failed on,
-    innermost key first.  `root` is the schema resource (the innermost node
-    with an `$id`) that "#/..." `$ref`s point into; any other `$ref` names
-    another packaged schema ("matrix" from "abdyn/fan" is "abdyn/matrix")
-    and is checked by its compiled check, `_validator(name)`.  Anything
-    `_compile` does not implement (a keyword outside `_KEYWORDS`, a type
-    given as a list, an enum of arrays or objects, a `$ref` that is neither
-    a local JSON pointer nor a packaged schema) raises ValueError here."""
+    """(check, test) for one schema node, built in one walk.  test(x) is
+    True when x is valid: the keywords' tests joined by `and`, an array's
+    items tested by all(map(...)).  check(x) is None when x is valid, else
+    a list [keyword, its schema value, the bad value, key_n, ..., key_1]:
+    the first keyword whose test fails and the path to the value it failed
+    on, innermost key first, found by following the failing tests down.
+    `root` is the schema resource (the innermost node with an `$id`) that
+    "#/..." `$ref`s point into; any other `$ref` names another packaged
+    schema ("matrix" from "abdyn/fan" is "abdyn/matrix") and is checked by
+    its compiled pair, `_validator(name)`.  Anything `_compile` does not
+    implement (a keyword outside `_KEYWORDS`, a type given as a list, an
+    enum of arrays or objects, a `$ref` that is neither a local JSON pointer
+    nor a packaged schema) raises ValueError here."""
     if not isinstance(schema, dict):
         raise ValueError(f"unsupported schema {schema!r}: not an object")
     unknown = schema.keys() - _KEYWORDS
@@ -77,106 +80,87 @@ def _compile(schema, root):
         raise ValueError(f"unsupported schema keyword(s) {sorted(unknown)}")
     if "$id" in schema:
         root = schema
-    checks = []
-
+    parts = []  # (test, explain) of each keyword; explain(x) runs when test(x) fails
+    name = schema.get("type")
     if "type" in schema:
-        name = schema["type"]
         pred = _TYPES.get(name) if isinstance(name, str) else None
         if pred is None:
             raise ValueError(f"unsupported type {name!r}")
-
-        def check_type(x):
-            if not pred(x):
-                return ["type", name, x]
-        checks.append(check_type)
+        parts.append((pred, lambda x: ["type", name, x]))
+    # the test of an object, array or string keyword passes other values,
+    # unless the type is its kind: then the fast test needs no type test
+    kind = {"object": dict, "array": list, "string": str}.get(name)
+    kinds = set()  # the kinds that have a keyword here
 
     props = {k: _compile(v, root) for k, v in schema.get("properties", {}).items()}
     required = schema.get("required", ())
     extra = schema.get("additionalProperties", True)
     if props or required or extra is not True:
-        extra_check = _compile(extra, root) if isinstance(extra, dict) else None
+        extra_check, extra_test = _compile(extra, root) if isinstance(extra, dict) \
+            else (None, lambda value: extra)
+        sub_tests = {k: test for k, (_, test) in props.items()}
 
-        def check_object(x):
-            if not isinstance(x, dict):
-                return None
-            for key in required:
-                if key not in x:
-                    return ["required", key, x]
-            for key, value in x.items():
-                sub = props.get(key, extra_check)
-                if sub is not None:
-                    error = sub(value)
-                    if error is not None:
-                        error.append(key)
-                        return error
-                elif extra is False:
-                    return ["additionalProperties", key, x]
-        checks.append(check_object)
+        def explain_object(x):
+            missing = [key for key in required if key not in x]
+            if missing:
+                return ["required", missing[0], x]
+            key, value = next((k, v) for k, v in x.items()
+                              if not sub_tests.get(k, extra_test)(v))
+            sub = props[key][0] if key in props else extra_check
+            return ["additionalProperties", key, x] if sub is None else sub(value) + [key]
+        kinds.add(dict)
+        parts.append((lambda x: all(map(x.__contains__, required)) and all(
+            sub_tests.get(k, extra_test)(v) for k, v in x.items())
+            if isinstance(x, dict) else kind is not dict, explain_object))
 
-    items = _compile(schema["items"], root) if "items" in schema else None
-    lo, hi = schema.get("minItems", 0), schema.get("maxItems")
-    if items is not None or lo or hi is not None:
-        def check_array(x):
-            if not isinstance(x, list):
-                return None
-            if len(x) < lo:
-                return ["minItems", lo, x]
-            if hi is not None and len(x) > hi:
-                return ["maxItems", hi, x]
-            if items is not None:
-                for i, value in enumerate(x):
-                    error = items(value)
-                    if error is not None:
-                        error.append(i)
-                        return error
-        checks.append(check_array)
+    items, items_test = _compile(schema["items"], root) if "items" in schema else (None, None)
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+    if items or lo or hi < math.inf:
+        def explain_array(x):
+            if not lo <= len(x) <= hi:
+                return ["minItems", lo, x] if len(x) < lo else ["maxItems", hi, x]
+            i = next(i for i, value in enumerate(x) if not items_test(value))
+            return items(x[i]) + [i]
+        kinds.add(list)
+        parts.append((lambda x: lo <= len(x) <= hi and (items is None or all(map(items_test, x)))
+                      if isinstance(x, list) else kind is not list, explain_array))
 
     if "minimum" in schema:
         minimum = schema["minimum"]
-
-        def check_minimum(x):
-            if _is_number(x) and x < minimum:
-                return ["minimum", minimum, x]
-        checks.append(check_minimum)
+        parts.append((lambda x: not _is_number(x) or x >= minimum,
+                      lambda x: ["minimum", minimum, x]))
 
     if "pattern" in schema:
         pattern = schema["pattern"]
         search = re.compile(pattern).search  # so "$" also matches before a final "\n"
-
-        def check_pattern(x):
-            if isinstance(x, str) and search(x) is None:
-                return ["pattern", pattern, x]
-        checks.append(check_pattern)
+        kinds.add(str)
+        parts.append((lambda x: search(x) is not None if isinstance(x, str) else kind is not str,
+                      lambda x: ["pattern", pattern, x]))
 
     if "enum" in schema:
         values = schema["enum"]
         if any(isinstance(v, (list, dict)) for v in values):
             raise ValueError(f"unsupported enum {values!r}: arrays or objects")
-
-        def check_enum(x):  # True is not 1, but 1 is 1.0
-            if not any(x == v and isinstance(x, bool) == isinstance(v, bool)
-                       for v in values):
-                return ["enum", values, x]
-        checks.append(check_enum)
+        # True is not 1, but 1 is 1.0
+        parts.append((lambda x: any(x == v and isinstance(x, bool) == isinstance(v, bool)
+                                    for v in values), lambda x: ["enum", values, x]))
 
     if "anyOf" in schema:
         branches = [_compile(sub, root) for sub in schema["anyOf"]]
 
-        def check_any_of(x):
-            for branch in branches:
-                if branch(x) is None:
-                    return None
+        def explain_any_of(x):
             # name the one branch whose type fits x, if there is just one
-            fitting = [e for e in (branch(x) for branch in branches)
+            fitting = [e for e in (check(x) for check, _ in branches)
                        if len(e) > 3 or e[0] != "type"]
             return fitting[0] if len(fitting) == 1 else ["anyOf", None, x]
-        checks.append(check_any_of)
+        parts.append((functools.reduce(lambda a, b: lambda x: a(x) or b(x),
+                                       [test for _, test in branches]), explain_any_of))
 
     if "$ref" in schema:
         ref = schema["$ref"]
         if not ref.startswith("#"):  # another packaged schema, by its name
             try:
-                checks.append(_validator(ref))
+                ref_check, ref_test = _validator(ref)
             except OSError:  # no schema file of that name
                 raise ValueError(f"unsupported $ref {ref!r}: no packaged schema "
                                  f"of that name") from None
@@ -190,17 +174,18 @@ def _compile(schema, root):
             except (KeyError, TypeError):
                 raise ValueError(f"unsupported $ref {ref!r}: not a local JSON pointer "
                                  f"into the schema") from None
-            checks.append(_compile(target, root))
+            ref_check, ref_test = _compile(target, root)
+        parts.append((ref_test, ref_check))
 
-    if len(checks) == 1:
-        return checks[0]
-
-    def check_all(x):
-        for check in checks:
-            error = check(x)
-            if error is not None:
-                return error
-    return check_all
+    def check(x):
+        for test, explain in parts:
+            if not test(x):
+                return explain(x)
+    tests = [test for test, _ in parts]
+    if kind in kinds:  # the type's own test, the first, is part of its kind's
+        del tests[0]
+    return check, functools.reduce(lambda a, b: lambda x: a(x) and b(x),
+                                   tests or [lambda x: True])
 
 
 _MESSAGES = {
@@ -228,20 +213,23 @@ def _describe(error):
 
 @functools.cache
 def _validator(name):
-    """The compiled check of schemas/<name>.schema.json, built once per
-    process."""
+    """The compiled (check, test) of schemas/<name>.schema.json, built once
+    per process."""
     path = importlib.resources.files("abdyn") / "schemas" / f"{name}.schema.json"
     schema = json.loads(path.read_text(encoding="utf-8"))
     return _compile(schema, schema)
 
 
-def validate_schema(obj, schema_name):
+def validate_schema(obj, schema_name, path=()):
     """Validate a decoded JSON object against one of the named schemas;
-    raises SchemaError naming the JSON path of the first bad value."""
-    error = _validator(schema_name)(obj)
-    if error is not None:
+    raises SchemaError naming the JSON path of the first bad value, from
+    the root of a document in which obj sits at the keys path.  The fast
+    test runs first, and the check that explains a fault only when it
+    fails."""
+    check, test = _validator(schema_name)
+    if not test(obj):
         raise SchemaError(f"payload does not match schema "
-                          f"'{schema_name}': {_describe(error)}")
+                          f"'{schema_name}': {_describe(check(obj) + list(reversed(path)))}")
 
 
 def int_to_json(x):
@@ -329,7 +317,16 @@ def _metric(obj, r_prime):
     of its own or as the metric of a fan file), which must be r' x r'."""
     if len(obj) != r_prime or any(len(row) != r_prime for row in obj):
         raise SchemaError(f"metric must be an r' x r' = {r_prime} x {r_prime} array of rows")
-    return tuple(tuple(map(Fraction, row)) for row in obj)
+    return tuple(tuple(map(_rational, row)) for row in obj)
+
+
+def _rational(x):
+    """The Fraction of a metric entry: a number, or a "p/q" or "p" string,
+    which is split here (Fraction's own parser takes twice as long)."""
+    if isinstance(x, str):
+        p, _, q = x.partition("/")
+        return Fraction(int(p), int(q or 1))
+    return Fraction(x)
 
 
 def fan_to_json(fan):
@@ -358,20 +355,25 @@ def fan_to_json(fan):
     }
 
 
-def fan_from_json(obj):
-    validate_schema(obj, "fan")
+def fan_from_json(obj, path=()):
+    """The Fan of a fan file (the `fan` schema); path is where obj sits in
+    its file, for a schema error's JSON path.  After the schema, each part
+    is converted and checked in one pass, so the first fault is reported:
+    ragged Bprime rows, the GammaData checks, the ray lengths, then cone by
+    cone in file order an index out of range or two equal generators, and
+    last the metric's shape."""
+    validate_schema(obj, "fan", path)
     g = obj["gamma"]
     gamma = GammaData(g_prime=int(g["g_prime"]), r_prime=int(g["r_prime"]),
                       Bprime=_matrix(g["Bprime"]))
     rays = [tuple(map(int, ray)) for ray in obj["rays"]]
-    if any(len(ray) != gamma.g + 1 for ray in rays):
+    if any(map((gamma.g + 1).__ne__, map(len, rays))):
         raise SchemaError(f"every ray must have g' + r' + 1 = {gamma.g + 1} coordinates")
-    cones = []
+    cones, ray = [], rays.__getitem__
     for idxs in obj["cones"]:
-        idxs = [int(i) for i in idxs]  # the schema's integers admit 1.0
-        if any(not 0 <= i < len(rays) for i in idxs):
+        if idxs and (min(idxs) < 0 or max(idxs) >= len(rays)):
             raise SchemaError("cone refers to a missing ray index")
-        gens = tuple(sorted(rays[i] for i in idxs))
+        gens = tuple(sorted(map(ray, map(int, idxs))))  # the schema's integers admit 1.0
         if len(set(gens)) != len(gens):
             raise ContractError("duplicate cone generators")
         cones.append(gens)
@@ -429,10 +431,13 @@ def _finite_float(token):
     return x
 
 
+_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
+
+
 def load_json(text):
     """The JSON value of text, in which every number is finite."""
-    try:
-        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    try:  # json.loads would build a decoder per call; it refuses a leading BOM
+        return json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
     except SchemaError:
         raise
     except (ValueError, RecursionError) as exc:  # also an integer past int's digit limit
@@ -478,11 +483,10 @@ def _key_text(key):
 
 def _write(obj, indent, out):
     """Append the pieces of the JSON text of obj to out; indent is the
-    newline and spaces that start a line at obj's depth."""
-    text = _scalar_text(obj)
-    if text is not None:
-        out.append(text)
-    elif isinstance(obj, (list, tuple)):
+    newline and spaces that start a line at obj's depth.  An item of a
+    container that is exactly a str, an int or a finite float is written in
+    the loop, with no call; any other scalar goes through _scalar_text."""
+    if isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
@@ -491,7 +495,13 @@ def _write(obj, indent, out):
         for item in obj:
             out.append(sep)
             sep = "," + inner
-            _write(item, inner, out)
+            kind = type(item)
+            if kind is str:
+                out.append(_encode_str(item))
+            elif kind is int or kind is float and item - item == 0:
+                out.append(kind.__repr__(item))
+            else:
+                _write(item, inner, out)
         out.append(indent + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -499,13 +509,22 @@ def _write(obj, indent, out):
             return
         inner = indent + "  "
         sep = "{" + inner
-        for key, value in sorted(obj.items()):
+        for key, item in sorted(obj.items()):
             out.append(sep + _key_text(key) + ": ")
             sep = "," + inner
-            _write(value, inner, out)
+            kind = type(item)
+            if kind is str:
+                out.append(_encode_str(item))
+            elif kind is int or kind is float and item - item == 0:
+                out.append(kind.__repr__(item))
+            else:
+                _write(item, inner, out)
         out.append(indent + "}")
     else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        text = _scalar_text(obj)
+        if text is None:
+            raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        out.append(text)
 
 
 def dump_json(obj):

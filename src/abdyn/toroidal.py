@@ -278,13 +278,13 @@ def _obtuse_superbase(Q):
     step = 2 if rp == 2 else 1
     pairs = list(itertools.combinations(range(rp + 1), 2))
     for _ in range(MAX_SELLING_STEPS + 1):
-        Qv = [[sum(q * x for q, x in zip(row, v)) for row in DQ] for v in vs]
-        p = {(i, j): sum(x * y for x, y in zip(Qv[i], vs[j])) for i, j in pairs}
-        i, j = next((ij for ij in pairs if p[ij] > 0), (None, None))
-        if i is None:
-            if 0 in p.values():
+        Qv = [[sum(map(mul, row, v)) for row in DQ] for v in vs]
+        p = [sum(map(mul, Qv[i], vs[j])) for i, j in pairs]  # -(Selling parameters)
+        if max(p) <= 0:
+            if 0 in p:
                 raise _DegenerateMetric("zero Selling parameter: cospherical configuration")
             return vs
+        i, j = pairs[next(k for k, x in enumerate(p) if x > 0)]
         vi = vs[i]
         vs = [tuple(-x for x in vi) if k == i else v if k == j
               else tuple(x + step * y for x, y in zip(v, vi)) for k, v in enumerate(vs)]
@@ -293,16 +293,19 @@ def _obtuse_superbase(Q):
 
 def _coset_representatives(gamma):
     """The det B' points of Z^{r'} in the fundamental cell, one per class of
-    Z^{r'} / B' Z^{r'}: the closure of 0 under b -> b + e_i mod B'."""
-    reps = [(0,) * gamma.r_prime]
-    seen = set(reps)
-    for b in reps:
-        for i in range(gamma.r_prime):
-            c, _ = _reduce_mod_period(b[:i] + (b[i] + 1,) + b[i + 1:], gamma)
-            if c not in seen:
-                seen.add(c)
-                reps.append(c)
-    return reps
+    Z^{r'} / B' Z^{r'}: the closure of 0 under b -> b + e_i mod B'.  It is
+    walked on y = adj(B') b, which the step takes to (y + adj(B') e_i) mod
+    det B', and b = B' y / det B'."""
+    det = gamma.det
+    ys = [(0,) * gamma.r_prime]
+    seen = set(ys)
+    for y in ys:
+        for column in gamma.adj:  # adj(B') is symmetric
+            z = tuple(map(det.__rmod__, map(add, y, column)))
+            if z not in seen:
+                seen.add(z)
+                ys.append(z)
+    return [tuple(sum(map(mul, row, y)) // det for row in gamma.rows) for y in ys]
 
 
 def _delaunay_faces(gamma, Q):
@@ -329,11 +332,11 @@ def _delaunay_faces(gamma, Q):
             tail = [tuple(map(sub, p, head)) for p in pts[i + 1:]]
             templates.update((origin,) + face for size in range(len(tail) + 1)
                              for face in itertools.combinations(tail, size))
-    vertices = {p for face in templates for p in face}
+    vertices = set().union(*templates)
     faces = {()}
     for c in _coset_representatives(gamma):
         gens = {p: zero + tuple(map(add, p, c)) + (1,) for p in vertices}
-        faces.update(tuple(map(gens.__getitem__, face)) for face in templates)
+        faces.update(map(tuple, map(map, itertools.repeat(gens.__getitem__), templates)))
     return faces
 
 

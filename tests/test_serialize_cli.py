@@ -230,6 +230,10 @@ def _mutate(doc, data):
 
 
 def _accepts(doc, name):
+    """validate_schema's verdict on doc, once the schema's fast test and its
+    explaining check are seen to agree on it."""
+    check, test = serialize._validator(name)
+    assert test(doc) == (check(doc) is None), doc
     try:
         serialize.validate_schema(doc, name)
     except SchemaError:
@@ -260,16 +264,19 @@ def test_compiled_schemas_agree_with_jsonschema_on_edge_atoms(name, schema_seeds
 
 @pytest.mark.parametrize("schema", [
     {"enum": [1, 0, "I"]}, {"minimum": 1}, {"anyOf": [{"minimum": 0}, {"pattern": "^a$"}]},
-    {"type": "object", "additionalProperties": {"minimum": 1}, "required": ["x"]}],
-    ids=["enum", "minimum", "anyOf", "additionalProperties"])
+    {"type": "object", "additionalProperties": {"minimum": 1}, "required": ["x"]},
+    {"title": "no keyword that checks"}, {"type": "array", "maxItems": 0}],
+    ids=["enum", "minimum", "anyOf", "additionalProperties", "no-check", "maxItems"])
 def test_compiled_keywords_agree_with_jsonschema_beyond_packaged_use(schema):
     """Keyword semantics the packaged schemas do not exercise on their own:
     an enum that holds 1 and 0 (True and False are not in it, 1.0 is), a
-    minimum with no type beside it (bools and strings skip it)."""
-    check = serialize._compile(schema, schema)
+    minimum with no type beside it (bools and strings skip it), a node that
+    admits every value, falsy ones included, and maxItems.  The fast test
+    and the explaining check agree with jsonschema on each."""
+    check, test = serialize._compile(schema, schema)
     reference = validator_for(schema)(schema)
     for atom in EDGE_ATOMS + [{"x": atom} for atom in EDGE_ATOMS]:
-        assert (check(atom) is None) == reference.is_valid(atom), atom
+        assert test(atom) == (check(atom) is None) == reference.is_valid(atom), atom
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMA_NAMES))
@@ -811,9 +818,9 @@ def test_cli_checks_each_json_input_once_by_name(argv, stdin_text, names, tmp_pa
     fan_file.write_text(json.dumps(_cli_result(["fan", "build", "--B", "[[1,0],[0,0]]"])))
     calls = []
 
-    def spy(obj, name, check=serialize.validate_schema):
+    def spy(obj, name, *path, check=serialize.validate_schema):
         calls.append(name)
-        return check(obj, name)
+        return check(obj, name, *path)
 
     monkeypatch.setattr(serialize, "validate_schema", spy)
     argv = [str(fan_file) if a == "{fan}" else a for a in argv]
@@ -832,6 +839,17 @@ def test_load_json_refuses_non_finite_numbers(text):
     with pytest.raises(SchemaError, match=f"^non-finite number {token}$"):
         serialize.load_json(text)
     assert serialize.load_json("[1.7976931348623157e308]") == [1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("text", ["\ufeff[1]", "\ufeff", "\ufeff {}"])
+def test_load_json_refuses_a_leading_bom_as_json_loads_does(text):
+    """load_json decodes with one decoder built at import, which would read
+    past a leading byte order mark; the refusal keeps json.loads's text."""
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(SchemaError) as got:
+        serialize.load_json(text)
+    assert str(got.value) == f"malformed JSON: {want.value}"
 
 
 def test_cli_deeply_nested_json_exit_2(capsys, monkeypatch):
@@ -990,6 +1008,141 @@ def test_cli_fan_schema_error_names_path(edit, command, tmp_path, capsys, monkey
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert line.startswith("schema error: payload does not match schema 'fan': " + where)
+
+
+def _fan_argv(command, path, nphi="[1]"):
+    return ["fan", command, str(path)] if command == "validate" \
+        else ["fan", "extends", "--nphi", nphi, str(path)]
+
+
+@pytest.mark.parametrize("command", ["validate", "extends"])
+@pytest.mark.parametrize("wrapped", [True, False], ids=["fan-build-output", "bare"])
+def test_cli_fan_schema_error_path_starts_at_the_file_root(wrapped, command, tmp_path,
+                                                            capsys, monkeypatch):
+    """The JSON path of a schema error in a fan file starts at the root of
+    the file: under `result` in a `fan build` output, which the README's fan
+    section writes with --out, and at the top of a bare fan."""
+    build = _cli_result(["fan", "build", "--B", "[[2, 1], [1, 2]]"])
+    build["rays"][1][0] = "1/2"
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps({"command": "fan build", "result": build} if wrapped
+                                   else build))
+    code, out, err = run_cli(_fan_argv(command, fan_file, "[1, 1]"), None, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    where = "$.result.rays[1][0]" if wrapped else "$.rays[1][0]"
+    assert err == (f"schema error: payload does not match schema 'fan': {where}: "
+                   "'1/2' does not match '^-?[0-9]{1,4300}$(?!\\\\n)'\n")
+
+
+def _fault(field, line, edit):
+    return field, line, edit
+
+
+# The faults of a fan file (B' = [[2, 1], [1, 2]], 10 cones), in the order
+# a load reports them: the schema, ragged Bprime rows, the GammaData checks
+# (shape, symmetric, positive definite), the ray lengths, the cones one by
+# one (an index out of range, two equal generators), the metric's shape.
+# field names what an edit rewrites; two edits of one field do not combine.
+FAN_FAULTS = [
+    _fault("seed", "schema error: payload does not match schema 'fan': $.seed: 'x' is not "
+           "valid under any of the given schemas", lambda f: f.update(seed="x")),
+    _fault("Bprime", "schema error: ragged matrix rows",
+           lambda f: f["gamma"].update(Bprime=[["2", "1"], ["1"]])),
+    _fault("r_prime", "contract error: Bprime must be r' x r'",
+           lambda f: f["gamma"].update(r_prime=3)),
+    _fault("Bprime", "contract error: Bprime must be symmetric",
+           lambda f: f["gamma"].update(Bprime=[["2", "0"], ["1", "2"]])),
+    _fault("Bprime", "contract error: Bprime must be positive definite",
+           lambda f: f["gamma"].update(Bprime=[["1", "2"], ["2", "1"]])),
+    _fault("rays", "schema error: every ray must have g' + r' + 1 = 3 coordinates",
+           lambda f: f["rays"][-1].append("0")),
+    _fault("cone 3", "schema error: cone refers to a missing ray index",
+           lambda f: f["cones"].__setitem__(3, [0, 999])),
+    _fault("cone 4", "contract error: duplicate cone generators",
+           lambda f: f["cones"].__setitem__(4, [1, 1])),
+    _fault("cone 5", "schema error: cone refers to a missing ray index",
+           lambda f: f["cones"].__setitem__(5, [-1])),
+    _fault("metric", "schema error: metric must be an r' x r' = 2 x 2 array of rows",
+           lambda f: f.update(metric=[["1"]])),
+]
+
+
+@pytest.mark.parametrize("first, second", [
+    (i, j) for i in range(len(FAN_FAULTS)) for j in range(i + 1, len(FAN_FAULTS))
+    if FAN_FAULTS[i][0] != FAN_FAULTS[j][0]])
+def test_fan_file_with_two_faults_reports_the_first_in_load_order(first, second, tmp_path,
+                                                                 capsys, monkeypatch):
+    """A fan file with two faults is refused for the one the load meets
+    first, in the order of FAN_FAULTS, whichever of the two was made first."""
+    for order in ((first, second), (second, first)):
+        fan = _cli_result(["fan", "build", "--B", "[[2, 1], [1, 2]]"])
+        for k in order:
+            FAN_FAULTS[k][2](fan)
+        fan_file = tmp_path / "fan.json"
+        fan_file.write_text(json.dumps(fan))
+        for command in ("validate", "extends"):
+            code, out, err = run_cli(_fan_argv(command, fan_file, "[0, 1]"), None, capsys,
+                                     monkeypatch)
+            assert out == "" and err == FAN_FAULTS[first][1] + "\n", (order, command)
+            assert code == (2 if err.startswith("schema error") else 3)
+
+
+@pytest.fixture(scope="module")
+def corpus_fan_files():
+    """The `fan build` outputs of the benchmark's fan corpus B (perfbench/
+    corpus.py FAN_BS), under the standard metric and, for r' <= 2, a random
+    one."""
+    bs = ([[[n]] for n in range(1, 7)]
+          + [[[2, 1], [1, 3]], [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[2, 1, 0], [1, 2, 0], [0, 0, 0]],
+             [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    docs = []
+    for B in bs:
+        for metric in ["standard"] + (["random"] if len(B) < 3 or B[2][2] == 0 else []):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["fan", "build", "--B", json.dumps(B), "--metric", metric,
+                             "--seed", "3"]) == 0
+            docs.append(json.loads(out.getvalue()))
+    return docs
+
+
+def test_cli_fan_schema_errors_follow_the_explaining_check(corpus_fan_files, tmp_path, capsys,
+                                                           monkeypatch):
+    """Seeded edits of the corpus fan files, each of which breaks the `fan`
+    schema (jsonschema is the judge): `fan validate` and `fan extends` on
+    the file, as `fan build` wrote it and bare, exit 2 with the one line
+    that the schema's explaining check gives, its path from the file's
+    root.  The fast test fails on each edit, and the explaining check
+    finds the fault."""
+    rng = random.Random(25)
+    check, test = serialize._validator("fan")
+    seen = 0
+    while seen < 120:
+        wrapper = copy.deepcopy(rng.choice(corpus_fan_files))
+        fan = wrapper["result"]
+        nodes = [path for path, _ in _nodes(fan) if path]
+        path = rng.choice(nodes)
+        parent = functools.reduce(lambda value, key: value[key], path[:-1], fan)
+        if rng.random() < 0.2:
+            del parent[path[-1]]
+        elif rng.random() < 0.1 and isinstance(parent, dict):
+            parent["extra"] = 0
+        else:
+            parent[path[-1]] = copy.deepcopy(rng.choice(EDGE_ATOMS))
+        if _reference_validator("fan").is_valid(fan):
+            continue
+        seen += 1
+        assert not test(fan)
+        error = check(fan)
+        for doc, keys in ((wrapper, ["result"]), (fan, [])):
+            fan_file = tmp_path / "fan.json"
+            fan_file.write_text(json.dumps(doc))
+            line = ("schema error: payload does not match schema 'fan': "
+                    + serialize._describe(error + keys))
+            for command in ("validate", "extends"):
+                code, out, err = run_cli(_fan_argv(command, fan_file), None, capsys,
+                                         monkeypatch)
+                assert (code, out, err) == (2, "", line + "\n"), (path, doc)
 
 
 def test_cli_catalog_and_end_to_end(capsys, monkeypatch):
@@ -2136,8 +2289,25 @@ def _dicts(children):
         st.dictionaries(json_keys | st.none(), children, max_size=3))
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# Items that dump_json writes in its loops (an exact str, int or finite
+# float) beside the look-alikes it does not: bools, 1.0 for 1, non-finite
+# floats, subclasses, and empty or tuple containers.
+INLINE_EDGES = (True, 1, 1.0, False, 0, -0.0, math.nan, math.inf, -math.inf, _Int(1),
+                _Float(1.0), _Float(math.inf), _Str("s"), [], (), {}, [()], ((),), {"k": ()})
 json_trees = st.recursive(
-    json_scalars,
+    json_scalars | st.sampled_from(INLINE_EDGES),
     lambda children: st.one_of(st.lists(children, max_size=5),
                                st.lists(children, max_size=5).map(tuple),
                                _dicts(children)),
@@ -2149,8 +2319,10 @@ json_trees = st.recursive(
 def test_dump_json_matches_json_dumps(tree):
     """The bytes of json.dumps(indent=2, sort_keys=True) plus a newline, on
     trees with escapes, control characters, non-ASCII text, huge ints, the
-    float edges, tuples and non-str keys; where json refuses the tree (keys
-    that do not sort), dump_json refuses it too."""
+    float edges, tuples and non-str keys, and lists and dict values that mix
+    True, 1 and 1.0, NaN and +-inf, subclasses of str, int and float, and
+    empty and tuple containers; where json refuses the tree (keys that do
+    not sort), dump_json refuses it too."""
     want = _json_text(_json_dumps, tree)
     event("refused" if want is TypeError else "written")
     assert _json_text(serialize.dump_json, tree) == want

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
-from abdyn.exactalg import IntMatrix
+from abdyn.exactalg import IntMatrix, is_positive_definite
 from abdyn.toroidal import (Fan, GammaData, _coset_representatives, _DegenerateMetric,
-                            _delaunay_faces, _reduce_mod_period,
+                            _delaunay_faces, _obtuse_superbase, _reduce_mod_period,
                             central_fiber_combinatorics, delaunay_fan,
                             monodromy_to_B, nakamura_data, section_extends,
                             translation_regularizable, validate_fan)
@@ -25,8 +25,8 @@ from abdyn.toroidal import (Fan, GammaData, _coset_representatives, _DegenerateM
 from util import (brute_force_delaunay_cells, canonical_cone, fraction_rref, gamma_act,
                   gamma_shift, random_unimodular, reference_delaunay_cells,
                   reference_canonical_cone, reference_face_set, reference_fan_report,
-                  reference_nakamura_data, reference_section_extends,
-                  reference_validate_fan, translate_cone)
+                  reference_nakamura_data, reference_obtuse_superbase,
+                  reference_section_extends, reference_validate_fan, translate_cone)
 
 
 def tate_monodromy(n):
@@ -292,6 +292,34 @@ def _generic_metric(n, rng):
          for _ in range(n)]
     return [[sum(A[k][i] * A[k][j] for k in range(n)) + int(i == j)
              for j in range(n)] for i in range(n)]
+
+
+def test_obtuse_superbase_matches_the_fraction_reference():
+    """The Selling reduction in scaled integers returns the superbase of
+    the reduction in Fractions, which takes the first pair with a positive
+    parameter at each step, or refuses a cospherical metric as it does: on
+    400 seeded positive definite metrics of r' = 1..3, in ints and in
+    Fractions, skewed ones and cospherical ones among them."""
+    rng = random.Random("superbase")
+    outcomes = set()
+    while len(outcomes) < 400:
+        n = rng.randint(1, 3)
+        A = [[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 7])) for _ in range(n)]
+             for _ in range(n)]
+        Q = [[sum(A[k][i] * A[k][j] for k in range(n)) + rng.randint(0, 2) * int(i == j)
+              for j in range(n)] for i in range(n)]
+        if rng.random() < 0.3:
+            Q = [[int(x) for x in row] for row in Q]
+        if not is_positive_definite(Q):
+            continue
+        results = []
+        for reduce in (_obtuse_superbase, reference_obtuse_superbase):
+            try:
+                results.append(reduce(Q))
+            except _DegenerateMetric as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], Q
+        outcomes.add(repr(Q))
 
 
 @pytest.mark.parametrize("Bprime", [[[2, 1], [1, 3]], [[1, 0], [0, 1]], [[2, 1], [1, 2]],
@@ -597,23 +625,21 @@ def test_face_set_matches_reference(case):
 def test_valid_fan_is_certified_by_its_face_set(g_prime, Bprime, monkeypatch):
     """On a valid fan, validate_fan and section_extends compare the stored
     generator tuples with the face set as they are: they canonicalize no
-    cone, compute no minor gcd, and reduce b mod B' only to enumerate the
-    coset representatives."""
+    cone, compute no minor gcd, and reduce no b mod B', as the coset
+    representatives, one enumeration per certificate, are walked on
+    adj(B') b mod det B'."""
     from abdyn import toroidal
     from abdyn.cli import _random_metric
     gd = GammaData(g_prime=g_prime, r_prime=len(Bprime), Bprime=IntMatrix.from_rows(Bprime))
-    inside, calls = [], []
+    enumerations, calls = [], []
 
     def counting(b, gamma):
-        calls.append(bool(inside))
+        calls.append(b)
         return _reduce_mod_period(b, gamma)
 
     def representatives(gamma):
-        inside.append(gamma)
-        try:
-            return _coset_representatives(gamma)
-        finally:
-            inside.pop()
+        enumerations.append(gamma)
+        return _coset_representatives(gamma)
 
     def refused(name):
         def call(*args):
@@ -628,9 +654,10 @@ def test_valid_fan_is_certified_by_its_face_set(g_prime, Bprime, monkeypatch):
             patch.setattr(toroidal, "_canonical_gens", refused("_canonical_gens"))
             patch.setattr(toroidal, "minor_gcd", refused("minor_gcd"))
             calls.clear()
+            enumerations.clear()
             assert validate_fan(fan) == toroidal.FanReport((), ())
             assert section_extends((0,) * gd.g, fan)
-        assert calls and all(calls), calls
+        assert enumerations == [gd, gd] and not calls, calls
 
 
 def _unimodular_upper(n, entries):
