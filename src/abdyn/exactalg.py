@@ -10,17 +10,17 @@ numpy when it finds roots.
 
 Two exact kernels carry the linear algebra.  Ranks, determinants, the
 cleared linear solve (_solve_cleared: orbit's float systems, and the
-adjugate of B' in toroidal.GammaData) and the maximal minors of minor_gcd
-all run one fraction-free Gauss-Jordan elimination, _bareiss (Bareiss
-1968), on denominator-cleared integer row lists; is_positive_definite
-runs the same recurrence once with no row exchanges, so its pivots are
-the leading principal minors.  Integral
-lattice questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7):
-kernel lattices, unimodular completions (kernel_completion) and the gcd of
-maximal minors when the reduced entries have a common factor.  Dense
-products (matrix products and powers, Horner evaluation at a matrix,
-matrix-vector products and the Berkowitz steps) all run one inner-product
-kernel, _mat_mul, on plain rows and columns.
+adjugate of B' in toroidal.GammaData), the maximal minors of minor_gcd and
+the echelon rows of kernel_completion all run one fraction-free
+Gauss-Jordan elimination, _bareiss (Bareiss 1968), on denominator-cleared
+integer row lists; is_positive_definite runs the same recurrence once with
+no row exchanges, so its pivots are the leading principal minors.  Lattice
+questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7): kernel
+lattices and unimodular completions (kernel_completion, on K's echelon
+rows), and the gcd of maximal minors when the reduced entries have a
+common factor.  Dense products (matrix products and powers, Horner
+evaluation at a matrix, matrix-vector products and the Berkowitz steps)
+all run one inner-product kernel, _mat_mul, on plain rows and columns.
 """
 
 from __future__ import annotations
@@ -355,9 +355,6 @@ class IntMatrix:
         i, j = ij
         return self.entries[i * self.cols + j]
 
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
     def _rows(self):
         c = self.cols
         return [self.entries[i * c:(i + 1) * c] for i in range(self.rows)]
@@ -366,7 +363,7 @@ class IntMatrix:
         return [self.entries[j::self.cols] for j in range(self.cols)]
 
     def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+        return list(map(list, self._rows()))
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -637,26 +634,29 @@ def kernel_completion(K):
     matrix, as a list of rows, whose first k = n - rank K rows span the
     kernel lattice Z^n intersect ker K.
 
-    LLL reduction of the rows [c K^T | I] gives rows [c T K^T | T] with T
-    unimodular (Havas, Majewski & Matthews, Exp. Math. 7, 1998; Cohen, A
-    Course in Computational Algebraic Number Theory, 2.7).  The rows with a
-    zero left block must number n - rank K (rank from _bareiss); c is
-    squared until they do.  Being rows of a unimodular matrix, they span a
-    saturated lattice, so all of Z^n intersect ker K.  The other rows
-    follow in their reduced order."""
+    One _bareiss pass gives rank K and the echelon rows E: its rank K
+    nonzero rows over their contents, with K's row space over Q.  LLL
+    reduction of the rows [c E^T | I], of length rank K + n, gives rows
+    [c T E^T | T] with T unimodular (Havas, Majewski & Matthews, Exp. Math.
+    7, 1998; Cohen, A Course in Computational Algebraic Number Theory, 2.7).
+    The rows with a zero left block come first; c is squared until there
+    are k.  As rows of a unimodular T they span a saturated lattice: all of
+    Z^n intersect ker E = Z^n intersect ker K.  The others keep LLL order."""
     n = K.cols
-    k = n - K.rank()
+    a = K._rows()
+    r = len(_bareiss(a, n)[0])
+    k = n - r
     T = IntMatrix.identity(n).to_rows()
     if k in (0, n):
         return T, k
-    m = K.rows
-    cols = K._columns()
+    E = [[x // g for x in row] for row in a[:r] for g in [gcd(*row)]]
+    cols = list(zip(*E))
     c = KERNEL_SCALE
     while True:
         reduced = lll_reduce([[c * x for x in col] + e for col, e in zip(cols, T)])
-        kernel = [r[m:] for r in reduced if not any(r[:m])]
+        kernel = [v[r:] for v in reduced if not any(v[:r])]
         if len(kernel) == k:
-            return kernel + [r[m:] for r in reduced if any(r[:m])], k
+            return kernel + [v[r:] for v in reduced if any(v[:r])], k
         c *= c
 
 

@@ -10,9 +10,13 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.matrices import normalforms
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from abdyn import exactalg
 from abdyn.errors import ContractError, DimensionError
 from abdyn.criteria import decide_regularizable
 from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, char_poly_split,
@@ -24,8 +28,9 @@ from abdyn.serialize import family_descriptor_from_json
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
 from util import (check_saturated, count_spectrum_runs, kronecker_is_roots_of_unity, mat_vec,
-                  numpy_roots_moduli, quasi_unipotent_order, reference_cyclotomic_split,
-                  solve, to_numpy, unipotent_index)
+                  numpy_roots_moduli, quasi_unipotent_order, random_unimodular,
+                  reference_cyclotomic_split, reference_kernel_completion, solve, to_numpy,
+                  unipotent_index)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -332,6 +337,68 @@ def test_kernel_lattice_matches_sympy():
         assert k == len(lat) and tuple(map(tuple, T[:k])) == lat
         assert abs(sympy.Matrix(T).det()) == 1
     assert nullities == {(True, False), (False, False), (False, True)}
+
+
+def _zz(rows):
+    """The integer rows as a sympy DomainMatrix over ZZ."""
+    return DomainMatrix([[ZZ(x) for x in row] for row in rows], (len(rows), len(rows[0])), ZZ)
+
+
+def test_kernel_completion_at_n_20_to_40_matches_the_full_input_construction():
+    """The invariant lattices of split at n = 20-40: L0 = Z^n intersect
+    ker P(u) and L1 = Z^n intersect ker Q(u), for u a product of 3n random
+    elementary matrices.  For K = P(u) and Q(u), the kernel rows L of
+    kernel_completion(K) satisfy K L^T = 0, have the factor's degree as
+    rank, come from a T with |det T| = 1, and span the lattice that LLL of
+    [c K^T | I] on K itself gives (equal sympy HNF).  sympy's DomainMatrix
+    keeps this to a few seconds, where sympy.Matrix takes minutes at n = 40."""
+    for n, seed in ((20, 1), (30, 2), (30, 5), (40, 3), (40, 4)):
+        u = random_unimodular(n, random.Random(seed), 10 ** 9, 3 * n)
+        _, P_, Q_, _ = char_poly_split(u)
+        assert P_.degree and Q_.degree
+        for factor in (P_, Q_):
+            K = factor.eval_matrix(u)
+            T, k = kernel_completion(K)
+            L = T[:k]
+            assert k == factor.degree
+            assert (_zz(K.to_rows()) * _zz(L).transpose()).is_zero_matrix
+            assert _zz(L).convert_to(QQ).rank() == factor.degree
+            assert abs(_zz(T).det()) == 1
+            T_ref, k_ref = reference_kernel_completion(K)
+            assert k_ref == k
+            assert (hermite_normal_form(_zz(L).transpose())
+                    == hermite_normal_form(_zz(T_ref[:k]).transpose()))
+
+
+def test_kernel_completion_eliminates_once(monkeypatch):
+    """One kernel_completion call runs _bareiss once, for both the rank and
+    the echelon rows, and never IntMatrix.rank; also when c is squared."""
+    bareiss_runs, lll_runs = [], []
+    bareiss, lll = exactalg._bareiss, exactalg.lll_reduce
+
+    def counting_bareiss(a, ncols):
+        bareiss_runs.append(ncols)
+        return bareiss(a, ncols)
+
+    def counting_lll(rows):
+        lll_runs.append(len(rows))
+        return lll(rows)
+
+    def no_rank(self):
+        raise AssertionError("kernel_completion called IntMatrix.rank")
+
+    monkeypatch.setattr(exactalg, "_bareiss", counting_bareiss)
+    monkeypatch.setattr(exactalg, "lll_reduce", counting_lll)
+    monkeypatch.setattr(IntMatrix, "rank", no_rank)
+    rng = random.Random(47)
+    for K in ([[0, 0], [0, 0]], [[1, 2], [3, 4]], [[1, 2, 3]], [[2, 4, 6], [1, 2, 3]],
+              *(_low_rank(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(30)),
+              [[1, 1 << 40]]):  # kernel row (1 << 40, -1): c = 2^16 finds no kernel row
+        bareiss_runs.clear()
+        lll_runs.clear()
+        kernel_completion(IntMatrix.from_rows(K))
+        assert bareiss_runs == [len(K[0])], K
+    assert len(lll_runs) == 2  # c = 2^16, then 2^32 finds it
 
 
 def test_minor_gcd_matches_sympy_invariant_factors():

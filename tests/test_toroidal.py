@@ -13,20 +13,22 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from abdyn import toroidal
 from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix, is_positive_definite
 from abdyn.toroidal import (Fan, GammaData, _coset_representatives, _DegenerateMetric,
                             _delaunay_faces, _obtuse_superbase, _reduce_mod_period,
                             central_fiber_combinatorics, delaunay_fan,
-                            monodromy_to_B, nakamura_data, section_extends,
+                            monodromy_to_B, nakamura_data, period_data, section_extends,
                             translation_regularizable, validate_fan)
 
 from util import (brute_force_delaunay_cells, canonical_cone, fraction_rref, gamma_act,
                   gamma_shift, random_unimodular, reference_delaunay_cells,
                   reference_canonical_cone, reference_face_set, reference_fan_report,
-                  reference_nakamura_data, reference_obtuse_superbase,
-                  reference_section_extends, reference_validate_fan, translate_cone)
+                  reference_kernel_completion, reference_nakamura_data,
+                  reference_obtuse_superbase, reference_section_extends,
+                  reference_validate_fan, translate_cone)
 
 
 def tate_monodromy(n):
@@ -825,6 +827,35 @@ def test_nakamura_data_matches_reference_on_psd_B():
         assert (got.g_prime, got.r_prime, got.Bprime) == (ref.g_prime, ref.r_prime, ref.Bprime)
         assert (got.rows, got.det, got.adj) == (ref.rows, ref.det, ref.adj)
         assert got.r_prime == gamma.r_prime and got.det == gamma.det
+
+
+def test_period_data_keeps_Bprime_unless_W_is_the_completion(monkeypatch):
+    """period_data on B = L L^T (g <= 5) against itself on the kernel
+    completion of [c B^T | I] (reference_kernel_completion): r' and det B'
+    always agree, and so does B' itself unless W is the completion T, which
+    happens when the unit vectors off the kernel rows' pivots do not complete
+    them (that det is a property of the kernel lattice, so both sides take
+    the same branch).  Only there can the reduced completion rows differ."""
+    rng = random.Random(56)
+    branches = set()
+    for _ in range(300):
+        g = rng.randint(1, 5)
+        L = [[rng.randint(-3, 3) for _ in range(rng.randint(1, g))] for _ in range(g)]
+        B = IntMatrix.from_rows([[sum(map(math.prod, zip(x, y))) for y in L] for x in L])
+        if not any(B.entries):
+            continue
+        W, Bp, rp = period_data(B)
+        with monkeypatch.context() as m:
+            m.setattr(toroidal, "kernel_completion", reference_kernel_completion)
+            _, ref_Bp, ref_rp = period_data(B)
+        k = g - rp
+        pivots = [next(j for j, x in enumerate(row) if x) for row in fraction_rref(W.to_rows()[:k])]
+        units = [[int(i == j) for i in range(g)] for j in range(g) if j not in pivots]
+        completion = abs(IntMatrix.from_rows(W.to_rows()[:k] + units).det()) != 1
+        branches.add(completion)
+        assert (rp, Bp.det()) == (ref_rp, ref_Bp.det()), B
+        assert completion or Bp == ref_Bp, B
+    assert branches == {False, True}
 
 
 # --- fan certification builds no IntMatrix per cone -----------------------------

@@ -19,7 +19,8 @@ on it (solve, restricted_char_poly, mat_vec); the conjugated block sums
 of the split tests (block_sum, BLOCK_SUM_DRAWS); the cyclotomic split by
 plain trial division (reference_cyclotomic_split) and the root moduli from
 numpy.roots (numpy_roots_moduli); the counts of the spectrum computations
-(count_spectrum_runs)."""
+(count_spectrum_runs); the kernel completion by LLL of [c K^T | I] on K
+itself (reference_kernel_completion)."""
 
 import functools
 import itertools
@@ -666,6 +667,27 @@ def canonical_cone(cone, gamma):
     """Canonical representative under Gamma of a cone, a generator tuple in
     any order (toroidal._canonical_gens on its sorted generators)."""
     return _canonical_gens(tuple(sorted(cone)), gamma)
+
+
+def reference_kernel_completion(K):
+    """(T, k) as exactalg.kernel_completion defines them, built on K itself
+    in place of its echelon rows: rank K from IntMatrix.rank, and LLL of the
+    rows [c K^T | I], of length m + n.  The kernel lattice is the same; its
+    reduced basis, and the rows after it, can differ."""
+    n = K.cols
+    k = n - K.rank()
+    T = IntMatrix.identity(n).to_rows()
+    if k in (0, n):
+        return T, k
+    m = K.rows
+    cols = K._columns()
+    c = exactalg.KERNEL_SCALE
+    while True:
+        reduced = lll_reduce([[c * x for x in col] + e for col, e in zip(cols, T)])
+        kernel = [r[m:] for r in reduced if not any(r[:m])]
+        if len(kernel) == k:
+            return kernel + [r[m:] for r in reduced if any(r[:m])], k
+        c *= c
 
 
 def check_saturated(lat):
