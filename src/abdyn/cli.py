@@ -152,16 +152,19 @@ def cmd_fan_build(args):
 
 
 def _load_fan_file(path):
+    """(fan, faces) of a fan file, bare or a `fan build` output: the
+    certified fan of the fast test (serialize.built_fan), or fan_from_json's;
+    faces is the fast test's face set (or the reason there is none)."""
     doc = load_json(_read_file(path))
-    # accept either a bare fan file or a `fan build` output wrapper
-    if isinstance(doc, dict) and "result" in doc and "gamma" not in doc:
-        return fan_from_json(doc["result"], ("result",))
-    return fan_from_json(doc)
+    keys = ("result",) if isinstance(doc, dict) and "result" in doc and "gamma" not in doc else ()
+    obj = doc["result"] if keys else doc
+    fan, faces = serialize.built_fan(obj)
+    return (fan_from_json(obj, keys) if fan is None else fan), faces
 
 
 def cmd_fan_validate(args):
-    fan = _load_fan_file(args.file)
-    report = validate_fan(fan)
+    fan, faces = _load_fan_file(args.file)
+    report = validate_fan(fan, faces)
     n_vertices, n_max_cells = central_fiber_combinatorics(fan)
     result = {"ok": report.ok,
               "violations": list(report.violations),
@@ -172,9 +175,9 @@ def cmd_fan_validate(args):
 
 
 def cmd_fan_extends(args):
-    fan = _load_fan_file(args.file)
+    fan, faces = _load_fan_file(args.file)
     n_phi = serialize.nphi_from_json(_inline_json(args.nphi))
-    extends = section_extends(n_phi, fan)
+    extends = section_extends(n_phi, fan, faces)
     res, diag = translation_regularizable(n_phi, fan.gamma)
     N, beta = res if res is not None else (None, None)
     return {"file": args.file, "n_phi": list(n_phi)}, {

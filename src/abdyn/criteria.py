@@ -31,7 +31,7 @@ from collections import namedtuple
 from .degrees import unipotent_index_of_power
 from .errors import ContractError
 from .exactalg import (IntMatrix, char_poly, char_poly_split, cyclotomic_split,
-                       kernel_lattice)
+                       image_lattice, kernel_completion)
 
 REGULARIZABLE = "Regularizable"
 NOT_REGULARIZABLE = "NotRegularizable"
@@ -177,17 +177,20 @@ def split_invariant_subfamily(u):
     char_poly(u) = P * Q into the saturated invariant lattices
     L0 = Z^n intersect ker P(u) and L1 = Z^n intersect ker Q(u); returns
     (L0 rows, L1 rows, index of L0 + L1 in Z^n), each lattice a tuple of
-    basis row tuples (kernel_lattice).  P and Q are the split kept on
-    char_poly(u) (char_poly_split).
+    basis row tuples.  P and Q are the split kept on char_poly(u)
+    (char_poly_split).
 
     P and Q are coprime, so by the primary decomposition theorem (Hoffman &
     Kunze, Linear Algebra, 2nd ed., 6.8) Q^n is the direct sum of ker P(u)
     and ker Q(u), and u has characteristic polynomial exactly P on the first
     and exactly Q on the second.  So P and Q are the char polys of u on L0
     and L1, with no solve in their bases, and rank L0 = deg P and
-    rank L1 = deg Q are checked in their place.  When one factor is 1 the
-    other is char_poly(u), which kills u (Cayley-Hamilton), so its lattice
-    is Z^n, given by the identity rows, and the other lattice is 0."""
+    rank L1 = deg Q are checked in their place.  Only the factor F of lower
+    degree is evaluated: the other, G, has ker G(u) = im F(u)
+    (image_lattice), with the basis of kernel_lattice(G, u), as
+    kernel_completion depends on its input's row space alone.  When one
+    factor is 1 the other is char_poly(u), which kills u (Cayley-Hamilton),
+    so its lattice is Z^n, given by the identity rows, and the other is 0."""
     if not u.is_square():
         raise ContractError("expected a square matrix")
     cp = char_poly(u)
@@ -198,8 +201,11 @@ def split_invariant_subfamily(u):
     if P.is_one() or Q.is_one():
         whole = tuple(map(tuple, IntMatrix.identity(n).to_rows()))
         return ((), whole, 1) if P.is_one() else (whole, (), 1)
-    L0 = kernel_lattice(P, u)
-    L1 = kernel_lattice(Q, u)
+    F = min(P, Q, key=lambda p: p.degree)
+    Fu = F.eval_matrix(u)
+    T, k = kernel_completion(Fu)
+    LF, LG = tuple(map(tuple, T[:k])), image_lattice(Fu)
+    L0, L1 = (LF, LG) if F is P else (LG, LF)
     if (len(L0), len(L1)) != (P.degree, Q.degree):
         raise AssertionError("lattice rank != factor degree")  # pragma: no cover
     stacked = IntMatrix.from_rows(L0 + L1)

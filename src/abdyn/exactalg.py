@@ -9,18 +9,21 @@ ratios.  Floating point appears only in eigenvalue_moduli, which imports
 numpy when it finds roots.
 
 Two exact kernels carry the linear algebra.  Ranks, determinants, the
-cleared linear solve (_solve_cleared: orbit's float systems, and the
-adjugate of B' in toroidal.GammaData), the maximal minors of minor_gcd and
-the echelon rows of kernel_completion all run one fraction-free
-Gauss-Jordan elimination, _bareiss (Bareiss 1968), on denominator-cleared
-integer row lists; is_positive_definite runs the same recurrence once with
-no row exchanges, so its pivots are the leading principal minors.  Lattice
+cleared linear solve (_solve_cleared, for orbit's float systems), the
+maximal minors of minor_gcd, the echelon rows of kernel_completion and the
+left null space of image_lattice all run one fraction-free Gauss-Jordan
+elimination, _bareiss (Bareiss 1968), on denominator-cleared integer row
+lists.  is_positive_definite runs the same recurrence once with no row
+exchanges, so its pivots are the leading principal minors, and
+_definite_adjugate runs it over [A | I], which gives toroidal.GammaData
+the definiteness, det B' and adj(B') of B' in one pass.  Lattice
 questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7): kernel
 lattices and unimodular completions (kernel_completion, on K's echelon
-rows), and the gcd of maximal minors when the reduced entries have a
-common factor.  Dense products (matrix products and powers, Horner
-evaluation at a matrix, matrix-vector products and the Berkowitz steps)
-all run one inner-product kernel, _mat_mul, on plain rows and columns.
+rows), lattices of images (image_lattice), and the gcd of maximal minors
+when the reduced entries have a common factor.  Dense products (matrix
+products and powers, Horner evaluation at a matrix, matrix-vector products
+and the Berkowitz steps) all run one inner-product kernel, _mat_mul, on
+plain rows and columns.
 """
 
 from __future__ import annotations
@@ -468,67 +471,66 @@ def lll_reduce(rows):
     """LLL reduction of linearly independent integer row vectors; returns
     the reduced rows.
 
-    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7): it keeps the Gram determinants d_i of the first i rows and
-    the integers lam[i][j] = mu_ij * d_{j+1}, and updates both in place with
-    exact integer divisions.  Row k is size-reduced against rows k-1..0
-    (the nearest integer to lam[k][j] / d_{j+1}, ties to even, by divmod)
-    before the Lovasz test
-    d_{k+1} d_{k-1} + lam[k][k-1]^2 >= LLL_DELTA d_k^2.
+    Integral LLL as published (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7): it keeps the Gram determinants d_i of the
+    first i rows and the integers lam[i][j] = mu_ij * d_{j+1}, computes those
+    of row k when k first reaches it (k_max), and updates both in place with
+    exact integer divisions.  Row k is size-reduced against row k-1 (the
+    nearest integer to lam[k][j] / d_{j+1}, ties to even, by divmod) before
+    the Lovasz test d_{k+1} d_{k-1} + lam[k][k-1]^2 >= LLL_DELTA d_k^2, and
+    against rows k-2..0 once it passes; a swap updates the rows up to k_max.
 
     Raises ContractError if the rows are linearly dependent (some d_i = 0)."""
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
-    if n == 0:
-        return []
     p, q_delta = LLL_DELTA.numerator, LLL_DELTA.denominator
-
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
-        if d[i + 1] == 0:
-            raise ContractError("lll_reduce needs linearly independent rows")
-
-    k = 1
+    k, k_max = 0, -1
     while k < n:
-        # size reduction
         lk = lam[k]
+        if k > k_max:  # the Gram-Schmidt data of row k, first reached
+            k_max = k
+            for j in range(k + 1):
+                u = sum(map(mul, b[k], b[j]))
+                for t in range(j):
+                    u = (d[t + 1] * u - lk[t] * lam[j][t]) // d[t]
+                lk[j] = u
+            d[k + 1] = lk[k]
+            if not lk[k]:
+                raise ContractError("lll_reduce needs linearly independent rows")
+        # size reduction against row k-1, the Lovasz test, then rows k-2..0
         for j in range(k - 1, -1, -1):
-            if 2 * abs(lk[j]) <= d[j + 1]:
-                continue
             dj = d[j + 1]
-            q, r = divmod(lk[j], dj)  # dj > 0; round q + r/dj, ties to even
-            if 2 * r > dj or 2 * r == dj and q & 1:
-                q += 1
-            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-            lk[j] -= q * dj
-            lj = lam[j]
-            for t in range(j):
-                lk[t] -= q * lj[t]
-        lkk = lk[k - 1]
-        if q_delta * (d[k + 1] * d[k - 1] + lkk * lkk) >= p * d[k] * d[k]:
+            if 2 * abs(lk[j]) > dj:
+                q, r = divmod(lk[j], dj)  # dj > 0; round q + r/dj, ties to even
+                if 2 * r > dj or 2 * r == dj and q & 1:
+                    q += 1
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                lk[j] -= q * dj
+                lj = lam[j]
+                for t in range(j):
+                    lk[t] -= q * lj[t]
+            if j < k - 1:
+                continue
+            lkk = lk[j]
+            if q_delta * (d[k + 1] * d[k - 1] + lkk * lkk) >= p * d[k] * d[k]:
+                continue
+            # the Lovasz test fails: swap rows k-1 and k
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for i in range(k - 1):
+                lk[i], lam[k - 1][i] = lam[k - 1][i], lk[i]
+            B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+            for i in range(k + 1, k_max + 1):
+                li = lam[i]
+                t = li[k]
+                li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+                li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
+            d[k] = B
+            k = max(k - 1, 1)
+            break
+        else:
             k += 1
-            continue
-        # swap rows k-1 and k
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
-        B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
-        for i in range(k + 1, n):
-            li = lam[i]
-            t = li[k]
-            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
-            li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
-        d[k] = B
-        k = max(k - 1, 1)
     return b
 
 
@@ -561,12 +563,34 @@ def _solve_cleared(A, rhs):
                    for k in range(len(rhs))]
 
 
+def _definite_adjugate(rows):
+    """(det A, the rows of adj(A)) for the integer rows of a square A whose
+    leading principal minors, the pivots of a Bareiss pass over [A | I] with
+    no row exchange, are all positive; else None."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for c in range(n):
+        pr = a[c]
+        piv = pr[c]
+        if piv <= 0:
+            return None
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != c and (f or piv != prev):
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, pr)]
+        prev = piv
+    return prev, [row[n:] for row in a]
+
+
 def is_positive_definite(rows):
     """Sylvester's criterion for a symmetric matrix of integers or
     Fractions: every leading principal minor is positive.  Clearing each
     row's denominators scales the minors by positive factors only.  One
     Bareiss pass with no row exchanges has the k-th leading principal minor
-    as its k-th pivot (Bareiss 1968), so it stops at the first pivot <= 0."""
+    as its k-th pivot (Bareiss 1968), so it stops at the first pivot <= 0;
+    it eliminates below the pivots only, where _definite_adjugate also
+    eliminates above them and carries [A | I]."""
     a = [_cleared(list(row)) for row in rows]
     prev = 1
     while a:
@@ -641,7 +665,9 @@ def kernel_completion(K):
     7, 1998; Cohen, A Course in Computational Algebraic Number Theory, 2.7).
     The rows with a zero left block come first; c is squared until there
     are k.  As rows of a unimodular T they span a saturated lattice: all of
-    Z^n intersect ker E = Z^n intersect ker K.  The others keep LLL order."""
+    Z^n intersect ker E = Z^n intersect ker K.  The others keep LLL order.
+    E is K's primitive reduced echelon form up to row signs, which leave
+    every LLL step unchanged: T depends on the row space of K alone."""
     n = K.cols
     a = K._rows()
     r = len(_bareiss(a, n)[0])
@@ -685,6 +711,20 @@ def minor_gcd(rows):
     A = IntMatrix.from_rows(rows)
     T, k = kernel_completion(A)
     return abs((A @ IntMatrix.from_rows(T[k:]).transpose()).det())
+
+
+def image_lattice(K):
+    """A basis of Z^n intersect im K for an n x m IntMatrix K, as a tuple of
+    row tuples: the kernel rows of kernel_completion(N), the rows N of the
+    left null space of K that one _bareiss pass on K's columns gives."""
+    n = K.rows
+    a = [list(col) for col in K._columns()]
+    pivots, d = _bareiss(a, n)
+    rows = dict(zip(pivots, a))
+    N = [-rows[j][f] if j in rows else d * (j == f)
+         for f in range(n) if f not in rows for j in range(n)]
+    T, k = kernel_completion(IntMatrix._of(n - len(rows), n, N))
+    return tuple(map(tuple, T[:k]))
 
 
 def kernel_lattice(p, M):

@@ -30,10 +30,10 @@ from fractions import Fraction
 
 from .criteria import FamilyDescriptor
 from .degrees import SemiAbelianAut
-from .errors import ContractError, SchemaError
+from .errors import AbdynError, ContractError, SchemaError
 from .exactalg import INT_BOUND, MAX_INT_DIGITS, IntMatrix, IntPolynomial
 from .orbit import NumericLattice
-from .toroidal import Fan, GammaData
+from .toroidal import MAX_R_PRIME, Fan, GammaData, face_set, fan_of_faces
 
 
 def _is_number(x):  # a bool is True or False, so "is" tests are enough
@@ -300,9 +300,9 @@ def family_descriptor_from_json(obj):
 
 
 def _frac_to_json(x):
-    f = Fraction(x)
-    p = int_to_json(f.numerator)
-    return p if f.denominator == 1 else f"{p}/{int_to_json(f.denominator)}"
+    """An int or Fraction as "p" or "p/q"."""
+    p = int_to_json(x.numerator)
+    return p if x.denominator == 1 else f"{p}/{int_to_json(x.denominator)}"
 
 
 def metric_from_json(obj, r_prime):
@@ -382,6 +382,31 @@ def fan_from_json(obj, path=()):
         metric = [[int(i == j) for j in range(gamma.r_prime)] for i in range(gamma.r_prime)]
     return Fan(cones=tuple(cones), gamma=gamma,
                metric=_metric(metric, gamma.r_prime), seed=obj.get("seed"))
+
+
+def built_fan(obj):
+    """The fast test of a fan file obj: (fan, faces).  faces is face_set of
+    its gamma and metric as fan_from_json reads them (None if it cannot, if
+    r' > MAX_R_PRIME, or if the first ray is not g' + r' + 1 long); fan is
+    the Fan when obj is exactly its fan_to_json, ints typed as the schema."""
+    faces = None
+    try:
+        g = obj["gamma"]
+        if int(g["r_prime"]) > MAX_R_PRIME:
+            return None, None
+        gamma = GammaData(int(g["g_prime"]), int(g["r_prime"]), _matrix(g["Bprime"]))
+        Q = _metric(obj["metric"], gamma.r_prime)
+        if len(obj["rays"][0]) != gamma.g + 1:
+            return None, None
+        faces, seed = face_set(gamma, Q), obj.get("seed")
+        if (isinstance(faces, set) and type(g["g_prime"]) is type(g["r_prime"]) is int
+                and (seed is None or type(seed) is int)):
+            fan = fan_of_faces(faces, gamma, Q, seed)
+            if fan_to_json(fan) == obj and {type(i) for c in obj["cones"] for i in c} <= {int}:
+                return fan, faces
+    except (AbdynError, ArithmeticError, LookupError, TypeError, ValueError):
+        pass  # a shape, or an output integer, that the full path refuses and names
+    return None, faces
 
 
 def lattice_to_json(lat):

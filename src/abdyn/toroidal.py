@@ -15,13 +15,13 @@ Gamma-invariant positive definite metric.  The fan is infinite; we store one
 fundamental set of cones under Gamma plus the translation data, and perform
 all membership tests modulo Gamma.
 
-GammaData is the one place that knows the period lattice: it solves
-B' Y = I once (exactalg's cleared solve) and keeps B' as rows, det B' > 0
-and adj(B') = det B' * B'^-1.  Every Gamma-translate
-b + beta * B', every reduction of b into the fundamental cell (beta =
-floor(adj(B') b / det B')) and every regularizing power is an inner product
-of those integer rows.  It is built from B alone (period_data); a monodromy
-matrix is only read for its block B.
+GammaData is the one place that knows the period lattice: one pass over
+[B' | I] (exactalg._definite_adjugate) checks that B' is positive definite
+and keeps B' as rows, det B' > 0 and adj(B') = det B' * B'^-1.  Every
+Gamma-translate b + beta * B', every reduction of b into the fundamental
+cell (beta = floor(adj(B') b / det B')) and every regularizing power is an
+inner product of those integer rows.  It is built from B alone
+(period_data); a monodromy matrix is only read for its block B.
 
 Delaunay cells are written down exactly, with no search.  For r' <= 3
 every lattice has an obtuse superbase v_0..v_r' (sum v_i = 0, every
@@ -42,8 +42,10 @@ is the faces of its maximal cones): the faces of the r'! simplices, each
 moved so its smallest vertex is 0 and then to each of the det B' coset
 representatives, are the Gamma-canonical forms of every cone, with no
 reduction per vertex.  validate_fan and section_extends share that one
-certificate, and a rejected fan is explained by set difference against it.
-That makes the section-extension test an O(1) look at the abelian block.
+certificate, face_set, computed once per document, and a rejected fan is
+explained by set difference against it (a fan file equal to its layout
+needs no more: serialize.built_fan).  That makes the section-extension
+test an O(1) look at the abelian block.
 A cone is the sorted tuple of its primitive generators, each in Z^{g+1}
 with the height last (the zero cone is ()), in a Fan as everywhere else.
 """
@@ -58,10 +60,11 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import ContractError, DimensionError, NumericIndeterminacyError
-from .exactalg import (IntMatrix, _bareiss, _solve_cleared, is_positive_definite,
+from .exactalg import (IntMatrix, _bareiss, _definite_adjugate, is_positive_definite,
                        kernel_completion, minor_gcd)
 
 MAX_METRIC_RETRIES = 16
+MAX_R_PRIME = 3  # obtuse superbases need not exist past it, and the steps differ
 MAX_DET_BPRIME = 1000  # the cells of a fan number r'! det B'
 # Selling steps of one reduction: the fan corpus and the tests take at most 7,
 # and 1000 take about 16 ms.
@@ -85,16 +88,14 @@ class GammaData(namedtuple("GammaData", "g_prime r_prime Bprime rows det adj")):
         B = Bprime
         if B.rows != r_prime or B.cols != r_prime:
             raise DimensionError("Bprime must be r' x r'")
-        if B != B.transpose():
+        rows = B._rows()
+        if rows != list(zip(*rows)):
             raise ContractError("Bprime must be symmetric")
-        rows = B.to_rows()
-        if not is_positive_definite(rows):
+        inverse = _definite_adjugate(rows)
+        if inverse is None:
             raise ContractError("Bprime must be positive definite")
-        # B' (adj(B') / det B') = I, with det B' > 0; the solution columns
-        # are the rows of adj(B'), as B' is symmetric
-        det, adj = _solve_cleared(rows, IntMatrix.identity(r_prime).to_rows())
-        return super().__new__(cls, g_prime, r_prime, B, tuple(map(tuple, rows)),
-                               det, tuple(map(tuple, adj)))
+        det, adj = inverse
+        return super().__new__(cls, g_prime, r_prime, B, tuple(rows), det, tuple(map(tuple, adj)))
 
     def __getnewargs__(self):
         return self[:3]
@@ -170,18 +171,17 @@ def period_data(B):
     g = B.rows
     # basis change: kernel lattice first, completion after
     T, k = kernel_completion(B)
-    pivots, _ = _bareiss(T[:k], g)
-    units = IntMatrix.identity(g).to_rows()
-    W = IntMatrix.from_rows(T[:k] + [units[j] for j in range(g) if j not in pivots])
-    if abs(W.det()) != 1:
-        W = IntMatrix.from_rows(T)
-    # sanity: W B W^T = diag(0, B')
-    WB = W @ B @ W.transpose()
-    for i in range(g):
-        for j in range(g):
-            if (i < k or j < k) and WB[i, j] != 0:
-                raise AssertionError("basis change failed to split off the kernel")
-    Bp = [[WB[i, j] for j in range(k, g)] for i in range(k, g)]
+    W = IntMatrix.identity(g)
+    if k:  # else B' is B
+        pivots, _ = _bareiss(T[:k], g)
+        units = W.to_rows()
+        W = IntMatrix.from_rows(T[:k] + [units[j] for j in range(g) if j not in pivots])
+        if abs(W.det()) != 1:
+            W = IntMatrix.from_rows(T)
+        B = W @ B @ W.transpose()
+        if any(B[i, j] for i in range(g) for j in range(g) if i < k or j < k):  # diag(0, B')
+            raise AssertionError("basis change failed to split off the kernel")
+    Bp = [[B[i, j] for j in range(k, g)] for i in range(k, g)]
     # W is unimodular and B' is nonsingular, so B is positive semi-definite
     # exactly when B' is positive definite
     if Bp and not is_positive_definite(Bp):
@@ -332,18 +332,15 @@ def _delaunay_faces(gamma, Q):
             tail = [tuple(map(sub, p, head)) for p in pts[i + 1:]]
             templates.update((origin,) + face for size in range(len(tail) + 1)
                              for face in itertools.combinations(tail, size))
-    vertices = set().union(*templates)
+    reps = _coset_representatives(gamma)
+    # each vertex's generators at the representatives, in one order: a
+    # face's translates are then the zip of its vertices' lists
+    gens = {p: [zero + tuple(map(add, p, c)) + (1,) for c in reps]
+            for p in set().union(*templates)}
     faces = {()}
-    for c in _coset_representatives(gamma):
-        gens = {p: zero + tuple(map(add, p, c)) + (1,) for p in vertices}
-        faces.update(map(tuple, map(map, itertools.repeat(gens.__getitem__), templates)))
+    for face in templates:
+        faces.update(zip(*map(gens.__getitem__, face)))
     return faces
-
-
-def _cone_order(gens):
-    """The order of the cones that `fan build` writes: by dimension, then
-    by generators."""
-    return len(gens), gens
 
 
 def delaunay_fan(gamma_data, metric="standard", seed=0):
@@ -356,7 +353,7 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     drawn from random.Random(seed), up to MAX_METRIC_RETRIES tries; the
     default seed 0 makes every call reproducible."""
     rp = gamma_data.r_prime
-    if not (1 <= rp <= 3):
+    if not (1 <= rp <= MAX_R_PRIME):
         raise ContractError("desk scale: 1 <= r' <= 3")
     Q = base = _normalize_metric(metric, rp)
     rng = random.Random(seed)
@@ -371,8 +368,13 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     else:
         raise NumericIndeterminacyError(
             f"no generic metric found in {MAX_METRIC_RETRIES} retries: {last_err}")
-    return Fan(cones=tuple(sorted(faces, key=_cone_order)),
-               gamma=gamma_data, metric=tuple(tuple(row) for row in Q), seed=seed)
+    return fan_of_faces(faces, gamma_data, Q, seed)
+
+
+def fan_of_faces(faces, gamma, Q, seed):
+    """The Fan that `fan build` stores for a face set: the cones by
+    dimension, then by generators."""
+    return Fan(tuple(sorted(sorted(faces), key=len)), gamma, tuple(map(tuple, Q)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -389,32 +391,46 @@ class FanReport(namedtuple("FanReport", "violations non_regular")):
         return not self.violations
 
 
-def _certify(fan):
-    """(violations, non-regular cone indices) of the fan against the face
-    set of its metric (_delaunay_faces): both empty exactly when the stored
-    cones, taken up to Gamma, are that set with no repeats.  A metric with
-    no face set (r' > 3, not symmetric, not positive definite, or a zero
-    Selling parameter) gives its reason alone.  A fan as built stores the
-    canonical forms, so it is accepted by one comparison of raw generator
-    tuples; any other fan has each cone sorted and canonicalized, and is
-    named by set difference: each stored cone that is no face (a repeated
-    generator among them) or repeats one up to Gamma, then each missing
-    face.  A cone with a generator of the wrong length is never
-    canonicalized, as _translate would truncate it.  ContractError: det B'
-    or the Selling steps above their limit."""
-    gamma, Q = fan.gamma, fan.metric
+def face_set(gamma, Q):
+    """The face set of the Delaunay fan of the metric Q (_delaunay_faces),
+    or the reason there is none: the one violation (r' > MAX_R_PRIME, Q not
+    symmetric, not positive definite, or a zero Selling parameter), or the
+    ContractError of det B' or the Selling steps above their limit."""
     rp = gamma.r_prime
-    if rp > 3:  # obtuse superbases need not exist, and the steps differ
-        return ("Delaunay cells are computed for r' <= 3 only",), ()
+    if rp > MAX_R_PRIME:
+        return "Delaunay cells are computed for r' <= 3 only"
     if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
-        return ("metric is not symmetric",), ()
+        return "metric is not symmetric"
     # first: the Selling loop need not end on an indefinite form
     if not is_positive_definite(Q):
-        return ("metric is not positive definite",), ()
+        return "metric is not positive definite"
     try:
-        faces = _delaunay_faces(gamma, Q)
+        return _delaunay_faces(gamma, Q)
     except _DegenerateMetric as exc:
-        return (f"metric has no Delaunay triangulation: {exc}",), ()
+        return f"metric has no Delaunay triangulation: {exc}"
+    except ContractError as exc:
+        return exc
+
+
+def _certify(fan, faces=None):
+    """(violations, non-regular cone indices) of the fan against faces =
+    face_set(fan.gamma, fan.metric), unless given: both empty exactly when
+    the stored cones, taken up to Gamma, are that set with no repeats.  A
+    metric with no face set gives its violation alone, or raises its
+    ContractError.  A fan as built stores the canonical forms, so it is
+    accepted by one comparison of raw generator tuples; any other fan has
+    each cone sorted and canonicalized, and is named by set difference:
+    each stored cone that is no face (a repeated generator among them) or
+    repeats one up to Gamma, then each missing face.  A cone with a
+    generator of the wrong length is never canonicalized, as _translate
+    would truncate it."""
+    gamma = fan.gamma
+    if faces is None:
+        faces = face_set(gamma, fan.metric)
+    if isinstance(faces, ContractError):
+        raise faces
+    if isinstance(faces, str):
+        return (faces,), ()
     stored = fan.cones
     if len(stored) == len(faces) and set(stored) == faces:
         return (), ()
@@ -433,12 +449,12 @@ def _certify(fan):
                 continue
             violations.append(f"cone {idx}: not a cone of the Delaunay fan of the metric")
         rejected.append(idx)
-    violations += [f"missing cone {c}" for c in sorted(faces.difference(seen), key=_cone_order)]
+    violations += [f"missing cone {c}" for c in sorted(sorted(faces.difference(seen)), key=len)]
     # a face has minor gcd 1, and so has each Gamma-translate of one
     return tuple(violations), tuple(i for i in rejected if minor_gcd(stored[i]) > 1)
 
 
-def validate_fan(fan):
+def validate_fan(fan, faces=None):
     """Certify a fan: it is accepted when its cones, taken up to Gamma, are
     the face set of the Delaunay cells of its own metric, with no repeats
     (_certify).  Gamma acts by unimodular maps and each cell is a unimodular
@@ -447,26 +463,26 @@ def validate_fan(fan):
     1/r'! tile one fundamental cell.  Otherwise the report names the
     violations, and non_regular lists the rejected cones whose generators
     have minor gcd above 1; det B' > MAX_DET_BPRIME, or a metric that needs
-    more than MAX_SELLING_STEPS, is the one violation."""
+    more than MAX_SELLING_STEPS, is the one violation.  faces: see _certify."""
     try:
-        return FanReport(*_certify(fan))
+        return FanReport(*_certify(fan, faces))
     except ContractError as exc:  # det B' or the Selling steps above their limit
         return FanReport((str(exc),), ())
 
 
-def section_extends(n_phi, fan):
+def section_extends(n_phi, fan, faces=None):
     """True iff the ray through (n_phi, 1) lies in some cone of the fan.
     The fan must pass the certificate of validate_fan, and det B' be at
     most MAX_DET_BPRIME (ContractError otherwise).  Its cones then lie in
     {0} x R^{r'} x R and cover the cone over {0} x R^{r'} x {1}, so the ray
     is in the fan exactly when the abelian block of n_phi vanishes: at
     height 1 an integer b is a vertex of the subdivision, so its ray is a
-    ray of the fan."""
+    ray of the fan.  faces: see _certify."""
     gamma = fan.gamma
     n_phi = tuple(int(x) for x in n_phi)
     if len(n_phi) != gamma.g:
         raise DimensionError("n_phi must have g coordinates")
-    violations, _ = _certify(fan)
+    violations, _ = _certify(fan, faces)
     if violations:
         raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])

@@ -14,7 +14,7 @@ from abdyn.errors import ContractError
 from abdyn.exactalg import IntMatrix, IntPolynomial, char_poly, cyclotomic, cyclotomic_split
 from util import (BLOCK_SUM_DRAWS, block_sum, check_saturated, conjugate,
                   kronecker_is_roots_of_unity, lattice_is_invariant, random_unimodular,
-                  restricted_char_poly)
+                  reference_split_invariant_subfamily, restricted_char_poly)
 
 UNIPOTENT_QUARTIC = IntPolynomial([1, -4, 6, -4, 1])  # (T-1)^4
 
@@ -179,6 +179,31 @@ def test_split_reassembles_conjugated_block_sums(cyc, free, glued, seed):
     assert restricted_char_poly(u, L1) == Q
     assert index == abs(sympy.Matrix(list(L0 + L1)).det())
     assert check_saturated(L0) and check_saturated(L1)
+
+
+@example([cyclotomic(4)], [IntPolynomial([1, -3, 1])], True, 1)
+@example([cyclotomic(1)] * 3, [IntPolynomial([-1, -1, 1])], True, 7)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(*BLOCK_SUM_DRAWS)
+def test_split_equals_the_two_evaluation_construction(cyc, free, glued, seed):
+    """split_invariant_subfamily evaluates only the factor F of lower
+    degree and takes the other lattice from the left null space of F(u).
+    kernel_completion depends only on the row space of its input, which
+    for the other factor G is the left null space of F(u), as
+    ker G(u) = im F(u); so both bases and the index are those of the
+    construction that evaluates both factors, on conjugated block sums."""
+    u, _, _ = block_sum(cyc, free, glued, seed)
+    assert split_invariant_subfamily(u) == reference_split_invariant_subfamily(u)
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_split_at_n_20_to_40_equals_the_two_evaluation_construction(n):
+    """The same on u a product of 3n random elementary matrices with
+    entries up to 10^9 (the large-n stream of the split timings)."""
+    u = random_unimodular(n, random.Random(3), 10 ** 9, 3 * n)
+    L0, L1, index = split_invariant_subfamily(u)
+    assert L0 and L1
+    assert (L0, L1, index) == reference_split_invariant_subfamily(u)
 
 
 def test_restricted_char_poly_rejects_non_invariant_lattice():

@@ -566,6 +566,27 @@ def test_is_positive_definite_matches_sympy_leading_minors(Q):
     assert is_positive_definite(Q) == _sympy_leading_minors_positive(Qf), Q
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(symmetric_matrices())
+@example([[2, 1], [1, 2]])
+@example([[-1, 0], [0, -1]])
+@example([[1, 2], [2, 1]])
+def test_definite_adjugate_matches_sympy(Q):
+    """The one pass over [A | I] of GammaData, on A = Q times the lcm of
+    its denominators: None exactly when sympy's leading principal minors
+    are not all positive (det A > 0 is not enough, as for -I), else det A
+    and adj(A) as sympy computes them."""
+    assume(Q)
+    D = math.lcm(*(Fraction(x).denominator for row in Q for x in row))
+    A = [[int(Fraction(x) * D) for x in row] for row in Q]
+    got = exactalg._definite_adjugate(A)
+    if _sympy_leading_minors_positive([[Fraction(x) for x in row] for row in A]):
+        S = sympy.Matrix(A)
+        assert got == (S.det(), S.adjugate().tolist())
+    else:
+        assert got is None
+
+
 @st.composite
 def minor_gcd_rows(draw):
     """k x m integer rows, 1 <= k <= m <= 5: random, dependent (a product

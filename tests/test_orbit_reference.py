@@ -16,7 +16,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from abdyn.cli import main
-from abdyn.errors import NumericIndeterminacyError
+from abdyn.errors import ContractError, NumericIndeterminacyError
 from abdyn.exactalg import IntMatrix, lll_reduce
 from abdyn.orbit import NumericLattice, _singular_values, orbit_dims, real_dual_coords
 from util import (fraction_lll_reduce, fraction_real_dual_coords, reference_orbit_dims,
@@ -140,6 +140,34 @@ def test_lll_rounding_matches_fraction_rounding(rows):
     the Fraction rounding."""
     assume(IntMatrix.from_rows(rows).rank() == len(rows))
     assert lll_reduce(rows) == fraction_lll_reduce(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3), min_size=n + 1,
+                      max_size=n + 1), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), st.integers(0, n))))
+def test_lll_refuses_dependent_rows_as_the_fraction_version_does(drawn):
+    """Rows of which one, at any place, is an integer combination of the
+    others (the zero row among them): lll_reduce computes the Gram data of
+    a row when it first reaches it, so it refuses mid-run, with the
+    ContractError that fraction_lll_reduce raises before it starts; on
+    independent rows the two agree."""
+    rows, coefficients, at = drawn
+    combination = [sum(c * row[j] for c, row in zip(coefficients, rows))
+                   for j in range(len(rows[0]))]
+    dependent = rows[:at] + [combination] + rows[at:]
+    for case in (dependent, rows):
+        assert _lll_outcome(lll_reduce, case) == _lll_outcome(fraction_lll_reduce, case), case
+    assert _lll_outcome(lll_reduce, dependent) == "lll_reduce needs linearly independent rows"
+
+
+def _lll_outcome(reduce, rows):
+    """The reduced rows, or the text of the ContractError raised."""
+    try:
+        return reduce(rows)
+    except ContractError as exc:
+        return str(exc)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

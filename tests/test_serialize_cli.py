@@ -802,31 +802,48 @@ def test_fan_metric_entries_read_alike_in_files_and_flags(entry, accepted, tmp_p
     (["fan", "build", "--B", "[[2,1],[1,2]]", "--metric", '[[2,1],[1,"3/2"]]'], None,
      ["matrix", "metric"]),
     (["fan", "build", "--B", "[[2]]", "--metric", "random"], None, ["matrix"]),
-    (["fan", "validate", "{fan}"], None, ["fan"]),
-    (["fan", "extends", "--nphi", "[0,1]", "{fan}"], None, ["fan", "nphi"]),
+    (["fan", "validate", "{fan}"], None, []),
+    (["fan", "extends", "--nphi", "[0,1]", "{fan}"], None, ["nphi"]),
+    (["fan", "validate", "{miss}"], None, ["fan"]),
+    (["fan", "extends", "--nphi", "[0,1]", "{miss}"], None, ["fan", "nphi"]),
     (["orbit", "analyze", "--lattice", SQUARE_LATTICE, "--alpha", "[[0.5,0]]"], None,
      ["lattice", "alpha"]),
     (["catalog", "build", "--case", "2.2"], None, [])],
     ids=["analyze-matrix", "analyze-aut", "decide", "split", "fan-build", "fan-build-random",
-         "fan-validate", "fan-extends", "orbit-analyze", "catalog-build"])
+         "fan-validate", "fan-extends", "fan-validate-miss", "fan-extends-miss",
+         "orbit-analyze", "catalog-build"])
 def test_cli_checks_each_json_input_once_by_name(argv, stdin_text, names, tmp_path, capsys,
                                                  monkeypatch):
     """Each JSON value a command reads (payload, --B, --metric, --nphi,
-    --lattice, --alpha, the fan file) is checked by one validate_schema
-    call with its own schema, and nothing else calls it."""
-    fan_file = tmp_path / "fan.json"
-    fan_file.write_text(json.dumps(_cli_result(["fan", "build", "--B", "[[1,0],[0,0]]"])))
-    calls = []
+    --lattice, --alpha, the fan file) is checked by at most one
+    validate_schema call with its own schema, and nothing else calls it.
+    A fan file that is exactly what `fan build` wrote ({fan}) is accepted
+    by its fast test with no `fan` check; one that misses it ({miss}, the
+    same cones in reverse order) gets one.  Either way the face set of its
+    metric is enumerated once (one _delaunay_faces call)."""
+    from abdyn import toroidal
+    fan = _cli_result(["fan", "build", "--B", "[[1,0],[0,0]]"])
+    files = {"{fan}": tmp_path / "fan.json", "{miss}": tmp_path / "miss.json"}
+    files["{fan}"].write_text(json.dumps(fan))
+    files["{miss}"].write_text(json.dumps(dict(fan, cones=fan["cones"][::-1])))
+    calls, faces = [], []
 
     def spy(obj, name, *path, check=serialize.validate_schema):
         calls.append(name)
         return check(obj, name, *path)
 
+    def faces_spy(*args, enumerate_faces=toroidal._delaunay_faces):
+        faces.append(args)
+        return enumerate_faces(*args)
+
     monkeypatch.setattr(serialize, "validate_schema", spy)
-    argv = [str(fan_file) if a == "{fan}" else a for a in argv]
+    monkeypatch.setattr(toroidal, "_delaunay_faces", faces_spy)
+    argv = [str(files.get(a, a)) for a in argv]
     code, _, err = run_cli(argv, stdin_text, capsys, monkeypatch)
     assert code == 0, err
     assert calls == names
+    if argv[:2] in (["fan", "validate"], ["fan", "extends"]):
+        assert len(faces) == 1
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
@@ -1145,6 +1162,106 @@ def test_cli_fan_schema_errors_follow_the_explaining_check(corpus_fan_files, tmp
                 assert (code, out, err) == (2, "", line + "\n"), (path, doc)
 
 
+def _number(entry):
+    """A metric entry ("p" or "p/q") as a JSON number: the int, else the
+    nearest float."""
+    x = fractions.Fraction(entry)
+    return int(x) if x.denominator == 1 else float(x)
+
+
+def _remap_rays(fan):
+    """The rays in reverse order, with each cone's indices remapped to match."""
+    n = len(fan["rays"])
+    fan["rays"].reverse()
+    fan["cones"] = [[n - 1 - i for i in cone] for cone in fan["cones"]]
+
+
+def _set_height(fan, value):
+    """The height of the first ray, the entry "1", written as value."""
+    fan["rays"][0][-1] = value
+
+
+def _set_cone_index(fan, value):
+    """The index 1 in the first cone that holds it written as value."""
+    cone = next(c for c in fan["cones"] if 1 in c)
+    cone[cone.index(1)] = value
+
+
+def _true_r_prime(fan):
+    """r' = 1 written as true; a fan of higher r' has no room for the edit."""
+    if fan["gamma"]["r_prime"] != 1:
+        raise IndexError("r' is not 1")
+    fan["gamma"]["r_prime"] = True
+
+
+def _fan_file_edits():
+    """(name, edit) of each single edit of a fan file that the fast test
+    must send down the full path, or that the full path refuses."""
+    edits = [
+        ("as built", lambda f: None),
+        ("cones reversed", lambda f: f["cones"].reverse()),
+        ("one cone's indices reversed",
+         lambda f: next(c for c in f["cones"] if len(c) > 1).reverse()),
+        ("rays reversed, cones remapped", _remap_rays),
+        ("ray entry an int", lambda f: _set_height(f, 1)),
+        ("ray entry '001'", lambda f: _set_height(f, "001")),
+        ("ray entry '+1'", lambda f: _set_height(f, "+1")),
+        ("cone index 1.0", lambda f: _set_cone_index(f, 1.0)),
+        ("cone index true", lambda f: _set_cone_index(f, True)),
+        ("g' a float", lambda f: f["gamma"].update(g_prime=float(f["gamma"]["g_prime"]))),
+        ("r' a float", lambda f: f["gamma"].update(r_prime=float(f["gamma"]["r_prime"]))),
+        ("r' true", _true_r_prime),
+        ("seed 3.0", lambda f: f.update(seed=float(f["seed"]))),
+        ("seed true", lambda f: f.update(seed=True)),
+        ("no metric", lambda f: f.pop("metric")),
+        ("metric entry a number", lambda f: f["metric"][0].__setitem__(
+            0, _number(f["metric"][0][0]))),
+        ("extra key", lambda f: f.update(extra=0)),
+    ]
+    return edits + [(f"FAN_FAULTS {field}: {line}", edit) for field, line, edit in FAN_FAULTS]
+
+
+def test_fan_file_fast_test_agrees_with_the_full_path(corpus_fan_files, tmp_path, capsys,
+                                                      monkeypatch):
+    """On every corpus fan file, as `fan build` wrote it and bare, under each
+    single edit of _fan_file_edits: `fan validate` and `fan extends` print
+    the document (stdout, stderr, exit code) that they print with the fast
+    test forced to miss (serialize.built_fan finds nothing), that is, with
+    the schema walk, the conversion and the certificate of the full path.
+    The fast test accepts each file as built and misses on every other edit
+    but those of FAN_FAULTS (at r' = 1 the metric [["1"]] has the face set
+    of any other, so the file stays what `fan build` writes for it)."""
+    fast = serialize.built_fan
+    accepted = []
+
+    def counting(obj):
+        fan, faces = fast(obj)
+        accepted[:] = [fan is not None]
+        return fan, faces
+
+    fan_file = tmp_path / "fan.json"
+    for wrapper in corpus_fan_files:
+        gamma = wrapper["result"]["gamma"]
+        nphi = json.dumps([0] * gamma["g_prime"] + [1] * gamma["r_prime"])
+        for name, edit in _fan_file_edits():
+            for wrapped in (True, False):
+                doc = copy.deepcopy(wrapper)
+                try:
+                    edit(doc["result"])
+                except (IndexError, StopIteration):  # an edit this fan has no room for
+                    continue
+                fan_file.write_text(json.dumps(doc if wrapped else doc["result"]))
+                for command in ("validate", "extends"):
+                    documents = []
+                    for built_fan in (counting, lambda obj: (None, None)):
+                        monkeypatch.setattr(serialize, "built_fan", built_fan)
+                        documents.append(run_cli(_fan_argv(command, fan_file, nphi), None,
+                                                 capsys, monkeypatch))
+                    assert documents[0] == documents[1], (name, wrapped, command)
+                    if not name.startswith("FAN_FAULTS"):
+                        assert accepted == [name == "as built"], (name, wrapped, command)
+
+
 def test_cli_catalog_and_end_to_end(capsys, monkeypatch):
     code, out, _ = run_cli(["catalog", "list", "--g", "4"],
                            None, capsys, monkeypatch)
@@ -1447,6 +1564,51 @@ def test_cli_fan_selling_step_limit(command, tmp_path, capsys, monkeypatch):
         assert json.loads(out)["result"]["violations"] == [limit] and err == ""
     else:
         assert out == "" and err == f"contract error: {limit}\n"
+
+
+def _one_ray_fan(Bprime, metric):
+    """A bare fan file with B' and the metric as strings and one ray."""
+    strings = lambda rows: [[str(x) for x in row] for row in rows]  # noqa: E731
+    return {"gamma": {"g_prime": 0, "r_prime": len(Bprime), "Bprime": strings(Bprime)},
+            "rays": [["0"] * len(Bprime) + ["1"]], "cones": [[0]],
+            "metric": strings(metric), "seed": 0}
+
+
+@pytest.mark.parametrize("edit, outcome", [
+    (lambda fan: fan, "accepted"),
+    (lambda fan: dict(fan, cones=fan["cones"][::-1]), "cones reversed"),
+    (lambda fan: dict(fan, rays=[[int(x) for x in ray] for ray in fan["rays"]]), "int rays"),
+    (lambda fan: _one_ray_fan([[1999]], [[1]]), "det B' above the limit"),
+    (lambda fan: _one_ray_fan([[2, 1], [1, 2]], [[1, 10 ** 6], [10 ** 6, 10 ** 12 + 2]]),
+     "Selling steps above the limit"),
+    (lambda fan: _one_ray_fan([[2, 1], [1, 2]], [[1, 0], [0, 1]]), "cospherical metric")],
+    ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("command", ["validate", "extends"])
+def test_cli_fan_file_runs_selling_and_the_face_enumeration_once(edit, outcome, command, tmp_path,
+                                                                 capsys, monkeypatch):
+    """One `fan validate` or `fan extends` document runs the Selling
+    reduction at most once and enumerates the coset representatives at
+    most once, whether the fast test accepts the file, the full path reads
+    it (and reuses the face set), or the metric is refused: det B' above
+    its limit (before any Selling step), more Selling steps than the limit,
+    or a zero Selling parameter."""
+    from abdyn import toroidal
+    fan_file, fan = _built_fan("[[2,1],[1,2]]", tmp_path, capsys, monkeypatch)
+    fan = edit(fan)
+    fan_file.write_text(json.dumps(fan))
+    nphi = json.dumps([1] * fan["gamma"]["r_prime"])
+    counts = {"_obtuse_superbase": 0, "_coset_representatives": 0}
+    for name in counts:
+        def counting(*args, name=name, fn=getattr(toroidal, name)):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(toroidal, name, counting)
+    code, _, err = run_cli(_fan_argv(command, fan_file, nphi), None, capsys, monkeypatch)
+    refused = outcome in ("det B' above the limit", "Selling steps above the limit")
+    assert code == (3 if refused or outcome == "cospherical metric" else 0), err
+    assert counts == {"_obtuse_superbase": int(outcome != "det B' above the limit"),
+                      "_coset_representatives": int(not refused
+                                                    and outcome != "cospherical metric")}
 
 
 @pytest.mark.parametrize("command, ints, floats", [

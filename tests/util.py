@@ -20,7 +20,8 @@ of the split tests (block_sum, BLOCK_SUM_DRAWS); the cyclotomic split by
 plain trial division (reference_cyclotomic_split) and the root moduli from
 numpy.roots (numpy_roots_moduli); the counts of the spectrum computations
 (count_spectrum_runs); the kernel completion by LLL of [c K^T | I] on K
-itself (reference_kernel_completion)."""
+itself (reference_kernel_completion); the split that evaluates both factors
+(reference_split_invariant_subfamily)."""
 
 import functools
 import itertools
@@ -36,8 +37,8 @@ from abdyn import exactalg
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, _solve_cleared, char_poly,
                             cyclotomic, cyclotomic_orders, cyclotomic_split,
-                            is_positive_definite, kernel_completion, minor_gcd,
-                            squarefree_decomposition)
+                            is_positive_definite, kernel_completion, kernel_lattice,
+                            minor_gcd, squarefree_decomposition)
 from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
                          relation_lattice)
@@ -245,9 +246,11 @@ def numpy_roots_moduli(Q):
 
 def reference_lll(rows, delta=Fraction(99, 100)):
     """Reference LLL for differential tests: recomputes the exact rational
-    Gram-Schmidt after every size reduction and every swap.  Same operation
-    order as abdyn.exactalg.lll_reduce (full size reduction of row k against
-    rows k-1..0 with round-half-even, then the Lovasz test), so both must
+    Gram-Schmidt after every size reduction and every swap.  Full size
+    reduction of row k against rows k-1..0 with round-half-even, then the
+    Lovasz test.  abdyn.exactalg.lll_reduce defers the reductions against
+    rows k-2..0 until the test passes; the test reads mu[k][k-1] alone, and
+    the deferred steps are the same ones in the same order, so both must
     return identical rows on independent input."""
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
@@ -292,9 +295,12 @@ def reference_lll(rows, delta=Fraction(99, 100)):
 
 def fraction_lll_reduce(rows, delta=Fraction(99, 100)):
     """The integral LLL of abdyn.exactalg.lll_reduce (Cohen, Alg. 2.6.7) as
-    it was before its rounding ran on plain integers: each size-reduction
-    step rounds Fraction(lam[k][j], d[j+1]) with round() (ties to even).
-    The reference of the differential tests of that rounding."""
+    it was before its rounding ran on plain integers, and before it computed
+    the Gram-Schmidt data of a row when first reaching it: each
+    size-reduction step rounds Fraction(lam[k][j], d[j+1]) with round()
+    (ties to even), and all the data are computed, and dependent rows
+    refused, before the first step.  The reference of the differential
+    tests of that rounding and of that order."""
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
     if n == 0:
@@ -688,6 +694,18 @@ def reference_kernel_completion(K):
         if len(kernel) == k:
             return kernel + [r[m:] for r in reduced if any(r[:m])], k
         c *= c
+
+
+def reference_split_invariant_subfamily(u):
+    """criteria.split_invariant_subfamily as it was built before it
+    evaluated one factor: L0 and L1 are the kernel lattices of P(u) and of
+    Q(u), both evaluated (kernel_lattice), and the index is |det [L0; L1]|."""
+    P, Q, _ = cyclotomic_split(char_poly(u))
+    if P.is_one() or Q.is_one():
+        whole = tuple(map(tuple, IntMatrix.identity(u.rows).to_rows()))
+        return ((), whole, 1) if P.is_one() else (whole, (), 1)
+    L0, L1 = kernel_lattice(P, u), kernel_lattice(Q, u)
+    return L0, L1, abs(IntMatrix.from_rows(L0 + L1).det())
 
 
 def check_saturated(lat):
