@@ -153,13 +153,14 @@ def cmd_fan_build(args):
 
 def _load_fan_file(path):
     """(fan, faces) of a fan file, bare or a `fan build` output: the
-    certified fan of the fast test (serialize.built_fan), or fan_from_json's;
-    faces is the fast test's face set (or the reason there is none)."""
+    certified fan of the fast test (serialize.built_fan), or fan_from_json's
+    with the fast test's GammaData; faces is the fast test's face set (or
+    the reason there is none)."""
     doc = load_json(_read_file(path))
     keys = ("result",) if isinstance(doc, dict) and "result" in doc and "gamma" not in doc else ()
     obj = doc["result"] if keys else doc
-    fan, faces = serialize.built_fan(obj)
-    return (fan_from_json(obj, keys) if fan is None else fan), faces
+    fan, faces, gamma = serialize.built_fan(obj)
+    return (fan_from_json(obj, keys, gamma) if fan is None else fan), faces
 
 
 def cmd_fan_validate(args):
@@ -265,7 +266,7 @@ COMMANDS = {
         "--B": _flag("B", required=True, help="symmetric PSD integer matrix (JSON or @file)"),
         "--metric": _flag("metric", meta="JSON|random", help="positive definite r' x r' metric "
                           "(rows of ints, finite floats or 'p/q' strings), or 'random'"),
-        "--seed": _flag("seed", int, 0, help="seed of the metric perturbations (default 0)",
+        "--seed": _flag("seed", int, 0, help="seed of --metric random (default 0)",
                         option=True),
         **_OUT}, (), "build a Delaunay fan from a monodromy translation matrix B"),
     ("fan", "validate"): (cmd_fan_validate, _OUT, ("file",), "validate a fan file"),

@@ -355,17 +355,19 @@ def fan_to_json(fan):
     }
 
 
-def fan_from_json(obj, path=()):
+def fan_from_json(obj, path=(), gamma=None):
     """The Fan of a fan file (the `fan` schema); path is where obj sits in
-    its file, for a schema error's JSON path.  After the schema, each part
-    is converted and checked in one pass, so the first fault is reported:
+    its file, for a schema error's JSON path, and gamma the GammaData of its
+    `gamma` if built_fan has built it.  After the schema, each part is
+    converted and checked in one pass, so the first fault is reported:
     ragged Bprime rows, the GammaData checks, the ray lengths, then cone by
     cone in file order an index out of range or two equal generators, and
     last the metric's shape."""
     validate_schema(obj, "fan", path)
-    g = obj["gamma"]
-    gamma = GammaData(g_prime=int(g["g_prime"]), r_prime=int(g["r_prime"]),
-                      Bprime=_matrix(g["Bprime"]))
+    if gamma is None:
+        g = obj["gamma"]
+        gamma = GammaData(g_prime=int(g["g_prime"]), r_prime=int(g["r_prime"]),
+                          Bprime=_matrix(g["Bprime"]))
     rays = [tuple(map(int, ray)) for ray in obj["rays"]]
     if any(map((gamma.g + 1).__ne__, map(len, rays))):
         raise SchemaError(f"every ray must have g' + r' + 1 = {gamma.g + 1} coordinates")
@@ -385,28 +387,30 @@ def fan_from_json(obj, path=()):
 
 
 def built_fan(obj):
-    """The fast test of a fan file obj: (fan, faces).  faces is face_set of
-    its gamma and metric as fan_from_json reads them (None if it cannot, if
-    r' > MAX_R_PRIME, or if the first ray is not g' + r' + 1 long); fan is
-    the Fan when obj is exactly its fan_to_json, ints typed as the schema."""
-    faces = None
+    """The fast test of a fan file obj: (fan, faces, gamma).  gamma is the
+    GammaData of its `gamma` as fan_from_json reads it, and faces face_set
+    of gamma and its metric (either None if it cannot be built, if r' >
+    MAX_R_PRIME, or for faces if the first ray is not g' + r' + 1 long);
+    fan is the Fan when obj is exactly its fan_to_json, ints typed as the
+    schema."""
+    faces = gamma = None
     try:
         g = obj["gamma"]
         if int(g["r_prime"]) > MAX_R_PRIME:
-            return None, None
+            return None, None, None
         gamma = GammaData(int(g["g_prime"]), int(g["r_prime"]), _matrix(g["Bprime"]))
         Q = _metric(obj["metric"], gamma.r_prime)
         if len(obj["rays"][0]) != gamma.g + 1:
-            return None, None
+            return None, None, gamma
         faces, seed = face_set(gamma, Q), obj.get("seed")
         if (isinstance(faces, set) and type(g["g_prime"]) is type(g["r_prime"]) is int
                 and (seed is None or type(seed) is int)):
             fan = fan_of_faces(faces, gamma, Q, seed)
             if fan_to_json(fan) == obj and {type(i) for c in obj["cones"] for i in c} <= {int}:
-                return fan, faces
+                return fan, faces, gamma
     except (AbdynError, ArithmeticError, LookupError, TypeError, ValueError):
         pass  # a shape, or an output integer, that the full path refuses and names
-    return None, faces
+    return None, faces, gamma
 
 
 def lattice_to_json(lat):

@@ -35,8 +35,11 @@ Z^{r'}-translates of the simplices {0, v_s1, v_s1 + v_s2, ...} over the
 orders s of v_1..v_r': r'! det B' cells (det B' <= MAX_DET_BPRIME) of
 |det| 1, as Selling steps are unimodular, so they tile a fundamental cell
 and no volume is checked.  A zero parameter is exactly a cospherical
-configuration and triggers a seeded rational perturbation of the metric,
-with a retry cap.  A fan is built as, and a stored fan certified by, the
+configuration; each parameter is compared as that of Q + sum_k eps^k E_k
+for an infinitesimal eps > 0 (Edelsbrunner & Mucke, "Simulation of
+Simplicity", ACM Trans. Graphics 9, 1990), whose simplices refine the
+Delaunay cells of Q, so a fan stores the metric it was given.  A fan is
+built as, and a stored fan certified by, the
 face set of its cells (Fulton, Introduction to Toric Varieties, 1.4: a fan
 is the faces of its maximal cones): the faces of the r'! simplices, each
 moved so its smallest vertex is 0 and then to each of the det B' coset
@@ -54,20 +57,19 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .errors import ContractError, DimensionError, NumericIndeterminacyError
+from .errors import ContractError, DimensionError
 from .exactalg import (IntMatrix, _bareiss, _definite_adjugate, is_positive_definite,
                        kernel_completion, minor_gcd)
 
-MAX_METRIC_RETRIES = 16
 MAX_R_PRIME = 3  # obtuse superbases need not exist past it, and the steps differ
 MAX_DET_BPRIME = 1000  # the cells of a fan number r'! det B'
-# Selling steps of one reduction: the fan corpus and the tests take at most 7,
-# and 1000 take about 16 ms.
+# Selling steps of one reduction: the fan corpus takes at most 4 and the tests
+# at most 19, and 1000 take about 7 ms at r' = 2 and 10 ms at r' = 3 (a 2-vCPU
+# x86-64 VM, Python 3.11).
 MAX_SELLING_STEPS = 1000
 
 
@@ -217,17 +219,13 @@ def nakamura_data(M):
 
 class Fan(namedtuple("Fan", "cones gamma metric seed", defaults=(None,))):
     """A Gamma-fundamental set of cones, each a sorted generator tuple,
-    plus the translation data, the rational metric actually used (row
+    plus the translation data, the rational metric it is the fan of (row
     tuples of Fractions) and the seed of a random one."""
     __slots__ = ()
 
     def maximal_cones(self):
         d = max(map(len, self.cones), default=0)
         return [c for c in self.cones if len(c) == d]
-
-
-class _DegenerateMetric(Exception):
-    pass
 
 
 def _normalize_metric(metric, r_prime):
@@ -245,50 +243,45 @@ def _normalize_metric(metric, r_prime):
     return Q
 
 
-def _perturb_metric(Q, rng):
-    """Small random rational symmetric perturbation keeping positive
-    definiteness (resampled until PD)."""
-    n = len(Q)
-    for _ in range(64):
-        P = [row[:] for row in Q]
-        for i in range(n):
-            for j in range(i, n):
-                eps = Fraction(rng.randint(-9, 9), 997 + 2 * rng.randint(0, 200))
-                P[i][j] = P[i][j] + eps
-                if i != j:
-                    P[j][i] = P[i][j]
-        if is_positive_definite(P):
-            return P
-    raise NumericIndeterminacyError("could not perturb metric to positive definite")
-
-
 def _obtuse_superbase(Q):
-    """Selling reduction: an obtuse superbase v_0..v_r' of Z^{r'} under Q
-    (r' <= 3), i.e. sum v_i = 0, v_1..v_r' a basis and v_i.Q.v_j <= 0 for
-    i != j, from (-sum e_i, e_1, .., e_r').  Q (ints or Fractions) is
-    scaled by the lcm D > 0 of its denominators, which keeps every sign.  Q
-    must be positive definite: each step lowers sum v_i.DQ.v_i, so it ends.
-    Raises _DegenerateMetric if a Selling parameter -v_i.Q.v_j vanishes (a
-    cospherical configuration), and ContractError past MAX_SELLING_STEPS."""
+    """Selling reduction: an obtuse superbase v_0..v_r' of Z^{r'} (r' <= 3)
+    under Q_eps, i.e. sum v_i = 0, v_1..v_r' a basis and v_i.Q_eps.v_j < 0
+    for i != j, from (-sum e_i, e_1, .., e_r'), each step at the first pair
+    with a positive parameter.  Q_eps = Q + sum_k eps^k E_k for an
+    infinitesimal eps > 0, the E_k being the E_(a,b) with 1 at (a, b) and
+    (b, a) in the order (0, 0), (0, 1), .., (0, r'-1), (1, 1), .., (r'-1,
+    r'-1), on which the triangulation of a cospherical Q depends.
+    v_i.Q_eps.v_j has the sign of the first non-zero entry of (v_i.Q.v_j,
+    v_i.E_1.v_j, ..), one of which is non-zero as v_i and v_j are, and the
+    E_k part is computed only where v_i.Q.v_j = 0.  Q (ints or Fractions)
+    is scaled by the lcm of its denominators, which keeps every sign.  Q
+    must be positive definite: each step lowers sum v_i.Q_eps.v_i
+    lexicographically, so it ends; past MAX_SELLING_STEPS it raises
+    ContractError."""
     rp = len(Q)
     D = math.lcm(*(x.denominator for row in Q for x in row))
     DQ = [[x.numerator * (D // x.denominator) for x in row] for row in Q]
+    units = list(itertools.combinations_with_replacement(range(rp), 2))  # the E_k
     vs = [(-1,) * rp] + [tuple(int(i == j) for j in range(rp)) for i in range(rp)]
     # the other r' - 1 vectors absorb 2 v_i, so sum v = 0 is kept
     step = 2 if rp == 2 else 1
     pairs = list(itertools.combinations(range(rp + 1), 2))
     for _ in range(MAX_SELLING_STEPS + 1):
         Qv = [[sum(map(mul, row, v)) for row in DQ] for v in vs]
-        p = [sum(map(mul, Qv[i], vs[j])) for i, j in pairs]  # -(Selling parameters)
-        if max(p) <= 0:
-            if 0 in p:
-                raise _DegenerateMetric("zero Selling parameter: cospherical configuration")
+        for (i, j), x in zip(pairs, (sum(map(mul, Qv[i], vs[j])) for i, j in pairs)):
+            if x > 0 or not x and _eps_part(vs[i], vs[j], units) > 0:
+                break
+        else:
             return vs
-        i, j = pairs[next(k for k, x in enumerate(p) if x > 0)]
         vi = vs[i]
         vs = [tuple(-x for x in vi) if k == i else v if k == j
               else tuple(x + step * y for x, y in zip(v, vi)) for k, v in enumerate(vs)]
     raise ContractError(f"the metric needs more than {MAX_SELLING_STEPS} Selling steps")
+
+
+def _eps_part(v, w, units):
+    """The first non-zero v.E_(a,b).w over units, doubled where a = b."""
+    return next(filter(None, (v[a] * w[b] + v[b] * w[a] for a, b in units)))
 
 
 def _coset_representatives(gamma):
@@ -311,15 +304,16 @@ def _coset_representatives(gamma):
 def _delaunay_faces(gamma, Q):
     """The Gamma-canonical forms (_canonical_gens) of every cone of the
     Delaunay fan of Z^{r'} under the positive definite rational metric Q,
-    the zero cone included, as sorted generator tuples.  From an obtuse
-    superbase with non-zero Selling parameters the cells are the
+    the zero cone included, as sorted generator tuples; for a cospherical Q,
+    those of the triangulation of Q_eps (_obtuse_superbase), which refines
+    its Delaunay cells.  From the obtuse superbase of Q_eps the cells are the
     Z^{r'}-translates of the simplices {0, v_s1, v_s1 + v_s2, ..} over the
     orders s of v_1..v_r' (Conway & Sloane 1992), so every cone is a
     translate of a face of one of them.  Each face, moved so its smallest
     vertex is 0, is translated to each coset representative c; that
     translate is canonical, as its smallest vertex is c, so no vertex is
     reduced mod B'.  Raises ContractError if det B' > MAX_DET_BPRIME, before
-    enumerating, and _DegenerateMetric on an exact cosphericity."""
+    enumerating, or if the Selling steps pass their limit."""
     if gamma.det > MAX_DET_BPRIME:
         raise ContractError(f"det B' = {gamma.det} is above the limit {MAX_DET_BPRIME}")
     origin, zero = (0,) * gamma.r_prime, (0,) * gamma.g_prime
@@ -347,28 +341,14 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     """Build the Gamma-invariant Delaunay fan: cones over the Delaunay cells
     of the height-1 lattice, one fundamental set, closed under faces.  The
     metric is "standard" (or "identity") or a symmetric positive definite
-    rational r' x r' matrix.
-
-    Degenerate (cospherical) metrics are retried with rational perturbations
-    drawn from random.Random(seed), up to MAX_METRIC_RETRIES tries; the
-    default seed 0 makes every call reproducible."""
+    rational r' x r' matrix, and the fan stores it as given; a cospherical
+    one gets the triangulation of _delaunay_faces.  seed is stored with the
+    fan, as the seed of a random metric."""
     rp = gamma_data.r_prime
     if not (1 <= rp <= MAX_R_PRIME):
         raise ContractError("desk scale: 1 <= r' <= 3")
-    Q = base = _normalize_metric(metric, rp)
-    rng = random.Random(seed)
-    last_err = None
-    for _ in range(MAX_METRIC_RETRIES):
-        try:
-            faces = _delaunay_faces(gamma_data, Q)
-            break
-        except _DegenerateMetric as exc:
-            last_err = exc
-            Q = _perturb_metric(base, rng)
-    else:
-        raise NumericIndeterminacyError(
-            f"no generic metric found in {MAX_METRIC_RETRIES} retries: {last_err}")
-    return fan_of_faces(faces, gamma_data, Q, seed)
+    Q = _normalize_metric(metric, rp)
+    return fan_of_faces(_delaunay_faces(gamma_data, Q), gamma_data, Q, seed)
 
 
 def fan_of_faces(faces, gamma, Q, seed):
@@ -392,10 +372,11 @@ class FanReport(namedtuple("FanReport", "violations non_regular")):
 
 
 def face_set(gamma, Q):
-    """The face set of the Delaunay fan of the metric Q (_delaunay_faces),
-    or the reason there is none: the one violation (r' > MAX_R_PRIME, Q not
-    symmetric, not positive definite, or a zero Selling parameter), or the
-    ContractError of det B' or the Selling steps above their limit."""
+    """The face set of the Delaunay fan of the metric Q (_delaunay_faces,
+    which triangulates a cospherical Q as delaunay_fan does), or the reason
+    there is none: the one violation (r' > MAX_R_PRIME, Q not symmetric, or
+    not positive definite), or the ContractError of det B' or the Selling
+    steps above their limit."""
     rp = gamma.r_prime
     if rp > MAX_R_PRIME:
         return "Delaunay cells are computed for r' <= 3 only"
@@ -406,8 +387,6 @@ def face_set(gamma, Q):
         return "metric is not positive definite"
     try:
         return _delaunay_faces(gamma, Q)
-    except _DegenerateMetric as exc:
-        return f"metric has no Delaunay triangulation: {exc}"
     except ContractError as exc:
         return exc
 

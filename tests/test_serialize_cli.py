@@ -450,8 +450,8 @@ def test_cli_fan_build_random_metric_reproducible(capsys, monkeypatch):
 
 
 def test_cli_fan_build_reproducible_without_seed(capsys, monkeypatch):
-    # B = I gives the cospherical square lattice, so the standard metric is
-    # perturbed too; the default seed must fix both perturbations
+    # B = I gives the cospherical square lattice, which the standard metric
+    # triangulates with no random draw; the default seed fixes the random one
     for extra in ([], ["--metric", "random"]):
         outs = []
         for _ in range(2):
@@ -461,6 +461,36 @@ def test_cli_fan_build_reproducible_without_seed(capsys, monkeypatch):
             outs.append(out)
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["options"]["seed"] == 0
+
+
+def test_cli_fan_build_stores_the_standard_metric(tmp_path, capsys, monkeypatch):
+    """The standard metric of the square lattice is cospherical: `fan build`
+    stores it as the identity, and `fan validate` accepts the file."""
+    fan_file, fan = _built_fan("[[1,0],[0,1]]", tmp_path, capsys, monkeypatch)
+    assert fan["metric"] == [["1", "0"], ["0", "1"]]
+    code, out, _ = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["result"]["ok"]
+
+
+def test_cli_fan_build_keeps_a_cospherical_metric(tmp_path, capsys, monkeypatch):
+    """diag(1, 1/100000) on the square lattice, whose Delaunay cells are the
+    unit squares: `fan build` exits 0 and stores that metric, each maximal
+    cell is half of a unit square, and `fan validate` accepts the file.
+    Before, a random perturbation about 80 times larger than the second
+    entry was stored, with triangles that refine no unit square."""
+    fan_file = tmp_path / "fan.json"
+    code, _, err = run_cli(["fan", "build", "--B", "[[1,0],[0,1]]", "--metric",
+                            '[[1,0],[0,"1/100000"]]', "--out", str(fan_file)],
+                           None, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    fan = json.loads(fan_file.read_text())["result"]
+    assert fan["metric"] == [["1", "0"], ["0", "1/100000"]]
+    rays = [[int(x) for x in ray[:-1]] for ray in fan["rays"]]
+    top = [[rays[i] for i in c] for c in fan["cones"] if len(c) == 3]
+    assert len(top) == 2
+    assert all(max(col) - min(col) == 1 for cell in top for col in zip(*cell))
+    code, out, _ = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["result"]["ok"]
 
 
 def test_cli_consecutive_calls_keep_no_state(capsys, monkeypatch):
@@ -528,13 +558,15 @@ def _drop_maximal_cone(fan):
     fan["cones"].remove(next(c for c in fan["cones"] if len(c) == top))
 
 
-def _drop_metric(fan):
-    del fan["metric"]  # the standard metric, cospherical at r' = 2
+def _flip_metric(fan):
+    # the standard metric is triangulated like [[1, e], [e, 1]] for a small
+    # e > 0; this one puts the cells on the other diagonal
+    fan["metric"] = [["1", "-1/3"], ["-1/3", "1"]]
 
 
 @pytest.mark.parametrize("edit, violation", [
     (_drop_maximal_cone, "missing cone ((0, 0, 1), (0, 1, 1), (1, 0, 1))"),
-    (_drop_metric, "metric has no Delaunay triangulation")])
+    (_flip_metric, "cone 5: not a cone of the Delaunay fan of the metric")])
 def test_cli_fan_extends_refuses_uncertified_fan(edit, violation, tmp_path, capsys,
                                                  monkeypatch):
     fan_file, fan = _built_fan("[[2,1],[1,2]]", tmp_path, capsys, monkeypatch)
@@ -933,19 +965,30 @@ def _past_the_digit_limit():
     (["catalog", "build", "--case", "2.2", "--d", "100000039"], None,
      "the fundamental unit of Z[sqrt 100000039] has more than 4300 digits"),
     (["end-to-end", "--case", "2.2", "--d", "100000039"], None,
-     "the fundamental unit of Z[sqrt 100000039] has more than 4300 digits"),
-    (["fan", "build", "--B", "[[2,1],[1,2]]", "--metric",
-      json.dumps([[f"1/{'9' * 4300}", "0"], ["0", f"1/{'9' * 4300}"]])], None,
-     "an output integer has more than 4300 digits")],
-    ids=["split", "catalog-build", "end-to-end", "fan-build-perturbed-metric"])
+     "the fundamental unit of Z[sqrt 100000039] has more than 4300 digits")],
+    ids=["split", "catalog-build", "end-to-end"])
 def test_cli_output_past_the_digit_limit_exits_3(argv, stdin_text, line, capsys, monkeypatch):
     """A result with an integer of more than 4300 digits, which the integer
     schema could not read back (and str refuses on Python 3.11), exits 3
-    with one contract error line and no output: before, a traceback.  The
-    fan's metric has a zero Selling parameter, and its perturbed entries
-    have denominators past 10^4300."""
+    with one contract error line and no output: before, a traceback."""
     code, out, err = run_cli(argv, stdin_text, capsys, monkeypatch)
     assert (code, out, err) == (3, "", f"contract error: {line}\n")
+
+
+def test_cli_fan_build_stores_a_cospherical_metric_at_the_digit_limit(tmp_path, capsys,
+                                                                      monkeypatch):
+    """A cospherical metric with 4300-digit denominators, whose random
+    perturbation once pushed the stored entries past the digit limit (exit
+    3), is stored as given, and the fan file validates."""
+    big = f"1/{'9' * 4300}"
+    fan_file = tmp_path / "fan.json"
+    code, _, err = run_cli(["fan", "build", "--B", "[[2,1],[1,2]]", "--metric",
+                            json.dumps([[big, "0"], ["0", big]]), "--out", str(fan_file)],
+                           None, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(fan_file.read_text())["result"]["metric"] == [[big, "0"], ["0", big]]
+    code, out, _ = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["result"]["ok"]
 
 
 def test_cli_pell_unit_past_the_digit_limit_ends_in_seconds(capsys, monkeypatch):
@@ -1235,9 +1278,9 @@ def test_fan_file_fast_test_agrees_with_the_full_path(corpus_fan_files, tmp_path
     accepted = []
 
     def counting(obj):
-        fan, faces = fast(obj)
+        fan, faces, gamma = fast(obj)
         accepted[:] = [fan is not None]
-        return fan, faces
+        return fan, faces, gamma
 
     fan_file = tmp_path / "fan.json"
     for wrapper in corpus_fan_files:
@@ -1253,13 +1296,32 @@ def test_fan_file_fast_test_agrees_with_the_full_path(corpus_fan_files, tmp_path
                 fan_file.write_text(json.dumps(doc if wrapped else doc["result"]))
                 for command in ("validate", "extends"):
                     documents = []
-                    for built_fan in (counting, lambda obj: (None, None)):
+                    for built_fan in (counting, lambda obj: (None, None, None)):
                         monkeypatch.setattr(serialize, "built_fan", built_fan)
                         documents.append(run_cli(_fan_argv(command, fan_file, nphi), None,
                                                  capsys, monkeypatch))
                     assert documents[0] == documents[1], (name, wrapped, command)
                     if not name.startswith("FAN_FAULTS"):
                         assert accepted == [name == "as built"], (name, wrapped, command)
+
+
+@pytest.mark.parametrize("command", ["validate", "extends"])
+def test_fan_file_missing_the_fast_test_builds_one_gamma(command, tmp_path, capsys,
+                                                          monkeypatch):
+    """A fan file that misses the fast test (its cones reversed) builds one
+    GammaData: fan_from_json takes the fast test's."""
+    from abdyn import toroidal
+    fan_file, fan = _built_fan("[[2,1],[1,2]]", tmp_path, capsys, monkeypatch)
+    fan_file.write_text(json.dumps(dict(fan, cones=fan["cones"][::-1])))
+    calls = []
+    new = toroidal.GammaData.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(toroidal.GammaData, "__new__", counting)
+    code, _, err = run_cli(_fan_argv(command, fan_file, "[1, 1]"), None, capsys, monkeypatch)
+    assert (code, err) == (0, "") and len(calls) == 1
 
 
 def test_cli_catalog_and_end_to_end(capsys, monkeypatch):
@@ -1590,8 +1652,9 @@ def test_cli_fan_file_runs_selling_and_the_face_enumeration_once(edit, outcome, 
     reduction at most once and enumerates the coset representatives at
     most once, whether the fast test accepts the file, the full path reads
     it (and reuses the face set), or the metric is refused: det B' above
-    its limit (before any Selling step), more Selling steps than the limit,
-    or a zero Selling parameter."""
+    its limit (before any Selling step) or more Selling steps than the
+    limit.  A cospherical metric is triangulated, so its one-ray fan is
+    rejected cone by cone, as any other fan that is not its face set."""
     from abdyn import toroidal
     fan_file, fan = _built_fan("[[2,1],[1,2]]", tmp_path, capsys, monkeypatch)
     fan = edit(fan)
@@ -1607,8 +1670,7 @@ def test_cli_fan_file_runs_selling_and_the_face_enumeration_once(edit, outcome, 
     refused = outcome in ("det B' above the limit", "Selling steps above the limit")
     assert code == (3 if refused or outcome == "cospherical metric" else 0), err
     assert counts == {"_obtuse_superbase": int(outcome != "det B' above the limit"),
-                      "_coset_representatives": int(not refused
-                                                    and outcome != "cospherical metric")}
+                      "_coset_representatives": int(not refused)}
 
 
 @pytest.mark.parametrize("command, ints, floats", [
@@ -1980,8 +2042,9 @@ FAN_OUTPUT_SCHEMAS = {"build": "fan", "validate": "fan_validation", "extends": "
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(fan_argv())
 def test_cli_fan_contract(tmp_path_factory, doc):
-    """Whatever B, metric, seed, fan file and n_phi: exit 0, 2, 3 or 4, never
-    a traceback.  A refusal prints one stderr line and no stdout, except that
+    """Whatever B, metric, seed, fan file and n_phi: exit 0, 2 or 3, never a
+    traceback, and never exit 4, as every positive definite metric has its
+    triangulation.  A refusal prints one stderr line and no stdout, except that
     `fan validate` reports a fan that fails validation on stdout with exit 3;
     an output validates against its schema."""
     argv, text = doc
@@ -1993,7 +2056,7 @@ def test_cli_fan_contract(tmp_path_factory, doc):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     event(f"{argv[1]}: exit {code}")
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
     reported = argv[1] == "validate" and code == 3 and out.getvalue()
     if code and not reported:
         assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
@@ -2300,8 +2363,8 @@ def usage_argv(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(doc=usage_argv())
 def test_cli_argv_contract(argv_files, doc):
-    """Whatever is done to a valid argv: main returns 0, 2, 3 or 4 and never
-    raises SystemExit; an error prints at most one stderr line; a usage error
+    """Whatever is done to a valid argv: main returns 0, 2, 3 or 4 (no fan
+    command returns 4) and never raises SystemExit; an error prints at most one stderr line; a usage error
     is exit 2 with one `usage error:` line and no stdout; -h/--help and
     --version print to stdout and exit 0; a valid argv whose flags are only
     rewritten as --flag=value gives exactly the output of the original."""
@@ -2311,7 +2374,7 @@ def test_cli_argv_contract(argv_files, doc):
                           for t in rest]
     code, out, err = _call(argv, stdin_text)
     event(f"{expect}: exit {code}")
-    assert code in (0, 2, 3, 4)
+    assert code in ((0, 2, 3) if words[:1] == ("fan",) else (0, 2, 3, 4))
     if code:
         assert len(err.splitlines()) <= 1
     if err.startswith("usage error:") or expect == "usage":
@@ -2582,7 +2645,7 @@ GOLDEN_STDOUT_DIGESTS = {
     "analyze": "62b415f17e3fa34f8c066a88fec420103d3542ca918e398a1dab6c25eb5d7ab5",
     "decide": "bc4cc3485b74b5006da0fe75509ba83d2e71b140ab1b22945775a70dd61822d7",
     "split": "6d8de385cc5503e20132c4de66ddaf50836035c5616d90ff9b98404e86e3ff6a",
-    "fan build": "edaf94992081c6fbe624f926cb4869ae703f0a8815d73f338c711997ce04ca98",
+    "fan build": "1cca989426a1750fbcb5bf40abaf9525aaf1cbefd436d62c0430f2ca4bad375e",
     "fan validate": "5bba0238f2d4ed889b5cc37a32f1cfcbad40e15bc41e54e80f1028a6d29e8f39",
     "fan extends": "0c464ab772861bdd79e4e2e1859de9f73a13950a71994b7e8f89689e09450123",
     "orbit analyze": "10928ed2818c00056969f2e1cf2f666da99fe94872c62340230dd7456bc40133",

@@ -3,6 +3,7 @@ validation, section extension, translation regularization."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
@@ -17,14 +18,15 @@ from abdyn import toroidal
 from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix, is_positive_definite
-from abdyn.toroidal import (Fan, GammaData, _coset_representatives, _DegenerateMetric,
+from abdyn.toroidal import (Fan, GammaData, _coset_representatives,
                             _delaunay_faces, _obtuse_superbase, _reduce_mod_period,
                             central_fiber_combinatorics, delaunay_fan,
                             monodromy_to_B, nakamura_data, period_data, section_extends,
                             translation_regularizable, validate_fan)
 
-from util import (brute_force_delaunay_cells, canonical_cone, fraction_rref, gamma_act,
-                  gamma_shift, random_unimodular, reference_delaunay_cells,
+from util import (brute_force_delaunay_cells, brute_force_delaunay_polytopes, canonical_cone,
+                  epsilon_metric, fraction_rref, gamma_act, gamma_shift, random_unimodular,
+                  reference_delaunay_cells,
                   reference_canonical_cone, reference_face_set, reference_fan_report,
                   reference_kernel_completion, reference_nakamura_data,
                   reference_obtuse_superbase, reference_section_extends,
@@ -299,9 +301,9 @@ def _generic_metric(n, rng):
 def test_obtuse_superbase_matches_the_fraction_reference():
     """The Selling reduction in scaled integers returns the superbase of
     the reduction in Fractions, which takes the first pair with a positive
-    parameter at each step, or refuses a cospherical metric as it does: on
-    400 seeded positive definite metrics of r' = 1..3, in ints and in
-    Fractions, skewed ones and cospherical ones among them."""
+    parameter at each step, each parameter compared as its tuple under Q,
+    E_1, E_2, ..: on 400 seeded positive definite metrics of r' = 1..3, in
+    ints and in Fractions, skewed ones and cospherical ones among them."""
     rng = random.Random("superbase")
     outcomes = set()
     while len(outcomes) < 400:
@@ -314,13 +316,7 @@ def test_obtuse_superbase_matches_the_fraction_reference():
             Q = [[int(x) for x in row] for row in Q]
         if not is_positive_definite(Q):
             continue
-        results = []
-        for reduce in (_obtuse_superbase, reference_obtuse_superbase):
-            try:
-                results.append(reduce(Q))
-            except _DegenerateMetric as exc:
-                results.append(str(exc))
-        assert results[0] == results[1], Q
+        assert _obtuse_superbase(Q) == reference_obtuse_superbase(Q), Q
         outcomes.add(repr(Q))
 
 
@@ -354,16 +350,72 @@ def test_selling_cells_match_brute_force(Bprime):
 
 
 def test_random_metric_sweep_has_no_indeterminacy():
-    """300 r' = 2 builds with seeded random metrics: none runs out of metric
-    retries (exit 4), and each tiles the fundamental cell with 2 det B'
-    triangles."""
+    """300 r' = 2 builds with seeded random metrics, cospherical ones among
+    them: each stores its metric and tiles the fundamental cell with 2 det
+    B' triangles."""
     from abdyn.cli import _random_metric
     for B in ([[2, 1], [1, 3]], [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[3, 1], [1, 2]],
               [[2, 1], [1, 4]]):
         gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.from_rows(B))
         for s in range(60):
-            fan = delaunay_fan(gd, metric=_random_metric(2, s), seed=s)
+            metric = _random_metric(2, s)
+            fan = delaunay_fan(gd, metric=metric, seed=s)
+            assert fan.metric == tuple(map(tuple, metric))
             assert len(fan.maximal_cones()) == 2 * gd.det
+
+
+def _zero_parameter_metric(rp, rng):
+    """U^T Q U for a seeded unimodular U and the Q under which the superbase
+    (-sum e_i, e_1, .., e_r') has the Selling parameters p_ij in 0..3, one
+    of them 0 at least: a positive definite small-integer metric with a
+    zero Selling parameter, so a cospherical one."""
+    while True:
+        p = {ij: rng.randint(0, 3) for ij in itertools.combinations(range(rp + 1), 2)}
+        # Q_ab = -p_ab off the diagonal, and each row of Q sums to p_0a
+        Q = [[p[0, a] + sum(p[min(a, c), max(a, c)] for c in range(1, rp + 1) if c != a)
+              if a == b else -p[min(a, b), max(a, b)] for b in range(1, rp + 1)]
+             for a in range(1, rp + 1)]
+        if 0 in p.values() and is_positive_definite(Q):
+            break
+    U = random_unimodular(rp, rng).to_rows()
+    return [[sum(U[k][i] * Q[k][m] * U[m][j] for k in range(rp) for m in range(rp))
+             for j in range(rp)] for i in range(rp)]
+
+
+def _cospherical_metrics():
+    rng = random.Random("cospherical")
+    return ([[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             [[1, 0], [0, Fraction(1, 100000)]]]
+            + [_zero_parameter_metric(2 + n % 2, rng) for n in range(200)])
+
+
+def _in_a_cell(cell, cells):
+    """Whether a translate of the vertex tuple cell lies in one of cells.
+    Both have 0 as their smallest vertex, so the translation takes 0 to a
+    vertex of the cell it lies in."""
+    return any(all(tuple(x + y for x, y in zip(v, t)) in P for v in cell)
+               for P in map(set, cells) for t in P)
+
+
+def test_cospherical_cells_match_brute_force_at_a_small_eps():
+    """On 203 metrics with a zero Selling parameter (I2, I3, diag(1,
+    1/100000), and 200 seeded small-integer ones at r' = 2 and 3): the cells
+    of the face set are the brute-force Delaunay cells of Q + sum_k eps^k
+    E_k at eps = 10^-6, and each lies in a Delaunay cell of Q itself, of
+    which one at least is no simplex.  Each brute force runs in the basis
+    of the Fraction reference, which sets its search ball only."""
+    eps = Fraction(1, 10 ** 6)
+    for Q in _cospherical_metrics():
+        rp = len(Q)
+        Q = [[Fraction(x) for x in row] for row in Q]
+        gd = GammaData(g_prime=0, r_prime=rp, Bprime=IntMatrix.identity(rp))
+        cells = _cells(gd, Q)
+        basis = reference_obtuse_superbase(Q)[1:]
+        expected, volume = brute_force_delaunay_cells(epsilon_metric(Q, eps), basis)
+        assert volume == math.factorial(rp) and set(cells) == expected, Q
+        own = brute_force_delaunay_polytopes(Q, basis)
+        assert max(map(len, own)) > rp + 1, Q
+        assert all(_in_a_cell(cell, own) for cell in cells), Q
 
 
 def _with_metric(fan, metric):
@@ -373,16 +425,16 @@ def _with_metric(fan, metric):
 
 @pytest.mark.parametrize("metric, violation", [
     ([[-1, 0], [0, 1]], "metric is not positive definite"),
-    ([[1, 0], [0, 1]],  # cospherical
-     "metric has no Delaunay triangulation: zero Selling parameter: cospherical configuration"),
+    # cospherical: triangulated like [[1, e], [e, 1]] for a small e > 0
+    ([[1, 0], [0, 1]], "cone 6: not a cone of the Delaunay fan of the metric"),
     ([[1, 2], [0, 1]], "metric is not symmetric"),
     # a generic metric whose triangles use the other diagonal
     ([[1, Fraction(1, 3)], [Fraction(1, 3), 1]],
      "cone 6: not a cone of the Delaunay fan of the metric")])
 def test_fan_certified_against_its_metric(metric, violation):
     """A metric with no cells is the one violation; against a metric with
-    other cells, the cones on the other diagonal are named first and the
-    missing ones last."""
+    other cells, a cospherical one among them, the cones on the other
+    diagonal are named first and the missing ones last."""
     gd = GammaData(g_prime=0, r_prime=2, Bprime=IntMatrix.from_rows([[2, 1], [1, 2]]))
     fan = delaunay_fan(gd, metric=[[1, Fraction(-1, 3)], [Fraction(-1, 3), 1]])
     assert validate_fan(fan).ok and section_extends((1, 1), fan)
@@ -432,11 +484,8 @@ def _other_cells_metric(fan, rng):
     own = _delaunay_faces(gamma, fan.metric)
     for _ in range(200):
         Q = _generic_metric(gamma.r_prime, rng)
-        try:
-            if gamma.r_prime == 1 or _delaunay_faces(gamma, Q) != own:
-                return Q
-        except _DegenerateMetric:
-            pass
+        if gamma.r_prime == 1 or _delaunay_faces(gamma, Q) != own:
+            return Q
     raise AssertionError("no metric with other cells found")
 
 
@@ -471,14 +520,11 @@ def _mutations(fan, rng):
 
 
 def _accepted(fan):
-    """The acceptance test of validate_fan, on the reference face set: the
-    metric has Delaunay cells, every generator has g + 1 coordinates, and
+    """The acceptance test of validate_fan, on the reference face set: every
+    generator has g + 1 coordinates, and
     the canonical forms of the cones are distinct and are the face set."""
     gamma = fan.gamma
-    try:
-        cells = reference_delaunay_cells(gamma, fan.metric)
-    except _DegenerateMetric:
-        return False
+    cells = reference_delaunay_cells(gamma, fan.metric)
     if any(len(v) != gamma.g + 1 for c in fan.cones for v in c):
         return False
     stored = [reference_canonical_cone(c, gamma) for c in fan.cones]
@@ -528,24 +574,20 @@ def test_validate_fan_matches_reference(g_prime, Bprime):
 def test_validate_fan_reports_short_generators_of_a_maximal_cone():
     """A maximal cone whose generators are shorter than g' + r' + 1 (only a
     Fan built in Python can hold one) is reported, not a traceback, and is
-    never canonicalized: under the cospherical standard metric the metric's
-    reason is the one violation, and under a generic metric the cone is no
-    cone of the fan and every face is missing, as in the reference."""
+    never canonicalized: under the cospherical standard metric as under a
+    generic one, the cone is no cone of the fan and every face is missing,
+    as in the reference."""
     gd = GammaData(g_prime=1, r_prime=2, Bprime=IntMatrix.identity(2))
     short = (((0, 1), (1, 1), (2, 1)),)
-    fan = Fan(cones=short, gamma=gd, metric=((1, 0), (0, 1)))
-    report = validate_fan(fan)
-    assert report == reference_fan_report(fan)
-    assert report.ok == reference_validate_fan(fan).ok
-    assert not report.ok
-    assert report.violations == (
-        "metric has no Delaunay triangulation: zero Selling parameter: cospherical configuration",)
-    generic = Fan(cones=short, gamma=gd, metric=delaunay_fan(gd).metric)
-    report = validate_fan(generic)
-    assert report == reference_fan_report(generic) and not report.ok
-    assert report.violations[0] == "cone 0: not a cone of the Delaunay fan of the metric"
-    assert report.violations[1:] == tuple(f"missing cone {c}"
-                                          for c in delaunay_fan(gd).cones)
+    for metric in (((1, 0), (0, 1)), ((1, Fraction(1, 3)), (Fraction(1, 3), 1))):
+        fan = Fan(cones=short, gamma=gd, metric=metric)
+        report = validate_fan(fan)
+        assert report == reference_fan_report(fan)
+        assert report.ok == reference_validate_fan(fan).ok
+        assert not report.ok
+        assert report.violations[0] == "cone 0: not a cone of the Delaunay fan of the metric"
+        assert report.violations[1:] == tuple(f"missing cone {c}"
+                                              for c in delaunay_fan(gd, metric).cones)
 
 
 def test_validate_fan_rejects_a_cone_that_is_no_face_of_a_maximal_cone():
@@ -694,23 +736,16 @@ def _metric_and_bprime(draw):
 @given(_metric_and_bprime())
 def test_delaunay_cells_tile_by_construction(case):
     """The invariant that replaced the tiling check of the Delaunay cells:
-    either a zero Selling parameter (_DegenerateMetric, also in the
-    Fraction reference), or r'! det B' distinct cells, read off the face
-    set's (r'+1)-faces, each of |det| 1 with its first vertex in the
-    fundamental cell, equal to the cells of the reference (Selling
-    reduction in Fractions, volumes summed)."""
+    r'! det B' distinct cells, read off the face set's (r'+1)-faces, each of
+    |det| 1 with its first vertex in the fundamental cell, equal to the
+    cells of the reference (Selling reduction in Fractions, volumes summed),
+    on cospherical metrics as on generic ones."""
     import sympy
 
     Q, B = case
     rp = len(B)
     gd = GammaData(g_prime=0, r_prime=rp, Bprime=IntMatrix.from_rows(B))
-    try:
-        cells = _cells(gd, Q)
-    except _DegenerateMetric:
-        event("zero Selling parameter")
-        with pytest.raises(_DegenerateMetric, match="zero Selling parameter"):
-            reference_delaunay_cells(gd, Q)
-        return
+    cells = _cells(gd, Q)
     det = sympy.Matrix(B).det()
     event(f"r' = {rp}, det B' = {det}")
     assert len(set(cells)) == len(cells) == math.factorial(rp) * det

@@ -44,7 +44,7 @@ from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          relation_lattice)
 from abdyn.serialize import validate_schema
 from abdyn.toroidal import (FanReport, GammaData, _canonical_gens,
-                            _coset_representatives, _DegenerateMetric, _reduce_mod_period,
+                            _coset_representatives, _reduce_mod_period,
                             _translate)
 
 def count_spectrum_runs(monkeypatch):
@@ -357,23 +357,26 @@ def _sym_det(m):
                for j in range(len(m)))
 
 
-def brute_force_delaunay_cells(Q):
-    """Delaunay cells of Z^n under the positive definite metric Q (rows of
-    Fractions), up to Z^n-translation, by exhaustive search in sympy
-    Rational arithmetic: every lattice simplex with 0 as its smallest vertex
-    whose circumsphere has no lattice point inside or on it.  Returns
-    (cells, sum of |det|), each cell a sorted vertex tuple.
+def _empty_circumspheres(Q):
+    """(T, on) for every lattice simplex {0} + T with 0 as its smallest
+    vertex whose circumsphere under the positive definite metric Q (rows of
+    ints or Fractions) has no lattice point inside: on is the sorted tuple
+    of the lattice points on it, 0 and T among them.  Exhaustive search in
+    integers, on D Q for the lcm D of the denominators, which has the same
+    spheres.
 
-    The search box is justified without any reduction theory: every point
-    lies within rho of a corner of its unit cube, so the covering radius
-    satisfies 4 rho^2 <= bound = max_s s.Q.s over s in {-1, 1}^n.  A
-    Delaunay cell at 0 has circumradius <= rho, so its vertices, and every
-    lattice point its circumsphere holds, lie in the ball q.Q.q <= bound.
-    Raises AssertionError on a cospherical configuration."""
-    import sympy
-
+    The search ball is justified without any reduction theory: Babai's
+    nearest plane (the coordinates rounded from the last, along the
+    Gram-Schmidt vectors of the unit vectors under Q) puts every point
+    within sqrt(sum_i |e_i*|^2) / 2 of a lattice point, and |e_i*|^2 =
+    d_i / d_{i-1} for the leading principal minors d_i of Q.  So the
+    covering radius satisfies 4 rho^2 <= bound = sum_i d_i / d_{i-1}.  A
+    Delaunay cell at 0 has circumradius r <= rho, so its vertices, and
+    every lattice point on or in its circumsphere, lie in the ball q.Q.q <=
+    4 r^2 <= bound."""
     n = len(Q)
-    Q = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in Q]
+    D = math.lcm(*(Fraction(x).denominator for row in Q for x in row))
+    Q = [[int(x * D) for x in row] for row in Q]
 
     def apply(p):
         return [sum(Q[i][j] * p[j] for j in range(n)) for i in range(n)]
@@ -381,43 +384,101 @@ def brute_force_delaunay_cells(Q):
     def form(p):
         return sum(a * b for a, b in zip(p, apply(p)))
 
-    bound = max(form(s) for s in itertools.product((-1, 1), repeat=n))
-    inv = sympy.Matrix(Q).inv()
-    box = [int(sympy.floor(sympy.sqrt(bound * inv[i, i]))) for i in range(n)]
+    minors = [1] + [_sym_det([row[:i] for row in Q[:i]]) for i in range(1, n + 1)]
+    bound = sum(Fraction(d, c) for c, d in zip(minors, minors[1:]))
+    # |x_i| <= sqrt(bound * (Q^-1)_ii) on the ball, (Q^-1)_ii = minor_ii / det Q
+    det = minors[-1]
+    box = [math.isqrt(math.floor(bound * _sym_det([row[:i] + row[i + 1:] for k, row in enumerate(Q)
+                                                    if k != i]) / det))
+           if n > 1 else math.isqrt(math.floor(bound / det)) for i in range(n)]
     ball = [p for p in itertools.product(*[range(-b, b + 1) for b in box])
             if form(p) <= bound]
+    ball.sort(key=form)  # a point inside a sphere is most often a short one
     Qp = {p: apply(p) for p in ball}
     norm = {p: form(p) for p in ball}
     zero = (0,) * n
-    positive = [p for p in ball if p > zero]
-    near = {(a, b) for a, b in itertools.combinations(positive, 2)
-            if form([x - y for x, y in zip(a, b)]) <= bound}
-    cells = set()
-    for T in itertools.combinations(positive, n):
-        if any(pair not in near for pair in itertools.combinations(T, 2)):
-            continue
-        # circumcenter c: 2 p.Q.c = p.Q.p for each vertex p != 0 (Cramer)
+    positive = sorted(p for p in ball if p > zero)
+    # the points within the ball's bound of each: a cell's edges are at most
+    # 2 r long, so its vertices are pairwise near
+    near = {a: {b for b in positive if form([x - y for x, y in zip(a, b)]) <= bound}
+            for a in positive}
+
+    def simplices(T, rest):
+        """The n-vertex extensions of T by points of rest near each other."""
+        if len(T) == n:
+            yield T
+            return
+        for k, b in enumerate(rest):
+            yield from simplices(T + (b,), [c for c in rest[k + 1:] if c in near[b]])
+
+    for T in simplices((), positive):
+        # circumcenter c = num / d: 2 p.Q.c = p.Q.p for each vertex p != 0 (Cramer)
         A = [[2 * x for x in Qp[p]] for p in T]
         d = _sym_det(A)
         if d == 0:
             continue
         rhs = [norm[p] for p in T]
-        c = [_sym_det([row[:j] + [r] + row[j + 1:] for row, r in zip(A, rhs)]) / d
-             for j in range(n)]
-        if 4 * form(c) > bound:
+        num = [_sym_det([row[:j] + [r] + row[j + 1:] for row, r in zip(A, rhs)])
+               for j in range(n)]
+        if d < 0:
+            d, num = -d, [-x for x in num]
+        if 4 * form(num) > bound * d * d:
             continue
-        # |q - c|^2 - |c|^2 = q.Q.q - 2 c.Q.q, and |c| is the circumradius
-        on_sphere = False
+        # d (|q - c|^2 - |c|^2) = d q.Q.q - 2 num.Q.q, and |c| is the circumradius
+        on = [zero]
         for q in ball:
-            if q != zero and q not in T:
-                power = norm[q] - 2 * sum(a * b for a, b in zip(c, Qp[q]))
+            if q != zero:
+                power = d * norm[q] - 2 * sum(a * b for a, b in zip(num, Qp[q]))
                 if power < 0:
                     break
-                on_sphere |= power == 0
+                if power == 0:
+                    on.append(q)
         else:
-            assert not on_sphere, "cospherical configuration"
-            cells.add(tuple(sorted((zero, *T))))
+            yield T, tuple(sorted(on))
+
+
+def _in_basis(Q, basis):
+    """(B Q B^T, the map of a vertex tuple back to the coordinates of Q,
+    with the smallest vertex moved to 0) for the rows B of a basis of Z^n,
+    default the unit vectors.  B Q B^T has the Delaunay cells of Q, written
+    in B; a reduced basis keeps the search ball of _empty_circumspheres
+    small, and any basis gives the same cells."""
+    n = len(Q)
+    B = [[int(i == j) for j in range(n)] for i in range(n)] if basis is None else basis
+    assert abs(_sym_det([list(b) for b in B])) == 1, "not a basis of Z^n"
+    BQB = [[sum(B[i][k] * Fraction(Q[k][l]) * B[j][l] for k in range(n) for l in range(n))
+            for j in range(n)] for i in range(n)]
+
+    def back(cell):
+        pts = sorted(tuple(sum(y * b[i] for y, b in zip(p, B)) for i in range(n)) for p in cell)
+        return tuple(tuple(x - y for x, y in zip(p, pts[0])) for p in pts)
+    return BQB, back
+
+
+def brute_force_delaunay_cells(Q, basis=None):
+    """Delaunay cells of Z^n under the positive definite metric Q, up to
+    Z^n-translation, by exhaustive search (_empty_circumspheres, run in the
+    rows of basis: _in_basis): every lattice simplex with 0 as its smallest
+    vertex whose circumsphere has no other lattice point inside or on it.
+    Returns (cells, sum of |det|), each cell a sorted vertex tuple.  Raises
+    AssertionError on a cospherical configuration."""
+    BQB, back = _in_basis(Q, basis)
+    cells = set()
+    for T, on in _empty_circumspheres(BQB):
+        assert len(on) == len(T) + 1, "cospherical configuration"
+        cells.add(back(on))
     return cells, sum(abs(_sym_det([list(v) for v in cell[1:]])) for cell in cells)
+
+
+def brute_force_delaunay_polytopes(Q, basis=None):
+    """The Delaunay cells of Z^n under the positive definite metric Q,
+    cospherical ones included, up to Z^n-translation: the lattice points on
+    each empty circumsphere (_empty_circumspheres, run in the rows of
+    basis), moved so the smallest is 0, as sorted tuples.  Each cell with 0
+    as its smallest vertex holds a simplex of its vertices with 0 as its
+    smallest vertex, so the search finds it."""
+    BQB, back = _in_basis(Q, basis)
+    return {back(on) for _, on in _empty_circumspheres(BQB)}
 
 
 def compound_matrix(M, l):
@@ -783,19 +844,40 @@ def _quad_form(Q, v, w):
                for i in range(len(v)) for j in range(len(w)))
 
 
-def reference_obtuse_superbase(Q):
-    """Selling reduction in exact rationals (see toroidal._obtuse_superbase)."""
+def elementary_symmetric(rp):
+    """The r'(r'+1)/2 elementary symmetric matrices E_1, E_2, .. of
+    toroidal._obtuse_superbase, in its order: for a <= b row by row, the
+    one with 1 at (a, b) and (b, a) and 0 elsewhere."""
+    return [[[Fraction(int({i, j} == {a, b})) for j in range(rp)] for i in range(rp)]
+            for a in range(rp) for b in range(a, rp)]
+
+
+def epsilon_metric(Q, eps):
+    """Q + sum_k eps^k E_k (elementary_symmetric), for a concrete eps."""
     rp = len(Q)
+    out = [[Fraction(x) for x in row] for row in Q]
+    for k, E in enumerate(elementary_symmetric(rp), 1):
+        out = [[x + eps ** k * e for x, e in zip(row, erow)] for row, erow in zip(out, E)]
+    return out
+
+
+def reference_obtuse_superbase(Q):
+    """Selling reduction in exact rationals under Q + sum_k eps^k E_k for an
+    infinitesimal eps > 0 (see toroidal._obtuse_superbase): each parameter
+    is the tuple of its values under Q, E_1, E_2, .., compared
+    lexicographically with the zero tuple."""
+    rp = len(Q)
+    forms = [Q] + elementary_symmetric(rp)
+    zero = (0,) * len(forms)
     vs = [(-1,) * rp] + [tuple(int(i == j) for j in range(rp)) for i in range(rp)]
     # the other r' - 1 vectors absorb 2 v_i, so sum v = 0 is kept
     step = 2 if rp == 2 else 1
     pairs = list(itertools.combinations(range(rp + 1), 2))
     while True:
-        p = {(i, j): _quad_form(Q, vs[i], vs[j]) for i, j in pairs}
-        i, j = next((ij for ij in pairs if p[ij] > 0), (None, None))
+        p = {(i, j): tuple(_quad_form(F, vs[i], vs[j]) for F in forms) for i, j in pairs}
+        assert zero not in p.values()
+        i, j = next((ij for ij in pairs if p[ij] > zero), (None, None))
         if i is None:
-            if 0 in p.values():
-                raise _DegenerateMetric("zero Selling parameter: cospherical configuration")
             return vs
         vi = vs[i]
         vs = [tuple(-x for x in vi) if k == i else v if k == j
@@ -813,7 +895,8 @@ def _cell_volumes(cells):
 def reference_delaunay_cells(gamma, Q):
     """The Delaunay cells of toroidal._delaunay_faces, one Gamma-fundamental
     set: the simplices of the Selling superbase translated to each coset
-    representative, sorted, with the tiling check on the cell volumes."""
+    representative, sorted, with the tiling check on the cell volumes; for a
+    cospherical Q, those of its triangulation by Q + eps-terms."""
     rp = gamma.r_prime
     reps = _coset_representatives(gamma)
     cells = []
@@ -825,8 +908,8 @@ def reference_delaunay_cells(gamma, Q):
                   for c in reps]
     cells.sort()
     # the canonical cells must tile one fundamental cell
-    if sum(_cell_volumes(cells)) != gamma.det * math.factorial(rp):
-        raise _DegenerateMetric("cells do not tile the fundamental cell")
+    assert sum(_cell_volumes(cells)) == gamma.det * math.factorial(rp), \
+        "cells do not tile the fundamental cell"
     return cells
 
 
@@ -863,7 +946,8 @@ def reference_face_set(cells, gamma):
 
 
 def reference_metric_cells(fan):
-    """(the reference Delaunay cells of the fan's metric, None), or (None,
+    """(the reference Delaunay cells of the fan's metric, None), a
+    cospherical one triangulated as in reference_obtuse_superbase, or (None,
     why it has none)."""
     gamma, Q = fan.gamma, fan.metric
     rp = gamma.r_prime
@@ -874,10 +958,7 @@ def reference_metric_cells(fan):
     # first: the Selling loop need not end on an indefinite form
     if not is_positive_definite(Q):
         return None, "metric is not positive definite"
-    try:
-        return reference_delaunay_cells(gamma, Q), None
-    except _DegenerateMetric as exc:
-        return None, f"metric has no Delaunay triangulation: {exc}"
+    return reference_delaunay_cells(gamma, Q), None
 
 
 def reference_delaunay_violations(fan, canon):
