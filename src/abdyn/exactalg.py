@@ -13,10 +13,10 @@ cleared linear solve (_solve_cleared, for orbit's float systems), the
 maximal minors of minor_gcd, the echelon rows of kernel_completion and the
 left null space of image_lattice all run one fraction-free Gauss-Jordan
 elimination, _bareiss (Bareiss 1968), on denominator-cleared integer row
-lists.  is_positive_definite runs the same recurrence once with no row
-exchanges, so its pivots are the leading principal minors, and
-_definite_adjugate runs it over [A | I], which gives toroidal.GammaData
-the definiteness, det B' and adj(B') of B' in one pass.  Lattice
+lists, with row exchanges.  The one Bareiss loop without them,
+_definite_adjugate, runs over [A | I], so its pivots are the leading
+principal minors: it gives toroidal.GammaData the definiteness, det B' and
+adj(B') of B' in one pass, and is_positive_definite is its verdict.  Lattice
 questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7): kernel
 lattices and unimodular completions (kernel_completion, on K's echelon
 rows), lattices of images (image_lattice), and the gcd of maximal minors
@@ -585,22 +585,10 @@ def _definite_adjugate(rows):
 
 def is_positive_definite(rows):
     """Sylvester's criterion for a symmetric matrix of integers or
-    Fractions: every leading principal minor is positive.  Clearing each
-    row's denominators scales the minors by positive factors only.  One
-    Bareiss pass with no row exchanges has the k-th leading principal minor
-    as its k-th pivot (Bareiss 1968), so it stops at the first pivot <= 0;
-    it eliminates below the pivots only, where _definite_adjugate also
-    eliminates above them and carries [A | I]."""
-    a = [_cleared(list(row)) for row in rows]
-    prev = 1
-    while a:
-        pr, *a = a
-        piv = pr[0]
-        if piv <= 0:
-            return False
-        a = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], pr[1:])] for row in a]
-        prev = piv
-    return True
+    Fractions: every leading principal minor is positive, the verdict of
+    _definite_adjugate.  Clearing each row's denominators scales the minors
+    by positive factors only."""
+    return _definite_adjugate(list(map(_cleared, rows))) is not None
 
 
 def char_poly(M):

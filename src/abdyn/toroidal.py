@@ -21,7 +21,8 @@ and keeps B' as rows, det B' > 0 and adj(B') = det B' * B'^-1.  Every
 Gamma-translate b + beta * B', every reduction of b into the fundamental
 cell (beta = floor(adj(B') b / det B')) and every regularizing power is an
 inner product of those integer rows.  It is built from B alone
-(period_data); a monodromy matrix is only read for its block B.
+(period_data, which leaves the definiteness of B' to that pass); a
+monodromy matrix is only read for its block B.
 
 Delaunay cells are written down exactly, with no search.  For r' <= 3
 every lattice has an obtuse superbase v_0..v_r' (sum v_i = 0, every
@@ -158,9 +159,11 @@ def _block_B(M):
 
 
 def period_data(B):
-    """(W, B', r') for a period-translation matrix B: verify that B is
-    symmetric positive semi-definite; the unimodular W satisfies W B W^T =
-    diag(0, B') with B' positive definite of size r' = rank B.
+    """(W, B', r') for a symmetric period-translation matrix B: the
+    unimodular W satisfies W B W^T = diag(0, B') with B' nonsingular of
+    size r' = rank B.  B is positive semi-definite exactly when B' is
+    positive definite, which is left to the callers (monodromy_to_B, and
+    GammaData in gamma_from_B), so it is tested once.
 
     The first g - r' rows of W span Z^g intersect ker B (kernel_completion).
     The rest are the unit vectors e_j at the columns j that are not pivots
@@ -184,28 +187,32 @@ def period_data(B):
         if any(B[i, j] for i in range(g) for j in range(g) if i < k or j < k):  # diag(0, B')
             raise AssertionError("basis change failed to split off the kernel")
     Bp = [[B[i, j] for j in range(k, g)] for i in range(k, g)]
-    # W is unimodular and B' is nonsingular, so B is positive semi-definite
-    # exactly when B' is positive definite
-    if Bp and not is_positive_definite(Bp):
-        raise ContractError("period translation matrix is not positive semi-definite")
     return W, IntMatrix.from_rows(Bp), g - k
 
 
 def monodromy_to_B(M):
     """(B, W) for a monodromy matrix in the normalized block shape [[I, B],
     [0, I]]: its period-translation matrix B and the basis change W of
-    period_data.  A matrix of any other shape, a non-unipotent one among
-    them, is refused with the block that differs."""
+    period_data, once is_positive_definite accepts B'.  A matrix of any
+    other shape, a non-unipotent one among them, is refused with the block
+    that differs."""
     B = _block_B(M)
-    return B, period_data(B)[0]
+    W, Bp, _ = period_data(B)
+    if not is_positive_definite(Bp._rows()):
+        raise ContractError("period translation matrix is not positive semi-definite")
+    return B, W
 
 
 def gamma_from_B(B):
-    """The GammaData of a period-translation matrix B (period_data)."""
+    """The GammaData of a period-translation matrix B (period_data), whose
+    one pass over B' also tests that B is positive semi-definite."""
     _, Bp, r_prime = period_data(B)
     if r_prime == 0:
         raise ContractError("non-degenerating monodromy (B = 0): no fan to build")
-    return GammaData(g_prime=B.rows - r_prime, r_prime=r_prime, Bprime=Bp)
+    try:
+        return GammaData(g_prime=B.rows - r_prime, r_prime=r_prime, Bprime=Bp)
+    except ContractError:  # W B W^T is symmetric, so B' can only be indefinite
+        raise ContractError("period translation matrix is not positive semi-definite") from None
 
 
 def nakamura_data(M):
@@ -226,21 +233,6 @@ class Fan(namedtuple("Fan", "cones gamma metric seed", defaults=(None,))):
     def maximal_cones(self):
         d = max(map(len, self.cones), default=0)
         return [c for c in self.cones if len(c) == d]
-
-
-def _normalize_metric(metric, r_prime):
-    if isinstance(metric, str):
-        if metric in ("standard", "identity"):
-            return [[Fraction(int(i == j)) for j in range(r_prime)] for i in range(r_prime)]
-        raise ContractError(f"unknown metric keyword: {metric}")
-    Q = [[Fraction(x) for x in row] for row in metric]
-    if len(Q) != r_prime or any(len(row) != r_prime for row in Q):
-        raise DimensionError("metric must be r' x r'")
-    if any(Q[i][j] != Q[j][i] for i in range(r_prime) for j in range(i)):
-        raise ContractError("metric must be symmetric")
-    if not is_positive_definite(Q):
-        raise ContractError("metric must be positive definite")
-    return Q
 
 
 def _obtuse_superbase(Q):
@@ -340,15 +332,25 @@ def _delaunay_faces(gamma, Q):
 def delaunay_fan(gamma_data, metric="standard", seed=0):
     """Build the Gamma-invariant Delaunay fan: cones over the Delaunay cells
     of the height-1 lattice, one fundamental set, closed under faces.  The
-    metric is "standard" (or "identity") or a symmetric positive definite
-    rational r' x r' matrix, and the fan stores it as given; a cospherical
-    one gets the triangulation of _delaunay_faces.  seed is stored with the
-    fan, as the seed of a random metric."""
+    metric is "standard" (or "identity") or a rational r' x r' matrix, and
+    the fan stores it as given; a cospherical one gets the triangulation of
+    _delaunay_faces.  face_set checks the rest, and its reason (r' above
+    MAX_R_PRIME, a metric that is not symmetric or not positive definite,
+    det B' or the Selling steps above their limit) is raised as
+    ContractError.  seed is stored with the fan, as the seed of a random
+    metric."""
     rp = gamma_data.r_prime
-    if not (1 <= rp <= MAX_R_PRIME):
-        raise ContractError("desk scale: 1 <= r' <= 3")
-    Q = _normalize_metric(metric, rp)
-    return fan_of_faces(_delaunay_faces(gamma_data, Q), gamma_data, Q, seed)
+    if metric in ("standard", "identity"):
+        metric = [[int(i == j) for j in range(rp)] for i in range(rp)]
+    elif isinstance(metric, str):
+        raise ContractError(f"unknown metric keyword: {metric}")
+    Q = [[Fraction(x) for x in row] for row in metric]
+    if len(Q) != rp or any(len(row) != rp for row in Q):
+        raise DimensionError("metric must be r' x r'")
+    faces = face_set(gamma_data, Q)
+    if not isinstance(faces, set):  # the reason there is none
+        raise ContractError(str(faces))
+    return fan_of_faces(faces, gamma_data, Q, seed)
 
 
 def fan_of_faces(faces, gamma, Q, seed):

@@ -13,9 +13,14 @@ mismatch names the document and its first line whose character differs.
 After a declared output change, re-record with
 
     PYTHONPATH=src python3 tests/test_corpus_digests.py
+
+which first prints each corpus key whose digest changed, grouped by
+workload and command kind with counts (the list an output change declares),
+and leaves corpus_digests.json untouched when none did.
 """
 
 import base64
+import collections
 import contextlib
 import hashlib
 import importlib.util
@@ -110,13 +115,28 @@ def _recorded_at():
 
 
 def record():
-    documents = {}
-    for _, _, doc, outcome in corpus_outcomes():
+    """Print the corpus keys whose digest changed, by workload and command
+    kind in corpus order, then the stored keys no longer in the corpus;
+    rewrite DIGESTS only if there are any.  Returns the lines printed."""
+    stored = json.loads(DIGESTS.read_text())["documents"]
+    rows, documents, changed = corpus_outcomes(), {}, {}
+    for workload, _, doc, outcome in rows:
         entry = f"{_digest(outcome)} {_line_marks(outcome)}"
         assert documents.setdefault(doc.key, entry) == entry, doc.key
-    DIGESTS.write_text(json.dumps({"recorded_at": _recorded_at(), "documents": documents},
-                                  indent=0, sort_keys=True) + "\n")
-    return len(documents)
+        if stored.get(doc.key) != entry:
+            changed.setdefault((workload, doc.kind), {})[doc.key] = None
+    gone = sorted(stored.keys() - documents.keys())
+    lines = [f"{workload} {kind}: {len(keys)} changed: {' '.join(keys)}"
+             for (workload, kind), keys in changed.items()]
+    lines += [f"no longer in the corpus: {len(gone)}: {' '.join(gone)}"] if gone else []
+    if lines:
+        DIGESTS.write_text(json.dumps({"recorded_at": _recorded_at(), "documents": documents},
+                                      indent=0, sort_keys=True) + "\n")
+        lines.append(f"recorded {len(documents)} documents in {DIGESTS}")
+    else:
+        lines.append(f"no digest changed; {DIGESTS} is left as it is")
+    print("\n".join(lines))
+    return lines
 
 
 def test_corpus_outputs_match_the_recorded_digests():
@@ -141,5 +161,31 @@ def test_corpus_outputs_match_the_recorded_digests():
     assert not wrong, "outputs differ from corpus_digests.json:\n" + "\n".join(wrong)
 
 
+def test_record_lists_the_changed_keys_and_rewrites_only_on_a_change(tmp_path, monkeypatch):
+    """The re-record mode names each changed key once per workload and
+    command kind, with counts, then each stored key that is gone, and
+    rewrites the file; with no change it leaves the file as it is."""
+    Doc = collections.namedtuple("Doc", "key kind")
+    module = sys.modules[__name__]
+    path = tmp_path / "digests.json"
+    monkeypatch.setattr(module, "DIGESTS", path)
+    monkeypatch.setattr(module, "corpus_outcomes", lambda: [
+        ("fan", 1, Doc("a", "fan build"), ("exit", 0, "new\n", "")),
+        ("fan", 2, Doc("a", "fan build"), ("exit", 0, "new\n", "")),
+        ("fan", 1, Doc("b", "fan validate"), ("exit", 0, "same\n", "")),
+        ("orbit", 1, Doc("c", "orbit analyze"), ("exit", 3, "", "new\n"))])
+    entry = {text: f"{_digest(o)} {_line_marks(o)}"
+             for text, o in (("old", ("exit", 0, "old\n", "")),
+                             ("same", ("exit", 0, "same\n", "")))}
+    path.write_text(json.dumps({"documents": {"a": entry["old"], "b": entry["same"],
+                                              "d": entry["old"]}}))
+    assert record()[:3] == ["fan fan build: 1 changed: a", "orbit orbit analyze: 1 changed: c",
+                            "no longer in the corpus: 1: d"]
+    recorded = path.read_text()
+    assert set(json.loads(recorded)["documents"]) == {"a", "b", "c"}
+    assert record() == [f"no digest changed; {path} is left as it is"]
+    assert path.read_text() == recorded
+
+
 if __name__ == "__main__":
-    print(f"recorded {record()} documents in {DIGESTS}")
+    record()

@@ -520,12 +520,26 @@ def _built_fan(B, tmp_path, capsys, monkeypatch):
     ("[[1,2,3],[4,5,6]]", "period translation matrix is not symmetric"),
     ("[[1,2],[3,4]]", "period translation matrix is not symmetric"),
     ("[[1,0],[0,-1]]", "period translation matrix is not positive semi-definite"),
-    ("[[0,0],[0,0]]", "non-degenerating monodromy (B = 0): no fan to build")])
+    ("[[0,0],[0,0]]", "non-degenerating monodromy (B = 0): no fan to build"),
+    ("[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]", "Delaunay cells are computed for r' <= 3 only")])
 def test_cli_fan_build_refuses_B(B, message, capsys, monkeypatch):
     """fan build normalizes B itself, with no monodromy matrix: a B that is
     not symmetric (a non-square one among them), not positive
-    semi-definite, or 0 exits 3 with one contract error line."""
+    semi-definite, 0, or of torus rank r' > 3 exits 3 with one contract
+    error line."""
     code, out, err = run_cli(["fan", "build", "--B", B], None, capsys, monkeypatch)
+    assert (code, out, err) == (3, "", f"contract error: {message}\n")
+
+
+@pytest.mark.parametrize("metric, message", [
+    ("[[1,2],[0,1]]", "metric is not symmetric"),
+    ("[[1,2],[2,1]]", "metric is not positive definite")])
+def test_cli_fan_build_refuses_the_metric(metric, message, capsys, monkeypatch):
+    """fan build checks the metric once, in face_set: a refusal exits 3
+    with face_set's reason on one contract error line, the violation fan
+    validate reports for such a fan file."""
+    argv = ["fan", "build", "--B", "[[2,1],[1,3]]", "--metric", metric]
+    code, out, err = run_cli(argv, None, capsys, monkeypatch)
     assert (code, out, err) == (3, "", f"contract error: {message}\n")
 
 
@@ -1671,6 +1685,28 @@ def test_cli_fan_file_runs_selling_and_the_face_enumeration_once(edit, outcome, 
     assert code == (3 if refused or outcome == "cospherical metric" else 0), err
     assert counts == {"_obtuse_superbase": int(outcome != "det B' above the limit"),
                       "_coset_representatives": int(not refused)}
+
+
+def test_cli_fan_commands_check_each_matrix_once(tmp_path, capsys, monkeypatch):
+    """fan build, and fan validate and fan extends on the file it writes,
+    each run one definiteness pass (_definite_adjugate) per matrix: on B'
+    in GammaData, then on the metric in face_set."""
+    from abdyn import toroidal
+    passes = []
+
+    def counting(rows, fn=exactalg._definite_adjugate):
+        passes.append([list(row) for row in rows])
+        return fn(rows)
+    monkeypatch.setattr(exactalg, "_definite_adjugate", counting)
+    monkeypatch.setattr(toroidal, "_definite_adjugate", counting)
+    fan_file = tmp_path / "fan.json"
+    for argv in (["fan", "build", "--B", "[[2,1],[1,3]]", "--out", str(fan_file)],
+                 ["fan", "validate", str(fan_file)],
+                 ["fan", "extends", "--nphi", "[1,1]", str(fan_file)]):
+        passes.clear()
+        code, _, err = run_cli(argv, None, capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        assert passes == [[[2, 1], [1, 3]], [[1, 0], [0, 1]]], argv
 
 
 @pytest.mark.parametrize("command, ints, floats", [

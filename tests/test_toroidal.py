@@ -280,6 +280,20 @@ def test_metric_contract():
         delaunay_fan(gd, metric="random")  # random metrics come from the CLI
 
 
+@pytest.mark.parametrize("r_prime, metric, reason", [
+    (2, [[1, 2], [0, 1]], "metric is not symmetric"),
+    (2, [[1, 2], [2, 1]], "metric is not positive definite"),
+    (4, "standard", "Delaunay cells are computed for r' <= 3 only")])
+def test_delaunay_fan_raises_the_reason_of_face_set(r_prime, metric, reason):
+    """delaunay_fan checks its metric and r' once, through face_set, and
+    raises face_set's reason as the ContractError."""
+    gd = GammaData(g_prime=0, r_prime=r_prime, Bprime=IntMatrix.identity(r_prime))
+    Q = IntMatrix.identity(r_prime).to_rows() if metric == "standard" else metric
+    assert toroidal.face_set(gd, [[Fraction(x) for x in row] for row in Q]) == reason
+    with pytest.raises(ContractError, match=f"^{re.escape(reason)}$"):
+        delaunay_fan(gd, metric=metric)
+
+
 def _cells(gamma, Q):
     """The Delaunay cells of Z^r' under Q, read off the face set's
     (r'+1)-faces: sorted, each a sorted tuple of height-1 vertices, the
