@@ -187,10 +187,10 @@ def split_invariant_subfamily(u):
     and L1, with no solve in their bases, and rank L0 = deg P and
     rank L1 = deg Q are checked in their place.  Only the factor F of lower
     degree is evaluated: the other, G, has ker G(u) = im F(u)
-    (image_lattice), with the basis of kernel_lattice(G, u), as
-    kernel_completion depends on its input's row space alone.  When one
-    factor is 1 the other is char_poly(u), which kills u (Cayley-Hamilton),
-    so its lattice is Z^n, given by the identity rows, and the other is 0."""
+    (image_lattice), with the basis kernel_completion(G(u)) gives, as it
+    depends on its input's row space alone.  When one factor is 1 the other
+    is char_poly(u), which kills u (Cayley-Hamilton), so its lattice is Z^n,
+    given by the identity rows, and the other is 0."""
     if not u.is_square():
         raise ContractError("expected a square matrix")
     cp = char_poly(u)

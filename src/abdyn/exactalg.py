@@ -9,9 +9,9 @@ ratios.  Floating point appears only in eigenvalue_moduli, which imports
 numpy when it finds roots.
 
 Two exact kernels carry the linear algebra.  Ranks, determinants, the
-cleared linear solve (_solve_cleared, for orbit's float systems), the
-maximal minors of minor_gcd, the echelon rows of kernel_completion and the
-left null space of image_lattice all run one fraction-free Gauss-Jordan
+coordinate solve of orbit.real_dual_coords (on its floats' integer ratios),
+the maximal minors of minor_gcd, the echelon rows of kernel_completion and
+the left null space of image_lattice all run one fraction-free Gauss-Jordan
 elimination, _bareiss (Bareiss 1968), on denominator-cleared integer row
 lists, with row exchanges.  The one Bareiss loop without them,
 _definite_adjugate, runs over [A | I], so its pivots are the leading
@@ -473,12 +473,14 @@ def lll_reduce(rows):
 
     Integral LLL as published (Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7): it keeps the Gram determinants d_i of the
-    first i rows and the integers lam[i][j] = mu_ij * d_{j+1}, computes those
+    first i rows and the integers lam[k][j] = mu_kj * d_{j+1}, computes those
     of row k when k first reaches it (k_max), and updates both in place with
-    exact integer divisions.  Row k is size-reduced against row k-1 (the
-    nearest integer to lam[k][j] / d_{j+1}, ties to even, by divmod) before
-    the Lovasz test d_{k+1} d_{k-1} + lam[k][k-1]^2 >= LLL_DELTA d_k^2, and
-    against rows k-2..0 once it passes; a swap updates the rows up to k_max.
+    exact integer divisions.  Row 0 is reached once, for its Gram data.  A
+    step at row k >= 1 size-reduces it against row k-1 (the nearest integer
+    to lam[k][k-1] / d_k, ties to even, from one divmod) and makes the
+    Lovasz test d_{k+1} d_{k-1} + lam[k][k-1]^2 >= LLL_DELTA d_k^2: if it
+    fails, rows k-1 and k swap and the rows up to k_max are updated, and if
+    it passes, row k is size-reduced against rows k-2..0.
 
     Raises ContractError if the rows are linearly dependent (some d_i = 0)."""
     b = [[int(x) for x in row] for row in rows]
@@ -491,46 +493,55 @@ def lll_reduce(rows):
         lk = lam[k]
         if k > k_max:  # the Gram-Schmidt data of row k, first reached
             k_max = k
+            bk = b[k]
             for j in range(k + 1):
-                u = sum(map(mul, b[k], b[j]))
+                lj = lam[j]
+                u = sum(map(mul, bk, b[j]))
                 for t in range(j):
-                    u = (d[t + 1] * u - lk[t] * lam[j][t]) // d[t]
+                    u = (d[t + 1] * u - lk[t] * lj[t]) // d[t]
                 lk[j] = u
             d[k + 1] = lk[k]
             if not lk[k]:
                 raise ContractError("lll_reduce needs linearly independent rows")
-        # size reduction against row k-1, the Lovasz test, then rows k-2..0
-        for j in range(k - 1, -1, -1):
-            dj = d[j + 1]
-            if 2 * abs(lk[j]) > dj:
-                q, r = divmod(lk[j], dj)  # dj > 0; round q + r/dj, ties to even
-                if 2 * r > dj or 2 * r == dj and q & 1:
-                    q += 1
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                lk[j] -= q * dj
-                lj = lam[j]
-                for t in range(j):
-                    lk[t] -= q * lj[t]
-            if j < k - 1:
+            if not k:
+                k = 1
                 continue
-            lkk = lk[j]
-            if q_delta * (d[k + 1] * d[k - 1] + lkk * lkk) >= p * d[k] * d[k]:
-                continue
+        dk, lkk, lm = d[k], lk[k - 1], lam[k - 1]
+        if 2 * abs(lkk) > dk:
+            # floor(lkk / dk + 1/2), less 1 on an odd tie
+            q, r = divmod(2 * lkk + dk, 2 * dk)
+            if not r and q & 1:
+                q -= 1
+            b[k] = list(map(sub, b[k], map(q.__mul__, b[k - 1])))
+            lk[k - 1] = lkk = lkk - q * dk
+            for t in range(k - 1):
+                lk[t] -= q * lm[t]
+        dk1 = d[k + 1]
+        g = dk1 * d[k - 1] + lkk * lkk  # d_k times the new d_k of a swap
+        if q_delta * g < p * dk * dk:
             # the Lovasz test fails: swap rows k-1 and k
             b[k], b[k - 1] = b[k - 1], b[k]
-            for i in range(k - 1):
-                lk[i], lam[k - 1][i] = lam[k - 1][i], lk[i]
-            B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
-            for i in range(k + 1, k_max + 1):
-                li = lam[i]
+            for t in range(k - 1):
+                lk[t], lm[t] = lm[t], lk[t]
+            B = g // dk
+            for li in lam[k + 1:k_max + 1]:
                 t = li[k]
-                li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
-                li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
+                li[k] = (dk1 * li[k - 1] - lkk * t) // dk
+                li[k - 1] = (B * t + lkk * li[k]) // dk1
             d[k] = B
-            k = max(k - 1, 1)
-            break
-        else:
-            k += 1
+            k -= k > 1  # k = max(k - 1, 1)
+            continue
+        for j in range(k - 2, -1, -1):
+            dj, lkj = d[j + 1], lk[j]
+            if 2 * abs(lkj) > dj:
+                q, r = divmod(2 * lkj + dj, 2 * dj)
+                if not r and q & 1:
+                    q -= 1
+                b[k] = list(map(sub, b[k], map(q.__mul__, b[j])))
+                lk[j] = lkj - q * dj
+                for t in range(j):
+                    lk[t] -= q * lam[j][t]
+        k += 1
     return b
 
 
@@ -544,23 +555,6 @@ def _cleared(row):
     ratios = [x.as_integer_ratio() for x in row]
     m = lcm(*(q for _, q in ratios))
     return [p * (m // q) for p, q in ratios]
-
-
-def _solve_cleared(A, rhs):
-    """An exact solve over Q in integers: (d, ys) with d > 0 and, for each
-    right-hand side b, the integers y with A (y / d) = b, or None when that
-    system is inconsistent; None when A has rank below n.  A is a list of m
-    rows of n entries and each b has m entries: ints, Fractions or floats,
-    all read exactly (_cleared)."""
-    n = len(A[0]) if A else 0
-    a = [_cleared(list(row) + [b[i] for b in rhs]) for i, row in enumerate(A)]
-    pivots, d = _bareiss(a, n)
-    if len(pivots) < n:
-        return None
-    s = 1 if d > 0 else -1
-    return s * d, [None if any(row[n + k] for row in a[n:])
-                   else [s * a[i][n + k] for i in range(n)]
-                   for k in range(len(rhs))]
 
 
 def _definite_adjugate(rows):
@@ -614,24 +608,24 @@ def char_poly_split(M):
 
 
 def _berkowitz(a):
-    """Coefficients of det(T*I - A), descending, for a list-of-lists A."""
+    """Coefficients of det(T*I - A), descending, for a list-of-lists A: for
+    each trailing block [[a_ii, R], [C, A']] of size m, from the last up,
+    the Toeplitz product of [1, -a_ii, -(R C), -(R A' C), ..,
+    -(R A'^(m-2) C)] with the coefficients of A'."""
     n = len(a)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return [1, -a[0][0]]
-    sub = [row[1:] for row in a[1:]]
-    prev = _berkowitz(sub)  # length n
-    row0 = a[0][1:]
-    col0 = [a[i][0] for i in range(1, n)]
-    # items = [1, -a00, -(R C), -(R A' C), ..., -(R A'^{n-2} C)], length n+1
-    items = [1, -a[0][0]]
-    vec = col0
-    for _ in range(n - 1):
-        items.append(-sum(map(mul, row0, vec)))
-        vec = _mat_mul(sub, (vec,))
-    # the Toeplitz product: out[i] = sum_j items[i - j] prev[j]
-    return [sum(map(mul, items[i::-1], prev)) for i in range(n + 1)]
+    poly = [1]
+    for i in range(n - 1, -1, -1):
+        rest = [row[i + 1:] for row in a[i + 1:]]
+        row0 = a[i][i + 1:]
+        vec = [row[i] for row in a[i + 1:]]
+        items = [1, -a[i][i]]
+        for t in range(n - 1 - i):
+            if t:  # A'^t C from A'^(t-1) C; none is made after the last
+                vec = _mat_mul(rest, (vec,))
+            items.append(-sum(map(mul, row0, vec)))
+        # the Toeplitz product: out[j] = sum_t items[j - t] poly[t]
+        poly = [sum(map(mul, items[j::-1], poly)) for j in range(len(poly) + 1)]
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -712,15 +706,6 @@ def image_lattice(K):
     N = [-rows[j][f] if j in rows else d * (j == f)
          for f in range(n) if f not in rows for j in range(n)]
     T, k = kernel_completion(IntMatrix._of(n - len(rows), n, N))
-    return tuple(map(tuple, T[:k]))
-
-
-def kernel_lattice(p, M):
-    """A basis of the saturated sublattice Z^n intersect ker p(M), as a tuple
-    of row tuples: the kernel rows of kernel_completion(p(M))."""
-    if not M.is_square():
-        raise DimensionError("kernel_lattice requires a square matrix")
-    T, k = kernel_completion(p.eval_matrix(M))
     return tuple(map(tuple, T[:k]))
 
 

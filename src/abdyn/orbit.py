@@ -20,8 +20,9 @@ Number Theory, Alg. 2.6.7), exact in integers throughout.
 
 The coordinates x and the inverse of the basis matrix are exact up to one
 rounding: every float is a dyadic rational, so one exact elimination in
-integers (exactalg's cleared solve) gives both, and each entry is rounded
-to a float once, by an int true division.
+integers (exactalg's _bareiss, on the rows of [A | v | I] with each row's
+denominators cleared) gives both, and each entry is rounded to a float
+once, by an int true division.
 The rank of the complex forms is read from singular values computed by
 one-sided Jacobi (Hestenes), which keeps small singular values accurate
 relative to their size, as the rank band needs (Demmel & Veselic, SIAM J.
@@ -33,9 +34,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from operator import mul
 
 from .errors import ContractError, NumericIndeterminacyError
-from .exactalg import _bareiss, _solve_cleared, lll_reduce
+from .exactalg import _bareiss, lll_reduce
 
 # Bases with ||A||_F ||A^-1||_F above this are refused; the product is
 # within a factor 2g of the 2-norm condition number of A.
@@ -113,19 +115,30 @@ def real_dual_coords(lattice, v):
     columns of A are the basis vectors in real coordinates.
 
     Floats are dyadic rationals, so A x = v and A Y = I are solved exactly by
-    one elimination in integers, and each entry is rounded to a float once.
-    Bases with ||A||_F ||A^-1||_F > COND_LIMIT are refused."""
+    one _bareiss pass over the integer rows [A_i m_i | v_i m_i | m_i e_i],
+    m_i the lcm of the denominators of A_i and v_i, and each entry of x and
+    Y is rounded to a float once.  Bases with ||A||_F ||A^-1||_F >
+    COND_LIMIT are refused."""
     n = 2 * lattice.g
     cols = [_real(b) for b in lattice.basis]
     A = list(zip(*cols))
     rhs = _real(tuple(complex(z) for z in v))
-    solved = _solve_cleared(A, [rhs] + [[int(i == k) for i in range(n)] for k in range(n)])
-    if solved is None:
+    aug = []
+    for i, row in enumerate(A):
+        ratios = [t.as_integer_ratio() for t in row + (rhs[i],)]
+        m = max([q for _, q in ratios])  # powers of two: the lcm is the largest
+        e = [0] * n
+        e[i] = m
+        aug.append([p * (m // q) for p, q in ratios] + e)
+    pivots, d = _bareiss(aug, n)
+    if len(pivots) < n:
         raise NumericIndeterminacyError("lattice basis is ill-conditioned")
-    d, (x, *inverse) = solved
-    try:  # int true division rounds the exact quotient once
-        x = tuple(t / d for t in x)
-        inverse = [[t / d for t in col] for col in inverse]
+    # row i now holds d x_i and d Y_i; s d > 0, and int true division
+    # rounds each exact quotient once
+    s = 1 if d > 0 else -1
+    d *= s
+    try:
+        x, *inverse = [[s * t / d for t in col] for col in list(zip(*aug))[n:]]
     except OverflowError:
         raise NumericIndeterminacyError(
             "a coordinate or an entry of A^-1 is beyond the float range") from None
@@ -138,7 +151,7 @@ def real_dual_coords(lattice, v):
     scale = max(1.0, math.hypot(*rhs))
     if not resid <= 1e-10 * scale:
         raise NumericIndeterminacyError(f"reconstruction residual {resid} too large")
-    return x, inverse
+    return tuple(x), inverse
 
 
 def _independent(vectors):
@@ -173,35 +186,23 @@ def relation_lattice(coords, height_bound=50, tol=1e-10):
         raise ContractError(f"tol = {tol!r} is too small: 1/tol is beyond the float range")
     n = len(coords)
     scale = round(1.0 / tol)
-    dim = n + 1
-    rows = []
-    for i in range(n):
-        row = [0] * dim + [_round_scaled(scale, coords[i])]
-        row[i] = 1
-        rows.append(row)
-    last = [0] * dim + [scale]
-    last[n] = 1
-    rows.append(last)
+    rows = [[int(i == j) for j in range(n + 1)] + [_round_scaled(scale, x)]
+            for i, x in enumerate(coords)]
+    rows.append([0] * n + [1, scale])
     # q . x at height H is known to about n H 2^-52 max(1, |x_i|), no better
     if n and tol / (n * 2.0 ** -52 * max(1.0, *map(abs, coords))) < height_bound:
         raise ContractError(f"tol = {tol!r} is below the float resolution of q . x "
                             f"at height {height_bound}")
-    reduced = lll_reduce(rows)
     found = []
-    for row in reduced:
-        q = row[:n]
-        m = row[n]
-        if all(x == 0 for x in q):
+    for *q, m, _ in lll_reduce(rows):
+        if not any(q):
             continue
-        value = sum(qi * xi for qi, xi in zip(q, coords))
-        residual = abs(value + m)
-        if residual >= tol:
-            continue
-        if max(max(abs(x) for x in q), abs(m)) > height_bound:
+        residual = abs(sum(map(mul, q, coords)) + m)
+        if residual >= tol or max(abs(m), *map(abs, q)) > height_bound:
             continue
         found.append(Relation(q=tuple(q), q_prime=-m, residual=float(residual)))
     # keep an independent subset (rank of the q-parts over Q)
-    found.sort(key=lambda r: max(abs(x) for x in r.q))
+    found.sort(key=lambda r: max(map(abs, r.q)))
     return [found[i] for i in _independent([rel.q for rel in found])]
 
 

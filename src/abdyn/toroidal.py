@@ -60,6 +60,7 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul, sub
 
 from .errors import ContractError, DimensionError
@@ -293,6 +294,16 @@ def _coset_representatives(gamma):
     return [tuple(sum(map(mul, row, y)) // det for row in gamma.rows) for y in ys]
 
 
+@lru_cache(maxsize=None)
+def _subset_chains(r):
+    """The chains 0 = m_0 < m_1 < .. < m_j (j >= 0) of bit masks of subsets
+    of r elements, each mask a proper subset of the next."""
+    chains = [(0,)]
+    for c in chains:  # the list grows as it is walked
+        chains.extend(c + (c[-1] | m,) for m in range(1, 1 << r) if not m & c[-1])
+    return tuple(chains)
+
+
 def _delaunay_faces(gamma, Q):
     """The Gamma-canonical forms (_canonical_gens) of every cone of the
     Delaunay fan of Z^{r'} under the positive definite rational metric Q,
@@ -300,24 +311,21 @@ def _delaunay_faces(gamma, Q):
     those of the triangulation of Q_eps (_obtuse_superbase), which refines
     its Delaunay cells.  From the obtuse superbase of Q_eps the cells are the
     Z^{r'}-translates of the simplices {0, v_s1, v_s1 + v_s2, ..} over the
-    orders s of v_1..v_r' (Conway & Sloane 1992), so every cone is a
-    translate of a face of one of them.  Each face, moved so its smallest
-    vertex is 0, is translated to each coset representative c; that
-    translate is canonical, as its smallest vertex is c, so no vertex is
-    reduced mod B'.  Raises ContractError if det B' > MAX_DET_BPRIME, before
-    enumerating, or if the Selling steps pass their limit."""
+    orders s of v_1..v_r' (Conway & Sloane 1992).  Their faces are the
+    chains of subset sums of v_1..v_r', so every cone is a translate of a
+    chain that starts at 0 (_subset_chains), moved so its smallest vertex
+    is 0, and that is translated to each coset representative c: canonical,
+    as its smallest vertex is c, so no vertex is reduced mod B'.  Raises
+    ContractError if det B' > MAX_DET_BPRIME, before enumerating, or if the
+    Selling steps pass their limit."""
     if gamma.det > MAX_DET_BPRIME:
         raise ContractError(f"det B' = {gamma.det} is above the limit {MAX_DET_BPRIME}")
     origin, zero = (0,) * gamma.r_prime, (0,) * gamma.g_prime
-    templates = set()
-    for order in itertools.permutations(_obtuse_superbase(Q)[1:]):
-        pts = sorted(itertools.accumulate(order, lambda p, v: tuple(map(add, p, v)),
-                                          initial=origin))
-        # the faces whose smallest vertex is pts[i]: it and a subset of the rest
-        for i, head in enumerate(pts):
-            tail = [tuple(map(sub, p, head)) for p in pts[i + 1:]]
-            templates.update((origin,) + face for size in range(len(tail) + 1)
-                             for face in itertools.combinations(tail, size))
+    sums = [origin]  # sums[m]: the sum of the v_i with bit i of m set
+    for v in _obtuse_superbase(Q)[1:]:
+        sums += [tuple(map(add, p, v)) for p in sums]
+    chains = (sorted(sums[m] for m in chain) for chain in _subset_chains(gamma.r_prime))
+    templates = [tuple(tuple(map(sub, p, pts[0])) for p in pts) for pts in chains]
     reps = _coset_representatives(gamma)
     # each vertex's generators at the representatives, in one order: a
     # face's translates are then the zip of its vertices' lists

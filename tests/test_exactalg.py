@@ -22,15 +22,14 @@ from abdyn.criteria import decide_regularizable
 from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, char_poly_split,
                             cyclotomic, cyclotomic_orders, cyclotomic_split,
                             eigenvalue_moduli, is_positive_definite,
-                            kernel_completion, kernel_lattice,
-                            minor_gcd, poly_gcd, squarefree_decomposition)
+                            kernel_completion, minor_gcd, poly_gcd, squarefree_decomposition)
 from abdyn.serialize import family_descriptor_from_json
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
                             translation_regularizable)
-from util import (check_saturated, count_spectrum_runs, kronecker_is_roots_of_unity, mat_vec,
-                  numpy_roots_moduli, quasi_unipotent_order, random_unimodular,
-                  reference_cyclotomic_split, reference_kernel_completion, solve, to_numpy,
-                  unipotent_index)
+from util import (check_saturated, count_spectrum_runs, kernel_lattice,
+                  kronecker_is_roots_of_unity, mat_vec, numpy_roots_moduli,
+                  quasi_unipotent_order, random_unimodular, reference_cyclotomic_split,
+                  reference_kernel_completion, solve, to_numpy, unipotent_index)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])

@@ -9,17 +9,20 @@ import io
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from abdyn import exactalg
 from abdyn.cli import main
 from abdyn.errors import ContractError, NumericIndeterminacyError
-from abdyn.exactalg import IntMatrix, lll_reduce
+from abdyn.exactalg import KERNEL_SCALE, IntMatrix, kernel_completion, lll_reduce
 from abdyn.orbit import NumericLattice, _singular_values, orbit_dims, real_dual_coords
-from util import (fraction_lll_reduce, fraction_real_dual_coords, reference_orbit_dims,
+from util import (CYCLOTOMIC_BLOCKS, FREE_BLOCKS, block_sum, fraction_lll_reduce,
+                  fraction_real_dual_coords, reference_orbit_dims,
                   solve)
 
 SQRT2 = math.sqrt(2)
@@ -180,6 +183,56 @@ def test_lll_rounding_matches_fraction_rounding_on_knapsack_rows(xs):
     assert lll_reduce(rows) == fraction_lll_reduce(rows)
 
 
+@st.composite
+def kernel_completion_rows(draw):
+    """The rows [c E^T | I] that kernel_completion first hands to lll_reduce
+    for K = F(u), F a factor of the char poly of a seeded conjugated block
+    sum u of size 4..12, with c = KERNEL_SCALE or with c = 1 (small entries,
+    where mu = +-1/2 ties are common); and in half the cases, one more row
+    at a drawn place that is a combination of two of them."""
+    n = draw(st.integers(4, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    blocks = [rng.choice(FREE_BLOCKS), rng.choice(CYCLOTOMIC_BLOCKS)]
+    while sum(p.degree for p in blocks) < n:
+        room = n - sum(p.degree for p in blocks)
+        blocks.append(rng.choice([p for p in CYCLOTOMIC_BLOCKS + FREE_BLOCKS
+                                  if p.degree <= room]))
+    u, P, Q = block_sum([p for p in blocks if p in CYCLOTOMIC_BLOCKS],
+                        [p for p in blocks if p in FREE_BLOCKS], rng.random() < 0.5,
+                        rng.getrandbits(32))
+    calls = []
+
+    def capture(rows):
+        calls.append([list(r) for r in rows])
+        return lll_reduce(rows)
+
+    saved = exactalg.lll_reduce
+    exactalg.lll_reduce = capture
+    try:
+        kernel_completion(draw(st.sampled_from([P, Q])).eval_matrix(u))
+    finally:
+        exactalg.lll_reduce = saved
+    rows = calls[0]
+    if draw(st.booleans()):
+        r = len(rows[0]) - n
+        rows = [[x // KERNEL_SCALE for x in v[:r]] + v[r:] for v in rows]
+    if draw(st.booleans()):
+        i, j = rng.sample(range(n), 2)
+        a, b = rng.randint(-2, 2), rng.choice((-1, 1))
+        rows.insert(draw(st.integers(0, n)), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_completion_rows())
+def test_lll_matches_fraction_lll_on_kernel_completion_rows(rows):
+    """The rows of split's kernel completions, dependent ones among them:
+    the same reduced rows, or the same refusal, as fraction_lll_reduce."""
+    got = _lll_outcome(lll_reduce, rows)
+    event("refused" if isinstance(got, str) else "reduced")
+    assert got == _lll_outcome(fraction_lll_reduce, rows)
+
+
 def _bits(t):
     return [float.hex(x) for x in t]
 
@@ -259,3 +312,31 @@ def test_orbit_analyze_builds_no_fraction(monkeypatch):
                      "--alpha", json.dumps(alpha)]) == 0
     assert json.loads(out.getvalue())["result"]["relations"]
     assert created == []
+
+
+def test_orbit_analyze_solves_its_coordinates_in_one_elimination(monkeypatch):
+    """A g = 2 `orbit analyze` with relations runs _bareiss twice: once on
+    the 4 rows [A_i m_i | v_i m_i | m_i e_i] of its coordinates (9 entries,
+    4 columns eliminated), and once in _independent, on the relations' q
+    parts (4 rows)."""
+    calls = []
+    bareiss = exactalg._bareiss
+
+    def counting(a, ncols):
+        calls.append((len(a), len(a[0]) if a else 0, ncols))
+        return bareiss(a, ncols)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("abdyn.")]:
+        if getattr(module, "_bareiss", None) is bareiss:
+            monkeypatch.setattr(module, "_bareiss", counting)
+    lattice = {"g": 2, "basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]],
+                                 [[0.3, 1.1], [0.1, 0.05]], [[0.1, 0.05], [-0.2, 1.3]]]}
+    alpha = [[0.7071067811865476, 0.1], [0.3333333333333333, 1.4142135623730951]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["orbit", "analyze", "--lattice", json.dumps(lattice),
+                     "--alpha", json.dumps(alpha)]) == 0
+    assert json.loads(out.getvalue())["result"]["relations"]
+    assert len(calls) == 2
+    assert calls[0] == (4, 9, 4)
+    assert calls[1][0] == 4

@@ -32,6 +32,7 @@ from abdyn import cli, exactalg, serialize
 from abdyn.cli import main
 from abdyn.errors import ContractError, SchemaError
 from abdyn.exactalg import IntMatrix, IntPolynomial, cyclotomic
+from abdyn.orbit import real_dual_coords
 from abdyn.toroidal import delaunay_fan, nakamura_data
 
 from util import (BLOCK_SUM_DRAWS, FREE_BLOCKS, block_sum, count_spectrum_runs,
@@ -1505,10 +1506,11 @@ def test_cli_split_call_counts(matrix, kernels, monkeypatch):
     """One `split` document computes one char poly (one top-level Berkowitz
     run: the split library call and the P, Q read by the document share the
     one kept on the matrix) and runs no exact solve (the lattice charpolys
-    are the factors P and Q), and it runs kernel_completion once per lattice
-    only when neither factor is 1."""
+    are the factors P and Q: orbit's real_dual_coords, the one solve in src,
+    never runs), and it runs kernel_completion once per lattice only when
+    neither factor is 1."""
     counts = count_spectrum_runs(monkeypatch)
-    counts.update(dict.fromkeys(("_solve_cleared", "kernel_completion"), 0))
+    counts.update(dict.fromkeys(("real_dual_coords", "kernel_completion"), 0))
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -1516,13 +1518,14 @@ def test_cli_split_call_counts(matrix, kernels, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    originals = {name: getattr(exactalg, name) for name in ("_solve_cleared", "kernel_completion")}
+    originals = {"real_dual_coords": real_dual_coords,
+                 "kernel_completion": exactalg.kernel_completion}
     for module in [m for name, m in sys.modules.items() if name.startswith("abdyn.")]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     _cli_result(["split"], json.dumps(matrix))
-    assert counts == {"berkowitz": 1, "split": 1, "_solve_cleared": 0,
+    assert counts == {"berkowitz": 1, "split": 1, "real_dual_coords": 0,
                       "kernel_completion": kernels}
 
 

@@ -20,7 +20,8 @@ of the split tests (block_sum, BLOCK_SUM_DRAWS); the cyclotomic split by
 plain trial division (reference_cyclotomic_split) and the root moduli from
 numpy.roots (numpy_roots_moduli); the counts of the spectrum computations
 (count_spectrum_runs); the kernel completion by LLL of [c K^T | I] on K
-itself (reference_kernel_completion); the split that evaluates both factors
+itself (reference_kernel_completion); the kernel lattice of p(M) from it
+(kernel_lattice) and the split that evaluates both factors
 (reference_split_invariant_subfamily)."""
 
 import functools
@@ -35,9 +36,9 @@ from hypothesis import strategies as st
 
 from abdyn import exactalg
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
-from abdyn.exactalg import (IntMatrix, IntPolynomial, _solve_cleared, char_poly,
+from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly,
                             cyclotomic, cyclotomic_orders, cyclotomic_split,
-                            is_positive_definite, kernel_completion, kernel_lattice,
+                            is_positive_definite, kernel_completion,
                             minor_gcd, squarefree_decomposition)
 from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
@@ -757,6 +758,15 @@ def reference_kernel_completion(K):
         c *= c
 
 
+def kernel_lattice(p, M):
+    """A basis of the saturated sublattice Z^n intersect ker p(M), as a tuple
+    of row tuples: the kernel rows of kernel_completion(p(M))."""
+    if not M.is_square():
+        raise DimensionError("kernel_lattice requires a square matrix")
+    T, k = kernel_completion(p.eval_matrix(M))
+    return tuple(map(tuple, T[:k]))
+
+
 def reference_split_invariant_subfamily(u):
     """criteria.split_invariant_subfamily as it was built before it
     evaluated one factor: L0 and L1 are the kernel lattices of P(u) and of
@@ -776,18 +786,21 @@ def check_saturated(lat):
 
 
 def solve(A, *rhs):
-    """Exact solutions of A x = b over Q for each right-hand side b, on
-    exactalg's cleared solve.
+    """Exact solutions of A x = b over Q for each right-hand side b, from
+    one _bareiss pass over the denominator-cleared rows [A_i | b_i ..].
 
     A is a list of m rows of n ints, Fractions or floats (m >= n allowed;
     floats are read exactly).  Returns one entry per b: the unique solution
     as a list of Fractions, or None when that system is inconsistent; every
     entry is None when A has rank below n."""
-    solved = _solve_cleared(A, rhs)
-    if solved is None:
+    n = len(A[0]) if A else 0
+    a = [exactalg._cleared(list(row) + [b[i] for b in rhs]) for i, row in enumerate(A)]
+    pivots, d = exactalg._bareiss(a, n)
+    if len(pivots) < n:
         return [None] * len(rhs)
-    d, ys = solved
-    return [None if y is None else [Fraction(t, d) for t in y] for y in ys]
+    return [None if any(row[n + k] for row in a[n:])
+            else [Fraction(a[i][n + k], d) for i in range(n)]
+            for k in range(len(rhs))]
 
 
 def mat_vec(M, v):
