@@ -30,8 +30,8 @@ from collections import namedtuple
 
 from .degrees import unipotent_index_of_power
 from .errors import ContractError
-from .exactalg import (IntMatrix, char_poly, char_poly_split, cyclotomic_split,
-                       image_lattice, kernel_completion)
+from .exactalg import (IntMatrix, _bareiss, char_poly, char_poly_split,
+                       cyclotomic_split, image_lattice, kernel_completion)
 
 REGULARIZABLE = "Regularizable"
 NOT_REGULARIZABLE = "NotRegularizable"
@@ -188,9 +188,10 @@ def split_invariant_subfamily(u):
     rank L1 = deg Q are checked in their place.  Only the factor F of lower
     degree is evaluated: the other, G, has ker G(u) = im F(u)
     (image_lattice), with the basis kernel_completion(G(u)) gives, as it
-    depends on its input's row space alone.  When one factor is 1 the other
-    is char_poly(u), which kills u (Cayley-Hamilton), so its lattice is Z^n,
-    given by the identity rows, and the other is 0."""
+    depends on its input's row space alone.  The index is |det [L0; L1]|,
+    the last pivot of one _bareiss pass over the stacked rows.  When one
+    factor is 1 the other is char_poly(u), which kills u (Cayley-Hamilton),
+    so its lattice is Z^n, given by the identity rows, and the other is 0."""
     if not u.is_square():
         raise ContractError("expected a square matrix")
     cp = char_poly(u)
@@ -208,7 +209,6 @@ def split_invariant_subfamily(u):
     L0, L1 = (LF, LG) if F is P else (LG, LF)
     if (len(L0), len(L1)) != (P.degree, Q.degree):
         raise AssertionError("lattice rank != factor degree")  # pragma: no cover
-    stacked = IntMatrix.from_rows(L0 + L1)
-    index = abs(stacked.det())
-    assert index >= 1
-    return L0, L1, index
+    pivots, d = _bareiss(list(L0 + L1), n)
+    assert len(pivots) == n
+    return L0, L1, abs(d)

@@ -17,13 +17,14 @@ lists, with row exchanges.  The one Bareiss loop without them,
 _definite_adjugate, runs over [A | I], so its pivots are the leading
 principal minors: it gives toroidal.GammaData the definiteness, det B' and
 adj(B') of B' in one pass, and is_positive_definite is its verdict.  Lattice
-questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7): kernel
-lattices and unimodular completions (kernel_completion, on K's echelon
-rows), lattices of images (image_lattice), and the gcd of maximal minors
-when the reduced entries have a common factor.  Dense products (matrix
-products and powers, Horner evaluation at a matrix, matrix-vector products
-and the Berkowitz steps) all run one inner-product kernel, _mat_mul, on
-plain rows and columns.
+questions run one integral LLL, lll_reduce (Cohen, Alg. 2.6.7), held to its
+proven swap bound: unimodular completions of echelon rows (_completion: of
+K's for kernel lattices, and of the left null space of K, which comes in
+echelon form, for image_lattice), and the gcd of maximal minors when the
+reduced entries have a common factor.  Dense products (matrix products and
+powers, Horner evaluation at a matrix, matrix-vector products and the
+Berkowitz steps) all run one inner-product kernel, _mat_mul, on plain rows
+and columns.
 """
 
 from __future__ import annotations
@@ -166,12 +167,13 @@ class IntPolynomial:
         return r.is_zero()
 
     def eval_matrix(self, M):
-        """Evaluate at a square IntMatrix: Horner on a list of rows, each
-        coefficient added on the diagonal in place."""
-        n = M.rows
+        """Evaluate at a square IntMatrix: Horner on a list of rows from
+        lead * M, each later coefficient added on the diagonal in place, so
+        a degree-d polynomial costs d - 1 matrix products."""
+        n, cs = M.rows, self.coeffs[::-1]
         cols = M._columns()
-        acc = [0] * (n * n)
-        for k, c in enumerate(reversed(self.coeffs)):
+        acc = [cs[0] * x for x in M.entries] if len(cs) > 1 else [0] * (n * n)
+        for k, c in enumerate(cs[len(cs) > 1:]):
             if k:
                 acc = _mat_mul([acc[i * n:(i + 1) * n] for i in range(n)], cols)
             for i in range(0, n * n, n + 1):
@@ -249,8 +251,11 @@ def cyclotomic_orders(max_degree):
 
 
 def _values(p):
-    """(p(2), p(3)) for an integer polynomial p."""
-    return tuple(sum(c * a ** i for i, c in enumerate(p.coeffs)) for a in (2, 3))
+    """(p(2), p(3)) for an integer polynomial p, by Horner."""
+    at2 = at3 = 0
+    for c in reversed(p.coeffs):
+        at2, at3 = 2 * at2 + c, 3 * at3 + c
+    return at2, at3
 
 
 @lru_cache(maxsize=None)
@@ -482,13 +487,18 @@ def lll_reduce(rows):
     fails, rows k-1 and k swap and the rows up to k_max are updated, and if
     it passes, row k is size-reduced against rows k-2..0.
 
+    A swap lowers the product of the d_i reached by a factor below
+    LLL_DELTA = 99/100, and a first reach raises it by d_{k+1} >= 1, so the
+    swaps stay below 70 (> ln 2 / ln(100/99)) times the sum of the d_{k+1}'s
+    bit lengths; past that an AssertionError (an internal fault) is raised.
+
     Raises ContractError if the rows are linearly dependent (some d_i = 0)."""
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
     p, q_delta = LLL_DELTA.numerator, LLL_DELTA.denominator
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
-    k, k_max = 0, -1
+    k, k_max, swaps_left = 0, -1, 0
     while k < n:
         lk = lam[k]
         if k > k_max:  # the Gram-Schmidt data of row k, first reached
@@ -503,6 +513,7 @@ def lll_reduce(rows):
             d[k + 1] = lk[k]
             if not lk[k]:
                 raise ContractError("lll_reduce needs linearly independent rows")
+            swaps_left += 70 * lk[k].bit_length()
             if not k:
                 k = 1
                 continue
@@ -520,6 +531,9 @@ def lll_reduce(rows):
         g = dk1 * d[k - 1] + lkk * lkk  # d_k times the new d_k of a swap
         if q_delta * g < p * dk * dk:
             # the Lovasz test fails: swap rows k-1 and k
+            swaps_left -= 1
+            if not swaps_left:
+                raise AssertionError("lll_reduce passed its proven swap bound")
             b[k], b[k - 1] = b[k - 1], b[k]
             for t in range(k - 1):
                 lk[t], lm[t] = lm[t], lk[t]
@@ -632,7 +646,7 @@ def _berkowitz(a):
 # lattices
 # ---------------------------------------------------------------------------
 
-KERNEL_SCALE = 1 << 16  # first weight c of the kernel block in kernel_completion
+KERNEL_SCALE = 1 << 16  # first weight c of the kernel block in _completion
 
 
 def kernel_completion(K):
@@ -640,25 +654,30 @@ def kernel_completion(K):
     matrix, as a list of rows, whose first k = n - rank K rows span the
     kernel lattice Z^n intersect ker K.
 
-    One _bareiss pass gives rank K and the echelon rows E: its rank K
-    nonzero rows over their contents, with K's row space over Q.  LLL
-    reduction of the rows [c E^T | I], of length rank K + n, gives rows
-    [c T E^T | T] with T unimodular (Havas, Majewski & Matthews, Exp. Math.
-    7, 1998; Cohen, A Course in Computational Algebraic Number Theory, 2.7).
-    The rows with a zero left block come first; c is squared until there
-    are k.  As rows of a unimodular T they span a saturated lattice: all of
-    Z^n intersect ker E = Z^n intersect ker K.  The others keep LLL order.
-    E is K's primitive reduced echelon form up to row signs, which leave
-    every LLL step unchanged: T depends on the row space of K alone."""
+    One _bareiss pass gives rank K and the echelon rows for _completion:
+    its rank K nonzero rows, with K's row space over Q."""
     n = K.cols
     a = K._rows()
-    r = len(_bareiss(a, n)[0])
+    return _completion(a[:len(_bareiss(a, n)[0])], n)
+
+
+def _completion(rows, n):
+    """(T, k) of kernel_completion, from the r rows of K's reduced echelon
+    form up to row scales: LLL reduction of the rows [c E^T | I], of length
+    r + n, with E the rows over their contents, gives rows [c T E^T | T]
+    with T unimodular (Havas, Majewski & Matthews, Exp. Math. 7, 1998;
+    Cohen, A Course in Computational Algebraic Number Theory, 2.7).  The
+    k = n - r rows with a zero left block come first; c is squared until
+    there are k.  As rows of a unimodular T they span a saturated lattice:
+    all of Z^n intersect ker E = Z^n intersect ker K.  The others keep LLL
+    order.  E is K's primitive reduced echelon form up to row signs, which
+    leave every LLL step unchanged: T depends on the row space of K alone."""
+    r = len(rows)
     k = n - r
     T = IntMatrix.identity(n).to_rows()
     if k in (0, n):
         return T, k
-    E = [[x // g for x in row] for row in a[:r] for g in [gcd(*row)]]
-    cols = list(zip(*E))
+    cols = list(zip(*([x // g for x in row] for row in rows for g in [gcd(*row)])))
     c = KERNEL_SCALE
     while True:
         reduced = lll_reduce([[c * x for x in col] + e for col, e in zip(cols, T)])
@@ -697,15 +716,18 @@ def minor_gcd(rows):
 
 def image_lattice(K):
     """A basis of Z^n intersect im K for an n x m IntMatrix K, as a tuple of
-    row tuples: the kernel rows of kernel_completion(N), the rows N of the
-    left null space of K that one _bareiss pass on K's columns gives."""
+    row tuples: the kernel rows of the _completion of K's left null space,
+    from one _bareiss pass on K's columns, reversed so that pivots are taken
+    right to left.  The null row of each free column f then has d at f and
+    0 at the other free columns and before f: by ascending f, the rows are
+    the null space's reduced echelon form, scaled."""
     n = K.rows
-    a = [list(col) for col in K._columns()]
+    a = [col[::-1] for col in K._columns()]
     pivots, d = _bareiss(a, n)
     rows = dict(zip(pivots, a))
-    N = [-rows[j][f] if j in rows else d * (j == f)
-         for f in range(n) if f not in rows for j in range(n)]
-    T, k = kernel_completion(IntMatrix._of(n - len(rows), n, N))
+    N = [[-rows[j][f] if j in rows else d * (j == f) for j in range(n - 1, -1, -1)]
+         for f in range(n - 1, -1, -1) if f not in rows]
+    T, k = _completion(N, n)
     return tuple(map(tuple, T[:k]))
 
 

@@ -510,20 +510,29 @@ def _key_text(key):
     return f'"{text}"'
 
 
-def _write(obj, indent, out):
-    """Append the pieces of the JSON text of obj to out; indent is the
-    newline and spaces that start a line at obj's depth.  An item of a
-    container that is exactly a str, an int or a finite float is written in
-    the loop, with no call; any other scalar goes through _scalar_text."""
+# depth d -> the strings that open a list and a dict, separate items, and
+# close a list and a dict at depth d, each with its newline and indent
+_PIECES = {}
+
+
+def _write(obj, depth, out):
+    """Append the pieces of the JSON text of obj to out; depth is obj's
+    nesting depth, whose strings _PIECES holds from the first call at it.
+    An item of a container that is exactly a str, an int or a finite float
+    is written in the loop, with no call; any other scalar goes through
+    _scalar_text."""
+    if depth not in _PIECES:
+        line, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        _PIECES[depth] = ("[" + inner, "{" + inner, "," + inner, line + "]", line + "}")
     if isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        inner = indent + "  "
-        sep = "[" + inner
+        sep, _, comma, close, _ = _PIECES[depth]
+        inner = depth + 1
         for item in obj:
             out.append(sep)
-            sep = "," + inner
+            sep = comma
             kind = type(item)
             if kind is str:
                 out.append(_encode_str(item))
@@ -531,16 +540,16 @@ def _write(obj, indent, out):
                 out.append(kind.__repr__(item))
             else:
                 _write(item, inner, out)
-        out.append(indent + "]")
+        out.append(close)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        inner = indent + "  "
-        sep = "{" + inner
+        _, sep, comma, _, close = _PIECES[depth]
+        inner = depth + 1
         for key, item in sorted(obj.items()):
             out.append(sep + _key_text(key) + ": ")
-            sep = "," + inner
+            sep = comma
             kind = type(item)
             if kind is str:
                 out.append(_encode_str(item))
@@ -548,7 +557,7 @@ def _write(obj, indent, out):
                 out.append(kind.__repr__(item))
             else:
                 _write(item, inner, out)
-        out.append(indent + "}")
+        out.append(close)
     else:
         text = _scalar_text(obj)
         if text is None:
@@ -560,6 +569,6 @@ def dump_json(obj):
     """The bytes of json.dumps(obj, indent=2, sort_keys=True) plus a newline,
     written directly: json's indented output never runs its C encoder."""
     out = []
-    _write(obj, "\n", out)
+    _write(obj, 0, out)
     out.append("\n")
     return "".join(out)

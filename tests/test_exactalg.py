@@ -13,7 +13,7 @@ from sympy.matrices import normalforms
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import hermite_normal_form
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from abdyn import exactalg
@@ -21,7 +21,7 @@ from abdyn.errors import ContractError, DimensionError
 from abdyn.criteria import decide_regularizable
 from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, char_poly_split,
                             cyclotomic, cyclotomic_orders, cyclotomic_split,
-                            eigenvalue_moduli, is_positive_definite,
+                            eigenvalue_moduli, image_lattice, is_positive_definite,
                             kernel_completion, minor_gcd, poly_gcd, squarefree_decomposition)
 from abdyn.serialize import family_descriptor_from_json
 from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
@@ -29,7 +29,8 @@ from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
 from util import (check_saturated, count_spectrum_runs, kernel_lattice,
                   kronecker_is_roots_of_unity, mat_vec, numpy_roots_moduli,
                   quasi_unipotent_order, random_unimodular, reference_cyclotomic_split,
-                  reference_kernel_completion, solve, to_numpy, unipotent_index)
+                  reference_image_lattice, reference_kernel_completion, solve, to_numpy,
+                  unipotent_index)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])
 ROT4 = IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -792,6 +793,64 @@ def test_eval_matrix_matches_sympy_horner(n, coeffs, data):
     got = p.eval_matrix(M)
     assert (got.rows, got.cols) == (n, n)
     assert got.entries == tuple(int(x) for x in acc)
+
+
+def test_eval_matrix_runs_one_product_less_than_its_degree(monkeypatch):
+    """Horner from lead * M: a degree-d polynomial at an n x n matrix runs
+    max(d - 1, 0) _mat_mul calls (the zero polynomial has degree -1)."""
+    calls = []
+    mat_mul = exactalg._mat_mul
+
+    def counting(rows, cols):
+        calls.append(len(rows))
+        return mat_mul(rows, cols)
+
+    monkeypatch.setattr(exactalg, "_mat_mul", counting)
+    for n in (0, 1, 3):
+        M = IntMatrix(n, n, range(n * n))
+        for degree in range(-1, 7):
+            calls.clear()
+            IntPolynomial(range(1, degree + 2)).eval_matrix(M)
+            assert len(calls) == max(degree - 1, 0), (n, degree)
+
+
+@st.composite
+def ranked_matrices(draw):
+    """An n x m integer matrix of rank r, for r from 0 to n and m >= r (so
+    m != n too): the product of an n x r factor, whose rows are those of
+    I_r and n - r rows with entries within 2^40 / r, with an r x m factor
+    [I_r | D] with D in {-1, 0, 1}; the rows of the first and the columns
+    of the second are permuted."""
+    n = draw(st.integers(0, 6))
+    r = draw(st.integers(0, n))
+    m = draw(st.integers(r, n + 2))
+    unit = [[int(i == j) for j in range(r)] for i in range(r)]
+    A = draw(st.permutations(unit + draw(int_matrices(n - r, r, (1 << 40) // max(r, 1))).to_rows()))
+    B = [row + draw(int_matrices(1, m - r, 1)).to_rows()[0] for row in unit]
+    order = draw(st.permutations(range(m)))
+    return IntMatrix(n, r, [x for row in A for x in row]) @ IntMatrix(
+        r, m, [row[j] for row in B for j in order])
+
+
+@example(IntMatrix.zero(3, 4))
+@example(IntMatrix.zero(3, 0))
+@example(IntMatrix.zero(0, 2))
+@example(IntMatrix.identity(4))
+@example(IntMatrix.from_rows([[1 << 40 if i == j else (7 * i + 3 * j) % 5 - 2 for j in range(7)]
+                              for i in range(6)]))
+@example(IntMatrix.from_rows([[1 << 40, 3, 5, 7, 11], [2, 1 << 39, 1, 0, 0],
+                              [0, 1, 1, 1, -(1 << 40)]]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ranked_matrices())
+def test_image_lattice_matches_the_kernel_completion_of_its_null_space(K):
+    """image_lattice(K), whose null rows of K^T come in echelon form, gives
+    row for row the basis of reference_image_lattice, which eliminates K's
+    columns left to right and runs kernel_completion on the null rows: the
+    printed split bases rest on it."""
+    event(f"rank {K.rank()} of {K.rows}")
+    got = image_lattice(K)
+    assert len(got) == K.rank()
+    assert got == reference_image_lattice(K)
 
 
 # small factors over Z, monic or not, with repeats drawn below

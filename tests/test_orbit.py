@@ -8,6 +8,7 @@ import pytest
 from sympy import Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form
 
+from abdyn import exactalg
 from abdyn.errors import ContractError
 from abdyn.exactalg import IntMatrix
 from abdyn.orbit import (NumericLattice, lll_reduce, orbit_dims, real_dual_coords,
@@ -196,6 +197,15 @@ def test_lll_matches_reference_on_small_bases_with_ties():
         assert_lll_reduced_basis_of(rows, got)
     # mu = 1/2 rounds to 0, not 1 as floor(x + 1/2) would
     assert lll_reduce([[2, 0], [1, 1]]) == [[1, 1], [1, -1]]
+
+
+def test_lll_stops_at_its_proven_swap_bound(monkeypatch):
+    """With a Lovasz constant above 1 no bound holds: the identity rows fail
+    every test, and lll_reduce raises at its swap budget (70 per bit of
+    each first-reached d_{k+1}, 140 here) in place of swapping forever."""
+    monkeypatch.setattr(exactalg, "LLL_DELTA", Fraction(101, 100))
+    with pytest.raises(AssertionError, match="proven swap bound"):
+        lll_reduce([[1, 0], [0, 1]])
 
 
 def test_lll_rejects_dependent_rows():

@@ -1496,21 +1496,22 @@ def test_cli_split_matches_reference_on_examples(matrix):
     _check_split_result(matrix, _cli_result(["split"], json.dumps(matrix)))
 
 
-@pytest.mark.parametrize("matrix, kernels", [
-    ([[0, -1], [1, 0]], 0),  # Q = 1
-    ([[2, 1], [1, 1]], 0),  # P = 1
-    ([[1]], 0),
-    ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], 2)],
+@pytest.mark.parametrize("matrix, eliminations, reductions", [
+    ([[0, -1], [1, 0]], 0, 0),  # Q = 1
+    ([[2, 1], [1, 1]], 0, 0),  # P = 1
+    ([[1]], 0, 0),
+    ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], 3, 2)],
     ids=["Q-is-1", "P-is-1", "one", "mixed"])
-def test_cli_split_call_counts(matrix, kernels, monkeypatch):
+def test_cli_split_call_counts(matrix, eliminations, reductions, monkeypatch):
     """One `split` document computes one char poly (one top-level Berkowitz
     run: the split library call and the P, Q read by the document share the
     one kept on the matrix) and runs no exact solve (the lattice charpolys
     are the factors P and Q: orbit's real_dual_coords, the one solve in src,
-    never runs), and it runs kernel_completion once per lattice only when
-    neither factor is 1."""
+    never runs).  When neither factor is 1 it runs three _bareiss passes
+    (the kernel of F(u), the left null space of F(u) for the image lattice,
+    and the index) and one lll_reduce per lattice; otherwise none."""
     counts = count_spectrum_runs(monkeypatch)
-    counts.update(dict.fromkeys(("real_dual_coords", "kernel_completion"), 0))
+    counts.update(dict.fromkeys(("real_dual_coords", "_bareiss", "lll_reduce"), 0))
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -1518,15 +1519,15 @@ def test_cli_split_call_counts(matrix, kernels, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    originals = {"real_dual_coords": real_dual_coords,
-                 "kernel_completion": exactalg.kernel_completion}
+    originals = {"real_dual_coords": real_dual_coords, "_bareiss": exactalg._bareiss,
+                 "lll_reduce": exactalg.lll_reduce}
     for module in [m for name, m in sys.modules.items() if name.startswith("abdyn.")]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     _cli_result(["split"], json.dumps(matrix))
     assert counts == {"berkowitz": 1, "split": 1, "real_dual_coords": 0,
-                      "kernel_completion": kernels}
+                      "_bareiss": eliminations, "lll_reduce": reductions}
 
 
 @pytest.mark.parametrize("argv, stdin_text, runs", [

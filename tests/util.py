@@ -20,9 +20,10 @@ of the split tests (block_sum, BLOCK_SUM_DRAWS); the cyclotomic split by
 plain trial division (reference_cyclotomic_split) and the root moduli from
 numpy.roots (numpy_roots_moduli); the counts of the spectrum computations
 (count_spectrum_runs); the kernel completion by LLL of [c K^T | I] on K
-itself (reference_kernel_completion); the kernel lattice of p(M) from it
-(kernel_lattice) and the split that evaluates both factors
-(reference_split_invariant_subfamily)."""
+itself (reference_kernel_completion); the kernel lattice of p(M) from
+kernel_completion (kernel_lattice), the image lattice from kernel_completion
+of a left null space (reference_image_lattice) and the split that evaluates
+both factors (reference_split_invariant_subfamily)."""
 
 import functools
 import itertools
@@ -756,6 +757,21 @@ def reference_kernel_completion(K):
         if len(kernel) == k:
             return kernel + [r[m:] for r in reduced if any(r[:m])], k
         c *= c
+
+
+def reference_image_lattice(K):
+    """exactalg.image_lattice as it was built before its null rows came in
+    echelon form: one left-to-right _bareiss pass on K's columns, the null
+    row of each free column f with d at f, and the kernel rows of
+    kernel_completion of those rows, which eliminates them again."""
+    n = K.rows
+    a = [list(col) for col in K._columns()]
+    pivots, d = exactalg._bareiss(a, n)
+    rows = dict(zip(pivots, a))
+    N = [[-rows[j][f] if j in rows else d * (j == f) for j in range(n)]
+         for f in range(n) if f not in rows]
+    T, k = kernel_completion(IntMatrix._of(len(N), n, [x for row in N for x in row]))
+    return tuple(map(tuple, T[:k]))
 
 
 def kernel_lattice(p, M):
