@@ -20,9 +20,10 @@ Number Theory, Alg. 2.6.7), exact in integers throughout.
 
 The coordinates x and the inverse of the basis matrix are exact up to one
 rounding: every float is a dyadic rational, so one exact elimination in
-integers (exactalg's _bareiss, on the rows of [A | v | I] with each row's
-denominators cleared) gives both, and each entry is rounded to a float
-once, by an int true division.
+integers (exactalg's _bareiss, on [A | v | I] with the denominators of each
+column of A, and of v, cleared) gives both, and each entry is rounded to a
+float once, by an int true division.  A period lattice in Riemann's normal
+form Z^g + Omega Z^g has g unit basis vectors, whose pivots cost nothing.
 The rank of the complex forms is read from singular values computed by
 one-sided Jacobi (Hestenes), which keeps small singular values accurate
 relative to their size, as the rank band needs (Demmel & Veselic, SIAM J.
@@ -36,7 +37,7 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .errors import ContractError, NumericIndeterminacyError
+from .errors import ContractError, DimensionError, NumericIndeterminacyError
 from .exactalg import _bareiss, lll_reduce
 
 # Bases with ||A||_F ||A^-1||_F above this are refused; the product is
@@ -56,7 +57,7 @@ class NumericLattice(namedtuple("NumericLattice", "g basis polarization")):
     __slots__ = ()
 
     def __new__(cls, g, basis, polarization=None):
-        basis = tuple(tuple(complex(x) for x in v) for v in basis)
+        basis = tuple(tuple(map(complex, v)) for v in basis)
         if len(basis) != 2 * g or any(len(v) != g for v in basis):
             raise ContractError("need 2g basis vectors of length g")
         E = polarization
@@ -115,30 +116,40 @@ def real_dual_coords(lattice, v):
     columns of A are the basis vectors in real coordinates.
 
     Floats are dyadic rationals, so A x = v and A Y = I are solved exactly by
-    one _bareiss pass over the integer rows [A_i m_i | v_i m_i | m_i e_i],
-    m_i the lcm of the denominators of A_i and v_i, and each entry of x and
-    Y is rounded to a float once.  Bases with ||A||_F ||A^-1||_F >
-    COND_LIMIT are refused."""
+    one _bareiss pass over the integer rows [A' | M v | I], A' = A diag(D),
+    D_j the lcm of the denominators of column j of A and M that of v, so a
+    unit column stays one and its pivot costs no row operation.  From its
+    solutions y and Y', x_i = D_i y_i / M and Y_ij = D_i Y'_ij, each rounded
+    to a float once.  Bases with ||A||_F ||A^-1||_F > COND_LIMIT are
+    refused, and a v without g coordinates raises DimensionError."""
     n = 2 * lattice.g
+    v = tuple(map(complex, v))
+    if len(v) != lattice.g:
+        raise DimensionError("alpha must have g coordinates")
     cols = [_real(b) for b in lattice.basis]
-    A = list(zip(*cols))
-    rhs = _real(tuple(complex(z) for z in v))
-    aug = []
-    for i, row in enumerate(A):
-        ratios = [t.as_integer_ratio() for t in row + (rhs[i],)]
-        m = max([q for _, q in ratios])  # powers of two: the lcm is the largest
-        e = [0] * n
-        e[i] = m
-        aug.append([p * (m // q) for p, q in ratios] + e)
+    rhs = _real(v)
+    # powers of two: each lcm of denominators is the largest
+    scaled, D = [], []
+    for col in cols:
+        ratios = [t.as_integer_ratio() for t in col]
+        m = max([q for _, q in ratios])
+        scaled.append([p * (m // q) for p, q in ratios])
+        D.append(m)
+    ratios = [t.as_integer_ratio() for t in rhs]
+    M = max([q for _, q in ratios])
+    aug = [[*row, p * (M // q), *(0,) * i, 1, *(0,) * (n - 1 - i)]
+           for i, (row, (p, q)) in enumerate(zip(zip(*scaled), ratios))]
     pivots, d = _bareiss(aug, n)
     if len(pivots) < n:
         raise NumericIndeterminacyError("lattice basis is ill-conditioned")
-    # row i now holds d x_i and d Y_i; s d > 0, and int true division
-    # rounds each exact quotient once
-    s = 1 if d > 0 else -1
-    d *= s
+    # row i now holds d y_i and d Y'_i; with d > 0 (its sign moved into D,
+    # so that no zero turns into -0.0), int true division rounds each exact
+    # quotient once
+    if d < 0:
+        d, D = -d, [-m for m in D]
     try:
-        x, *inverse = [[s * t / d for t in col] for col in list(zip(*aug))[n:]]
+        x, *inverse = [[m * t / e for m, t in zip(D, col)]
+                       for e, col in zip((d * M, *[d] * n), list(zip(*aug))[n:])]
     except OverflowError:
         raise NumericIndeterminacyError(
             "a coordinate or an entry of A^-1 is beyond the float range") from None
@@ -146,8 +157,7 @@ def real_dual_coords(lattice, v):
     if not norms <= COND_LIMIT:  # also true for nan
         raise NumericIndeterminacyError("lattice basis is ill-conditioned")
     # hypot scales internally, where a sum of squares would overflow
-    resid = math.hypot(*(sum(a * t for a, t in zip(row, x)) - r
-                         for row, r in zip(A, rhs)))
+    resid = math.hypot(*(sum(map(mul, row, x)) - r for row, r in zip(zip(*cols), rhs)))
     scale = max(1.0, math.hypot(*rhs))
     if not resid <= 1e-10 * scale:
         raise NumericIndeterminacyError(f"reconstruction residual {resid} too large")
@@ -212,7 +222,7 @@ def _complex_forms(inverse, relations, g):
     l_q(e_k) = w_k and l_q(i e_k) = w_{g+k}, so u_q(e_k) = w_k - i w_{g+k}."""
     rows = []
     for rel in relations:
-        w = [sum(q * t for q, t in zip(rel.q, col)) for col in inverse]
+        w = [sum(map(mul, rel.q, col)) for col in inverse]
         rows.append([complex(w[k], -w[g + k]) for k in range(g)])
     return rows
 
@@ -225,7 +235,7 @@ def _singular_values(rows):
     first, so that no sum of squares overflows or underflows."""
     cols = [list(r) for r in rows] if len(rows) < len(rows[0]) else \
         [list(c) for c in zip(*rows)]
-    big = max(abs(t) for c in cols for z in c for t in (z.real, z.imag))
+    big = max(map(abs, itertools.chain.from_iterable(map(_real, cols))))
     if not big < math.inf:
         raise NumericIndeterminacyError("a complex form is beyond the float range")
     e = math.frexp(big)[1]

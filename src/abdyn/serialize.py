@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import itertools
 import json
 import math
 import re
@@ -423,8 +424,12 @@ def lattice_to_json(lat):
 
 def lattice_from_json(obj):
     validate_schema(obj, "lattice")
-    basis = tuple(tuple(complex(_float(x), _float(y)) for x, y in v)
-                  for v in obj["basis"])
+    try:
+        basis = tuple(tuple(itertools.starmap(complex, v)) for v in obj["basis"])
+    except OverflowError:  # an integer beyond the float range: name the first
+        for t in itertools.chain.from_iterable(itertools.chain.from_iterable(obj["basis"])):
+            _float(t)
+        raise
     pol = obj.get("polarization")
     return NumericLattice(g=int(obj["g"]), basis=basis,
                           polarization=None if pol is None

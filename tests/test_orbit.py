@@ -9,7 +9,7 @@ from sympy import Matrix, Rational
 from sympy.matrices.normalforms import hermite_normal_form
 
 from abdyn import exactalg
-from abdyn.errors import ContractError
+from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix
 from abdyn.orbit import (NumericLattice, lll_reduce, orbit_dims, real_dual_coords,
                          relation_lattice)
@@ -37,6 +37,17 @@ def test_real_dual_coords_examples():
     got = real_dual_coords(lat, (0.5 + 0.25j,))[0]
     assert max(abs(x - y) for x, y in zip(got, (0.5, 0.25))) < 1e-12
     assert max(abs(x) for x in real_dual_coords(lat, (0,))[0]) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [(0.5,), (0.5, 0.25j, 0.125)])
+def test_alpha_of_the_wrong_length_is_refused(alpha):
+    """A g = 2 lattice with an alpha of 1 or 3 coordinates: the solve and
+    the report both raise DimensionError, where a short alpha used to end
+    in an IndexError and a long one in a report from mixed coordinates."""
+    lat = NumericLattice(g=2, basis=[(1, 0), (0, 1), (1j, 0), (0, 1j)])
+    for analyze in (real_dual_coords, orbit_dims):
+        with pytest.raises(DimensionError, match="alpha must have g coordinates"):
+            analyze(lat, alpha)
 
 
 def test_relation_lattice_sqrt2():

@@ -13,10 +13,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import Phase, assume, event, given, settings
 from hypothesis import strategies as st
 
-from abdyn import exactalg
+from abdyn import exactalg, orbit
 from abdyn.cli import main
 from abdyn.errors import ContractError, NumericIndeterminacyError
 from abdyn.exactalg import KERNEL_SCALE, IntMatrix, kernel_completion, lll_reduce
@@ -133,7 +133,15 @@ def test_jacobi_small_singular_values_near_rank_deficient(rank, rows, cols):
 
 # --- lll_reduce and real_dual_coords against their Fraction versions ------------
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+# The LLL tests skip hypothesis's shrink and explain phases, which only
+# minimize and annotate a failing example: a faulty lll_reduce call can take
+# up to about 0.4 s before it reaches its swap bound, and shrinking reruns
+# it hundreds of times (explain under a line tracer).  The same examples are
+# generated, with the same assertions, so a fault fails just as surely.
+LLL_PHASES = [p for p in Phase if p not in (Phase.shrink, Phase.explain)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, phases=LLL_PHASES)
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3), min_size=n, max_size=n),
     min_size=1, max_size=n)))
@@ -145,7 +153,7 @@ def test_lll_rounding_matches_fraction_rounding(rows):
     assert lll_reduce(rows) == fraction_lll_reduce(rows)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True, phases=LLL_PHASES)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3), min_size=n + 1,
                       max_size=n + 1), min_size=n, max_size=n),
@@ -173,7 +181,7 @@ def _lll_outcome(reduce, rows):
         return str(exc)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True, phases=LLL_PHASES)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6))
 def test_lll_rounding_matches_fraction_rounding_on_knapsack_rows(xs):
     """Knapsack rows [e_i | round(10^10 x_i)], the shape of the relation
@@ -223,7 +231,7 @@ def kernel_completion_rows(draw):
     return rows
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True, phases=LLL_PHASES)
 @given(kernel_completion_rows())
 def test_lll_matches_fraction_lll_on_kernel_completion_rows(rows):
     """The rows of split's kernel completions, dependent ones among them:
@@ -278,6 +286,36 @@ def test_real_dual_coords_match_fraction_solve(case):
     assert got == _coords_outcome(fraction_real_dual_coords, lattice, alpha)
 
 
+# Entries far apart in binary exponent, to share a column with ordinary ones
+GENERAL_EXTREMES = (0.0, -0.0, 5e-324, 1e-310, 1e300)
+
+
+@st.composite
+def general_lattice_and_alpha(draw):
+    """A g = 1..3 basis with every entry drawn, so that no column need be a
+    unit vector, and a random alpha; in half the cases any entry may be one
+    of GENERAL_EXTREMES, so that one column mixes denominators from 1 to
+    2^1074."""
+    g = draw(st.integers(1, 3))
+    entry = st.floats(-2, 2)
+    if draw(st.booleans()):
+        entry = st.sampled_from(GENERAL_EXTREMES) | entry | entry
+    basis = [[complex(draw(entry), draw(entry)) for _ in range(g)] for _ in range(2 * g)]
+    alpha = [complex(draw(entry), draw(entry)) for _ in range(g)]
+    return NumericLattice(g=g, basis=basis), alpha
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(general_lattice_and_alpha())
+def test_real_dual_coords_match_fraction_solve_on_general_bases(case):
+    """Bit-identical x and A^-1, or the same refusal, as the solve in
+    Fractions, on bases without unit columns."""
+    lattice, alpha = case
+    got = _coords_outcome(real_dual_coords, lattice, alpha)
+    event(got[1] if got[0] == "refused" else "solved")
+    assert got == _coords_outcome(fraction_real_dual_coords, lattice, alpha)
+
+
 TINY = NumericLattice(g=1, basis=[[5e-324], [5e-324j]])
 
 
@@ -316,8 +354,9 @@ def test_orbit_analyze_builds_no_fraction(monkeypatch):
 
 def test_orbit_analyze_solves_its_coordinates_in_one_elimination(monkeypatch):
     """A g = 2 `orbit analyze` with relations runs _bareiss twice: once on
-    the 4 rows [A_i m_i | v_i m_i | m_i e_i] of its coordinates (9 entries,
-    4 columns eliminated), and once in _independent, on the relations' q
+    the 4 rows [A' | M v | I] of its coordinates, A' the basis matrix A with
+    each column's denominators cleared and M those of v (9 entries, 4
+    columns eliminated), and once in _independent, on the relations' q
     parts (4 rows)."""
     calls = []
     bareiss = exactalg._bareiss
@@ -340,3 +379,27 @@ def test_orbit_analyze_solves_its_coordinates_in_one_elimination(monkeypatch):
     assert len(calls) == 2
     assert calls[0] == (4, 9, 4)
     assert calls[1][0] == 4
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("make", [_standard_basis, _skew_basis])
+def test_unit_columns_reach_the_elimination_unscaled(monkeypatch, g, make):
+    """On a lattice [I | Omega] the rows that real_dual_coords hands to
+    _bareiss hold e_1..e_g exactly in their first g columns (all 2g columns
+    on the standard lattice), so those pivots are 1 and rescale no row;
+    scaling each row by its own denominators would put m_i e_i there."""
+    rng = random.Random(f"unit-columns:{g}:{make.__name__}")
+    calls = []
+
+    def capture(a, ncols):
+        calls.append([list(row) for row in a])
+        return exactalg._bareiss(a, ncols)
+
+    monkeypatch.setattr(orbit, "_bareiss", capture)
+    basis = make(g, rng)
+    alpha = [complex(rng.random(), rng.random()) for _ in range(g)]
+    real_dual_coords(NumericLattice(g=g, basis=basis), alpha)
+    units = 2 * g if make is _standard_basis else g
+    [rows] = calls
+    assert [row[:units] for row in rows] == [[int(i == j) for j in range(units)]
+                                             for i in range(2 * g)]
