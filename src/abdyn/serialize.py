@@ -34,7 +34,7 @@ from .degrees import SemiAbelianAut
 from .errors import AbdynError, ContractError, SchemaError
 from .exactalg import INT_BOUND, MAX_INT_DIGITS, IntMatrix, IntPolynomial
 from .orbit import NumericLattice
-from .toroidal import MAX_R_PRIME, Fan, GammaData, face_set, fan_of_faces
+from .toroidal import MAX_R_PRIME, Fan, GammaData, face_set
 
 
 def _is_number(x):  # a bool is True or False, so "is" tests are enough
@@ -333,23 +333,25 @@ def _rational(x):
 def fan_to_json(fan):
     """Fan file format: {gamma, rays, cones (ray-index lists), metric, seed}.
     Only maximal-dimension data is needed to reconstruct a simplicial fan,
-    but every cone in the stored set is kept, encoded via its generators."""
-    ray_index = {}
-    rays = []
-    cones = []
+    but every cone in the stored set is kept, encoded via its generators.
+    A ray's index is its first use among the cones, and only the largest
+    coordinate is checked against int_to_json's bound."""
+    ray_index, cones = {}, []
     for cone in fan.cones:
         idxs = []
         for gen in cone:
-            if gen not in ray_index:
-                ray_index[gen] = len(rays)
-                rays.append([int_to_json(x) for x in gen])
-            idxs.append(ray_index[gen])
-        cones.append(sorted(idxs))
+            i = ray_index.get(gen)
+            if i is None:
+                i = ray_index[gen] = len(ray_index)
+            idxs.append(i)
+        idxs.sort()
+        cones.append(idxs)
+    int_to_json(max(map(abs, itertools.chain.from_iterable(ray_index)), default=0))
     return {
         "gamma": {"g_prime": fan.gamma.g_prime,
                   "r_prime": fan.gamma.r_prime,
                   "Bprime": matrix_to_json(fan.gamma.Bprime)},
-        "rays": rays,
+        "rays": [list(map(str, ray)) for ray in ray_index],
         "cones": cones,
         "metric": [[_frac_to_json(x) for x in row] for row in fan.metric],
         "seed": fan.seed,
@@ -393,7 +395,8 @@ def built_fan(obj):
     of gamma and its metric (either None if it cannot be built, if r' >
     MAX_R_PRIME, or for faces if the first ray is not g' + r' + 1 long);
     fan is the Fan when obj is exactly its fan_to_json, ints typed as the
-    schema."""
+    schema, and then stores faces itself: certified, with nothing to compare
+    again (toroidal.validate_fan)."""
     faces = gamma = None
     try:
         g = obj["gamma"]
@@ -404,9 +407,9 @@ def built_fan(obj):
         if len(obj["rays"][0]) != gamma.g + 1:
             return None, None, gamma
         faces, seed = face_set(gamma, Q), obj.get("seed")
-        if (isinstance(faces, set) and type(g["g_prime"]) is type(g["r_prime"]) is int
+        if (isinstance(faces, tuple) and type(g["g_prime"]) is type(g["r_prime"]) is int
                 and (seed is None or type(seed) is int)):
-            fan = fan_of_faces(faces, gamma, Q, seed)
+            fan = Fan(faces, gamma, Q, seed)
             if fan_to_json(fan) == obj and {type(i) for c in obj["cones"] for i in c} <= {int}:
                 return fan, faces, gamma
     except (AbdynError, ArithmeticError, LookupError, TypeError, ValueError):

@@ -45,11 +45,12 @@ face set of its cells (Fulton, Introduction to Toric Varieties, 1.4: a fan
 is the faces of its maximal cones): the faces of the r'! simplices, each
 moved so its smallest vertex is 0 and then to each of the det B' coset
 representatives, are the Gamma-canonical forms of every cone, with no
-reduction per vertex.  validate_fan and section_extends share that one
-certificate, face_set, computed once per document, and a rejected fan is
-explained by set difference against it (a fan file equal to its layout
-needs no more: serialize.built_fan).  That makes the section-extension
-test an O(1) look at the abelian block.
+reduction per vertex, and they come out in the order a Fan stores them.
+validate_fan and section_extends share that one certificate, face_set,
+computed once per document from the metric cleared once, and a rejected
+fan is explained by set difference against it (a fan that stores the very
+tuple face_set gave needs no more: delaunay_fan, serialize.built_fan).
+That makes the section-extension test an O(1) look at the abelian block.
 A cone is the sorted tuple of its primitive generators, each in Z^{g+1}
 with the height last (the zero cone is ()), in a Fan as everywhere else.
 """
@@ -61,7 +62,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, neg
 
 from .errors import ContractError, DimensionError
 from .exactalg import (IntMatrix, _bareiss, _definite_adjugate, is_positive_definite,
@@ -216,11 +217,6 @@ def gamma_from_B(B):
         raise ContractError("period translation matrix is not positive semi-definite") from None
 
 
-def nakamura_data(M):
-    """Convenience: monodromy -> GammaData (B' block and ranks)."""
-    return gamma_from_B(_block_B(M))
-
-
 # ---------------------------------------------------------------------------
 # Delaunay fan construction
 # ---------------------------------------------------------------------------
@@ -246,22 +242,19 @@ def _obtuse_superbase(Q):
     r'-1), on which the triangulation of a cospherical Q depends.
     v_i.Q_eps.v_j has the sign of the first non-zero entry of (v_i.Q.v_j,
     v_i.E_1.v_j, ..), one of which is non-zero as v_i and v_j are, and the
-    E_k part is computed only where v_i.Q.v_j = 0.  Q (ints or Fractions)
-    is scaled by the lcm of its denominators, which keeps every sign.  Q
-    must be positive definite: each step lowers sum v_i.Q_eps.v_i
-    lexicographically, so it ends; past MAX_SELLING_STEPS it raises
-    ContractError."""
-    rp = len(Q)
-    D = math.lcm(*(x.denominator for row in Q for x in row))
-    DQ = [[x.numerator * (D // x.denominator) for x in row] for row in Q]
-    units = list(itertools.combinations_with_replacement(range(rp), 2))  # the E_k
-    vs = [(-1,) * rp] + [tuple(int(i == j) for j in range(rp)) for i in range(rp)]
+    E_k part is computed only where v_i.Q.v_j = 0.  Q is read as it is
+    given: face_set passes the metric cleared to integers, and any positive
+    multiple keeps every sign.  Q must be positive definite: each step
+    lowers sum v_i.Q_eps.v_i lexicographically, so it ends; past
+    MAX_SELLING_STEPS it raises ContractError."""
+    units, vs, pairs = _selling_start(len(Q))
+    vs = list(vs)
     # the other r' - 1 vectors absorb 2 v_i, so sum v = 0 is kept
-    step = 2 if rp == 2 else 1
-    pairs = list(itertools.combinations(range(rp + 1), 2))
+    step = 2 if len(Q) == 2 else 1
     for _ in range(MAX_SELLING_STEPS + 1):
-        Qv = [[sum(map(mul, row, v)) for row in DQ] for v in vs]
-        for (i, j), x in zip(pairs, (sum(map(mul, Qv[i], vs[j])) for i, j in pairs)):
+        Qv = [[sum(map(mul, row, v)) for row in Q] for v in vs[:-1]]  # no pair starts at v_r'
+        for i, j in pairs:
+            x = sum(map(mul, Qv[i], vs[j]))
             if x > 0 or not x and _eps_part(vs[i], vs[j], units) > 0:
                 break
         else:
@@ -270,6 +263,15 @@ def _obtuse_superbase(Q):
         vs = [tuple(-x for x in vi) if k == i else v if k == j
               else tuple(x + step * y for x, y in zip(v, vi)) for k, v in enumerate(vs)]
     raise ContractError(f"the metric needs more than {MAX_SELLING_STEPS} Selling steps")
+
+
+@lru_cache(maxsize=None)
+def _selling_start(rp):
+    """The E_k as index pairs (a, b), the start (-sum e_i, e_1, .., e_r')
+    and the pairs i < j of _obtuse_superbase."""
+    return (tuple(itertools.combinations_with_replacement(range(rp), 2)),
+            ((-1,) * rp,) + tuple(tuple(int(i == j) for j in range(rp)) for i in range(rp)),
+            tuple(itertools.combinations(range(rp + 1), 2)))
 
 
 def _eps_part(v, w, units):
@@ -297,44 +299,65 @@ def _coset_representatives(gamma):
 @lru_cache(maxsize=None)
 def _subset_chains(r):
     """The chains 0 = m_0 < m_1 < .. < m_j (j >= 0) of bit masks of subsets
-    of r elements, each mask a proper subset of the next."""
+    of r elements, each mask a proper subset of the next, with its slots:
+    for each member m0, the places in sums + [-p for p in sums] of sums[m]
+    - sums[m0] over the members m (m ^ m0 if m contains m0, else 2^r + (m ^
+    m0); see _delaunay_faces)."""
+    n = 1 << r
     chains = [(0,)]
     for c in chains:  # the list grows as it is walked
-        chains.extend(c + (c[-1] | m,) for m in range(1, 1 << r) if not m & c[-1])
-    return tuple(chains)
+        chains.extend(c + (c[-1] | m,) for m in range(1, n) if not m & c[-1])
+    return tuple((c, {m0: tuple(m ^ m0 if m & m0 == m0 else n + (m ^ m0) for m in c) for m0 in c})
+                 for c in chains)
 
 
 def _delaunay_faces(gamma, Q):
     """The Gamma-canonical forms (_canonical_gens) of every cone of the
-    Delaunay fan of Z^{r'} under the positive definite rational metric Q,
-    the zero cone included, as sorted generator tuples; for a cospherical Q,
-    those of the triangulation of Q_eps (_obtuse_superbase), which refines
-    its Delaunay cells.  From the obtuse superbase of Q_eps the cells are the
-    Z^{r'}-translates of the simplices {0, v_s1, v_s1 + v_s2, ..} over the
-    orders s of v_1..v_r' (Conway & Sloane 1992).  Their faces are the
+    Delaunay fan of Z^{r'} under the positive definite metric Q (cleared
+    to integers by face_set), the zero cone included, as sorted generator
+    tuples in the order a Fan stores them: by length, then by generators;
+    for a cospherical Q, those of the triangulation of Q_eps
+    (_obtuse_superbase), which refines its Delaunay cells.  From the obtuse
+    superbase of Q_eps the cells are the Z^{r'}-translates of the simplices
+    {0, v_s1, v_s1 + v_s2, ..} over the orders s of v_1..v_r' (Conway &
+    Sloane 1992).  Their faces are the
     chains of subset sums of v_1..v_r', so every cone is a translate of a
     chain that starts at 0 (_subset_chains), moved so its smallest vertex
-    is 0, and that is translated to each coset representative c: canonical,
-    as its smallest vertex is c, so no vertex is reduced mod B'.  Raises
-    ContractError if det B' > MAX_DET_BPRIME, before enumerating, or if the
-    Selling steps pass their limit."""
+    is 0: its template.  Translation keeps the lexicographic order, so one
+    sort of the points +-sums[m] ranks every template vertex: a chain's
+    smallest vertex is its lowest-ranked mask m0, and each other mask m
+    lies at +sums[m ^ m0] or -sums[m0 ^ m] (its slot).  Each template is
+    translated to each coset representative c: canonical, as its smallest
+    vertex is c, so no vertex is reduced mod B'.  Within one length, faces
+    compare by c and then by template, so walking (length, c, template) in
+    sorted order emits them sorted.  Raises ContractError if det B' >
+    MAX_DET_BPRIME, before enumerating, or if the Selling steps pass their
+    limit."""
     if gamma.det > MAX_DET_BPRIME:
         raise ContractError(f"det B' = {gamma.det} is above the limit {MAX_DET_BPRIME}")
-    origin, zero = (0,) * gamma.r_prime, (0,) * gamma.g_prime
-    sums = [origin]  # sums[m]: the sum of the v_i with bit i of m set
+    sums = [(0,) * gamma.r_prime]
     for v in _obtuse_superbase(Q)[1:]:
         sums += [tuple(map(add, p, v)) for p in sums]
-    chains = (sorted(sums[m] for m in chain) for chain in _subset_chains(gamma.r_prime))
-    templates = [tuple(tuple(map(sub, p, pts[0])) for p in pts) for pts in chains]
-    reps = _coset_representatives(gamma)
-    # each vertex's generators at the representatives, in one order: a
-    # face's translates are then the zip of its vertices' lists
-    gens = {p: [zero + tuple(map(add, p, c)) + (1,) for c in reps]
-            for p in set().union(*templates)}
-    faces = {()}
-    for face in templates:
-        faces.update(zip(*map(gens.__getitem__, face)))
-    return faces
+    points = sums + [tuple(map(neg, p)) for p in sums]
+    rank = {p: i for i, p in enumerate(sorted(set(points)))}
+    ranks = [rank[p] for p in points]
+    templates = []
+    for chain, slots in _subset_chains(gamma.r_prime):
+        template = [ranks[s] for s in slots[min(chain, key=ranks.__getitem__)]]
+        template.sort()
+        templates.append(template)
+    templates.sort()
+    templates.sort(key=len)
+    # each representative's generator at each point, by rank
+    zero = (0,) * gamma.g_prime
+    rows = [[zero + tuple(map(add, p, c)) + (1,) for p in rank]
+            for c in sorted(_coset_representatives(gamma))]
+    origin = rank[sums[0]]
+    faces = [()] + [(row[origin],) for row in rows]
+    for _, group in itertools.groupby(templates[1:], len):
+        getters = [itemgetter(*t) for t in group]
+        faces += [get(row) for row in rows for get in getters]
+    return tuple(faces)
 
 
 def delaunay_fan(gamma_data, metric="standard", seed=0):
@@ -356,15 +379,9 @@ def delaunay_fan(gamma_data, metric="standard", seed=0):
     if len(Q) != rp or any(len(row) != rp for row in Q):
         raise DimensionError("metric must be r' x r'")
     faces = face_set(gamma_data, Q)
-    if not isinstance(faces, set):  # the reason there is none
+    if not isinstance(faces, tuple):  # the reason there is none
         raise ContractError(str(faces))
-    return fan_of_faces(faces, gamma_data, Q, seed)
-
-
-def fan_of_faces(faces, gamma, Q, seed):
-    """The Fan that `fan build` stores for a face set: the cones by
-    dimension, then by generators."""
-    return Fan(tuple(sorted(sorted(faces), key=len)), gamma, tuple(map(tuple, Q)), seed)
+    return Fan(faces, gamma_data, tuple(map(tuple, Q)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +399,22 @@ class FanReport(namedtuple("FanReport", "violations non_regular")):
 
 
 def face_set(gamma, Q):
-    """The face set of the Delaunay fan of the metric Q (_delaunay_faces,
-    which triangulates a cospherical Q as delaunay_fan does), or the reason
-    there is none: the one violation (r' > MAX_R_PRIME, Q not symmetric, or
-    not positive definite), or the ContractError of det B' or the Selling
-    steps above their limit."""
+    """The face set of the Delaunay fan of the rational metric Q
+    (_delaunay_faces, which triangulates a cospherical Q as delaunay_fan
+    does), as the tuple a Fan stores, or the reason there is none: the one
+    violation (r' > MAX_R_PRIME, Q not symmetric, or not positive definite),
+    or the ContractError of det B' or the Selling steps above their limit.
+    The symmetry test, the definiteness pass and Selling all read Q cleared
+    once, to integer rows over the lcm of its denominators."""
     rp = gamma.r_prime
     if rp > MAX_R_PRIME:
         return "Delaunay cells are computed for r' <= 3 only"
+    D = math.lcm(*(x.denominator for row in Q for x in row))
+    Q = [[x.numerator * (D // x.denominator) for x in row] for row in Q]
     if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
         return "metric is not symmetric"
     # first: the Selling loop need not end on an indefinite form
-    if not is_positive_definite(Q):
+    if _definite_adjugate(Q) is None:
         return "metric is not positive definite"
     try:
         return _delaunay_faces(gamma, Q)
@@ -421,7 +442,8 @@ def _certify(fan, faces=None):
     if isinstance(faces, str):
         return (faces,), ()
     stored = fan.cones
-    if len(stored) == len(faces) and set(stored) == faces:
+    members = set(faces)
+    if len(stored) == len(faces) and set(stored) == members:
         return (), ()
     violations, rejected, seen = [], [], {}
     for idx, gens in enumerate(stored):
@@ -434,11 +456,11 @@ def _certify(fan, faces=None):
             violations.append(f"cone {idx}: Gamma-duplicate of cone {seen[c]}")
         else:
             seen[c] = idx
-            if c in faces:
+            if c in members:
                 continue
             violations.append(f"cone {idx}: not a cone of the Delaunay fan of the metric")
         rejected.append(idx)
-    violations += [f"missing cone {c}" for c in sorted(sorted(faces.difference(seen)), key=len)]
+    violations += [f"missing cone {c}" for c in faces if c not in seen]
     # a face has minor gcd 1, and so has each Gamma-translate of one
     return tuple(violations), tuple(i for i in rejected if minor_gcd(stored[i]) > 1)
 
@@ -452,7 +474,10 @@ def validate_fan(fan, faces=None):
     1/r'! tile one fundamental cell.  Otherwise the report names the
     violations, and non_regular lists the rejected cones whose generators
     have minor gcd above 1; det B' > MAX_DET_BPRIME, or a metric that needs
-    more than MAX_SELLING_STEPS, is the one violation.  faces: see _certify."""
+    more than MAX_SELLING_STEPS, is the one violation.  faces: see _certify;
+    a fan that stores that very tuple is accepted with no comparison."""
+    if fan.cones is faces:
+        return FanReport((), ())
     try:
         return FanReport(*_certify(fan, faces))
     except ContractError as exc:  # det B' or the Selling steps above their limit
@@ -466,14 +491,15 @@ def section_extends(n_phi, fan, faces=None):
     {0} x R^{r'} x R and cover the cone over {0} x R^{r'} x {1}, so the ray
     is in the fan exactly when the abelian block of n_phi vanishes: at
     height 1 an integer b is a vertex of the subdivision, so its ray is a
-    ray of the fan.  faces: see _certify."""
+    ray of the fan.  faces: see validate_fan."""
     gamma = fan.gamma
     n_phi = tuple(int(x) for x in n_phi)
     if len(n_phi) != gamma.g:
         raise DimensionError("n_phi must have g coordinates")
-    violations, _ = _certify(fan, faces)
-    if violations:
-        raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
+    if fan.cones is not faces:
+        violations, _ = _certify(fan, faces)
+        if violations:
+            raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])
 
 

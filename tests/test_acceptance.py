@@ -19,12 +19,11 @@ from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly, char_poly_split
                             cyclotomic, cyclotomic_split)
 from abdyn.orbit import NumericLattice, orbit_dims
 from abdyn.toroidal import (central_fiber_combinatorics, delaunay_fan,
-                            monodromy_to_B, nakamura_data,
-                            section_extends, translation_regularizable,
+                            monodromy_to_B, section_extends, translation_regularizable,
                             validate_fan, GammaData)
 from util import (canonical_cone, check_saturated, compound_matrix, conjugate,
                   degree_sequence_numeric, fit_growth, gamma_act,
-                  kronecker_is_roots_of_unity, mat_vec, random_unimodular,
+                  kronecker_is_roots_of_unity, mat_vec, nakamura_data, random_unimodular,
                   restricted_char_poly, to_numpy, translate_cone)
 
 GOLDEN2 = IntMatrix.from_rows([[2, 1], [1, 1]])

@@ -24,9 +24,8 @@ from abdyn.exactalg import (ONE, IntMatrix, IntPolynomial, char_poly, char_poly_
                             eigenvalue_moduli, image_lattice, is_positive_definite,
                             kernel_completion, minor_gcd, poly_gcd, squarefree_decomposition)
 from abdyn.serialize import family_descriptor_from_json
-from abdyn.toroidal import (GammaData, _reduce_mod_period, nakamura_data,
-                            translation_regularizable)
-from util import (check_saturated, count_spectrum_runs, kernel_lattice,
+from abdyn.toroidal import GammaData, _reduce_mod_period, translation_regularizable
+from util import (check_saturated, count_spectrum_runs, kernel_lattice, nakamura_data,
                   kronecker_is_roots_of_unity, mat_vec, numpy_roots_moduli,
                   quasi_unipotent_order, random_unimodular, reference_cyclotomic_split,
                   reference_image_lattice, reference_kernel_completion, solve, to_numpy,

@@ -33,9 +33,9 @@ from abdyn.cli import main
 from abdyn.errors import ContractError, SchemaError
 from abdyn.exactalg import IntMatrix, IntPolynomial, cyclotomic
 from abdyn.orbit import real_dual_coords
-from abdyn.toroidal import delaunay_fan, nakamura_data
+from abdyn.toroidal import delaunay_fan
 
-from util import (BLOCK_SUM_DRAWS, FREE_BLOCKS, block_sum, count_spectrum_runs,
+from util import (BLOCK_SUM_DRAWS, FREE_BLOCKS, block_sum, count_spectrum_runs, nakamura_data,
                   poly_from_json, restricted_char_poly)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -1711,6 +1711,68 @@ def test_cli_fan_commands_check_each_matrix_once(tmp_path, capsys, monkeypatch):
         code, _, err = run_cli(argv, None, capsys, monkeypatch)
         assert (code, err) == (0, "")
         assert passes == [[[2, 1], [1, 3]], [[1, 0], [0, 1]]], argv
+
+
+@pytest.mark.parametrize("B, metric", [("[[2,1,0],[1,2,1],[0,1,2]]", "standard"),
+                                       ("[[2,1],[1,3]]", "random"), ("[[5]]", "standard")],
+                         ids=["A3", "r'=2-random", "r'=1"])
+@pytest.mark.parametrize("command", ["validate", "extends"])
+def test_cli_certified_fan_file_call_counts(B, metric, command, tmp_path, capsys, monkeypatch):
+    """`fan validate` and `fan extends` on a file that `fan build` wrote run
+    one Selling reduction and two eliminations (the definiteness passes on
+    B' in GammaData and on the metric in face_set, no _bareiss), and build
+    the face set once (one _delaunay_faces, one coset enumeration).  The
+    fast test accepts the file by comparing it with that face set's
+    fan_to_json, so validate_fan and section_extends take the fan as
+    certified and run no second comparison (no _certify)."""
+    from abdyn import toroidal
+    fan_file = tmp_path / "fan.json"
+    code, _, err = run_cli(["fan", "build", "--B", B, "--metric", metric, "--seed", "4",
+                            "--out", str(fan_file)], None, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    originals = {"_obtuse_superbase": toroidal._obtuse_superbase,
+                 "_delaunay_faces": toroidal._delaunay_faces,
+                 "_coset_representatives": toroidal._coset_representatives,
+                 "_definite_adjugate": exactalg._definite_adjugate,
+                 "_bareiss": exactalg._bareiss, "_certify": toroidal._certify}
+    counts = dict.fromkeys(originals, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("abdyn.")]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    nphi = json.dumps([1] * len(json.loads(B)))
+    code, out, err = run_cli(_fan_argv(command, fan_file, nphi), None, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["ok" if command == "validate" else "extends"] is True
+    assert counts == {"_obtuse_superbase": 1, "_delaunay_faces": 1, "_coset_representatives": 1,
+                      "_definite_adjugate": 2, "_bareiss": 0, "_certify": 0}
+
+
+@pytest.mark.parametrize("B", ["[[2,1,0],[1,2,1],[0,1,2]]", "[[1,0,0],[0,1,0],[0,0,1]]",
+                               "[[2,1,1],[1,2,1],[1,1,2]]"], ids=["A3", "I3", "B3-1"])
+def test_cli_fan_random_metric_round_trip_at_r3(B, tmp_path, capsys, monkeypatch):
+    """At r' = 3, `fan build --metric random` with --seed 1..5 exits 0 in
+    well under 0.5 s (about 2 ms here), `fan validate` reads its file as ok,
+    and `fan extends` answers on it (g' = 0, so every section extends)."""
+    fan_file = tmp_path / "fan.json"
+    for seed in range(1, 6):
+        start = time.perf_counter()
+        code, _, err = run_cli(["fan", "build", "--B", B, "--metric", "random", "--seed",
+                                str(seed), "--out", str(fan_file)], None, capsys, monkeypatch)
+        assert (code, err) == (0, "") and time.perf_counter() - start < 0.5, seed
+        code, out, err = run_cli(["fan", "validate", str(fan_file)], None, capsys, monkeypatch)
+        result = json.loads(out)["result"]
+        assert (code, err, result["ok"], result["violations"]) == (0, "", True, []), seed
+        code, out, err = run_cli(_fan_argv("extends", fan_file, "[1,-2,3]"), None, capsys,
+                                 monkeypatch)
+        assert (code, err) == (0, "") and json.loads(out)["result"]["extends"] is True, seed
 
 
 @pytest.mark.parametrize("command, ints, floats", [

@@ -11,23 +11,25 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import Phase, event, example, given, settings
 from hypothesis import strategies as st
 
-from abdyn import toroidal
+from abdyn import serialize, toroidal
 from abdyn.cli import main
 from abdyn.errors import ContractError, DimensionError
 from abdyn.exactalg import IntMatrix, is_positive_definite
 from abdyn.toroidal import (Fan, GammaData, _coset_representatives,
                             _delaunay_faces, _obtuse_superbase, _reduce_mod_period,
                             central_fiber_combinatorics, delaunay_fan,
-                            monodromy_to_B, nakamura_data, period_data, section_extends,
+                            monodromy_to_B, period_data, section_extends,
                             translation_regularizable, validate_fan)
 
 from util import (brute_force_delaunay_cells, brute_force_delaunay_polytopes, canonical_cone,
-                  epsilon_metric, fraction_rref, gamma_act, gamma_shift, random_unimodular,
+                  epsilon_metric, fraction_rref, gamma_act, gamma_shift, nakamura_data,
+                  random_unimodular,
                   reference_delaunay_cells,
-                  reference_canonical_cone, reference_face_set, reference_fan_report,
+                  reference_canonical_cone, reference_face_set, reference_fan_faces,
+                  reference_fan_of_faces, reference_fan_report, reference_fan_to_json,
                   reference_kernel_completion, reference_nakamura_data,
                   reference_obtuse_superbase, reference_section_extends,
                   reference_validate_fan, translate_cone)
@@ -671,12 +673,95 @@ def test_face_set_matches_reference(case):
     gamma, Q = case
     fan = delaunay_fan(gamma, metric=Q, seed=1)
     event(f"r' = {gamma.r_prime}, det B' = {gamma.det}")
-    assert _delaunay_faces(gamma, fan.metric) == reference_face_set(
+    faces = _delaunay_faces(gamma, fan.metric)
+    assert len(set(faces)) == len(faces) and set(faces) == reference_face_set(
         reference_delaunay_cells(gamma, fan.metric), gamma)
     report = validate_fan(fan)
     assert report.ok and not report.non_regular
     assert report == reference_fan_report(fan)
     assert report.ok == reference_validate_fan(fan).ok
+
+
+# every phase but the two that only minimize and annotate a failing example
+ORACLE_PHASES = [p for p in Phase if p not in (Phase.shrink, Phase.explain)]
+
+
+def _selling_past_the_limit(g_prime, rp):
+    """A case of _certificate_case whose metric [[1, N], [N, N^2 + 2]] at
+    N = 10^6 (plus a 1 at r' = 3) needs far more Selling steps than
+    MAX_SELLING_STEPS, on B' = I.  The reference's Selling in Fractions
+    takes about 0.4 s at r' = 2 and 2 s at r' = 3 to reach the limit, so it
+    is an explicit example, not a draw."""
+    n = 10 ** 6
+    Q = [[Fraction(x) for x in row[:rp]] for row in [[1, n, 0], [n, n * n + 2, 0], [0, 0, 1]][:rp]]
+    return GammaData(g_prime, rp, IntMatrix.identity(rp)), Q, "Selling past the limit"
+
+
+@st.composite
+def _certificate_case(draw):
+    """(GammaData, rational metric, kind) with g' = 0..2 and r' = 1..3.
+    "random": A^T A + c I for a rational A; "cospherical": a diagonal
+    metric, whose cells are boxes (the identity in half of them); B' = U^T D U
+    with U unimodular and det B' = prod D <= 60.  "det above the limit":
+    B' = diag(d, 1, ..) with d > MAX_DET_BPRIME, and the standard metric."""
+    g_prime, rp = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random"] * 4 + ["cospherical"] * 3 + ["det above the limit"]))
+    if kind == "det above the limit":
+        d = draw(st.integers(toroidal.MAX_DET_BPRIME + 1, 2 * toroidal.MAX_DET_BPRIME))
+        B = [[d if i == j == 0 else int(i == j) for j in range(rp)] for i in range(rp)]
+    else:
+        D = [draw(st.integers(1, 60))]  # det B', split into r' factors
+        for _ in range(rp - 1):
+            D.append(draw(st.sampled_from([f for f in range(1, D[0] + 1) if D[0] % f == 0])))
+            D[0] //= D[-1]
+        U = _unimodular_upper(rp, draw(st.lists(st.integers(-2, 2), min_size=rp * rp,
+                                                max_size=rp * rp)))
+        B = [[sum(U[k][i] * D[k] * U[k][j] for k in range(rp)) for j in range(rp)]
+             for i in range(rp)]
+    rational = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))
+    if kind == "random":
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+        A = [[draw(entry) for _ in range(rp)] for _ in range(rp)]
+        c = draw(rational)
+        Q = [[sum(A[k][i] * A[k][j] for k in range(rp)) + c * (i == j) for j in range(rp)]
+             for i in range(rp)]
+    else:  # the identity, or another diagonal metric if cospherical
+        one = st.just(Fraction(1))
+        diagonal = rational if kind == "cospherical" and draw(st.booleans()) else one
+        Q = [[draw(diagonal) if i == j else Fraction(0) for j in range(rp)] for i in range(rp)]
+    gamma = GammaData(g_prime=g_prime, r_prime=rp, Bprime=IntMatrix.from_rows(B))
+    return gamma, Q, kind
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, phases=ORACLE_PHASES)
+@given(_certificate_case())
+@example(_selling_past_the_limit(0, 2))
+@example(_selling_past_the_limit(1, 3))
+def test_fan_certificate_matches_the_sorting_construction(case):
+    """face_set (its templates ranked, its faces walked in the stored order)
+    against tests/util.reference_fan_faces, the construction that sorted
+    each chain and subtracted its smallest vertex: the same face set, with
+    no repeat; the same stored cones as reference_fan_of_faces, which sorted
+    them; the same fan_to_json as reference_fan_to_json; or, above
+    MAX_DET_BPRIME and past MAX_SELLING_STEPS, the same refusal text."""
+    gamma, Q, kind = case
+    event(kind)
+    identity = Q == IntMatrix.identity(gamma.r_prime).to_rows()
+    event(f"r' = {gamma.r_prime}" + ", the identity" * identity)
+    faces, expected = toroidal.face_set(gamma, Q), reference_fan_faces(gamma, Q)
+    if not isinstance(expected, set):
+        assert isinstance(expected, ContractError)
+        assert kind in ("det above the limit", "Selling past the limit")
+        assert type(faces) is type(expected) and str(faces) == str(expected)
+        with pytest.raises(ContractError, match=f"^{re.escape(str(expected))}$"):
+            delaunay_fan(gamma, metric=Q)
+        return
+    assert kind in ("random", "cospherical")
+    assert len(set(faces)) == len(faces) and set(faces) == expected
+    fan = delaunay_fan(gamma, metric=Q, seed=3)
+    reference = reference_fan_of_faces(expected, gamma, Q, 3)
+    assert fan == reference and fan.cones == faces
+    assert serialize.fan_to_json(fan) == reference_fan_to_json(reference)
 
 
 @pytest.mark.parametrize("g_prime, Bprime", CORPUS_GAMMAS, ids=str)

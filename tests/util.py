@@ -5,9 +5,14 @@ root-of-unity test, unipotent index and quasi-unipotent order, the numeric
 degree-growth oracle (exterior-power norm sequences and their growth fit),
 the reference fan certification (one sorted tuple per face, Selling in Fractions,
 and the face set of the cells: reference_face_set; the report named by set
-difference against it: reference_fan_report),
-the reference monodromy normalization on IntMatrix (reference_nakamura_data)
-and the reduced row echelon form in Fractions (fraction_rref),
+difference against it: reference_fan_report), the fan certificate as it
+was built before its templates were ranked (each chain sorted, the face
+set unordered: reference_fan_faces; the stored cones sorted:
+reference_fan_of_faces; the fan file one generator at a time:
+reference_fan_to_json), the GammaData of a monodromy matrix
+(nakamura_data), the reference monodromy normalization on IntMatrix
+(reference_nakamura_data) and the reduced row echelon form in Fractions
+(fraction_rref),
 the reference orbit analysis (numpy solve, inverse and SVD:
 reference_orbit_dims; the coordinate solve in Fractions:
 fraction_real_dual_coords), and the code that no command reaches: the
@@ -44,10 +49,10 @@ from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly,
 from abdyn.orbit import (COND_LIMIT, NumericLattice, OrbitReport, _independent,
                          _rank_with_band, _round_scaled, lll_reduce, orbit_dims,
                          relation_lattice)
-from abdyn.serialize import validate_schema
-from abdyn.toroidal import (FanReport, GammaData, _canonical_gens,
-                            _coset_representatives, _reduce_mod_period,
-                            _translate)
+from abdyn.serialize import _frac_to_json, int_to_json, matrix_to_json, validate_schema
+from abdyn.toroidal import (MAX_DET_BPRIME, MAX_R_PRIME, MAX_SELLING_STEPS, Fan, FanReport,
+                            GammaData, _block_B, _canonical_gens, _coset_representatives,
+                            _reduce_mod_period, _translate, gamma_from_B)
 
 def count_spectrum_runs(monkeypatch):
     """A dict that counts, from now until the monkeypatch is undone, the
@@ -890,12 +895,14 @@ def epsilon_metric(Q, eps):
     return out
 
 
-def reference_obtuse_superbase(Q):
+def reference_obtuse_superbase(Q, max_steps=None):
     """Selling reduction in exact rationals under Q + sum_k eps^k E_k for an
     infinitesimal eps > 0 (see toroidal._obtuse_superbase): each parameter
     is the tuple of its values under Q, E_1, E_2, .., compared
-    lexicographically with the zero tuple."""
+    lexicographically with the zero tuple.  Past max_steps steps, if given,
+    it raises the ContractError of toroidal.MAX_SELLING_STEPS."""
     rp = len(Q)
+    steps = 0
     forms = [Q] + elementary_symmetric(rp)
     zero = (0,) * len(forms)
     vs = [(-1,) * rp] + [tuple(int(i == j) for j in range(rp)) for i in range(rp)]
@@ -908,6 +915,9 @@ def reference_obtuse_superbase(Q):
         i, j = next((ij for ij in pairs if p[ij] > zero), (None, None))
         if i is None:
             return vs
+        steps += 1
+        if max_steps is not None and steps > max_steps:
+            raise ContractError(f"the metric needs more than {max_steps} Selling steps")
         vi = vs[i]
         vs = [tuple(-x for x in vi) if k == i else v if k == j
               else tuple(x + step * y for x, y in zip(v, vi)) for k, v in enumerate(vs)]
@@ -972,6 +982,66 @@ def reference_face_set(cells, gamma):
     every face of the cone over every cell."""
     return {reference_canonical_cone(face, gamma) for cell in cells
             for face in reference_cone_faces(_reference_cell_cone(cell, gamma.g_prime))}
+
+
+def reference_fan_faces(gamma, Q):
+    """toroidal.face_set as it was built before its templates were ranked:
+    the face set, or the reason there is none, in the same order of checks
+    (r', symmetry and definiteness on the rational Q, det B', then Selling
+    in Fractions with its step limit).  Each chain of subset sums that
+    starts at 0 is sorted and moved so its smallest vertex is 0, and that
+    template translated to each coset representative."""
+    rp = gamma.r_prime
+    if rp > MAX_R_PRIME:
+        return "Delaunay cells are computed for r' <= 3 only"
+    if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
+        return "metric is not symmetric"
+    if not is_positive_definite(Q):
+        return "metric is not positive definite"
+    if gamma.det > MAX_DET_BPRIME:
+        return ContractError(f"det B' = {gamma.det} is above the limit {MAX_DET_BPRIME}")
+    try:
+        vs = reference_obtuse_superbase(Q, MAX_SELLING_STEPS)
+    except ContractError as exc:
+        return exc
+    sums = [(0,) * rp]
+    for v in vs[1:]:
+        sums += [tuple(x + y for x, y in zip(p, v)) for p in sums]
+    chains = [(0,)]
+    for c in chains:  # the list grows as it is walked
+        chains.extend(c + (c[-1] | m,) for m in range(1, 1 << rp) if not m & c[-1])
+    reps = _coset_representatives(gamma)
+    faces = {()}
+    for pts in (sorted(sums[m] for m in chain) for chain in chains):
+        template = [tuple(x - y for x, y in zip(p, pts[0])) for p in pts]
+        faces.update(tuple((0,) * gamma.g_prime + tuple(x + y for x, y in zip(p, c)) + (1,)
+                           for p in template) for c in reps)
+    return faces
+
+
+def reference_fan_of_faces(faces, gamma, Q, seed):
+    """The Fan that `fan build` stored for a face set before the faces came
+    in order: the cones sorted by dimension, then by generators."""
+    return Fan(tuple(sorted(sorted(faces), key=len)), gamma, tuple(map(tuple, Q)), seed)
+
+
+def reference_fan_to_json(fan):
+    """serialize.fan_to_json one generator at a time: each ray numbered at
+    its first use and written by int_to_json, entry by entry."""
+    ray_index, rays, cones = {}, [], []
+    for cone in fan.cones:
+        idxs = []
+        for gen in cone:
+            if gen not in ray_index:
+                ray_index[gen] = len(rays)
+                rays.append([int_to_json(x) for x in gen])
+            idxs.append(ray_index[gen])
+        cones.append(sorted(idxs))
+    return {"gamma": {"g_prime": fan.gamma.g_prime, "r_prime": fan.gamma.r_prime,
+                      "Bprime": matrix_to_json(fan.gamma.Bprime)},
+            "rays": rays, "cones": cones,
+            "metric": [[_frac_to_json(x) for x in row] for row in fan.metric],
+            "seed": fan.seed}
 
 
 def reference_metric_cells(fan):
@@ -1126,6 +1196,12 @@ def reference_section_extends(n_phi, fan):
     if violations:
         raise ContractError(f"not the Delaunay fan of its metric: {violations[0]}")
     return not any(n_phi[:gamma.g_prime])
+
+
+def nakamura_data(M):
+    """The GammaData of a monodromy matrix in the block shape [[I, B],
+    [0, I]]: toroidal.gamma_from_B of its block B."""
+    return gamma_from_B(_block_B(M))
 
 
 def reference_nakamura_data(M):
