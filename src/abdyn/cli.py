@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import sys
 import types
-from fractions import Fraction
 
 from . import __version__, serialize
 from .catalog import build_case_matrices, classification_cases, moduli_dim_formula
 from .criteria import (FamilyDescriptor, decide_regularizable,
                        growth_exponent_k, split_invariant_subfamily)
 from .degrees import SemiAbelianAut, semiabelian_degrees
-from .errors import (AbdynError, ContractError, NumericIndeterminacyError,
-                     SchemaError)
+from .errors import AbdynError, NumericIndeterminacyError, SchemaError
 from .exactalg import char_poly_split
 from .orbit import orbit_dims
 from .serialize import (dump_json, fan_from_json, fan_to_json,
@@ -124,15 +122,13 @@ def cmd_split(args):
 
 
 def _random_metric(r_prime, seed):
-    """Seeded random positive definite rational metric: Q = A^T A + I with
-    small integer A."""
+    """Seeded random positive definite integer metric, as rows: Q = A^T A + I
+    with small integer A (delaunay_fan stores it as Fractions)."""
     import random
     rng = random.Random(seed)
     A = [[rng.randint(-2, 2) for _ in range(r_prime)] for _ in range(r_prime)]
-    Q = [[Fraction(sum(A[k][i] * A[k][j] for k in range(r_prime))
-                   + (1 if i == j else 0))
-          for j in range(r_prime)] for i in range(r_prime)]
-    return Q
+    return [[sum(A[k][i] * A[k][j] for k in range(r_prime)) + int(i == j)
+             for j in range(r_prime)] for i in range(r_prime)]
 
 
 def cmd_fan_build(args):
@@ -393,7 +389,7 @@ def main(argv=None):
     except NumericIndeterminacyError as exc:
         print(f"numeric indeterminacy: {exc}", file=sys.stderr)
         return 4
-    except (ContractError, AbdynError) as exc:
+    except AbdynError as exc:
         print(f"contract error: {exc}", file=sys.stderr)
         return 3
 

@@ -50,11 +50,6 @@ class SemiAbelianAut(namedtuple("SemiAbelianAut", "r g u_T u_A_rat")):
             raise DimensionError("u_A_rat given for abelian dimension g = 0")
         return super().__new__(cls, r, g, u_T, u_A_rat)
 
-    def validate(self, tol=1e-9):
-        """Check the lattice-automorphism and doubled-moduli invariants."""
-        _spectra(self, tol)
-        return self
-
 
 class DegreeProfile(namedtuple("DegreeProfile", "lambdas growth_exponents")):
     """Dynamical degrees lambda_0..lambda_{r+g} (a tuple of floats) and,

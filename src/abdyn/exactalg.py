@@ -4,9 +4,10 @@ Everything here runs on arbitrary-precision Python integers: characteristic
 polynomials, cyclotomic factor extraction, polynomial gcds and saturated
 kernel lattices.  These carry the induced action on the first integral
 cohomology of a fiber, so exactness is not negotiable.  A Fraction remains
-only in LLL_DELTA; rational and float input is read exactly, as integer
-ratios.  Floating point appears only in eigenvalue_moduli, which imports
-numpy when it finds roots.
+only in LLL_DELTA; a matrix of ints and Fractions is read exactly through
+one clearing, _cleared, to integer rows over the lcm of all its
+denominators (is_positive_definite and toroidal.face_set).  Floating point
+appears only in eigenvalue_moduli, which imports numpy when it finds roots.
 
 Two exact kernels carry the linear algebra.  Ranks, determinants, the
 coordinate solve of orbit.real_dual_coords (on its floats' integer ratios),
@@ -160,11 +161,6 @@ class IntPolynomial:
             for j in range(d + 1):
                 rem[i - d + j] -= c * divisor.coeffs[j]
         return IntPolynomial._of(quot), IntPolynomial._of(rem)
-
-    def divides(self, other):
-        """True iff self (monic) divides other exactly."""
-        _, r = other.divmod_monic(self)
-        return r.is_zero()
 
     def eval_matrix(self, M):
         """Evaluate at a square IntMatrix: Horner on a list of rows from
@@ -332,10 +328,6 @@ class IntMatrix:
     @staticmethod
     def identity(n):
         return IntMatrix._of(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @staticmethod
-    def zero(rows, cols):
-        return IntMatrix._of(rows, cols, [0] * (rows * cols))
 
     @staticmethod
     def block_diag(*blocks):
@@ -559,16 +551,11 @@ def lll_reduce(rows):
     return b
 
 
-def _cleared(row):
-    """A row of ints, Fractions and floats times the lcm of its
-    denominators.  Each entry is read exactly through as_integer_ratio (a
-    finite float is a dyadic rational); a row of exact ints is returned as
-    it is."""
-    if set(map(type, row)) <= {int}:
-        return row
-    ratios = [x.as_integer_ratio() for x in row]
-    m = lcm(*(q for _, q in ratios))
-    return [p * (m // q) for p, q in ratios]
+def _cleared(rows):
+    """The rows of ints and Fractions times the lcm of all their
+    denominators: integer rows, a positive multiple of the matrix."""
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (D // x.denominator) for x in row] for row in rows]
 
 
 def _definite_adjugate(rows):
@@ -594,9 +581,9 @@ def _definite_adjugate(rows):
 def is_positive_definite(rows):
     """Sylvester's criterion for a symmetric matrix of integers or
     Fractions: every leading principal minor is positive, the verdict of
-    _definite_adjugate.  Clearing each row's denominators scales the minors
-    by positive factors only."""
-    return _definite_adjugate(list(map(_cleared, rows))) is not None
+    _definite_adjugate on the rows _cleared, which scales the minors by
+    positive factors only."""
+    return _definite_adjugate(_cleared(rows)) is not None
 
 
 def char_poly(M):

@@ -65,8 +65,8 @@ from functools import lru_cache
 from operator import add, itemgetter, mul, neg
 
 from .errors import ContractError, DimensionError
-from .exactalg import (IntMatrix, _bareiss, _definite_adjugate, is_positive_definite,
-                       kernel_completion, minor_gcd)
+from .exactalg import (IntMatrix, _bareiss, _cleared, _definite_adjugate,
+                       is_positive_definite, kernel_completion, minor_gcd)
 
 MAX_R_PRIME = 3  # obtuse superbases need not exist past it, and the steps differ
 MAX_DET_BPRIME = 1000  # the cells of a fan number r'! det B'
@@ -167,29 +167,27 @@ def period_data(B):
     positive definite, which is left to the callers (monodromy_to_B, and
     GammaData in gamma_from_B), so it is tested once.
 
-    The first g - r' rows of W span Z^g intersect ker B (kernel_completion).
-    The rest are the unit vectors e_j at the columns j that are not pivots
-    of those rows, so B' is the principal submatrix of B on those columns,
-    unless that W has det other than +-1; then the rest are the remaining
-    rows of kernel_completion's T, and B' the last r' rows and columns of
-    T B T^T."""
-    if B != B.transpose():
+    The first k = g - r' rows of W are the rows K of kernel_completion's T
+    that span Z^g intersect ker B, so K B = 0.  The last pivot d of one
+    _bareiss pass over K is +-det W for W = K plus the unit vectors e_j at
+    the columns j that are not pivots: if |d| = 1 that is W, and B' is the
+    principal submatrix of B on those columns.  Otherwise W is T and B' is
+    R B R^T for the other rows R of T."""
+    rows = B._rows()
+    if not B.is_square() or rows != list(zip(*rows)):
         raise ContractError("period translation matrix is not symmetric")
     g = B.rows
-    # basis change: kernel lattice first, completion after
     T, k = kernel_completion(B)
-    W = IntMatrix.identity(g)
-    if k:  # else B' is B
-        pivots, _ = _bareiss(T[:k], g)
-        units = W.to_rows()
-        W = IntMatrix.from_rows(T[:k] + [units[j] for j in range(g) if j not in pivots])
-        if abs(W.det()) != 1:
-            W = IntMatrix.from_rows(T)
-        B = W @ B @ W.transpose()
-        if any(B[i, j] for i in range(g) for j in range(g) if i < k or j < k):  # diag(0, B')
-            raise AssertionError("basis change failed to split off the kernel")
-    Bp = [[B[i, j] for j in range(k, g)] for i in range(k, g)]
-    return W, IntMatrix.from_rows(Bp), g - k
+    if not k:  # B' is B
+        return IntMatrix.identity(g), B, g
+    pivots, d = _bareiss(T[:k], g)
+    if abs(d) != 1:
+        R = IntMatrix.from_rows(T[k:])
+        return IntMatrix.from_rows(T), R @ B @ R.transpose(), g - k
+    free = [j for j in range(g) if j not in pivots]
+    W = T[:k] + [[int(i == j) for i in range(g)] for j in free]
+    Bp = [[rows[i][j] for j in free] for i in free]
+    return IntMatrix.from_rows(W), IntMatrix.from_rows(Bp), g - k
 
 
 def monodromy_to_B(M):
@@ -405,12 +403,12 @@ def face_set(gamma, Q):
     violation (r' > MAX_R_PRIME, Q not symmetric, or not positive definite),
     or the ContractError of det B' or the Selling steps above their limit.
     The symmetry test, the definiteness pass and Selling all read Q cleared
-    once, to integer rows over the lcm of its denominators."""
+    once (exactalg._cleared), to integer rows over the lcm of its
+    denominators."""
     rp = gamma.r_prime
     if rp > MAX_R_PRIME:
         return "Delaunay cells are computed for r' <= 3 only"
-    D = math.lcm(*(x.denominator for row in Q for x in row))
-    Q = [[x.numerator * (D // x.denominator) for x in row] for row in Q]
+    Q = _cleared(Q)
     if any(Q[i][j] != Q[j][i] for i in range(rp) for j in range(i)):
         return "metric is not symmetric"
     # first: the Selling loop need not end on an indefinite form

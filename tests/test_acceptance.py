@@ -226,7 +226,7 @@ def _random_free_factor(rng):
             # no cyclotomic divisor possible unless a unit-circle root pairs
             # with it; verify exactly by trial division against all Phi_m
             # with phi(m) <= 3 (the only candidates for degree <= 3 factors)
-            if all(not cyclotomic(m).divides(p)
+            if all(not p.divmod_monic(cyclotomic(m))[1].is_zero()
                    for m in (1, 2, 3, 4, 6, 7, 9, 14, 18)):
                 return p
 

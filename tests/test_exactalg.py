@@ -831,9 +831,9 @@ def ranked_matrices(draw):
         r, m, [row[j] for row in B for j in order])
 
 
-@example(IntMatrix.zero(3, 4))
-@example(IntMatrix.zero(3, 0))
-@example(IntMatrix.zero(0, 2))
+@example(IntMatrix(3, 4, [0] * 12))
+@example(IntMatrix(3, 0, []))
+@example(IntMatrix(0, 2, []))
 @example(IntMatrix.identity(4))
 @example(IntMatrix.from_rows([[1 << 40 if i == j else (7 * i + 3 * j) % 5 - 2 for j in range(7)]
                               for i in range(6)]))

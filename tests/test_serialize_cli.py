@@ -1755,6 +1755,35 @@ def test_cli_certified_fan_file_call_counts(B, metric, command, tmp_path, capsys
                       "_definite_adjugate": 2, "_bareiss": 0, "_certify": 0}
 
 
+@pytest.mark.parametrize("B, r_prime, products", [("[[2,1,0],[1,2,0],[0,0,0]]", 2, 0),
+                                                  ("[[1,2],[2,4]]", 1, 2)],
+                         ids=["unit-rows", "completion"])
+def test_cli_fan_build_singular_B_call_counts(B, r_prime, products, capsys, monkeypatch):
+    """`fan build` on a singular B runs two eliminations: the one of
+    kernel_completion and period_data's pass over the kernel rows, whose
+    last pivot is +-det W, so no IntMatrix.det runs.  When the unit rows
+    complete the kernel rows (|det W| = 1), B' is read off B's rows with no
+    matrix product; otherwise it is R B R^T for the completion rows R."""
+    counts = dict.fromkeys(("_bareiss", "det", "__matmul__"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    bareiss = exactalg._bareiss
+    for module in [m for name, m in sys.modules.items() if name.startswith("abdyn.")]:
+        if getattr(module, "_bareiss", None) is bareiss:
+            monkeypatch.setattr(module, "_bareiss", counting("_bareiss", bareiss))
+    for name in ("det", "__matmul__"):
+        monkeypatch.setattr(IntMatrix, name, counting(name, getattr(IntMatrix, name)))
+    code, out, err = run_cli(["fan", "build", "--B", B], None, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["gamma"]["r_prime"] == r_prime
+    assert counts == {"_bareiss": 2, "det": 0, "__matmul__": products}
+
+
 @pytest.mark.parametrize("B", ["[[2,1,0],[1,2,1],[0,1,2]]", "[[1,0,0],[0,1,0],[0,0,1]]",
                                "[[2,1,1],[1,2,1],[1,1,2]]"], ids=["A3", "I3", "B3-1"])
 def test_cli_fan_random_metric_round_trip_at_r3(B, tmp_path, capsys, monkeypatch):

@@ -53,7 +53,7 @@ def test_monodromy_to_B_tate():
 
 def test_monodromy_to_B_identity():
     B, W = monodromy_to_B(IntMatrix.identity(4))
-    assert B == IntMatrix.zero(2, 2)
+    assert B == IntMatrix(2, 2, [0] * 4)
 
 
 def test_monodromy_to_B_partial_rank():
@@ -949,8 +949,8 @@ def test_nakamura_data_matches_reference_on_psd_B():
     the reference normalization on IntMatrix."""
     rng = random.Random(55)
     for gamma, _ in _random_gammas(rng, 40):
-        g = gamma.g
-        D = IntMatrix.block_diag(IntMatrix.zero(gamma.g_prime, gamma.g_prime), gamma.Bprime)
+        g, gp = gamma.g, gamma.g_prime
+        D = IntMatrix.block_diag(IntMatrix(gp, gp, [0] * (gp * gp)), gamma.Bprime)
         U = random_unimodular(g, rng)
         B = (U.transpose() @ D @ U).to_rows()
         M = IntMatrix.from_rows([[int(i == j) for j in range(g)] + B[i] for i in range(g)]

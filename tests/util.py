@@ -41,6 +41,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from abdyn import exactalg
+from abdyn.degrees import semiabelian_degrees
 from abdyn.errors import ContractError, DimensionError, NumericIndeterminacyError
 from abdyn.exactalg import (IntMatrix, IntPolynomial, char_poly,
                             cyclotomic, cyclotomic_orders, cyclotomic_split,
@@ -197,7 +198,7 @@ def unipotent_index(M):
     cp = char_poly(M)
     t_minus_1 = IntPolynomial([-1, 1])
     mult = 0
-    while t_minus_1.divides(cp):
+    while cp.divmod_monic(t_minus_1)[1].is_zero():
         cp, _ = cp.divmod_monic(t_minus_1)
         mult += 1
     if mult == 0:
@@ -234,7 +235,7 @@ def reference_cyclotomic_split(p):
     while it divides."""
     Q, orders = p, {}
     for m, _phi in cyclotomic_orders(p.degree):
-        while Q.degree >= 1 and cyclotomic(m).divides(Q):
+        while Q.degree >= 1 and Q.divmod_monic(cyclotomic(m))[1].is_zero():
             Q = Q.divmod_monic(cyclotomic(m))[0]
             orders[m] = orders.get(m, 0) + 1
     return p.divmod_monic(Q)[0], Q, orders
@@ -538,7 +539,7 @@ def degree_sequence_numeric(aut, k, n_max=25):
     matrices) once, then powered in float with rescaling; this keeps the
     norms well-conditioned even when singular values of the powers span many
     orders of magnitude, and everything accumulates in the log domain."""
-    aut.validate()
+    semiabelian_degrees(aut)  # checks det +/-1 and the doubled abelian moduli
     if not (0 <= k <= aut.r + aut.g):
         raise ContractError("k out of range")
     if n_max < 1:
@@ -815,7 +816,11 @@ def solve(A, *rhs):
     as a list of Fractions, or None when that system is inconsistent; every
     entry is None when A has rank below n."""
     n = len(A[0]) if A else 0
-    a = [exactalg._cleared(list(row) + [b[i] for b in rhs]) for i, row in enumerate(A)]
+    a = []
+    for i, row in enumerate(A):  # each row times the lcm of its denominators
+        ratios = [x.as_integer_ratio() for x in list(row) + [b[i] for b in rhs]]
+        m = math.lcm(*(q for _, q in ratios))
+        a.append([p * (m // q) for p, q in ratios])
     pivots, d = exactalg._bareiss(a, n)
     if len(pivots) < n:
         return [None] * len(rhs)
@@ -1214,7 +1219,7 @@ def reference_nakamura_data(M):
     power = IntMatrix.identity(2 * g)
     for _ in range(2 * g):
         power = power @ N
-    if power != IntMatrix.zero(2 * g, 2 * g):
+    if power != IntMatrix(2 * g, 2 * g, [0] * (4 * g * g)):
         raise ContractError("monodromy is not unipotent: pass a unipotent power M^n")
     if any(M[i, j] != int(i == j) or M[g + i, j] or M[g + i, g + j] != int(i == j)
            for i in range(g) for j in range(g)):
